@@ -1,4 +1,4 @@
-//! Binary wrapper for experiment `fig1` — see DESIGN.md §3.
+//! Binary wrapper for experiment `fig1` — see the root README, \"Evaluation\".
 fn main() {
     qcheck_bench::experiments::fig1::run().print();
 }

@@ -1,4 +1,4 @@
-//! Binary wrapper for experiment `fig3` — see DESIGN.md §3.
+//! Binary wrapper for experiment `fig3` — see the root README, \"Evaluation\".
 fn main() {
     qcheck_bench::experiments::fig3::run().print();
 }

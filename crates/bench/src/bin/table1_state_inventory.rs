@@ -1,4 +1,4 @@
-//! Binary wrapper for experiment `table1` — see DESIGN.md §3.
+//! Binary wrapper for experiment `table1` — see the root README, \"Evaluation\".
 fn main() {
     qcheck_bench::experiments::table1::run().print();
 }

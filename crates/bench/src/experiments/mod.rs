@@ -1,4 +1,5 @@
-//! The reconstructed-evaluation experiments (see DESIGN.md §3).
+//! The reconstructed-evaluation experiments (indexed in the root README,
+//! "Evaluation").
 //!
 //! Each module regenerates one table or figure of the evaluation and
 //! returns a [`crate::report::Table`]; the `src/bin/` wrappers print them.

@@ -1,9 +1,9 @@
 //! # qcheck-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the reconstructed evaluation
-//! (DESIGN.md §3). Each experiment is a library function returning a
-//! [`report::Table`] plus a thin binary in `src/bin/`; `run_all` executes
-//! the whole suite:
+//! (indexed in the root README, "Evaluation"). Each experiment is a
+//! library function returning a [`report::Table`] plus a thin binary in
+//! `src/bin/`; `run_all` executes the whole suite:
 //!
 //! ```bash
 //! cargo run --release -p qcheck-bench --bin run_all
@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod experiments;
 pub mod report;
 pub mod workloads;

@@ -1,8 +1,8 @@
 //! Append-only manifest log + dual root slots: the O(1) commit protocol.
 //!
-//! The legacy layout wrote one `manifests/<id>.qmf` file per checkpoint and
-//! rewrote `LATEST`, costing two renames per save and a full directory walk
-//! on recovery. This module replaces both with:
+//! The repository's only metadata layout (a directory in the older
+//! one-file-per-checkpoint `manifests/` + `LATEST` layout is refused by
+//! `repo`, not read):
 //!
 //! ```text
 //! <root>/

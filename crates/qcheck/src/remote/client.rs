@@ -11,7 +11,7 @@
 //! Server-reported errors are **never** retried: they mean the request
 //! was received and judged, not lost.
 //!
-//! ## Fencing and leases (protocol v2)
+//! ## Fencing and leases
 //!
 //! The handle remembers the highest primary **generation** it has seen
 //! and carries it in every handshake. An address that refuses with a
@@ -43,7 +43,7 @@ use crate::store::{BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStat
 
 use super::proto::{
     read_frame, valid_namespace, write_frame, Request, Response, HELLO_FLAG_WANT_LEASE,
-    MAX_FRAME_LEN, PROTO_VERSION, PROTO_VERSION_MIN, STREAM_SEGMENT_BYTES,
+    MAX_FRAME_LEN, PROTO_VERSION, STREAM_SEGMENT_BYTES,
 };
 
 /// Environment variable tuning the transport retry budget: the number of
@@ -151,9 +151,6 @@ fn is_fatal_dial_error(e: &Error) -> bool {
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// Protocol version the handshake negotiated (the server echoes the
-    /// lower dialect; v3 enables the streaming operations).
-    version: u32,
 }
 
 /// Outcome of one attempt at a streaming operation, distinguished by
@@ -168,8 +165,7 @@ enum StreamAttempt<T> {
     Fatal(Error),
 }
 
-/// A parsed [`Response::Status`] (also printed by `qckptd status` and
-/// surfaced in `bench_store` remote rows).
+/// A parsed [`Response::Status`] (also printed by `qckptd status`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RemoteStatus {
     /// Server protocol version.
@@ -347,7 +343,7 @@ impl RemoteStore {
 
     /// Dials one address (bounded connect + per-op socket timeouts — a
     /// wedged or black-holed daemon must fail the save, not hang the
-    /// training loop) and performs the v2 handshake.
+    /// training loop) and performs the handshake.
     fn dial_one(&self, index: usize) -> Result<Conn> {
         use std::net::ToSocketAddrs;
         let addr = &self.addrs[index];
@@ -375,7 +371,6 @@ impl RemoteStore {
                     .map_err(|e| Error::io("cloning stream", e))?,
             ),
             writer: BufWriter::new(stream),
-            version: PROTO_VERSION,
         };
         let flags = if self.want_lease.load(Ordering::Acquire) {
             HELLO_FLAG_WANT_LEASE
@@ -402,23 +397,16 @@ impl RemoteStore {
                 generation,
                 lease,
                 ..
-            } if (PROTO_VERSION_MIN..=PROTO_VERSION).contains(&version) => {
+            } if version == PROTO_VERSION => {
                 self.max_generation.fetch_max(generation, Ordering::AcqRel);
                 if let Some(grant) = lease {
                     self.lease_token.store(grant.token, Ordering::Release);
                 }
-                // An older daemon echoes its own dialect; everything
-                // but the v3 streaming ops (which fall back to the
-                // buffered forms) works identically.
-                conn.version = version;
                 Ok(conn)
             }
             Response::HelloOk { version, .. } => Err(Error::protocol(
                 "handshake",
-                format!(
-                    "server answered version {version}, \
-                     expected {PROTO_VERSION_MIN} through {PROTO_VERSION}"
-                ),
+                format!("server answered version {version}, expected {PROTO_VERSION}"),
             )),
             other => Err(unexpected("handshake", &other)),
         }
@@ -537,21 +525,7 @@ impl RemoteStore {
         Ok(responses.remove(0))
     }
 
-    /// The live connection's negotiated protocol version (dialing if
-    /// necessary). The streaming paths branch on it: a v2 daemon gets
-    /// the buffered fallback instead of frames it cannot decode.
-    fn conn_version(&self) -> Result<u32> {
-        let mut guard = self.conn.lock().expect("conn lock poisoned");
-        if let Some(conn) = guard.as_ref() {
-            return Ok(conn.version);
-        }
-        let conn = self.dial()?;
-        let version = conn.version;
-        *guard = Some(conn);
-        Ok(version)
-    }
-
-    /// Retry harness for the v3 streaming operations. Each attempt runs
+    /// Retry harness for the streaming operations. Each attempt runs
     /// `f` on a live connection; `Err` from `f` is a transport failure
     /// *before* any payload moved and is retried on a fresh connection
     /// (safe: content-addressed streams are idempotent), while the
@@ -579,14 +553,6 @@ impl RemoteStore {
                     }
                 },
             };
-            if conn.version < 3 {
-                let version = conn.version;
-                *guard = Some(conn);
-                return Err(Error::protocol(
-                    context.to_string(),
-                    format!("the daemon negotiated protocol v{version}; streaming needs v3"),
-                ));
-            }
             match f(&mut conn) {
                 Ok(StreamAttempt::Done(value)) => {
                     *guard = Some(conn);
@@ -634,12 +600,11 @@ impl RemoteStore {
     }
 
     /// Fetches the daemon's metrics registry as a Prometheus-style text
-    /// exposition (protocol v3; readable without a writer lease).
+    /// exposition (readable without a writer lease).
     ///
     /// # Errors
     ///
-    /// Fails on transport or protocol errors, including against a
-    /// server that only negotiated v2.
+    /// Fails on transport or protocol errors.
     pub fn metrics(&self) -> Result<String> {
         match self.request("querying metrics", Request::Metrics)? {
             Response::Metrics(text) => Ok(text),
@@ -821,18 +786,10 @@ impl ObjectStore for RemoteStore {
     fn get_stream(
         &self,
         reference: &ChunkRef,
-        segment: usize,
+        // The daemon picks the segment size ([`STREAM_SEGMENT_BYTES`]).
+        _segment: usize,
         sink: &mut dyn FnMut(&[u8]) -> Result<()>,
     ) -> Result<()> {
-        // A v2 daemon cannot speak the stream frames; fall back to the
-        // buffered GET (already end-to-end verified).
-        if self.conn_version()? < 3 {
-            let data = self.get(reference)?;
-            for part in data.chunks(segment.max(1)) {
-                sink(part)?;
-            }
-            return Ok(());
-        }
         let context = "fetching chunk stream";
         let reference = *reference;
         let mut fed_sink = false;
@@ -930,23 +887,6 @@ impl ObjectStore for RemoteStore {
         source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
         fsync: bool,
     ) -> Result<bool> {
-        if self.conn_version()? < 3 {
-            // Buffered fallback for a v2 daemon: assemble, verify, ride
-            // PUT_BATCH (mirrors the trait's default implementation).
-            let mut data = Vec::new();
-            while let Some(seg) = source()? {
-                data.extend_from_slice(&seg);
-            }
-            crate::store::verify_chunk(reference, &data)?;
-            let report = self.put_batch(
-                &[StagedChunk {
-                    reference: *reference,
-                    data: &data,
-                }],
-                fsync,
-            )?;
-            return Ok(report.fresh[0]);
-        }
         let context = "storing chunk stream";
         let reference = *reference;
         let mut consumed_any = false;

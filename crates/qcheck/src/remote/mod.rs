@@ -45,11 +45,11 @@ pub use server::{
 pub const REMOTE_ADDR_ENV: &str = "QCHECK_REMOTE_ADDR";
 
 /// Largest single stream-segment buffer (bytes) materialized by either
-/// end of a v3 `GET_STREAM`/`PUT_STREAM` transfer in this process,
+/// end of a `GET_STREAM`/`PUT_STREAM` transfer in this process,
 /// since the last [`reset_stream_peak_buffer`] (0 = no streaming yet).
 /// Backed by the `qcheck_stream_peak_buffer_bytes` qobs gauge — one
-/// source of truth for in-process daemon tests, `bench_store`, and a
-/// daemon `METRICS` scrape. The O(segment) memory contract it pins:
+/// source of truth for in-process daemon tests and a daemon `METRICS`
+/// scrape. The O(segment) memory contract it pins:
 /// streaming a payload far above [`proto::MAX_FRAME_LEN`] must never
 /// buffer more than [`proto::MAX_STREAM_SEGMENT`] at once.
 pub fn stream_peak_buffer() -> u64 {

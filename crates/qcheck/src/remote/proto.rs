@@ -16,32 +16,29 @@
 //! fails its length bound or CRC is a protocol error and the connection
 //! is dropped — there is no resynchronization inside a stream.
 //!
-//! ## Handshake (v2/v3)
+//! ## Handshake
 //!
 //! The first client frame must be [`Request::Hello`] carrying the
 //! protocol version and the client's *namespace* (the multi-tenant unit:
 //! each namespace is an independent object store + metadata space on the
-//! daemon). Since v2 the Hello additionally carries an optional **auth
+//! daemon). The Hello additionally carries an optional **auth
 //! token**, a flags byte (request a writer lease / open a replication
 //! stream), a previously granted **lease token** to re-present after a
 //! reconnect, and the highest primary **generation** the client has
 //! observed — the fencing handle: a daemon whose generation is lower
 //! refuses the handshake with a typed stale-generation error, which is
 //! how a client that has already talked to a promoted secondary detects
-//! a demoted primary. The server replies [`Response::HelloOk`] with the
-//! **negotiated** version, its role, generation and any granted lease,
-//! or an error frame. Since v3 the server accepts any client version in
-//! `PROTO_VERSION_MIN..=PROTO_VERSION` and echoes the client's version
-//! back (the v2 and v3 Hello bodies are identical; v3 only *adds*
-//! opcodes) — a v2 client keeps working unchanged, while anything older
-//! is refused with a clear error naming both versions (the v1 Hello
-//! body is a prefix of the v2 body, so it still parses).
+//! a demoted primary. The server replies [`Response::HelloOk`] with its
+//! version, role, generation and any granted lease, or an error frame.
+//! There is one dialect: both ends speak exactly [`PROTO_VERSION`], and
+//! a Hello carrying any other version is refused with a typed error
+//! naming both versions.
 //!
-//! ## Streaming (v3): `GET_STREAM` / `PUT_STREAM`
+//! ## Streaming: `GET_STREAM` / `PUT_STREAM`
 //!
 //! `Get` and `PutBatch` carry a whole chunk in one frame, which caps a
 //! transferable chunk at [`MAX_FRAME_LEN`] and forces both ends to
-//! buffer the full payload. v3 adds a streaming path that moves a chunk
+//! buffer the full payload. The streaming path moves a chunk
 //! of any size in CRC-framed segments of at most
 //! [`MAX_STREAM_SEGMENT`] bytes (the client sends
 //! [`STREAM_SEGMENT_BYTES`]), with SHA-256 folded in incrementally on
@@ -101,15 +98,10 @@ use crate::error::{Error, Result};
 use crate::hash::{crc32, ContentHash};
 use crate::store::{BatchPutReport, GcReport, StoreStats};
 
-/// Protocol version spoken by this build.
+/// The one protocol version this build speaks, on both ends.
 pub const PROTO_VERSION: u32 = 3;
 
-/// Oldest client version the server still accepts. The v2 and v3 Hello
-/// bodies are identical (v3 only adds opcodes), so a v2 client
-/// negotiates v2 and simply never sends a streaming op.
-pub const PROTO_VERSION_MIN: u32 = 2;
-
-/// Segment size the client uses on the v3 streaming path. Small enough
+/// Segment size the client uses on the streaming path. Small enough
 /// that both ends hold O(MiB), large enough that framing overhead
 /// (12 B + one CRC pass per segment) is noise.
 pub const STREAM_SEGMENT_BYTES: usize = 2 << 20;
@@ -281,10 +273,8 @@ pub struct LeaseGrant {
 /// A client request frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Versioned handshake; must be the first frame on a connection.
-    /// The v1 body carried only `version` and `namespace`; v2 appends
-    /// the auth/lease/fencing fields ([`Request::hello`] builds the
-    /// plain v2 form).
+    /// Versioned handshake; must be the first frame on a connection
+    /// ([`Request::hello`] builds the plain form).
     Hello {
         /// Client protocol version.
         version: u32,
@@ -410,14 +400,14 @@ pub enum Request {
     /// Release the connection's writer lease (clean writer exit; an
     /// expired lease releases itself).
     LeaseRelease,
-    /// v3: fetch one chunk as a stream ([`Response::StreamBegin`], then
+    /// Fetch one chunk as a stream ([`Response::StreamBegin`], then
     /// [`Response::StreamData`] segments, then [`Response::StreamEnd`])
     /// — the path for payloads too large to fit one `Get` frame.
     GetStream {
         /// Its reference; both ends verify incrementally.
         reference: ChunkRef,
     },
-    /// v3: open a streamed upload of one chunk. Answered by
+    /// Open a streamed upload of one chunk. Answered by
     /// [`Response::Ok`] (send the body) or [`Response::StreamEnd`] with
     /// `fresh: false` (dedup hit — skip the body).
     PutStreamBegin {
@@ -426,15 +416,15 @@ pub enum Request {
         /// fsync the staged object before publishing.
         fsync: bool,
     },
-    /// v3: one payload segment of an open streamed upload (at most
+    /// One payload segment of an open streamed upload (at most
     /// [`MAX_STREAM_SEGMENT`] bytes); acknowledged with
     /// [`Response::Ok`] once staged.
     PutStreamData(Vec<u8>),
-    /// v3: end of a streamed upload; the server verifies the
+    /// End of a streamed upload; the server verifies the
     /// accumulated length + SHA and commits, answering
     /// [`Response::StreamEnd`].
     PutStreamEnd,
-    /// v3 replication: [`Request::GetStream`] with an explicit
+    /// Replication: [`Request::GetStream`] with an explicit
     /// namespace — a tailing secondary pulling a chunk too large to
     /// batch into a `ReplChunks` reply. Only honored on a
     /// [`HELLO_FLAG_REPL`] connection.
@@ -444,7 +434,7 @@ pub enum Request {
         /// The wanted chunk.
         reference: ChunkRef,
     },
-    /// v3: fetch the daemon's metrics registry as one text-exposition
+    /// Fetch the daemon's metrics registry as one text-exposition
     /// frame ([`Response::Metrics`]). Read-only — served without a
     /// writer lease, like [`Request::Status`].
     Metrics,
@@ -527,16 +517,16 @@ pub enum Response {
         /// Generation the daemon now serves under.
         generation: u64,
     },
-    /// v3: a stream is about to follow; carries the total payload
+    /// A stream is about to follow; carries the total payload
     /// length (which the receiver checks against the reference).
     StreamBegin {
         /// Total payload bytes the stream will carry.
         len: u64,
     },
-    /// v3: one payload segment of an open stream (at most
+    /// One payload segment of an open stream (at most
     /// [`MAX_STREAM_SEGMENT`] bytes).
     StreamData(Vec<u8>),
-    /// v3: a stream completed and verified. For `PUT_STREAM`, `fresh`
+    /// A stream completed and verified. For `PUT_STREAM`, `fresh`
     /// mirrors [`BatchPutReport::fresh`] (`false` = dedup hit); for
     /// `GET_STREAM` it is always `true`.
     StreamEnd {
@@ -655,7 +645,7 @@ const OP_REPL_CHUNKS: u8 = 19;
 const OP_REPL_ACK: u8 = 20;
 const OP_PROMOTE: u8 = 21;
 const OP_LEASE_RELEASE: u8 = 22;
-// v3 streaming ops.
+// Streaming ops.
 const OP_GET_STREAM: u8 = 23;
 const OP_PUT_STREAM_BEGIN: u8 = 24;
 const OP_PUT_STREAM_DATA: u8 = 25;
@@ -680,7 +670,7 @@ const RESP_REPL_STATUS: u8 = 0x8D;
 const RESP_REPL_ENTRIES: u8 = 0x8E;
 const RESP_CHUNKS: u8 = 0x8F;
 const RESP_PROMOTED: u8 = 0x90;
-// v3 streaming responses.
+// Streaming responses.
 const RESP_STREAM_BEGIN: u8 = 0x91;
 const RESP_STREAM_DATA: u8 = 0x92;
 const RESP_STREAM_END: u8 = 0x93;
@@ -735,7 +725,7 @@ pub fn encode_put_batch(fsync: bool, chunks: &[crate::store::StagedChunk<'_>]) -
 }
 
 impl Request {
-    /// The plain v2 handshake for `namespace`: no auth, no lease, no
+    /// The plain handshake for `namespace`: no auth, no lease, no
     /// fencing floor.
     pub fn hello(namespace: impl Into<String>) -> Request {
         Request::Hello {
@@ -760,15 +750,13 @@ impl Request {
                 lease_token,
                 min_generation,
             } => {
-                enc.put_u8(OP_HELLO).put_u32(*version).put_str(namespace);
-                // The v1 body ends here; v2+ appends its fields, keeping
-                // v1 a strict prefix so either side can parse both.
-                if *version >= 2 {
-                    enc.put_str(auth)
-                        .put_u8(*flags)
-                        .put_u64(*lease_token)
-                        .put_u64(*min_generation);
-                }
+                enc.put_u8(OP_HELLO)
+                    .put_u32(*version)
+                    .put_str(namespace)
+                    .put_str(auth)
+                    .put_u8(*flags)
+                    .put_u64(*lease_token)
+                    .put_u64(*min_generation);
             }
             Request::Ping => {
                 enc.put_u8(OP_PING);
@@ -899,28 +887,15 @@ impl Request {
         let op = dec.get_u8()?;
         let req = match op {
             OP_HELLO => {
-                let version = dec.get_u32()?;
-                let namespace = dec.get_str()?;
-                // A v1 Hello body stops here; it must still decode so
-                // the server can answer with a *clear* version error
-                // instead of a framing failure.
-                let (auth, flags, lease_token, min_generation) = if version >= 2 {
-                    (
-                        dec.get_str()?,
-                        dec.get_u8()?,
-                        dec.get_u64()?,
-                        dec.get_u64()?,
-                    )
-                } else {
-                    (String::new(), 0, 0, 0)
-                };
+                // The version is carried, not judged, here: the server's
+                // handshake answers a foreign one with a typed error.
                 Request::Hello {
-                    version,
-                    namespace,
-                    auth,
-                    flags,
-                    lease_token,
-                    min_generation,
+                    version: dec.get_u32()?,
+                    namespace: dec.get_str()?,
+                    auth: dec.get_str()?,
+                    flags: dec.get_u8()?,
+                    lease_token: dec.get_u64()?,
+                    min_generation: dec.get_u64()?,
                 }
             }
             OP_PING => Request::Ping,
@@ -1649,31 +1624,28 @@ mod tests {
         ));
     }
 
-    /// A v1 Hello (version + namespace, nothing else) must still decode
-    /// — the server needs the version number to refuse it with a clear
-    /// error rather than a framing failure.
+    /// The Hello codec carries the version without judging it — the
+    /// server needs the number to refuse a foreign dialect with a clear
+    /// error — while the old short (version + namespace) body is a typed
+    /// decode error, not a Hello with invented fields.
     #[test]
-    fn v1_hello_still_decodes() {
-        let v1 = Request::Hello {
-            version: 1,
-            namespace: "old-client".into(),
-            auth: String::new(),
-            flags: 0,
-            lease_token: 0,
-            min_generation: 0,
-        };
-        let body = v1.encode();
-        // The v1 encoding is exactly opcode + u32 + varint-len string.
-        assert_eq!(body.len(), 1 + 4 + 1 + "old-client".len());
-        match Request::decode(&body).unwrap() {
-            Request::Hello {
-                version, namespace, ..
-            } => {
-                assert_eq!(version, 1);
-                assert_eq!(namespace, "old-client");
-            }
-            other => panic!("decoded {other:?}"),
+    fn foreign_version_hello_decodes_and_short_body_is_refused() {
+        for version in [1, 2, PROTO_VERSION + 1] {
+            round_trip_request(Request::Hello {
+                version,
+                namespace: "old-client".into(),
+                auth: String::new(),
+                flags: 0,
+                lease_token: 0,
+                min_generation: 0,
+            });
         }
+        let mut short = Encoder::new();
+        short.put_u8(OP_HELLO).put_u32(1).put_str("old-client");
+        assert!(matches!(
+            Request::decode(&short.into_bytes()),
+            Err(Error::Decode { .. })
+        ));
     }
 
     #[test]
@@ -1854,7 +1826,7 @@ mod tests {
         assert!(matches!(e, Error::Corrupt { .. }));
         let e = ErrCode::Invalid.to_error("hello", "bad version".into());
         assert!(matches!(e, Error::InvalidConfig(_)));
-        // The v2 typed errors survive the wire round trip.
+        // The typed errors survive the wire round trip.
         for (err, code) in [
             (Error::Unauthorized("token".into()), ErrCode::Unauthorized),
             (Error::StaleGeneration("gen 1 < 2".into()), ErrCode::Stale),

@@ -62,7 +62,7 @@ pub const OPLOG_FILE: &str = "OPLOG";
 /// Entries per `ReplFetch` round trip.
 const FETCH_BATCH: u32 = 256;
 
-/// Chunks at or above this size are pulled one at a time over the v3
+/// Chunks at or above this size are pulled one at a time over the
 /// `REPL_CHUNK_STREAM` fetch — segment by segment, straight into the
 /// local store — instead of riding a batched `REPL_CHUNKS` response,
 /// which buffers every requested payload at both ends at once.

@@ -23,7 +23,7 @@
 //! never completes, so nothing is staged, and whatever debris an earlier
 //! crash left in `tmp/` is disposable by construction.
 //!
-//! ## Roles, generations, leases (protocol v2)
+//! ## Roles, generations, leases
 //!
 //! A daemon is either a **primary** (accepts writes, appends each
 //! committed metadata mutation to the namespace's oplog) or a
@@ -77,8 +77,8 @@ use crate::store::{BatchPutReport, ObjectStore, StagedChunk, StoreBackend, Store
 
 use super::proto::{
     read_frame, valid_meta_name, valid_namespace, write_frame, ErrCode, LeaseGrant, OplogOp,
-    Request, Response, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION, PROTO_VERSION_MIN,
-    ROLE_PRIMARY, ROLE_SECONDARY, STREAM_SEGMENT_BYTES,
+    Request, Response, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION, ROLE_PRIMARY,
+    ROLE_SECONDARY, STREAM_SEGMENT_BYTES,
 };
 use super::repl::{self, Oplog, ReplStop, ReplicateConfig, SyncReport};
 
@@ -99,7 +99,7 @@ pub struct ServerConfig {
     /// with one rename, which is the point of a checkpoint daemon.
     pub store_kind: StoreKind,
     /// Overrides the pack GC rewrite threshold for every namespace
-    /// (`None` = the `QCHECK_GC_DEAD_FRACTION` default). The
+    /// (`None` = [`crate::store::DEFAULT_GC_DEAD_FRACTION`]). The
     /// backend-equivalence suites pin `0.0` (eager) here.
     pub gc_dead_fraction: Option<f64>,
     /// Fault injection: close each connection after this many request
@@ -874,12 +874,9 @@ struct ConnCtx {
     is_repl: bool,
     /// Writer-lease token held by this connection (0 = none).
     lease_token: u64,
-    /// Negotiated protocol version (the client's, echoed back; v2
-    /// clients never see stream frames).
-    proto_version: u32,
 }
 
-/// Validates a v2/v3 Hello and produces the connection context + reply.
+/// Validates a Hello and produces the connection context + reply.
 fn handshake(
     shared: &Shared,
     hello: Request,
@@ -900,15 +897,9 @@ fn handshake(
             "first frame must be a versioned Hello",
         ));
     };
-    if !(PROTO_VERSION_MIN..=PROTO_VERSION).contains(&version) {
-        let hint = if version < PROTO_VERSION_MIN {
-            "; v2 added auth, writer leases and replication — upgrade the client"
-        } else {
-            ""
-        };
+    if version != PROTO_VERSION {
         return Err(Error::InvalidConfig(format!(
-            "unsupported protocol version {version} \
-             (server speaks {PROTO_VERSION_MIN} through {PROTO_VERSION}{hint})"
+            "unsupported protocol version {version} (server speaks {PROTO_VERSION})"
         )));
     }
     if !valid_namespace(&namespace) {
@@ -960,10 +951,7 @@ fn handshake(
         privileged,
         is_repl,
         lease_token: lease.map(|g| g.token).unwrap_or(0),
-        proto_version: version,
     };
-    // Echo the *client's* version: the connection speaks the lower
-    // dialect, and a v2 client sees exactly the v2 handshake.
     let reply = Response::HelloOk {
         version,
         role: shared.role(),
@@ -1055,7 +1043,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, serving: &AtomicBool) -
             }
         };
         count_request(&ctx.namespace, op_name(&req));
-        // Streaming operations (v3) drive the socket themselves — one
+        // Streaming operations drive the socket themselves — one
         // request fans out into (GET) or is fed by (PUT) many segment
         // frames — so they bypass the one-response path below.
         if matches!(
@@ -1126,24 +1114,7 @@ fn send_judged(writer: &mut BufWriter<TcpStream>, e: &Error) -> Result<()> {
     )
 }
 
-/// Protocol gate for the v3 stream operations: a connection that
-/// negotiated v2 never sends them from a real client, but a raw peer
-/// might, and the answer must be a judged refusal, not a stream.
-fn require_stream_version(ctx: &ConnCtx) -> Result<()> {
-    if ctx.proto_version >= 3 {
-        Ok(())
-    } else {
-        Err(Error::protocol(
-            "streaming",
-            format!(
-                "stream operations need protocol v3; this connection negotiated v{}",
-                ctx.proto_version
-            ),
-        ))
-    }
-}
-
-/// Dispatches one v3 streaming request. Judged failures answer with an
+/// Dispatches one streaming request. Judged failures answer with an
 /// `Err` frame and keep the connection; only transport failures bubble
 /// out (dropping the connection, like any other broken peer).
 fn handle_stream(
@@ -1155,13 +1126,10 @@ fn handle_stream(
 ) -> Result<()> {
     shared.renew_lease(&ctx.namespace, ctx.lease_token);
     match req {
-        Request::GetStream { reference } => {
-            let setup = require_stream_version(ctx).and_then(|()| shared.namespace(&ctx.namespace));
-            match setup {
-                Ok(ns) => stream_object_out(&ns, &reference, writer),
-                Err(e) => send_judged(writer, &e),
-            }
-        }
+        Request::GetStream { reference } => match shared.namespace(&ctx.namespace) {
+            Ok(ns) => stream_object_out(&ns, &reference, writer),
+            Err(e) => send_judged(writer, &e),
+        },
         Request::ReplChunkStream {
             namespace,
             reference,
@@ -1169,17 +1137,15 @@ fn handle_stream(
             // Replication streams Hello into the nominal "control"
             // namespace, so the target namespace rides in the request —
             // guarded exactly like the batched REPL_CHUNKS fetch.
-            let setup = require_stream_version(ctx)
-                .and_then(|()| require_repl(ctx))
-                .and_then(|()| {
-                    if valid_namespace(&namespace) {
-                        shared.namespace(&namespace)
-                    } else {
-                        Err(Error::InvalidConfig(format!(
-                            "invalid namespace {namespace:?}"
-                        )))
-                    }
-                });
+            let setup = require_repl(ctx).and_then(|()| {
+                if valid_namespace(&namespace) {
+                    shared.namespace(&namespace)
+                } else {
+                    Err(Error::InvalidConfig(format!(
+                        "invalid namespace {namespace:?}"
+                    )))
+                }
+            });
             match setup {
                 Ok(ns) => stream_object_out(&ns, &reference, writer),
                 Err(e) => send_judged(writer, &e),
@@ -1261,9 +1227,8 @@ fn serve_put_stream(
     fsync: bool,
 ) -> Result<()> {
     // Setup refusals answer the Begin frame before anything streams.
-    let setup = require_stream_version(ctx)
-        .and_then(|()| guard_write(shared, ctx, "put_stream"))
-        .and_then(|()| shared.namespace(&ctx.namespace));
+    let setup =
+        guard_write(shared, ctx, "put_stream").and_then(|()| shared.namespace(&ctx.namespace));
     let ns = match setup {
         Ok(ns) => ns,
         Err(e) => return send_judged(writer, &e),
@@ -1456,12 +1421,6 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
             })
         }
         Request::Metrics => {
-            if ctx.proto_version < 3 {
-                return Err(Error::protocol(
-                    "handling request",
-                    "METRICS requires protocol v3",
-                ));
-            }
             // Point-in-time gauges are refreshed at scrape time; the
             // rest of the exposition is live counters.
             let lengths = shared.oplog_lengths()?;

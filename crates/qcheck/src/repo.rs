@@ -28,8 +28,8 @@
 //! still count for recovery (newest-valid-wins). Whole-save commit cost is
 //! therefore O(1) in renames and fsyncs regardless of snapshot size.
 //! Recovery replays the log (already in id order) instead of walking a
-//! manifest directory. The legacy `manifests/` + `LATEST` layout is
-//! migrated into an epoch-0 log automatically on open.
+//! manifest directory. A directory in the older `manifests/` + `LATEST`
+//! layout is refused on open, untouched.
 //! The naive in-place mode ([`CommitMode::InPlaceUnsafe`]) exists purely as
 //! the baseline for experiment R-F8: it publishes by overwriting the live
 //! root slot in place, and advances the committed length *before* the
@@ -346,6 +346,7 @@ impl<S: ObjectStore> CheckpointRepo<S> {
     /// Fails on filesystem errors.
     pub fn with_store(root: impl AsRef<Path>, store: S) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
+        Self::refuse_legacy_layout(&root)?;
         let tmp_dir = root.join("tmp");
         fs::create_dir_all(&tmp_dir)
             .map_err(|e| Error::io(format!("creating {}", tmp_dir.display()), e))?;
@@ -358,10 +359,6 @@ impl<S: ObjectStore> CheckpointRepo<S> {
             encode_cache: Mutex::new(None),
             meta_synced: std::sync::atomic::AtomicUsize::new(0),
         };
-        // One-shot migration of the legacy `manifests/` + `LATEST`
-        // layout into the manifest log (idempotent; also finishes a
-        // migration that crashed mid-way).
-        repo.migrate_legacy_layout()?;
         // A shared backend mirrors the repository metadata: pull down
         // whatever this directory is missing *before* the sequence
         // counter is seeded, so a fresh working directory continues the
@@ -499,101 +496,33 @@ impl<S: ObjectStore> CheckpointRepo<S> {
         Ok(before)
     }
 
-    /// Migrates the legacy per-checkpoint layout (`manifests/*.qmf` +
-    /// `LATEST`) into an epoch-0 manifest log with a generation-1 root.
-    /// Idempotent: on a repository that already has a root (including
-    /// one whose migration crashed after its commit) this only cleans up
-    /// leftover legacy files whose ids the log carries; unknown files
-    /// are never deleted.
-    fn migrate_legacy_layout(&self) -> Result<()> {
-        let legacy_dir = self.root.join("manifests");
-        let legacy_latest = self.root.join("LATEST");
-        let has_new = mlog::read_root_slots(&self.root)
-            .iter()
-            .any(Option::is_some)
-            || !mlog::list_log_epochs(&self.root).is_empty();
-        if !has_new {
-            let mut manifests: Vec<(CheckpointId, Vec<u8>)> = Vec::new();
-            if let Ok(entries) = fs::read_dir(&legacy_dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().to_string();
-                    let Some(stem) = name.strip_suffix(".qmf") else {
-                        continue;
-                    };
-                    let Ok(bytes) = fs::read(entry.path()) else {
-                        continue;
-                    };
-                    // Only decodable manifests migrate; a damaged legacy
-                    // file is left behind (recovery would have skipped it
-                    // under the old layout too).
-                    match Manifest::decode(&bytes) {
-                        Ok(m) if m.id.as_str() == stem => manifests.push((m.id.clone(), bytes)),
-                        _ => {}
-                    }
-                }
-            }
-            if manifests.is_empty() && !legacy_latest.exists() {
-                return Ok(()); // brand-new repository
-            }
-            manifests.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut buf = mlog::log_header(0);
-            for (id, bytes) in &manifests {
-                buf.extend(mlog::encode_record(
-                    RecordKind::ManifestPut,
-                    id.as_str(),
-                    bytes,
-                ));
-            }
-            let latest = fs::read_to_string(&legacy_latest)
-                .ok()
-                .map(|s| CheckpointId(s.trim().to_string()))
-                .filter(|id| manifests.iter().any(|(m, _)| m == id))
-                .or_else(|| manifests.last().map(|(id, _)| id.clone()));
-            if let Some(latest) = &latest {
-                buf.extend(mlog::encode_record(
-                    RecordKind::LatestAdvance,
-                    latest.as_str(),
-                    &[],
-                ));
-            }
-            // Stage + rename the whole log, then publish with ROOT.0 —
-            // a crash anywhere leaves either the legacy layout intact
-            // (no root yet) or a fully committed log.
-            self.atomic_write(&mlog::log_path(&self.root, 0), &buf, true)?;
-            mlog::write_root_slot(
-                &self.root,
-                0,
-                &RootSlot {
-                    generation: 1,
-                    epoch: 0,
-                    committed_len: buf.len() as u64,
-                    latest,
-                },
-                true,
-            )?;
+    /// Refuses a directory in the pre-log layout (`manifests/*.qmf` +
+    /// `LATEST`, no manifest log and no root slot). This build cannot read
+    /// it, and opening it as an empty repository would let the next save
+    /// and GC bury checkpoints somebody acknowledged — so it is an error,
+    /// and no file in the directory is changed.
+    fn refuse_legacy_layout(root: &Path) -> Result<()> {
+        let has_manifests = fs::read_dir(root.join("manifests")).is_ok_and(|entries| {
+            entries
+                .flatten()
+                .any(|e| e.file_name().to_string_lossy().ends_with(".qmf"))
+        });
+        if !has_manifests && !root.join("LATEST").exists() {
+            return Ok(());
         }
-        // Cleanup: remove legacy files the log now carries.
-        if legacy_dir.exists() || legacy_latest.exists() {
-            let st = mlog::replay(&self.root)?;
-            if st.generation == 0 {
-                return Ok(());
-            }
-            if let Ok(entries) = fs::read_dir(&legacy_dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().to_string();
-                    let Some(stem) = name.strip_suffix(".qmf") else {
-                        continue;
-                    };
-                    let id = CheckpointId(stem.to_string());
-                    if st.manifests.contains_key(&id) || st.tombstones.contains(&id) {
-                        let _ = fs::remove_file(entry.path());
-                    }
-                }
-                let _ = fs::remove_dir(&legacy_dir); // only when empty
-            }
-            let _ = fs::remove_file(&legacy_latest);
+        // Old files beside a log are what an interrupted migration by an
+        // earlier build left; the log is authoritative.
+        let has_log = mlog::read_root_slots(root).iter().any(Option::is_some)
+            || !mlog::list_log_epochs(root).is_empty();
+        if has_log {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::InvalidConfig(format!(
+            "{} holds the pre-log `manifests/*.qmf` + `LATEST` layout and no \
+             manifest log or root slot; this build reads only the log layout \
+             (open it with a build that still migrates, or move it aside)",
+            root.display()
+        )))
     }
 
     /// Acquires the writer lock.

@@ -30,7 +30,7 @@ mod pack;
 
 pub(crate) use loose::verify_chunk;
 pub use loose::LooseStore;
-pub use pack::{PackStore, DEFAULT_GC_DEAD_FRACTION, GC_DEAD_FRACTION_ENV};
+pub use pack::{PackStore, DEFAULT_GC_DEAD_FRACTION};
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -63,7 +63,7 @@ pub struct GcReport {
     /// Bytes reclaimed.
     pub reclaimed_bytes: u64,
     /// Unreachable objects intentionally kept this sweep (pack backend:
-    /// a mixed pack below the `QCHECK_GC_DEAD_FRACTION` rewrite
+    /// a mixed pack below the [`DEFAULT_GC_DEAD_FRACTION`] rewrite
     /// threshold is left untouched rather than rewritten — they remain
     /// readable and are re-examined by the next sweep). Always 0 for the
     /// loose backend.

@@ -70,25 +70,13 @@ const ENTRY_LEN: usize = 44;
 /// Footer length: index offset + count + index CRC + tail magic.
 const FOOTER_LEN: u64 = 24;
 
-/// Name of the environment variable setting the minimum dead fraction
-/// (by object count) a mixed pack must reach before GC rewrites it.
-pub const GC_DEAD_FRACTION_ENV: &str = "QCHECK_GC_DEAD_FRACTION";
-
-/// Default GC rewrite threshold: a mixed pack is rewritten only when
-/// more than half its objects are dead. Eager rewriting (`0.0`) copies
+/// Default GC rewrite threshold — the minimum dead fraction (by object
+/// count) a mixed pack must reach before GC rewrites it: a mixed pack is
+/// rewritten only when more than half its objects are dead. Eager rewriting (`0.0`) copies
 /// every live byte of every slightly-fragmented pack on every sweep;
 /// the threshold bounds that I/O on long-lived repos at the cost of
 /// keeping up to this fraction of dead payload per pack.
 pub const DEFAULT_GC_DEAD_FRACTION: f64 = 0.5;
-
-fn gc_dead_fraction_from_env() -> f64 {
-    std::env::var(GC_DEAD_FRACTION_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|f| f.is_finite())
-        .map(|f| f.clamp(0.0, 1.0))
-        .unwrap_or(DEFAULT_GC_DEAD_FRACTION)
-}
 
 /// Where one object lives: pack slot + absolute file offset + length.
 #[derive(Clone, Copy, Debug)]
@@ -200,8 +188,8 @@ pub struct PackStore {
     /// descriptor can never serve stale bytes.
     mru_pack: Arc<Mutex<MruPack>>,
     /// Minimum dead fraction (by object count) before a mixed pack is
-    /// rewritten during [`ObjectStore::sweep`]; see
-    /// [`GC_DEAD_FRACTION_ENV`].
+    /// rewritten during [`ObjectStore::sweep`]; starts at
+    /// [`DEFAULT_GC_DEAD_FRACTION`].
     gc_dead_fraction: f64,
 }
 
@@ -228,14 +216,14 @@ impl PackStore {
             pass: Arc::new(PassState::default()),
             rescans: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             mru_pack: Arc::new(Mutex::new(None)),
-            gc_dead_fraction: gc_dead_fraction_from_env(),
+            gc_dead_fraction: DEFAULT_GC_DEAD_FRACTION,
         };
         store.refresh(&mut store.lock())?;
         Ok(store)
     }
 
-    /// Overrides the GC rewrite threshold for this handle (tests and
-    /// tuning; the default comes from [`GC_DEAD_FRACTION_ENV`]).
+    /// Overrides the GC rewrite threshold for this handle (the
+    /// equivalence suites and the daemon's `gc_dead_fraction` setting).
     pub fn set_gc_dead_fraction(&mut self, fraction: f64) {
         self.gc_dead_fraction = fraction.clamp(0.0, 1.0);
     }

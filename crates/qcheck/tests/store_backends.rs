@@ -219,7 +219,7 @@ proptest! {
     #[test]
     fn backends_are_logically_equivalent(ops in prop::collection::vec(arb_op(), 1..10)) {
         // Pin the pack GC to eager rewrites: with the default deferral
-        // threshold (QCHECK_GC_DEAD_FRACTION=0.5) the pack backend keeps
+        // threshold (DEFAULT_GC_DEAD_FRACTION = 0.5) the pack backend keeps
         // barely-fragmented packs alive, so its orphan/GC accounting
         // legitimately diverges from loose. Eager mode is the
         // logical-equivalence contract; the deferral policy has its own
@@ -471,8 +471,7 @@ fn pack_files(dir: &std::path::Path) -> std::collections::BTreeSet<String> {
 
 /// The pack index must rescan `packs/` at most once per recovery chunk
 /// walk. A missing chunk used to trigger one directory rescan *per index
-/// miss* — O(chunks) rescans when a whole pack had vanished, the
-/// `recover_ms` pathology in `BENCH_store.json`.
+/// miss* — O(chunks) rescans when a whole pack had vanished.
 #[test]
 fn pack_recovery_rescans_index_at_most_once() {
     let dir = TempDir::new("pack-rescan");
@@ -696,87 +695,88 @@ fn torn_log_tail_opens_longest_valid_prefix_on_every_backend() {
     }
 }
 
-/// The legacy `manifests/*.qmf` + `LATEST` layout migrates automatically
-/// and losslessly on open: identical ids, manifest bytes, loads and fsck
-/// health, and a second open is a no-op.
-#[test]
-fn legacy_layout_migrates_losslessly() {
-    for kind in [StoreKind::Loose, StoreKind::Pack] {
-        let dir = TempDir::new("migrate");
-        let mut params = vec![0.5f64; N_PARAMS];
-        let (ids, manifests, snapshots, health) = {
-            let repo = CheckpointRepo::open_with(&dir.0, kind).unwrap();
-            for step in 1..=3u64 {
-                params[step as usize] += 0.25;
-                let mode = if step == 3 {
-                    SaveMode::DeltaAuto { max_chain_len: 4 }
-                } else {
-                    SaveMode::Full
-                };
-                repo.save(&snapshot_at(step, &params), &options(mode))
-                    .unwrap();
+/// Every file under `dir`, by relative path, with its bytes.
+fn file_map(dir: &std::path::Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+    let mut out = std::collections::BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                out.insert(rel, std::fs::read(&path).unwrap());
             }
-            let ids = repo.list_ids().unwrap();
-            let manifests: Vec<Vec<u8>> = ids
-                .iter()
-                .map(|id| repo.load_manifest(id).unwrap().encode())
-                .collect();
-            let snapshots: Vec<_> = ids.iter().map(|id| repo.load(id).unwrap()).collect();
-            let h = fsck(&repo).unwrap();
-            (
-                ids,
-                manifests,
-                snapshots,
-                (h.intact_count(), h.orphan_chunks),
-            )
-        };
+        }
+    }
+    out
+}
 
-        // De-migrate: rewrite the legacy layout, drop the log-era files.
-        let legacy = dir.0.join("manifests");
+/// A directory in the pre-log `manifests/*.qmf` + `LATEST` layout (no
+/// manifest log, no root slot) is refused on every backend with an error
+/// naming the layout — never opened as a silently empty repository — and
+/// the refusal leaves every file in it byte-identical.
+#[test]
+fn legacy_layout_is_refused_untouched() {
+    for backend in ["loose", "pack", "remote"] {
+        let dir = TempDir::new("legacy");
+        let kind = StoreKind::parse(backend).unwrap();
+        let (daemon, repo, work) = if kind == StoreKind::Remote {
+            let (daemon, repo) = remote_repo(&dir.0, "legacy");
+            (Some(daemon), repo, dir.0.join("client"))
+        } else {
+            let repo = CheckpointRepo::open_with(&dir.0, kind).unwrap();
+            (None, repo, dir.0.clone())
+        };
+        let namespace = repo.store().remote().map(|r| r.namespace().to_string());
+        let mut params = vec![0.5f64; N_PARAMS];
+        for step in 1..=2u64 {
+            params[step as usize] += 0.25;
+            repo.save(&snapshot_at(step, &params), &options(SaveMode::Full))
+                .unwrap();
+        }
+        let ids = repo.list_ids().unwrap();
+        let manifests: Vec<Vec<u8>> = ids
+            .iter()
+            .map(|id| repo.load_manifest(id).unwrap().encode())
+            .collect();
+        drop(repo);
+
+        // Rewrite the metadata the way the old layout held it.
+        let legacy = work.join("manifests");
         std::fs::create_dir_all(&legacy).unwrap();
         for (id, bytes) in ids.iter().zip(&manifests) {
             std::fs::write(legacy.join(id.file_name()), bytes).unwrap();
         }
-        std::fs::write(dir.0.join("LATEST"), ids.last().unwrap().as_str()).unwrap();
-        for entry in std::fs::read_dir(&dir.0).unwrap().flatten() {
+        std::fs::write(work.join("LATEST"), ids.last().unwrap().as_str()).unwrap();
+        for entry in std::fs::read_dir(&work).unwrap().flatten() {
             let name = entry.file_name().to_string_lossy().to_string();
             if name.starts_with("ROOT.") || name.ends_with(".qlg") {
                 std::fs::remove_file(entry.path()).unwrap();
             }
         }
 
-        // Reopen: the one-shot migration must reproduce the repo exactly.
-        let repo = CheckpointRepo::open_with(&dir.0, kind).unwrap();
-        assert!(!legacy.exists(), "{kind}: legacy dir must be cleaned up");
-        assert!(!dir.0.join("LATEST").exists(), "{kind}");
-        assert!(repo.manifest_log_path().unwrap().exists(), "{kind}");
-        assert_eq!(&repo.list_ids().unwrap(), &ids, "{kind}: ids");
-        assert_eq!(repo.read_latest().unwrap().as_ref(), ids.last(), "{kind}");
-        for ((id, bytes), snap) in ids.iter().zip(&manifests).zip(&snapshots) {
-            assert_eq!(
-                &repo.load_manifest(id).unwrap().encode(),
-                bytes,
-                "{kind}: manifest {id} must survive migration byte-identically"
-            );
-            assert_eq!(&repo.load(id).unwrap(), snap, "{kind}: load {id}");
+        let before = file_map(&work);
+        let refusal = match (&daemon, namespace) {
+            (Some(daemon), Some(ns)) => {
+                let store = RemoteStore::connect(daemon.addr(), ns).unwrap();
+                CheckpointRepo::with_store(&work, StoreBackend::Remote(store)).err()
+            }
+            _ => CheckpointRepo::open_with(&work, kind).err(),
+        };
+        match refusal {
+            Some(qcheck::error::Error::InvalidConfig(msg)) => assert!(
+                msg.contains("manifests/") && msg.contains("LATEST"),
+                "{backend}: the refusal must name the layout: {msg}"
+            ),
+            other => panic!("{backend}: expected InvalidConfig, got {other:?}"),
         }
-        let h = fsck(&repo).unwrap();
         assert_eq!(
-            (h.intact_count(), h.orphan_chunks),
-            health,
-            "{kind}: fsck diverged across migration"
+            file_map(&work),
+            before,
+            "{backend}: a refused open must not add, remove or change a file"
         );
-        let (recovered, report) = repo.recover().unwrap();
-        assert_eq!(recovered.step, 3, "{kind}");
-        assert_eq!(
-            report.manifests_tried, 1,
-            "{kind}: recovery short-circuits post-migration"
-        );
-        drop(repo);
-
-        // Idempotent: a second open changes nothing.
-        let again = CheckpointRepo::open_with(&dir.0, kind).unwrap();
-        assert_eq!(again.list_ids().unwrap(), ids, "{kind}: reopen");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Protocol v3 streaming-wire suite.
+//! Streaming-wire suite.
 //!
 //! The streaming path exists so a multi-GiB state never has to fit in
 //! one wire frame (or one buffer): `PUT_STREAM`/`GET_STREAM` move an
@@ -6,7 +6,7 @@
 //! incrementally on both ends. These tests pin the contract at both
 //! layers — the local backends' `put_stream`/`get_stream` (which the
 //! daemon reuses per namespace) and the remote client — plus the
-//! v2-compat handshake and the oversize `PUT_BATCH` redirect.
+//! refusal of every other dialect and the oversize `PUT_BATCH` redirect.
 
 use qcheck::chunk::ChunkRef;
 use qcheck::error::Error;
@@ -293,64 +293,76 @@ fn oversized_put_batch_chunk_is_redirected_at_streaming() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// A protocol-v2 client (today's fleet mid-upgrade) must keep working
-/// against a v3 daemon: the server echoes the client's version and
-/// serves the v2 dialect unchanged.
-#[test]
-fn v2_client_interops_with_v3_server() {
+/// Sends `body` as a connection's first frame and returns the typed
+/// refusal — asserting it *is* a refusal, and that the daemon then closes
+/// the connection instead of serving (or streaming on) it.
+fn refused_first_frame(addr: &str, body: &[u8]) -> Error {
     use std::io::Write as _;
-    let root = scratch("v2-compat");
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    proto::write_frame(&mut stream, body).unwrap();
+    stream.flush().unwrap();
+    let resp = proto::Response::decode(&proto::read_frame(&mut stream).unwrap()).unwrap();
+    let err = match resp {
+        proto::Response::Err { .. } => resp.into_result("handshake").unwrap_err(),
+        other => panic!("a foreign Hello must be refused, got {other:?}"),
+    };
+    // A daemon that kept the connection would answer this with stream
+    // frames; the write itself may already fail on the closed socket.
+    let probe = proto::Request::GetStream {
+        reference: reference(b"x"),
+    };
+    let _ = proto::write_frame(&mut stream, &probe.encode());
+    assert!(
+        proto::read_frame(&mut stream).is_err(),
+        "the refused connection must be closed, not served"
+    );
+    err
+}
+
+/// There is one wire dialect. The v1 body (version + namespace only), a
+/// v2 Hello and every truncation of a v3 Hello each get a typed version
+/// or decode error — never a panic, never stream frames — and the daemon
+/// keeps serving the next connection.
+#[test]
+fn old_dialects_are_refused_cleanly() {
+    let root = scratch("old-dialects");
     let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
-    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    let hello = proto::Request::Hello {
-        version: proto::PROTO_VERSION_MIN,
+    let hello = |version: u32| proto::Request::Hello {
+        version,
         namespace: "compat".into(),
         auth: String::new(),
         flags: 0,
         lease_token: 0,
         min_generation: 0,
     };
-    proto::write_frame(&mut stream, &hello.encode()).unwrap();
-    stream.flush().unwrap();
-    match proto::Response::decode(&proto::read_frame(&mut stream).unwrap()).unwrap() {
-        proto::Response::HelloOk { version, .. } => {
-            assert_eq!(version, proto::PROTO_VERSION_MIN, "server must echo v2");
-        }
-        other => panic!("unexpected handshake response {other:?}"),
+    // Fields the v2 dialect appended: empty auth (1 B length), flags,
+    // lease token, generation floor.
+    const V2_TAIL: usize = 1 + 1 + 8 + 8;
+
+    let v1 = hello(1).encode();
+    let err = refused_first_frame(&daemon.addr(), &v1[..v1.len() - V2_TAIL]);
+    assert!(matches!(err, Error::Corrupt { .. }), "v1 body: {err}");
+
+    let err = refused_first_frame(&daemon.addr(), &hello(2).encode());
+    assert!(matches!(err, Error::InvalidConfig(_)), "v2 Hello: {err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("version 2") && text.contains(&format!("speaks {}", proto::PROTO_VERSION)),
+        "the refusal must name both versions: {text}"
+    );
+
+    let v3 = hello(proto::PROTO_VERSION).encode();
+    for cut in 0..v3.len() {
+        let err = refused_first_frame(&daemon.addr(), &v3[..cut]);
+        assert!(matches!(err, Error::Corrupt { .. }), "cut at {cut}: {err}");
     }
-    // A v2 data-plane request round-trips on the negotiated connection.
-    proto::write_frame(&mut stream, &proto::Request::Ping.encode()).unwrap();
-    stream.flush().unwrap();
-    match proto::Response::decode(&proto::read_frame(&mut stream).unwrap()).unwrap() {
-        proto::Response::Pong => {}
-        other => panic!("unexpected ping response {other:?}"),
-    }
-    // But the v3 stream ops are refused on a v2 connection — with a
-    // judged error, not a stream the client cannot parse.
-    let r = reference(b"x");
-    proto::write_frame(
-        &mut stream,
-        &proto::Request::GetStream { reference: r }.encode(),
-    )
-    .unwrap();
-    stream.flush().unwrap();
-    match proto::Response::decode(&proto::read_frame(&mut stream).unwrap()).unwrap() {
-        proto::Response::Err { .. } => {}
-        other => panic!("v2 connection must not receive stream frames, got {other:?}"),
-    }
-    // Versions below the window stay refused.
-    let mut old = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    let hello = proto::Request::Hello {
-        version: 1,
-        namespace: "compat".into(),
-        auth: String::new(),
-        flags: 0,
-        lease_token: 0,
-        min_generation: 0,
-    };
-    proto::write_frame(&mut old, &hello.encode()).unwrap();
-    old.flush().unwrap();
-    let resp = proto::Response::decode(&proto::read_frame(&mut old).unwrap()).unwrap();
-    assert!(matches!(resp, proto::Response::Err { .. }), "{resp:?}");
+
+    // The daemon is unharmed: a real client still streams through it.
+    let store = RemoteStore::connect(daemon.addr(), "compat").unwrap();
+    let data = payload(100_000);
+    let r = reference(&data);
+    let (mut src, _) = source_of(&data, 4096);
+    assert!(store.put_stream(&r, &mut src, false).unwrap());
+    assert_eq!(collect_stream(&store, &r, 4096).unwrap(), data);
     let _ = std::fs::remove_dir_all(root);
 }

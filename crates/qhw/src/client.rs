@@ -9,7 +9,7 @@
 //! cost of periodic writes and a restore on re-entry. Checkpoint write and
 //! restore costs are *inputs* here — the evaluation harness measures them on
 //! the real `qcheck` implementation and feeds them in, so only the waiting
-//! is simulated (see DESIGN.md, substitutions).
+//! is simulated (see the root README, "Evaluation", substitutions).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

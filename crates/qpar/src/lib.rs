@@ -43,10 +43,9 @@
 //!
 //! Both executors stripe identically and preserve input order, so their
 //! results are bit-identical to each other and to the serial path at
-//! every thread count. The pool is on by default; `QPAR_POOL=0` (or a
-//! [`with_pool`] override) routes the owned combinators through scoped
-//! threads instead — scoped threads remain the fallback whenever the
-//! pool is disabled or cannot spawn workers.
+//! every thread count. The owned combinators always use the pool; scoped
+//! threads are their fallback when it cannot spawn workers, inside a pool
+//! worker, and under the tests' [`with_pool`]`(false, …)` override.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -186,7 +185,7 @@ fn stripe_items<T>(items: Vec<T>, t: usize) -> Vec<Vec<T>> {
 /// The `'static` bounds are the safety contract of the pool: jobs own
 /// their stripe outright, so no borrow ever crosses into a long-lived
 /// worker thread. Falls back to the scoped-thread executor when the pool
-/// is disabled ([`with_pool`] / `QPAR_POOL=0`), when called from inside a
+/// is disabled ([`with_pool`]), when called from inside a
 /// pool worker (nested fan-out would deadlock the queue), or when no
 /// worker can be spawned.
 ///

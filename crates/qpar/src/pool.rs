@@ -40,10 +40,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Name of the environment variable toggling the pool (`0`/`off`/`false`
-/// disables it; anything else, or unset, leaves it on).
-pub const POOL_ENV: &str = "QPAR_POOL";
-
 /// Hard cap on pool workers: fan-outs beyond this stripe count queue
 /// behind the existing workers instead of spawning more.
 pub const MAX_POOL_WORKERS: usize = 16;
@@ -85,48 +81,31 @@ struct Pool {
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
 
 thread_local! {
-    /// Thread-local pool toggle: 0 = inherit env, 1 = force on,
-    /// 2 = force off.
-    static LOCAL_ENABLED: Cell<u8> = const { Cell::new(0) };
+    /// Thread-local pool toggle; on unless inside [`with_enabled`]`(false, …)`.
+    static LOCAL_ENABLED: Cell<bool> = const { Cell::new(true) };
     /// Set for the lifetime of every pool worker thread.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-fn env_enabled() -> bool {
-    *ENV_ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var(POOL_ENV).ok().as_deref().map(str::trim),
-            Some("0") | Some("off") | Some("false")
-        )
-    })
-}
-
-/// Whether the pooled executor is enabled for this thread (thread-local
-/// override first, then the `QPAR_POOL` environment variable, default
-/// on).
+/// Whether the pooled executor is enabled for this thread: always, except
+/// inside a [`with_enabled`]`(false, …)` scope (how the equivalence suites
+/// reach the scoped-thread fallback).
 pub fn enabled() -> bool {
-    match LOCAL_ENABLED.with(Cell::get) {
-        1 => true,
-        2 => false,
-        _ => env_enabled(),
-    }
+    LOCAL_ENABLED.with(Cell::get)
 }
 
 /// Runs `f` with the pool forced on or off for the calling thread
-/// (restores the previous override on exit, even on panic).
+/// (restores the previous setting on exit, even on panic).
 pub fn with_enabled<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
+    struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
             LOCAL_ENABLED.with(|c| c.set(self.0));
         }
     }
-    let prev = LOCAL_ENABLED.with(Cell::get);
-    let _restore = Restore(prev);
-    LOCAL_ENABLED.with(|c| c.set(if on { 1 } else { 2 }));
+    let _restore = Restore(LOCAL_ENABLED.with(|c| c.replace(on)));
     f()
 }
 

@@ -393,42 +393,41 @@ impl Circuit {
 
     /// Executes the circuit on an existing state in place.
     ///
-    /// This is a thin wrapper over the executor selected by
-    /// [`crate::plan::ExecMode`] (`QSIM_EXEC`, default `plan`):
+    /// Compiles and runs: compile → bind → tiled execution through
+    /// [`Circuit::compile`] (see [`crate::plan`]). Loops that run the
+    /// same circuit repeatedly should compile once and reuse the
+    /// [`crate::plan::ExecPlan`] instead of calling this.
     ///
-    /// * **plan** — compile → bind → tiled execution through
-    ///   [`Circuit::compile`] (see [`crate::plan`]). Loops that run the
-    ///   same circuit repeatedly should compile once and reuse the
-    ///   [`crate::plan::ExecPlan`] instead of calling this.
-    /// * **interp** — the historical fused op-by-op interpreter.
-    ///
-    /// Both executors fuse identically: consecutive single-qubit gates
-    /// compose into one 2×2 matrix per qubit (applied lazily), and
-    /// pending diagonal factors fold into the next two-qubit gate on
-    /// their wire — halving the number of full passes over the `2^n`
-    /// amplitudes for rotation-layer + entangler circuits. Fusion
-    /// decisions depend only on the circuit and parameters, so results
-    /// are bit-identical across executors and thread counts.
+    /// Consecutive single-qubit gates compose into one 2×2 matrix per
+    /// qubit (applied lazily), and pending diagonal factors fold into
+    /// the next two-qubit gate on their wire — halving the number of
+    /// full passes over the `2^n` amplitudes for rotation-layer +
+    /// entangler circuits. Fusion decisions depend only on the circuit
+    /// and parameters, so results are bit-identical across thread
+    /// counts.
     ///
     /// # Errors
     ///
     /// Returns a [`CircuitError`] if validation or gate application fails.
     pub fn run_on(&self, state: &mut StateVector, params: &[f64]) -> Result<(), CircuitError> {
-        if crate::plan::ExecMode::current() == crate::plan::ExecMode::Plan {
-            // No separate validate: compile checks structure and bind
-            // checks the parameter vector, surfacing the same errors.
-            return self.compile()?.run_on(state, params);
+        #[cfg(any(test, feature = "testing"))]
+        if crate::plan::ExecMode::current() == crate::plan::ExecMode::Interp {
+            self.validate(params.len())?;
+            return self.run_fused(state, |_, op| match op.param {
+                Some(p) => op.gate.with_param(p.resolve(params)),
+                None => op.gate,
+            });
         }
-        self.validate(params.len())?;
-        self.run_fused(state, |_, op| match op.param {
-            Some(p) => op.gate.with_param(p.resolve(params)),
-            None => op.gate,
-        })
+        // No separate validate: compile checks structure and bind checks
+        // the parameter vector.
+        self.compile()?.run_on(state, params)
     }
 
-    /// Shared fused executor behind [`Circuit::run_on`] and
-    /// [`Circuit::run_on_with_op_shift`]; `gate_at` resolves the concrete
-    /// gate for each op.
+    /// The op-by-op reference interpreter the equivalence suites compare
+    /// compiled plans against (`plan::with_exec_mode(ExecMode::Interp)`);
+    /// `gate_at` resolves the concrete gate for each op. It fuses exactly
+    /// as plan binding does, so the two must agree bit for bit.
+    #[cfg(any(test, feature = "testing"))]
     fn run_fused(
         &self,
         state: &mut StateVector,
@@ -615,22 +614,22 @@ impl Circuit {
         op_index: usize,
         delta: f64,
     ) -> Result<(), CircuitError> {
-        if crate::plan::ExecMode::current() == crate::plan::ExecMode::Plan {
-            return self
-                .compile()?
-                .run_on_with_op_shift(state, params, op_index, delta);
-        }
-        self.validate(params.len())?;
-        self.run_fused(state, |i, op| match op.param {
-            Some(p) => {
-                let mut angle = p.resolve(params);
-                if i == op_index {
-                    angle += delta;
+        #[cfg(any(test, feature = "testing"))]
+        if crate::plan::ExecMode::current() == crate::plan::ExecMode::Interp {
+            self.validate(params.len())?;
+            return self.run_fused(state, |i, op| match op.param {
+                Some(p) => {
+                    let mut angle = p.resolve(params);
+                    if i == op_index {
+                        angle += delta;
+                    }
+                    op.gate.with_param(angle)
                 }
-                op.gate.with_param(angle)
-            }
-            None => op.gate,
-        })
+                None => op.gate,
+            });
+        }
+        self.compile()?
+            .run_on_with_op_shift(state, params, op_index, delta)
     }
 
     /// The adjoint circuit (all gates inverted, order reversed). Symbolic

@@ -17,9 +17,8 @@
 //!   circuit once, bind parameter vectors many times, execute through a
 //!   cache-blocked tile schedule with pass-fusion (pure-permutation
 //!   gates like CX rings execute as one deferred gather pass;
-//!   `QSIM_FUSE=off` forces the per-gate schedule). The default executor
-//!   behind [`circuit::Circuit::run_on`] (`QSIM_EXEC` selects; see
-//!   `crates/qsim/README.md`).
+//!   `QSIM_FUSE=off` forces the per-gate schedule). The one executor
+//!   behind [`circuit::Circuit::run_on`] (see `crates/qsim/README.md`).
 //! * [`pauli`] — Pauli-string observables ([`pauli::PauliSum`]).
 //! * [`measure`] — shot-based estimation ([`measure::EvalMode`]).
 //! * [`noise`] — stochastic trajectory noise ([`noise::NoiseModel`]).
@@ -101,6 +100,6 @@ pub use gate::Gate;
 pub use measure::{evaluate_observable, EvalMode};
 pub use noise::NoiseModel;
 pub use pauli::{Pauli, PauliString, PauliSum};
-pub use plan::{BoundPlan, ExecMode, ExecPlan};
+pub use plan::{BoundPlan, ExecPlan};
 pub use rng::{RngState, Xoshiro256};
 pub use state::{StateError, StateVector};

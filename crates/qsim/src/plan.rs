@@ -1,12 +1,11 @@
 //! Compiled execution plans: compile → bind → schedule → execute.
 //!
-//! The op-by-op interpreter ([`Circuit::run_on`] in `interp` mode)
-//! re-validates, re-fuses and re-classifies the same circuit on every
-//! call — acceptable for one run, wasteful for a training loop that
-//! evaluates the same ansatz thousands of times (parameter-shift
-//! training costs `2·sites + 1` evaluations per gradient step). This
-//! module splits execution into phases so everything parameter-
-//! independent is paid once:
+//! A training loop evaluates the same ansatz thousands of times
+//! (parameter-shift training costs `2·sites + 1` evaluations per
+//! gradient step), so re-validating, re-fusing and re-classifying the
+//! circuit on every call is waste. This module is the executor behind
+//! every [`Circuit::run_on`]; it splits execution into phases so
+//! everything parameter-independent is paid once:
 //!
 //! 1. **Compile** ([`Circuit::compile`] → [`ExecPlan`]): structural
 //!    validation, one op record per circuit op, and the numeric matrix
@@ -16,14 +15,13 @@
 //!    parameter vector and every ±π/2 shift evaluation.
 //! 2. **Bind** ([`ExecPlan::bind`] → [`BoundPlan`]): resolves symbolic
 //!    angles against a parameter vector (shift sites patch resolved
-//!    angles here), runs the same 1q-fusion + diagonal-folding algorithm
-//!    as the interpreter, and classifies each resulting matrix into its
-//!    kernel (`Kernel2`/`Kernel4`) exactly once. Binding is `O(ops)`
-//!    small-matrix work — microseconds against the milliseconds of a
-//!    16-qubit state sweep.
+//!    angles here), runs 1q-fusion + diagonal-folding, and classifies
+//!    each resulting matrix into its kernel (`Kernel2`/`Kernel4`)
+//!    exactly once. Binding is `O(ops)` small-matrix work — microseconds
+//!    against the milliseconds of a 16-qubit state sweep.
 //! 3. **Schedule**: consecutive bound gates whose operand qubits all fit
-//!    a cache-sized tile (`2^T` amplitudes, see [`tile_qubits`]) are
-//!    grouped into a *tile block*; gates touching a qubit ≥ `T` become
+//!    a cache-sized tile (`2^T` amplitudes, `T` = 13) are grouped into a
+//!    *tile block*; gates touching a qubit ≥ `T` become
 //!    sweep boundaries. On top of tiling, **pass fusion** lifts gates
 //!    that are pure amplitude permutations (CX, X, Swap — every kernel
 //!    coefficient exactly `1`) out of the gate stream entirely: their
@@ -38,40 +36,36 @@
 //!    [`with_fuse_mode`]) forces the per-gate schedule.
 //! 4. **Execute** ([`BoundPlan::run_on`]): a tile block makes **one**
 //!    sweep over the state, applying all its gates tile by tile while
-//!    the tile is cache-resident — where the interpreter paid one full
-//!    memory pass per gate, a block of `k` low-qubit gates now pays one.
+//!    the tile is cache-resident — a block of `k` low-qubit gates pays
+//!    one memory pass, not `k`.
 //!    Sweep gates use the classic whole-array kernels; permutation
 //!    flushes gather into a reused thread-local scratch buffer and swap.
 //!
 //! The schedule is observable: [`BoundPlan::passes`] counts gate visits
 //! under the per-gate traffic model, [`BoundPlan::num_passes`] counts
 //! physical memory passes, and [`BoundPlan::amp_bytes_swept`] is a
-//! deterministic bytes-moved model — `bench_parallel` records all three
-//! so the traffic reduction is counter-verified, not just timed.
+//! deterministic bytes-moved model — `qbench` gates on them
+//! (`qsim.plan.passes_per_run`, `qsim.plan.amp_bytes_per_run`), so the
+//! traffic is counter-verified, not just timed.
 //!
 //! ## Bit-exactness
 //!
-//! Plan execution is bit-identical to the interpreter at every thread
-//! count, for both the pooled and the scoped-thread executor
-//! (`crates/qsim/tests/plan_equivalence.rs` proves it over random
+//! Plan execution is bit-identical, at every thread count and for both
+//! the pooled and the scoped-thread fan-out, to the op-by-op reference
+//! interpreter that tests keep as an oracle (`ExecMode::Interp`, only
+//! built under `cfg(test)` / the `testing` feature;
+//! `crates/qsim/tests/plan_equivalence.rs` proves it over random
 //! circuits):
 //!
-//! * binding reuses the interpreter's fusion helpers and matrix-product
+//! * binding shares the interpreter's fusion helpers and matrix-product
 //!   order, so the bound gate sequence carries the exact matrices the
-//!   interpreter would apply;
+//!   interpreter applies;
 //! * kernels update disjoint amplitude pairs/quads independently, so
 //!   applying a gate tile-by-tile (any region decomposition into whole
 //!   pair/quad blocks) is bit-identical to one whole-array pass;
 //! * parallel execution hands each worker whole tiles; per-tile
-//!   arithmetic does not depend on which thread (or which executor —
+//!   arithmetic does not depend on which thread (or which fan-out —
 //!   pooled or scoped) runs the tile.
-//!
-//! ## Executor selection
-//!
-//! `QSIM_EXEC=interp|plan` (default `plan`) picks the executor behind
-//! [`Circuit::run_on`] and friends; [`with_exec_mode`] overrides it per
-//! thread for tests. In `interp` mode plans still bind but execute every
-//! gate as a whole-array sweep — the pre-tiling behavior.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -84,22 +78,15 @@ use crate::complex::Complex64;
 use crate::gate::{Gate, Matrix2, Matrix4};
 use crate::state::{Kernel2, Kernel4, StateError, StateVector, PARALLEL_MIN_AMPS};
 
-/// Name of the environment variable selecting the executor.
-pub const EXEC_ENV: &str = "QSIM_EXEC";
-
 /// Name of the environment variable toggling pass-fusion scheduling
 /// (`QSIM_FUSE=off` forces the per-gate schedule — the escape hatch that
 /// keeps the pre-fusion path testable forever).
 pub const FUSE_ENV: &str = "QSIM_FUSE";
 
-/// Name of the environment variable overriding the tile size exponent.
-pub const TILE_ENV: &str = "QSIM_TILE_QUBITS";
-
-/// Default tile size exponent: `2^13` amplitudes = 128 KiB of state per
-/// tile. Large enough that gates up to qubit 12 tile (fewer sweep
-/// boundaries), small enough to stay L2-resident on every mainstream
-/// core; `QSIM_TILE_QUBITS` overrides for tuning.
-pub const DEFAULT_TILE_QUBITS: usize = 13;
+/// Tile size exponent: `2^13` amplitudes = 128 KiB of state per tile.
+/// Large enough that gates up to qubit 12 tile (fewer sweep boundaries),
+/// small enough to stay L2-resident on every mainstream core.
+const TILE_QUBITS: usize = 13;
 
 /// Minimum number of gates before a run of tileable gates is worth a
 /// tile block (a single gate executes faster as one whole-array sweep,
@@ -118,56 +105,43 @@ const POOLED_TILE_MAX_AMPS: usize = 1 << 17;
 /// beyond any state that fits in memory) simply schedule without fusion.
 const MAX_PERM_QUBITS: usize = 32;
 
-/// Which executor [`Circuit::run_on`] and friends use.
+/// Which executor [`Circuit::run_on`] and friends use. Release builds
+/// have exactly one — compiled plans; the interpreter is the reference
+/// the equivalence suites compare against.
+#[cfg(any(test, feature = "testing"))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The historical fused op-by-op interpreter (one pass per gate).
+    /// The fused op-by-op reference interpreter (one pass per gate).
     Interp,
-    /// Compiled plans with cache-blocked tile scheduling (the default).
+    /// Compiled plans with cache-blocked tile scheduling (what ships).
     Plan,
 }
 
-static ENV_EXEC: OnceLock<ExecMode> = OnceLock::new();
-
+#[cfg(any(test, feature = "testing"))]
 thread_local! {
-    /// 0 = inherit env, 1 = force interp, 2 = force plan.
-    static LOCAL_EXEC: Cell<u8> = const { Cell::new(0) };
+    static LOCAL_EXEC: Cell<ExecMode> = const { Cell::new(ExecMode::Plan) };
 }
 
+#[cfg(any(test, feature = "testing"))]
 impl ExecMode {
-    /// The executor in effect on this thread: a [`with_exec_mode`]
-    /// override first, then `QSIM_EXEC`, then [`ExecMode::Plan`].
+    /// The executor in effect on this thread: [`ExecMode::Plan`] unless
+    /// inside a [`with_exec_mode`] override.
     pub fn current() -> ExecMode {
-        match LOCAL_EXEC.with(Cell::get) {
-            1 => ExecMode::Interp,
-            2 => ExecMode::Plan,
-            _ => *ENV_EXEC.get_or_init(|| {
-                match std::env::var(EXEC_ENV).ok().as_deref().map(str::trim) {
-                    Some("interp") => ExecMode::Interp,
-                    _ => ExecMode::Plan,
-                }
-            }),
-        }
+        LOCAL_EXEC.with(Cell::get)
     }
 }
 
 /// Runs `f` with a thread-local executor override — the hook the
 /// equivalence tests use to compare both executors inside one process.
+#[cfg(any(test, feature = "testing"))]
 pub fn with_exec_mode<R>(mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
+    struct Restore(ExecMode);
     impl Drop for Restore {
         fn drop(&mut self) {
             LOCAL_EXEC.with(|c| c.set(self.0));
         }
     }
-    let prev = LOCAL_EXEC.with(Cell::get);
-    let _restore = Restore(prev);
-    LOCAL_EXEC.with(|c| {
-        c.set(match mode {
-            ExecMode::Interp => 1,
-            ExecMode::Plan => 2,
-        })
-    });
+    let _restore = Restore(LOCAL_EXEC.with(|c| c.replace(mode)));
     f()
 }
 
@@ -196,16 +170,36 @@ impl FuseMode {
     /// The fusion mode in effect on this thread: a [`with_fuse_mode`]
     /// override first, then `QSIM_FUSE`, then [`FuseMode::On`]. Resolved
     /// at *bind* time — a [`BoundPlan`]'s schedule is fixed once built.
+    ///
+    /// # Panics
+    ///
+    /// On the first read of a `QSIM_FUSE` value [`FuseMode::parse`]
+    /// rejects: the knob is the unfused oracle, and a typo that silently
+    /// ran the default schedule would leave an oracle run testing nothing.
     pub fn current() -> FuseMode {
         match LOCAL_FUSE.with(Cell::get) {
             1 => FuseMode::On,
             2 => FuseMode::Off,
             _ => *ENV_FUSE.get_or_init(|| {
-                match std::env::var(FUSE_ENV).ok().as_deref().map(str::trim) {
-                    Some("off") | Some("0") => FuseMode::Off,
-                    _ => FuseMode::On,
-                }
+                let value = std::env::var(FUSE_ENV).unwrap_or_default();
+                FuseMode::parse(&value).unwrap_or_else(|msg| panic!("{msg}"))
             }),
+        }
+    }
+
+    /// Parses a `QSIM_FUSE` value: `on` or empty (the default), `off` or
+    /// `0`.
+    ///
+    /// # Errors
+    ///
+    /// Any other spelling, with the accepted ones listed.
+    pub fn parse(value: &str) -> Result<FuseMode, String> {
+        match value.trim() {
+            "" | "on" => Ok(FuseMode::On),
+            "off" | "0" => Ok(FuseMode::Off),
+            other => Err(format!(
+                "{FUSE_ENV}={other:?} (expected \"on\", \"off\" or \"0\", or leave it unset)"
+            )),
         }
     }
 }
@@ -228,19 +222,6 @@ pub fn with_fuse_mode<R>(mode: FuseMode, f: impl FnOnce() -> R) -> R {
         })
     });
     f()
-}
-
-/// The tile size exponent in effect: `QSIM_TILE_QUBITS` (clamped to
-/// `2..=24`) or [`DEFAULT_TILE_QUBITS`].
-pub fn tile_qubits() -> usize {
-    static TILE: OnceLock<usize> = OnceLock::new();
-    *TILE.get_or_init(|| {
-        std::env::var(TILE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|t| t.clamp(2, 24))
-            .unwrap_or(DEFAULT_TILE_QUBITS)
-    })
 }
 
 /// One compiled circuit op: the original gate plus everything knowable
@@ -292,7 +273,6 @@ pub struct ExecPlan {
     /// Operand qubits flattened in op order — the width pre-check at
     /// execution time reports the same qubit the interpreter would.
     op_qubits: Vec<usize>,
-    tile_qubits: usize,
 }
 
 /// One gate of a bound plan: resolved matrix + precompiled kernel.
@@ -752,7 +732,6 @@ impl Circuit {
             num_params: self.num_params(),
             records,
             op_qubits,
-            tile_qubits: tile_qubits(),
         })
     }
 }
@@ -1045,7 +1024,7 @@ impl<'p> BoundPlan<'p> {
     /// Builds the pass schedule from the bound gate sequence.
     ///
     /// Without fusion: consecutive gates whose operands all fit one
-    /// `2^tile_qubits` tile group into tile blocks; everything else
+    /// `2^TILE_QUBITS` tile group into tile blocks; everything else
     /// (high-qubit gates, singleton runs) executes as a whole-array
     /// sweep — the classic schedule.
     ///
@@ -1069,7 +1048,6 @@ impl<'p> BoundPlan<'p> {
     /// permutation pass. Maps that cancel to the identity (e.g.
     /// `Swap·Swap`) are dropped outright.
     fn schedule(&mut self) {
-        let tile_qubits = self.plan.tile_qubits;
         let nq = self.plan.num_qubits;
         let fused = self.fused;
         let gates = &self.gates;
@@ -1107,7 +1085,7 @@ impl<'p> BoundPlan<'p> {
             }
             let idx = sched.len() as u32;
             sched.push(*gate);
-            if gate.max_qubit() < tile_qubits {
+            if gate.max_qubit() < TILE_QUBITS {
                 run_start.get_or_insert(idx);
             } else {
                 close_run(&mut run_start, idx, steps);
@@ -1179,8 +1157,8 @@ impl BoundPlan<'_> {
     /// model: one pass per scheduled arithmetic gate visit plus one per
     /// fused permutation pass. This is the counter pass fusion drives
     /// down — a rotation band + entangler ring layer costs `2N` here
-    /// without fusion and `N + 1` with it — and the figure
-    /// `bench_parallel` records as `passes_per_layer`.
+    /// without fusion and `N + 1` with it — and the figure `qbench`
+    /// reports as `qsim.plan.passes_per_run`.
     pub fn passes(&self) -> usize {
         self.steps
             .iter()
@@ -1215,10 +1193,6 @@ impl BoundPlan<'_> {
 
     /// Executes the bound plan on an existing state in place.
     ///
-    /// Respects [`ExecMode`]: in `interp` mode every gate runs as a
-    /// whole-array sweep (the pre-tiling behavior); in `plan` mode tile
-    /// blocks run cache-blocked. Both produce bit-identical amplitudes.
-    ///
     /// # Errors
     ///
     /// [`StateError::QubitOutOfRange`] (wrapped) when the state is
@@ -1235,6 +1209,8 @@ impl BoundPlan<'_> {
                 }));
             }
         }
+        // Reference mode: every gate as its own whole-array sweep.
+        #[cfg(any(test, feature = "testing"))]
         if ExecMode::current() == ExecMode::Interp {
             for gate in &self.gates {
                 self.sweep(state, gate);
@@ -1295,7 +1271,7 @@ impl BoundPlan<'_> {
     fn run_tiled(&self, state: &mut StateVector, gates: &[BoundGate]) {
         let amps = state.amplitudes_mut();
         let n = amps.len();
-        let tile = (1usize << self.plan.tile_qubits).min(n);
+        let tile = (1usize << TILE_QUBITS).min(n);
         // SIMD level resolved here, on the calling thread, before any
         // fan-out — pool workers cannot see the caller's thread-local
         // override.
@@ -1733,5 +1709,22 @@ mod tests {
             assert_eq!(ExecMode::current(), ExecMode::Interp);
         });
         assert_eq!(ExecMode::current(), ambient);
+    }
+
+    #[test]
+    fn fuse_knob_rejects_typos() {
+        for on in ["", "on", " on "] {
+            assert_eq!(FuseMode::parse(on), Ok(FuseMode::On), "{on:?}");
+        }
+        for off in ["off", "0"] {
+            assert_eq!(FuseMode::parse(off), Ok(FuseMode::Off), "{off:?}");
+        }
+        for typo in ["of", "OFF", "false", "no"] {
+            let msg = FuseMode::parse(typo).unwrap_err();
+            assert!(
+                msg.contains(FUSE_ENV) && msg.contains(typo) && msg.contains("\"off\""),
+                "{msg}"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Call sites guard with [`enabled`] (or use the `Lazy*` handles, which
 //! do it for them), so `QOBS=off` costs exactly one `Relaxed` load per
-//! site — verified by the disabled-overhead row in `bench_parallel`.
+//! site.
 //!
 //! ## Registry
 //!

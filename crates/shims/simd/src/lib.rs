@@ -122,17 +122,34 @@ fn sha_detected() -> bool {
     })
 }
 
-/// `QSIM_SIMD` cap: `None` means `auto` (use whatever is detected).
+/// Parses a `QSIM_SIMD` value into a cap: `None` means `auto` (use
+/// whatever is detected), which is also what an empty value means.
+///
+/// # Errors
+///
+/// Any other spelling, with the accepted ones listed.
+pub fn parse_cap(value: &str) -> Result<Option<Level>, String> {
+    match value.trim() {
+        "" | "auto" => Ok(None),
+        "scalar" => Ok(Some(Level::Scalar)),
+        "sse2" => Ok(Some(Level::Sse2)),
+        "avx2" => Ok(Some(Level::Avx2)),
+        other => Err(format!(
+            "{SIMD_ENV}={other:?} (expected \"auto\", \"scalar\", \"sse2\" or \"avx2\", \
+             or leave it unset)"
+        )),
+    }
+}
+
+/// `QSIM_SIMD` cap, read once. Panics on a value [`parse_cap`] rejects:
+/// `scalar` is the bit-exactness oracle, and a typo that silently ran the
+/// detected level would leave an oracle run testing nothing.
 fn env_cap() -> Option<Level> {
     static CAP: OnceLock<Option<Level>> = OnceLock::new();
-    *CAP.get_or_init(
-        || match std::env::var(SIMD_ENV).ok().as_deref().map(str::trim) {
-            Some("scalar") => Some(Level::Scalar),
-            Some("sse2") => Some(Level::Sse2),
-            Some("avx2") => Some(Level::Avx2),
-            _ => None,
-        },
-    )
+    *CAP.get_or_init(|| {
+        let value = std::env::var(SIMD_ENV).unwrap_or_default();
+        parse_cap(&value).unwrap_or_else(|msg| panic!("{msg}"))
+    })
 }
 
 thread_local! {
@@ -145,6 +162,11 @@ thread_local! {
 ///
 /// Parallel callers must resolve this **before** fanning out: worker
 /// threads do not inherit the caller's override.
+///
+/// # Panics
+///
+/// On the first read of an unrecognised `QSIM_SIMD` value (see
+/// [`parse_cap`]).
 pub fn active() -> Level {
     let cap = match LOCAL_LEVEL.with(Cell::get) {
         1 => Some(Level::Scalar),
@@ -399,6 +421,23 @@ mod tests {
         l.push(detected());
         l.dedup();
         l
+    }
+
+    #[test]
+    fn simd_knob_rejects_typos() {
+        for auto in ["", "auto", " auto "] {
+            assert_eq!(parse_cap(auto), Ok(None), "{auto:?}");
+        }
+        for level in [Level::Scalar, Level::Sse2, Level::Avx2] {
+            assert_eq!(parse_cap(level.name()), Ok(Some(level)));
+        }
+        for typo in ["sclar", "SCALAR", "avx512", "off"] {
+            let msg = parse_cap(typo).unwrap_err();
+            assert!(
+                msg.contains(SIMD_ENV) && msg.contains(typo) && msg.contains("\"scalar\""),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`qnn`] — the hybrid quantum-classical training framework
 //! * [`qhw`] — the simulated NISQ cloud execution environment
 //!
-//! See the repository README for the quickstart and DESIGN.md for the
-//! system inventory and reconstructed-evaluation index.
+//! See the repository README for the quickstart, the workspace layout
+//! and the evaluation index ("Evaluation").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
