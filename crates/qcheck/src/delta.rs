@@ -32,27 +32,27 @@ impl BlockPatch {
     ///
     /// Panics if `block_size == 0`.
     pub fn diff(base: &[u8], new: &[u8], block_size: usize) -> BlockPatch {
-        assert!(block_size > 0, "block size must be positive");
-        let mut blocks = Vec::new();
-        let n_blocks = new.len().div_ceil(block_size);
-        for b in 0..n_blocks {
-            let start = b * block_size;
-            let end = (start + block_size).min(new.len());
-            let new_block = &new[start..end];
-            let base_block = if start < base.len() {
-                &base[start..end.min(base.len())]
-            } else {
-                &[][..]
-            };
-            if new_block != base_block {
-                blocks.push((b as u64, new_block.to_vec()));
-            }
-        }
         BlockPatch {
             block_size: block_size as u32,
             result_len: new.len() as u64,
-            blocks,
+            blocks: changed_blocks(base, new, block_size)
+                .map(|(index, bytes)| (index, bytes.to_vec()))
+                .collect(),
         }
+    }
+
+    /// `BlockPatch::diff(base, new, block_size).encode()` without building
+    /// the patch in between: the changed blocks are written straight from
+    /// `new`. The save path wants only the bytes, and a dense update
+    /// would otherwise copy the whole section into one small vector per
+    /// block first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size == 0`.
+    pub fn diff_encoded(base: &[u8], new: &[u8], block_size: usize) -> Vec<u8> {
+        let changed: Vec<(u64, &[u8])> = changed_blocks(base, new, block_size).collect();
+        encode_blocks(block_size as u32, new.len() as u64, &changed)
     }
 
     /// Applies the patch to `base`, producing the new byte string.
@@ -61,47 +61,64 @@ impl BlockPatch {
     ///
     /// Fails when a block index or length is inconsistent with `result_len`.
     pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>> {
+        let result_len = self.result_len as usize;
+        let mut out = Vec::with_capacity(result_len);
+        out.extend_from_slice(&base[..base.len().min(result_len)]);
+        self.apply_in_place(&mut out)?;
+        Ok(out)
+    }
+
+    /// Applies the patch to `buf` in place: `buf` is truncated or
+    /// zero-extended to `result_len`, then every changed block is written
+    /// over it. The deep-chain resolver folds every link of a section into
+    /// one accumulator this way instead of allocating a vector per link.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a block index or length is inconsistent with `result_len`;
+    /// every block is checked before the first byte moves, so `buf` is
+    /// untouched on error.
+    pub fn apply_in_place(&self, buf: &mut Vec<u8>) -> Result<()> {
         let bs = self.block_size as usize;
         if bs == 0 {
             return Err(Error::corrupt("block patch", "zero block size"));
         }
         let result_len = self.result_len as usize;
-        let mut out = vec![0u8; result_len];
-        // Start from the base, truncated/zero-extended to the result length.
-        let copy = base.len().min(result_len);
-        out[..copy].copy_from_slice(&base[..copy]);
         for (index, bytes) in &self.blocks {
-            let start = (*index as usize) * bs;
-            let end = start + bytes.len();
-            if end > result_len {
+            let end = usize::try_from(*index)
+                .ok()
+                .and_then(|i| i.checked_mul(bs))
+                .and_then(|start| start.checked_add(bytes.len()));
+            let Some(end) = end.filter(|end| *end <= result_len) else {
                 return Err(Error::corrupt(
                     "block patch",
                     format!("block {index} overruns result length {result_len}"),
                 ));
-            }
+            };
             // Every block except possibly the final one must be full-sized.
-            let is_final = end == result_len;
-            if bytes.len() != bs && !is_final {
+            if bytes.len() != bs && end != result_len {
                 return Err(Error::corrupt(
                     "block patch",
                     format!("interior block {index} has length {}", bytes.len()),
                 ));
             }
-            out[start..end].copy_from_slice(bytes);
         }
-        Ok(out)
+        buf.resize(result_len, 0);
+        for (index, bytes) in &self.blocks {
+            let start = (*index as usize) * bs;
+            buf[start..start + bytes.len()].copy_from_slice(bytes);
+        }
+        Ok(())
     }
 
     /// Serialized patch bytes (deterministic).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_varint(self.block_size as u64)
-            .put_varint(self.result_len)
-            .put_varint(self.blocks.len() as u64);
-        for (index, bytes) in &self.blocks {
-            e.put_varint(*index).put_bytes(bytes);
-        }
-        e.into_bytes()
+        let blocks: Vec<(u64, &[u8])> = self
+            .blocks
+            .iter()
+            .map(|(index, bytes)| (*index, bytes.as_slice()))
+            .collect();
+        encode_blocks(self.block_size, self.result_len, &blocks)
     }
 
     /// Parses bytes produced by [`BlockPatch::encode`].
@@ -151,6 +168,41 @@ impl BlockPatch {
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
+}
+
+/// The blocks of `new` that differ from the same-position block of `base`
+/// (a block past the end of `base`, or cut short by it, differs), in
+/// index order.
+fn changed_blocks<'a>(
+    base: &'a [u8],
+    new: &'a [u8],
+    block_size: usize,
+) -> impl Iterator<Item = (u64, &'a [u8])> {
+    assert!(block_size > 0, "block size must be positive");
+    new.chunks(block_size)
+        .enumerate()
+        .filter(move |(b, new_block)| {
+            let start = b * block_size;
+            let base_block = base
+                .get(start..(start + new_block.len()).min(base.len()))
+                .unwrap_or(&[]);
+            *new_block != base_block
+        })
+        .map(|(b, new_block)| (b as u64, new_block))
+}
+
+/// The wire form of a patch — the one place that knows it, next to
+/// [`BlockPatch::decode`].
+fn encode_blocks(block_size: u32, result_len: u64, blocks: &[(u64, &[u8])]) -> Vec<u8> {
+    let payload: usize = blocks.iter().map(|(_, bytes)| bytes.len() + 12).sum();
+    let mut e = Encoder::with_capacity(payload + 24);
+    e.put_varint(block_size as u64)
+        .put_varint(result_len)
+        .put_varint(blocks.len() as u64);
+    for (index, bytes) in blocks {
+        e.put_varint(*index).put_bytes(bytes);
+    }
+    e.into_bytes()
 }
 
 #[cfg(test)]
@@ -269,6 +321,41 @@ mod tests {
             blocks: vec![(0, vec![0u8; 8])], // short but not final
         };
         assert!(patch.apply(&[1u8; 64]).is_err());
+    }
+
+    #[test]
+    fn apply_in_place_matches_apply() {
+        let base: Vec<u8> = (0..1500u32).map(|i| (i * 31 % 251) as u8).collect();
+        // Same length, grown, shrunk to a partial final block, emptied.
+        for new_len in [1500usize, 2100, 700, 512, 0] {
+            let mut new: Vec<u8> = base.iter().copied().cycle().take(new_len).collect();
+            if let Some(b) = new.get_mut(new_len / 2) {
+                *b ^= 0x5A;
+            }
+            let patch = BlockPatch::diff(&base, &new, 512);
+            let mut buf = base.clone();
+            patch.apply_in_place(&mut buf).unwrap();
+            assert_eq!(buf, new, "new_len {new_len}");
+            assert_eq!(patch.apply(&base).unwrap(), new, "new_len {new_len}");
+        }
+    }
+
+    #[test]
+    fn apply_in_place_leaves_the_buffer_untouched_on_error() {
+        let patch = BlockPatch {
+            block_size: 16,
+            result_len: 40,
+            blocks: vec![(0, vec![9u8; 16]), (2, vec![9u8; 16])], // 32..48 > 40
+        };
+        let mut buf = vec![1u8; 64];
+        assert!(patch.apply_in_place(&mut buf).is_err());
+        assert_eq!(buf, vec![1u8; 64]);
+        let huge = BlockPatch {
+            block_size: 16,
+            result_len: 40,
+            blocks: vec![(u64::MAX / 2, vec![9u8; 16])],
+        };
+        assert!(huge.apply_in_place(&mut buf).is_err());
     }
 
     #[test]

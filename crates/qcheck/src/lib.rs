@@ -20,23 +20,30 @@
 //! * **Cost-aware.** Built-in checkpoint-interval policies include the
 //!   Young–Daly optimum and an online-adaptive variant.
 //!
-//! ## Threading model (save path)
+//! ## Threading model (save and resolve paths)
 //!
 //! The encode half of [`repo::CheckpointRepo::save`] — per-section
 //! compression-candidate selection, per-section SHA-256, and per-chunk
-//! hashing — fans out across the shared [`qpar`] layer. The thread count is
-//! [`repo::SaveOptions::threads`] when set, else [`qpar::current_threads`]
-//! (`QCHECK_THREADS` env var / builder / hardware). Guarantees:
+//! hashing — fans out across the shared [`qpar`] layer, and so does the
+//! read side: [`repo::CheckpointRepo::resolve_sections`] folds each
+//! section's delta chain on its own. Both hand the sections to the
+//! threads **by size** (largest first onto the lightest thread — a
+//! snapshot is two heavy sections and a handful of tiny ones). The thread
+//! count is [`repo::SaveOptions::threads`] when set, else
+//! [`qpar::current_threads`] (`QCHECK_THREADS` env var / builder /
+//! hardware). Guarantees:
 //!
-//! 1. **Bit-exactness** — encoded bytes, chunk refs and manifests are
-//!    byte-identical at every thread count: all fan-outs preserve input
-//!    order and there are no cross-item reductions.
+//! 1. **Bit-exactness** — encoded bytes, chunk refs, manifests and
+//!    resolved sections are byte-identical at every thread count: all
+//!    fan-outs return results in input order and there are no cross-item
+//!    reductions.
 //! 2. **Serial commit** — chunk-store writes, dedup accounting, manifest
 //!    and `LATEST` commits stay strictly serial in section order; the
 //!    crash-safety protocol is untouched by threading.
-//! 3. **Serial thresholds** — chunk hashing fans out only above
-//!    [`chunk::PARALLEL_MIN_CHUNKS`] chunks; tiny snapshots never pay
-//!    scoped-thread overhead.
+//! 3. **Serial thresholds** — the per-section fan-outs run only above
+//!    128 KiB of section payload and chunk hashing only above
+//!    [`chunk::PARALLEL_MIN_CHUNKS`] chunks; a KB-sized snapshot never
+//!    pays scoped-thread overhead, saving or resolving.
 //!
 //! Delta saves additionally keep the just-committed sections in memory, so
 //! the steady-state training loop never re-reads its own base checkpoint

@@ -16,6 +16,16 @@ pub static COMPACTIONS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_log_c
 /// (healthy repositories contribute exactly 1 per recover).
 pub static MANIFESTS_TRIED: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_manifests_tried_total");
+/// Delta-chain links folded by `resolve_sections`, counted per section
+/// (a depth-8 chain with two delta-encoded sections folds 18).
+pub static RESOLVE_LINKS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_resolve_links_total");
+/// Whole-section SHA-256 digests taken by `resolve_sections`: one per
+/// section of the checkpoint resolved, whatever its chain depth.
+pub static RESOLVE_SECTION_DIGESTS: qobs::LazyCounter =
+    qobs::LazyCounter::new("qcheck_resolve_section_digests_total");
+/// Positioned reads of chunk payload out of pack files: one per contiguous
+/// same-pack run of a `get_many`, one per object on the single-object path.
+pub static PACK_PREADS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_pack_preads_total");
 /// Manifest-log replays (every repository open / recover / fsck pass).
 pub static MLOG_REPLAYS: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_manifest_log_replays_total");

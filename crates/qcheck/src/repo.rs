@@ -65,6 +65,60 @@ const CHAIN_HARD_LIMIT: usize = 4096;
 /// trading the cached-base speedup for bounded memory.
 const ENCODE_CACHE_MAX_BYTES: usize = 64 << 20;
 
+/// Section payload (summed bytes) below which the per-section fan-outs of
+/// `save` and `resolve_sections` stay on the calling thread: a scoped
+/// worker costs ~0.1 ms to spawn and join, about what folding this many
+/// bytes of chain does, so a KB-sized snapshot must never pay it.
+const PARALLEL_MIN_BYTES: usize = 128 << 10;
+
+/// Order-preserving map over `(weight, item)` pairs on at most `threads`
+/// scoped threads, balanced by weight: items go largest-first onto the
+/// lightest of `t` bins and `qpar::map_threads` is handed exactly those
+/// bins, one per thread — a snapshot is two heavy sections and a handful
+/// of tiny ones, which contiguous stripes put on the same thread. Runs
+/// serially below [`PARALLEL_MIN_BYTES`] of total weight.
+fn map_balanced<T, R, F>(threads: usize, items: Vec<(usize, T)>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let t = threads.min(items.len());
+    let total: usize = items.iter().map(|(weight, _)| *weight).sum();
+    if t <= 1 || total < PARALLEL_MIN_BYTES {
+        return items.into_iter().map(|(_, item)| f(item)).collect();
+    }
+    let mut order: Vec<(usize, usize, T)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, (weight, item))| (i, weight, item))
+        .collect();
+    order.sort_by_key(|(_, weight, _)| std::cmp::Reverse(*weight));
+    let mut bins: Vec<(usize, Vec<(usize, T)>)> = (0..t).map(|_| (0, Vec::new())).collect();
+    for (i, weight, item) in order {
+        let (load, bin) = bins
+            .iter_mut()
+            .min_by_key(|(load, _)| *load)
+            .expect("at least two bins");
+        *load += weight;
+        bin.push((i, item));
+    }
+    let bins: Vec<Vec<(usize, T)>> = bins
+        .into_iter()
+        .map(|(_, bin)| bin)
+        .filter(|bin| !bin.is_empty())
+        .collect();
+    let run_bin = |bin: Vec<(usize, T)>| -> Vec<(usize, R)> {
+        bin.into_iter().map(|(i, item)| (i, f(item))).collect()
+    };
+    let mut results: Vec<(usize, R)> = qpar::map_threads(bins.len(), bins, run_bin)
+        .into_iter()
+        .flatten()
+        .collect();
+    results.sort_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Full vs incremental save.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SaveMode {
@@ -618,12 +672,20 @@ impl<S: ObjectStore> CheckpointRepo<S> {
                                 base = Some((m, c.sections));
                             }
                             None => {
-                                if let Ok(base_sections) = self.resolve_sections(&m) {
-                                    // One-time chain walk to rebuild the
-                                    // chunk inventory for the new cache
-                                    // entry (resolve verified content, so
-                                    // existence is implied here).
-                                    base_chain_chunks = self.collect_chain_chunks(&m);
+                                // One chain walk serves both the resolve
+                                // and the chunk inventory of the new cache
+                                // entry (resolve verified content, so
+                                // existence is implied here).
+                                let resolved = self
+                                    .with_state(|st| chain_bases(st, &m))
+                                    .and_then(|bases| Ok((self.resolve_chain(&m, &bases)?, bases)));
+                                if let Ok((base_sections, bases)) = resolved {
+                                    base_chain_chunks = Some(
+                                        std::iter::once(&m)
+                                            .chain(&bases)
+                                            .flat_map(|link| link.chunk_refs().map(|r| r.hash))
+                                            .collect(),
+                                    );
                                     base = Some((m, base_sections));
                                 }
                             }
@@ -643,8 +705,9 @@ impl<S: ObjectStore> CheckpointRepo<S> {
 
         // ------------------------------------------------------------------
         // Encode phase: per-section compression candidates + hashes, fanned
-        // out across worker threads (sections are independent). The chosen
-        // encodings are identical at every thread count.
+        // out across worker threads by section size (sections are
+        // independent). The chosen encodings are identical at every thread
+        // count.
         // ------------------------------------------------------------------
         let threads = options.threads.unwrap_or_else(qpar::current_threads);
         let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
@@ -664,16 +727,20 @@ impl<S: ObjectStore> CheckpointRepo<S> {
                 base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name))
             {
                 // Block-level patch: wins on sparse updates and
-                // length-changing sections (append-only ledger).
-                let patch = BlockPatch::diff(
+                // length-changing sections (append-only ledger). Each
+                // losing buffer is freed as soon as it has lost: two
+                // heavy sections encode side by side, and a candidate is
+                // as large as its section.
+                let encoded = BlockPatch::diff_encoded(
                     &base_section.bytes,
                     &section.bytes,
                     options.delta_block_size,
                 );
-                let encoded = patch.encode();
                 let compressed = codec.compress(&encoded);
+                let encoded_len = encoded.len();
+                drop(encoded);
                 if compressed.len() < best.3.len() {
-                    best = (PayloadKind::DeltaPatch, codec, encoded.len(), compressed);
+                    best = (PayloadKind::DeltaPatch, codec, encoded_len, compressed);
                 }
                 // Byte-wise XOR against the base: wins on dense but
                 // small-magnitude updates (optimizer steps late in
@@ -686,11 +753,13 @@ impl<S: ObjectStore> CheckpointRepo<S> {
                         .map(|(a, b)| a ^ b)
                         .collect();
                     let compressed = Compression::ZeroElideF64.compress(&xored);
+                    let xored_len = xored.len();
+                    drop(xored);
                     if compressed.len() < best.3.len() {
                         best = (
                             PayloadKind::XorBase,
                             Compression::ZeroElideF64,
-                            xored.len(),
+                            xored_len,
                             compressed,
                         );
                     }
@@ -705,11 +774,11 @@ impl<S: ObjectStore> CheckpointRepo<S> {
                 compressed,
             }
         };
-        let encoded: Vec<SectionEncode> = if threads > 1 && sections.len() > 1 {
-            qpar::map_threads(threads, sections.iter().collect(), encode_one)
-        } else {
-            sections.iter().map(encode_one).collect()
-        };
+        let encoded: Vec<SectionEncode> = map_balanced(
+            threads,
+            sections.iter().map(|s| (s.bytes.len(), s)).collect(),
+            encode_one,
+        );
 
         // Snapshot root hash: digest of the per-section digests. Every
         // section is verified against its own digest on resolve, so the
@@ -1098,22 +1167,6 @@ impl<S: ObjectStore> CheckpointRepo<S> {
         Ok(())
     }
 
-    /// Chunk hashes of `manifest`'s entire delta chain (newest first), or
-    /// `None` when an ancestor manifest is unreadable or the chain exceeds
-    /// the cycle guard.
-    fn collect_chain_chunks(&self, manifest: &Manifest) -> Option<Vec<crate::hash::ContentHash>> {
-        let mut out = Vec::new();
-        let mut cursor = manifest.clone();
-        for _ in 0..CHAIN_HARD_LIMIT {
-            out.extend(cursor.chunk_refs().map(|r| r.hash));
-            match &cursor.kind {
-                CheckpointKind::Full => return Some(out),
-                CheckpointKind::Delta { base } => cursor = self.load_manifest(base).ok()?,
-            }
-        }
-        None
-    }
-
     fn atomic_write(&self, target: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
         static STAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let tmp = self.tmp_dir.join(format!(
@@ -1190,100 +1243,199 @@ impl<S: ObjectStore> CheckpointRepo<S> {
         self.with_state(|st| Ok(st.damaged.clone()))
     }
 
-    /// Resolves a manifest to its full section payloads, walking and
-    /// verifying the delta chain.
+    /// Resolves a manifest to its full section payloads by folding its
+    /// delta chain.
+    ///
+    /// Each section's chain is resolved on its own — from its newest
+    /// `Full` payload forward, every link folded into one buffer in place
+    /// — and the per-section chains fan out across [`qpar`] by size. What
+    /// is verified: every chunk of every link against its content address
+    /// as it is read, every link's stored and resolved lengths, the
+    /// resolved bytes of each section against `manifest`'s own
+    /// `section_sha`, and those digests against `snapshot_sha`. The
+    /// `section_sha` fields of the *intermediate* links are not re-derived
+    /// here; resolving (or `fsck`-ing) that checkpoint's own id checks
+    /// them.
     ///
     /// # Errors
     ///
-    /// Fails on missing/corrupt chunks, hash mismatches at any chain layer,
-    /// or chains exceeding the hard cycle guard.
+    /// Fails on missing/corrupt chunks at any chain layer, on a length or
+    /// hash mismatch of the resolved sections, or on chains exceeding the
+    /// hard cycle guard.
     pub fn resolve_sections(&self, manifest: &Manifest) -> Result<Vec<Section>> {
-        // Collect the chain: newest → oldest full checkpoint.
-        let mut chain = vec![manifest.clone()];
-        let mut guard = 0usize;
-        loop {
-            let last = chain.last().expect("non-empty");
-            match &last.kind {
-                CheckpointKind::Full => break,
-                CheckpointKind::Delta { base } => {
-                    guard += 1;
-                    if guard > CHAIN_HARD_LIMIT {
-                        return Err(Error::ChainTooLong {
-                            length: guard,
-                            limit: CHAIN_HARD_LIMIT,
-                        });
+        let bases = self.with_state(|st| chain_bases(st, manifest))?;
+        self.resolve_chain(manifest, &bases)
+    }
+
+    /// [`Self::resolve_sections`] over an already collected chain: `tip`
+    /// and its `bases`, newest first.
+    fn resolve_chain(&self, tip: &Manifest, bases: &[Manifest]) -> Result<Vec<Section>> {
+        // A section's links, newest first, down to its newest `Full`
+        // payload — older links cannot change its bytes.
+        let mut jobs = Vec::with_capacity(tip.sections.len());
+        for entry in &tip.sections {
+            let mut links: Vec<(&Manifest, &SectionEntry)> = vec![(tip, entry)];
+            let mut older = bases.iter();
+            loop {
+                let (m, link) = links[links.len() - 1];
+                if link.payload_kind == PayloadKind::Full {
+                    break;
+                }
+                let base = older.next().and_then(|base| {
+                    let e = base.sections.iter().find(|s| s.name == link.name)?;
+                    Some((base, e))
+                });
+                let Some(base) = base else {
+                    return Err(Error::NotFound {
+                        what: format!("base section {} for delta {}", link.name, m.id),
+                    });
+                };
+                links.push(base);
+            }
+            let weight = links.iter().map(|(_, e)| e.stored_len as usize).sum();
+            jobs.push((weight, links));
+        }
+        let sections = map_balanced(qpar::current_threads(), jobs, |links| {
+            self.fold_section(&links)
+        })
+        .into_iter()
+        .collect::<Result<Vec<Section>>>()?;
+
+        // Snapshot root hash: digest of the per-section digests, which were
+        // each verified against the resolved bytes above.
+        let mut h = Sha256::new();
+        for entry in &tip.sections {
+            h.update(&entry.section_sha.0);
+        }
+        if h.finalize() != tip.snapshot_sha {
+            return Err(Error::corrupt(
+                format!("checkpoint {}", tip.id),
+                "snapshot hash mismatch".to_string(),
+            ));
+        }
+        Ok(sections)
+    }
+
+    /// Folds one section's `links` (newest first, the last one `Full`)
+    /// oldest-first into a single buffer and checks the result against
+    /// the newest link's `section_sha`.
+    fn fold_section(&self, links: &[(&Manifest, &SectionEntry)]) -> Result<Section> {
+        let mut bytes: Vec<u8> = Vec::new();
+        for (m, entry) in links.iter().rev() {
+            let at = || format!("section {} of {}", entry.name, m.id);
+            // One batched fetch per link: the remote backend pipelines the
+            // whole burst in a single round trip, and the pack backend
+            // reads it with one positioned read per contiguous run.
+            let compressed = self.store.get_many(&entry.chunks)?.concat();
+            let stored = entry.codec.decompress(&compressed)?;
+            drop(compressed);
+            if stored.len() as u64 != entry.stored_len {
+                return Err(Error::corrupt(
+                    at(),
+                    format!("stored length {} != {}", stored.len(), entry.stored_len),
+                ));
+            }
+            match entry.payload_kind {
+                PayloadKind::Full => bytes = stored,
+                PayloadKind::DeltaPatch => {
+                    BlockPatch::decode(&stored)?.apply_in_place(&mut bytes)?
+                }
+                PayloadKind::XorBase => {
+                    if bytes.len() != stored.len() {
+                        return Err(Error::corrupt(
+                            at(),
+                            format!(
+                                "xor payload length {} != base length {}",
+                                stored.len(),
+                                bytes.len()
+                            ),
+                        ));
                     }
-                    let base_manifest = self.load_manifest(base)?;
-                    chain.push(base_manifest);
+                    for (b, x) in bytes.iter_mut().zip(&stored) {
+                        *b ^= x;
+                    }
                 }
             }
+            if bytes.len() as u64 != entry.section_len {
+                return Err(Error::corrupt(
+                    at(),
+                    format!("resolved length {} != {}", bytes.len(), entry.section_len),
+                ));
+            }
+            crate::obs::RESOLVE_LINKS.inc();
         }
+        let (m, entry) = links[0];
+        crate::obs::RESOLVE_SECTION_DIGESTS.inc();
+        if Sha256::digest(&bytes) != entry.section_sha {
+            return Err(Error::corrupt(
+                format!("section {} of {}", entry.name, m.id),
+                "resolved section hash mismatch".to_string(),
+            ));
+        }
+        Ok(Section {
+            name: entry.name.clone(),
+            bytes,
+        })
+    }
 
-        // Resolve oldest-first.
+    /// The resolver [`Self::resolve_sections`] replaced, kept as its test
+    /// reference: the whole chain oldest-first, a fresh vector and a
+    /// section digest per link.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::resolve_sections`], plus hash mismatches of intermediate
+    /// links.
+    #[cfg(any(test, feature = "testing"))]
+    pub fn resolve_sections_reference(&self, manifest: &Manifest) -> Result<Vec<Section>> {
+        let mut chain = vec![manifest.clone()];
+        while let CheckpointKind::Delta { base } = &chain[chain.len() - 1].kind {
+            if chain.len() > CHAIN_HARD_LIMIT {
+                return Err(Error::ChainTooLong {
+                    length: chain.len(),
+                    limit: CHAIN_HARD_LIMIT,
+                });
+            }
+            let base_manifest = self.load_manifest(base)?;
+            chain.push(base_manifest);
+        }
         let mut sections: Vec<Section> = Vec::new();
         for m in chain.iter().rev() {
             let mut next: Vec<Section> = Vec::with_capacity(m.sections.len());
             for entry in &m.sections {
-                // One batched fetch per section: the remote backend
-                // pipelines the whole burst in a single round trip, and
-                // the pack backend resolves it against one index scan.
-                let chunks = self.store.get_many(&entry.chunks)?;
-                let compressed: Vec<u8> = chunks.concat();
+                let at = || format!("section {} of {}", entry.name, m.id);
+                let compressed: Vec<u8> = self.store.get_many(&entry.chunks)?.concat();
                 let stored = entry.codec.decompress(&compressed)?;
                 if stored.len() as u64 != entry.stored_len {
-                    return Err(Error::corrupt(
-                        format!("section {} of {}", entry.name, m.id),
-                        format!("stored length {} != {}", stored.len(), entry.stored_len),
-                    ));
+                    return Err(Error::corrupt(at(), "stored length mismatch".to_string()));
                 }
-                let bytes = match entry.payload_kind {
-                    PayloadKind::Full => stored,
-                    PayloadKind::DeltaPatch => {
-                        let patch = BlockPatch::decode(&stored)?;
-                        let base_section = sections
-                            .iter()
-                            .find(|s| s.name == entry.name)
-                            .ok_or_else(|| Error::NotFound {
-                                what: format!("base section {} for delta {}", entry.name, m.id),
-                            })?;
-                        patch.apply(&base_section.bytes)?
+                let base_section = sections.iter().find(|s| s.name == entry.name);
+                let bytes = match (entry.payload_kind, base_section) {
+                    (PayloadKind::Full, _) => stored,
+                    (PayloadKind::DeltaPatch, Some(base)) => {
+                        BlockPatch::decode(&stored)?.apply(&base.bytes)?
                     }
-                    PayloadKind::XorBase => {
-                        let base_section = sections
-                            .iter()
-                            .find(|s| s.name == entry.name)
-                            .ok_or_else(|| Error::NotFound {
-                                what: format!("base section {} for xor delta {}", entry.name, m.id),
-                            })?;
-                        if base_section.bytes.len() != stored.len() {
-                            return Err(Error::corrupt(
-                                format!("section {} of {}", entry.name, m.id),
-                                format!(
-                                    "xor payload length {} != base length {}",
-                                    stored.len(),
-                                    base_section.bytes.len()
-                                ),
-                            ));
-                        }
-                        base_section
-                            .bytes
-                            .iter()
-                            .zip(&stored)
-                            .map(|(a, b)| a ^ b)
-                            .collect()
+                    (PayloadKind::XorBase, Some(base)) if base.bytes.len() == stored.len() => {
+                        base.bytes.iter().zip(&stored).map(|(a, b)| a ^ b).collect()
+                    }
+                    (PayloadKind::XorBase, Some(_)) => {
+                        return Err(Error::corrupt(
+                            at(),
+                            "xor payload length mismatch".to_string(),
+                        ))
+                    }
+                    (_, None) => {
+                        return Err(Error::NotFound {
+                            what: format!("base section {} for delta {}", entry.name, m.id),
+                        })
                     }
                 };
-                if bytes.len() as u64 != entry.section_len {
+                if bytes.len() as u64 != entry.section_len
+                    || Sha256::digest(&bytes) != entry.section_sha
+                {
                     return Err(Error::corrupt(
-                        format!("section {} of {}", entry.name, m.id),
-                        format!("resolved length {} != {}", bytes.len(), entry.section_len),
-                    ));
-                }
-                let sha = Sha256::digest(&bytes);
-                if sha != entry.section_sha {
-                    return Err(Error::corrupt(
-                        format!("section {} of {}", entry.name, m.id),
-                        "resolved section hash mismatch".to_string(),
+                        at(),
+                        "resolved section mismatch".to_string(),
                     ));
                 }
                 next.push(Section {
@@ -1293,9 +1445,6 @@ impl<S: ObjectStore> CheckpointRepo<S> {
             }
             sections = next;
         }
-
-        // Snapshot root hash: digest of the per-section digests, which were
-        // each verified against the resolved bytes above.
         let mut h = Sha256::new();
         for entry in &manifest.sections {
             h.update(&entry.section_sha.0);
@@ -1315,8 +1464,19 @@ impl<S: ObjectStore> CheckpointRepo<S> {
     ///
     /// Propagates manifest / chunk / decode failures.
     pub fn load(&self, id: &CheckpointId) -> Result<TrainingSnapshot> {
-        let manifest = self.load_manifest(id)?;
-        let sections = self.resolve_sections(&manifest)?;
+        // One look at the log state for the manifest and its whole chain.
+        let (manifest, bases) = self.with_state(|st| {
+            let manifest = st
+                .manifests
+                .get(id)
+                .cloned()
+                .ok_or_else(|| Error::NotFound {
+                    what: format!("manifest {id}"),
+                })?;
+            let bases = chain_bases(st, &manifest)?;
+            Ok((manifest, bases))
+        })?;
+        let sections = self.resolve_chain(&manifest, &bases)?;
         TrainingSnapshot::from_sections(&sections)
     }
 
@@ -1746,6 +1906,26 @@ impl<S: ObjectStore> CheckpointRepo<S> {
         let report = self.save(&snapshot, &opts)?;
         Ok(Some(report))
     }
+}
+
+/// The delta bases of `tip`, newest first down to the full checkpoint,
+/// cloned out of one snapshot of the log state.
+fn chain_bases(st: &LogReplay, tip: &Manifest) -> Result<Vec<Manifest>> {
+    let mut bases = Vec::new();
+    let mut cursor = tip;
+    while let CheckpointKind::Delta { base } = &cursor.kind {
+        if bases.len() >= CHAIN_HARD_LIMIT {
+            return Err(Error::ChainTooLong {
+                length: bases.len() + 1,
+                limit: CHAIN_HARD_LIMIT,
+            });
+        }
+        cursor = st.manifests.get(base).ok_or_else(|| Error::NotFound {
+            what: format!("manifest {base}"),
+        })?;
+        bases.push(cursor.clone());
+    }
+    Ok(bases)
 }
 
 /// Guard for the writer lock. A local LOCK file (`path` set) is removed

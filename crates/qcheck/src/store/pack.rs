@@ -296,6 +296,7 @@ impl PackStore {
         let mut buf = vec![0u8; loc.len as usize];
         read_exact_at(&f, &mut buf, loc.offset)
             .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
+        crate::obs::PACK_PREADS.inc();
         verify_chunk(reference, &buf)?;
         Ok(buf)
     }
@@ -334,24 +335,7 @@ impl PackStore {
             };
             let Some((name, loc)) = loc else { break };
             let path = self.pack_path(&name);
-            // Serve consecutive reads of the same pack through one open
-            // descriptor (packs are immutable, so the cache cannot go
-            // stale — at worst the file was unlinked, which a held fd
-            // survives anyway).
-            let cached = {
-                let mru = self.mru_pack.lock().expect("mru lock poisoned");
-                mru.as_ref()
-                    .filter(|(n, _)| *n == name)
-                    .map(|(_, f)| Arc::clone(f))
-            };
-            let open_result = match cached {
-                Some(f) => Ok(f),
-                None => fs::File::open(&path).map(Arc::new).inspect(|f| {
-                    *self.mru_pack.lock().expect("mru lock poisoned") =
-                        Some((name.clone(), Arc::clone(f)));
-                }),
-            };
-            match open_result {
+            match self.open_pack(&name) {
                 Ok(f) => return Ok((f, loc, path)),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     // Pack deleted under us; resync and retry once.
@@ -364,6 +348,86 @@ impl PackStore {
         Err(Error::NotFound {
             what: format!("chunk {}", reference.hash),
         })
+    }
+
+    /// Opens pack `name`, serving consecutive reads of the same pack
+    /// through one descriptor (packs are immutable, so the cache cannot go
+    /// stale — at worst the file was unlinked, which a held fd survives
+    /// anyway).
+    fn open_pack(&self, name: &str) -> std::io::Result<Arc<fs::File>> {
+        let cached = {
+            let mru = self.mru_pack.lock().expect("mru lock poisoned");
+            mru.as_ref()
+                .filter(|(n, _)| n == name)
+                .map(|(_, f)| Arc::clone(f))
+        };
+        if let Some(f) = cached {
+            return Ok(f);
+        }
+        let f = Arc::new(fs::File::open(self.pack_path(name))?);
+        *self.mru_pack.lock().expect("mru lock poisoned") =
+            Some((name.to_string(), Arc::clone(&f)));
+        Ok(f)
+    }
+
+    /// The batched read path of [`ObjectStore::get_many`]: resolves every
+    /// ref under one index lock and issues one positioned read per
+    /// contiguous same-pack run (a save's chunks sit back to back in its
+    /// pack, so a section of a delta link is one read, not one per chunk).
+    /// Every chunk is still verified against its content address. `None`
+    /// — an index miss, a vanished pack, a short read — sends the caller
+    /// down the per-object path, which owns the refresh-and-retry rules.
+    fn read_runs(&self, refs: &[ChunkRef]) -> Option<Result<Vec<Vec<u8>>>> {
+        struct Run {
+            pack: u32,
+            name: String,
+            offset: u64,
+            /// Total bytes, and the length of each object in order.
+            len: usize,
+            lens: Vec<usize>,
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        {
+            let index = self.lock();
+            for reference in refs {
+                let loc = *index.objects.get(&reference.hash)?;
+                match runs.last_mut() {
+                    Some(run)
+                        if run.pack == loc.pack && run.offset + run.len as u64 == loc.offset =>
+                    {
+                        run.len += loc.len as usize;
+                        run.lens.push(loc.len as usize);
+                    }
+                    _ => runs.push(Run {
+                        pack: loc.pack,
+                        name: index.packs[loc.pack as usize].clone()?,
+                        offset: loc.offset,
+                        len: loc.len as usize,
+                        lens: vec![loc.len as usize],
+                    }),
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(refs.len());
+        let mut refs = refs.iter();
+        let mut buf = Vec::new();
+        for run in &runs {
+            let f = self.open_pack(&run.name).ok()?;
+            buf.resize(run.len, 0);
+            read_exact_at(&f, &mut buf, run.offset).ok()?;
+            crate::obs::PACK_PREADS.inc();
+            let mut rest = buf.as_slice();
+            for len in &run.lens {
+                let (chunk, tail) = rest.split_at(*len);
+                rest = tail;
+                let reference = refs.next().expect("one ref per run entry");
+                if let Err(e) = verify_chunk(reference, chunk) {
+                    return Some(Err(e));
+                }
+                out.push(chunk.to_vec());
+            }
+        }
+        Some(Ok(out))
     }
 
     /// Serializes, stages and atomically publishes one pack holding
@@ -493,7 +557,9 @@ impl ObjectStore for PackStore {
         // One batch = one read pass: at most one miss-triggered index
         // rescan for the whole burst.
         self.begin_read_pass();
-        let out = refs.iter().map(|r| self.read_object(r)).collect();
+        let out = self
+            .read_runs(refs)
+            .unwrap_or_else(|| refs.iter().map(|r| self.read_object(r)).collect());
         self.end_read_pass();
         out
     }
@@ -710,6 +776,7 @@ impl ObjectStore for PackStore {
             let n = buf.len().min((u64::from(loc.len) - done) as usize);
             read_exact_at(&f, &mut buf[..n], loc.offset + done)
                 .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
+            crate::obs::PACK_PREADS.inc();
             hasher.update(&buf[..n]);
             sink(&buf[..n])?;
             done += n as u64;
@@ -1056,6 +1123,64 @@ mod tests {
         with_missing.push(Sha256::digest(b"never stored"));
         assert!(!store.contains_all(&with_missing));
         assert!(store.contains_all(&[]));
+    }
+
+    fn refs_of(blobs: &[Vec<u8>]) -> Vec<ChunkRef> {
+        stage(blobs).iter().map(|s| s.reference).collect()
+    }
+
+    #[test]
+    fn get_many_matches_get_across_packs_gaps_and_repeats() {
+        let (_d, store) = temp_store();
+        let first: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 300 + i as usize]).collect();
+        let second: Vec<Vec<u8>> = (6..9u8).map(|i| vec![i; 64]).collect();
+        store.put_batch(&stage(&first), false).unwrap();
+        store.put_batch(&stage(&second), false).unwrap();
+        let (a, b) = (refs_of(&first), refs_of(&second));
+        // A whole pack in order, a hop to the other pack and back, a gap,
+        // a repeat, and backwards.
+        let order = [
+            a[0], a[1], a[2], a[3], a[4], a[5], b[0], b[1], a[1], a[3], a[3], b[2], a[0],
+        ];
+        let want: Vec<Vec<u8>> = order.iter().map(|r| store.get(r).unwrap()).collect();
+        assert_eq!(store.get_many(&order).unwrap(), want);
+        assert_eq!(store.get_many(&[]).unwrap(), Vec::<Vec<u8>>::new());
+    }
+
+    #[test]
+    fn get_many_verifies_every_chunk_of_a_run() {
+        let (_d, store) = temp_store();
+        let blobs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 200]).collect();
+        store.put_batch(&stage(&blobs), false).unwrap();
+        let refs = refs_of(&blobs);
+        store.corrupt_object(&refs[3].hash, 17).unwrap();
+        match store.get_many(&refs) {
+            Err(Error::Corrupt { detail, .. }) => assert!(detail.contains("hash mismatch")),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        assert!(store.get_many(&refs[..3]).is_ok());
+    }
+
+    #[test]
+    fn get_many_falls_back_on_an_index_miss_and_a_vanished_pack() {
+        let (dir, mut writer) = temp_store();
+        writer.set_gc_dead_fraction(0.0);
+        let reader = PackStore::open(dir.path()).unwrap();
+        let blobs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 128]).collect();
+        writer.put_batch(&stage(&blobs), false).unwrap();
+        let refs = refs_of(&blobs);
+        // Published after the reader opened: every ref misses its index.
+        assert_eq!(reader.get_many(&refs).unwrap(), blobs);
+        // The writer's sweep rewrites the pack under the reader, whose
+        // index still names the deleted file.
+        let live: BTreeSet<ContentHash> = refs[..2].iter().map(|r| r.hash).collect();
+        writer.sweep(&live).unwrap();
+        *reader.mru_pack.lock().unwrap() = None;
+        assert_eq!(reader.get_many(&refs[..2]).unwrap(), blobs[..2]);
+        assert!(matches!(
+            reader.get_many(&refs),
+            Err(Error::NotFound { .. })
+        ));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property suite: the hardware SHA-256 backend is bit-identical to the
-//! portable compression loop.
+//! Property suite: the accelerated hashes are bit-identical to their
+//! oracles — the hardware SHA-256 backend to the portable compression
+//! loop, the table-driven CRC32 to the bit-at-a-time one.
 //!
 //! `qcheck::hash::Sha256` routes whole blocks through
 //! `qsimd::sha256_compress_blocks`; forcing `QSIM_SIMD=scalar` via
@@ -9,10 +10,15 @@
 //! backend mid-stream at a block boundary) must all produce one digest.
 //! On machines without SHA extensions both paths are the portable loop
 //! and the properties hold trivially.
+//!
+//! `qcheck::hash::crc32_update` runs slice-by-8; random data at unaligned
+//! starts, every length class around the 8-byte word and random
+//! `crc32_update` split points must leave the state the bitwise loop
+//! (`crc32_update_bitwise`, test builds only) leaves.
 
 use proptest::prelude::*;
 
-use qcheck::hash::{ContentHash, Sha256};
+use qcheck::hash::{crc32, crc32_update, crc32_update_bitwise, ContentHash, Sha256};
 use qsimd::Level;
 
 /// Digest `data` fed as a single update at the given SIMD level.
@@ -36,8 +42,37 @@ fn digest_split(level: Level, data: &[u8], cuts: &[usize]) -> ContentHash {
     })
 }
 
+/// The published check value of CRC-32/ISO-HDLC.
+#[test]
+fn crc32_check_value() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Table-driven CRC32 equals the bitwise oracle for random data of
+    /// length 0..4 KiB starting at any offset within a word, fed whole
+    /// and across random `crc32_update` split points.
+    #[test]
+    fn crc32_tables_match_bitwise(
+        data in prop::collection::vec(any::<u8>(), 0..4104),
+        start in 0usize..8,
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        seed in any::<u32>(),
+    ) {
+        let data = &data[start.min(data.len())..];
+        let want = crc32_update_bitwise(seed, data);
+        prop_assert_eq!(crc32_update(seed, data), want, "len={}", data.len());
+        let mut cuts: Vec<usize> = cuts.iter().map(|i| i.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let (mut state, mut prev) = (seed, 0);
+        for cut in cuts.iter().copied().chain([data.len()]) {
+            state = crc32_update(state, &data[prev..cut]);
+            prev = cut;
+        }
+        prop_assert_eq!(state, want, "len={} cuts={:?}", data.len(), &cuts);
+    }
 
     /// One-shot digests agree between the forced-scalar oracle and the
     /// detected backend, at every length (empty through multi-block,

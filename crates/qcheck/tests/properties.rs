@@ -107,7 +107,7 @@ proptest! {
     }
 
     /// diff ∘ apply is the identity for arbitrary byte strings and block
-    /// sizes.
+    /// sizes — into a fresh vector and in place over the base alike.
     #[test]
     fn delta_diff_apply_identity(
         base in prop::collection::vec(any::<u8>(), 0..3000),
@@ -116,7 +116,10 @@ proptest! {
     ) {
         let patch = BlockPatch::diff(&base, &new, block_size);
         let out = patch.apply(&base).unwrap();
-        prop_assert_eq!(out, new);
+        prop_assert_eq!(&out, &new);
+        let mut in_place = base;
+        patch.apply_in_place(&mut in_place).unwrap();
+        prop_assert_eq!(in_place, new);
     }
 
     /// Delta patches survive their own serialization.
@@ -126,6 +129,7 @@ proptest! {
         new in prop::collection::vec(any::<u8>(), 0..2000),
     ) {
         let patch = BlockPatch::diff(&base, &new, 128);
+        prop_assert_eq!(BlockPatch::diff_encoded(&base, &new, 128), patch.encode());
         let decoded = BlockPatch::decode(&patch.encode()).unwrap();
         prop_assert_eq!(&decoded, &patch);
         prop_assert_eq!(decoded.apply(&base).unwrap(), new);

@@ -153,9 +153,12 @@ fn chunk_corruption_in_delta_chain_is_caught() {
     for s in &snaps {
         repo.save(s, &opts).unwrap();
     }
-    // Corrupt a chunk of the *base* (first) checkpoint: every delta in the
-    // chain depends on it, so the whole chain must be rejected — recovery
-    // then fails (nothing valid remains) rather than returning garbage.
+    // Corrupt a chunk of the *base* (first) checkpoint's parameters. Every
+    // later link that folds that section from the base reads the chunk,
+    // and the store refuses it against its content address — so each of
+    // them is rejected, and recovery fails (or falls back to a checkpoint
+    // whose parameters were rewritten in full since) rather than
+    // returning garbage.
     let base_id = repo.list_ids().unwrap()[0].clone();
     let manifest = repo.load_manifest(&base_id).unwrap();
     let params_entry = manifest
