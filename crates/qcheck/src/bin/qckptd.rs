@@ -150,9 +150,9 @@ fn status(addr: &str) -> Result<(), String> {
             status.repl_lag
         );
     }
-    // A v3 daemon additionally exposes its metrics registry; fold the
-    // interesting scalars into status. Absence (v2 peer, QOBS=off on
-    // the daemon) is not an error.
+    // The daemon also exposes its metrics registry; fold the
+    // interesting scalars into status. Absence (QOBS=off on the
+    // daemon) is not an error.
     if let Ok(text) = client.metrics() {
         if let Some(secs) = metric_value(&text, "qckptd_uptime_seconds") {
             println!("uptime:        {secs}s");

@@ -1,7 +1,7 @@
 //! Fixed-size chunking of section payloads.
 //!
 //! Section byte streams are split into fixed-size chunks (default 4 KiB)
-//! which are stored content-addressed in the [`crate::store::ChunkStore`].
+//! which are stored content-addressed in an [`crate::store::ObjectStore`].
 //! Identical chunks across checkpoints — the unchanged prefix of a parameter
 //! vector, a shared dataset blob across a hyperparameter sweep — are stored
 //! once (experiment R-F7).

@@ -1,8 +1,6 @@
 //! The crate's qobs metric handles — one module so the metric-name
 //! contract (documented in `crates/qcheck/README.md`) lives in one
-//! place. All handles gate on the process-wide `QOBS` mode except
-//! [`STREAM_PEAK`], which existing stream tests read back through
-//! [`crate::remote::stream_peak_buffer`] regardless of mode.
+//! place. All handles gate on the process-wide `QOBS` mode.
 
 /// Completed [`crate::repo::Repository::save`] calls.
 pub static SAVES: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_saves_total");
@@ -39,5 +37,3 @@ pub static RENAME_NS: qobs::LazyHistogram = qobs::LazyHistogram::new("qcheck_ren
 /// connection; this is the aggregate a scrape sees).
 pub static ROUND_TRIPS: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_remote_round_trips_total");
-/// High-water mark of any streaming frame buffer, in bytes.
-pub static STREAM_PEAK: qobs::LazyGauge = qobs::LazyGauge::new("qcheck_stream_peak_buffer_bytes");

@@ -38,12 +38,12 @@ use std::time::Duration;
 
 use crate::chunk::ChunkRef;
 use crate::error::{Error, Result};
-use crate::hash::{ContentHash, Sha256};
+use crate::hash::ContentHash;
 use crate::store::{BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
 
 use super::proto::{
-    read_frame, valid_namespace, write_frame, Request, Response, HELLO_FLAG_WANT_LEASE,
-    MAX_FRAME_LEN, PROTO_VERSION, STREAM_SEGMENT_BYTES,
+    batch_groups, encode_put_batch, read_frame, valid_namespace, write_frame, Request, Response,
+    HELLO_FLAG_WANT_LEASE, MAX_CHUNK_PAYLOAD, PROTO_VERSION,
 };
 
 /// Environment variable tuning the transport retry budget: the number of
@@ -66,10 +66,6 @@ const BACKOFF_BASE_MS: u64 = 25;
 
 /// Backoff ceiling per attempt.
 const BACKOFF_CAP_MS: u64 = 1000;
-
-/// A `put_batch` is split into pipelined sub-frames of at most this many
-/// payload bytes (well under [`super::proto::MAX_FRAME_LEN`]).
-const PUT_BATCH_FRAME_BYTES: usize = 4 << 20;
 
 /// Environment variable overriding the per-operation socket timeout
 /// (seconds). The default balances "a wedged daemon must surface as an
@@ -151,18 +147,6 @@ fn is_fatal_dial_error(e: &Error) -> bool {
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-}
-
-/// Outcome of one attempt at a streaming operation, distinguished by
-/// what it means for the connection and the retry loop: `Done` and
-/// `Judged` leave the request/response framing aligned (the connection
-/// is kept); `Fatal` means the stream died mid-flight *after* data
-/// crossed the sink or source, so a replay would duplicate bytes — the
-/// connection is dropped and the error surfaces without retry.
-enum StreamAttempt<T> {
-    Done(T),
-    Judged(Error),
-    Fatal(Error),
 }
 
 /// A parsed [`Response::Status`] (also printed by `qckptd status`).
@@ -525,52 +509,6 @@ impl RemoteStore {
         Ok(responses.remove(0))
     }
 
-    /// Retry harness for the streaming operations. Each attempt runs
-    /// `f` on a live connection; `Err` from `f` is a transport failure
-    /// *before* any payload moved and is retried on a fresh connection
-    /// (safe: content-addressed streams are idempotent), while the
-    /// [`StreamAttempt`] outcomes end the loop — see its docs.
-    fn stream_attempt<T>(
-        &self,
-        context: &str,
-        f: &mut dyn FnMut(&mut Conn) -> Result<StreamAttempt<T>>,
-    ) -> Result<T> {
-        let mut guard = self.conn.lock().expect("conn lock poisoned");
-        let mut last_err: Option<Error> = None;
-        for attempt in 0..=self.retries {
-            if attempt > 0 {
-                std::thread::sleep(backoff_delay(attempt));
-            }
-            let mut conn = match guard.take() {
-                Some(conn) => conn,
-                None => match self.dial() {
-                    Ok(conn) => conn,
-                    Err(e) if is_fatal_dial_error(&e) => return Err(e),
-                    Err(e @ Error::StaleGeneration(_)) => return Err(e),
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
-                },
-            };
-            match f(&mut conn) {
-                Ok(StreamAttempt::Done(value)) => {
-                    *guard = Some(conn);
-                    return Ok(value);
-                }
-                Ok(StreamAttempt::Judged(e)) => {
-                    *guard = Some(conn);
-                    return Err(e);
-                }
-                Ok(StreamAttempt::Fatal(e)) => return Err(e),
-                Err(e) => {
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| Error::protocol(context.to_string(), "no attempts")))
-    }
-
     /// Asks the daemon for its status line.
     ///
     /// # Errors
@@ -681,40 +619,26 @@ fn unexpected(context: &str, resp: &Response) -> Error {
 
 impl ObjectStore for RemoteStore {
     fn put_batch(&self, chunks: &[StagedChunk<'_>], fsync: bool) -> Result<BatchPutReport> {
-        // A chunk whose payload alone exceeds the frame cap can never
-        // ride PUT_BATCH — both ends would refuse the frame. Refuse it
-        // here with a pointer at the streaming path instead of letting
-        // the encoder build a doomed quarter-gigabyte frame.
-        if let Some(oversize) = chunks.iter().find(|c| c.data.len() > MAX_FRAME_LEN) {
-            return Err(Error::protocol(
-                "storing chunk batch",
-                format!(
-                    "chunk {} is {} bytes, above the {} byte frame cap — \
-                     store payloads this large with put_stream (PUT_STREAM)",
-                    oversize.reference.hash,
-                    oversize.data.len(),
-                    MAX_FRAME_LEN
-                ),
-            ));
+        // A chunk too large for a lone frame can never ride PUT_BATCH —
+        // refuse it before the encoder builds a doomed quarter-gigabyte
+        // frame and before a byte hits the wire.
+        if let Some(oversize) = chunks.iter().find(|c| c.data.len() > MAX_CHUNK_PAYLOAD) {
+            return Err(Error::InvalidConfig(format!(
+                "chunk {} is {} bytes; the wire moves chunks of at most {MAX_CHUNK_PAYLOAD} \
+                 bytes — lower SaveOptions::chunk_size",
+                oversize.reference.hash,
+                oversize.data.len(),
+            )));
         }
-        // Split into pipelined sub-frames by payload volume, encoding
-        // each frame body straight from the borrowed chunk slices (no
-        // owned copy of the whole snapshot). Chunk boundaries never
-        // split, and order is preserved, so the server observes the
-        // same first-occurrence dedup semantics as the local backends
-        // (frames on one connection apply in order).
-        let mut bodies = Vec::new();
-        let mut start = 0usize;
-        let mut frame_bytes = 0usize;
-        for (i, chunk) in chunks.iter().enumerate() {
-            if i > start && frame_bytes + chunk.data.len() > PUT_BATCH_FRAME_BYTES {
-                bodies.push(super::proto::encode_put_batch(fsync, &chunks[start..i]));
-                start = i;
-                frame_bytes = 0;
-            }
-            frame_bytes += chunk.data.len();
-        }
-        bodies.push(super::proto::encode_put_batch(fsync, &chunks[start..]));
+        // Pipelined sub-frames by payload volume, each body encoded
+        // straight from the borrowed chunk slices (no owned copy of the
+        // whole snapshot). Frames on one connection apply in order, so
+        // the server observes the same first-occurrence dedup semantics
+        // as the local backends.
+        let bodies: Vec<Vec<u8>> = batch_groups(chunks, |c| c.data.len())
+            .into_iter()
+            .map(|group| encode_put_batch(fsync, group))
+            .collect();
 
         let responses = self.exchange_bodies("storing chunk batch", &bodies)?;
         let mut report = BatchPutReport::default();
@@ -781,213 +705,6 @@ impl ObjectStore for RemoteStore {
                 other => Err(unexpected("fetching chunk batch", &other)),
             })
             .collect()
-    }
-
-    fn get_stream(
-        &self,
-        reference: &ChunkRef,
-        // The daemon picks the segment size ([`STREAM_SEGMENT_BYTES`]).
-        _segment: usize,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let context = "fetching chunk stream";
-        let reference = *reference;
-        let mut fed_sink = false;
-        self.stream_attempt(context, &mut |conn| {
-            if fed_sink {
-                // Unreachable by construction (every post-delivery exit
-                // below is Done/Judged/Fatal), but never risk replaying
-                // bytes into the sink.
-                return Ok(StreamAttempt::Fatal(Error::protocol(
-                    context.to_string(),
-                    "stream restarted after delivering data",
-                )));
-            }
-            write_frame(&mut conn.writer, &Request::GetStream { reference }.encode())?;
-            conn.writer
-                .flush()
-                .map_err(|e| Error::io("flushing request", e))?;
-            self.round_trips.fetch_add(1, Ordering::Relaxed);
-            crate::obs::ROUND_TRIPS.inc();
-            let resp = Response::decode(&read_frame(&mut conn.reader)?)?;
-            let declared = match resp.into_result(context) {
-                Ok(Response::StreamBegin { len }) => len,
-                Ok(other) => return Err(unexpected(context, &other)),
-                // Judged refusal (e.g. not found) answers the request
-                // frame directly; nothing streamed, framing aligned.
-                Err(judged) => return Ok(StreamAttempt::Judged(judged)),
-            };
-            if declared != u64::from(reference.len) {
-                // Data frames are already in flight behind the bogus
-                // header; the connection is unusable.
-                return Ok(StreamAttempt::Fatal(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!(
-                        "stream declared {declared} bytes, reference says {}",
-                        reference.len
-                    ),
-                )));
-            }
-            let mut hasher = Sha256::new();
-            let mut got = 0u64;
-            loop {
-                let resp = match read_frame(&mut conn.reader).and_then(|f| Response::decode(&f)) {
-                    Ok(resp) => resp,
-                    // A replay would duplicate bytes into the sink.
-                    Err(e) if fed_sink => return Ok(StreamAttempt::Fatal(e)),
-                    Err(e) => return Err(e),
-                };
-                match resp.into_result(context) {
-                    Ok(Response::StreamData(data)) => {
-                        super::note_stream_buffer(data.len());
-                        got += data.len() as u64;
-                        if got > declared {
-                            return Ok(StreamAttempt::Fatal(Error::corrupt(
-                                format!("chunk {}", reference.hash),
-                                format!("stream overran its declared length {declared}"),
-                            )));
-                        }
-                        hasher.update(&data);
-                        fed_sink = true;
-                        if let Err(e) = sink(&data) {
-                            // The caller's sink failed mid-stream; the
-                            // connection is mid-flight and dropped.
-                            return Ok(StreamAttempt::Fatal(e));
-                        }
-                    }
-                    Ok(Response::StreamEnd { .. }) => break,
-                    Ok(other) => return Ok(StreamAttempt::Fatal(unexpected(context, &other))),
-                    // Terminal judged error (corruption the server found
-                    // mid-read) replaces StreamEnd; framing is aligned.
-                    Err(judged) => return Ok(StreamAttempt::Judged(judged)),
-                }
-            }
-            // End-to-end verification: never trust the wire (or the
-            // server) over the content address.
-            if got != u64::from(reference.len) {
-                return Ok(StreamAttempt::Judged(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("stream delivered {got} bytes, expected {}", reference.len),
-                )));
-            }
-            let actual = hasher.finalize();
-            if actual != reference.hash {
-                return Ok(StreamAttempt::Judged(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("streamed content hashes to {actual}"),
-                )));
-            }
-            Ok(StreamAttempt::Done(()))
-        })
-    }
-
-    fn put_stream(
-        &self,
-        reference: &ChunkRef,
-        source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
-        fsync: bool,
-    ) -> Result<bool> {
-        let context = "storing chunk stream";
-        let reference = *reference;
-        let mut consumed_any = false;
-        self.stream_attempt(context, &mut |conn| {
-            if consumed_any {
-                return Ok(StreamAttempt::Fatal(Error::protocol(
-                    context.to_string(),
-                    "stream restarted after consuming the source",
-                )));
-            }
-            write_frame(
-                &mut conn.writer,
-                &Request::PutStreamBegin { reference, fsync }.encode(),
-            )?;
-            conn.writer
-                .flush()
-                .map_err(|e| Error::io("flushing request", e))?;
-            self.round_trips.fetch_add(1, Ordering::Relaxed);
-            crate::obs::ROUND_TRIPS.inc();
-            let resp = Response::decode(&read_frame(&mut conn.reader)?)?;
-            match resp.into_result(context) {
-                // Proceed: the daemon wants the body.
-                Ok(Response::Ok) => {}
-                Ok(Response::StreamEnd { fresh }) => {
-                    // Dedup hit: the daemon already holds the content.
-                    // Drain the source anyway — a finished put_stream
-                    // has always consumed it, streamed or not.
-                    loop {
-                        match source() {
-                            Ok(Some(_)) => consumed_any = true,
-                            Ok(None) => break,
-                            Err(e) => return Ok(StreamAttempt::Fatal(e)),
-                        }
-                    }
-                    return Ok(StreamAttempt::Done(fresh));
-                }
-                Ok(other) => return Err(unexpected(context, &other)),
-                Err(judged) => return Ok(StreamAttempt::Judged(judged)),
-            }
-            loop {
-                let seg = match source() {
-                    Ok(seg) => seg,
-                    // Source failures are the caller's, not the wire's,
-                    // but the stream is open: drop the connection.
-                    Err(e) => return Ok(StreamAttempt::Fatal(e)),
-                };
-                let Some(data) = seg else { break };
-                consumed_any = true;
-                // Re-chunk to the wire granularity: the decoder caps a
-                // segment at MAX_STREAM_SEGMENT.
-                for piece in data.chunks(STREAM_SEGMENT_BYTES) {
-                    super::note_stream_buffer(piece.len());
-                    let step = (|| -> Result<Response> {
-                        write_frame(
-                            &mut conn.writer,
-                            &Request::PutStreamData(piece.to_vec()).encode(),
-                        )?;
-                        conn.writer
-                            .flush()
-                            .map_err(|e| Error::io("flushing segment", e))?;
-                        self.round_trips.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::ROUND_TRIPS.inc();
-                        Response::decode(&read_frame(&mut conn.reader)?)
-                    })();
-                    match step {
-                        Ok(resp) => match resp.into_result(context) {
-                            Ok(Response::Ok) => {}
-                            Ok(other) => {
-                                return Ok(StreamAttempt::Fatal(unexpected(context, &other)))
-                            }
-                            // The daemon refused a staged segment (store
-                            // failure): judged, framing aligned.
-                            Err(judged) => return Ok(StreamAttempt::Judged(judged)),
-                        },
-                        // Transport loss mid-body; the consumed source
-                        // segments cannot be replayed.
-                        Err(e) => return Ok(StreamAttempt::Fatal(e)),
-                    }
-                }
-            }
-            let step = (|| -> Result<Response> {
-                write_frame(&mut conn.writer, &Request::PutStreamEnd.encode())?;
-                conn.writer
-                    .flush()
-                    .map_err(|e| Error::io("flushing stream end", e))?;
-                self.round_trips.fetch_add(1, Ordering::Relaxed);
-                crate::obs::ROUND_TRIPS.inc();
-                Response::decode(&read_frame(&mut conn.reader)?)
-            })();
-            match step {
-                Ok(resp) => match resp.into_result(context) {
-                    Ok(Response::StreamEnd { fresh }) => Ok(StreamAttempt::Done(fresh)),
-                    Ok(other) => Ok(StreamAttempt::Fatal(unexpected(context, &other))),
-                    // Content-address mismatch, judged at commit time.
-                    Err(judged) => Ok(StreamAttempt::Judged(judged)),
-                },
-                Err(e) if consumed_any => Ok(StreamAttempt::Fatal(e)),
-                // Empty payload: nothing consumed, safe to replay.
-                Err(e) => Err(e),
-            }
-        })
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {

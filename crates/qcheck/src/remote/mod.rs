@@ -44,31 +44,6 @@ pub use server::{
 /// when `QCHECK_STORE=remote`.
 pub const REMOTE_ADDR_ENV: &str = "QCHECK_REMOTE_ADDR";
 
-/// Largest single stream-segment buffer (bytes) materialized by either
-/// end of a `GET_STREAM`/`PUT_STREAM` transfer in this process,
-/// since the last [`reset_stream_peak_buffer`] (0 = no streaming yet).
-/// Backed by the `qcheck_stream_peak_buffer_bytes` qobs gauge — one
-/// source of truth for in-process daemon tests and a daemon `METRICS`
-/// scrape. The O(segment) memory contract it pins:
-/// streaming a payload far above [`proto::MAX_FRAME_LEN`] must never
-/// buffer more than [`proto::MAX_STREAM_SEGMENT`] at once.
-pub fn stream_peak_buffer() -> u64 {
-    crate::obs::STREAM_PEAK.get().get().max(0) as u64
-}
-
-/// Resets the streaming peak-buffer watermark.
-pub fn reset_stream_peak_buffer() {
-    crate::obs::STREAM_PEAK.get().set(0);
-}
-
-/// Records one stream-segment buffer observation. Unlike the rest of
-/// the instrumentation this records in every `QOBS` mode: the memory
-/// contract above is asserted by tests that must hold with
-/// observability off.
-pub(crate) fn note_stream_buffer(len: usize) {
-    crate::obs::STREAM_PEAK.get().set_max(len as i64);
-}
-
 /// Environment variable pinning the remote namespace. When unset, a
 /// repository generates a random namespace on first open and persists
 /// it in its `REMOTE_NS` marker file — resuming from a *different*

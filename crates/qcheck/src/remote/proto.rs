@@ -16,6 +16,25 @@
 //! fails its length bound or CRC is a protocol error and the connection
 //! is dropped — there is no resynchronization inside a stream.
 //!
+//! ## One frame in, one frame out
+//!
+//! After the handshake every request frame is answered by exactly one
+//! response frame, with no exception: no operation holds the socket for
+//! a multi-frame exchange, so a connection is always aligned between
+//! two requests and a judged error never costs it. Throughput comes
+//! from **pipelining** whole frames (the client writes a burst of
+//! `PutBatch` or `Get` frames before reading the first reply), not from
+//! a second framing. Bulk payload is cut into frames of at most
+//! `BATCH_FRAME_BYTES` (4 MiB) of chunk payload in both directions — the
+//! client's `PutBatch` sub-frames and a tailing secondary's `ReplChunks`
+//! requests follow the same rule — so neither end buffers more than a
+//! few MiB per frame however large the checkpoint. The one size bound
+//! that remains is per *chunk*: a chunk must fit a frame of its own
+//! ([`MAX_CHUNK_PAYLOAD`], just under [`MAX_FRAME_LEN`]), which
+//! `RemoteStore::put_batch` checks before anything is encoded. Saves cut
+//! sections into `SaveOptions::chunk_size` pieces (4 KiB by default),
+//! five orders of magnitude below it.
+//!
 //! ## Handshake
 //!
 //! The first client frame must be [`Request::Hello`] carrying the
@@ -33,37 +52,6 @@
 //! There is one dialect: both ends speak exactly [`PROTO_VERSION`], and
 //! a Hello carrying any other version is refused with a typed error
 //! naming both versions.
-//!
-//! ## Streaming: `GET_STREAM` / `PUT_STREAM`
-//!
-//! `Get` and `PutBatch` carry a whole chunk in one frame, which caps a
-//! transferable chunk at [`MAX_FRAME_LEN`] and forces both ends to
-//! buffer the full payload. The streaming path moves a chunk
-//! of any size in CRC-framed segments of at most
-//! [`MAX_STREAM_SEGMENT`] bytes (the client sends
-//! [`STREAM_SEGMENT_BYTES`]), with SHA-256 folded in incrementally on
-//! both ends, so peak memory is O(segment):
-//!
-//! * **GET_STREAM** — one [`Request::GetStream`] is answered by
-//!   [`Response::StreamBegin`], then N × [`Response::StreamData`], then
-//!   [`Response::StreamEnd`]. The server hashes as it reads; on a
-//!   corrupt object it sends [`Response::Err`] *instead of* the end
-//!   marker and the client discards everything. The client re-verifies
-//!   length and SHA incrementally as segments arrive.
-//! * **PUT_STREAM** — strict lockstep: [`Request::PutStreamBegin`] is
-//!   answered by [`Response::Ok`] (proceed) or [`Response::StreamEnd`]
-//!   with `fresh: false` (dedup hit — the client skips the body);
-//!   each [`Request::PutStreamData`] is acknowledged with
-//!   [`Response::Ok`] after the segment reaches the staged object;
-//!   [`Request::PutStreamEnd`] commits and is answered by
-//!   [`Response::StreamEnd`]. The server verifies the accumulated
-//!   length and SHA against the reference *before* the staged object is
-//!   published; a mismatch answers the end frame with a typed corrupt
-//!   error and nothing is committed.
-//!
-//! Replication rides the same machinery: [`Request::ReplChunkStream`]
-//! is `GET_STREAM` with an explicit namespace, used by a tailing
-//! secondary for chunks too large to batch into a `ReplChunks` reply.
 //!
 //! ## Replication (`REPL_*`)
 //!
@@ -99,17 +87,7 @@ use crate::hash::{crc32, ContentHash};
 use crate::store::{BatchPutReport, GcReport, StoreStats};
 
 /// The one protocol version this build speaks, on both ends.
-pub const PROTO_VERSION: u32 = 3;
-
-/// Segment size the client uses on the streaming path. Small enough
-/// that both ends hold O(MiB), large enough that framing overhead
-/// (12 B + one CRC pass per segment) is noise.
-pub const STREAM_SEGMENT_BYTES: usize = 2 << 20;
-
-/// Hard cap on a single streamed segment, enforced by the receiver on
-/// both ends: bounds the per-segment allocation a peer can trigger
-/// independently of [`MAX_FRAME_LEN`].
-pub const MAX_STREAM_SEGMENT: usize = 4 << 20;
+pub const PROTO_VERSION: u32 = 4;
 
 /// [`Request::Hello`] flag: the connection wants the namespace's writer
 /// lease (granted in [`Response::HelloOk`], or the handshake fails with
@@ -400,40 +378,6 @@ pub enum Request {
     /// Release the connection's writer lease (clean writer exit; an
     /// expired lease releases itself).
     LeaseRelease,
-    /// Fetch one chunk as a stream ([`Response::StreamBegin`], then
-    /// [`Response::StreamData`] segments, then [`Response::StreamEnd`])
-    /// — the path for payloads too large to fit one `Get` frame.
-    GetStream {
-        /// Its reference; both ends verify incrementally.
-        reference: ChunkRef,
-    },
-    /// Open a streamed upload of one chunk. Answered by
-    /// [`Response::Ok`] (send the body) or [`Response::StreamEnd`] with
-    /// `fresh: false` (dedup hit — skip the body).
-    PutStreamBegin {
-        /// Content address + exact length of the incoming stream.
-        reference: ChunkRef,
-        /// fsync the staged object before publishing.
-        fsync: bool,
-    },
-    /// One payload segment of an open streamed upload (at most
-    /// [`MAX_STREAM_SEGMENT`] bytes); acknowledged with
-    /// [`Response::Ok`] once staged.
-    PutStreamData(Vec<u8>),
-    /// End of a streamed upload; the server verifies the
-    /// accumulated length + SHA and commits, answering
-    /// [`Response::StreamEnd`].
-    PutStreamEnd,
-    /// Replication: [`Request::GetStream`] with an explicit
-    /// namespace — a tailing secondary pulling a chunk too large to
-    /// batch into a `ReplChunks` reply. Only honored on a
-    /// [`HELLO_FLAG_REPL`] connection.
-    ReplChunkStream {
-        /// Namespace to read from.
-        namespace: String,
-        /// The wanted chunk.
-        reference: ChunkRef,
-    },
     /// Fetch the daemon's metrics registry as one text-exposition
     /// frame ([`Response::Metrics`]). Read-only — served without a
     /// writer lease, like [`Request::Status`].
@@ -516,22 +460,6 @@ pub enum Response {
     Promoted {
         /// Generation the daemon now serves under.
         generation: u64,
-    },
-    /// A stream is about to follow; carries the total payload
-    /// length (which the receiver checks against the reference).
-    StreamBegin {
-        /// Total payload bytes the stream will carry.
-        len: u64,
-    },
-    /// One payload segment of an open stream (at most
-    /// [`MAX_STREAM_SEGMENT`] bytes).
-    StreamData(Vec<u8>),
-    /// A stream completed and verified. For `PUT_STREAM`, `fresh`
-    /// mirrors [`BatchPutReport::fresh`] (`false` = dedup hit); for
-    /// `GET_STREAM` it is always `true`.
-    StreamEnd {
-        /// Whether a new object was physically written.
-        fresh: bool,
     },
     /// `Metrics` payload: the daemon's qobs registry rendered as a
     /// stable-ordered Prometheus-style text exposition.
@@ -645,12 +573,7 @@ const OP_REPL_CHUNKS: u8 = 19;
 const OP_REPL_ACK: u8 = 20;
 const OP_PROMOTE: u8 = 21;
 const OP_LEASE_RELEASE: u8 = 22;
-// Streaming ops.
-const OP_GET_STREAM: u8 = 23;
-const OP_PUT_STREAM_BEGIN: u8 = 24;
-const OP_PUT_STREAM_DATA: u8 = 25;
-const OP_PUT_STREAM_END: u8 = 26;
-const OP_REPL_CHUNK_STREAM: u8 = 27;
+// 23–27 carried the protocol-v3 streaming dialect: retired, never reused.
 const OP_METRICS: u8 = 28;
 
 const RESP_HELLO_OK: u8 = 0x80;
@@ -670,10 +593,7 @@ const RESP_REPL_STATUS: u8 = 0x8D;
 const RESP_REPL_ENTRIES: u8 = 0x8E;
 const RESP_CHUNKS: u8 = 0x8F;
 const RESP_PROMOTED: u8 = 0x90;
-// Streaming responses.
-const RESP_STREAM_BEGIN: u8 = 0x91;
-const RESP_STREAM_DATA: u8 = 0x92;
-const RESP_STREAM_END: u8 = 0x93;
+// 0x91–0x93 were the v3 stream frames: retired, never reused.
 const RESP_METRICS: u8 = 0x94;
 const RESP_ERR: u8 = 0xFF;
 
@@ -704,6 +624,45 @@ fn get_hashes(dec: &mut Decoder<'_>) -> Result<Vec<ContentHash>> {
     }
     Ok(out)
 }
+
+/// Payload budget of one batched chunk frame (a `PutBatch` request, a
+/// `ReplChunks` reply) — well under [`MAX_FRAME_LEN`], so both ends hold
+/// O(MiB) per frame however large the checkpoint.
+pub(crate) const BATCH_FRAME_BYTES: usize = 4 << 20;
+
+/// Cuts `items` into consecutive groups of at most [`BATCH_FRAME_BYTES`]
+/// of payload, one frame each. Items never split and order is kept, so
+/// a chunk larger than the budget rides alone; an empty input is one
+/// empty group.
+pub(crate) fn batch_groups<T>(items: &[T], payload_len: impl Fn(&T) -> usize) -> Vec<&[T]> {
+    let mut groups = Vec::new();
+    let mut start = 0usize;
+    let mut bytes = 0usize;
+    for (i, item) in items.iter().enumerate() {
+        let len = payload_len(item);
+        if i > start && bytes + len > BATCH_FRAME_BYTES {
+            groups.push(&items[start..i]);
+            start = i;
+            bytes = 0;
+        }
+        bytes += len;
+    }
+    groups.push(&items[start..]);
+    groups
+}
+
+/// Exact frame-body length of a `PutBatch` carrying one chunk of
+/// `payload` bytes: opcode, fsync flag and a one-byte count, then the
+/// chunk's 32 B hash, its `u32` length and the payload.
+pub const fn lone_put_batch_len(payload: usize) -> usize {
+    3 + 32 + 4 + payload
+}
+
+/// The largest chunk the protocol can move: one whose lone `PutBatch`
+/// frame is exactly [`MAX_FRAME_LEN`]. (`Get`'s reply and a
+/// `ReplChunks` reply of one spend no more header bytes, so anything
+/// that could be stored can be fetched and replicated.)
+pub const MAX_CHUNK_PAYLOAD: usize = MAX_FRAME_LEN - lone_put_batch_len(0);
 
 /// Encodes a `PutBatch` frame body directly from borrowed staged chunks
 /// — byte-identical to encoding [`Request::PutBatch`] over owned
@@ -844,32 +803,6 @@ impl Request {
             Request::LeaseRelease => {
                 enc.put_u8(OP_LEASE_RELEASE);
             }
-            Request::GetStream { reference } => {
-                enc.put_u8(OP_GET_STREAM)
-                    .put_raw(&reference.hash.0)
-                    .put_u32(reference.len);
-            }
-            Request::PutStreamBegin { reference, fsync } => {
-                enc.put_u8(OP_PUT_STREAM_BEGIN)
-                    .put_raw(&reference.hash.0)
-                    .put_u32(reference.len)
-                    .put_u8(u8::from(*fsync));
-            }
-            Request::PutStreamData(data) => {
-                enc.put_u8(OP_PUT_STREAM_DATA).put_bytes(data);
-            }
-            Request::PutStreamEnd => {
-                enc.put_u8(OP_PUT_STREAM_END);
-            }
-            Request::ReplChunkStream {
-                namespace,
-                reference,
-            } => {
-                enc.put_u8(OP_REPL_CHUNK_STREAM)
-                    .put_str(namespace)
-                    .put_raw(&reference.hash.0)
-                    .put_u32(reference.len);
-            }
             Request::Metrics => {
                 enc.put_u8(OP_METRICS);
             }
@@ -1000,57 +933,7 @@ impl Request {
             },
             OP_PROMOTE => Request::Promote,
             OP_LEASE_RELEASE => Request::LeaseRelease,
-            OP_GET_STREAM => {
-                let raw = dec.get_raw(32)?;
-                let mut h = [0u8; 32];
-                h.copy_from_slice(raw);
-                Request::GetStream {
-                    reference: ChunkRef {
-                        hash: ContentHash(h),
-                        len: dec.get_u32()?,
-                    },
-                }
-            }
-            OP_PUT_STREAM_BEGIN => {
-                let raw = dec.get_raw(32)?;
-                let mut h = [0u8; 32];
-                h.copy_from_slice(raw);
-                Request::PutStreamBegin {
-                    reference: ChunkRef {
-                        hash: ContentHash(h),
-                        len: dec.get_u32()?,
-                    },
-                    fsync: dec.get_u8()? != 0,
-                }
-            }
-            OP_PUT_STREAM_DATA => {
-                let data = dec.get_bytes()?;
-                if data.len() > MAX_STREAM_SEGMENT {
-                    return Err(Error::protocol(
-                        "decoding stream segment",
-                        format!(
-                            "segment of {} B exceeds {MAX_STREAM_SEGMENT} B cap",
-                            data.len()
-                        ),
-                    ));
-                }
-                Request::PutStreamData(data)
-            }
-            OP_PUT_STREAM_END => Request::PutStreamEnd,
             OP_METRICS => Request::Metrics,
-            OP_REPL_CHUNK_STREAM => {
-                let namespace = dec.get_str()?;
-                let raw = dec.get_raw(32)?;
-                let mut h = [0u8; 32];
-                h.copy_from_slice(raw);
-                Request::ReplChunkStream {
-                    namespace,
-                    reference: ChunkRef {
-                        hash: ContentHash(h),
-                        len: dec.get_u32()?,
-                    },
-                }
-            }
             other => {
                 return Err(Error::protocol(
                     "decoding request",
@@ -1204,15 +1087,6 @@ impl Response {
             }
             Response::Promoted { generation } => {
                 enc.put_u8(RESP_PROMOTED).put_u64(*generation);
-            }
-            Response::StreamBegin { len } => {
-                enc.put_u8(RESP_STREAM_BEGIN).put_u64(*len);
-            }
-            Response::StreamData(data) => {
-                enc.put_u8(RESP_STREAM_DATA).put_bytes(data);
-            }
-            Response::StreamEnd { fresh } => {
-                enc.put_u8(RESP_STREAM_END).put_u8(u8::from(*fresh));
             }
             Response::Metrics(text) => {
                 enc.put_u8(RESP_METRICS).put_str(text);
@@ -1400,25 +1274,6 @@ impl Response {
             RESP_PROMOTED => Response::Promoted {
                 generation: dec.get_u64()?,
             },
-            RESP_STREAM_BEGIN => Response::StreamBegin {
-                len: dec.get_u64()?,
-            },
-            RESP_STREAM_DATA => {
-                let data = dec.get_bytes()?;
-                if data.len() > MAX_STREAM_SEGMENT {
-                    return Err(Error::protocol(
-                        "decoding stream segment",
-                        format!(
-                            "segment of {} B exceeds {MAX_STREAM_SEGMENT} B cap",
-                            data.len()
-                        ),
-                    ));
-                }
-                Response::StreamData(data)
-            }
-            RESP_STREAM_END => Response::StreamEnd {
-                fresh: dec.get_u8()? != 0,
-            },
             RESP_METRICS => Response::Metrics(dec.get_str()?),
             RESP_ERR => Response::Err {
                 code: dec.get_u8()?,
@@ -1590,38 +1445,6 @@ mod tests {
         });
         round_trip_request(Request::Promote);
         round_trip_request(Request::LeaseRelease);
-        round_trip_request(Request::GetStream {
-            reference: ChunkRef { hash: h, len: 9 },
-        });
-        round_trip_request(Request::PutStreamBegin {
-            reference: ChunkRef {
-                hash: h,
-                len: 1 << 30,
-            },
-            fsync: true,
-        });
-        round_trip_request(Request::PutStreamData(vec![42; 1024]));
-        round_trip_request(Request::PutStreamEnd);
-        round_trip_request(Request::ReplChunkStream {
-            namespace: "run-1".into(),
-            reference: ChunkRef { hash: h, len: 9 },
-        });
-    }
-
-    /// A streamed segment above the per-segment cap is refused at decode
-    /// time on both directions — the receiver's allocation bound.
-    #[test]
-    fn oversized_stream_segments_are_rejected() {
-        let req = Request::PutStreamData(vec![0; MAX_STREAM_SEGMENT + 1]);
-        assert!(matches!(
-            Request::decode(&req.encode()),
-            Err(Error::Protocol { .. })
-        ));
-        let resp = Response::StreamData(vec![0; MAX_STREAM_SEGMENT + 1]);
-        assert!(matches!(
-            Response::decode(&resp.encode()),
-            Err(Error::Protocol { .. })
-        ));
     }
 
     /// The Hello codec carries the version without judging it — the
@@ -1630,7 +1453,7 @@ mod tests {
     /// decode error, not a Hello with invented fields.
     #[test]
     fn foreign_version_hello_decodes_and_short_body_is_refused() {
-        for version in [1, 2, PROTO_VERSION + 1] {
+        for version in [1, 2, 3, PROTO_VERSION + 1] {
             round_trip_request(Request::Hello {
                 version,
                 namespace: "old-client".into(),
@@ -1733,10 +1556,6 @@ mod tests {
             None,
         ]));
         round_trip_response(Response::Promoted { generation: 11 });
-        round_trip_response(Response::StreamBegin { len: 5 << 30 });
-        round_trip_response(Response::StreamData(vec![7; 2048]));
-        round_trip_response(Response::StreamEnd { fresh: true });
-        round_trip_response(Response::StreamEnd { fresh: false });
         round_trip_response(Response::Err {
             code: ErrCode::NotFound as u8,
             message: "nope".into(),
@@ -1767,6 +1586,43 @@ mod tests {
                 .collect(),
         };
         assert_eq!(encode_put_batch(true, &staged), owned.encode());
+    }
+
+    /// The size bound the client enforces is the encoder's own
+    /// arithmetic: `lone_put_batch_len` is what `encode_put_batch`
+    /// produces, and the largest admissible chunk lands exactly on the
+    /// frame cap.
+    #[test]
+    fn largest_chunk_fills_a_lone_put_batch_frame_exactly() {
+        for len in [0usize, 1, 4096, 70_000] {
+            let data = vec![3u8; len];
+            let staged = crate::store::StagedChunk {
+                reference: ChunkRef {
+                    hash: Sha256::digest(&data),
+                    len: len as u32,
+                },
+                data: &data,
+            };
+            assert_eq!(
+                encode_put_batch(true, &[staged]).len(),
+                lone_put_batch_len(len)
+            );
+        }
+        assert_eq!(lone_put_batch_len(MAX_CHUNK_PAYLOAD), MAX_FRAME_LEN);
+        assert!(lone_put_batch_len(MAX_CHUNK_PAYLOAD + 1) > MAX_FRAME_LEN);
+    }
+
+    /// Frames fill up to the payload budget, never split an item, keep
+    /// order, and let an over-budget item ride alone.
+    #[test]
+    fn batch_groups_cut_by_payload_volume() {
+        const MIB: usize = 1 << 20;
+        let sizes = [MIB, 3 * MIB, MIB, 5 * MIB, 1, 0];
+        let groups = batch_groups(&sizes, |s| *s);
+        let expected: [&[usize]; 4] = [&[MIB, 3 * MIB], &[MIB], &[5 * MIB], &[1, 0]];
+        assert_eq!(groups, expected);
+        // An empty batch is still one (empty) frame.
+        assert_eq!(batch_groups(&[] as &[usize], |s| *s), [&[] as &[usize]]);
     }
 
     #[test]

@@ -62,12 +62,6 @@ pub const OPLOG_FILE: &str = "OPLOG";
 /// Entries per `ReplFetch` round trip.
 const FETCH_BATCH: u32 = 256;
 
-/// Chunks at or above this size are pulled one at a time over the
-/// `REPL_CHUNK_STREAM` fetch — segment by segment, straight into the
-/// local store — instead of riding a batched `REPL_CHUNKS` response,
-/// which buffers every requested payload at both ends at once.
-const REPL_STREAM_CHUNK_BYTES: u32 = 8 << 20;
-
 /// How a secondary follows its primary (part of
 /// [`super::ServerConfig`]).
 #[derive(Clone, Debug)]
@@ -408,93 +402,6 @@ impl ReplClient {
         }
     }
 
-    /// Pulls one large chunk over `REPL_CHUNK_STREAM`, feeding the
-    /// segments straight into `store.put_stream` (which re-verifies the
-    /// content address before commit — the replication link is not
-    /// trusted over the hash, same as the batched path). Returns `false`
-    /// when the primary no longer holds the chunk (swept while this
-    /// secondary was behind — the sweep entry later in the log
-    /// reconciles it).
-    fn chunk_stream(
-        &mut self,
-        namespace: &str,
-        reference: &crate::chunk::ChunkRef,
-        store: &crate::store::StoreBackend,
-    ) -> Result<bool> {
-        let req = Request::ReplChunkStream {
-            namespace: namespace.to_string(),
-            reference: *reference,
-        };
-        write_frame(&mut self.writer, &req.encode())?;
-        self.writer
-            .flush()
-            .map_err(|e| Error::io("flushing replication request", e))?;
-        let resp = Response::decode(&read_frame(&mut self.reader)?)?;
-        let declared = match resp.into_result("replicating chunk stream") {
-            Ok(Response::StreamBegin { len }) => len,
-            Ok(other) => return Err(unexpected(&other)),
-            Err(Error::NotFound { .. }) => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        if declared != u64::from(reference.len) {
-            // Data frames are in flight behind the bogus header; the
-            // protocol error aborts the pass and forces a reconnect.
-            return Err(Error::protocol(
-                "replicating chunk stream",
-                format!(
-                    "primary declared {declared} bytes for a {} byte chunk",
-                    reference.len
-                ),
-            ));
-        }
-        let mut terminal = false;
-        let reader = &mut self.reader;
-        let mut source = || -> Result<Option<Vec<u8>>> {
-            if terminal {
-                return Ok(None);
-            }
-            let resp = Response::decode(&read_frame(reader)?)?;
-            match resp.into_result("replicating chunk stream") {
-                Ok(Response::StreamData(data)) => {
-                    super::note_stream_buffer(data.len());
-                    Ok(Some(data))
-                }
-                Ok(Response::StreamEnd { .. }) => {
-                    terminal = true;
-                    Ok(None)
-                }
-                Ok(other) => Err(unexpected(&other)),
-                // A terminal Err frame replaces StreamEnd when the
-                // primary discovered corruption mid-read.
-                Err(e) => Err(e),
-            }
-        };
-        match store.put_stream(reference, &mut source, false) {
-            Ok(_fresh) => Ok(true),
-            Err(e) => {
-                // Keep the connection aligned before surfacing a local
-                // judgment (the pulled bytes failing their content
-                // address, a staging failure): the rest of the stream
-                // may still be on the wire, and a quarantined namespace
-                // must not poison the link for the other tenants.
-                // Transport errors skip the drain — the pass aborts and
-                // reconnects anyway.
-                if !terminal && !matches!(e, Error::Io { .. }) {
-                    loop {
-                        match Response::decode(&read_frame(&mut self.reader)?)?
-                            .into_result("replicating chunk stream")
-                        {
-                            Ok(Response::StreamData(_)) => continue,
-                            Ok(Response::StreamEnd { .. }) | Err(_) => break,
-                            Ok(other) => return Err(unexpected(&other)),
-                        }
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
     fn ack(&mut self, namespace: &str, offset: u64) -> Result<()> {
         match self.request(&Request::ReplAck {
             namespace: namespace.to_string(),
@@ -640,53 +547,45 @@ fn pull_missing_chunks(
     if missing.is_empty() {
         return Ok(0);
     }
-    // Large chunks stream one at a time in O(segment) memory; the rest
-    // ride the batched fetch as before.
-    let (large, missing): (Vec<_>, Vec<_>) = missing
-        .into_iter()
-        .partition(|r| r.len >= REPL_STREAM_CHUNK_BYTES);
-    let mut streamed = 0u64;
-    for reference in &large {
-        if client.chunk_stream(ns_name, reference, &ns.store)? {
-            streamed += 1;
-        }
-    }
-    if missing.is_empty() {
-        return Ok(streamed);
-    }
-    let pulled = client.chunks(ns_name, missing.clone())?;
-    if pulled.len() != missing.len() {
-        return Err(Error::protocol(
-            "replicating chunks",
-            format!("asked for {} chunks, got {}", missing.len(), pulled.len()),
-        ));
-    }
-    let mut owned: Vec<proto::WireChunk> = Vec::new();
-    for (wanted, got) in missing.iter().zip(pulled) {
-        // None: the primary already swept this chunk — the sweep entry
-        // follows in the log, so skipping is convergent.
-        let Some(chunk) = got else { continue };
-        if chunk.reference != *wanted {
+    // One group per round trip, verified and stored as it arrives:
+    // neither end holds more than a frame's worth of the checkpoint, and
+    // no reply can outgrow the frame cap however much payload is new.
+    let mut stored = 0u64;
+    for group in proto::batch_groups(&missing, |r| r.len as usize) {
+        let pulled = client.chunks(ns_name, group.to_vec())?;
+        if pulled.len() != group.len() {
             return Err(Error::protocol(
                 "replicating chunks",
-                format!("primary answered {:?} for {:?}", chunk.reference, wanted),
+                format!("asked for {} chunks, got {}", group.len(), pulled.len()),
             ));
         }
-        crate::store::verify_chunk(&chunk.reference, &chunk.data)?;
-        owned.push(chunk);
+        let mut owned: Vec<proto::WireChunk> = Vec::new();
+        for (wanted, got) in group.iter().zip(pulled) {
+            // None: the primary already swept this chunk — the sweep
+            // entry follows in the log, so skipping is convergent.
+            let Some(chunk) = got else { continue };
+            if chunk.reference != *wanted {
+                return Err(Error::protocol(
+                    "replicating chunks",
+                    format!("primary answered {:?} for {:?}", chunk.reference, wanted),
+                ));
+            }
+            crate::store::verify_chunk(&chunk.reference, &chunk.data)?;
+            owned.push(chunk);
+        }
+        let staged: Vec<StagedChunk<'_>> = owned
+            .iter()
+            .map(|c| StagedChunk {
+                reference: c.reference,
+                data: &c.data,
+            })
+            .collect();
+        if !staged.is_empty() {
+            ns.store.put_batch(&staged, false)?;
+        }
+        stored += staged.len() as u64;
     }
-    let staged: Vec<StagedChunk<'_>> = owned
-        .iter()
-        .map(|c| StagedChunk {
-            reference: c.reference,
-            data: &c.data,
-        })
-        .collect();
-    let count = staged.len() as u64;
-    if !staged.is_empty() {
-        ns.store.put_batch(&staged, false)?;
-    }
-    Ok(streamed + count)
+    Ok(stored)
 }
 
 /// Applies one oplog op to the local namespace (idempotent).

@@ -71,14 +71,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::chunk::ChunkRef;
 use crate::error::{Error, Result};
 use crate::store::{BatchPutReport, ObjectStore, StagedChunk, StoreBackend, StoreKind, StoreStats};
 
 use super::proto::{
     read_frame, valid_meta_name, valid_namespace, write_frame, ErrCode, LeaseGrant, OplogOp,
     Request, Response, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION, ROLE_PRIMARY,
-    ROLE_SECONDARY, STREAM_SEGMENT_BYTES,
+    ROLE_SECONDARY,
 };
 use super::repl::{self, Oplog, ReplStop, ReplicateConfig, SyncReport};
 
@@ -327,11 +326,6 @@ fn op_name(req: &Request) -> &'static str {
         Request::ReplAck { .. } => "repl_ack",
         Request::Promote => "promote",
         Request::LeaseRelease => "lease_release",
-        Request::GetStream { .. } => "get_stream",
-        Request::PutStreamBegin { .. } => "put_stream_begin",
-        Request::PutStreamData(_) => "put_stream_data",
-        Request::PutStreamEnd => "put_stream_end",
-        Request::ReplChunkStream { .. } => "repl_chunk_stream",
         Request::Metrics => "metrics",
     }
 }
@@ -1043,21 +1037,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream, serving: &AtomicBool) -
             }
         };
         count_request(&ctx.namespace, op_name(&req));
-        // Streaming operations drive the socket themselves — one
-        // request fans out into (GET) or is fed by (PUT) many segment
-        // frames — so they bypass the one-response path below.
-        if matches!(
-            req,
-            Request::GetStream { .. }
-                | Request::PutStreamBegin { .. }
-                | Request::ReplChunkStream { .. }
-        ) {
-            let done = handle_stream(shared, &mut ctx, &mut reader, &mut writer, req);
-            serving.store(false, Ordering::Release);
-            done?;
-            drop_budget(shared, served)?;
-            continue;
-        }
         let is_shutdown = matches!(req, Request::Shutdown);
         let response = apply_request(shared, &mut ctx, req);
         let ok = !matches!(response, Response::Err { .. });
@@ -1100,172 +1079,6 @@ fn send(writer: &mut BufWriter<TcpStream>, resp: &Response) -> Result<()> {
         .flush()
         .map_err(|e| Error::io("flushing response", e))?;
     Ok(())
-}
-
-/// Sends a judged error frame (the connection stays usable).
-fn send_judged(writer: &mut BufWriter<TcpStream>, e: &Error) -> Result<()> {
-    let (code, message) = ErrCode::classify(e);
-    send(
-        writer,
-        &Response::Err {
-            code: code as u8,
-            message,
-        },
-    )
-}
-
-/// Dispatches one streaming request. Judged failures answer with an
-/// `Err` frame and keep the connection; only transport failures bubble
-/// out (dropping the connection, like any other broken peer).
-fn handle_stream(
-    shared: &Shared,
-    ctx: &mut ConnCtx,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    req: Request,
-) -> Result<()> {
-    shared.renew_lease(&ctx.namespace, ctx.lease_token);
-    match req {
-        Request::GetStream { reference } => match shared.namespace(&ctx.namespace) {
-            Ok(ns) => stream_object_out(&ns, &reference, writer),
-            Err(e) => send_judged(writer, &e),
-        },
-        Request::ReplChunkStream {
-            namespace,
-            reference,
-        } => {
-            // Replication streams Hello into the nominal "control"
-            // namespace, so the target namespace rides in the request —
-            // guarded exactly like the batched REPL_CHUNKS fetch.
-            let setup = require_repl(ctx).and_then(|()| {
-                if valid_namespace(&namespace) {
-                    shared.namespace(&namespace)
-                } else {
-                    Err(Error::InvalidConfig(format!(
-                        "invalid namespace {namespace:?}"
-                    )))
-                }
-            });
-            match setup {
-                Ok(ns) => stream_object_out(&ns, &reference, writer),
-                Err(e) => send_judged(writer, &e),
-            }
-        }
-        Request::PutStreamBegin { reference, fsync } => {
-            serve_put_stream(shared, ctx, reader, writer, &reference, fsync)
-        }
-        _ => Err(Error::protocol(
-            "streaming",
-            "handle_stream dispatched a non-stream request",
-        )),
-    }
-}
-
-/// GET side of the stream: `StreamBegin`, the object in
-/// [`STREAM_SEGMENT_BYTES`] segments, `StreamEnd`. An object found
-/// missing *before* the first frame answers with a plain `Err`;
-/// corruption the store discovers mid-read (it hashes as it streams)
-/// replaces the terminal `StreamEnd` with an `Err` frame — the client
-/// sees a judged error either way and the framing stays aligned.
-fn stream_object_out(
-    ns: &Namespace,
-    reference: &ChunkRef,
-    writer: &mut BufWriter<TcpStream>,
-) -> Result<()> {
-    if !ns.store.contains(&reference.hash) {
-        // Absent chunks answer like a plain GET: judged, not streamed.
-        return send_judged(
-            writer,
-            &Error::NotFound {
-                what: format!("chunk {}", reference.hash),
-            },
-        );
-    }
-    write_frame(
-        writer,
-        &Response::StreamBegin {
-            len: u64::from(reference.len),
-        }
-        .encode(),
-    )?;
-    let result = ns
-        .store
-        .get_stream(reference, STREAM_SEGMENT_BYTES, &mut |seg| {
-            super::note_stream_buffer(seg.len());
-            write_frame(writer, &Response::StreamData(seg.to_vec()).encode())
-        });
-    match result {
-        Ok(()) => write_frame(writer, &Response::StreamEnd { fresh: true }.encode())?,
-        Err(e) => {
-            let (code, message) = ErrCode::classify(&e);
-            write_frame(
-                writer,
-                &Response::Err {
-                    code: code as u8,
-                    message,
-                }
-                .encode(),
-            )?;
-        }
-    }
-    writer.flush().map_err(|e| Error::io("flushing stream", e))
-}
-
-/// PUT side of the stream. Answers `PutStreamBegin` with `Ok` (proceed),
-/// `StreamEnd { fresh: false }` (dedup hit — the client skips the body)
-/// or a judged `Err`, then drives the namespace store's `put_stream`
-/// with a source closure that reads `PutStreamData` frames in lockstep:
-/// each frame is acknowledged by the *next* `source()` call, after the
-/// store has staged and hashed it, so exactly one segment is in flight
-/// and every frame gets exactly one response whatever the store decides.
-fn serve_put_stream(
-    shared: &Shared,
-    ctx: &mut ConnCtx,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    reference: &ChunkRef,
-    fsync: bool,
-) -> Result<()> {
-    // Setup refusals answer the Begin frame before anything streams.
-    let setup =
-        guard_write(shared, ctx, "put_stream").and_then(|()| shared.namespace(&ctx.namespace));
-    let ns = match setup {
-        Ok(ns) => ns,
-        Err(e) => return send_judged(writer, &e),
-    };
-    if ns.store.contains(&reference.hash) {
-        return send(writer, &Response::StreamEnd { fresh: false });
-    }
-    send(writer, &Response::Ok)?;
-    let mut pending_ack = false;
-    let mut source = || -> Result<Option<Vec<u8>>> {
-        if std::mem::take(&mut pending_ack) {
-            send(writer, &Response::Ok)?;
-        }
-        let body = read_frame(reader)?;
-        match Request::decode(&body)? {
-            Request::PutStreamData(data) => {
-                super::note_stream_buffer(data.len());
-                pending_ack = true;
-                Ok(Some(data))
-            }
-            Request::PutStreamEnd => Ok(None),
-            _ => Err(Error::protocol(
-                "put_stream",
-                "expected PUT_STREAM_DATA or PUT_STREAM_END inside an open stream",
-            )),
-        }
-    };
-    match ns.store.put_stream(reference, &mut source, fsync) {
-        // Every Data frame was acked by then: this answers the End frame.
-        Ok(fresh) => send(writer, &Response::StreamEnd { fresh }),
-        // The reply lands on whichever frame is still unanswered — the
-        // Data frame whose staging failed, or the End frame when the
-        // assembled payload missed its content address. A judged error
-        // keeps the connection; after a transport error inside
-        // `source()` this send fails too and the connection drops.
-        Err(e) => send_judged(writer, &e),
-    }
 }
 
 /// Executes one request against its namespace, mapping errors onto
@@ -1533,19 +1346,6 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
         #[cfg(not(any(test, feature = "testing")))]
         Request::Corrupt { .. } => Err(Error::InvalidConfig(
             "corrupt-object is a testing-only operation; this daemon was built without it".into(),
-        )),
-        // Dispatched in `handle_connection` before this point; reaching
-        // here would be a dispatch bug, answered as a judged error.
-        Request::GetStream { .. }
-        | Request::PutStreamBegin { .. }
-        | Request::ReplChunkStream { .. } => Err(Error::protocol(
-            "handling request",
-            "stream request escaped its dispatcher",
-        )),
-        // Body frames outside an open PUT_STREAM are a framing error.
-        Request::PutStreamData(_) | Request::PutStreamEnd => Err(Error::protocol(
-            "handling request",
-            "PUT_STREAM_DATA/PUT_STREAM_END outside an open PUT_STREAM",
         )),
     }
 }

@@ -360,7 +360,7 @@ struct EncodeCache {
 impl CheckpointRepo<StoreBackend> {
     /// Opens a repository, creating the layout when absent. The storage
     /// backend is resolved from the repository's sticky `STORE` marker
-    /// when present, else from `QCHECK_STORE` (default: loose).
+    /// when present, else from `QCHECK_STORE` (default: pack).
     ///
     /// # Errors
     ///

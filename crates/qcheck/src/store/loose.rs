@@ -222,117 +222,6 @@ impl ObjectStore for LooseStore {
         clear_dir_files(&self.tmp_dir)
     }
 
-    fn get_stream(
-        &self,
-        reference: &ChunkRef,
-        segment: usize,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        use std::io::Read;
-        let path = self.object_path(&reference.hash);
-        let mut file = fs::File::open(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::NotFound {
-                    what: format!("chunk {}", reference.hash),
-                }
-            } else {
-                Error::io(format!("opening {}", path.display()), e)
-            }
-        })?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| Error::io("stat object", e))?
-            .len();
-        if file_len != u64::from(reference.len) {
-            return Err(Error::corrupt(
-                format!("chunk {}", reference.hash),
-                format!("length {file_len} != expected {}", reference.len),
-            ));
-        }
-        let mut hasher = Sha256::new();
-        let mut buf = vec![0u8; segment.clamp(1, reference.len.max(1) as usize)];
-        loop {
-            let n = file
-                .read(&mut buf)
-                .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
-            if n == 0 {
-                break;
-            }
-            hasher.update(&buf[..n]);
-            sink(&buf[..n])?;
-        }
-        let actual = hasher.finalize();
-        if actual != reference.hash {
-            return Err(Error::corrupt(
-                format!("chunk {}", reference.hash),
-                format!("content hash mismatch (got {actual})"),
-            ));
-        }
-        Ok(())
-    }
-
-    fn put_stream(
-        &self,
-        reference: &ChunkRef,
-        source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
-        fsync: bool,
-    ) -> Result<bool> {
-        let path = self.object_path(&reference.hash);
-        if path.is_file() {
-            // Dedup hit: still drain the source so wire-backed callers
-            // keep their framing aligned.
-            while source()?.is_some() {}
-            return Ok(false);
-        }
-        let dir = path.parent().expect("object path has parent");
-        fs::create_dir_all(dir).map_err(|e| Error::io(format!("creating {}", dir.display()), e))?;
-        let tmp = self.tmp_dir.join(format!(
-            "obj-{}-{}",
-            std::process::id(),
-            self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let commit = (|| -> Result<()> {
-            let mut file = fs::File::create(&tmp)
-                .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-            let mut hasher = Sha256::new();
-            let mut total = 0u64;
-            while let Some(seg) = source()? {
-                hasher.update(&seg);
-                total += seg.len() as u64;
-                file.write_all(&seg)
-                    .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-            }
-            if total != u64::from(reference.len) {
-                return Err(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("length {total} != expected {}", reference.len),
-                ));
-            }
-            let actual = hasher.finalize();
-            if actual != reference.hash {
-                return Err(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("content hash mismatch (got {actual})"),
-                ));
-            }
-            if fsync {
-                qobs::time(&crate::obs::FSYNC_NS, || file.sync_all())
-                    .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-            }
-            qobs::time(&crate::obs::RENAME_NS, || fs::rename(&tmp, &path))
-                .map_err(|e| Error::io(format!("renaming into {}", path.display()), e))
-        })();
-        if let Err(e) = commit {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(stats) = self.stats_cache.lock().expect("stats lock").as_mut() {
-            stats.object_count += 1;
-            stats.total_bytes += u64::from(reference.len);
-        }
-        Ok(true)
-    }
-
     #[cfg(any(test, feature = "testing"))]
     fn corrupt_object(&self, hash: &ContentHash, offset: usize) -> Result<()> {
         let path = self.object_path(hash);

@@ -2,17 +2,20 @@
 //!
 //! The checkpoint repository stores chunk payloads through the
 //! [`ObjectStore`] trait, which abstracts *how* content-addressed objects
-//! reach the disk. Two backends implement it:
+//! reach the disk. Two local backends implement it (the third,
+//! [`RemoteStore`], hands the same calls to a `qckptd` daemon that runs
+//! one of these two per namespace):
 //!
-//! * [`LooseStore`] — one file per chunk under `objects/<2-hex>/<62-hex>`
-//!   (the original layout, kept as the compatibility default). Every new
-//!   chunk costs one stage-file create plus one rename.
-//! * [`PackStore`] — one append-only *pack file* per batch under `packs/`,
-//!   with an embedded index and a trailing footer. A whole save's worth of
-//!   new chunks commits with a single fsync+rename, so the commit syscall
-//!   count per checkpoint is O(1) instead of O(chunks).
+//! * [`PackStore`] — the default: one append-only *pack file* per batch
+//!   under `packs/`, with an embedded index and a trailing footer. A whole
+//!   save's worth of new chunks commits with a single fsync+rename, so the
+//!   commit syscall count per checkpoint is O(1) instead of O(chunks).
+//! * [`LooseStore`] — one file per chunk under `objects/<2-hex>/<62-hex>`;
+//!   every new chunk costs one stage-file create plus one rename. Kept
+//!   selectable as the independent layout the backend-equivalence suites
+//!   compare against.
 //!
-//! Both backends share the crash-safety contract: objects are staged in
+//! Both share the crash-safety contract: objects are staged in
 //! `tmp/` and published by an atomic rename. A crash can leave disposable
 //! garbage in `tmp/`, never a half-written object in the published
 //! namespace. Garbage collection is mark-and-sweep over manifest-reachable
@@ -22,8 +25,9 @@
 //! a one-line `STORE` marker file naming the backend, and later opens obey
 //! the marker regardless of the requested kind — switching the environment
 //! variable can therefore never strand objects written by the other
-//! layout. Fresh repositories honor `QCHECK_STORE=loose|pack` (or the
-//! explicit [`crate::repo::CheckpointRepo::open_with`] builder argument).
+//! layout. Fresh repositories honor `QCHECK_STORE=pack|loose|remote` (or
+//! the explicit [`crate::repo::CheckpointRepo::open_with`] builder
+//! argument); unset means pack.
 
 mod loose;
 mod pack;
@@ -45,10 +49,6 @@ use crate::remote::{RemoteStore, REMOTE_ADDR_ENV, REMOTE_NS_ENV};
 /// (written on first open of a remote-backed repository when
 /// `QCHECK_REMOTE_NS` does not pin one).
 pub const REMOTE_NS_MARKER_FILE: &str = "REMOTE_NS";
-
-/// Back-compat alias: before the [`ObjectStore`] trait existed the loose
-/// layout was the only backend and its type was named `ChunkStore`.
-pub type ChunkStore = LooseStore;
 
 /// Name of the backend marker file at the repository root.
 pub const STORE_MARKER_FILE: &str = "STORE";
@@ -320,72 +320,6 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Streams one verified chunk to `sink` in segments of at most
-    /// `segment` bytes, holding O(segment) memory regardless of chunk
-    /// size. The backend hashes incrementally as it reads; `sink` may
-    /// therefore observe a *prefix* of a corrupt object before the final
-    /// length/SHA check fails — callers that forward the segments (the
-    /// streaming wire) surface the trailing error instead of a
-    /// completion marker, and the far end discards.
-    ///
-    /// The default implementation materializes via [`ObjectStore::get`]
-    /// and slices; the loose and pack backends override it with true
-    /// bounded-memory file reads.
-    ///
-    /// # Errors
-    ///
-    /// As [`ObjectStore::get`], plus any error returned by `sink`
-    /// (propagated verbatim, aborting the stream).
-    fn get_stream(
-        &self,
-        reference: &ChunkRef,
-        segment: usize,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let data = self.get(reference)?;
-        for part in data.chunks(segment.max(1)) {
-            sink(part)?;
-        }
-        Ok(())
-    }
-
-    /// Streams one chunk *in* from `source` (a pull-style segment
-    /// iterator: `Ok(Some(bytes))` per segment, `Ok(None)` at end),
-    /// verifying length and SHA-256 incrementally before commit. Returns
-    /// whether a new object was physically written (`false` = dedup
-    /// hit). The source is always consumed to exhaustion — even on a
-    /// dedup hit — so wire-backed callers keep their framing aligned.
-    ///
-    /// The default implementation buffers and delegates to
-    /// [`ObjectStore::put_batch`]; the loose and pack backends override
-    /// it to stage segments straight to disk in O(segment) memory.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] when the streamed bytes do not match
-    /// `reference` (nothing is committed), otherwise filesystem or
-    /// `source` errors.
-    fn put_stream(
-        &self,
-        reference: &ChunkRef,
-        source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
-        fsync: bool,
-    ) -> Result<bool> {
-        let mut data = Vec::new();
-        while let Some(seg) = source()? {
-            data.extend_from_slice(&seg);
-        }
-        verify_chunk(reference, &data)?;
-        let report = self.put_batch(
-            &[StagedChunk {
-                reference: *reference,
-                data: &data,
-            }],
-            fsync,
-        )?;
-        Ok(report.fresh[0])
-    }
-
     /// Stores one chunk. Convenience wrapper over [`ObjectStore::put_batch`]
     /// returning the reference and whether a new object was physically
     /// written (`false` = dedup hit).
@@ -417,9 +351,10 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreKind {
     /// One file per chunk (`objects/`): [`LooseStore`].
-    #[default]
     Loose,
-    /// Batched pack files (`packs/`): [`PackStore`].
+    /// Batched pack files (`packs/`): [`PackStore`] — the default, here
+    /// and in the daemon.
+    #[default]
     Pack,
     /// A `qckptd` daemon over TCP: [`RemoteStore`]
     /// (`QCHECK_REMOTE_ADDR` names the daemon).
@@ -447,8 +382,8 @@ impl StoreKind {
         }
     }
 
-    /// Resolves the `QCHECK_STORE` environment variable; unset means
-    /// [`StoreKind::Loose`] (the compatibility default).
+    /// Resolves the `QCHECK_STORE` environment variable; unset means the
+    /// default, [`StoreKind::Pack`].
     ///
     /// # Errors
     ///
@@ -461,7 +396,7 @@ impl StoreKind {
                     "QCHECK_STORE={v:?} (expected \"loose\", \"pack\" or \"remote\")"
                 ))
             }),
-            Err(_) => Ok(StoreKind::Loose),
+            Err(_) => Ok(StoreKind::default()),
         }
     }
 }
@@ -710,24 +645,6 @@ impl ObjectStore for StoreBackend {
         delegate!(self, s => s.clear_staging())
     }
 
-    fn get_stream(
-        &self,
-        reference: &ChunkRef,
-        segment: usize,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        delegate!(self, s => s.get_stream(reference, segment, sink))
-    }
-
-    fn put_stream(
-        &self,
-        reference: &ChunkRef,
-        source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
-        fsync: bool,
-    ) -> Result<bool> {
-        delegate!(self, s => s.put_stream(reference, source, fsync))
-    }
-
     fn is_shared(&self) -> bool {
         delegate!(self, s => s.is_shared())
     }
@@ -806,7 +723,7 @@ mod tests {
 
     #[test]
     fn store_kind_parse_round_trip() {
-        for kind in [StoreKind::Loose, StoreKind::Pack] {
+        for kind in [StoreKind::Loose, StoreKind::Pack, StoreKind::Remote] {
             assert_eq!(StoreKind::parse(kind.as_str()), Some(kind));
             assert_eq!(
                 StoreKind::parse(&format!(" {}\n", kind.as_str())),
@@ -814,6 +731,7 @@ mod tests {
             );
         }
         assert_eq!(StoreKind::parse("packed"), None);
+        assert_eq!(StoreKind::default(), StoreKind::Pack);
     }
 
     #[test]

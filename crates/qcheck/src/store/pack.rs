@@ -756,134 +756,6 @@ impl ObjectStore for PackStore {
         clear_dir_files(&self.tmp_dir)
     }
 
-    fn get_stream(
-        &self,
-        reference: &ChunkRef,
-        segment: usize,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let (f, loc, path) = self.open_object(reference)?;
-        if loc.len != reference.len {
-            return Err(Error::corrupt(
-                format!("chunk {}", reference.hash),
-                format!("length {} != expected {}", loc.len, reference.len),
-            ));
-        }
-        let mut hasher = Sha256::new();
-        let mut buf = vec![0u8; segment.clamp(1, reference.len.max(1) as usize)];
-        let mut done = 0u64;
-        while done < u64::from(loc.len) {
-            let n = buf.len().min((u64::from(loc.len) - done) as usize);
-            read_exact_at(&f, &mut buf[..n], loc.offset + done)
-                .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
-            crate::obs::PACK_PREADS.inc();
-            hasher.update(&buf[..n]);
-            sink(&buf[..n])?;
-            done += n as u64;
-        }
-        let actual = hasher.finalize();
-        if actual != reference.hash {
-            return Err(Error::corrupt(
-                format!("chunk {}", reference.hash),
-                format!("content hash mismatch (got {actual})"),
-            ));
-        }
-        Ok(())
-    }
-
-    fn put_stream(
-        &self,
-        reference: &ChunkRef,
-        source: &mut dyn FnMut() -> Result<Option<Vec<u8>>>,
-        fsync: bool,
-    ) -> Result<bool> {
-        if self.contains(&reference.hash) {
-            // Dedup hit: still drain the source so wire-backed callers
-            // keep their framing aligned.
-            while source()?.is_some() {}
-            return Ok(false);
-        }
-        // Stage a single-object pack, hashing the payload (content
-        // address) and the whole file (pack name) incrementally so no
-        // full-chunk buffer ever exists.
-        static STREAM_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.tmp_dir.join(format!(
-            "pack-stream-{}-{}",
-            std::process::id(),
-            STREAM_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let staged = (|| -> Result<(fs::File, ContentHash)> {
-            let mut file = fs::File::create(&tmp)
-                .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-            let mut file_hash = Sha256::new();
-            let mut write = |bytes: &[u8]| -> Result<()> {
-                file_hash.update(bytes);
-                file.write_all(bytes)
-                    .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))
-            };
-            write(PACK_MAGIC)?;
-            write(&PACK_VERSION.to_le_bytes())?;
-            let mut content = Sha256::new();
-            let mut total = 0u64;
-            while let Some(seg) = source()? {
-                content.update(&seg);
-                total += seg.len() as u64;
-                write(&seg)?;
-            }
-            if total != u64::from(reference.len) {
-                return Err(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("length {total} != expected {}", reference.len),
-                ));
-            }
-            let actual = content.finalize();
-            if actual != reference.hash {
-                return Err(Error::corrupt(
-                    format!("chunk {}", reference.hash),
-                    format!("content hash mismatch (got {actual})"),
-                ));
-            }
-            // Single-entry index + footer, identical to `write_pack`'s
-            // layout for a one-blob batch.
-            let index_offset = HEADER_LEN + total;
-            let mut index_bytes = Vec::with_capacity(ENTRY_LEN);
-            index_bytes.extend_from_slice(&reference.hash.0);
-            index_bytes.extend_from_slice(&HEADER_LEN.to_le_bytes());
-            index_bytes.extend_from_slice(&reference.len.to_le_bytes());
-            write(&index_bytes)?;
-            write(&index_offset.to_le_bytes())?;
-            write(&1u32.to_le_bytes())?;
-            write(&crc32(&index_bytes).to_le_bytes())?;
-            write(PACK_TAIL)?;
-            let name_hash = file_hash.finalize();
-            Ok((file, name_hash))
-        })();
-        let (file, name_hash) = match staged {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        let name = format!("pack-{}.qpk", name_hash.to_hex());
-        let target = self.pack_path(&name);
-        let publish = (|| -> Result<()> {
-            if fsync {
-                qobs::time(&crate::obs::FSYNC_NS, || file.sync_all())
-                    .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-            }
-            qobs::time(&crate::obs::RENAME_NS, || fs::rename(&tmp, &target))
-                .map_err(|e| Error::io(format!("renaming into {}", target.display()), e))
-        })();
-        if let Err(e) = publish {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        self.lock()
-            .insert_pack(name, vec![(reference.hash, HEADER_LEN, reference.len)]);
-        Ok(true)
-    }
-
     #[cfg(any(test, feature = "testing"))]
     fn corrupt_object(&self, hash: &ContentHash, offset: usize) -> Result<()> {
         let (name, loc) = {

@@ -1,6 +1,6 @@
-//! Protocol v3 `METRICS` acceptance suite.
+//! `METRICS` acceptance suite.
 //!
-//! The daemon's observability contract: any v3 client can fetch the
+//! The daemon's observability contract: any client can fetch the
 //! qobs text exposition in one frame, without ever holding a writer
 //! lease, and the rendering is stable-ordered across scrapes. The
 //! single test below drives real checkpoint traffic through an

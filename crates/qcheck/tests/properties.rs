@@ -2,13 +2,15 @@
 
 use proptest::prelude::*;
 
-use qcheck::chunk::{chunk_bytes, reassemble};
+use qcheck::chunk::{chunk_bytes, reassemble, ChunkRef};
 use qcheck::codec::{Decoder, Encoder};
 use qcheck::compress::{bytes_to_f64s, f64s_to_bytes, Compression};
 use qcheck::delta::BlockPatch;
 use qcheck::hash::{crc32, ContentHash, Sha256};
 use qcheck::manifest::Manifest;
+use qcheck::remote::proto::{self, LeaseGrant, OplogOp, OplogRecord, Request, Response, WireChunk};
 use qcheck::snapshot::{DatasetCursor, MetricPoint, RngCapture, StateBlob, TrainingSnapshot};
+use qcheck::store::{BatchPutReport, GcReport, StoreStats};
 
 fn arb_f64_bits() -> impl Strategy<Value = f64> {
     // Arbitrary bit patterns: exercises NaN payloads, infinities, denormals.
@@ -225,5 +227,352 @@ proptest! {
         let i = flip_at.index(bytes.len());
         bytes[i] ^= 1 << flip_bit;
         prop_assert!(Manifest::decode(&bytes).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire decoders under hostile input
+// ---------------------------------------------------------------------
+//
+// No byte string a peer can send may panic a decoder: every outcome is
+// `Ok` or a typed `Err`. The samples below hold one value (or more) of
+// every `Request`, `Response` and `OplogOp` variant; the `*_variant`
+// functions match exhaustively, so a new variant does not compile until
+// it is indexed — and `every_wire_variant_is_sampled_and_round_trips`
+// fails until it is sampled too.
+
+fn sample_oplog_ops() -> Vec<OplogOp> {
+    vec![
+        OplogOp::MetaPut {
+            name: "manifests/ck-1.qmf".into(),
+            bytes: vec![1, 2, 3],
+        },
+        OplogOp::MetaDelete {
+            name: "manifests/ck-0.qmf".into(),
+        },
+        OplogOp::Sweep {
+            reachable: vec![Sha256::digest(b"kept"), Sha256::digest(b"too")],
+        },
+    ]
+}
+
+fn sample_requests() -> Vec<Request> {
+    let h = Sha256::digest(b"x");
+    let reference = ChunkRef { hash: h, len: 9 };
+    vec![
+        Request::Hello {
+            version: proto::PROTO_VERSION,
+            namespace: "run-1".into(),
+            auth: "sekrit".into(),
+            flags: proto::HELLO_FLAG_WANT_LEASE | proto::HELLO_FLAG_REPL,
+            lease_token: 0xDEAD_BEEF,
+            min_generation: 7,
+        },
+        Request::Ping,
+        Request::PutBatch {
+            fsync: true,
+            chunks: vec![
+                WireChunk {
+                    reference: ChunkRef { hash: h, len: 1 },
+                    data: vec![7],
+                },
+                WireChunk {
+                    reference: ChunkRef {
+                        hash: Sha256::digest(b""),
+                        len: 0,
+                    },
+                    data: vec![],
+                },
+            ],
+        },
+        Request::Get { reference },
+        Request::Contains { hashes: vec![h, h] },
+        Request::List,
+        Request::Sweep {
+            dry_run: true,
+            reachable: vec![h],
+        },
+        Request::Stats,
+        Request::ClearStaging,
+        Request::MetaPut {
+            name: "manifests/a.qmf".into(),
+            bytes: vec![1, 2, 3],
+        },
+        Request::MetaGet {
+            name: "LATEST".into(),
+        },
+        Request::MetaList {
+            prefix: "manifests/".into(),
+        },
+        Request::MetaDelete { name: "x".into() },
+        Request::Status,
+        Request::Shutdown,
+        Request::Corrupt {
+            hash: h,
+            offset: 1234,
+        },
+        Request::ReplStatus,
+        Request::ReplFetch {
+            namespace: "run-1".into(),
+            from: 42,
+            max: 64,
+        },
+        Request::ReplChunks {
+            namespace: "run-1".into(),
+            refs: vec![reference, reference],
+        },
+        Request::ReplAck {
+            namespace: "run-1".into(),
+            offset: 43,
+        },
+        Request::Promote,
+        Request::LeaseRelease,
+        Request::Metrics,
+    ]
+}
+
+fn request_variant(r: &Request) -> usize {
+    match r {
+        Request::Hello { .. } => 0,
+        Request::Ping => 1,
+        Request::PutBatch { .. } => 2,
+        Request::Get { .. } => 3,
+        Request::Contains { .. } => 4,
+        Request::List => 5,
+        Request::Sweep { .. } => 6,
+        Request::Stats => 7,
+        Request::ClearStaging => 8,
+        Request::MetaPut { .. } => 9,
+        Request::MetaGet { .. } => 10,
+        Request::MetaList { .. } => 11,
+        Request::MetaDelete { .. } => 12,
+        Request::Status => 13,
+        Request::Shutdown => 14,
+        Request::Corrupt { .. } => 15,
+        Request::ReplStatus => 16,
+        Request::ReplFetch { .. } => 17,
+        Request::ReplChunks { .. } => 18,
+        Request::ReplAck { .. } => 19,
+        Request::Promote => 20,
+        Request::LeaseRelease => 21,
+        Request::Metrics => 22,
+    }
+}
+
+fn sample_responses() -> Vec<Response> {
+    let h = Sha256::digest(b"y");
+    vec![
+        Response::HelloOk {
+            version: proto::PROTO_VERSION,
+            role: proto::ROLE_PRIMARY,
+            generation: 3,
+            lease: None,
+        },
+        Response::HelloOk {
+            version: proto::PROTO_VERSION,
+            role: proto::ROLE_SECONDARY,
+            generation: 9,
+            lease: Some(LeaseGrant {
+                token: 0xFEED,
+                ttl_ms: 30_000,
+            }),
+        },
+        Response::Pong,
+        Response::PutBatch(BatchPutReport {
+            fresh: vec![true, false],
+            renames: 1,
+            fsyncs: 0,
+        }),
+        Response::Chunk(vec![1, 2, 3]),
+        Response::Contains(vec![true, false, true]),
+        Response::Hashes(vec![h]),
+        Response::Gc(GcReport {
+            live: 1,
+            deleted: 2,
+            reclaimed_bytes: 3,
+            deferred: 4,
+            deferred_bytes: 5,
+        }),
+        Response::Stats(StoreStats {
+            object_count: 7,
+            total_bytes: 99,
+        }),
+        Response::Cleared(3),
+        Response::Ok,
+        Response::Meta(None),
+        Response::Meta(Some(vec![9])),
+        Response::Names(vec!["a".into(), "b".into()]),
+        Response::Status {
+            version: proto::PROTO_VERSION,
+            namespaces: 2,
+            connections: 3,
+            role: proto::ROLE_SECONDARY,
+            generation: 4,
+            oplog_entries: 5,
+            repl_lag: 6,
+        },
+        Response::ReplStatus {
+            generation: 2,
+            role: proto::ROLE_PRIMARY,
+            namespaces: vec![("a".into(), 10), ("b".into(), 0)],
+        },
+        Response::ReplEntries(
+            sample_oplog_ops()
+                .into_iter()
+                .enumerate()
+                .map(|(i, op)| OplogRecord {
+                    offset: i as u64,
+                    op,
+                })
+                .collect(),
+        ),
+        Response::Chunks(vec![
+            Some(WireChunk {
+                reference: ChunkRef { hash: h, len: 3 },
+                data: vec![7, 8, 9],
+            }),
+            None,
+        ]),
+        Response::Promoted { generation: 11 },
+        Response::Metrics("# TYPE a counter\na 1\n".into()),
+        Response::Err {
+            code: proto::ErrCode::NotFound as u8,
+            message: "nope".into(),
+        },
+    ]
+}
+
+fn response_variant(r: &Response) -> usize {
+    match r {
+        Response::HelloOk { .. } => 0,
+        Response::Pong => 1,
+        Response::PutBatch(_) => 2,
+        Response::Chunk(_) => 3,
+        Response::Contains(_) => 4,
+        Response::Hashes(_) => 5,
+        Response::Gc(_) => 6,
+        Response::Stats(_) => 7,
+        Response::Cleared(_) => 8,
+        Response::Ok => 9,
+        Response::Meta(_) => 10,
+        Response::Names(_) => 11,
+        Response::Status { .. } => 12,
+        Response::ReplStatus { .. } => 13,
+        Response::ReplEntries(_) => 14,
+        Response::Chunks(_) => 15,
+        Response::Promoted { .. } => 16,
+        Response::Metrics(_) => 17,
+        Response::Err { .. } => 18,
+    }
+}
+
+fn oplog_variant(op: &OplogOp) -> usize {
+    match op {
+        OplogOp::MetaPut { .. } => 0,
+        OplogOp::MetaDelete { .. } => 1,
+        OplogOp::Sweep { .. } => 2,
+    }
+}
+
+fn encode_op(op: &OplogOp) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    op.encode_into(&mut enc);
+    enc.into_bytes()
+}
+
+/// Every valid body the protocol can carry, each also wrapped in its
+/// wire frame (length prefix + CRC) for `read_frame`.
+fn wire_corpus() -> Vec<Vec<u8>> {
+    let bodies: Vec<Vec<u8>> = sample_requests()
+        .iter()
+        .map(Request::encode)
+        .chain(sample_responses().iter().map(Response::encode))
+        .chain(sample_oplog_ops().iter().map(encode_op))
+        .collect();
+    let framed: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| {
+            let mut out = Vec::new();
+            proto::write_frame(&mut out, body).unwrap();
+            out
+        })
+        .collect();
+    bodies.into_iter().chain(framed).collect()
+}
+
+/// Runs `bytes` through every decoder a peer's bytes can reach. Returning
+/// at all is the property: each result is `Ok` or a typed `Err`.
+fn decode_everything(bytes: &[u8]) {
+    let _ = Request::decode(bytes);
+    let _ = Response::decode(bytes);
+    let _ = OplogOp::decode_from(&mut Decoder::new(bytes, "hostile oplog op"));
+    let mut reader = bytes;
+    while proto::read_frame(&mut reader).is_ok() {}
+}
+
+/// Sorted, de-duplicated variant indices of a sample list.
+fn covered<T>(samples: &[T], variant: impl Fn(&T) -> usize) -> Vec<usize> {
+    let set: std::collections::BTreeSet<usize> = samples.iter().map(variant).collect();
+    set.into_iter().collect()
+}
+
+#[test]
+fn every_wire_variant_is_sampled_and_round_trips() {
+    let requests = sample_requests();
+    assert_eq!(
+        covered(&requests, request_variant),
+        (0..23).collect::<Vec<_>>()
+    );
+    for req in &requests {
+        assert_eq!(&Request::decode(&req.encode()).unwrap(), req);
+    }
+    let responses = sample_responses();
+    assert_eq!(
+        covered(&responses, response_variant),
+        (0..19).collect::<Vec<_>>()
+    );
+    for resp in &responses {
+        assert_eq!(&Response::decode(&resp.encode()).unwrap(), resp);
+    }
+    let ops = sample_oplog_ops();
+    assert_eq!(covered(&ops, oplog_variant), vec![0, 1, 2]);
+    for op in &ops {
+        let bytes = encode_op(op);
+        let mut dec = Decoder::new(&bytes, "oplog op");
+        assert_eq!(&OplogOp::decode_from(&mut dec).unwrap(), op);
+        dec.finish().unwrap();
+    }
+    // Every truncation of every valid encoding, exhaustively.
+    for bytes in wire_corpus() {
+        for cut in 0..bytes.len() {
+            decode_everything(&bytes[..cut]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes never panic a wire decoder.
+    #[test]
+    fn wire_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        decode_everything(&bytes);
+    }
+
+    /// Neither does a valid encoding with one byte changed — the input
+    /// that gets past the opcode and deep into a variant's fields.
+    #[test]
+    fn wire_decoders_survive_single_byte_mutations(
+        which in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let corpus = wire_corpus();
+        let mut bytes = corpus[which.index(corpus.len())].clone();
+        let i = at.index(bytes.len());
+        bytes[i] = byte;
+        decode_everything(&bytes);
     }
 }

@@ -509,3 +509,73 @@ fn a_poisoned_namespace_is_quarantined_without_starving_others() {
     assert_eq!(snap.params, params);
     assert!(fsck(&fresh).unwrap().is_clean());
 }
+
+/// Value of the primary's `qckptd_requests_total{…op="repl_chunks"}`
+/// counter (tailers Hello into the nominal `control` namespace).
+fn repl_chunks_requests(primary: &DaemonHandle) -> u64 {
+    let probe = RemoteStore::connect(primary.addr(), "probe").unwrap();
+    probe
+        .metrics()
+        .unwrap()
+        .lines()
+        .find(|l| l.starts_with("qckptd_requests_total{") && l.contains("op=\"repl_chunks\""))
+        .and_then(|l| l.rsplit_once(' '))
+        .map_or(0, |(_, value)| value.parse().unwrap())
+}
+
+/// A checkpoint with more new payload than one frame's budget replicates
+/// in several bounded `ReplChunks` round trips — not one reply holding
+/// the whole checkpoint, which above the frame cap could never be sent
+/// at all — and the secondary's copy is bit-identical.
+#[test]
+fn a_large_checkpoint_replicates_in_bounded_chunk_batches() {
+    if qobs::mode() == qobs::Mode::Off {
+        qobs::set_mode(qobs::Mode::Counters);
+    }
+    let dir = TempDir::new("big");
+    let primary = spawn_daemon(dir.0.join("primary"), StoreKind::Pack).unwrap();
+    let secondary = spawn_manual_secondary(&dir.0.join("secondary"), &primary.addr());
+
+    // ≈12 MiB of parameters with random mantissas: incompressible, and
+    // every 4 KiB chunk distinct, so all of it is new payload.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let params: Vec<f64> = (0..1_600_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f64::from_bits(0x3FF0_0000_0000_0000 | (x >> 12))
+        })
+        .collect();
+    let repo = open_repo(&primary.addr(), "big", &dir.0.join("client"));
+    let saved = repo
+        .save(&snapshot_at(1, &params), &options(SaveMode::Full))
+        .unwrap();
+    assert!(
+        saved.new_chunk_bytes > 9 << 20,
+        "the drill needs several frames' worth of new payload, got {}",
+        saved.new_chunk_bytes
+    );
+
+    let before = repl_chunks_requests(&primary);
+    sync_to_convergence(&secondary);
+    let requests = repl_chunks_requests(&primary) - before;
+    assert!(
+        requests >= 3,
+        "{} new bytes must not ride {requests} ReplChunks reply/replies",
+        saved.new_chunk_bytes
+    );
+
+    secondary.promote().unwrap();
+    let fresh = open_repo(&secondary.addr(), "big", &dir.0.join("fresh"));
+    let (snap, _) = fresh.recover().unwrap();
+    assert_eq!(snap.step, 1);
+    assert!(
+        snap.params
+            .iter()
+            .map(|p| p.to_bits())
+            .eq(params.iter().map(|p| p.to_bits())),
+        "the replicated checkpoint must resolve bit-identically"
+    );
+    assert!(fsck(&fresh).unwrap().is_clean());
+}

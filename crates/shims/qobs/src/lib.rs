@@ -160,8 +160,7 @@ impl Counter {
     }
 }
 
-/// A settable signed gauge (queue depths, lags, in-flight counts, peak
-/// watermarks via [`Gauge::set_max`]).
+/// A settable signed gauge (queue depths, lags, in-flight counts).
 #[derive(Default)]
 pub struct Gauge(AtomicI64);
 
@@ -182,13 +181,6 @@ impl Gauge {
     #[inline]
     pub fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is larger — a running peak
-    /// watermark (e.g. stream buffer high-water mark).
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -574,14 +566,6 @@ impl LazyGauge {
     pub fn sub(&self, n: i64) {
         if enabled() {
             self.get().sub(n);
-        }
-    }
-
-    /// Raises the gauge to `v` when observability is on.
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        if enabled() {
-            self.get().set_max(v);
         }
     }
 }
