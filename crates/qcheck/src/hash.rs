@@ -4,23 +4,32 @@
 //! and validated against published test vectors. SHA-256 addresses chunks in
 //! the object store; CRC32 (IEEE 802.3) frames manifests, log records, root
 //! slots, pack indexes and every wire frame, so torn writes and truncated
-//! frames are rejected before anything is decoded. It runs slice-by-8 over
-//! `const`-built tables in safe Rust (≥ 1 GB/s, on a par with the SHA-NI
-//! SHA-256 below); the bit-at-a-time loop it replaced was 6× slower than
-//! that SHA-256 and survives only as the test oracle
+//! frames are rejected before anything is decoded. Its portable form runs
+//! slice-by-8 over `const`-built tables in safe Rust (≥ 1 GB/s, on a par
+//! with the SHA-NI SHA-256 below); the bit-at-a-time loop they replaced was
+//! 6× slower than that SHA-256 and survives only as the test oracle
 //! ([`crc32_update_bitwise`]).
 //!
-//! ## Hardware backend
+//! ## Hardware backends
 //!
-//! Whole 64-byte blocks route through [`qsimd::sha256_compress_blocks`],
-//! which uses the SHA-NI extensions when the CPU has them (and
-//! `QSIM_SIMD` is not forcing `scalar`) and otherwise declines, leaving
-//! the portable compression loop below as the oracle. The buffering and
-//! length bookkeeping are backend-independent, so a stream may resume
-//! across the scalar/hardware seam at any block boundary and still
-//! produce the same digest — `tests/hash_accel.rs` pins that property.
-//! This keeps `qcheck` itself `unsafe`-free: every intrinsic lives in the
-//! `qsimd` shim crate.
+//! Both hashes hand their bulk to `qsimd` when the CPU has the
+//! instructions and `QSIM_SIMD` is not forcing `scalar`; otherwise `qsimd`
+//! declines and the portable loops below — the oracles — run. This keeps
+//! `qcheck` itself `unsafe`-free: every intrinsic lives in the `qsimd`
+//! shim crate. `tests/hash_accel.rs` pins both seams.
+//!
+//! * **SHA-256:** whole 64-byte blocks route through
+//!   [`qsimd::sha256_compress_blocks`] (SHA-NI). The buffering and length
+//!   bookkeeping are backend-independent, so a stream may resume across
+//!   the scalar/hardware seam at any block boundary and still produce the
+//!   same digest.
+//! * **CRC32:** [`crc32_update`] hands the 16-byte-multiple prefix of an
+//!   input of 128 bytes or more to [`qsimd::crc32_fold`]
+//!   (PCLMULQDQ, ~4× the tables) and runs the tables over what is left,
+//!   so a multi-MiB wire frame is checked at several GB/s on both ends
+//!   and shorter inputs (root slots, small records) never leave the
+//!   tables. The register is the same `u32` on either path, so a stream
+//!   may change backend between any two calls.
 
 use std::fmt;
 
@@ -322,9 +331,20 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// Shortest input [`crc32_update`] offers to the hardware fold: below
+/// this the kernel's fixed cost (dispatch, lane set-up, the final
+/// reduction) is not repaid.
+const CRC32_FOLD_FROM: usize = 128;
+
 /// Incremental CRC32: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF` and xor the final state with `0xFFFF_FFFF`).
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+pub fn crc32_update(mut state: u32, mut data: &[u8]) -> u32 {
+    if data.len() >= CRC32_FOLD_FROM {
+        let (blocks, tail) = data.split_at(data.len() & !15);
+        if qsimd::crc32_fold(&mut state, blocks) {
+            data = tail;
+        }
+    }
     let t = &CRC32_TABLES;
     let mut words = data.chunks_exact(8);
     for w in &mut words {

@@ -24,16 +24,17 @@
 //! refused with a typed lease-held error instead of silently
 //! interleaving saves.
 //!
-//! Large `put_batch` calls are split into sub-frames and **pipelined**:
-//! all request frames are written back-to-back before the first response
-//! is read, so a save's chunk upload costs one effective round trip of
-//! latency instead of one per sub-batch.
+//! Large `put_batch` and `get_many` calls are cut into frames of at most
+//! 4 MiB of chunk payload and **pipelined**: all request frames are
+//! written back-to-back before the first response is read, so a save's
+//! chunk upload — or a section's fetch — costs one effective round trip
+//! of latency instead of one per frame.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::chunk::ChunkRef;
@@ -259,9 +260,8 @@ impl RemoteStore {
         }
         // Establish + handshake eagerly so misconfiguration fails at
         // open time, not at the first checkpoint.
-        let mut guard = store.conn.lock().expect("conn lock poisoned");
-        *guard = Some(store.dial()?);
-        drop(guard);
+        let conn = store.dial()?;
+        *store.lock_conn() = Some(conn);
         Ok(store)
     }
 
@@ -396,6 +396,23 @@ impl RemoteStore {
         }
     }
 
+    /// Locks the connection slot. The slot is valid at every step (an
+    /// exchange *takes* the connection and puts it back only once its
+    /// frames are aligned again), so a caller that panicked while holding
+    /// the lock — one `qpar` fold thread, say — must not turn every later
+    /// call on this handle into a panic: recover the guard, drop whatever
+    /// connection is there (it may sit mid-frame) and let the caller
+    /// redial. Every operation is idempotent, which is the rule the retry
+    /// loop already relies on.
+    fn lock_conn(&self) -> MutexGuard<'_, Option<Conn>> {
+        self.conn.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            *guard = None;
+            self.conn.clear_poison();
+            guard
+        })
+    }
+
     /// Requests the namespace's writer lease (forcing a re-handshake so
     /// the grant arrives on this connection). Every subsequent reconnect
     /// re-presents the token, and traffic renews the TTL server-side.
@@ -406,7 +423,7 @@ impl RemoteStore {
     /// errors when no daemon is reachable.
     pub fn acquire_writer_lease(&self) -> Result<()> {
         self.want_lease.store(true, Ordering::Release);
-        let mut guard = self.conn.lock().expect("conn lock poisoned");
+        let mut guard = self.lock_conn();
         *guard = None;
         match self.dial() {
             Ok(conn) => {
@@ -443,7 +460,7 @@ impl RemoteStore {
     /// save path encodes its `PutBatch` frames straight from borrowed
     /// chunk slices and hands them here.
     fn exchange_bodies(&self, context: &str, bodies: &[Vec<u8>]) -> Result<Vec<Response>> {
-        let mut guard = self.conn.lock().expect("conn lock poisoned");
+        let mut guard = self.lock_conn();
         let mut last_err: Option<Error> = None;
         for attempt in 0..=self.retries {
             if attempt > 0 {
@@ -666,45 +683,49 @@ impl ObjectStore for RemoteStore {
     }
 
     fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        match self.request(
-            "fetching chunk",
-            Request::Get {
-                reference: *reference,
-            },
-        )? {
-            Response::Chunk(data) => {
-                // End-to-end verification: never trust the wire (or the
-                // server) over the content address.
-                crate::store::verify_chunk(reference, &data)?;
-                Ok(data)
-            }
-            other => Err(unexpected("fetching chunk", &other)),
-        }
+        let mut chunks = self.get_many(std::slice::from_ref(reference))?;
+        Ok(chunks.remove(0))
     }
 
     fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
+        const CONTEXT: &str = "fetching chunks";
         if refs.is_empty() {
             return Ok(Vec::new());
         }
-        // Pipelined: all Get frames go out before the first reply is
-        // read, so resolving an N-chunk section costs one effective
-        // round trip of latency, not N — this is what makes remote
-        // recovery latency O(sections), not O(chunks).
-        let requests: Vec<Request> = refs
+        // One Fetch frame per ≤ 4 MiB of named payload, all written
+        // before the first reply is read: resolving a section costs one
+        // round trip (and the daemon one batched store read), whatever
+        // its chunk count.
+        let groups = batch_groups(refs, |r| r.len as usize);
+        let requests: Vec<Request> = groups
             .iter()
-            .map(|r| Request::Get { reference: *r })
-            .collect();
-        self.exchange("fetching chunk batch", &requests)?
-            .into_iter()
-            .zip(refs)
-            .map(|(resp, reference)| match resp {
-                Response::Chunk(data) => {
-                    crate::store::verify_chunk(reference, &data)?;
-                    Ok(data)
-                }
-                other => Err(unexpected("fetching chunk batch", &other)),
+            .map(|group| Request::Fetch {
+                namespace: self.namespace.clone(),
+                refs: group.to_vec(),
             })
-            .collect()
+            .collect();
+        let mut out = Vec::with_capacity(refs.len());
+        for (resp, group) in self.exchange(CONTEXT, &requests)?.into_iter().zip(groups) {
+            let Response::Chunks(chunks) = resp else {
+                return Err(unexpected(CONTEXT, &resp));
+            };
+            if chunks.len() != group.len() {
+                return Err(Error::protocol(
+                    CONTEXT,
+                    format!("asked for {} chunks, got {}", group.len(), chunks.len()),
+                ));
+            }
+            for (reference, chunk) in group.iter().zip(chunks) {
+                let data = chunk.ok_or_else(|| Error::NotFound {
+                    what: format!("chunk {}", reference.hash),
+                })?;
+                // End-to-end verification: never trust the wire (or the
+                // server) over the content address.
+                crate::store::verify_chunk(reference, &data)?;
+                out.push(data);
+            }
+        }
+        Ok(out)
     }
 
     fn contains(&self, hash: &ContentHash) -> bool {
@@ -941,6 +962,39 @@ mod tests {
         );
         // The connection survives a judged error: the next request
         // reuses it (no extra handshake round trip).
+        let before = store.round_trips();
+        store.ping().unwrap();
+        assert_eq!(store.round_trips() - before, 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A caller that panics while holding the connection lock must not
+    /// wedge the handle: the next call recovers the guard, drops the
+    /// possibly mid-frame connection and redials.
+    #[test]
+    fn a_poisoned_connection_lock_is_recovered_on_a_fresh_connection() {
+        let root = scratch("poison");
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+        let store = RemoteStore::connect(daemon.addr(), "poisoned").unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = store.conn.lock().unwrap();
+                panic!("a fold thread dies holding the connection");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(store.conn.is_poisoned());
+
+        let before = store.round_trips();
+        store.ping().unwrap();
+        assert_eq!(
+            store.round_trips() - before,
+            2,
+            "a fresh connection: one handshake, one ping"
+        );
+        assert!(!store.conn.is_poisoned());
+        // And the handle is back to normal: the new connection is reused.
         let before = store.round_trips();
         store.ping().unwrap();
         assert_eq!(store.round_trips() - before, 1);

@@ -23,12 +23,15 @@
 //! a multi-frame exchange, so a connection is always aligned between
 //! two requests and a judged error never costs it. Throughput comes
 //! from **pipelining** whole frames (the client writes a burst of
-//! `PutBatch` or `Get` frames before reading the first reply), not from
-//! a second framing. Bulk payload is cut into frames of at most
-//! `BATCH_FRAME_BYTES` (4 MiB) of chunk payload in both directions — the
-//! client's `PutBatch` sub-frames and a tailing secondary's `ReplChunks`
-//! requests follow the same rule — so neither end buffers more than a
-//! few MiB per frame however large the checkpoint. The one size bound
+//! `PutBatch` or `Fetch` frames before reading the first reply), not
+//! from a second framing. Bulk payload is cut into frames of at most
+//! `BATCH_FRAME_BYTES` (4 MiB) of chunk payload in both directions — a
+//! `PutBatch` carries that much, a `Fetch` names that much, whoever
+//! sends it — so neither end buffers more than a few MiB per frame
+//! however large the checkpoint. A frame costs its bytes one cheap pass:
+//! [`write_frame`] hands length, body and CRC to the writer without
+//! assembling them, and the CRC runs on the carry-less-multiply backend
+//! where the CPU has one (see [`crate::hash`]). The one size bound
 //! that remains is per *chunk*: a chunk must fit a frame of its own
 //! ([`MAX_CHUNK_PAYLOAD`], just under [`MAX_FRAME_LEN`]), which
 //! `RemoteStore::put_batch` checks before anything is encoded. Saves cut
@@ -53,12 +56,27 @@
 //! a Hello carrying any other version is refused with a typed error
 //! naming both versions.
 //!
+//! ## One fetch op
+//!
+//! "Give me these chunks" is one operation, [`Request::Fetch`], for a
+//! client resolving a checkpoint and for a secondary catching up alike.
+//! It names a namespace and a list of references; the reply
+//! ([`Response::Chunks`]) carries `present u8 | len u32 | bytes` per
+//! reference in request order and does not echo the references — the
+//! asker knows what it asked for and verifies every payload against its
+//! content address anyway. A reference the daemon does not hold comes
+//! back absent, not as an error: a client turns that into
+//! [`Error::NotFound`], a tailer skips it (the sweep that removed the
+//! chunk follows in the log). Naming a namespace other than the
+//! connection's own is honored on a replication stream only — tenant
+//! isolation is the server's check, not the asker's good manners.
+//!
 //! ## Replication (`REPL_*`)
 //!
 //! A secondary daemon tails its primary's per-namespace **oplog** (see
 //! `qcheck::remote::repl`): `ReplStatus` discovers namespaces and their
-//! oplog lengths, `ReplFetch` subscribes from an offset, `ReplChunks`
-//! pulls chunk content the entries reference (content-addressed, so
+//! oplog lengths, `ReplFetch` subscribes from an offset, `Fetch` pulls
+//! chunk content the entries reference (content-addressed, so
 //! re-sending is idempotent), and `ReplAck` reports the applied offset
 //! back for lag accounting. `Promote` turns a secondary into a primary
 //! under a bumped generation.
@@ -72,7 +90,7 @@
 //!   committed re-reports the committed chunks as dedup hits and writes
 //!   only what is missing;
 //! * `MetaPut` overwrites atomically with the same bytes;
-//! * `Get` / `Contains` / `List` / `Stats` are reads;
+//! * `Fetch` / `Contains` / `List` / `Stats` are reads;
 //! * `Sweep` / `ClearStaging` converge (a second run finds nothing).
 //!
 //! Server-reported errors ([`Response::Err`]) are **not** retried: they
@@ -87,7 +105,7 @@ use crate::hash::{crc32, ContentHash};
 use crate::store::{BatchPutReport, GcReport, StoreStats};
 
 /// The one protocol version this build speaks, on both ends.
-pub const PROTO_VERSION: u32 = 4;
+pub const PROTO_VERSION: u32 = 5;
 
 /// [`Request::Hello`] flag: the connection wants the namespace's writer
 /// lease (granted in [`Response::HelloOk`], or the handshake fails with
@@ -155,7 +173,7 @@ pub struct WireChunk {
 /// One committed mutation in a namespace's append-only oplog — the unit
 /// of replication. Chunk *content* is deliberately absent: it is
 /// content-addressed, so a secondary pulls whatever a replicated
-/// manifest references and is missing via [`Request::ReplChunks`].
+/// manifest references and is missing via [`Request::Fetch`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum OplogOp {
     /// A metadata publish (manifest bytes, `LATEST` advance).
@@ -278,11 +296,15 @@ pub enum Request {
         /// The chunks, in order.
         chunks: Vec<WireChunk>,
     },
-    /// Fetch one chunk.
-    Get {
-        /// Its reference (the server verifies before replying; the
-        /// client verifies again on receipt).
-        reference: ChunkRef,
+    /// Fetch chunks by reference — the one read op, for clients and
+    /// tailing secondaries alike. Answered by [`Response::Chunks`].
+    Fetch {
+        /// Namespace to read from. Anything but the connection's own is
+        /// honored on a [`HELLO_FLAG_REPL`] connection only.
+        namespace: String,
+        /// The wanted chunks (the server verifies before replying; the
+        /// asker verifies again on receipt).
+        refs: Vec<ChunkRef>,
     },
     /// Existence check for a set of hashes (serves both `contains` and
     /// the batched `contains_all` in one round trip).
@@ -356,14 +378,6 @@ pub enum Request {
         /// Upper bound on entries returned.
         max: u32,
     },
-    /// Replication: pull chunk content by reference (the secondary asks
-    /// only for what it is missing).
-    ReplChunks {
-        /// Namespace to read from.
-        namespace: String,
-        /// The wanted chunks.
-        refs: Vec<ChunkRef>,
-    },
     /// Replication: the secondary has durably applied the namespace's
     /// oplog up to (exclusive) `offset` — primary-side lag accounting.
     ReplAck {
@@ -402,8 +416,6 @@ pub enum Response {
     Pong,
     /// `PutBatch` outcome.
     PutBatch(BatchPutReport),
-    /// `Get` payload.
-    Chunk(Vec<u8>),
     /// `Contains` answers, in request order.
     Contains(Vec<bool>),
     /// `List` result.
@@ -451,11 +463,11 @@ pub enum Response {
     },
     /// `ReplFetch` reply: the requested slice of the oplog.
     ReplEntries(Vec<OplogRecord>),
-    /// `ReplChunks` reply, aligned with the request's `refs`; `None`
-    /// where the primary no longer holds the chunk (swept while the
-    /// secondary was behind — benign, the matching delete follows in
-    /// the log).
-    Chunks(Vec<Option<WireChunk>>),
+    /// `Fetch` reply: one payload per requested reference, in request
+    /// order; `None` where the daemon does not hold the chunk (for a
+    /// tailer: swept while it was behind — benign, the matching sweep
+    /// follows in the log).
+    Chunks(Vec<Option<Vec<u8>>>),
     /// `Promote` reply: the new (bumped, persisted) generation.
     Promoted {
         /// Generation the daemon now serves under.
@@ -554,7 +566,7 @@ impl ErrCode {
 const OP_HELLO: u8 = 1;
 const OP_PING: u8 = 2;
 const OP_PUT_BATCH: u8 = 3;
-const OP_GET: u8 = 4;
+// 4 was the one-chunk GET of protocols ≤ 4: retired, never reused.
 const OP_CONTAINS: u8 = 5;
 const OP_LIST: u8 = 6;
 const OP_SWEEP: u8 = 7;
@@ -569,17 +581,18 @@ const OP_SHUTDOWN: u8 = 15;
 const OP_CORRUPT: u8 = 16;
 const OP_REPL_STATUS: u8 = 17;
 const OP_REPL_FETCH: u8 = 18;
-const OP_REPL_CHUNKS: u8 = 19;
+// 19 was REPL_CHUNKS (≤ v4), folded into FETCH: retired, never reused.
 const OP_REPL_ACK: u8 = 20;
 const OP_PROMOTE: u8 = 21;
 const OP_LEASE_RELEASE: u8 = 22;
 // 23–27 carried the protocol-v3 streaming dialect: retired, never reused.
 const OP_METRICS: u8 = 28;
+const OP_FETCH: u8 = 29;
 
 const RESP_HELLO_OK: u8 = 0x80;
 const RESP_PONG: u8 = 0x81;
 const RESP_PUT_BATCH: u8 = 0x82;
-const RESP_CHUNK: u8 = 0x83;
+// 0x83 was GET's single-chunk reply (≤ v4): retired, never reused.
 const RESP_CONTAINS: u8 = 0x84;
 const RESP_HASHES: u8 = 0x85;
 const RESP_GC: u8 = 0x86;
@@ -591,10 +604,12 @@ const RESP_NAMES: u8 = 0x8B;
 const RESP_STATUS: u8 = 0x8C;
 const RESP_REPL_STATUS: u8 = 0x8D;
 const RESP_REPL_ENTRIES: u8 = 0x8E;
-const RESP_CHUNKS: u8 = 0x8F;
+// 0x8F was REPL_CHUNKS' reference-echoing reply (≤ v4): retired, never
+// reused.
 const RESP_PROMOTED: u8 = 0x90;
 // 0x91–0x93 were the v3 stream frames: retired, never reused.
 const RESP_METRICS: u8 = 0x94;
+const RESP_CHUNKS: u8 = 0x95;
 const RESP_ERR: u8 = 0xFF;
 
 fn put_hashes(enc: &mut Encoder, hashes: &[ContentHash]) {
@@ -626,7 +641,7 @@ fn get_hashes(dec: &mut Decoder<'_>) -> Result<Vec<ContentHash>> {
 }
 
 /// Payload budget of one batched chunk frame (a `PutBatch` request, a
-/// `ReplChunks` reply) — well under [`MAX_FRAME_LEN`], so both ends hold
+/// `Fetch` reply) — well under [`MAX_FRAME_LEN`], so both ends hold
 /// O(MiB) per frame however large the checkpoint.
 pub(crate) const BATCH_FRAME_BYTES: usize = 4 << 20;
 
@@ -659,9 +674,9 @@ pub const fn lone_put_batch_len(payload: usize) -> usize {
 }
 
 /// The largest chunk the protocol can move: one whose lone `PutBatch`
-/// frame is exactly [`MAX_FRAME_LEN`]. (`Get`'s reply and a
-/// `ReplChunks` reply of one spend no more header bytes, so anything
-/// that could be stored can be fetched and replicated.)
+/// frame is exactly [`MAX_FRAME_LEN`]. (A `Fetch` reply of one spends
+/// fewer header bytes, so anything that could be stored can be fetched
+/// and replicated.)
 pub const MAX_CHUNK_PAYLOAD: usize = MAX_FRAME_LEN - lone_put_batch_len(0);
 
 /// Encodes a `PutBatch` frame body directly from borrowed staged chunks
@@ -730,10 +745,13 @@ impl Request {
                         .put_raw(&c.data);
                 }
             }
-            Request::Get { reference } => {
-                enc.put_u8(OP_GET)
-                    .put_raw(&reference.hash.0)
-                    .put_u32(reference.len);
+            Request::Fetch { namespace, refs } => {
+                enc.put_u8(OP_FETCH)
+                    .put_str(namespace)
+                    .put_varint(refs.len() as u64);
+                for r in refs {
+                    enc.put_raw(&r.hash.0).put_u32(r.len);
+                }
             }
             Request::Contains { hashes } => {
                 enc.put_u8(OP_CONTAINS);
@@ -785,14 +803,6 @@ impl Request {
                     .put_str(namespace)
                     .put_u64(*from)
                     .put_u32(*max);
-            }
-            Request::ReplChunks { namespace, refs } => {
-                enc.put_u8(OP_REPL_CHUNKS)
-                    .put_str(namespace)
-                    .put_varint(refs.len() as u64);
-                for r in refs {
-                    enc.put_raw(&r.hash.0).put_u32(r.len);
-                }
             }
             Request::ReplAck { namespace, offset } => {
                 enc.put_u8(OP_REPL_ACK).put_str(namespace).put_u64(*offset);
@@ -852,17 +862,6 @@ impl Request {
                 }
                 Request::PutBatch { fsync, chunks }
             }
-            OP_GET => {
-                let raw = dec.get_raw(32)?;
-                let mut h = [0u8; 32];
-                h.copy_from_slice(raw);
-                Request::Get {
-                    reference: ChunkRef {
-                        hash: ContentHash(h),
-                        len: dec.get_u32()?,
-                    },
-                }
-            }
             OP_CONTAINS => Request::Contains {
                 hashes: get_hashes(&mut dec)?,
             },
@@ -903,7 +902,7 @@ impl Request {
                 from: dec.get_u64()?,
                 max: dec.get_u32()?,
             },
-            OP_REPL_CHUNKS => {
+            OP_FETCH => {
                 let namespace = dec.get_str()?;
                 let n = dec.get_varint()? as usize;
                 if n.checked_mul(36)
@@ -925,7 +924,7 @@ impl Request {
                         len: dec.get_u32()?,
                     });
                 }
-                Request::ReplChunks { namespace, refs }
+                Request::Fetch { namespace, refs }
             }
             OP_REPL_ACK => Request::ReplAck {
                 namespace: dec.get_str()?,
@@ -949,7 +948,16 @@ impl Request {
 impl Response {
     /// Serializes the response into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut enc = match self {
+            // The one multi-MiB reply: sized once, not grown by doubling.
+            Response::Chunks(chunks) => Encoder::with_capacity(
+                16 + chunks
+                    .iter()
+                    .map(|c| 5 + c.as_ref().map_or(0, Vec::len))
+                    .sum::<usize>(),
+            ),
+            _ => Encoder::new(),
+        };
         match self {
             Response::HelloOk {
                 version,
@@ -980,9 +988,6 @@ impl Response {
                     enc.put_u8(u8::from(*f));
                 }
                 enc.put_u64(report.renames).put_u64(report.fsyncs);
-            }
-            Response::Chunk(data) => {
-                enc.put_u8(RESP_CHUNK).put_bytes(data);
             }
             Response::Contains(bools) => {
                 enc.put_u8(RESP_CONTAINS).put_varint(bools.len() as u64);
@@ -1073,11 +1078,8 @@ impl Response {
                 enc.put_u8(RESP_CHUNKS).put_varint(chunks.len() as u64);
                 for c in chunks {
                     match c {
-                        Some(c) => {
-                            enc.put_u8(1)
-                                .put_raw(&c.reference.hash.0)
-                                .put_u32(c.reference.len)
-                                .put_raw(&c.data);
+                        Some(data) => {
+                            enc.put_u8(1).put_u32(data.len() as u32).put_raw(data);
                         }
                         None => {
                             enc.put_u8(0);
@@ -1145,7 +1147,6 @@ impl Response {
                     fsyncs: dec.get_u64()?,
                 })
             }
-            RESP_CHUNK => Response::Chunk(dec.get_bytes()?),
             RESP_CONTAINS => {
                 let n = dec.get_varint()? as usize;
                 if n > dec.remaining() {
@@ -1256,18 +1257,8 @@ impl Response {
                         chunks.push(None);
                         continue;
                     }
-                    let raw = dec.get_raw(32)?;
-                    let mut h = [0u8; 32];
-                    h.copy_from_slice(raw);
                     let len = dec.get_u32()?;
-                    let data = dec.get_raw(len as usize)?.to_vec();
-                    chunks.push(Some(WireChunk {
-                        reference: ChunkRef {
-                            hash: ContentHash(h),
-                            len,
-                        },
-                        data,
-                    }));
+                    chunks.push(Some(dec.get_raw(len as usize)?.to_vec()));
                 }
                 Response::Chunks(chunks)
             }
@@ -1318,13 +1309,13 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
             format!("body of {} B exceeds {} B cap", body.len(), MAX_FRAME_LEN),
         ));
     }
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    w.write_all(&out)
-        .map_err(|e| Error::io("writing frame", e))?;
-    Ok(())
+    // Three writes, no assembly: connections write through a `BufWriter`,
+    // so a small frame still leaves in one piece, and a multi-MiB body is
+    // never copied a second time.
+    w.write_all(&(body.len() as u32).to_le_bytes())
+        .and_then(|()| w.write_all(body))
+        .and_then(|()| w.write_all(&crc32(body).to_le_bytes()))
+        .map_err(|e| Error::io("writing frame", e))
 }
 
 /// Reads one frame body from `r`, verifying length bound and CRC.
@@ -1400,8 +1391,13 @@ mod tests {
                 },
             ],
         });
-        round_trip_request(Request::Get {
-            reference: ChunkRef { hash: h, len: 9 },
+        round_trip_request(Request::Fetch {
+            namespace: "run-1".into(),
+            refs: vec![ChunkRef { hash: h, len: 9 }, ChunkRef { hash: h, len: 0 }],
+        });
+        round_trip_request(Request::Fetch {
+            namespace: "run-1".into(),
+            refs: vec![],
         });
         round_trip_request(Request::Contains { hashes: vec![h, h] });
         round_trip_request(Request::List);
@@ -1435,10 +1431,6 @@ mod tests {
             from: 42,
             max: 64,
         });
-        round_trip_request(Request::ReplChunks {
-            namespace: "run-1".into(),
-            refs: vec![ChunkRef { hash: h, len: 9 }],
-        });
         round_trip_request(Request::ReplAck {
             namespace: "run-1".into(),
             offset: 43,
@@ -1453,7 +1445,7 @@ mod tests {
     /// decode error, not a Hello with invented fields.
     #[test]
     fn foreign_version_hello_decodes_and_short_body_is_refused() {
-        for version in [1, 2, 3, PROTO_VERSION + 1] {
+        for version in [1, 2, 3, 4, PROTO_VERSION + 1] {
             round_trip_request(Request::Hello {
                 version,
                 namespace: "old-client".into(),
@@ -1495,7 +1487,6 @@ mod tests {
             renames: 1,
             fsyncs: 0,
         }));
-        round_trip_response(Response::Chunk(vec![1, 2, 3]));
         round_trip_response(Response::Contains(vec![true, false, true]));
         round_trip_response(Response::Hashes(vec![h]));
         round_trip_response(Response::Gc(GcReport {
@@ -1549,12 +1540,11 @@ mod tests {
             },
         ]));
         round_trip_response(Response::Chunks(vec![
-            Some(WireChunk {
-                reference: ChunkRef { hash: h, len: 3 },
-                data: vec![7, 8, 9],
-            }),
+            Some(vec![7, 8, 9]),
             None,
+            Some(vec![]),
         ]));
+        round_trip_response(Response::Chunks(vec![]));
         round_trip_response(Response::Promoted { generation: 11 });
         round_trip_response(Response::Err {
             code: ErrCode::NotFound as u8,

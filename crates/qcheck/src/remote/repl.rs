@@ -7,7 +7,8 @@
 //! deletes (`MetaDelete`), and mark-and-sweep runs (`Sweep`). Chunk
 //! content is deliberately **not** logged — it is content-addressed, so
 //! a secondary derives what it is missing from each replicated manifest
-//! and pulls exactly that over [`Request::ReplChunks`]; re-pulling after
+//! and pulls exactly that over [`Request::Fetch`] — the op every client
+//! reads chunks with, here naming the replicated namespace; re-pulling after
 //! a crash is idempotent by construction.
 //!
 //! On disk the log is one append-only file per namespace
@@ -248,8 +249,12 @@ impl Oplog {
             file.set_len(state.end)
                 .map_err(|e| Error::io("truncating oplog before append", e))?;
         }
-        write_frame(&mut file, &body)?;
-        file.flush().map_err(|e| Error::io("flushing oplog", e))?;
+        // One `write` per record, as ever: a kill lands between records,
+        // not between a length prefix and its body.
+        let mut record = Vec::with_capacity(8 + body.len());
+        write_frame(&mut record, &body)?;
+        file.write_all(&record)
+            .map_err(|e| Error::io("appending to oplog", e))?;
         state.starts.push(state.end);
         state.end += 8 + body.len() as u64;
         Ok(())
@@ -392,8 +397,8 @@ impl ReplClient {
         &mut self,
         namespace: &str,
         refs: Vec<crate::chunk::ChunkRef>,
-    ) -> Result<Vec<Option<proto::WireChunk>>> {
-        match self.request(&Request::ReplChunks {
+    ) -> Result<Vec<Option<Vec<u8>>>> {
+        match self.request(&Request::Fetch {
             namespace: namespace.to_string(),
             refs,
         })? {
@@ -559,27 +564,17 @@ fn pull_missing_chunks(
                 format!("asked for {} chunks, got {}", group.len(), pulled.len()),
             ));
         }
-        let mut owned: Vec<proto::WireChunk> = Vec::new();
-        for (wanted, got) in group.iter().zip(pulled) {
+        let mut staged: Vec<StagedChunk<'_>> = Vec::new();
+        for (wanted, got) in group.iter().zip(&pulled) {
             // None: the primary already swept this chunk — the sweep
             // entry follows in the log, so skipping is convergent.
-            let Some(chunk) = got else { continue };
-            if chunk.reference != *wanted {
-                return Err(Error::protocol(
-                    "replicating chunks",
-                    format!("primary answered {:?} for {:?}", chunk.reference, wanted),
-                ));
-            }
-            crate::store::verify_chunk(&chunk.reference, &chunk.data)?;
-            owned.push(chunk);
+            let Some(data) = got else { continue };
+            crate::store::verify_chunk(wanted, data)?;
+            staged.push(StagedChunk {
+                reference: *wanted,
+                data,
+            });
         }
-        let staged: Vec<StagedChunk<'_>> = owned
-            .iter()
-            .map(|c| StagedChunk {
-                reference: c.reference,
-                data: &c.data,
-            })
-            .collect();
         if !staged.is_empty() {
             ns.store.put_batch(&staged, false)?;
         }

@@ -76,8 +76,8 @@ use crate::store::{BatchPutReport, ObjectStore, StagedChunk, StoreBackend, Store
 
 use super::proto::{
     read_frame, valid_meta_name, valid_namespace, write_frame, ErrCode, LeaseGrant, OplogOp,
-    Request, Response, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION, ROLE_PRIMARY,
-    ROLE_SECONDARY,
+    Request, Response, BATCH_FRAME_BYTES, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION,
+    ROLE_PRIMARY, ROLE_SECONDARY,
 };
 use super::repl::{self, Oplog, ReplStop, ReplicateConfig, SyncReport};
 
@@ -307,7 +307,7 @@ fn op_name(req: &Request) -> &'static str {
         Request::Hello { .. } => "hello",
         Request::Ping => "ping",
         Request::PutBatch { .. } => "put_batch",
-        Request::Get { .. } => "get",
+        Request::Fetch { .. } => "fetch",
         Request::Contains { .. } => "contains",
         Request::List => "list",
         Request::Sweep { .. } => "sweep",
@@ -322,7 +322,6 @@ fn op_name(req: &Request) -> &'static str {
         Request::Corrupt { .. } => "corrupt",
         Request::ReplStatus => "repl_status",
         Request::ReplFetch { .. } => "repl_fetch",
-        Request::ReplChunks { .. } => "repl_chunks",
         Request::ReplAck { .. } => "repl_ack",
         Request::Promote => "promote",
         Request::LeaseRelease => "lease_release",
@@ -896,11 +895,7 @@ fn handshake(
             "unsupported protocol version {version} (server speaks {PROTO_VERSION})"
         )));
     }
-    if !valid_namespace(&namespace) {
-        return Err(Error::InvalidConfig(format!(
-            "invalid namespace {namespace:?}"
-        )));
-    }
+    check_namespace(&namespace)?;
     // Auth: a wrong token is refused outright; an absent token leaves
     // the connection unprivileged but serviceable (data-plane ops stay
     // open — the token gates control-plane operations only).
@@ -1152,15 +1147,63 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
             let report: BatchPutReport = ns.store.put_batch(&staged, fsync)?;
             Ok(Response::PutBatch(report))
         }
-        Request::Get { reference } => {
-            let ns = shared.namespace(namespace)?;
-            Ok(Response::Chunk(ns.store.get(&reference)?))
+        Request::Fetch {
+            namespace: target,
+            refs,
+        } => {
+            // Tenant isolation is checked here, not trusted to the asker:
+            // only a replication stream may read a namespace other than
+            // the one its handshake named.
+            if target != namespace {
+                require_repl(
+                    ctx,
+                    "FETCH from a namespace other than the connection's own",
+                )?;
+                check_namespace(&target)?;
+            }
+            // The reply must fit a frame and this handler's memory: an
+            // honest asker cuts its list with `batch_groups`, so a list
+            // over the budget is either one oversized chunk riding alone
+            // or a peer that does not follow the protocol.
+            let named: u64 = refs.iter().map(|r| u64::from(r.len)).sum();
+            if refs.len() > 1 && named > BATCH_FRAME_BYTES as u64 {
+                return Err(Error::InvalidConfig(format!(
+                    "fetch names {named} bytes of chunks; one request carries at most \
+                     {BATCH_FRAME_BYTES}"
+                )));
+            }
+            let ns = shared.namespace(&target)?;
+            match ns.store.get_many(&refs) {
+                Ok(chunks) => Ok(Response::Chunks(chunks.into_iter().map(Some).collect())),
+                // Something is absent — for a tailer the benign "swept
+                // while I was behind" case. Answer ref by ref so the
+                // asker learns *which*; a chunk that is present but
+                // fails verification stays an error naming it.
+                Err(Error::NotFound { .. }) => refs
+                    .iter()
+                    .map(|r| {
+                        if ns.store.contains(&r.hash) {
+                            ns.store.get(r).map(Some)
+                        } else {
+                            Ok(None)
+                        }
+                    })
+                    .collect::<Result<_>>()
+                    .map(Response::Chunks),
+                Err(e) => Err(e),
+            }
         }
         Request::Contains { hashes } => {
             let ns = shared.namespace(namespace)?;
-            Ok(Response::Contains(
-                hashes.iter().map(|h| ns.store.contains(h)).collect(),
-            ))
+            // A delta save probes its whole chain (hundreds of hashes)
+            // and expects "all there": one batched check answers that;
+            // only a mixed answer needs the hash-by-hash walk.
+            let bools = if ns.store.contains_all(&hashes) {
+                vec![true; hashes.len()]
+            } else {
+                hashes.iter().map(|h| ns.store.contains(h)).collect()
+            };
+            Ok(Response::Contains(bools))
         }
         Request::List => {
             let ns = shared.namespace(namespace)?;
@@ -1279,7 +1322,7 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
             Ok(Response::Ok)
         }
         Request::ReplStatus => {
-            require_repl(ctx)?;
+            require_repl(ctx, "REPL_STATUS")?;
             Ok(Response::ReplStatus {
                 generation: shared.generation(),
                 role: shared.role(),
@@ -1291,43 +1334,15 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
             from,
             max,
         } => {
-            require_repl(ctx)?;
-            if !valid_namespace(&namespace) {
-                return Err(Error::InvalidConfig(format!(
-                    "invalid namespace {namespace:?}"
-                )));
-            }
+            require_repl(ctx, "REPL_FETCH")?;
+            check_namespace(&namespace)?;
             let ns = shared.namespace(&namespace)?;
             Ok(Response::ReplEntries(
                 ns.oplog.read_from(from, max.min(4096) as usize)?,
             ))
         }
-        Request::ReplChunks { namespace, refs } => {
-            require_repl(ctx)?;
-            if !valid_namespace(&namespace) {
-                return Err(Error::InvalidConfig(format!(
-                    "invalid namespace {namespace:?}"
-                )));
-            }
-            let ns = shared.namespace(&namespace)?;
-            let mut out = Vec::with_capacity(refs.len());
-            for r in refs {
-                // Absent is not an error: the chunk may have been swept
-                // while the secondary was behind; the sweep entry later
-                // in the log reconciles it.
-                if ns.store.contains(&r.hash) {
-                    out.push(Some(super::proto::WireChunk {
-                        reference: r,
-                        data: ns.store.get(&r)?,
-                    }));
-                } else {
-                    out.push(None);
-                }
-            }
-            Ok(Response::Chunks(out))
-        }
         Request::ReplAck { namespace, offset } => {
-            require_repl(ctx)?;
+            require_repl(ctx, "REPL_ACK")?;
             shared
                 .repl
                 .lock()
@@ -1350,15 +1365,21 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
     }
 }
 
-fn require_repl(ctx: &ConnCtx) -> Result<()> {
+fn require_repl(ctx: &ConnCtx, what: &str) -> Result<()> {
     if ctx.is_repl {
         Ok(())
     } else {
-        Err(Error::InvalidConfig(
-            "REPL_* operations are only honored on a replication stream \
-             (Hello with the REPL flag)"
-                .into(),
-        ))
+        Err(Error::InvalidConfig(format!(
+            "{what} is only honored on a replication stream (Hello with the REPL flag)"
+        )))
+    }
+}
+
+fn check_namespace(name: &str) -> Result<()> {
+    if valid_namespace(name) {
+        Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!("invalid namespace {name:?}")))
     }
 }
 

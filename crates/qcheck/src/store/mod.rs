@@ -148,10 +148,12 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
 
     /// Fetches and verifies many chunks, in input order. Semantically
     /// `refs.iter().map(get)`; backends override it to batch — the
-    /// remote backend pipelines the whole burst in one network round
-    /// trip, and the pack backend reads each contiguous same-pack run
-    /// with one positioned read and resolves the batch against at most
-    /// one index rescan (see [`ObjectStore::begin_read_pass`]).
+    /// remote backend sends one `Fetch` frame per ≤ 4 MiB of named
+    /// payload (pipelined; each answered by the daemon's own
+    /// `get_many`), and the pack backend reads each contiguous
+    /// same-pack run with one positioned read and resolves the batch
+    /// against at most one index rescan (see
+    /// [`ObjectStore::begin_read_pass`]).
     ///
     /// # Errors
     ///

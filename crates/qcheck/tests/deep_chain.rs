@@ -37,11 +37,28 @@ impl Drop for TempDir {
     }
 }
 
-/// One repository per backend under `dir`; the daemon handle keeps the
-/// remote one's in-process `qckptd` alive.
-fn backends(dir: &TempDir) -> (DaemonHandle, Vec<CheckpointRepo>) {
-    let daemon = spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap();
-    let store = RemoteStore::connect(daemon.addr(), "deep-chain").unwrap();
+/// The daemon the remote backend talks to, and a namespace no other
+/// test uses: the `qckptd` process `QCHECK_REMOTE_ADDR` names when it is
+/// set (CI's remote leg — a process of its own, which may run another
+/// SIMD level, hence another CRC backend, than this client), else an
+/// in-process one that the returned handle keeps alive.
+fn daemon(dir: &TempDir) -> (Option<DaemonHandle>, String, String) {
+    let namespace = dir.0.file_name().unwrap().to_string_lossy().to_string();
+    match std::env::var(qcheck::remote::REMOTE_ADDR_ENV) {
+        Ok(addr) => (None, addr, namespace),
+        Err(_) => {
+            let daemon = spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap();
+            let addr = daemon.addr();
+            (Some(daemon), addr, namespace)
+        }
+    }
+}
+
+/// One repository per backend under `dir`, with whatever keeps the
+/// remote one's daemon alive.
+fn backends(dir: &TempDir) -> (Option<DaemonHandle>, Vec<CheckpointRepo>) {
+    let (daemon, addr, namespace) = daemon(dir);
+    let store = RemoteStore::connect(addr, namespace).unwrap();
     let repos = vec![
         CheckpointRepo::open_with(dir.0.join("loose"), StoreKind::Loose).unwrap(),
         CheckpointRepo::open_with(dir.0.join("pack"), StoreKind::Pack).unwrap(),
@@ -307,4 +324,60 @@ fn any_damaged_chunk_of_any_link_is_caught_on_every_backend() {
             .all(|(_, h)| h.is_intact()));
         assert_eq!(repo.load(&tip).unwrap(), saved.last().unwrap().1);
     }
+}
+
+/// Remote recovery costs round trips in proportion to *link-sections*,
+/// not chunks: every `get_many` the resolver issues — one per section
+/// per chain link — is one `Fetch` frame while it names at most a
+/// frame's budget, so a depth-32 recover from a fresh working directory
+/// stays at links × sections plus the open-and-sync traffic (a manifest
+/// per link, a handful of fixed frames).
+/// (Protocol ≤ 4 spent a round trip per chunk: 14 080 on
+/// `ckpt_dense_remote`.)
+#[test]
+fn remote_recover_round_trips_scale_with_link_sections_not_chunks() {
+    const DEPTH: usize = 32;
+    let dir = TempDir::new("round-trips");
+    let (_daemon, addr, namespace) = daemon(&dir);
+    let open = |work: &str| {
+        let store = RemoteStore::connect(addr.as_str(), namespace.as_str()).unwrap();
+        CheckpointRepo::with_store(dir.0.join(work), StoreBackend::Remote(store)).unwrap()
+    };
+    let writer = open("writer");
+    let mut s = subject(16_384);
+    let mut ids = vec![save(&writer, &s, 1)];
+    for _ in 0..DEPTH {
+        evolve(&mut s, Update::Dense);
+        ids.push(save(&writer, &s, 1));
+    }
+    let manifests: Vec<_> = ids
+        .iter()
+        .map(|id| writer.load_manifest(id).unwrap())
+        .collect();
+    let tip = manifests.last().unwrap();
+    assert_eq!(tip.chain_len as usize, DEPTH);
+    let sections = tip.sections.len();
+    let chunks: usize = manifests.iter().map(|m| m.chunk_refs().count()).sum();
+    drop(writer);
+
+    let reader = open("reader");
+    let (back, report) = reader.recover().unwrap();
+    assert_eq!(back, s);
+    assert_eq!(report.manifests_tried, 1);
+    let trips = reader.store().remote().unwrap().round_trips();
+    // Per link: one Fetch per section at most (a section whose chain
+    // ends early needs fewer) and, in a fresh working directory, its
+    // manifest (one pipelined MetaGet). Fixed: handshake, metadata
+    // listings, LATEST.
+    const FIXED: u64 = 8;
+    let bound = (ids.len() * (sections + 1)) as u64 + FIXED;
+    assert!(
+        trips <= bound,
+        "{trips} round trips for {} links × {sections} sections (bound {bound})",
+        ids.len()
+    );
+    assert!(
+        chunks as u64 > 4 * bound,
+        "the drill must tell chunks from link-sections: {chunks} chunks in the chain"
+    );
 }

@@ -285,7 +285,14 @@ fn sample_requests() -> Vec<Request> {
                 },
             ],
         },
-        Request::Get { reference },
+        Request::Fetch {
+            namespace: "run-1".into(),
+            refs: vec![reference, reference],
+        },
+        Request::Fetch {
+            namespace: "run-1".into(),
+            refs: vec![],
+        },
         Request::Contains { hashes: vec![h, h] },
         Request::List,
         Request::Sweep {
@@ -317,10 +324,6 @@ fn sample_requests() -> Vec<Request> {
             from: 42,
             max: 64,
         },
-        Request::ReplChunks {
-            namespace: "run-1".into(),
-            refs: vec![reference, reference],
-        },
         Request::ReplAck {
             namespace: "run-1".into(),
             offset: 43,
@@ -336,7 +339,7 @@ fn request_variant(r: &Request) -> usize {
         Request::Hello { .. } => 0,
         Request::Ping => 1,
         Request::PutBatch { .. } => 2,
-        Request::Get { .. } => 3,
+        Request::Fetch { .. } => 3,
         Request::Contains { .. } => 4,
         Request::List => 5,
         Request::Sweep { .. } => 6,
@@ -351,11 +354,10 @@ fn request_variant(r: &Request) -> usize {
         Request::Corrupt { .. } => 15,
         Request::ReplStatus => 16,
         Request::ReplFetch { .. } => 17,
-        Request::ReplChunks { .. } => 18,
-        Request::ReplAck { .. } => 19,
-        Request::Promote => 20,
-        Request::LeaseRelease => 21,
-        Request::Metrics => 22,
+        Request::ReplAck { .. } => 18,
+        Request::Promote => 19,
+        Request::LeaseRelease => 20,
+        Request::Metrics => 21,
     }
 }
 
@@ -383,7 +385,6 @@ fn sample_responses() -> Vec<Response> {
             renames: 1,
             fsyncs: 0,
         }),
-        Response::Chunk(vec![1, 2, 3]),
         Response::Contains(vec![true, false, true]),
         Response::Hashes(vec![h]),
         Response::Gc(GcReport {
@@ -426,13 +427,8 @@ fn sample_responses() -> Vec<Response> {
                 })
                 .collect(),
         ),
-        Response::Chunks(vec![
-            Some(WireChunk {
-                reference: ChunkRef { hash: h, len: 3 },
-                data: vec![7, 8, 9],
-            }),
-            None,
-        ]),
+        Response::Chunks(vec![Some(vec![7, 8, 9]), None, Some(vec![])]),
+        Response::Chunks(vec![]),
         Response::Promoted { generation: 11 },
         Response::Metrics("# TYPE a counter\na 1\n".into()),
         Response::Err {
@@ -447,22 +443,21 @@ fn response_variant(r: &Response) -> usize {
         Response::HelloOk { .. } => 0,
         Response::Pong => 1,
         Response::PutBatch(_) => 2,
-        Response::Chunk(_) => 3,
-        Response::Contains(_) => 4,
-        Response::Hashes(_) => 5,
-        Response::Gc(_) => 6,
-        Response::Stats(_) => 7,
-        Response::Cleared(_) => 8,
-        Response::Ok => 9,
-        Response::Meta(_) => 10,
-        Response::Names(_) => 11,
-        Response::Status { .. } => 12,
-        Response::ReplStatus { .. } => 13,
-        Response::ReplEntries(_) => 14,
-        Response::Chunks(_) => 15,
-        Response::Promoted { .. } => 16,
-        Response::Metrics(_) => 17,
-        Response::Err { .. } => 18,
+        Response::Contains(_) => 3,
+        Response::Hashes(_) => 4,
+        Response::Gc(_) => 5,
+        Response::Stats(_) => 6,
+        Response::Cleared(_) => 7,
+        Response::Ok => 8,
+        Response::Meta(_) => 9,
+        Response::Names(_) => 10,
+        Response::Status { .. } => 11,
+        Response::ReplStatus { .. } => 12,
+        Response::ReplEntries(_) => 13,
+        Response::Chunks(_) => 14,
+        Response::Promoted { .. } => 15,
+        Response::Metrics(_) => 16,
+        Response::Err { .. } => 17,
     }
 }
 
@@ -521,7 +516,7 @@ fn every_wire_variant_is_sampled_and_round_trips() {
     let requests = sample_requests();
     assert_eq!(
         covered(&requests, request_variant),
-        (0..23).collect::<Vec<_>>()
+        (0..22).collect::<Vec<_>>()
     );
     for req in &requests {
         assert_eq!(&Request::decode(&req.encode()).unwrap(), req);
@@ -529,7 +524,7 @@ fn every_wire_variant_is_sampled_and_round_trips() {
     let responses = sample_responses();
     assert_eq!(
         covered(&responses, response_variant),
-        (0..19).collect::<Vec<_>>()
+        (0..18).collect::<Vec<_>>()
     );
     for resp in &responses {
         assert_eq!(&Response::decode(&resp.encode()).unwrap(), resp);

@@ -1,11 +1,13 @@
 //! Wire-refusal suite.
 //!
 //! There is one wire dialect and one object path on it: a request frame
-//! in, a response frame out. These tests pin what the daemon and the
-//! client *refuse* — every other dialect's Hello, the opcodes protocol
-//! v3 spent on its streaming transfer (retired, never reused), and a
-//! chunk too large for a frame — and that each refusal is a typed error
-//! that leaves the daemon serving.
+//! in, a response frame out, and one op — `Fetch` — that reads chunks.
+//! These tests pin what the daemon and the client *refuse* — every other
+//! dialect's Hello, the opcodes earlier protocols spent on ops that are
+//! gone (retired, never reused), a chunk too large for a frame, a fetch
+//! across tenants or beyond a frame's budget — that each refusal is a
+//! typed error which leaves the daemon serving, and how an absent or a
+//! damaged chunk surfaces through the batched fetch.
 
 use std::io::Write as _;
 
@@ -113,8 +115,8 @@ fn refused_first_frame(addr: &str, body: &[u8]) -> Error {
 }
 
 /// There is one wire dialect. The v1 body (version + namespace only), a
-/// v2 and a v3 Hello and every truncation of a current Hello each get a
-/// typed version or decode error — never a panic — and the daemon keeps
+/// v2, v3 and v4 Hello and every truncation of a current Hello each get
+/// a typed version or decode error — never a panic — and the daemon keeps
 /// serving the next connection.
 #[test]
 fn old_dialects_are_refused_cleanly() {
@@ -128,9 +130,10 @@ fn old_dialects_are_refused_cleanly() {
     let err = refused_first_frame(&daemon.addr(), &v1[..v1.len() - V2_TAIL]);
     assert!(matches!(err, Error::Corrupt { .. }), "v1 body: {err}");
 
-    // v3 is the build before the streaming dialect was deleted: its
-    // Hello has today's shape, so only the version word refuses it.
-    for old in [2, 3] {
+    // v3 is the build before the streaming dialect was deleted and v4
+    // the one before GET / REPL_CHUNKS became FETCH: their Hello has
+    // today's shape, so only the version word refuses it.
+    for old in [2, 3, 4] {
         assert!(old < proto::PROTO_VERSION);
         let err = refused_first_frame(&daemon.addr(), &hello(old).encode());
         assert!(
@@ -155,25 +158,41 @@ fn old_dialects_are_refused_cleanly() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Opcodes 23–27 carried the v3 streaming transfer. On a live connection
-/// each is now an unknown opcode: one typed protocol error per frame, and
-/// the connection stays aligned — request in, response out — so the next
-/// frame on it is served.
-#[test]
-fn retired_stream_opcodes_are_judged_and_the_connection_survives() {
-    let root = scratch("retired-ops");
-    let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
-    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    let mut exchange = |body: &[u8]| {
+/// A live connection to `addr` in `namespace` (flags as given) that
+/// exchanges raw frame bodies.
+fn raw_connection(addr: &str, namespace: &str, flags: u8) -> impl FnMut(&[u8]) -> proto::Response {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut exchange = move |body: &[u8]| {
         proto::write_frame(&mut stream, body).unwrap();
         stream.flush().unwrap();
         proto::Response::decode(&proto::read_frame(&mut stream).unwrap()).unwrap()
     };
-    let resp = exchange(&hello(proto::PROTO_VERSION).encode());
+    let hello = proto::Request::Hello {
+        version: proto::PROTO_VERSION,
+        namespace: namespace.into(),
+        auth: String::new(),
+        flags,
+        lease_token: 0,
+        min_generation: 0,
+    };
+    let resp = exchange(&hello.encode());
     assert!(matches!(resp, proto::Response::HelloOk { .. }), "{resp:?}");
+    exchange
+}
 
-    for op in 23u8..=27 {
-        // The opcode, then what a v3 peer would have put behind it (a
+/// Opcodes 4 and 19 were v4's GET and REPL_CHUNKS (now one FETCH), 23–27
+/// carried the v3 streaming transfer. On a live connection each is an
+/// unknown opcode: one typed protocol error per frame, and the
+/// connection stays aligned — request in, response out — so the next
+/// frame on it is served.
+#[test]
+fn retired_opcodes_are_judged_and_the_connection_survives() {
+    let root = scratch("retired-ops");
+    let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+    let mut exchange = raw_connection(&daemon.addr(), "compat", 0);
+
+    for op in [4u8, 19].into_iter().chain(23..=27) {
+        // The opcode, then what an old peer would have put behind it (a
         // chunk reference is the longest fixed part).
         let mut body = vec![op];
         body.extend_from_slice(&[0xA5; 37]);
@@ -185,5 +204,193 @@ fn retired_stream_opcodes_are_judged_and_the_connection_survives() {
     }
 
     save_and_recover(&daemon.addr(), &root);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The daemon the two data-path drills below talk to, and a namespace
+/// nothing else uses: the `qckptd` process `QCHECK_REMOTE_ADDR` names
+/// when it is set (CI's remote leg — a process of its own, which may run
+/// another SIMD level, hence another CRC backend, than this client),
+/// else an in-process one that the returned handle keeps alive.
+fn data_path_daemon(
+    root: &std::path::Path,
+) -> (Option<qcheck::remote::DaemonHandle>, String, String) {
+    let namespace = root.file_name().unwrap().to_string_lossy().to_string();
+    match std::env::var(qcheck::remote::REMOTE_ADDR_ENV) {
+        Ok(addr) => (None, addr, namespace),
+        Err(_) => {
+            let daemon = spawn_daemon(root, StoreKind::Pack).unwrap();
+            let addr = daemon.addr();
+            (Some(daemon), addr, namespace)
+        }
+    }
+}
+
+/// Stores `blobs` through `store` and returns their references.
+fn put_all(store: &RemoteStore, blobs: &[Vec<u8>]) -> Vec<ChunkRef> {
+    let refs: Vec<ChunkRef> = blobs
+        .iter()
+        .map(|b| ChunkRef {
+            hash: Sha256::digest(b),
+            len: b.len() as u32,
+        })
+        .collect();
+    let staged: Vec<StagedChunk<'_>> = refs
+        .iter()
+        .zip(blobs)
+        .map(|(r, b)| StagedChunk {
+            reference: *r,
+            data: b,
+        })
+        .collect();
+    store.put_batch(&staged, false).unwrap();
+    refs
+}
+
+/// Tenant isolation is the server's check: a `Fetch` naming another
+/// namespace is refused on an ordinary connection — with nothing of the
+/// payload in the refusal — and honored on a replication stream, which
+/// is the one peer that reads across namespaces.
+#[test]
+fn fetch_across_namespaces_needs_a_replication_stream() {
+    let root = scratch("cross-tenant");
+    let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+    let secret = b"tenant-a's parameters, nobody else's".repeat(9);
+    let owner = RemoteStore::connect(daemon.addr(), "tenant-a").unwrap();
+    let refs = put_all(&owner, std::slice::from_ref(&secret));
+    let steal = proto::Request::Fetch {
+        namespace: "tenant-a".into(),
+        refs: refs.clone(),
+    };
+
+    let mut intruder = raw_connection(&daemon.addr(), "tenant-b", 0);
+    let resp = intruder(&steal.encode());
+    let leaked = resp
+        .encode()
+        .windows(16)
+        .any(|w| secret.windows(16).any(|s| s == w));
+    assert!(!leaked, "the refusal carries payload: {resp:?}");
+    let err = resp.into_result("cross-tenant fetch").unwrap_err();
+    assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains("replication stream"), "{err}");
+    // A malformed namespace is refused too, even on a replication stream.
+    let mut tailer = raw_connection(&daemon.addr(), "control", proto::HELLO_FLAG_REPL);
+    let traversal = proto::Request::Fetch {
+        namespace: "../tenant-a".into(),
+        refs: refs.clone(),
+    };
+    let err = tailer(&traversal.encode())
+        .into_result("traversal")
+        .unwrap_err();
+    assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+    // Same connections, still served: the intruder reads its own (empty)
+    // namespace, the tailer reads tenant-a's chunk.
+    assert_eq!(
+        intruder(
+            &proto::Request::Fetch {
+                namespace: "tenant-b".into(),
+                refs: refs.clone(),
+            }
+            .encode()
+        ),
+        proto::Response::Chunks(vec![None])
+    );
+    assert_eq!(
+        tailer(&steal.encode()),
+        proto::Response::Chunks(vec![Some(secret.clone())])
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// What the batched fetch does with a hole and with damage: an absent
+/// chunk is `NotFound` naming its hash, a present-but-corrupt one is
+/// `Corrupt` naming the chunk — in the middle of a batch as for a lone
+/// `get` — and neither costs the connection.
+#[test]
+fn absent_and_corrupt_chunks_surface_typed_through_the_batch() {
+    let root = scratch("holes");
+    let (_daemon, addr, namespace) = data_path_daemon(&root);
+    let store = RemoteStore::connect(addr, namespace).unwrap();
+    let blobs: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 3000 + i as usize]).collect();
+    let refs = put_all(&store, &blobs);
+    assert_eq!(store.get_many(&refs).unwrap(), blobs);
+
+    let ghost = ChunkRef {
+        hash: Sha256::digest(b"never stored"),
+        len: 12,
+    };
+    let mut with_hole = refs.clone();
+    with_hole.insert(3, ghost);
+    for err in [
+        store.get_many(&with_hole).unwrap_err(),
+        store.get(&ghost).unwrap_err(),
+    ] {
+        assert!(matches!(err, Error::NotFound { .. }), "{err}");
+        assert!(err.to_string().contains(&ghost.hash.to_hex()), "{err}");
+    }
+
+    store.corrupt_object(&refs[4].hash, 17).unwrap();
+    for err in [
+        store.get_many(&refs).unwrap_err(),
+        store.get_many(&with_hole).unwrap_err(),
+        store.get(&refs[4]).unwrap_err(),
+    ] {
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains(&refs[4].hash.to_hex()), "{err}");
+    }
+    // The undamaged rest is still served, on the same connection.
+    let before = store.round_trips();
+    assert_eq!(store.get_many(&refs[..4]).unwrap(), blobs[..4]);
+    assert_eq!(store.round_trips() - before, 1);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A `get_many` naming more than a frame's budget of payload travels as
+/// several pipelined `Fetch` frames and comes back whole and in order;
+/// a peer that names more than the budget in *one* request is refused
+/// before the daemon reads a byte for it.
+#[test]
+fn a_fetch_beyond_the_frame_budget_is_cut_by_the_client_and_refused_by_the_daemon() {
+    const BUDGET: usize = 4 << 20;
+    let root = scratch("budget");
+    let (_daemon, addr, namespace) = data_path_daemon(&root);
+    let store = RemoteStore::connect(addr.as_str(), namespace.as_str()).unwrap();
+    // 9 MiB in 96 KiB chunks, every chunk distinct; asked for with a
+    // repeat and out of storage order.
+    let blobs: Vec<Vec<u8>> = (0..96u32)
+        .map(|i| {
+            (0..96 * 1024u32)
+                .map(|j| (i.wrapping_mul(31).wrapping_add(j / 7)) as u8)
+                .collect()
+        })
+        .collect();
+    let refs = put_all(&store, &blobs);
+    let order: Vec<usize> = (0..refs.len()).rev().chain([5, 5, 0]).collect();
+    let asked: Vec<ChunkRef> = order.iter().map(|&i| refs[i]).collect();
+    let named: usize = asked.iter().map(|r| r.len as usize).sum();
+
+    let before = store.round_trips();
+    let got = store.get_many(&asked).unwrap();
+    let frames = store.round_trips() - before;
+    assert!(
+        frames >= 2 && frames as usize <= named / BUDGET + 1,
+        "{named} bytes came back in {frames} frame(s)"
+    );
+    assert_eq!(got.len(), asked.len());
+    for (data, &i) in got.iter().zip(&order) {
+        assert!(data == &blobs[i], "chunk {i} out of order or damaged");
+    }
+
+    let mut rogue = raw_connection(&addr, &namespace, 0);
+    let over_budget = proto::Request::Fetch {
+        namespace,
+        refs: asked,
+    };
+    let err = rogue(&over_budget.encode())
+        .into_result("over-budget fetch")
+        .unwrap_err();
+    assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains(&named.to_string()), "{err}");
+    assert_eq!(rogue(&proto::Request::Ping.encode()), proto::Response::Pong);
     let _ = std::fs::remove_dir_all(root);
 }

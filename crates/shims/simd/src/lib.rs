@@ -1,8 +1,8 @@
 //! Explicit-SIMD primitives behind runtime dispatch.
 //!
 //! This crate is the workspace's single home for `core::arch` intrinsics:
-//! `qsim` (gate kernels, reductions) and `qcheck` (SHA-256) call the safe
-//! wrappers here and stay `unsafe`-free themselves. Three rules govern
+//! `qsim` (gate kernels, reductions) and `qcheck` (SHA-256, CRC32) call the
+//! safe wrappers here and stay `unsafe`-free themselves. Three rules govern
 //! every kernel:
 //!
 //! 1. **Scalar is the oracle.** Every vector arm reproduces the scalar
@@ -27,11 +27,13 @@
 //! architecturally guaranteed, so `auto` is at least [`Level::Sse2`]
 //! there; on other architectures every level resolves to
 //! [`Level::Scalar`]. `QSIM_SIMD=scalar` also forces the scalar SHA-256
-//! backend, keeping one switch for every accelerated path.
+//! and CRC32 backends, keeping one switch for every accelerated path.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
+#[cfg(target_arch = "x86_64")]
+mod crc;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod sha;
@@ -113,6 +115,23 @@ fn sha_detected() -> bool {
         {
             std::arch::is_x86_feature_detected!("sha")
                 && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// Whether carry-less multiplication (plus the SSE4.1 extract the CRC
+/// fold ends on) is available.
+fn pclmul_detected() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("pclmulqdq")
                 && std::arch::is_x86_feature_detected!("sse4.1")
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -227,7 +246,7 @@ pub fn cpu_features() -> &'static str {
                     })*
                 };
             }
-            probe!("sse2", "ssse3", "sse4.1", "avx", "avx2", "sha");
+            probe!("sse2", "ssse3", "sse4.1", "avx", "avx2", "sha", "pclmulqdq");
             out.join(",")
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -255,6 +274,33 @@ pub fn sha256_compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
     // features were runtime-detected on this CPU.
     unsafe {
         sha::compress_blocks_shani(state, blocks);
+    }
+    true
+}
+
+/// Folds `data` into a CRC32 (IEEE 802.3, reflected) *internal* register
+/// with the carry-less-multiply backend. Returns `false` (without
+/// touching `state`) when the CPU lacks PCLMULQDQ/SSE4.1 or the SIMD
+/// switch forces `scalar` — the caller then runs its own table loop,
+/// which stays the oracle.
+///
+/// # Panics
+///
+/// Panics when `data.len()` is below 64 (the four 128-bit lanes the fold
+/// starts from) or not a multiple of 16.
+pub fn crc32_fold(state: &mut u32, data: &[u8]) -> bool {
+    assert!(
+        data.len() >= 64 && data.len().is_multiple_of(16),
+        "crc32_fold takes whole 16-byte blocks, at least four"
+    );
+    if !pclmul_detected() || active() == Level::Scalar {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: pclmul_detected() saw the pclmulqdq and sse4.1 features on
+    // this CPU, which is all the kernel requires (its loads are checked).
+    unsafe {
+        *state = crc::fold_pclmul(*state, data);
     }
     true
 }
@@ -596,6 +642,45 @@ mod tests {
                 0x19db06c1
             ]
         );
+    }
+
+    /// The fold kernel leaves the register a bit-at-a-time loop leaves,
+    /// from any incoming register, at every whole-block length, and
+    /// declines under the scalar override.
+    #[test]
+    fn crc32_fold_matches_bitwise() {
+        fn bitwise(mut state: u32, data: &[u8]) -> u32 {
+            for &b in data {
+                state ^= u32::from(b);
+                for _ in 0..8 {
+                    state = (state >> 1) ^ (0xEDB8_8320 & (state & 1).wrapping_neg());
+                }
+            }
+            state
+        }
+        let bytes: Vec<u8> = fill(30, 4096 + 7)
+            .iter()
+            .map(|x| x.to_bits() as u8)
+            .collect();
+        let mut state = 0u32;
+        assert!(!with_level(Level::Scalar, || crc32_fold(
+            &mut state,
+            &bytes[..64]
+        )));
+        assert_eq!(state, 0, "a declined call must not touch the register");
+        if !crc32_fold(&mut state, &bytes[..64]) {
+            return; // nothing to test without the hardware backend
+        }
+        for start in [0usize, 1, 7] {
+            for blocks in (4..40).chain([255, 256]) {
+                let data = &bytes[start..start + 16 * blocks];
+                for seed in [0u32, 0xFFFF_FFFF, 0x1234_5678] {
+                    let mut got = seed;
+                    assert!(crc32_fold(&mut got, data));
+                    assert_eq!(got, bitwise(seed, data), "start={start} blocks={blocks}");
+                }
+            }
+        }
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
