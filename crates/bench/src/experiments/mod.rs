@@ -2,7 +2,7 @@
 //! "Evaluation").
 //!
 //! Each module regenerates one table or figure of the evaluation and
-//! returns a [`crate::report::Table`]; the `src/bin/` wrappers print them.
+//! returns a [`crate::report::Table`]; the `run_all` binary prints them.
 
 pub mod fig1;
 pub mod fig2;
@@ -17,20 +17,22 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-/// Runs every experiment in index order, returning the rendered tables.
-pub fn run_all() -> Vec<crate::report::Table> {
-    vec![
-        table1::run(),
-        fig1::run(),
-        fig2::run(),
-        fig3::run(),
-        fig4::run(),
-        fig5::run(),
-        table2::run(),
-        fig6::run(),
-        table3::run(),
-        table4::run(),
-        fig7::run(),
-        fig8::run(),
-    ]
-}
+/// One experiment: its id in the README index and the function that
+/// regenerates it.
+pub type Experiment = (&'static str, fn() -> crate::report::Table);
+
+/// Every experiment, in index order.
+pub const ALL: [Experiment; 12] = [
+    ("table1", table1::run),
+    ("fig1", fig1::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("table2", table2::run),
+    ("fig6", fig6::run),
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+];

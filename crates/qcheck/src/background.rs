@@ -31,7 +31,6 @@ use std::thread::JoinHandle;
 use crate::error::{Error, Result};
 use crate::repo::{CheckpointRepo, SaveOptions, SaveReport};
 use crate::snapshot::TrainingSnapshot;
-use crate::store::ObjectStore;
 
 enum Job {
     Save(Box<TrainingSnapshot>),
@@ -52,9 +51,8 @@ pub struct BackgroundCheckpointer {
 }
 
 impl BackgroundCheckpointer {
-    /// Spawns the writer thread over `repo` (any storage backend) with
-    /// fixed save options.
-    pub fn spawn<S: ObjectStore + 'static>(repo: CheckpointRepo<S>, options: SaveOptions) -> Self {
+    /// Spawns the writer thread over `repo` with fixed save options.
+    pub fn spawn(repo: CheckpointRepo, options: SaveOptions) -> Self {
         // Capacity 1: one job may wait while one is being written.
         let (job_tx, job_rx) = sync_channel::<Job>(1);
         let (report_tx, report_rx) = sync_channel::<Result<SaveReport>>(1024);

@@ -96,9 +96,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let root = root.ok_or("serve needs a <root> directory")?;
     let mut config = ServerConfig::new(root);
     config.store_kind = kind;
-    // The daemon process runs no competing compute: connection handlers
-    // come from the qpar worker pool (dedicated threads past its cap).
-    config.handlers_on_pool = true;
     config.auth_token = auth_token.clone();
     if let Some(secs) = lease_ttl {
         config.lease_ttl = std::time::Duration::from_secs(secs);

@@ -14,17 +14,14 @@ use crate::manifest::CheckpointId;
 use crate::policy::{CheckpointPolicy, PolicyContext};
 use crate::repo::{CheckpointRepo, SaveOptions, SaveReport};
 use crate::snapshot::Checkpointable;
-use crate::store::{ObjectStore, StoreBackend};
 
 /// EWMA factor for the observed checkpoint cost.
 const COST_ALPHA: f64 = 0.3;
 
-/// Policy-driven checkpoint writer for a training loop. Generic over the
-/// repository's storage backend; defaults to the runtime-selected
-/// [`StoreBackend`].
+/// Policy-driven checkpoint writer for a training loop.
 #[derive(Debug)]
-pub struct Checkpointer<S: ObjectStore = StoreBackend> {
-    repo: CheckpointRepo<S>,
+pub struct Checkpointer {
+    repo: CheckpointRepo,
     policy: Box<dyn CheckpointPolicy + Send>,
     options: SaveOptions,
     started: Instant,
@@ -34,10 +31,10 @@ pub struct Checkpointer<S: ObjectStore = StoreBackend> {
     history: Vec<SaveReport>,
 }
 
-impl<S: ObjectStore> Checkpointer<S> {
+impl Checkpointer {
     /// Creates a checkpointer writing to `repo` under `policy`.
     pub fn new(
-        repo: CheckpointRepo<S>,
+        repo: CheckpointRepo,
         policy: Box<dyn CheckpointPolicy + Send>,
         options: SaveOptions,
     ) -> Self {
@@ -54,7 +51,7 @@ impl<S: ObjectStore> Checkpointer<S> {
     }
 
     /// The underlying repository.
-    pub fn repo(&self) -> &CheckpointRepo<S> {
+    pub fn repo(&self) -> &CheckpointRepo {
         &self.repo
     }
 

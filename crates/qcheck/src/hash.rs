@@ -8,7 +8,7 @@
 //! slice-by-8 over `const`-built tables in safe Rust (≥ 1 GB/s, on a par
 //! with the SHA-NI SHA-256 below); the bit-at-a-time loop they replaced was
 //! 6× slower than that SHA-256 and survives only as the test oracle
-//! ([`crc32_update_bitwise`]).
+//! (`crc32_update_bitwise`, test builds only).
 //!
 //! ## Hardware backends
 //!

@@ -2,9 +2,9 @@
 //! contract (documented in `crates/qcheck/README.md`) lives in one
 //! place. All handles gate on the process-wide `QOBS` mode.
 
-/// Completed [`crate::repo::Repository::save`] calls.
+/// Completed [`crate::repo::CheckpointRepo::save`] calls.
 pub static SAVES: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_saves_total");
-/// Completed [`crate::repo::Repository::recover`] calls.
+/// Completed [`crate::repo::CheckpointRepo::recover`] calls.
 pub static RECOVERS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_recovers_total");
 /// Completed GC sweeps.
 pub static GCS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_gc_total");

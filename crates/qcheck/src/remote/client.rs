@@ -47,20 +47,16 @@ use super::proto::{
     HELLO_FLAG_WANT_LEASE, MAX_CHUNK_PAYLOAD, PROTO_VERSION,
 };
 
-/// Environment variable tuning the transport retry budget: the number of
-/// *re*-attempts after the first failure (attempts = retries + 1).
-pub const RETRIES_ENV: &str = "QCHECK_REMOTE_RETRIES";
-
 /// Environment variable carrying the daemon auth token presented in the
 /// handshake (required for privileged operations when the daemon is
 /// configured with one).
 pub const TOKEN_ENV: &str = "QCHECK_REMOTE_TOKEN";
 
-/// Default transport retries after the first failure. Two retries give a
-/// failover client one shot at the dead primary, one at the next address
-/// and one spare — a deployment that fails three times in a row is down,
-/// and the caller should see that, not a hang.
-const DEFAULT_RETRIES: usize = 2;
+/// Transport retries after the first failure (attempts = retries + 1).
+/// Two retries give a failover client one shot at the dead primary, one
+/// at the next address and one spare — a deployment that fails three
+/// times in a row is down, and the caller should see that, not a hang.
+const RETRIES: usize = 2;
 
 /// Backoff base delay; attempt `n` waits roughly `base << (n-1)`.
 const BACKOFF_BASE_MS: u64 = 25;
@@ -68,34 +64,14 @@ const BACKOFF_BASE_MS: u64 = 25;
 /// Backoff ceiling per attempt.
 const BACKOFF_CAP_MS: u64 = 1000;
 
-/// Environment variable overriding the per-operation socket timeout
-/// (seconds). The default balances "a wedged daemon must surface as an
-/// error, not a silent training stall" against server-side operations
-/// that legitimately take a while (a sweep rewriting large packs).
-pub const TIMEOUT_ENV: &str = "QCHECK_REMOTE_TIMEOUT_SECS";
-
-/// Default connect timeout.
+/// Connect timeout.
 const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// Default read/write timeout per socket operation.
-const DEFAULT_IO_TIMEOUT_SECS: u64 = 60;
-
-fn io_timeout() -> std::time::Duration {
-    let secs = std::env::var(TIMEOUT_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(DEFAULT_IO_TIMEOUT_SECS);
-    std::time::Duration::from_secs(secs)
-}
-
-fn retry_budget() -> usize {
-    std::env::var(RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RETRIES)
-        .min(16)
-}
+/// Read/write timeout per socket operation. Balances "a wedged daemon
+/// must surface as an error, not a silent training stall" against
+/// server-side operations that legitimately take a while (a sweep
+/// rewriting large packs).
+const IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Splits a `host:port[,host:port…]` list into its addresses.
 fn parse_addr_list(spec: &str) -> Vec<String> {
@@ -192,7 +168,6 @@ pub struct RemoteStore {
     max_generation: AtomicU64,
     conn: Mutex<Option<Conn>>,
     round_trips: AtomicU64,
-    retries: usize,
 }
 
 impl std::fmt::Debug for RemoteStore {
@@ -250,7 +225,6 @@ impl RemoteStore {
             max_generation: AtomicU64::new(0),
             conn: Mutex::new(None),
             round_trips: AtomicU64::new(0),
-            retries: retry_budget(),
         };
         if !valid_namespace(&store.namespace) {
             return Err(Error::InvalidConfig(format!(
@@ -338,12 +312,11 @@ impl RemoteStore {
             .ok_or_else(|| Error::InvalidConfig(format!("{addr:?} resolves to no address")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT)
             .map_err(|e| Error::io(format!("connecting to qckptd at {addr}"), e))?;
-        let timeout = io_timeout();
         stream
-            .set_read_timeout(Some(timeout))
+            .set_read_timeout(Some(IO_TIMEOUT))
             .map_err(|e| Error::io("setting read timeout", e))?;
         stream
-            .set_write_timeout(Some(timeout))
+            .set_write_timeout(Some(IO_TIMEOUT))
             .map_err(|e| Error::io("setting write timeout", e))?;
         stream
             .set_nodelay(true)
@@ -462,7 +435,7 @@ impl RemoteStore {
     fn exchange_bodies(&self, context: &str, bodies: &[Vec<u8>]) -> Result<Vec<Response>> {
         let mut guard = self.lock_conn();
         let mut last_err: Option<Error> = None;
-        for attempt in 0..=self.retries {
+        for attempt in 0..=RETRIES {
             if attempt > 0 {
                 std::thread::sleep(backoff_delay(attempt));
             }
@@ -762,29 +735,16 @@ impl ObjectStore for RemoteStore {
         }
     }
 
-    fn sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
+    fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport> {
         match self.request(
             "sweeping",
             Request::Sweep {
-                dry_run: false,
+                dry_run,
                 reachable: reachable.iter().copied().collect(),
             },
         )? {
             Response::Gc(report) => Ok(report),
             other => Err(unexpected("sweeping", &other)),
-        }
-    }
-
-    fn plan_sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
-        match self.request(
-            "planning sweep",
-            Request::Sweep {
-                dry_run: true,
-                reachable: reachable.iter().copied().collect(),
-            },
-        )? {
-            Response::Gc(report) => Ok(report),
-            other => Err(unexpected("planning sweep", &other)),
         }
     }
 
@@ -951,7 +911,6 @@ mod tests {
         let root = scratch("no-retry");
         let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
         let store = RemoteStore::connect(daemon.addr(), "judged").unwrap();
-        assert!(store.retries > 0, "retry budget must exist for this test");
         let before = store.round_trips();
         let err = store.meta_put("../escape", b"x").unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");

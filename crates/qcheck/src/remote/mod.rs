@@ -33,7 +33,7 @@ pub mod repl;
 mod client;
 mod server;
 
-pub use client::{RemoteStatus, RemoteStore, RETRIES_ENV, TOKEN_ENV};
+pub use client::{RemoteStatus, RemoteStore, TOKEN_ENV};
 pub use repl::{ReplStop, ReplicateConfig, SyncReport};
 pub use server::{
     spawn_daemon, spawn_secondary, DaemonHandle, Server, ServerConfig, DEFAULT_LEASE_TTL,
@@ -145,7 +145,7 @@ mod tests {
         let (ra, _) = a.put(b"shared bytes").unwrap();
         assert!(!b.contains(&ra.hash), "namespaces must not leak objects");
         // A full sweep of B must not touch A's object.
-        b.sweep(&std::collections::BTreeSet::new()).unwrap();
+        b.sweep(&std::collections::BTreeSet::new(), false).unwrap();
         assert_eq!(a.get(&ra).unwrap(), b"shared bytes");
         let _ = std::fs::remove_dir_all(root);
     }

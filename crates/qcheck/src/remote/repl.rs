@@ -590,7 +590,7 @@ fn apply_op(ns: &super::server::Namespace, op: &OplogOp) -> Result<()> {
         OplogOp::MetaDelete { name } => ns.meta_delete(name),
         OplogOp::Sweep { reachable } => {
             let set: std::collections::BTreeSet<_> = reachable.iter().copied().collect();
-            ns.store.sweep(&set).map(|_| ())
+            ns.store.sweep(&set, false).map(|_| ())
         }
     }
 }

@@ -47,15 +47,10 @@
 //!
 //! ## Threading
 //!
-//! One handler runs per connection. The standalone `qckptd` daemon
-//! draws handlers from the shared [`qpar`] worker pool
-//! ([`ServerConfig::handlers_on_pool`] — its process runs no competing
-//! compute; encode parallelism runs client-side), falling back to
-//! dedicated threads when the pool is disabled or saturated so
-//! accepting never blocks behind slow peers. Embedded (in-process)
-//! servers use dedicated threads unconditionally: they share the pool
-//! with the trainer's own fan-outs, and a handler parked on a pool
-//! worker there could deadlock the compute that feeds it.
+//! One handler runs per connection, on a dedicated thread — in the
+//! standalone `qckptd` daemon and in embedded (in-process) servers
+//! alike — so accepting never blocks behind slow peers and a handler
+//! never occupies a worker the embedding trainer's fan-outs wait for.
 //!
 //! Namespace state is created lazily on first use and shared between
 //! connections through a mutex-guarded map; the [`StoreBackend`]s
@@ -105,14 +100,6 @@ pub struct ServerConfig {
     /// frames (handshake excluded). Exercises the client's
     /// reconnect-and-replay path; `None` in production.
     pub drop_after_requests: Option<u64>,
-    /// Draw connection handlers from the shared [`qpar`] worker pool
-    /// (the standalone `qckptd` daemon turns this on — its process runs
-    /// no competing compute). Leave off when the server is embedded in
-    /// a process that also fans compute out through the pool: a handler
-    /// parked on a pool worker while that process waits for pool
-    /// compute is a deadlock. Off, every connection gets a dedicated
-    /// thread.
-    pub handlers_on_pool: bool,
     /// Auth token required for privileged operations (shutdown,
     /// destructive sweep, promote, replication streams). `None` keeps
     /// the v1 behavior: loopback is the only control boundary.
@@ -133,7 +120,6 @@ impl ServerConfig {
             store_kind: StoreKind::Pack,
             gc_dead_fraction: None,
             drop_after_requests: None,
-            handlers_on_pool: false,
             auth_token: None,
             lease_ttl: DEFAULT_LEASE_TTL,
             replicate: None,
@@ -625,10 +611,9 @@ impl Server {
         self.addr
     }
 
-    /// Serves connections until a client sends `Shutdown`. Each
-    /// connection is handled on a [`qpar`] pool worker when one is
-    /// available, else on a dedicated thread. A secondary additionally
-    /// runs its tailer thread here (unless configured manual).
+    /// Serves connections until a client sends `Shutdown`, each on a
+    /// dedicated thread. A secondary additionally runs its tailer
+    /// thread here (unless configured manual).
     ///
     /// # Errors
     ///
@@ -672,7 +657,7 @@ impl Server {
             let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
             OBS_CONNECTIONS.inc();
             OBS_INFLIGHT.add(1);
-            let busy = shared.active.fetch_add(1, Ordering::Relaxed) as usize;
+            shared.active.fetch_add(1, Ordering::Relaxed);
             let serving = Arc::new(AtomicBool::new(false));
             if let Ok(dup) = stream.try_clone() {
                 shared
@@ -681,8 +666,7 @@ impl Server {
                     .expect("socks poisoned")
                     .insert(conn_id, (dup, Arc::clone(&serving)));
             }
-            let on_pool = self.shared.config.handlers_on_pool;
-            let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+            std::thread::spawn(move || {
                 let _ = handle_connection(&shared, stream, &serving);
                 shared
                     .socks
@@ -692,18 +676,6 @@ impl Server {
                 shared.active.fetch_sub(1, Ordering::Relaxed);
                 OBS_INFLIGHT.sub(1);
             });
-            match on_pool {
-                // Pool unavailable or saturated: a dedicated thread
-                // preserves the one-handler-per-connection contract.
-                true => {
-                    if let Err(job) = qpar::pool::spawn_detached(busy, job) {
-                        std::thread::spawn(job);
-                    }
-                }
-                false => {
-                    std::thread::spawn(job);
-                }
-            }
         }
         // Graceful drain: close *idle* connections (handlers parked in
         // `read_frame` between requests) immediately, let handlers that
@@ -1211,16 +1183,16 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
         }
         Request::Sweep { dry_run, reachable } => {
             let ns = shared.namespace(namespace)?;
-            if dry_run {
-                // Planning is a read; no gate.
-                let reachable = reachable.into_iter().collect();
-                return Ok(Response::Gc(ns.store.plan_sweep(&reachable)?));
+            // Planning is a read; only the real sweep is gated and logged.
+            if !dry_run {
+                guard_privileged(shared, ctx, "destructive sweep")?;
+                guard_write(shared, ctx, "sweep")?;
             }
-            guard_privileged(shared, ctx, "destructive sweep")?;
-            guard_write(shared, ctx, "sweep")?;
             let set = reachable.iter().copied().collect();
-            let report = ns.store.sweep(&set)?;
-            ns.oplog.append(&OplogOp::Sweep { reachable })?;
+            let report = ns.store.sweep(&set, dry_run)?;
+            if !dry_run {
+                ns.oplog.append(&OplogOp::Sweep { reachable })?;
+            }
             Ok(Response::Gc(report))
         }
         Request::Stats => {

@@ -312,16 +312,14 @@ struct SectionEncode {
     compressed: Vec<u8>,
 }
 
-/// An on-disk checkpoint repository, generic over its [`ObjectStore`]
-/// backend. The default backend is the runtime-selected [`StoreBackend`]
-/// (`QCHECK_STORE=loose|pack`, sticky per repository via the `STORE`
-/// marker); a concrete backend type can be injected with
-/// [`CheckpointRepo::with_store`].
+/// An on-disk checkpoint repository over a runtime-selected
+/// [`StoreBackend`] (`QCHECK_STORE=loose|pack|remote`, sticky per
+/// repository via the `STORE` marker).
 #[derive(Debug)]
-pub struct CheckpointRepo<S: ObjectStore = StoreBackend> {
+pub struct CheckpointRepo {
     root: PathBuf,
     tmp_dir: PathBuf,
-    store: S,
+    store: StoreBackend,
     seq: Mutex<u64>,
     /// Cached replay of the manifest log. `None` forces a from-disk
     /// replay on next access; a cached state is cross-checked against
@@ -357,7 +355,7 @@ struct EncodeCache {
     chain_chunks: Vec<crate::hash::ContentHash>,
 }
 
-impl CheckpointRepo<StoreBackend> {
+impl CheckpointRepo {
     /// Opens a repository, creating the layout when absent. The storage
     /// backend is resolved from the repository's sticky `STORE` marker
     /// when present, else from `QCHECK_STORE` (default: pack).
@@ -379,28 +377,36 @@ impl CheckpointRepo<StoreBackend> {
     /// Fails on filesystem errors.
     pub fn open_with(root: impl AsRef<Path>, kind: StoreKind) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
+        // Before the backend opens: `open_sticky` writes the `STORE`
+        // marker, and a refused directory must be left as it was found.
+        Self::refuse_legacy_layout(&root)?;
         fs::create_dir_all(&root)
             .map_err(|e| Error::io(format!("creating {}", root.display()), e))?;
         let store = StoreBackend::open_sticky(&root, kind)?;
-        Self::with_store(root, store)
+        Self::build(root, store)
     }
 
     /// Which storage layout this repository uses.
     pub fn store_kind(&self) -> StoreKind {
         self.store.kind()
     }
-}
 
-impl<S: ObjectStore> CheckpointRepo<S> {
-    /// Builds a repository around an already-opened backend. This is the
-    /// generic constructor; most callers want [`CheckpointRepo::open`].
+    /// Builds a repository around an already-opened backend; most
+    /// callers want [`CheckpointRepo::open`].
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors.
-    pub fn with_store(root: impl AsRef<Path>, store: S) -> Result<Self> {
+    /// Fails on filesystem errors, or with [`Error::InvalidConfig`] on a
+    /// directory in the pre-log layout.
+    pub fn with_store(root: impl AsRef<Path>, store: StoreBackend) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
         Self::refuse_legacy_layout(&root)?;
+        Self::build(root, store)
+    }
+
+    /// What both constructors share once the layout check has passed:
+    /// the staging directory, the metadata pull and the id sequence.
+    fn build(root: PathBuf, store: StoreBackend) -> Result<Self> {
         let tmp_dir = root.join("tmp");
         fs::create_dir_all(&tmp_dir)
             .map_err(|e| Error::io(format!("creating {}", tmp_dir.display()), e))?;
@@ -435,13 +441,13 @@ impl<S: ObjectStore> CheckpointRepo<S> {
     }
 
     /// The underlying object store.
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &StoreBackend {
         &self.store
     }
 
     /// Mutable access to the underlying object store (per-handle tuning
     /// hooks such as `StoreBackend::set_gc_dead_fraction`).
-    pub fn store_mut(&mut self) -> &mut S {
+    pub fn store_mut(&mut self) -> &mut StoreBackend {
         &mut self.store
     }
 
@@ -1589,7 +1595,7 @@ impl<S: ObjectStore> CheckpointRepo<S> {
     pub fn gc(&self) -> Result<GcReport> {
         let _span = qobs::span("qcheck.gc");
         crate::obs::GCS.inc();
-        self.store.sweep(&self.reachable_chunks()?)
+        self.store.sweep(&self.reachable_chunks()?, false)
     }
 
     /// Read-only preview of what [`CheckpointRepo::gc`] would do right
@@ -1600,7 +1606,7 @@ impl<S: ObjectStore> CheckpointRepo<S> {
     ///
     /// Fails on filesystem errors.
     pub fn gc_plan(&self) -> Result<GcReport> {
-        self.store.plan_sweep(&self.reachable_chunks()?)
+        self.store.sweep(&self.reachable_chunks()?, true)
     }
 
     /// The chunk hashes referenced by every intact manifest.

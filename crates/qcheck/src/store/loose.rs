@@ -170,7 +170,7 @@ impl ObjectStore for LooseStore {
         Ok(out)
     }
 
-    fn sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
+    fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport> {
         let mut report = GcReport::default();
         let mut live_stats = StoreStats::default();
         for hash in self.list()? {
@@ -181,29 +181,18 @@ impl ObjectStore for LooseStore {
                 live_stats.object_count += 1;
                 live_stats.total_bytes += len;
             } else {
-                fs::remove_file(&path)
-                    .map_err(|e| Error::io(format!("deleting {}", path.display()), e))?;
+                if !dry_run {
+                    fs::remove_file(&path)
+                        .map_err(|e| Error::io(format!("deleting {}", path.display()), e))?;
+                }
                 report.deleted += 1;
                 report.reclaimed_bytes += len;
             }
         }
-        // The sweep walked everything, so the cache becomes exact.
-        *self.stats_cache.lock().expect("stats lock") = Some(live_stats);
-        self.clear_staging()?;
-        Ok(report)
-    }
-
-    fn plan_sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
-        let mut report = GcReport::default();
-        for hash in self.list()? {
-            if reachable.contains(&hash) {
-                report.live += 1;
-            } else {
-                report.deleted += 1;
-                report.reclaimed_bytes += fs::metadata(self.object_path(&hash))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-            }
+        if !dry_run {
+            // The sweep walked everything, so the cache becomes exact.
+            *self.stats_cache.lock().expect("stats lock") = Some(live_stats);
+            self.clear_staging()?;
         }
         Ok(report)
     }
@@ -352,7 +341,7 @@ mod tests {
             store.walk_stats().unwrap(),
             "cache must match the directory"
         );
-        let report = store.sweep(&BTreeSet::new()).unwrap();
+        let report = store.sweep(&BTreeSet::new(), false).unwrap();
         assert_eq!(report.deleted, 2);
         assert_eq!(store.stats().unwrap(), StoreStats::default());
     }
@@ -400,7 +389,7 @@ mod tests {
         let (drop2, _) = store.put(b"drop me 2").unwrap();
         let mut reachable = BTreeSet::new();
         reachable.insert(keep.hash);
-        let report = store.sweep(&reachable).unwrap();
+        let report = store.sweep(&reachable, false).unwrap();
         assert_eq!(report.live, 1);
         assert_eq!(report.deleted, 2);
         assert!(report.reclaimed_bytes >= 18);

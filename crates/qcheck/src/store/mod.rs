@@ -190,24 +190,17 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     fn list(&self) -> Result<Vec<ContentHash>>;
 
     /// Mark-and-sweep garbage collection: deletes every object whose hash
-    /// is not in `reachable`, and clears stale staging files.
+    /// is not in `reachable`, and clears stale staging files. With
+    /// `dry_run` nothing is deleted or rewritten and the report is the
+    /// one a sweep against `reachable` would produce *right now* —
+    /// including the pack backend's compaction-deferral counters
+    /// (`qckpt stats` surfaces fragmentation this way, read-only).
     ///
     /// # Errors
     ///
     /// Fails on filesystem errors; a partially completed sweep is safe
     /// (reachable objects are never deleted).
-    fn sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport>;
-
-    /// Dry-run of [`ObjectStore::sweep`]: the report a sweep against
-    /// `reachable` would produce *right now* — including the pack
-    /// backend's compaction-deferral counters — without deleting or
-    /// rewriting anything. `qckpt stats` uses this to surface
-    /// fragmentation read-only.
-    ///
-    /// # Errors
-    ///
-    /// Fails on directory-walk errors.
-    fn plan_sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport>;
+    fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport>;
 
     /// Object count and total logical bytes. Maintained incrementally by
     /// this handle's writes and sweeps — no full directory re-walk per
@@ -631,12 +624,8 @@ impl ObjectStore for StoreBackend {
         delegate!(self, s => s.list())
     }
 
-    fn sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
-        delegate!(self, s => s.sweep(reachable))
-    }
-
-    fn plan_sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
-        delegate!(self, s => s.plan_sweep(reachable))
+    fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport> {
+        delegate!(self, s => s.sweep(reachable, dry_run))
     }
 
     fn stats(&self) -> Result<StoreStats> {

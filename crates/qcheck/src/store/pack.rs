@@ -627,7 +627,7 @@ impl ObjectStore for PackStore {
         Ok(index.objects.keys().copied().collect())
     }
 
-    fn sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
+    fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport> {
         let mut index = self.lock();
         self.refresh(&mut index)?;
         let mut report = GcReport::default();
@@ -665,6 +665,9 @@ impl ObjectStore for PackStore {
             }
             report.deleted += dead_count;
             report.reclaimed_bytes += dead_bytes;
+            if dry_run {
+                continue;
+            }
             let name = index.packs[slot as usize]
                 .clone()
                 .expect("swept slot is live");
@@ -703,43 +706,8 @@ impl ObjectStore for PackStore {
             let _ = fs::remove_file(&old_path);
         }
         drop(index);
-        self.clear_staging()?;
-        Ok(report)
-    }
-
-    fn plan_sweep(&self, reachable: &BTreeSet<ContentHash>) -> Result<GcReport> {
-        let mut index = self.lock();
-        self.refresh(&mut index)?;
-        let mut report = GcReport::default();
-        // Same per-pack grouping and threshold arithmetic as `sweep`,
-        // with the I/O arms replaced by accounting.
-        let mut per_pack: BTreeMap<u32, Vec<(ContentHash, ObjLoc)>> = BTreeMap::new();
-        for (hash, loc) in &index.objects {
-            per_pack.entry(loc.pack).or_default().push((*hash, *loc));
-        }
-        for entries in per_pack.values() {
-            let live = entries
-                .iter()
-                .filter(|(h, _)| reachable.contains(h))
-                .count();
-            let dead_count = entries.len() - live;
-            let dead_bytes: u64 = entries
-                .iter()
-                .filter(|(h, _)| !reachable.contains(h))
-                .map(|(_, loc)| loc.len as u64)
-                .sum();
-            report.live += live;
-            if dead_count == 0 {
-                continue;
-            }
-            let dead_fraction = dead_count as f64 / entries.len() as f64;
-            if live > 0 && dead_fraction <= self.gc_dead_fraction {
-                report.deferred += dead_count;
-                report.deferred_bytes += dead_bytes;
-            } else {
-                report.deleted += dead_count;
-                report.reclaimed_bytes += dead_bytes;
-            }
+        if !dry_run {
+            self.clear_staging()?;
         }
         Ok(report)
     }
@@ -973,7 +941,7 @@ mod tests {
         let (r, _) = a.put(b"reappearing content").unwrap();
         // A second handle sweeps the (currently unreachable) object away…
         let b = PackStore::open(dir.path()).unwrap();
-        b.sweep(&BTreeSet::new()).unwrap();
+        b.sweep(&BTreeSet::new(), false).unwrap();
         // …so A's next put of the same content must NOT dedup against its
         // stale index: that would commit a reference to a hole.
         let (r2, fresh) = a.put(b"reappearing content").unwrap();
@@ -1046,7 +1014,7 @@ mod tests {
         // The writer's sweep rewrites the pack under the reader, whose
         // index still names the deleted file.
         let live: BTreeSet<ContentHash> = refs[..2].iter().map(|r| r.hash).collect();
-        writer.sweep(&live).unwrap();
+        writer.sweep(&live, false).unwrap();
         *reader.mru_pack.lock().unwrap() = None;
         assert_eq!(reader.get_many(&refs[..2]).unwrap(), blobs[..2]);
         assert!(matches!(
@@ -1080,7 +1048,7 @@ mod tests {
         // zero GC I/O, the fragmentation is only recorded.
         let reachable: BTreeSet<ContentHash> =
             staged[..3].iter().map(|s| s.reference.hash).collect();
-        let report = store.sweep(&reachable).unwrap();
+        let report = store.sweep(&reachable, false).unwrap();
         assert_eq!(report.deleted, 0);
         assert_eq!(report.deferred, 1);
         assert_eq!(report.deferred_bytes, 200);
@@ -1096,7 +1064,7 @@ mod tests {
         // rewritten down to the single live object.
         let reachable: BTreeSet<ContentHash> =
             staged[..1].iter().map(|s| s.reference.hash).collect();
-        let report = store.sweep(&reachable).unwrap();
+        let report = store.sweep(&reachable, false).unwrap();
         assert_eq!(report.deleted, 3);
         assert_eq!(report.deferred, 0);
         assert_eq!(report.reclaimed_bytes, 600);
@@ -1112,7 +1080,7 @@ mod tests {
         let (dir, mut store) = temp_store();
         store.set_gc_dead_fraction(1.0);
         store.put_batch(&stage(&[vec![9u8; 400]]), false).unwrap();
-        let report = store.sweep(&BTreeSet::new()).unwrap();
+        let report = store.sweep(&BTreeSet::new(), false).unwrap();
         assert_eq!(report.deleted, 1);
         assert_eq!(report.deferred, 0);
         assert!(pack_files(&dir).is_empty());
@@ -1133,7 +1101,7 @@ mod tests {
 
         let mut reachable = BTreeSet::new();
         reachable.insert(staged[0].reference.hash);
-        let report = store.sweep(&reachable).unwrap();
+        let report = store.sweep(&reachable, false).unwrap();
         assert_eq!(report.live, 1);
         assert_eq!(report.deleted, 3);
         assert_eq!(report.reclaimed_bytes, 900);
@@ -1160,7 +1128,7 @@ mod tests {
         store.put_batch(&staged, false).unwrap();
         let before = pack_files(&dir);
         let reachable: BTreeSet<ContentHash> = staged.iter().map(|s| s.reference.hash).collect();
-        let report = store.sweep(&reachable).unwrap();
+        let report = store.sweep(&reachable, false).unwrap();
         assert_eq!(report.deleted, 0);
         assert_eq!(report.live, 2);
         assert_eq!(

@@ -79,7 +79,7 @@ impl FsckReport {
 ///
 /// Fails only on filesystem-level errors (permission, I/O); damage is
 /// reported, not raised.
-pub fn fsck<S: ObjectStore>(repo: &CheckpointRepo<S>) -> Result<FsckReport> {
+pub fn fsck(repo: &CheckpointRepo) -> Result<FsckReport> {
     let mut report = FsckReport::default();
     let ids = repo.list_ids()?;
     let mut referenced: std::collections::BTreeSet<crate::hash::ContentHash> =
@@ -159,10 +159,7 @@ pub fn fsck<S: ObjectStore>(repo: &CheckpointRepo<S>) -> Result<FsckReport> {
 /// # Errors
 ///
 /// Fails when the checkpoint cannot be loaded or verified.
-pub fn export_bundle<S: ObjectStore>(
-    repo: &CheckpointRepo<S>,
-    id: &CheckpointId,
-) -> Result<Vec<u8>> {
+pub fn export_bundle(repo: &CheckpointRepo, id: &CheckpointId) -> Result<Vec<u8>> {
     let snapshot = repo.load(id)?;
     let mut payload = Encoder::new();
     let sections = snapshot.to_sections();
@@ -239,10 +236,7 @@ pub fn read_bundle(bytes: &[u8]) -> Result<(CheckpointId, TrainingSnapshot)> {
 /// # Errors
 ///
 /// Fails on bundle verification or save errors.
-pub fn import_bundle<S: ObjectStore>(
-    repo: &CheckpointRepo<S>,
-    bytes: &[u8],
-) -> Result<CheckpointId> {
+pub fn import_bundle(repo: &CheckpointRepo, bytes: &[u8]) -> Result<CheckpointId> {
     let (_, snapshot) = read_bundle(bytes)?;
     let report = repo.save(&snapshot, &SaveOptions::default())?;
     Ok(report.id)

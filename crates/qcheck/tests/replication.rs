@@ -373,8 +373,8 @@ fn auth_token_gates_shutdown_sweep_and_replication() {
     let anon = RemoteStore::connect_opts(daemon.addr(), "authed", None).unwrap();
     let (r, _) = anon.put(b"data plane is open").unwrap();
     assert_eq!(anon.get(&r).unwrap(), b"data plane is open");
-    anon.plan_sweep(&BTreeSet::new()).unwrap(); // dry-run: harmless
-    let err = anon.sweep(&BTreeSet::new()).unwrap_err();
+    anon.sweep(&BTreeSet::new(), true).unwrap(); // dry-run: harmless
+    let err = anon.sweep(&BTreeSet::new(), false).unwrap_err();
     assert!(
         matches!(err, Error::Unauthorized(_)),
         "destructive sweep: {err}"
@@ -401,7 +401,7 @@ fn auth_token_gates_shutdown_sweep_and_replication() {
     auth_secondary.repl_sync(None).unwrap();
 
     let authed = RemoteStore::connect_opts(daemon.addr(), "authed", Some("sekrit".into())).unwrap();
-    authed.sweep(&BTreeSet::new()).unwrap();
+    authed.sweep(&BTreeSet::new(), false).unwrap();
     authed.shutdown_daemon().unwrap();
 }
 

@@ -695,18 +695,22 @@ fn torn_log_tail_opens_longest_valid_prefix_on_every_backend() {
     }
 }
 
-/// Every file under `dir`, by relative path, with its bytes.
-fn file_map(dir: &std::path::Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+/// Every entry under `dir` by relative path: a file maps to its bytes,
+/// a directory to `None`.
+fn file_map(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<std::path::PathBuf, Option<Vec<u8>>> {
     let mut out = std::collections::BTreeMap::new();
     let mut pending = vec![dir.to_path_buf()];
     while let Some(next) = pending.pop() {
         for entry in std::fs::read_dir(&next).unwrap().flatten() {
             let path = entry.path();
+            let rel = path.strip_prefix(dir).unwrap().to_path_buf();
             if path.is_dir() {
+                out.insert(rel, None);
                 pending.push(path);
             } else {
-                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
-                out.insert(rel, std::fs::read(&path).unwrap());
+                out.insert(rel, Some(std::fs::read(&path).unwrap()));
             }
         }
     }
@@ -776,6 +780,82 @@ fn legacy_layout_is_refused_untouched() {
             file_map(&work),
             before,
             "{backend}: a refused open must not add, remove or change a file"
+        );
+    }
+
+    // A directory this build has never opened — no `STORE` marker and no
+    // `tmp/` for the refusal to find already in place.
+    for kind in [StoreKind::Loose, StoreKind::Pack] {
+        let dir = TempDir::new("legacy-unopened");
+        std::fs::create_dir_all(dir.0.join("manifests")).unwrap();
+        std::fs::write(dir.0.join("manifests/ckpt-00000000.qmf"), b"old manifest").unwrap();
+        std::fs::write(dir.0.join("LATEST"), "ckpt-00000000").unwrap();
+        std::fs::create_dir_all(dir.0.join("objects/ab")).unwrap();
+        std::fs::write(dir.0.join("objects/ab/cdef"), b"old chunk").unwrap();
+        let before = file_map(&dir.0);
+        let refusal = CheckpointRepo::open_with(&dir.0, kind).err();
+        assert!(
+            matches!(refusal, Some(qcheck::error::Error::InvalidConfig(_))),
+            "{kind}: expected InvalidConfig, got {refusal:?}"
+        );
+        assert_eq!(
+            file_map(&dir.0),
+            before,
+            "{kind}: a refused open must not add a marker or a directory"
+        );
+    }
+}
+
+/// A dry-run sweep changes no file — client side or daemon side — and
+/// its report is the report of the real sweep that follows, deferral
+/// counters included, on every backend.
+#[test]
+fn dry_run_sweep_changes_no_file_and_predicts_the_sweep() {
+    for backend in ["loose", "pack", "remote"] {
+        let dir = TempDir::new("dry-run");
+        let kind = StoreKind::parse(backend).unwrap();
+        let (_daemon, repo) = if kind == StoreKind::Remote {
+            let (daemon, repo) = remote_repo(&dir.0, "dry-run");
+            (Some(daemon), repo)
+        } else {
+            (None, CheckpointRepo::open_with(&dir.0, kind).unwrap())
+        };
+        // Incompressible parameters spanning many chunks, changed only
+        // at the tail: save 1 writes every chunk, saves 2 and 3 the few
+        // that differ, so retiring 1 and 2 leaves the first pack mostly
+        // live (a deferral at the default dead fraction); the crashed
+        // save leaves chunks nothing references.
+        let mut params: Vec<f64> = (0..8 * N_PARAMS).map(|i| (i as f64 * 1.7).sin()).collect();
+        for step in 1..=3u64 {
+            *params.last_mut().unwrap() += step as f64;
+            repo.save(&snapshot_at(step, &params), &options(SaveMode::Full))
+                .unwrap();
+        }
+        params.iter_mut().for_each(|p| *p = -*p);
+        let crashing = SaveOptions {
+            crash: Some(CrashPoint::AfterChunkWrites),
+            ..options(SaveMode::Full)
+        };
+        repo.save(&snapshot_at(4, &params), &crashing).unwrap_err();
+        // Retire without collecting: the crash fires before the GC.
+        repo.apply_retention_with(Retention::KeepLast(1), Some(CrashPoint::AfterRetireLocal))
+            .unwrap_err();
+
+        let before = file_map(&dir.0);
+        let plan = repo.gc_plan().unwrap();
+        assert_eq!(
+            file_map(&dir.0),
+            before,
+            "{backend}: a dry run must not add, remove or change a file"
+        );
+        assert!(plan.deleted > 0, "{backend}: nothing to sweep: {plan:?}");
+        if kind == StoreKind::Pack {
+            assert!(plan.deferred > 0, "pack: no deferral exercised: {plan:?}");
+        }
+        assert_eq!(
+            repo.gc().unwrap(),
+            plan,
+            "{backend}: the real sweep must report what the dry run predicted"
         );
     }
 }

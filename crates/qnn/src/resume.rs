@@ -14,7 +14,7 @@ use qcheck::manifest::CheckpointId;
 use qcheck::policy::CheckpointPolicy;
 use qcheck::repo::{CheckpointRepo, RepoLock, SaveOptions, SaveReport};
 use qcheck::snapshot::Checkpointable;
-use qcheck::store::{ObjectStore, StoreBackend};
+use qcheck::store::ObjectStore;
 
 use crate::trainer::{StepReport, TrainError, Trainer};
 
@@ -67,14 +67,12 @@ pub enum RunStart {
     },
 }
 
-/// A training run bound to a checkpoint repository. Generic over the
-/// repository's storage backend: pass a repo opened with
-/// `CheckpointRepo::open` (backend resolved via `QCHECK_STORE` / the
-/// sticky `STORE` marker) or with an explicitly injected store.
+/// A training run bound to a checkpoint repository (backend resolved
+/// via `QCHECK_STORE` / the repository's sticky `STORE` marker).
 #[derive(Debug)]
-pub struct ResumableRun<S: ObjectStore = StoreBackend> {
+pub struct ResumableRun {
     trainer: Trainer,
-    checkpointer: Checkpointer<S>,
+    checkpointer: Checkpointer,
     start: RunStart,
     /// Writer exclusion for *shared* (daemon-backed) repositories: the
     /// namespace's server-side lease, acquired before recovery so two
@@ -84,7 +82,7 @@ pub struct ResumableRun<S: ObjectStore = StoreBackend> {
     _lock: Option<RepoLock>,
 }
 
-impl<S: ObjectStore> ResumableRun<S> {
+impl ResumableRun {
     /// Builds the run: constructs the trainer, then resumes from the newest
     /// valid checkpoint when one exists.
     ///
@@ -95,7 +93,7 @@ impl<S: ObjectStore> ResumableRun<S> {
     /// between runs — refusing loudly beats silently restarting).
     pub fn start(
         trainer: Trainer,
-        repo: CheckpointRepo<S>,
+        repo: CheckpointRepo,
         policy: Box<dyn CheckpointPolicy + Send>,
         options: SaveOptions,
     ) -> Result<Self, RunError> {
@@ -141,7 +139,7 @@ impl<S: ObjectStore> ResumableRun<S> {
     }
 
     /// The checkpointer (history, observed cost).
-    pub fn checkpointer(&self) -> &Checkpointer<S> {
+    pub fn checkpointer(&self) -> &Checkpointer {
         &self.checkpointer
     }
 

@@ -224,71 +224,9 @@ pub fn run_owned<R: Send + 'static>(jobs: Vec<Box<dyn FnOnce() -> R + Send>>) ->
     out
 }
 
-/// Runs one owned job on a pool worker without blocking the caller —
-/// the fire-and-forget sibling of [`run_owned`], used for long-lived
-/// tasks such as `qckptd` connection handlers. `busy` is the number of
-/// pool workers the caller believes are already occupied by detached
-/// jobs; the pool grows to `busy + 1` workers (up to
-/// [`MAX_POOL_WORKERS`]) so a new job is not starved behind them.
-///
-/// Hands the job back (`Err(job)`) when the pool is disabled for this
-/// thread, already saturated past `busy + 1` ≥ [`MAX_POOL_WORKERS`], or
-/// no worker could be spawned; the caller should then run it on a
-/// dedicated thread. The saturation check matters for long-lived jobs:
-/// queueing a connection handler behind [`MAX_POOL_WORKERS`] other
-/// handlers would starve it indefinitely, which is worse than one extra
-/// thread.
-#[allow(clippy::type_complexity)]
-pub fn spawn_detached(
-    busy: usize,
-    job: Box<dyn FnOnce() + Send + 'static>,
-) -> std::result::Result<(), Box<dyn FnOnce() + Send + 'static>> {
-    if !enabled() || in_worker() || busy.saturating_add(1) > MAX_POOL_WORKERS {
-        return Err(job);
-    }
-    if ensure_workers(busy.saturating_add(1)) <= busy {
-        return Err(job);
-    }
-    pool()
-        .sender
-        .send(instrumented(job))
-        .expect("pool queue receiver lives as long as the process");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spawn_detached_runs_the_job() {
-        let (tx, rx) = channel();
-        let ok = spawn_detached(
-            0,
-            Box::new(move || {
-                let _ = tx.send(42u8);
-            }),
-        );
-        if ok.is_ok() {
-            assert_eq!(
-                rx.recv_timeout(std::time::Duration::from_secs(10)).ok(),
-                Some(42)
-            );
-        }
-    }
-
-    #[test]
-    fn spawn_detached_hands_the_job_back_when_disabled() {
-        with_enabled(false, || {
-            let job = spawn_detached(0, Box::new(|| {})).expect_err("pool is off");
-            job(); // still runnable by the caller
-        });
-    }
-
-    #[test]
-    fn spawn_detached_refuses_past_the_worker_cap() {
-        assert!(spawn_detached(MAX_POOL_WORKERS, Box::new(|| {})).is_err());
-    }
 
     #[test]
     fn run_owned_preserves_job_order() {

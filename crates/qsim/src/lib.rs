@@ -21,8 +21,6 @@
 //!   behind [`circuit::Circuit::run_on`] (see `crates/qsim/README.md`).
 //! * [`pauli`] — Pauli-string observables ([`pauli::PauliSum`]).
 //! * [`measure`] — shot-based estimation ([`measure::EvalMode`]).
-//! * [`noise`] — stochastic trajectory noise ([`noise::NoiseModel`]).
-//! * [`density`] — exact density-matrix cross-checker for small registers.
 //!
 //! ## Threading model
 //!
@@ -82,23 +80,19 @@
 
 pub mod circuit;
 pub mod complex;
-pub mod density;
 pub mod gate;
 pub mod measure;
-pub mod noise;
 pub mod pauli;
 pub mod plan;
 pub mod rng;
 pub mod state;
 #[cfg(feature = "testing")]
 pub mod testing;
-pub mod text;
 
 pub use circuit::{Circuit, CircuitError, Op, ParamRef};
 pub use complex::Complex64;
 pub use gate::Gate;
 pub use measure::{evaluate_observable, EvalMode};
-pub use noise::NoiseModel;
 pub use pauli::{Pauli, PauliString, PauliSum};
 pub use plan::{BoundPlan, ExecPlan};
 pub use rng::{RngState, Xoshiro256};

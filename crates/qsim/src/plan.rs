@@ -26,9 +26,9 @@
 //!    that are pure amplitude permutations (CX, X, Swap — every kernel
 //!    coefficient exactly `1`) out of the gate stream entirely: their
 //!    index maps are composed into one affine GF(2) map
-//!    ([`AffinePerm`], `i ↦ L·i ⊕ t`) that is deferred past any gate it
+//!    (`AffinePerm`, `i ↦ L·i ⊕ t`) that is deferred past any gate it
 //!    does not overlap and flushed as a single gather pass
-//!    ([`Step::Permute`]). An entangler ring that cost `N` sweeps costs
+//!    (`Step::Permute`). An entangler ring that cost `N` sweeps costs
 //!    one; a layered ansatz drops from `~2N` to `N + 1` passes per
 //!    layer. Permutations do no arithmetic, so deferral and composition
 //!    are byte-preserving by construction — gates that *scale*
