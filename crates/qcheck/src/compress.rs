@@ -1,6 +1,6 @@
 //! Section compression codecs.
 //!
-//! Three codecs are implemented, all in-repo:
+//! Four codecs are implemented, all in-repo:
 //!
 //! * [`Compression::None`] — identity.
 //! * [`Compression::Rle`] — byte-level run-length encoding; wins on
@@ -11,11 +11,28 @@
 //!   parameter vs its value one step ago, via delta checkpoints) share sign,
 //!   exponent and leading mantissa bits late in training, so the XOR stream
 //!   is sparse — this is the codec behind experiment R-T3.
+//! * [`Compression::ZeroElideF64`] — the same word framing without the
+//!   predecessor XOR: the codec of XOR-against-base delta payloads, whose
+//!   words are already sparse.
 //!
-//! Every codec is self-framing and validates on decompression.
+//! Every codec is self-framing and validates on decompression: the
+//! declared output length is bounded by what the payload can encode
+//! before anything is allocated for it.
+//!
+//! ## Size-first selection
+//!
+//! A save compares its candidate payloads per section by
+//! [`Compression::compressed_len`] — a size-only pass over the same words
+//! and runs, exact by contract — and runs [`Compression::compress`] once,
+//! on the winner. The two word codecs share one encode and one decode
+//! kernel that work a 64-bit word at a time; the decode kernel can XOR
+//! into an accumulator instead of storing
+//! ([`Compression::decompress_xor_into`]), which is how the resolver folds
+//! an XOR-against-base link without an intermediate buffer.
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{Decoder, Encoder};
 use crate::error::{Error, Result};
 
 /// Compression codec identifier, recorded per-section in the manifest.
@@ -73,17 +90,80 @@ impl Compression {
         }
     }
 
+    /// The length [`Compression::compress`] would return for `data`,
+    /// without producing the output.
+    ///
+    /// Exact, not an estimate: `codec.compressed_len(x) ==
+    /// codec.compress(x).len()` for every codec and every `x` — the save
+    /// path picks a section's payload kind by this number alone, so an
+    /// approximation would change what is stored. Each codec's size pass
+    /// walks the same words or run tokens as its encoder.
+    pub fn compressed_len(&self, data: &[u8]) -> usize {
+        match self {
+            Compression::None => data.len(),
+            Compression::Rle => {
+                let mut len = varint_len(data.len());
+                rle_tokens(data, |header, literal| len += header.len() + literal.len());
+                len
+            }
+            Compression::XorF64 => word_compressed_len(data, true),
+            Compression::ZeroElideF64 => word_compressed_len(data, false),
+        }
+    }
+
     /// Decompresses a payload produced by [`Compression::compress`].
     ///
     /// # Errors
     ///
-    /// Returns a decode error on malformed input.
+    /// Returns a decode error on malformed input, including a declared
+    /// length larger than the payload could encode.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>> {
         match self {
             Compression::None => Ok(data.to_vec()),
             Compression::Rle => rle_decompress(data),
-            Compression::XorF64 => word_decompress(data, true),
-            Compression::ZeroElideF64 => word_decompress(data, false),
+            Compression::XorF64 | Compression::ZeroElideF64 => {
+                let (expected, body) = word_declared_len(data)?;
+                let mut out = vec![0u8; expected];
+                word_decode::<false>(data, body, *self == Compression::XorF64, &mut out)?;
+                Ok(out)
+            }
+        }
+    }
+
+    /// XORs the decompressed payload into `acc`: afterwards `acc[i]` is
+    /// `acc[i] ^ self.decompress(data)?[i]`. The word codecs fold in one
+    /// pass straight from the payload, with no intermediate buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a decode error on malformed input or when the payload does
+    /// not decompress to exactly `acc.len()` bytes; the word codecs check
+    /// the declared length before the first byte is folded. `acc` holds
+    /// unspecified bytes after any other error.
+    pub fn decompress_xor_into(&self, data: &[u8], acc: &mut [u8]) -> Result<()> {
+        let wrong_len = |offset: usize, len: usize| Error::Decode {
+            what: "xor payload".into(),
+            offset,
+            detail: format!("payload holds {len} bytes, base has {}", acc.len()),
+        };
+        match self {
+            Compression::XorF64 | Compression::ZeroElideF64 => {
+                let (expected, body) = word_declared_len(data)?;
+                if expected != acc.len() {
+                    return Err(wrong_len(body, expected));
+                }
+                word_decode::<true>(data, body, *self == Compression::XorF64, acc)
+            }
+            Compression::None | Compression::Rle => {
+                let stored = self.decompress(data)?;
+                if stored.len() != acc.len() {
+                    return Err(wrong_len(data.len(), stored.len()));
+                }
+                for (a, x) in acc.iter_mut().zip(&stored) {
+                    *a ^= x;
+                }
+                Ok(())
+            }
         }
     }
 
@@ -110,36 +190,68 @@ impl std::fmt::Display for Compression {
 }
 
 // ---------------------------------------------------------------------------
+// Framing shared by the self-framing codecs
+// ---------------------------------------------------------------------------
+
+/// Bytes of the LEB128 length prefix for an input of `len` bytes.
+fn varint_len(len: usize) -> usize {
+    let bits = (usize::BITS - len.leading_zeros()).max(1) as usize;
+    bits.div_ceil(7)
+}
+
+/// Reads a payload's LEB128 length prefix: `(declared length, offset of
+/// the body)`. The declared length sizes the decoder's output, so it is
+/// first bounded by what the body could possibly encode — at most
+/// `per_body_byte` output bytes for each body byte, plus `slack` — and a
+/// larger claim is a decode error, never an allocation.
+fn declared_len(
+    data: &[u8],
+    what: &'static str,
+    per_body_byte: usize,
+    slack: usize,
+) -> Result<(usize, usize)> {
+    let mut d = Decoder::new(data, what);
+    let declared = d.get_varint()?;
+    let body = d.position();
+    let limit = (data.len() - body)
+        .saturating_mul(per_body_byte)
+        .saturating_add(slack);
+    match usize::try_from(declared) {
+        Ok(len) if len <= limit => Ok((len, body)),
+        _ => Err(Error::Decode {
+            what: what.into(),
+            offset: body,
+            detail: format!(
+                "declared length {declared} exceeds the {limit} bytes that {} payload bytes can encode",
+                data.len() - body
+            ),
+        }),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // RLE
 // ---------------------------------------------------------------------------
+
+const RLE_PAYLOAD: &str = "rle payload";
 
 /// Byte-level RLE with a two-mode framing:
 /// `[0x00, count, byte]` encodes a run of `count` (1–255) equal bytes;
 /// `[0x01, count, b0..bn]` encodes a literal span of `count` bytes.
 /// Input length is prefixed as LEB128 for validation.
-fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    // varint length prefix
-    let mut v = data.len() as u64;
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
+///
+/// Calls `emit(header, literal)` once per token, in output order: a run
+/// is its 3-byte header alone, a literal span its 2-byte header and the
+/// bytes. Runs shorter than 4 are not worth a token of their own and
+/// join the surrounding literal.
+fn rle_tokens<'a>(data: &'a [u8], mut emit: impl FnMut(&[u8], &'a [u8])) {
+    fn emit_literal<'a>(span: &'a [u8], emit: &mut impl FnMut(&[u8], &'a [u8])) {
+        for chunk in span.chunks(255) {
+            emit(&[0x01, chunk.len() as u8], chunk);
         }
-        out.push(byte | 0x80);
     }
+    let mut literal_start = 0usize;
     let mut i = 0usize;
-    let mut literal: Vec<u8> = Vec::new();
-    let flush_literal = |out: &mut Vec<u8>, lit: &mut Vec<u8>| {
-        for chunk in lit.chunks(255) {
-            out.push(0x01);
-            out.push(chunk.len() as u8);
-            out.extend_from_slice(chunk);
-        }
-        lit.clear();
-    };
     while i < data.len() {
         // Measure the run starting at i.
         let b = data[i];
@@ -148,43 +260,34 @@ fn rle_compress(data: &[u8]) -> Vec<u8> {
             run += 1;
         }
         if run >= 4 {
-            flush_literal(&mut out, &mut literal);
-            out.push(0x00);
-            out.push(run as u8);
-            out.push(b);
-            i += run;
-        } else {
-            literal.extend_from_slice(&data[i..i + run]);
-            i += run;
+            emit_literal(&data[literal_start..i], &mut emit);
+            emit(&[0x00, run as u8, b], &[]);
+            literal_start = i + run;
         }
+        i += run;
     }
-    flush_literal(&mut out, &mut literal);
+    emit_literal(&data[literal_start..], &mut emit);
+}
+
+fn rle_compress(data: &[u8]) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(data.len() / 2 + 16);
+    e.put_varint(data.len() as u64);
+    let mut out = e.into_bytes();
+    rle_tokens(data, |header, literal| {
+        out.extend_from_slice(header);
+        out.extend_from_slice(literal);
+    });
     out
 }
 
 fn rle_decompress(data: &[u8]) -> Result<Vec<u8>> {
     let fail = |offset: usize, detail: &str| Error::Decode {
-        what: "rle payload".into(),
+        what: RLE_PAYLOAD.into(),
         offset,
         detail: detail.into(),
     };
-    let mut pos = 0usize;
-    // varint length
-    let mut expected = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *data.get(pos).ok_or_else(|| fail(pos, "truncated length"))?;
-        pos += 1;
-        if shift >= 64 {
-            return Err(fail(pos, "length varint overflow"));
-        }
-        expected |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    let expected = expected as usize;
+    // The densest token is a run: 3 payload bytes for up to 255 of output.
+    let (expected, mut pos) = declared_len(data, RLE_PAYLOAD, 85, 0)?;
     let mut out = Vec::with_capacity(expected);
     while pos < data.len() {
         let mode = data[pos];
@@ -235,18 +338,177 @@ fn rle_decompress(data: &[u8]) -> Result<Vec<u8>> {
 }
 
 // ---------------------------------------------------------------------------
-// XOR-f64
+// Word codecs: XOR-f64 and zero-elide
 // ---------------------------------------------------------------------------
+
+const WORD_PAYLOAD: &str = "word-codec payload";
+
+/// `LOW_BYTES[n]` keeps the low `n` bytes of a word.
+const LOW_BYTES: [u64; 9] = [
+    0,
+    0xff,
+    0xffff,
+    0xff_ffff,
+    0xffff_ffff,
+    0xff_ffff_ffff,
+    0xffff_ffff_ffff,
+    0xff_ffff_ffff_ffff,
+    u64::MAX,
+];
+
+/// [`declared_len`] of a word-codec payload: a word costs at least its
+/// control byte, and up to 7 tail bytes cost one each.
+fn word_declared_len(data: &[u8]) -> Result<(usize, usize)> {
+    declared_len(data, WORD_PAYLOAD, 8, 7)
+}
+
+/// The coded words of `data` — `word_i XOR word_{i-1}` when
+/// `predecessor_xor` is set, the raw little-endian words otherwise — and
+/// the trailing bytes that do not fill a word.
+fn coded_words(data: &[u8], predecessor_xor: bool) -> (impl Iterator<Item = u64> + '_, &[u8]) {
+    let words = data.chunks_exact(8);
+    let tail = words.remainder();
+    let carry = if predecessor_xor { u64::MAX } else { 0 };
+    let mut prev = 0u64;
+    let coded = words.map(move |w| {
+        let cur = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        let x = cur ^ (prev & carry);
+        prev = cur;
+        x
+    });
+    (coded, tail)
+}
+
+/// The meaningful span of a coded word as `(first, count)`: the index of
+/// its lowest non-zero byte and the number of bytes from there to its
+/// highest non-zero one; `first << 4 | count` is its control byte. A
+/// zero word is `(0, 0)` — the lone control byte `0x00`.
+fn byte_span(x: u64) -> (usize, usize) {
+    let first = (x.trailing_zeros() as usize / 8) & 7;
+    let count = 8 - first - x.leading_zeros() as usize / 8;
+    (first, count)
+}
 
 /// Word-codec framing (shared by `XorF64` and `ZeroElideF64`):
 /// `varint(total_len)` then, per 8-byte word: a control byte
 /// `(lead_zero_bytes << 4) | meaningful_byte_count`, followed by the
-/// meaningful bytes of the coded word (`word_i XOR word_{i-1}` when
-/// `predecessor_xor` is set, the raw word otherwise — bytes taken
-/// little-endian from the first non-zero to the last non-zero). A fully
-/// zero coded word emits the single control byte `0x00`. Trailing bytes
-/// that do not fill a word are stored raw.
+/// meaningful bytes of the coded word (bytes taken little-endian from
+/// the first non-zero to the last non-zero). A fully zero coded word
+/// emits the single control byte `0x00`. Trailing bytes that do not fill
+/// a word are stored raw.
+///
+/// Every non-zero word is one 9-byte store — control byte, then the word
+/// shifted down to its first meaningful byte — into a buffer sized once
+/// for the worst case; the cursor advances by the meaningful length
+/// only, so the next store overwrites the surplus.
 fn word_compress(data: &[u8], predecessor_xor: bool) -> Vec<u8> {
+    let capacity = data.len() + data.len() / 8 + 16;
+    let mut e = Encoder::with_capacity(capacity);
+    e.put_varint(data.len() as u64);
+    let mut out = e.into_bytes();
+    let mut pos = out.len();
+    out.resize(capacity, 0);
+    let (coded, tail) = coded_words(data, predecessor_xor);
+    for x in coded {
+        if x == 0 {
+            out[pos] = 0;
+            pos += 1;
+            continue;
+        }
+        let (first, count) = byte_span(x);
+        let slot = &mut out[pos..pos + 9];
+        slot[0] = (first << 4 | count) as u8;
+        slot[1..].copy_from_slice(&(x >> (8 * first)).to_le_bytes());
+        pos += 1 + count;
+    }
+    out[pos..pos + tail.len()].copy_from_slice(tail);
+    out.truncate(pos + tail.len());
+    out
+}
+
+fn word_compressed_len(data: &[u8], predecessor_xor: bool) -> usize {
+    let (coded, tail) = coded_words(data, predecessor_xor);
+    let body: usize = coded.map(|x| 1 + byte_span(x).1).sum();
+    varint_len(data.len()) + body + tail.len()
+}
+
+/// Decodes the body (from `pos`) of a word-codec payload into `out`,
+/// whose length is the payload's declared length: stored over `out`, or
+/// XORed into it when `XOR_SINK`. A coded word is one 8-byte load masked
+/// to its meaningful bytes; only a word inside the last 8 payload bytes,
+/// where that load would overrun, copies its exact length.
+fn word_decode<const XOR_SINK: bool>(
+    data: &[u8],
+    mut pos: usize,
+    predecessor_xor: bool,
+    out: &mut [u8],
+) -> Result<()> {
+    let fail = |offset: usize, detail: String| Error::Decode {
+        what: WORD_PAYLOAD.into(),
+        offset,
+        detail,
+    };
+    let carry = if predecessor_xor { u64::MAX } else { 0 };
+    let mut prev = 0u64;
+    let mut words = out.chunks_exact_mut(8);
+    for (w, dst) in words.by_ref().enumerate() {
+        let ctrl = *data
+            .get(pos)
+            .ok_or_else(|| fail(pos, format!("truncated control byte for word {w}")))?;
+        pos += 1;
+        let cur = if ctrl == 0 {
+            prev & carry
+        } else {
+            let first = (ctrl >> 4) as usize;
+            let count = (ctrl & 0x0f) as usize;
+            if count == 0 || first + count > 8 {
+                return Err(fail(pos - 1, format!("invalid control byte {ctrl:#x}")));
+            }
+            let coded = match data.get(pos..pos + 8) {
+                Some(window) => {
+                    u64::from_le_bytes(window.try_into().expect("8-byte window")) & LOW_BYTES[count]
+                }
+                None => {
+                    let bytes = data
+                        .get(pos..pos + count)
+                        .ok_or_else(|| fail(pos, "truncated coded bytes".into()))?;
+                    let mut b = [0u8; 8];
+                    b[..count].copy_from_slice(bytes);
+                    u64::from_le_bytes(b)
+                }
+            };
+            pos += count;
+            (prev & carry) ^ (coded << (8 * first))
+        };
+        prev = cur;
+        let word = if XOR_SINK {
+            cur ^ u64::from_le_bytes((&*dst).try_into().expect("8-byte chunk"))
+        } else {
+            cur
+        };
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+    let tail = words.into_remainder();
+    if pos + tail.len() != data.len() {
+        return Err(fail(
+            pos,
+            format!(
+                "expected {} trailing bytes, found {}",
+                tail.len(),
+                data.len() - pos
+            ),
+        ));
+    }
+    for (t, raw) in tail.iter_mut().zip(&data[pos..]) {
+        *t = if XOR_SINK { *t ^ raw } else { *raw };
+    }
+    Ok(())
+}
+
+/// The byte-at-a-time word encoder `word_compress` replaced, kept as
+/// its test oracle: the two must agree byte for byte on every input.
+#[cfg(any(test, feature = "testing"))]
+pub fn word_compress_reference(data: &[u8], predecessor_xor: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let mut v = data.len() as u64;
     loop {
@@ -282,9 +544,17 @@ fn word_compress(data: &[u8], predecessor_xor: bool) -> Vec<u8> {
     out
 }
 
-fn word_decompress(data: &[u8], predecessor_xor: bool) -> Result<Vec<u8>> {
+/// The byte-at-a-time word decoder `word_decode` replaced, kept as its
+/// test oracle (its output grows as it decodes; nothing is sized from
+/// the declared length).
+///
+/// # Errors
+///
+/// Returns a decode error on malformed input.
+#[cfg(any(test, feature = "testing"))]
+pub fn word_decompress_reference(data: &[u8], predecessor_xor: bool) -> Result<Vec<u8>> {
     let fail = |offset: usize, detail: &str| Error::Decode {
-        what: "word-codec payload".into(),
+        what: WORD_PAYLOAD.into(),
         offset,
         detail: detail.into(),
     };
@@ -306,7 +576,7 @@ fn word_decompress(data: &[u8], predecessor_xor: bool) -> Result<Vec<u8>> {
     let expected = expected as usize;
     let words = expected / 8;
     let tail = expected % 8;
-    let mut out = Vec::with_capacity(expected);
+    let mut out = Vec::new();
     let mut prev = 0u64;
     for w in 0..words {
         let ctrl = *data
@@ -449,6 +719,138 @@ mod tests {
                 round_trip(codec, case);
             }
         }
+    }
+
+    /// The RLE encoder before it shared [`rle_tokens`] with the size pass.
+    fn rle_compress_reference(data: &[u8]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_varint(data.len() as u64);
+        let mut out = e.into_bytes();
+        let mut i = 0usize;
+        let mut literal: Vec<u8> = Vec::new();
+        let flush_literal = |out: &mut Vec<u8>, lit: &mut Vec<u8>| {
+            for chunk in lit.chunks(255) {
+                out.push(0x01);
+                out.push(chunk.len() as u8);
+                out.extend_from_slice(chunk);
+            }
+            lit.clear();
+        };
+        while i < data.len() {
+            let b = data[i];
+            let mut run = 1usize;
+            while i + run < data.len() && data[i + run] == b && run < 255 {
+                run += 1;
+            }
+            if run >= 4 {
+                flush_literal(&mut out, &mut literal);
+                out.push(0x00);
+                out.push(run as u8);
+                out.push(b);
+            } else {
+                literal.extend_from_slice(&data[i..i + run]);
+            }
+            i += run;
+        }
+        flush_literal(&mut out, &mut literal);
+        out
+    }
+
+    /// Inputs that reach every token and control-byte shape: runs around
+    /// the 4-byte threshold and the 255 cap, literals across the 255 cap,
+    /// words with every `(first, count)` span, lengths off the word grid.
+    fn shaped_cases() -> Vec<Vec<u8>> {
+        let mut cases: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![9; 3],
+            vec![9; 4],
+            vec![9; 255],
+            vec![9; 256],
+            vec![9; 600],
+            (0..700u32).map(|i| (i * 7 % 253) as u8).collect(),
+        ];
+        let mut mixed = Vec::new();
+        for n in 0..40usize {
+            mixed.extend(std::iter::repeat_n(n as u8, n % 7));
+            mixed.extend((0..n).map(|i| (i * 13 + n) as u8));
+        }
+        cases.push(mixed);
+        let mut spans = Vec::new();
+        for first in 0..8usize {
+            for count in 1..=8 - first {
+                let mut w = [0u8; 8];
+                w[first] = 0x11;
+                w[first + count - 1] |= 0x80;
+                spans.extend_from_slice(&w);
+                spans.extend_from_slice(&[0u8; 8]);
+            }
+        }
+        for cut in [0usize, 1, 5, 7] {
+            cases.push(spans[..spans.len() - cut].to_vec());
+        }
+        cases
+    }
+
+    #[test]
+    fn kernels_match_their_reference_loops() {
+        for case in shaped_cases() {
+            assert_eq!(rle_compress(&case), rle_compress_reference(&case));
+            for (codec, pred) in [
+                (Compression::XorF64, true),
+                (Compression::ZeroElideF64, false),
+            ] {
+                let c = codec.compress(&case);
+                assert_eq!(c, word_compress_reference(&case, pred), "{codec}");
+                assert_eq!(codec.decompress(&c).unwrap(), case, "{codec}");
+                assert_eq!(word_decompress_reference(&c, pred).unwrap(), case);
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_len_is_exact() {
+        for codec in Compression::all() {
+            for case in shaped_cases() {
+                assert_eq!(
+                    codec.compressed_len(&case),
+                    codec.compress(&case).len(),
+                    "{codec} on {} bytes",
+                    case.len()
+                );
+            }
+        }
+        for len in [0usize, 1, 127, 128, 16383, 16384, usize::MAX] {
+            let mut e = Encoder::new();
+            e.put_varint(len as u64);
+            assert_eq!(varint_len(len), e.len(), "{len}");
+        }
+    }
+
+    #[test]
+    fn xor_sink_equals_decompress_then_xor() {
+        for codec in Compression::all() {
+            for case in shaped_cases() {
+                let payload = codec.compress(&case);
+                let base: Vec<u8> = (0..case.len()).map(|i| (i * 29 + 3) as u8).collect();
+                let mut acc = base.clone();
+                codec.decompress_xor_into(&payload, &mut acc).unwrap();
+                let want: Vec<u8> = base.iter().zip(&case).map(|(a, b)| a ^ b).collect();
+                assert_eq!(acc, want, "{codec} on {} bytes", case.len());
+                // A base of any other length is refused.
+                let mut long = vec![0u8; case.len() + 1];
+                assert!(codec.decompress_xor_into(&payload, &mut long).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_declared_length_is_bounded_by_what_the_body_can_encode() {
+        // n body bytes encode at most 8n + 7 bytes through a word codec;
+        // `tests/disk_decoders.rs` sweeps the hostile lengths.
+        assert_eq!(word_declared_len(&[15, 0]).unwrap(), (15, 1));
+        assert!(word_declared_len(&[16, 0]).is_err());
+        assert_eq!(declared_len(&[85, 0], RLE_PAYLOAD, 85, 0).unwrap(), (85, 1));
+        assert!(declared_len(&[86, 0], RLE_PAYLOAD, 85, 0).is_err());
     }
 
     #[test]

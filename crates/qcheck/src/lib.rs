@@ -23,8 +23,10 @@
 //! ## Threading model (save and resolve paths)
 //!
 //! The encode half of [`repo::CheckpointRepo::save`] — per-section
-//! compression-candidate selection, per-section SHA-256, and per-chunk
-//! hashing — fans out across the shared [`qpar`] layer, and so does the
+//! size-first payload selection (every candidate measured with
+//! [`Compression::compressed_len`], only the winner compressed),
+//! per-section SHA-256, and per-chunk hashing — fans out across the
+//! shared [`qpar`] layer, and so does the
 //! read side: [`repo::CheckpointRepo::resolve_sections`] folds each
 //! section's delta chain on its own. Both hand the sections to the
 //! threads **by size** (largest first onto the lightest thread — a
@@ -85,7 +87,7 @@
 //! | [`store`] | pluggable content-addressed object stores ([`store::ObjectStore`]: loose files / batched packs / remote daemon) |
 //! | [`remote`] | the `qckptd` object-store daemon, its wire protocol, and the [`remote::RemoteStore`] client |
 //! | [`delta`] | block-level incremental patches |
-//! | [`compress`] | RLE and XOR-f64 codecs |
+//! | [`compress`] | the four section codecs (identity, RLE, XOR-f64, zero-elide-f64) and their exact size pass |
 //! | [`chunk`] | fixed-size chunking |
 //! | [`codec`] | deterministic binary encoding |
 //! | [`manifest_log`] | append-only manifest log + dual root slots (the O(1) commit) |

@@ -4,6 +4,15 @@
 
 /// Completed [`crate::repo::CheckpointRepo::save`] calls.
 pub static SAVES: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_saves_total");
+/// [`crate::compress::Compression::compress`] calls made by `save`:
+/// exactly one per section saved, whatever the payload kind chosen.
+pub static SECTION_ENCODES: qobs::LazyCounter =
+    qobs::LazyCounter::new("qcheck_section_encodes_total");
+/// [`crate::compress::Compression::compressed_len`] probes made by
+/// `save` to pick payload kinds: one per candidate per section (one for
+/// a section without a base, up to three with one).
+pub static SECTION_SIZE_PROBES: qobs::LazyCounter =
+    qobs::LazyCounter::new("qcheck_section_size_probes_total");
 /// Completed [`crate::repo::CheckpointRepo::recover`] calls.
 pub static RECOVERS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_recovers_total");
 /// Completed GC sweeps.

@@ -36,6 +36,7 @@
 //! record lands — exactly the torn-write exposure the dual-slot protocol
 //! removes.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write;
@@ -710,74 +711,30 @@ impl CheckpointRepo {
         let id = CheckpointId::new(snapshot.step, seq);
 
         // ------------------------------------------------------------------
-        // Encode phase: per-section compression candidates + hashes, fanned
-        // out across worker threads by section size (sections are
-        // independent). The chosen encodings are identical at every thread
-        // count.
+        // Encode phase: per-section payload selection, one compression and
+        // the section hash, fanned out across worker threads by section
+        // size (sections are independent). The chosen encodings are
+        // identical at every thread count.
         // ------------------------------------------------------------------
         let threads = options.threads.unwrap_or_else(qpar::current_threads);
         let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
         let encode_one = |section: &Section| -> SectionEncode {
-            let codec = options.compression.codec_for(&section.name);
             let section_sha = Sha256::digest(&section.bytes);
-            // Candidate encodings; the smallest compressed form wins.
-            // Full payload is always a candidate.
-            let full_compressed = codec.compress(&section.bytes);
-            let mut best = (
-                PayloadKind::Full,
-                codec,
-                section.bytes.len(),
-                full_compressed,
+            let base_section =
+                base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name));
+            let (payload_kind, codec, stored) = select_payload(
+                options.compression.codec_for(&section.name),
+                section,
+                base_section,
+                options.delta_block_size,
             );
-            if let Some(base_section) =
-                base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name))
-            {
-                // Block-level patch: wins on sparse updates and
-                // length-changing sections (append-only ledger). Each
-                // losing buffer is freed as soon as it has lost: two
-                // heavy sections encode side by side, and a candidate is
-                // as large as its section.
-                let encoded = BlockPatch::diff_encoded(
-                    &base_section.bytes,
-                    &section.bytes,
-                    options.delta_block_size,
-                );
-                let compressed = codec.compress(&encoded);
-                let encoded_len = encoded.len();
-                drop(encoded);
-                if compressed.len() < best.3.len() {
-                    best = (PayloadKind::DeltaPatch, codec, encoded_len, compressed);
-                }
-                // Byte-wise XOR against the base: wins on dense but
-                // small-magnitude updates (optimizer steps late in
-                // training) — only differing bytes survive.
-                if base_section.bytes.len() == section.bytes.len() {
-                    let xored: Vec<u8> = base_section
-                        .bytes
-                        .iter()
-                        .zip(&section.bytes)
-                        .map(|(a, b)| a ^ b)
-                        .collect();
-                    let compressed = Compression::ZeroElideF64.compress(&xored);
-                    let xored_len = xored.len();
-                    drop(xored);
-                    if compressed.len() < best.3.len() {
-                        best = (
-                            PayloadKind::XorBase,
-                            Compression::ZeroElideF64,
-                            xored_len,
-                            compressed,
-                        );
-                    }
-                }
-            }
-            let (payload_kind, codec, stored_len, compressed) = best;
+            crate::obs::SECTION_ENCODES.inc();
             SectionEncode {
                 payload_kind,
                 codec,
-                stored_len,
+                stored_len: stored.len(),
                 section_sha,
-                compressed,
+                compressed: codec.compress(&stored),
             }
         };
         let encoded: Vec<SectionEncode> = map_balanced(
@@ -1333,33 +1290,34 @@ impl CheckpointRepo {
             // whole burst in a single round trip, and the pack backend
             // reads it with one positioned read per contiguous run.
             let compressed = self.store.get_many(&entry.chunks)?.concat();
-            let stored = entry.codec.decompress(&compressed)?;
-            drop(compressed);
-            if stored.len() as u64 != entry.stored_len {
-                return Err(Error::corrupt(
-                    at(),
-                    format!("stored length {} != {}", stored.len(), entry.stored_len),
-                ));
-            }
-            match entry.payload_kind {
-                PayloadKind::Full => bytes = stored,
-                PayloadKind::DeltaPatch => {
-                    BlockPatch::decode(&stored)?.apply_in_place(&mut bytes)?
+            if entry.payload_kind == PayloadKind::XorBase {
+                // Folded straight from the payload into the accumulator;
+                // the codec refuses a payload of any other length before
+                // it touches a byte.
+                if bytes.len() as u64 != entry.stored_len {
+                    return Err(Error::corrupt(
+                        at(),
+                        format!(
+                            "xor payload length {} != base length {}",
+                            entry.stored_len,
+                            bytes.len()
+                        ),
+                    ));
                 }
-                PayloadKind::XorBase => {
-                    if bytes.len() != stored.len() {
-                        return Err(Error::corrupt(
-                            at(),
-                            format!(
-                                "xor payload length {} != base length {}",
-                                stored.len(),
-                                bytes.len()
-                            ),
-                        ));
-                    }
-                    for (b, x) in bytes.iter_mut().zip(&stored) {
-                        *b ^= x;
-                    }
+                entry.codec.decompress_xor_into(&compressed, &mut bytes)?;
+            } else {
+                let stored = entry.codec.decompress(&compressed)?;
+                drop(compressed);
+                if stored.len() as u64 != entry.stored_len {
+                    return Err(Error::corrupt(
+                        at(),
+                        format!("stored length {} != {}", stored.len(), entry.stored_len),
+                    ));
+                }
+                if entry.payload_kind == PayloadKind::Full {
+                    bytes = stored;
+                } else {
+                    BlockPatch::decode(&stored)?.apply_in_place(&mut bytes)?;
                 }
             }
             if bytes.len() as u64 != entry.section_len {
@@ -1912,6 +1870,61 @@ impl CheckpointRepo {
         let report = self.save(&snapshot, &opts)?;
         Ok(Some(report))
     }
+}
+
+/// Picks a section's payload — kind, codec and the bytes that codec will
+/// store — by compressed size, without compressing anything: each
+/// candidate is measured with [`Compression::compressed_len`], which is
+/// exact, and only the winner is ever handed to `compress`. Candidates
+/// are tried in the order full, block patch, XOR against the base, and a
+/// later one has to be strictly smaller to win.
+fn select_payload<'a>(
+    codec: Compression,
+    section: &'a Section,
+    base: Option<&Section>,
+    delta_block_size: usize,
+) -> (PayloadKind, Compression, Cow<'a, [u8]>) {
+    let probe = |codec: Compression, stored: &[u8]| {
+        crate::obs::SECTION_SIZE_PROBES.inc();
+        codec.compressed_len(stored)
+    };
+    // Full payload is always a candidate.
+    let mut best_len = probe(codec, &section.bytes);
+    let mut best = (PayloadKind::Full, codec, Cow::Borrowed(&section.bytes[..]));
+    let Some(base) = base else {
+        return best;
+    };
+    // Block-level patch: wins on sparse updates and length-changing
+    // sections (append-only ledger). A losing candidate is freed as soon
+    // as it has lost: two heavy sections encode side by side, and a
+    // candidate is as large as its section.
+    {
+        let patch = BlockPatch::diff_encoded(&base.bytes, &section.bytes, delta_block_size);
+        let len = probe(codec, &patch);
+        if len < best_len {
+            best_len = len;
+            best = (PayloadKind::DeltaPatch, codec, Cow::Owned(patch));
+        }
+    }
+    // Byte-wise XOR against the base: wins on dense but small-magnitude
+    // updates (optimizer steps late in training) — only differing bytes
+    // survive.
+    if base.bytes.len() == section.bytes.len() {
+        let xored: Vec<u8> = base
+            .bytes
+            .iter()
+            .zip(&section.bytes)
+            .map(|(a, b)| a ^ b)
+            .collect();
+        if probe(Compression::ZeroElideF64, &xored) < best_len {
+            best = (
+                PayloadKind::XorBase,
+                Compression::ZeroElideF64,
+                Cow::Owned(xored),
+            );
+        }
+    }
+    best
 }
 
 /// The delta bases of `tip`, newest first down to the full checkpoint,
@@ -2484,6 +2497,127 @@ mod tests {
             report.manifests_tried, 1,
             "healthy recovery must validate only the newest checkpoint, not walk history"
         );
+    }
+
+    /// The selection [`select_payload`] replaced, kept as its reference:
+    /// every candidate compressed in full, the shortest output kept.
+    fn select_payload_reference(
+        codec: Compression,
+        section: &Section,
+        base: Option<&Section>,
+        delta_block_size: usize,
+    ) -> (PayloadKind, Compression, usize, Vec<u8>) {
+        let mut best = (
+            PayloadKind::Full,
+            codec,
+            section.bytes.len(),
+            codec.compress(&section.bytes),
+        );
+        if let Some(base) = base {
+            let encoded = BlockPatch::diff_encoded(&base.bytes, &section.bytes, delta_block_size);
+            let compressed = codec.compress(&encoded);
+            if compressed.len() < best.3.len() {
+                best = (PayloadKind::DeltaPatch, codec, encoded.len(), compressed);
+            }
+            if base.bytes.len() == section.bytes.len() {
+                let xored: Vec<u8> = base
+                    .bytes
+                    .iter()
+                    .zip(&section.bytes)
+                    .map(|(a, b)| a ^ b)
+                    .collect();
+                let compressed = Compression::ZeroElideF64.compress(&xored);
+                if compressed.len() < best.3.len() {
+                    best = (
+                        PayloadKind::XorBase,
+                        Compression::ZeroElideF64,
+                        xored.len(),
+                        compressed,
+                    );
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn size_first_selection_stores_what_materialising_every_candidate_did() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut snap = snapshot_at(0, (0..6000).map(|_| next()).collect());
+        snap.optimizer = StateBlob::new(
+            "adam-v1",
+            (0..6000).flat_map(|_| next().to_le_bytes()).collect(),
+        );
+        // Four saves each of: every parameter moving (a little, then a
+        // lot), one 64-parameter block in sixteen moving, and the ledger
+        // growing under otherwise still state.
+        let mut steps: Vec<TrainingSnapshot> = vec![snap.clone()];
+        for step in 1..=12u64 {
+            snap.step = step;
+            match (step - 1) / 4 {
+                0 => {
+                    let scale = if step % 2 == 0 { 1.0 } else { 1e-9 };
+                    snap.params.iter_mut().for_each(|p| *p += scale * next());
+                }
+                1 => {
+                    for block in snap
+                        .params
+                        .chunks_mut(64)
+                        .skip(step as usize % 16)
+                        .step_by(16)
+                    {
+                        block.iter_mut().for_each(|p| *p = next());
+                    }
+                }
+                _ => snap.shot_ledger.extend((0..300).map(|i| (i + step) as u8)),
+            }
+            steps.push(snap.clone());
+        }
+
+        let (_t, repo) = TempRepo::new();
+        let opts = SaveOptions::incremental(64);
+        let mut kinds: Vec<PayloadKind> = Vec::new();
+        let mut base: Option<Vec<Section>> = None;
+        for snap in &steps {
+            let report = repo.save(snap, &opts).unwrap();
+            let manifest = repo.load_manifest(&report.id).unwrap();
+            assert_eq!(manifest.is_delta(), base.is_some());
+            let sections = snap.to_sections();
+            assert_eq!(manifest.sections.len(), sections.len());
+            for (entry, section) in manifest.sections.iter().zip(&sections) {
+                let base_section = base
+                    .as_ref()
+                    .and_then(|b| b.iter().find(|s| s.name == section.name));
+                let (kind, codec, stored_len, compressed) = select_payload_reference(
+                    opts.compression.codec_for(&section.name),
+                    section,
+                    base_section,
+                    opts.delta_block_size,
+                );
+                let at = format!("section {} of step {}", section.name, snap.step);
+                assert_eq!(entry.payload_kind, kind, "{at}");
+                assert_eq!(entry.codec, codec, "{at}");
+                assert_eq!(entry.stored_len, stored_len as u64, "{at}");
+                let (refs, _) = crate::chunk::chunk_bytes(&compressed, opts.chunk_size);
+                assert_eq!(entry.chunks, refs, "{at}");
+                if !kinds.contains(&kind) {
+                    kinds.push(kind);
+                }
+            }
+            base = Some(sections);
+        }
+        assert_eq!(
+            kinds.len(),
+            3,
+            "the sequences must reach every payload kind"
+        );
+        assert_eq!(repo.load_latest().unwrap().1, steps[12]);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use qcheck::chunk::{chunk_bytes, reassemble, ChunkRef};
 use qcheck::codec::{Decoder, Encoder};
-use qcheck::compress::{bytes_to_f64s, f64s_to_bytes, Compression};
+use qcheck::compress::{
+    bytes_to_f64s, f64s_to_bytes, word_compress_reference, word_decompress_reference, Compression,
+};
 use qcheck::delta::BlockPatch;
 use qcheck::hash::{crc32, ContentHash, Sha256};
 use qcheck::manifest::Manifest;
@@ -51,8 +53,98 @@ fn arb_snapshot() -> impl Strategy<Value = TrainingSnapshot> {
         })
 }
 
+/// Codec inputs of three shapes, 0..4096 bytes each and mostly off the
+/// 8-byte grid: arbitrary bytes; words with a random subset of their
+/// bytes zeroed, so every `(first, count)` control value of the word
+/// codecs occurs (and zero words with it); and runs of 1..300 equal
+/// bytes, which straddle the RLE run threshold and its 255 cap.
+fn arb_codec_inputs() -> impl Strategy<Value = [Vec<u8>; 3]> {
+    (
+        prop::collection::vec(any::<u8>(), 0..4096),
+        prop::collection::vec((any::<u64>(), any::<u8>()), 0..512),
+        prop::collection::vec(any::<u8>(), 0..8),
+        prop::collection::vec((any::<u8>(), 1..300usize), 0..24),
+    )
+        .prop_map(|(raw, words, tail, runs)| {
+            let mut holed: Vec<u8> = Vec::with_capacity(words.len() * 8 + tail.len());
+            for (word, keep) in words {
+                let bytes = word.to_le_bytes();
+                holed.extend((0..8).map(|i| if keep >> i & 1 == 1 { bytes[i] } else { 0 }));
+            }
+            holed.extend_from_slice(&tail);
+            let runs = runs
+                .into_iter()
+                .flat_map(|(byte, len)| std::iter::repeat_n(byte, len))
+                .take(4095)
+                .collect();
+            [raw, holed, runs]
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The word-at-a-time kernels are the byte loops they replaced:
+    /// byte-identical payloads, and each decoder reads the other's.
+    #[test]
+    fn word_kernels_match_the_reference_loops(inputs in arb_codec_inputs()) {
+        for data in &inputs {
+            for (codec, predecessor_xor) in [
+                (Compression::XorF64, true),
+                (Compression::ZeroElideF64, false),
+            ] {
+                let payload = codec.compress(data);
+                prop_assert_eq!(
+                    &payload,
+                    &word_compress_reference(data, predecessor_xor),
+                    "codec {}", codec
+                );
+                prop_assert_eq!(&codec.decompress(&payload).unwrap(), data, "codec {}", codec);
+                prop_assert_eq!(
+                    &word_decompress_reference(&payload, predecessor_xor).unwrap(),
+                    data,
+                    "codec {}", codec
+                );
+            }
+        }
+    }
+
+    /// `compressed_len` is the length `compress` returns — exactly: the
+    /// save path chooses what to store by it.
+    #[test]
+    fn compressed_len_is_the_compressed_length(inputs in arb_codec_inputs()) {
+        for data in &inputs {
+            for codec in Compression::all() {
+                prop_assert_eq!(
+                    codec.compressed_len(data),
+                    codec.compress(data).len(),
+                    "codec {} on {} bytes", codec, data.len()
+                );
+            }
+        }
+    }
+
+    /// Folding a payload into an accumulator is decompressing it and
+    /// XORing the bytes.
+    #[test]
+    fn xor_sink_is_decompress_then_xor(
+        inputs in arb_codec_inputs(),
+        salt in any::<u64>(),
+    ) {
+        for data in &inputs {
+            let base: Vec<u8> = (0..data.len() as u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt).to_le_bytes()[7])
+                .collect();
+            for codec in Compression::all() {
+                let payload = codec.compress(data);
+                let stored = codec.decompress(&payload).unwrap();
+                let want: Vec<u8> = base.iter().zip(&stored).map(|(a, b)| a ^ b).collect();
+                let mut acc = base.clone();
+                codec.decompress_xor_into(&payload, &mut acc).unwrap();
+                prop_assert_eq!(&acc, &want, "codec {}", codec);
+            }
+        }
+    }
 
     /// Snapshot → sections → snapshot is the identity (bitwise, including
     /// NaN payloads in parameters).

@@ -1,0 +1,66 @@
+//! The deterministic form of "one materialised encoding per section", as
+//! exact counter deltas: a save enters `Compression::compress` once per
+//! section, and sizes its other candidates without compressing them.
+//!
+//! One test, alone in its binary, like `resolve_counters.rs`: the qobs
+//! registry is process-wide, and `==` on a delta needs a process nothing
+//! else saves in.
+
+use qcheck::repo::{CheckpointRepo, SaveOptions};
+use qcheck::snapshot::{StateBlob, TrainingSnapshot};
+use qcheck::store::StoreKind;
+
+fn snapshot(step: u64) -> TrainingSnapshot {
+    let mut s = TrainingSnapshot::new("save-counters");
+    s.step = step;
+    s.params = (0..4096).map(|i| (i as f64 + step as f64).sin()).collect();
+    s.optimizer = StateBlob::new("adam-v1", vec![step as u8; 8192]);
+    // The ledger grows, so its XOR-against-base candidate does not exist.
+    s.shot_ledger = vec![7; 100 * (step as usize + 1)];
+    s
+}
+
+#[test]
+fn a_save_compresses_once_per_section_whatever_it_probes() {
+    if qobs::mode() == qobs::Mode::Off {
+        qobs::set_mode(qobs::Mode::Counters);
+    }
+    let dir = std::env::temp_dir().join(format!("qcheck-save-counters-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
+    let counters = || {
+        [
+            qobs::counter("qcheck_section_encodes_total").get(),
+            qobs::counter("qcheck_section_size_probes_total").get(),
+        ]
+    };
+    let opts = SaveOptions::incremental(8);
+    let sections = snapshot(0).to_sections().len() as u64;
+
+    // A full save has one candidate per section.
+    let before = counters();
+    let report = repo.save(&snapshot(0), &opts).unwrap();
+    let after = counters();
+    assert!(!report.is_delta);
+    assert_eq!(after[0] - before[0], sections);
+    assert_eq!(after[1] - before[1], sections);
+
+    // A delta save has three — two where the section changed length —
+    // and still compresses one.
+    for step in 1..4 {
+        let before = counters();
+        let report = repo.save(&snapshot(step), &opts).unwrap();
+        let after = counters();
+        assert!(report.is_delta);
+        assert_eq!(
+            after[0] - before[0],
+            sections,
+            "encodes per save == sections per save"
+        );
+        assert_eq!(after[1] - before[1], 3 * sections - 1);
+    }
+
+    assert_eq!(repo.load_latest().unwrap().1, snapshot(3));
+    drop(repo);
+    let _ = std::fs::remove_dir_all(&dir);
+}
