@@ -1,7 +1,7 @@
 //! `qckptd` — the remote checkpoint object-store daemon.
 //!
 //! ```text
-//! qckptd serve <root> [--addr host:port] [--store loose|pack]
+//! qckptd serve <root> [--addr host:port]
 //!                     [--port-file path] [--auth-token tok]
 //!                     [--replicate-from host:port]
 //!                     [--lease-ttl-secs n]   serve namespaces from <root>
@@ -18,8 +18,10 @@
 //!
 //! ```bash
 //! qckptd serve /var/lib/qckptd --port-file /tmp/qckptd.port &
-//! export QCHECK_STORE=remote QCHECK_REMOTE_ADDR=$(cat /tmp/qckptd.port)
+//! export QCHECK_REMOTE_ADDR=$(cat /tmp/qckptd.port)
 //! ```
+//!
+//! Every namespace is a pack store; there is no layout to choose.
 //!
 //! With `--replicate-from`, the daemon starts as a **secondary**: it
 //! tails the primary's per-namespace oplog (refusing client writes) and
@@ -33,12 +35,11 @@ use std::process::ExitCode;
 
 use qcheck::remote::proto::{role_name, ROLE_SECONDARY};
 use qcheck::remote::{RemoteStore, ReplicateConfig, Server, ServerConfig};
-use qcheck::store::StoreKind;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: qckptd serve <root> [--addr host:port] [--store loose|pack] [--port-file path]\n\
-         \x20                    [--auth-token tok] [--replicate-from host:port] [--lease-ttl-secs n]\n\
+        "usage: qckptd serve <root> [--addr host:port] [--port-file path] [--auth-token tok]\n\
+         \x20                    [--replicate-from host:port] [--lease-ttl-secs n]\n\
          \x20      qckptd status <addr>\n\
          \x20      qckptd metrics <addr>\n\
          \x20      qckptd promote <addr>\n\
@@ -55,7 +56,6 @@ const CONTROL_NS: &str = "control";
 fn serve(args: &[String]) -> Result<(), String> {
     let mut root: Option<&str> = None;
     let mut addr = "127.0.0.1:0".to_string();
-    let mut kind = StoreKind::Pack;
     let mut port_file: Option<String> = None;
     let mut auth_token: Option<String> = None;
     let mut replicate_from: Option<String> = None;
@@ -64,15 +64,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => addr = it.next().ok_or("--addr needs a value")?.clone(),
-            "--store" => {
-                let v = it.next().ok_or("--store needs a value")?;
-                kind = match StoreKind::parse(v) {
-                    Some(StoreKind::Remote) | None => {
-                        return Err(format!("--store {v}: expected loose or pack"))
-                    }
-                    Some(k) => k,
-                };
-            }
             "--port-file" => {
                 port_file = Some(it.next().ok_or("--port-file needs a value")?.clone())
             }
@@ -95,7 +86,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     }
     let root = root.ok_or("serve needs a <root> directory")?;
     let mut config = ServerConfig::new(root);
-    config.store_kind = kind;
     config.auth_token = auth_token.clone();
     if let Some(secs) = lease_ttl {
         config.lease_ttl = std::time::Duration::from_secs(secs);
@@ -114,9 +104,9 @@ fn serve(args: &[String]) -> Result<(), String> {
     let bound = server.local_addr();
     match &replicate_from {
         Some(primary) => {
-            println!("qckptd: serving {root} ({kind} layout) on {bound} as secondary of {primary}")
+            println!("qckptd: serving {root} on {bound} as secondary of {primary}")
         }
-        None => println!("qckptd: serving {root} ({kind} layout) on {bound}"),
+        None => println!("qckptd: serving {root} on {bound}"),
     }
     if let Some(path) = port_file {
         // Stage + rename so a watcher never reads a half-written file.

@@ -5,7 +5,7 @@
 //! implementing [`Checkpointable`]; the configured
 //! [`crate::policy::CheckpointPolicy`] implementation decides when a
 //! snapshot is captured and committed, and an EWMA of measured write cost
-//! feeds back into cost-aware policies (Young–Daly, adaptive).
+//! feeds back into the cost-aware policy (Young–Daly).
 
 use std::time::Instant;
 

@@ -17,8 +17,8 @@
 //!   leaves a recoverable repository; manifests are CRC-framed and payloads
 //!   SHA-256-addressed, so corruption is always *detected* and recovery
 //!   falls back to the newest intact checkpoint.
-//! * **Cost-aware.** Built-in checkpoint-interval policies include the
-//!   Young–Daly optimum and an online-adaptive variant.
+//! * **Cost-aware.** Built-in checkpoint-interval policies: every `k`
+//!   steps, and the Young–Daly optimum over the measured checkpoint cost.
 //!
 //! ## Threading model (save and resolve paths)
 //!
@@ -84,7 +84,7 @@
 //! | [`checkpointer`] | policy-driven driver for live training loops |
 //! | [`policy`] | interval policies incl. Young–Daly and its analytic models |
 //! | [`manifest`] | the framed on-disk metadata format |
-//! | [`store`] | pluggable content-addressed object stores ([`store::ObjectStore`]: loose files / batched packs / remote daemon) |
+//! | [`store`] | pluggable content-addressed object stores ([`store::ObjectStore`]: batched packs on this disk / the remote daemon; one-file-per-chunk reference layout in test builds) |
 //! | [`remote`] | the `qckptd` object-store daemon, its wire protocol, and the [`remote::RemoteStore`] client |
 //! | [`delta`] | block-level incremental patches |
 //! | [`compress`] | the four section codecs (identity, RLE, XOR-f64, zero-elide-f64) and their exact size pass |
@@ -104,6 +104,7 @@ pub mod chunk;
 pub mod codec;
 pub mod compress;
 pub mod delta;
+mod durable;
 pub mod error;
 pub mod failure;
 pub mod hash;
@@ -122,11 +123,13 @@ pub use checkpointer::Checkpointer;
 pub use compress::Compression;
 pub use error::{Error, Result};
 pub use manifest::{CheckpointId, Manifest};
-pub use policy::{Adaptive, CheckpointPolicy, EveryKSteps, WallClock, YoungDaly};
+pub use policy::{CheckpointPolicy, EveryKSteps, YoungDaly};
 pub use remote::RemoteStore;
 pub use repo::{
     CheckpointRepo, CommitMode, CompressionPolicy, Retention, SaveMode, SaveOptions, SaveReport,
 };
 pub use snapshot::{Checkpointable, TrainingSnapshot};
-pub use store::{LooseStore, ObjectStore, PackStore, StoreBackend, StoreKind, StoreStats};
+#[cfg(any(test, feature = "testing"))]
+pub use store::LooseStore;
+pub use store::{ObjectStore, PackStore, StoreBackend, StoreKind, StoreStats};
 pub use verify::{export_bundle, fsck, import_bundle, read_bundle, FsckReport};

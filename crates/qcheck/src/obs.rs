@@ -36,10 +36,10 @@ pub static PACK_PREADS: qobs::LazyCounter = qobs::LazyCounter::new("qcheck_pack_
 /// Manifest-log replays (every repository open / recover / fsck pass).
 pub static MLOG_REPLAYS: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_manifest_log_replays_total");
-/// Wall time of every durability fsync (loose chunks, packs, manifest
-/// log, root slots, staged writes), in nanoseconds.
+/// Wall time of every durability fsync (packs, manifest log, root slots,
+/// staged writes), in nanoseconds.
 pub static FSYNC_NS: qobs::LazyHistogram = qobs::LazyHistogram::new("qcheck_fsync_ns");
-/// Wall time of every commit rename, in nanoseconds.
+/// Wall time of every commit rename (`durable::publish`), in nanoseconds.
 pub static RENAME_NS: qobs::LazyHistogram = qobs::LazyHistogram::new("qcheck_rename_ns");
 /// Process-wide remote round trips (the per-handle
 /// [`crate::remote::RemoteStore::round_trips`] counter stays exact per

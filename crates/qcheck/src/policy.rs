@@ -70,36 +70,6 @@ impl CheckpointPolicy for EveryKSteps {
     }
 }
 
-/// Checkpoint when at least `interval_ms` of wall clock has elapsed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WallClock {
-    /// Interval in milliseconds; must be ≥ 1.
-    pub interval_ms: u64,
-}
-
-impl WallClock {
-    /// Creates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_ms == 0`.
-    pub fn new(interval_ms: u64) -> Self {
-        assert!(interval_ms > 0, "interval must be positive");
-        WallClock { interval_ms }
-    }
-}
-
-impl CheckpointPolicy for WallClock {
-    fn should_checkpoint(&mut self, ctx: &PolicyContext) -> bool {
-        let last = ctx.last_checkpoint_ms.unwrap_or(0);
-        ctx.now_ms.saturating_sub(last) >= self.interval_ms
-    }
-
-    fn name(&self) -> &'static str {
-        "wall-clock"
-    }
-}
-
 /// Young–Daly policy: wall-clock interval `√(2·C·M)` with a fixed assumed
 /// MTBF and the *measured* checkpoint cost from the context.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -148,66 +118,6 @@ impl CheckpointPolicy for YoungDaly {
 
     fn name(&self) -> &'static str {
         "young-daly"
-    }
-}
-
-/// Adaptive policy: Young–Daly interval with the MTBF itself estimated
-/// online from observed failures (EWMA of inter-failure times).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Adaptive {
-    /// Current MTBF estimate, ms.
-    pub mtbf_estimate_ms: f64,
-    /// EWMA factor in (0, 1]; higher = more reactive.
-    pub alpha: f64,
-    /// Fallback cost, ms.
-    pub initial_cost_ms: f64,
-    last_failure_ms: Option<u64>,
-}
-
-impl Adaptive {
-    /// Creates an adaptive policy with a prior MTBF guess.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid `alpha` or non-positive prior.
-    pub fn new(prior_mtbf_ms: f64, alpha: f64) -> Self {
-        assert!(prior_mtbf_ms > 0.0, "prior MTBF must be positive");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Adaptive {
-            mtbf_estimate_ms: prior_mtbf_ms,
-            alpha,
-            initial_cost_ms: 100.0,
-            last_failure_ms: None,
-        }
-    }
-
-    /// Records an observed failure at `now_ms`, updating the MTBF estimate.
-    pub fn record_failure(&mut self, now_ms: u64) {
-        if let Some(prev) = self.last_failure_ms {
-            let gap = now_ms.saturating_sub(prev) as f64;
-            if gap > 0.0 {
-                self.mtbf_estimate_ms =
-                    (1.0 - self.alpha) * self.mtbf_estimate_ms + self.alpha * gap;
-            }
-        }
-        self.last_failure_ms = Some(now_ms);
-    }
-}
-
-impl CheckpointPolicy for Adaptive {
-    fn should_checkpoint(&mut self, ctx: &PolicyContext) -> bool {
-        let c = if ctx.observed_checkpoint_cost_ms > 0.0 {
-            ctx.observed_checkpoint_cost_ms
-        } else {
-            self.initial_cost_ms
-        };
-        let interval = math::young_daly_interval(c, self.mtbf_estimate_ms).max(1.0);
-        let last = ctx.last_checkpoint_ms.unwrap_or(0);
-        (ctx.now_ms.saturating_sub(last) as f64) >= interval
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
     }
 }
 
@@ -296,15 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_fires_on_elapsed() {
-        let mut p = WallClock::new(1000);
-        assert!(!p.should_checkpoint(&ctx(0, 500, None, None)));
-        assert!(p.should_checkpoint(&ctx(0, 1000, None, None)));
-        assert!(!p.should_checkpoint(&ctx(0, 1500, None, Some(1000))));
-        assert!(p.should_checkpoint(&ctx(0, 2100, None, Some(1000))));
-    }
-
-    #[test]
     fn young_daly_interval_math() {
         // τ* = sqrt(2 * 50 * 10_000) = 1000.
         assert!((math::young_daly_interval(50.0, 10_000.0) - 1000.0).abs() < 1e-9);
@@ -360,41 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_learns_mtbf() {
-        let mut p = Adaptive::new(1_000_000.0, 0.5);
-        // Failures every ~10 s should drag the estimate down.
-        for i in 1..=20u64 {
-            p.record_failure(i * 10_000);
-        }
-        assert!(
-            p.mtbf_estimate_ms < 100_000.0,
-            "estimate {} did not adapt",
-            p.mtbf_estimate_ms
-        );
-        assert!(p.mtbf_estimate_ms > 5_000.0);
-    }
-
-    #[test]
-    fn adaptive_checkpoints_more_often_under_failures() {
-        let mut calm = Adaptive::new(10_000_000.0, 0.5);
-        let mut stormy = Adaptive::new(10_000_000.0, 0.5);
-        for i in 1..=10u64 {
-            stormy.record_failure(i * 5_000);
-        }
-        // With cost 50 ms: calm interval = √(2·50·10⁷) ≈ 31.6 s,
-        // stormy interval ≈ √(2·50·5000) ≈ 0.7 s.
-        let c = ctx(0, 10_000, None, Some(0));
-        // Stormy has a tiny MTBF estimate → short interval → fires.
-        assert!(stormy.should_checkpoint(&c.clone()));
-        // Calm has an enormous MTBF → does not fire within ten seconds.
-        assert!(!calm.should_checkpoint(&c));
-    }
-
-    #[test]
     fn policy_names() {
         assert_eq!(EveryKSteps::new(1).name(), "every-k-steps");
-        assert_eq!(WallClock::new(1).name(), "wall-clock");
         assert_eq!(YoungDaly::new(1.0, 1.0).name(), "young-daly");
-        assert_eq!(Adaptive::new(1.0, 0.5).name(), "adaptive");
     }
 }

@@ -47,11 +47,6 @@ use super::proto::{
     HELLO_FLAG_WANT_LEASE, MAX_CHUNK_PAYLOAD, PROTO_VERSION,
 };
 
-/// Environment variable carrying the daemon auth token presented in the
-/// handshake (required for privileged operations when the daemon is
-/// configured with one).
-pub const TOKEN_ENV: &str = "QCHECK_REMOTE_TOKEN";
-
 /// Transport retries after the first failure (attempts = retries + 1).
 /// Two retries give a failover client one shot at the dead primary, one
 /// at the next address and one spare — a deployment that fails three
@@ -121,9 +116,49 @@ fn is_fatal_dial_error(e: &Error) -> bool {
 }
 
 /// One established connection.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+pub(super) struct Conn {
+    pub(super) reader: BufReader<TcpStream>,
+    pub(super) writer: BufWriter<TcpStream>,
+}
+
+impl Conn {
+    /// Dials `addr` (bounded connect + per-op socket timeouts — a wedged
+    /// or black-holed daemon must fail the caller, not hang it), sends
+    /// `hello` and returns the connection with the daemon's answer,
+    /// unjudged (a refusal is still a `Response`).
+    pub(super) fn open(addr: &str, hello: &Request) -> Result<(Conn, Response)> {
+        use std::net::ToSocketAddrs;
+        let sock_addr = addr
+            .to_socket_addrs()
+            .map_err(|e| Error::io(format!("resolving {addr}"), e))?
+            .next()
+            .ok_or_else(|| Error::InvalidConfig(format!("{addr:?} resolves to no address")))?;
+        let stream = TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT)
+            .map_err(|e| Error::io(format!("connecting to qckptd at {addr}"), e))?;
+        stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .map_err(|e| Error::io("setting read timeout", e))?;
+        stream
+            .set_write_timeout(Some(IO_TIMEOUT))
+            .map_err(|e| Error::io("setting write timeout", e))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| Error::io("setting TCP_NODELAY", e))?;
+        let mut conn = Conn {
+            reader: BufReader::new(
+                stream
+                    .try_clone()
+                    .map_err(|e| Error::io("cloning stream", e))?,
+            ),
+            writer: BufWriter::new(stream),
+        };
+        write_frame(&mut conn.writer, &hello.encode())?;
+        conn.writer
+            .flush()
+            .map_err(|e| Error::io("flushing handshake", e))?;
+        let answer = Response::decode(&read_frame(&mut conn.reader)?)?;
+        Ok((conn, answer))
+    }
 }
 
 /// A parsed [`Response::Status`] (also printed by `qckptd status`).
@@ -185,19 +220,19 @@ impl RemoteStore {
     /// Connects to the deployment at `addr` — a `host:port`, or a
     /// comma-separated failover list (`primary:port,secondary:port`) —
     /// and performs the versioned handshake for `namespace`. An auth
-    /// token is read from [`TOKEN_ENV`] when set.
+    /// token is taken from [`super::RemoteEnv::read`]
+    /// (`QCHECK_REMOTE_TOKEN`) when set.
     ///
     /// # Errors
     ///
     /// Fails when no address is reachable, the namespace is invalid, or
     /// the server speaks a different protocol version.
     pub fn connect(addr: impl Into<String>, namespace: impl Into<String>) -> Result<RemoteStore> {
-        let auth = std::env::var(TOKEN_ENV).ok().filter(|t| !t.is_empty());
-        Self::connect_opts(addr, namespace, auth)
+        Self::connect_opts(addr, namespace, super::RemoteEnv::read().token)
     }
 
     /// [`RemoteStore::connect`] with an explicit auth token (bypassing
-    /// [`TOKEN_ENV`]).
+    /// the environment).
     ///
     /// # Errors
     ///
@@ -299,36 +334,9 @@ impl RemoteStore {
         }))
     }
 
-    /// Dials one address (bounded connect + per-op socket timeouts — a
-    /// wedged or black-holed daemon must fail the save, not hang the
-    /// training loop) and performs the handshake.
+    /// Dials one address and performs the handshake for this handle's
+    /// namespace, lease and fencing floor.
     fn dial_one(&self, index: usize) -> Result<Conn> {
-        use std::net::ToSocketAddrs;
-        let addr = &self.addrs[index];
-        let sock_addr = addr
-            .to_socket_addrs()
-            .map_err(|e| Error::io(format!("resolving {addr}"), e))?
-            .next()
-            .ok_or_else(|| Error::InvalidConfig(format!("{addr:?} resolves to no address")))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT)
-            .map_err(|e| Error::io(format!("connecting to qckptd at {addr}"), e))?;
-        stream
-            .set_read_timeout(Some(IO_TIMEOUT))
-            .map_err(|e| Error::io("setting read timeout", e))?;
-        stream
-            .set_write_timeout(Some(IO_TIMEOUT))
-            .map_err(|e| Error::io("setting write timeout", e))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| Error::io("setting TCP_NODELAY", e))?;
-        let mut conn = Conn {
-            reader: BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| Error::io("cloning stream", e))?,
-            ),
-            writer: BufWriter::new(stream),
-        };
         let flags = if self.want_lease.load(Ordering::Acquire) {
             HELLO_FLAG_WANT_LEASE
         } else {
@@ -342,13 +350,10 @@ impl RemoteStore {
             lease_token: self.lease_token.load(Ordering::Acquire),
             min_generation: self.max_generation.load(Ordering::Acquire),
         };
-        write_frame(&mut conn.writer, &hello.encode())?;
-        conn.writer
-            .flush()
-            .map_err(|e| Error::io("flushing handshake", e))?;
+        let (conn, answer) = Conn::open(&self.addrs[index], &hello)?;
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         crate::obs::ROUND_TRIPS.inc();
-        match Response::decode(&read_frame(&mut conn.reader)?)?.into_result("handshake")? {
+        match answer.into_result("handshake")? {
             Response::HelloOk {
                 version,
                 generation,

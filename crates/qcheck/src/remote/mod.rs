@@ -8,9 +8,9 @@
 //! * [`proto`] — the length-prefixed, CRC-framed binary wire protocol
 //!   (versioned handshake, idempotent operations);
 //! * [`Server`] / the `qckptd` binary — a multi-tenant daemon serving
-//!   per-namespace object stores (reusing the local loose/pack layouts
-//!   and their crash-safety machinery) plus a named-metadata space for
-//!   manifests and the `LATEST` pointer;
+//!   per-namespace object stores (reusing the local pack layout and its
+//!   crash-safety machinery) plus a named-metadata space for manifests
+//!   and the `LATEST` pointer;
 //! * [`RemoteStore`] — an [`crate::store::ObjectStore`] client with
 //!   connection reuse, pipelined `put_batch`, multi-address failover
 //!   with jittered backoff, generation fencing, and server-side writer
@@ -19,9 +19,11 @@
 //!   which together replicate a primary onto a warm standby that can be
 //!   promoted (`qckptd promote`) when the primary dies.
 //!
-//! Selected like any other backend: `QCHECK_STORE=remote` with
-//! `QCHECK_REMOTE_ADDR=host:port` (and optionally `QCHECK_REMOTE_NS` to
-//! pin the namespace), or explicitly via
+//! Selected by the deployment setting alone: a fresh repository opened
+//! with `QCHECK_REMOTE_ADDR=host:port` exported is remote (optionally
+//! `QCHECK_REMOTE_NS` pins the namespace and `QCHECK_REMOTE_TOKEN`
+//! carries the auth token — [`RemoteEnv::read`] is the one place the
+//! three are read), or explicitly via
 //! [`crate::store::StoreKind::Remote`]. Because the daemon also holds
 //! the repository metadata, a training job can be killed and resumed
 //! from a *fresh working directory* against the same daemon — the repo
@@ -33,15 +35,15 @@ pub mod repl;
 mod client;
 mod server;
 
-pub use client::{RemoteStatus, RemoteStore, TOKEN_ENV};
+pub use client::{RemoteStatus, RemoteStore};
 pub use repl::{ReplStop, ReplicateConfig, SyncReport};
 pub use server::{
     spawn_daemon, spawn_secondary, DaemonHandle, Server, ServerConfig, DEFAULT_LEASE_TTL,
 };
 
 /// Environment variable naming the daemon address — a `host:port`, or a
-/// comma-separated failover list (`primary:port,secondary:port`) — used
-/// when `QCHECK_STORE=remote`.
+/// comma-separated failover list (`primary:port,secondary:port`). Setting
+/// it is what makes a fresh repository remote.
 pub const REMOTE_ADDR_ENV: &str = "QCHECK_REMOTE_ADDR";
 
 /// Environment variable pinning the remote namespace. When unset, a
@@ -50,6 +52,42 @@ pub const REMOTE_ADDR_ENV: &str = "QCHECK_REMOTE_ADDR";
 /// directory therefore requires either this variable or an explicit
 /// [`RemoteStore::connect`].
 pub const REMOTE_NS_ENV: &str = "QCHECK_REMOTE_NS";
+
+/// Environment variable carrying the daemon auth token presented in the
+/// handshake (required for privileged operations when the daemon is
+/// configured with one).
+pub const TOKEN_ENV: &str = "QCHECK_REMOTE_TOKEN";
+
+/// What the environment says about the remote deployment. A variable
+/// that is unset, empty or all whitespace reads as `None`; values are
+/// trimmed and otherwise unjudged (the namespace grammar and the address
+/// list are checked where they are used).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RemoteEnv {
+    /// [`REMOTE_ADDR_ENV`]: the daemon address or failover list.
+    pub addr: Option<String>,
+    /// [`REMOTE_NS_ENV`]: the pinned namespace.
+    pub namespace: Option<String>,
+    /// [`TOKEN_ENV`]: the auth token.
+    pub token: Option<String>,
+}
+
+impl RemoteEnv {
+    /// Reads the three remote variables — the only place they are read.
+    pub fn read() -> RemoteEnv {
+        let set = |value: std::result::Result<String, std::env::VarError>| {
+            value
+                .ok()
+                .map(|v| v.trim().to_string())
+                .filter(|v| !v.is_empty())
+        };
+        RemoteEnv {
+            addr: set(std::env::var(REMOTE_ADDR_ENV)),
+            namespace: set(std::env::var(REMOTE_NS_ENV)),
+            token: set(std::env::var(TOKEN_ENV)),
+        }
+    }
+}
 
 /// Protocol-level fault injection for the crash-safety suites.
 /// Test-only, like `ObjectStore::corrupt_object`.
@@ -68,11 +106,9 @@ pub mod fault {
     /// carrying `payload`, and drops the connection. The server must
     /// treat the unfinished frame as if it never arrived.
     pub fn die_mid_put_batch(addr: &str, namespace: &str, payload: Vec<u8>) -> Result<()> {
-        let mut stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| Error::io(format!("connecting to {addr}"), e))?;
-        let hello = proto::Request::hello(namespace);
-        proto::write_frame(&mut stream, &hello.encode())?;
-        match proto::Response::decode(&proto::read_frame(&mut stream)?)?.into_result("handshake")? {
+        let (mut conn, answer) =
+            super::client::Conn::open(addr, &proto::Request::hello(namespace))?;
+        match answer.into_result("handshake")? {
             proto::Response::HelloOk { .. } => {}
             other => {
                 return Err(Error::protocol(
@@ -93,10 +129,11 @@ pub mod fault {
         };
         let mut framed = Vec::new();
         proto::write_frame(&mut framed, &put.encode())?;
-        stream
+        conn.writer
             .write_all(&framed[..framed.len() / 2])
+            .and_then(|()| conn.writer.flush())
             .map_err(|e| Error::io("writing half frame", e))?;
-        // Dropping the stream here is the "death": the frame never
+        // Dropping the connection here is the "death": the frame never
         // completes.
         Ok(())
     }
@@ -139,7 +176,7 @@ mod tests {
     #[test]
     fn namespaces_are_isolated() {
         let root = scratch("ns-isolation");
-        let daemon = spawn_daemon(&root, StoreKind::Loose).unwrap();
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
         let a = RemoteStore::connect(daemon.addr(), "tenant-a").unwrap();
         let b = RemoteStore::connect(daemon.addr(), "tenant-b").unwrap();
         let (ra, _) = a.put(b"shared bytes").unwrap();
@@ -180,7 +217,7 @@ mod tests {
     #[test]
     fn traversal_names_are_refused() {
         let root = scratch("traversal");
-        let daemon = spawn_daemon(&root, StoreKind::Loose).unwrap();
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
         let store = RemoteStore::connect(daemon.addr(), "sec").unwrap();
         for name in ["../escape", "/abs", "a/../b", ""] {
             assert!(
@@ -196,7 +233,7 @@ mod tests {
     fn version_mismatch_is_refused() {
         use std::io::Write as _;
         let root = scratch("version");
-        let daemon = spawn_daemon(&root, StoreKind::Loose).unwrap();
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
         let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
         let hello = proto::Request::Hello {
             version: proto::PROTO_VERSION + 1,

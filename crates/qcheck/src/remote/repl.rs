@@ -51,6 +51,7 @@ use crate::hash::crc32;
 use crate::manifest::Manifest;
 use crate::store::{ObjectStore, StagedChunk};
 
+use super::client::Conn;
 use super::proto::{
     self, read_frame, valid_namespace, write_frame, OplogOp, OplogRecord, Request, Response,
     HELLO_FLAG_REPL, PROTO_VERSION, ROLE_SECONDARY,
@@ -314,38 +315,11 @@ pub(crate) type PrimaryStatus = (u64, u8, Vec<(String, u64)>);
 /// A dedicated connection a secondary holds to its primary. Namespace
 /// `control` is nominal — `REPL_*` ops name their namespace explicitly.
 pub(crate) struct ReplClient {
-    reader: std::io::BufReader<std::net::TcpStream>,
-    writer: std::io::BufWriter<std::net::TcpStream>,
+    conn: Conn,
 }
 
 impl ReplClient {
     pub(crate) fn connect(addr: &str, auth: Option<&str>) -> Result<ReplClient> {
-        use std::net::ToSocketAddrs;
-        let sock_addr = addr
-            .to_socket_addrs()
-            .map_err(|e| Error::io(format!("resolving {addr}"), e))?
-            .next()
-            .ok_or_else(|| Error::InvalidConfig(format!("{addr:?} resolves to no address")))?;
-        let stream = std::net::TcpStream::connect_timeout(&sock_addr, Duration::from_secs(10))
-            .map_err(|e| Error::io(format!("connecting to primary at {addr}"), e))?;
-        let timeout = Some(Duration::from_secs(60));
-        stream
-            .set_read_timeout(timeout)
-            .map_err(|e| Error::io("setting read timeout", e))?;
-        stream
-            .set_write_timeout(timeout)
-            .map_err(|e| Error::io("setting write timeout", e))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| Error::io("setting TCP_NODELAY", e))?;
-        let mut client = ReplClient {
-            reader: std::io::BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| Error::io("cloning stream", e))?,
-            ),
-            writer: std::io::BufWriter::new(stream),
-        };
         let hello = Request::Hello {
             version: PROTO_VERSION,
             namespace: "control".into(),
@@ -354,8 +328,9 @@ impl ReplClient {
             lease_token: 0,
             min_generation: 0,
         };
-        match client.request(&hello)? {
-            Response::HelloOk { .. } => Ok(client),
+        let (conn, answer) = Conn::open(addr, &hello)?;
+        match answer.into_result("replicating")? {
+            Response::HelloOk { .. } => Ok(ReplClient { conn }),
             other => Err(Error::protocol(
                 "replication handshake",
                 format!("unexpected response {other:?}"),
@@ -364,11 +339,12 @@ impl ReplClient {
     }
 
     fn request(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.writer, &req.encode())?;
-        self.writer
+        write_frame(&mut self.conn.writer, &req.encode())?;
+        self.conn
+            .writer
             .flush()
             .map_err(|e| Error::io("flushing replication request", e))?;
-        Response::decode(&read_frame(&mut self.reader)?)?.into_result("replicating")
+        Response::decode(&read_frame(&mut self.conn.reader)?)?.into_result("replicating")
     }
 
     pub(crate) fn status(&mut self) -> Result<PrimaryStatus> {

@@ -8,16 +8,16 @@
 //! ```text
 //! <root>/GENERATION     fencing epoch (bumped + persisted on promote)
 //! <root>/ns/<namespace>/
-//!   STORE            sticky backend marker (loose | pack)
-//!   objects/ | packs/  the namespace's object store (reuses the local
-//!                      backends: loose fan-out dirs or pack v3 files)
+//!   STORE            sticky backend marker (pack)
+//!   packs/           the namespace's object store (reuses the local
+//!                    backend: pack v3 files)
 //!   tmp/             server-side staging (disposable)
 //!   meta/            named metadata blobs (manifests/…, LATEST)
 //!   OPLOG            append-only log of committed mutations (repl)
 //! ```
 //!
 //! Reusing [`StoreBackend`] for per-namespace storage means the daemon
-//! inherits the local backends' whole crash-safety story: staged writes,
+//! inherits the local backend's whole crash-safety story: staged writes,
 //! atomic renames, CRC-framed packs, mark-and-sweep GC. A client dying
 //! mid-`put_batch` never reaches the store at all — the request frame
 //! never completes, so nothing is staged, and whatever debris an earlier
@@ -89,8 +89,9 @@ pub struct ServerConfig {
     /// Directory holding every namespace.
     pub root: PathBuf,
     /// Backend layout for *new* namespaces (existing ones keep their
-    /// sticky marker). Pack is the default: a whole `put_batch` commits
-    /// with one rename, which is the point of a checkpoint daemon.
+    /// sticky marker). Pack — a whole `put_batch` commits with one
+    /// rename — is the only local layout a release build has; the
+    /// equivalence suites also serve the reference loose layout.
     pub store_kind: StoreKind,
     /// Overrides the pack GC rewrite threshold for every namespace
     /// (`None` = [`crate::store::DEFAULT_GC_DEAD_FRACTION`]). The
@@ -180,10 +181,7 @@ impl Namespace {
             std::process::id(),
             self.meta_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, bytes).map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-        fs::rename(&tmp, &target)
-            .map_err(|e| Error::io(format!("renaming into {}", target.display()), e))?;
-        Ok(())
+        crate::durable::publish(&tmp, &target, bytes, false)
     }
 
     fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
@@ -549,11 +547,8 @@ fn load_generation(root: &Path) -> u64 {
 
 fn persist_generation(root: &Path, generation: u64) -> Result<()> {
     let tmp = root.join(format!("{GENERATION_FILE}.tmp-{}", std::process::id()));
-    fs::write(&tmp, format!("{generation}\n"))
-        .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, root.join(GENERATION_FILE))
-        .map_err(|e| Error::io("publishing generation", e))?;
-    Ok(())
+    let bytes = format!("{generation}\n");
+    crate::durable::publish(&tmp, &root.join(GENERATION_FILE), bytes.as_bytes(), false)
 }
 
 /// A bound (but not yet serving) checkpoint daemon.

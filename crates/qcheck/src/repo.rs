@@ -2,20 +2,23 @@
 //!
 //! ```text
 //! <root>/
-//!   STORE               sticky backend marker: "loose" | "pack"
-//!   objects/ab/cdef…    content-addressed chunks (loose backend)
+//!   STORE               sticky backend marker: "pack" | "remote"
 //!   packs/pack-….qpk    batched pack files (pack backend)
 //!   ROOT.0, ROOT.1      dual root slots (see `manifest_log`)
 //!   manifest-<e>.qlg    append-only CRC-framed manifest log
 //!   tmp/                staging area; contents are disposable
-//!   LOCK                advisory writer lock
+//!   LOCK                writer lock: held as an OS file lock, never unlinked
 //! ```
+//!
+//! A remote repository keeps the same directory minus `packs/` (the
+//! chunks live in the daemon) plus a `REMOTE_NS` marker. Test builds can
+//! also create the reference layout (`STORE` = `loose`, chunks under
+//! `objects/ab/cdef…`).
 //!
 //! ## Commit protocol (atomic mode)
 //!
 //! 1. write every new chunk (one [`crate::store::ObjectStore::put_batch`]
-//!    call: per-object stage+rename on the loose backend, a single staged
-//!    pack published by one fsync+rename on the pack backend);
+//!    call: a single staged pack published by one fsync+rename);
 //! 2. append one `ManifestPut` + `LatestAdvance` record pair to the
 //!    manifest log — **one** write, one optional fsync, zero renames;
 //! 3. publish by writing the *stale* root slot with a bumped generation —
@@ -237,7 +240,8 @@ pub struct SaveReport {
     /// Count of dedup hits.
     pub chunks_deduped: usize,
     /// Rename syscalls the object store used to commit this save's new
-    /// chunks: O(chunks) for the loose backend, ≤ 1 for the pack backend.
+    /// chunks: ≤ 1 for the pack backend (O(chunks) for the reference
+    /// loose layout).
     /// (Commit-path renames are counted separately in `commit_renames`.)
     pub store_renames: u64,
     /// `fsync` calls the object store issued while committing new chunks.
@@ -314,8 +318,8 @@ struct SectionEncode {
 }
 
 /// An on-disk checkpoint repository over a runtime-selected
-/// [`StoreBackend`] (`QCHECK_STORE=loose|pack|remote`, sticky per
-/// repository via the `STORE` marker).
+/// [`StoreBackend`] — pack on this disk, or remote behind `qckptd` —
+/// sticky per repository via the `STORE` marker.
 #[derive(Debug)]
 pub struct CheckpointRepo {
     root: PathBuf,
@@ -358,20 +362,25 @@ struct EncodeCache {
 
 impl CheckpointRepo {
     /// Opens a repository, creating the layout when absent. The storage
-    /// backend is resolved from the repository's sticky `STORE` marker
-    /// when present, else from `QCHECK_STORE` (default: pack).
+    /// backend is the repository's sticky `STORE` marker when present;
+    /// a fresh directory is remote when `QCHECK_REMOTE_ADDR` names a
+    /// daemon, else pack.
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors or an invalid `QCHECK_STORE` value.
+    /// Fails on filesystem errors, an unrecognized `STORE` marker, or an
+    /// unreachable daemon.
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        let kind = StoreKind::from_env()?;
+        let kind = match crate::remote::RemoteEnv::read().addr {
+            Some(_) => StoreKind::Remote,
+            None => StoreKind::Pack,
+        };
         Self::open_with(root, kind)
     }
 
-    /// Opens a repository with an explicit backend preference (builder
-    /// form of the `QCHECK_STORE` switch). An existing repository's
-    /// sticky marker still wins — a repository never changes layout.
+    /// Opens a repository with an explicit backend preference. An
+    /// existing repository's sticky marker still wins — a repository
+    /// never changes backend.
     ///
     /// # Errors
     ///
@@ -586,41 +595,52 @@ impl CheckpointRepo {
         )))
     }
 
-    /// Acquires the writer lock.
+    /// Acquires the writer lock; the returned guard releases it on drop,
+    /// on every backend.
     ///
-    /// For local backends this is the advisory on-disk `LOCK` file,
-    /// removed when the guard drops. For a shared backend (the remote
-    /// daemon) a local file would wrongly serialize *directories*, not
-    /// writers — and a crashed writer would leak it forever — so the
-    /// lock is the daemon's **server-side writer lease** instead:
-    /// granted per namespace, renewed by this handle's traffic, expired
-    /// by TTL if the process dies. The lease is bound to the store
-    /// handle (re-locking from the same handle renews it); it is
-    /// released when the handle drops or via
-    /// [`crate::store::ObjectStore::release_writer_lease`].
+    /// A local repository holds an OS file lock on `LOCK`
+    /// ([`std::fs::File::try_lock`]): the kernel drops it with the
+    /// process, so a killed writer leaves nothing to clean up, and the
+    /// file itself is never unlinked (its content — the holder's pid —
+    /// is for humans). For a shared backend (the remote daemon) a local
+    /// file would wrongly serialize *directories*, not writers, so the
+    /// lock is the daemon's **server-side writer lease** instead: granted
+    /// per namespace to this store handle, renewed by its traffic,
+    /// expired by TTL if the process dies. Re-locking through the same
+    /// remote handle renews the lease rather than conflicting (and the
+    /// first of those guards to drop releases it).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Locked`] when another local writer holds the
-    /// LOCK file, or [`Error::LeaseHeld`] when another live handle holds
+    /// `LOCK` file, or [`Error::LeaseHeld`] when another live handle holds
     /// the namespace's lease.
-    pub fn try_lock(&self) -> Result<RepoLock> {
+    pub fn try_lock(&self) -> Result<RepoLock<'_>> {
         if self.store.is_shared() {
             self.store.acquire_writer_lease()?;
-            return Ok(RepoLock { path: None });
+            return Ok(RepoLock {
+                repo: self,
+                _file: None,
+            });
         }
         let path = self.root.join("LOCK");
-        match fs::OpenOptions::new()
+        let file = fs::OpenOptions::new()
             .write(true)
-            .create_new(true)
+            .create(true)
+            .truncate(false)
             .open(&path)
-        {
-            Ok(mut f) => {
-                let _ = writeln!(f, "{}", std::process::id());
-                Ok(RepoLock { path: Some(path) })
+            .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
+        match file.try_lock() {
+            Ok(()) => {
+                let _ = file.set_len(0);
+                let _ = writeln!(&file, "{}", std::process::id());
+                Ok(RepoLock {
+                    repo: self,
+                    _file: Some(file),
+                })
             }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Err(Error::Locked(path)),
-            Err(e) => Err(Error::io("acquiring lock", e)),
+            Err(fs::TryLockError::WouldBlock) => Err(Error::Locked(path)),
+            Err(fs::TryLockError::Error(e)) => Err(Error::io("acquiring lock", e)),
         }
     }
 
@@ -759,9 +779,9 @@ impl CheckpointRepo {
         // ------------------------------------------------------------------
         // Commit phase: chunk (hashing in parallel), then hand the whole
         // save's chunk set to the store as ONE batch — the pack backend
-        // commits it with a single fsync+rename; the loose backend falls
-        // back to per-object writes. Input order is section order, so
-        // dedup accounting stays deterministic across backends.
+        // commits it with a single fsync+rename (the reference loose
+        // layout falls back to per-object writes). Input order is section
+        // order, so dedup accounting stays deterministic across backends.
         // ------------------------------------------------------------------
         let mut section_refs = Vec::with_capacity(sections.len());
         let mut staged: Vec<StagedChunk<'_>> = Vec::new();
@@ -1137,19 +1157,7 @@ impl CheckpointRepo {
             std::process::id(),
             STAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-            f.write_all(bytes)
-                .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-            if fsync {
-                qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-                    .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-            }
-        }
-        qobs::time(&crate::obs::RENAME_NS, || fs::rename(&tmp, target))
-            .map_err(|e| Error::io(format!("renaming into {}", target.display()), e))?;
-        Ok(())
+        crate::durable::publish(&tmp, target, bytes, fsync)
     }
 
     // ------------------------------------------------------------------
@@ -1485,7 +1493,7 @@ impl CheckpointRepo {
         // backend the local manifest staging dir is a separate
         // directory the server never sees.
         let mut staging_cleared = self.store.clear_staging().unwrap_or(0);
-        staging_cleared += clear_dir_files_local(&self.tmp_dir);
+        staging_cleared += crate::durable::clear_dir_files(&self.tmp_dir).unwrap_or(0);
         // Force a from-disk replay — recovery must not trust cached
         // state — and chop any benign torn tail the crash left.
         {
@@ -1947,34 +1955,20 @@ fn chain_bases(st: &LogReplay, tip: &Manifest) -> Result<Vec<Manifest>> {
     Ok(bases)
 }
 
-/// Guard for the writer lock. A local LOCK file (`path` set) is removed
-/// on drop; a server-side lease (`path` empty) stays with the *store
-/// handle* — it is renewed by traffic, released when the handle drops,
-/// and expired by TTL if the process is killed, so the guard itself has
-/// nothing to clean up.
+/// Guard for the writer lock ([`CheckpointRepo::try_lock`]). Dropping it
+/// unlocks: a local repository's `LOCK` file lock goes with the file
+/// handle held here, a remote repository's writer lease is released to
+/// the daemon.
 #[derive(Debug)]
-pub struct RepoLock {
-    path: Option<PathBuf>,
+pub struct RepoLock<'a> {
+    repo: &'a CheckpointRepo,
+    _file: Option<fs::File>,
 }
 
-impl Drop for RepoLock {
+impl Drop for RepoLock<'_> {
     fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let _ = fs::remove_file(path);
-        }
+        self.repo.store.release_writer_lease();
     }
-}
-
-/// Best-effort removal of plain files directly under `dir` (the local
-/// manifest-staging sweep used by recovery; absence and races are fine).
-fn clear_dir_files_local(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| fs::remove_file(e.path()).is_ok())
-        .count()
 }
 
 fn now_unix_ms() -> u64 {
@@ -2319,17 +2313,34 @@ mod tests {
         let (_t, repo) = TempRepo::new();
         let guard = repo.try_lock().unwrap();
         if repo.store().is_shared() {
-            // Shared stores delegate exclusion to the server-side
-            // writer lease, which is handle-scoped: re-locking through
-            // the same handle renews the lease instead of conflicting.
-            // Cross-handle exclusion is covered by
-            // tests/replication.rs::writer_lease_excludes_second_writer_and_expires_by_ttl.
+            // The server-side writer lease is handle-scoped: re-locking
+            // through the same handle renews it instead of conflicting.
+            // Cross-handle exclusion on every backend is
+            // tests/store_backends.rs::writer_lock_excludes_a_second_writer_on_every_backend.
             assert!(repo.try_lock().is_ok());
             return;
         }
         assert!(matches!(repo.try_lock(), Err(Error::Locked(_))));
         drop(guard);
         assert!(repo.try_lock().is_ok());
+    }
+
+    /// A `LOCK` file nobody holds — what a killed writer leaves behind —
+    /// must not block the next writer, and unlocking never unlinks it.
+    #[test]
+    fn stale_lock_file_without_a_holder_does_not_block() {
+        let path = scratch_root("stale-lock");
+        let repo = CheckpointRepo::open_with(&path, crate::store::StoreKind::Pack).unwrap();
+        fs::write(path.join("LOCK"), "4194303\n").unwrap();
+        let guard = repo.try_lock().expect("a stale LOCK must not block");
+        assert_eq!(
+            fs::read_to_string(path.join("LOCK")).unwrap().trim(),
+            std::process::id().to_string()
+        );
+        drop(guard);
+        assert!(path.join("LOCK").is_file(), "LOCK is never unlinked");
+        assert!(repo.try_lock().is_ok());
+        let _ = fs::remove_dir_all(path);
     }
 
     #[test]

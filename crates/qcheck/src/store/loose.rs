@@ -1,4 +1,9 @@
-//! Loose object layout: one file per chunk.
+//! Loose object layout: one file per chunk — the reference layout.
+//!
+//! Compiled only under `cfg(test)` / the `testing` feature: no release
+//! build can create or open it. It stays as the simple, independent
+//! layout the backend-equivalence suites hold the pack store (and the
+//! daemon serving it) equal to, byte for byte.
 //!
 //! Chunks live under `objects/<2-hex>/<62-hex>`, named by the SHA-256 of
 //! their contents. Writes are idempotent (a chunk that exists is never
@@ -9,15 +14,15 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::chunk::ChunkRef;
+use crate::durable;
 use crate::error::{Error, Result};
-use crate::hash::{ContentHash, Sha256};
+use crate::hash::ContentHash;
 
-use super::{BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
+use super::{verify_chunk, BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
 
 /// Handle to an on-disk loose object store rooted at `objects/` + `tmp/`.
 #[derive(Debug, Clone)]
@@ -69,19 +74,7 @@ impl LooseStore {
             std::process::id(),
             self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-            f.write_all(data)
-                .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-            if fsync {
-                qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-                    .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-            }
-        }
-        qobs::time(&crate::obs::RENAME_NS, || fs::rename(&tmp, &path))
-            .map_err(|e| Error::io(format!("renaming into {}", path.display()), e))?;
-        Ok(())
+        durable::publish(&tmp, &path, data, fsync)
     }
 
     /// Walks the object directory once, returning exact statistics.
@@ -208,7 +201,7 @@ impl ObjectStore for LooseStore {
     }
 
     fn clear_staging(&self) -> Result<usize> {
-        clear_dir_files(&self.tmp_dir)
+        durable::clear_dir_files(&self.tmp_dir)
     }
 
     #[cfg(any(test, feature = "testing"))]
@@ -225,46 +218,11 @@ impl ObjectStore for LooseStore {
     }
 }
 
-/// Shared chunk verification: exact length, then SHA-256. Used by every
-/// backend — including the remote client, which re-verifies after the
-/// wire so corruption anywhere between disk and socket is detected.
-pub(crate) fn verify_chunk(reference: &ChunkRef, data: &[u8]) -> Result<()> {
-    if data.len() != reference.len as usize {
-        return Err(Error::corrupt(
-            format!("chunk {}", reference.hash),
-            format!("length {} != expected {}", data.len(), reference.len),
-        ));
-    }
-    let actual = Sha256::digest(data);
-    if actual != reference.hash {
-        return Err(Error::corrupt(
-            format!("chunk {}", reference.hash),
-            format!("content hash mismatch (got {actual})"),
-        ));
-    }
-    Ok(())
-}
-
-/// Removes every plain file directly under `dir`; absence is not an error.
-pub(super) fn clear_dir_files(dir: &Path) -> Result<usize> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(Error::io(format!("listing {}", dir.display()), e)),
-    };
-    let mut removed = 0usize;
-    for entry in entries.flatten() {
-        if fs::remove_file(entry.path()).is_ok() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::TempDir;
     use super::*;
+    use crate::hash::Sha256;
 
     fn temp_store() -> (TempDir, LooseStore) {
         let dir = TempDir::new();

@@ -2,37 +2,43 @@
 //!
 //! The checkpoint repository stores chunk payloads through the
 //! [`ObjectStore`] trait, which abstracts *how* content-addressed objects
-//! reach the disk. Two local backends implement it (the third,
-//! [`RemoteStore`], hands the same calls to a `qckptd` daemon that runs
-//! one of these two per namespace):
+//! reach the disk. A release build has two backends:
 //!
-//! * [`PackStore`] — the default: one append-only *pack file* per batch
-//!   under `packs/`, with an embedded index and a trailing footer. A whole
-//!   save's worth of new chunks commits with a single fsync+rename, so the
-//!   commit syscall count per checkpoint is O(1) instead of O(chunks).
-//! * [`LooseStore`] — one file per chunk under `objects/<2-hex>/<62-hex>`;
-//!   every new chunk costs one stage-file create plus one rename. Kept
-//!   selectable as the independent layout the backend-equivalence suites
-//!   compare against.
+//! * [`PackStore`] — the local layout: one append-only *pack file* per
+//!   batch under `packs/`, with an embedded index and a trailing footer. A
+//!   whole save's worth of new chunks commits with a single fsync+rename,
+//!   so the commit syscall count per checkpoint is O(1) instead of
+//!   O(chunks).
+//! * [`RemoteStore`] — hands the same calls to a `qckptd` daemon, which
+//!   runs one [`PackStore`] per namespace.
 //!
-//! Both share the crash-safety contract: objects are staged in
-//! `tmp/` and published by an atomic rename. A crash can leave disposable
-//! garbage in `tmp/`, never a half-written object in the published
-//! namespace. Garbage collection is mark-and-sweep over manifest-reachable
-//! hashes ([`ObjectStore::sweep`]); there is no refcount index to corrupt.
+//! A third, `LooseStore` (one file per chunk under
+//! `objects/<2-hex>/<62-hex>`), is the *reference layout*: compiled only
+//! under `cfg(test)` / the `testing` feature, where the
+//! backend-equivalence suites hold pack and remote equal to it byte for
+//! byte. A release build cannot create or open it — a `STORE` marker
+//! reading `loose` is an unrecognised marker there.
+//!
+//! The local layouts share the crash-safety contract: objects are staged
+//! in `tmp/` and published by an atomic rename (`crate::durable`). A crash
+//! can leave disposable garbage in `tmp/`, never a half-written object in
+//! the published namespace. Garbage collection is mark-and-sweep over
+//! manifest-reachable hashes ([`ObjectStore::sweep`]); there is no
+//! refcount index to corrupt.
 //!
 //! Backend selection is per repository and *sticky*: the first open writes
 //! a one-line `STORE` marker file naming the backend, and later opens obey
-//! the marker regardless of the requested kind — switching the environment
-//! variable can therefore never strand objects written by the other
-//! layout. Fresh repositories honor `QCHECK_STORE=pack|loose|remote` (or
-//! the explicit [`crate::repo::CheckpointRepo::open_with`] builder
-//! argument); unset means pack.
+//! the marker regardless of the requested kind — re-pointing a deployment
+//! can therefore never strand objects written through the other backend.
+//! A fresh repository opened with [`crate::repo::CheckpointRepo::open`] is
+//! remote when `QCHECK_REMOTE_ADDR` names a daemon and pack otherwise;
+//! [`crate::repo::CheckpointRepo::open_with`] states the kind explicitly.
 
+#[cfg(any(test, feature = "testing"))]
 mod loose;
 mod pack;
 
-pub(crate) use loose::verify_chunk;
+#[cfg(any(test, feature = "testing"))]
 pub use loose::LooseStore;
 pub use pack::{PackStore, DEFAULT_GC_DEAD_FRACTION};
 
@@ -43,7 +49,7 @@ use std::path::Path;
 use crate::chunk::ChunkRef;
 use crate::error::{Error, Result};
 use crate::hash::{ContentHash, Sha256};
-use crate::remote::{RemoteStore, REMOTE_ADDR_ENV, REMOTE_NS_ENV};
+use crate::remote::{RemoteEnv, RemoteStore, REMOTE_ADDR_ENV, REMOTE_NS_ENV};
 
 /// Name of the marker file persisting a repository's remote namespace
 /// (written on first open of a remote-backed repository when
@@ -66,7 +72,7 @@ pub struct GcReport {
     /// a mixed pack below the [`DEFAULT_GC_DEAD_FRACTION`] rewrite
     /// threshold is left untouched rather than rewritten — they remain
     /// readable and are re-examined by the next sweep). Always 0 for the
-    /// loose backend.
+    /// reference loose layout.
     pub deferred: usize,
     /// Payload bytes held by deferred objects.
     pub deferred_bytes: u64,
@@ -133,9 +139,9 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     ///
     /// Fails on filesystem errors. No torn object is ever published, but
     /// a failed batch may have published a *prefix* of its objects
-    /// (loose backend; the pack backend is all-or-nothing): those are
-    /// content-addressed orphans, invisible until a manifest references
-    /// them and reclaimed by the next sweep.
+    /// (reference loose layout; the pack backend is all-or-nothing):
+    /// those are content-addressed orphans, invisible until a manifest
+    /// references them and reclaimed by the next sweep.
     fn put_batch(&self, chunks: &[StagedChunk<'_>], fsync: bool) -> Result<BatchPutReport>;
 
     /// Fetches and verifies one chunk.
@@ -209,7 +215,7 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     /// # Errors
     ///
     /// Fails on directory-walk errors (first, cache-seeding call only for
-    /// the loose backend).
+    /// the reference loose layout).
     fn stats(&self) -> Result<StoreStats>;
 
     /// Removes orphaned staging files left behind by crashed writers.
@@ -342,13 +348,15 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     fn corrupt_object(&self, hash: &ContentHash, offset: usize) -> Result<()>;
 }
 
-/// Which [`ObjectStore`] layout a repository uses.
+/// Which [`ObjectStore`] backend a repository uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreKind {
-    /// One file per chunk (`objects/`): [`LooseStore`].
+    /// One file per chunk (`objects/`): `LooseStore`, the reference
+    /// layout of the equivalence suites. Test builds only.
+    #[cfg(any(test, feature = "testing"))]
     Loose,
-    /// Batched pack files (`packs/`): [`PackStore`] — the default, here
-    /// and in the daemon.
+    /// Batched pack files (`packs/`): [`PackStore`] — the local layout,
+    /// here and in the daemon.
     #[default]
     Pack,
     /// A `qckptd` daemon over TCP: [`RemoteStore`]
@@ -357,10 +365,10 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
-    /// Stable name, as written to the `STORE` marker and accepted by the
-    /// `QCHECK_STORE` environment variable.
+    /// Stable name, as written to the `STORE` marker.
     pub fn as_str(&self) -> &'static str {
         match self {
+            #[cfg(any(test, feature = "testing"))]
             StoreKind::Loose => "loose",
             StoreKind::Pack => "pack",
             StoreKind::Remote => "remote",
@@ -370,28 +378,11 @@ impl StoreKind {
     /// Parses a backend name.
     pub fn parse(s: &str) -> Option<StoreKind> {
         match s.trim() {
+            #[cfg(any(test, feature = "testing"))]
             "loose" => Some(StoreKind::Loose),
             "pack" => Some(StoreKind::Pack),
             "remote" => Some(StoreKind::Remote),
             _ => None,
-        }
-    }
-
-    /// Resolves the `QCHECK_STORE` environment variable; unset means the
-    /// default, [`StoreKind::Pack`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] on an unrecognized value — a typo must not
-    /// silently fall back to a different layout.
-    pub fn from_env() -> Result<StoreKind> {
-        match std::env::var("QCHECK_STORE") {
-            Ok(v) => StoreKind::parse(&v).ok_or_else(|| {
-                Error::InvalidConfig(format!(
-                    "QCHECK_STORE={v:?} (expected \"loose\", \"pack\" or \"remote\")"
-                ))
-            }),
-            Err(_) => Ok(StoreKind::default()),
         }
     }
 }
@@ -408,7 +399,8 @@ impl std::fmt::Display for StoreKind {
 /// repository at open time.
 #[derive(Debug)]
 pub enum StoreBackend {
-    /// One file per chunk.
+    /// One file per chunk (reference layout, test builds only).
+    #[cfg(any(test, feature = "testing"))]
     Loose(LooseStore),
     /// Batched pack files.
     Pack(PackStore),
@@ -418,8 +410,8 @@ pub enum StoreBackend {
 
 impl StoreBackend {
     /// Overrides the pack backend's GC rewrite threshold (no-op for the
-    /// loose and remote backends — the daemon's threshold is server
-    /// configuration). See [`PackStore::set_gc_dead_fraction`].
+    /// remote backend — the daemon's threshold is server configuration).
+    /// See [`PackStore::set_gc_dead_fraction`].
     pub fn set_gc_dead_fraction(&mut self, fraction: f64) {
         if let StoreBackend::Pack(pack) = self {
             pack.set_gc_dead_fraction(fraction);
@@ -446,9 +438,9 @@ impl StoreBackend {
     }
 
     /// Opens the given backend under `root` (no marker handling). The
-    /// remote backend resolves its daemon address from
-    /// `QCHECK_REMOTE_ADDR` and its namespace from `QCHECK_REMOTE_NS`,
-    /// a `REMOTE_NS` marker under `root`, or (first open) a freshly
+    /// remote backend takes its daemon address and namespace from
+    /// [`RemoteEnv::read`]: `QCHECK_REMOTE_ADDR`, and `QCHECK_REMOTE_NS`,
+    /// else a `REMOTE_NS` marker under `root`, else (first open) a freshly
     /// generated name persisted to that marker.
     ///
     /// # Errors
@@ -457,31 +449,31 @@ impl StoreBackend {
     /// missing for the remote backend, or the daemon is unreachable.
     pub fn open(root: &Path, kind: StoreKind) -> Result<Self> {
         Ok(match kind {
+            #[cfg(any(test, feature = "testing"))]
             StoreKind::Loose => StoreBackend::Loose(LooseStore::open(root)?),
             StoreKind::Pack => StoreBackend::Pack(PackStore::open(root)?),
             StoreKind::Remote => {
-                let addr = std::env::var(REMOTE_ADDR_ENV).map_err(|_| {
+                let env = RemoteEnv::read();
+                let addr = env.addr.ok_or_else(|| {
                     Error::InvalidConfig(format!(
-                        "QCHECK_STORE=remote requires {REMOTE_ADDR_ENV}=host:port"
+                        "a remote repository requires {REMOTE_ADDR_ENV}=host:port"
                     ))
                 })?;
-                let namespace = resolve_remote_namespace(root)?;
-                StoreBackend::Remote(RemoteStore::connect(addr, namespace)?)
+                let namespace = resolve_remote_namespace(root, env.namespace)?;
+                StoreBackend::Remote(RemoteStore::connect_opts(addr, namespace, env.token)?)
             }
         })
     }
 
     /// Opens a backend under `root`, honoring the sticky `STORE` marker:
-    ///
-    /// 1. an existing marker wins over `requested` (a repository never
-    ///    changes layout mid-life);
-    /// 2. a marker-less root that already holds loose objects is treated
-    ///    as loose (pre-marker repositories);
-    /// 3. otherwise `requested` is used and recorded in the marker.
+    /// an existing marker wins over `requested` (a repository never
+    /// changes backend mid-life); otherwise `requested` is used and
+    /// recorded in the marker.
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors or an unparseable marker.
+    /// Fails on filesystem errors, or with [`Error::Corrupt`] — before
+    /// anything is written — on a marker this build does not recognize.
     pub fn open_sticky(root: &Path, requested: StoreKind) -> Result<Self> {
         let marker = root.join(STORE_MARKER_FILE);
         let kind = match fs::read_to_string(&marker) {
@@ -492,16 +484,11 @@ impl StoreBackend {
                 )
             })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let kind = if has_loose_objects(root) {
-                    StoreKind::Loose
-                } else {
-                    requested
-                };
                 fs::create_dir_all(root)
                     .map_err(|e| Error::io(format!("creating {}", root.display()), e))?;
-                fs::write(&marker, format!("{}\n", kind.as_str()))
+                fs::write(&marker, format!("{}\n", requested.as_str()))
                     .map_err(|e| Error::io(format!("writing {}", marker.display()), e))?;
-                kind
+                requested
             }
             Err(e) => return Err(Error::io(format!("reading {}", marker.display()), e)),
         };
@@ -511,6 +498,7 @@ impl StoreBackend {
     /// Which layout this backend uses.
     pub fn kind(&self) -> StoreKind {
         match self {
+            #[cfg(any(test, feature = "testing"))]
             StoreBackend::Loose(_) => StoreKind::Loose,
             StoreBackend::Pack(_) => StoreKind::Pack,
             StoreBackend::Remote(_) => StoreKind::Remote,
@@ -518,20 +506,32 @@ impl StoreBackend {
     }
 }
 
-/// Whether `root` holds a pre-marker loose-layout object directory.
-fn has_loose_objects(root: &Path) -> bool {
-    fs::read_dir(root.join("objects"))
-        .map(|mut entries| entries.next().is_some())
-        .unwrap_or(false)
+/// Shared chunk verification: exact length, then SHA-256. Used by every
+/// backend — including the remote client, which re-verifies after the
+/// wire so corruption anywhere between disk and socket is detected.
+pub(crate) fn verify_chunk(reference: &ChunkRef, data: &[u8]) -> Result<()> {
+    if data.len() != reference.len as usize {
+        return Err(Error::corrupt(
+            format!("chunk {}", reference.hash),
+            format!("length {} != expected {}", data.len(), reference.len),
+        ));
+    }
+    let actual = Sha256::digest(data);
+    if actual != reference.hash {
+        return Err(Error::corrupt(
+            format!("chunk {}", reference.hash),
+            format!("content hash mismatch (got {actual})"),
+        ));
+    }
+    Ok(())
 }
 
-/// Resolves the remote namespace for a repository at `root`:
-/// `QCHECK_REMOTE_NS` wins, then the repository's `REMOTE_NS` marker,
+/// Resolves the remote namespace for a repository at `root`: `pinned`
+/// (`QCHECK_REMOTE_NS`) wins, then the repository's `REMOTE_NS` marker,
 /// else a fresh random name is generated and persisted to the marker so
 /// every later open of this directory lands in the same namespace.
-fn resolve_remote_namespace(root: &Path) -> Result<String> {
-    if let Ok(ns) = std::env::var(REMOTE_NS_ENV) {
-        let ns = ns.trim().to_string();
+fn resolve_remote_namespace(root: &Path, pinned: Option<String>) -> Result<String> {
+    if let Some(ns) = pinned {
         if !crate::remote::proto::valid_namespace(&ns) {
             return Err(Error::InvalidConfig(format!(
                 "{REMOTE_NS_ENV}={ns:?} is not a valid namespace"
@@ -584,6 +584,7 @@ fn resolve_remote_namespace(root: &Path) -> Result<String> {
 macro_rules! delegate {
     ($self:ident, $inner:ident => $body:expr) => {
         match $self {
+            #[cfg(any(test, feature = "testing"))]
             StoreBackend::Loose($inner) => $body,
             StoreBackend::Pack($inner) => $body,
             StoreBackend::Remote($inner) => $body,
@@ -736,26 +737,31 @@ mod tests {
     }
 
     #[test]
-    fn marker_less_repo_with_loose_objects_stays_loose() {
-        let dir = testutil::TempDir::new();
-        let loose = LooseStore::open(dir.path()).unwrap();
-        loose.put(b"pre-marker object").unwrap();
-        let backend = StoreBackend::open_sticky(dir.path(), StoreKind::Pack).unwrap();
-        assert_eq!(
-            backend.kind(),
-            StoreKind::Loose,
-            "legacy repo must not flip layout"
-        );
-    }
-
-    #[test]
     fn garbage_marker_is_rejected() {
         let dir = testutil::TempDir::new();
         std::fs::write(dir.path().join(STORE_MARKER_FILE), "sharded\n").unwrap();
+        let listing = |dir: &Path| -> Vec<std::ffi::OsString> {
+            let mut names: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing(dir.path());
         assert!(matches!(
-            StoreBackend::open_sticky(dir.path(), StoreKind::Loose),
+            StoreBackend::open_sticky(dir.path(), StoreKind::Pack),
             Err(Error::Corrupt { .. })
         ));
+        assert_eq!(
+            listing(dir.path()),
+            before,
+            "a refused marker must leave the directory as it was found"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.path().join(STORE_MARKER_FILE)).unwrap(),
+            "sharded\n"
+        );
     }
 
     #[test]

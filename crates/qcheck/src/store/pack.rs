@@ -45,16 +45,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::chunk::ChunkRef;
+use crate::durable;
 use crate::error::{Error, Result};
 use crate::hash::{crc32, ContentHash, Sha256};
 
-use super::loose::{clear_dir_files, verify_chunk};
-use super::{BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
+use super::{verify_chunk, BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
 
 /// Magic bytes opening every pack file.
 const PACK_MAGIC: &[u8; 6] = b"QPACK\0";
@@ -469,18 +468,7 @@ impl PackStore {
             std::process::id(),
             crc32(name.as_bytes())
         ));
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-            f.write_all(&bytes)
-                .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-            if fsync {
-                qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-                    .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-            }
-        }
-        qobs::time(&crate::obs::RENAME_NS, || fs::rename(&tmp, &target))
-            .map_err(|e| Error::io(format!("renaming into {}", target.display()), e))?;
+        durable::publish(&tmp, &target, &bytes, fsync)?;
         Ok(name)
     }
 }
@@ -721,7 +709,7 @@ impl ObjectStore for PackStore {
     }
 
     fn clear_staging(&self) -> Result<usize> {
-        clear_dir_files(&self.tmp_dir)
+        durable::clear_dir_files(&self.tmp_dir)
     }
 
     #[cfg(any(test, feature = "testing"))]

@@ -44,9 +44,9 @@ impl Drop for TempDir {
 /// in-process one that the returned handle keeps alive.
 fn daemon(dir: &TempDir) -> (Option<DaemonHandle>, String, String) {
     let namespace = dir.0.file_name().unwrap().to_string_lossy().to_string();
-    match std::env::var(qcheck::remote::REMOTE_ADDR_ENV) {
-        Ok(addr) => (None, addr, namespace),
-        Err(_) => {
+    match qcheck::remote::RemoteEnv::read().addr {
+        Some(addr) => (None, addr, namespace),
+        None => {
             let daemon = spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap();
             let addr = daemon.addr();
             (Some(daemon), addr, namespace)

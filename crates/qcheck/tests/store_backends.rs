@@ -892,17 +892,64 @@ fn client_death_mid_put_batch_recovers_cleanly() {
     );
 }
 
+/// One writer at a time, with one meaning on every backend: while a
+/// handle holds the lock a second handle on the same repository is
+/// refused with a typed error, and dropping the guard — nothing else —
+/// lets the second handle in. Local backends exclude through the `LOCK`
+/// file lock, the daemon through the namespace's writer lease.
+#[test]
+fn writer_lock_excludes_a_second_writer_on_every_backend() {
+    for backend in ["loose", "pack", "remote"] {
+        let dir = TempDir::new("lock");
+        let kind = StoreKind::parse(backend).unwrap();
+        let (_daemon, first, second) = if kind == StoreKind::Remote {
+            let (daemon, first) = remote_repo(&dir.0, "lock");
+            let ns = first.store().remote().unwrap().namespace().to_string();
+            let store = RemoteStore::connect(daemon.addr(), ns).unwrap();
+            let second =
+                CheckpointRepo::with_store(dir.0.join("client-2"), StoreBackend::Remote(store))
+                    .unwrap();
+            (Some(daemon), first, second)
+        } else {
+            let first = CheckpointRepo::open_with(&dir.0, kind).unwrap();
+            let second = CheckpointRepo::open_with(&dir.0, kind).unwrap();
+            (None, first, second)
+        };
+        let guard = first.try_lock().unwrap();
+        let refusal = second.try_lock().err();
+        assert!(
+            matches!(
+                refusal,
+                Some(qcheck::error::Error::Locked(_) | qcheck::error::Error::LeaseHeld(_))
+            ),
+            "{backend}: a second writer must be refused, got {refusal:?}"
+        );
+        drop(guard);
+        let guard = second
+            .try_lock()
+            .unwrap_or_else(|e| panic!("{backend}: dropping the guard must unlock: {e}"));
+        assert!(
+            first.try_lock().is_err(),
+            "{backend}: exclusion must hold the other way round too"
+        );
+        drop(guard);
+    }
+}
+
 /// Save/recover drills move the qobs counters by at least the drill's
 /// own contribution. Deltas are `>=`, never `==`: every test in this
 /// binary shares one process-wide registry. Only deterministic
-/// counters are asserted — never timings.
+/// counters are asserted — never timings. Pinned to the pack store:
+/// the fsync and rename histograms asserted here belong to *this*
+/// process, and a remote save renames in the daemon (whose registry is
+/// `metrics_wire.rs`'s subject).
 #[test]
 fn observability_counters_track_a_save_recover_drill() {
     if qobs::mode() == qobs::Mode::Off {
         qobs::set_mode(qobs::Mode::Counters);
     }
     let dir = TempDir::new("obs-deltas");
-    let repo = CheckpointRepo::open(dir.0.join("repo")).unwrap();
+    let repo = CheckpointRepo::open_with(dir.0.join("repo"), StoreKind::Pack).unwrap();
 
     let saves0 = qobs::counter("qcheck_saves_total").get();
     let recovers0 = qobs::counter("qcheck_recovers_total").get();

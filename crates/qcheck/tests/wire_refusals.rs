@@ -216,9 +216,9 @@ fn data_path_daemon(
     root: &std::path::Path,
 ) -> (Option<qcheck::remote::DaemonHandle>, String, String) {
     let namespace = root.file_name().unwrap().to_string_lossy().to_string();
-    match std::env::var(qcheck::remote::REMOTE_ADDR_ENV) {
-        Ok(addr) => (None, addr, namespace),
-        Err(_) => {
+    match qcheck::remote::RemoteEnv::read().addr {
+        Some(addr) => (None, addr, namespace),
+        None => {
             let daemon = spawn_daemon(root, StoreKind::Pack).unwrap();
             let addr = daemon.addr();
             (Some(daemon), addr, namespace)

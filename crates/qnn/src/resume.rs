@@ -12,7 +12,7 @@ use qcheck::checkpointer::Checkpointer;
 use qcheck::error::Error as QcheckError;
 use qcheck::manifest::CheckpointId;
 use qcheck::policy::CheckpointPolicy;
-use qcheck::repo::{CheckpointRepo, RepoLock, SaveOptions, SaveReport};
+use qcheck::repo::{CheckpointRepo, SaveOptions, SaveReport};
 use qcheck::snapshot::Checkpointable;
 use qcheck::store::ObjectStore;
 
@@ -67,19 +67,22 @@ pub enum RunStart {
     },
 }
 
-/// A training run bound to a checkpoint repository (backend resolved
-/// via `QCHECK_STORE` / the repository's sticky `STORE` marker).
+/// A training run bound to a checkpoint repository (pack on this disk,
+/// or remote when `QCHECK_REMOTE_ADDR` names a daemon; an existing
+/// repository's sticky `STORE` marker wins).
+///
+/// Writer exclusion for *shared* (daemon-backed) repositories: the run
+/// takes the namespace's server-side writer lease before recovery, so two
+/// trainers pointed at one namespace fail loudly with a typed lease-held
+/// error instead of interleaving checkpoints, and hands it back in
+/// [`ResumableRun::finish`] (a run that is dropped or killed instead
+/// gives it up with its store handle, or by TTL). A local backend's
+/// working directory is already private and the call is a no-op.
 #[derive(Debug)]
 pub struct ResumableRun {
     trainer: Trainer,
     checkpointer: Checkpointer,
     start: RunStart,
-    /// Writer exclusion for *shared* (daemon-backed) repositories: the
-    /// namespace's server-side lease, acquired before recovery so two
-    /// trainers pointed at one namespace fail loudly with a typed
-    /// lease-held error instead of interleaving checkpoints. `None` for
-    /// local backends, whose working directory is already private.
-    _lock: Option<RepoLock>,
 }
 
 impl ResumableRun {
@@ -98,11 +101,7 @@ impl ResumableRun {
         options: SaveOptions,
     ) -> Result<Self, RunError> {
         let mut trainer = trainer;
-        let lock = if repo.store().is_shared() {
-            Some(repo.try_lock()?)
-        } else {
-            None
-        };
+        repo.store().acquire_writer_lease()?;
         let start = match repo.recover() {
             Ok((snapshot, report)) => {
                 let id = report.recovered.expect("recover names its source");
@@ -124,7 +123,6 @@ impl ResumableRun {
             trainer,
             checkpointer: Checkpointer::new(repo, policy, options),
             start,
-            _lock: lock,
         })
     }
 

@@ -216,23 +216,33 @@ fn killed_primary_resumes_bit_identically_against_promoted_secondary() {
 }
 
 /// The same resume, but steered entirely through the environment-driven
-/// selection path (`QCHECK_STORE=remote` + `QCHECK_REMOTE_ADDR` +
-/// `QCHECK_REMOTE_NS`) — the configuration a training script actually
-/// uses. Env vars are process-global, so restore them before returning.
+/// selection path — the configuration a training script actually uses:
+/// `QCHECK_REMOTE_ADDR` alone makes a fresh repository remote
+/// (`QCHECK_REMOTE_NS` pins the namespace so a second directory finds
+/// it), and without an address a fresh repository is pack. Env vars are
+/// process-global, so restore them before returning.
 #[test]
 fn env_selected_remote_backend_round_trips() {
     let _env = ENV_LOCK.lock().unwrap();
     let daemon = spawn_daemon(scratch("env-daemon"), StoreKind::Pack).unwrap();
-    let prev: Vec<(&str, Option<String>)> =
-        ["QCHECK_STORE", "QCHECK_REMOTE_ADDR", "QCHECK_REMOTE_NS"]
-            .into_iter()
-            .map(|k| (k, std::env::var(k).ok()))
-            .collect();
-    std::env::set_var("QCHECK_STORE", "remote");
-    std::env::set_var("QCHECK_REMOTE_ADDR", daemon.addr());
+    let addr = daemon.addr();
+    let prev: Vec<(&str, Option<String>)> = ["QCHECK_REMOTE_ADDR", "QCHECK_REMOTE_NS"]
+        .into_iter()
+        .map(|k| (k, std::env::var(k).ok()))
+        .collect();
+    std::env::remove_var("QCHECK_REMOTE_ADDR");
     std::env::set_var("QCHECK_REMOTE_NS", "env-run");
 
     let result = std::panic::catch_unwind(|| {
+        // No address: a namespace alone selects nothing.
+        let local = scratch("env-local");
+        assert_eq!(
+            CheckpointRepo::open(&local).unwrap().store_kind(),
+            StoreKind::Pack
+        );
+        let _ = std::fs::remove_dir_all(local);
+
+        std::env::set_var("QCHECK_REMOTE_ADDR", &addr);
         let dir = scratch("env-dir");
         {
             let repo = CheckpointRepo::open(&dir).unwrap();

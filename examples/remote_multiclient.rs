@@ -9,7 +9,7 @@
 //!
 //! The example spawns the daemon in-process for convenience; a real
 //! deployment runs `qckptd serve <root>` as its own process and clients
-//! select it with `QCHECK_STORE=remote QCHECK_REMOTE_ADDR=host:port`.
+//! select it by exporting `QCHECK_REMOTE_ADDR=host:port`.
 
 use qnn_checkpoint::qcheck::policy::EveryKSteps;
 use qnn_checkpoint::qcheck::remote::{spawn_daemon, RemoteStore};

@@ -221,18 +221,6 @@ fn classification_task_round_trips_dataset_cursor() {
 }
 
 #[test]
-fn writer_lock_excludes_second_writer() {
-    let dir = scratch("lock");
-    let repo = CheckpointRepo::open(&dir).unwrap();
-    let guard = repo.try_lock().unwrap();
-    let repo2 = CheckpointRepo::open(&dir).unwrap();
-    assert!(repo2.try_lock().is_err());
-    drop(guard);
-    assert!(repo2.try_lock().is_ok());
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn ledger_accounting_survives_resume() {
     let dir = scratch("ledger");
     let repo = CheckpointRepo::open(&dir).unwrap();
