@@ -3,12 +3,11 @@
 //! Each row adds one mechanism and measures what it buys on a real snapshot
 //! stream: bytes per checkpoint, commit latency, and — the number the
 //! training loop actually feels — the stall on the training thread
-//! (synchronous commit vs background submission).
+//! (a commit on the training thread vs the save driver's hand-off).
 
-use qcheck::background::BackgroundCheckpointer;
 use qcheck::repo::{CheckpointRepo, CommitMode, CompressionPolicy, SaveOptions};
 use qcheck::snapshot::Checkpointable;
-use qcheck::Compression;
+use qcheck::{Checkpointer, Compression, EveryKSteps};
 use qsim::measure::EvalMode;
 
 use crate::report::{quick_mode, scratch_dir, Table};
@@ -103,45 +102,43 @@ pub fn run() -> Table {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    // Background submission: same storage work, near-zero training stall.
-    // Submissions are interleaved with real training compute (as in a live
-    // loop) so the writer has the step time to drain — submitting in a
-    // tight loop would just measure back-pressure.
+    // The save driver: same storage work on its writer thread; the
+    // training thread pays capture + hand-off. Checkpoints are
+    // interleaved with real training compute (as in a live loop) so the
+    // writer has the step time to finish — a tight loop would measure the
+    // driver's one-in-flight backpressure instead.
     {
         let dir = scratch_dir("table4-bg");
-        let mut bg = BackgroundCheckpointer::spawn(
+        let mut driver = Checkpointer::new(
             CheckpointRepo::open(&dir).expect("repo"),
+            Box::new(EveryKSteps::new(1)),
             SaveOptions::incremental(16),
-        );
+        )
+        .expect("driver");
         let mut trainer = vqe_tfim_trainer_sgd(8, 4, 31, EvalMode::Exact, 0.05);
         let mut stall_ms = Vec::new();
         for _ in 0..stream.len() {
-            trainer.train_step().expect("step");
-            let ((), ms) = time_ms(|| {
-                let snap = trainer.capture();
-                bg.submit(snap).expect("submit")
-            });
+            let step = trainer.train_step().expect("step").step;
+            let (handed_off, ms) = time_ms(|| driver.on_step(step, &trainer));
+            assert!(handed_off.expect("on_step"), "every-1 is always due");
             stall_ms.push(ms);
         }
-        bg.drain().expect("drain");
-        let reports = bg.completed();
-        let mut bytes: Vec<u64> = reports.iter().map(|r| r.bytes_written()).collect();
+        driver.drain().expect("drain");
+        let mut bytes: Vec<u64> = driver.history().iter().map(|r| r.bytes_written()).collect();
         bytes.sort_unstable();
-        let med_bytes = bytes.get(bytes.len() / 2).copied().unwrap_or(0);
-        let med_stall = median_ms(&mut stall_ms);
         table.row(vec![
             "+background writer".to_string(),
-            med_bytes.to_string(),
+            bytes[bytes.len() / 2].to_string(),
             "(off critical path)".to_string(),
-            format!("{med_stall:.2}"),
+            format!("{:.2}", median_ms(&mut stall_ms)),
             "true".to_string(),
         ]);
-        drop(bg);
+        drop(driver);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     table.note("each mechanism is additive; 'train-stall' is what the optimizer loop waits for");
-    table.note("the background writer removes the commit from the critical path entirely — the stall is a snapshot clone plus a channel send");
+    table.note("the writer thread takes the commit off the critical path — the stall is a snapshot capture plus a channel send");
     table
 }
 
@@ -158,13 +155,13 @@ mod tests {
         let raw: u64 = t.rows[0][1].parse().unwrap();
         let delta: u64 = t.rows[3][1].parse().unwrap();
         assert!(delta <= raw, "delta {delta} vs raw {raw}");
-        // Background stall must not exceed its synchronous counterpart by
-        // more than noise.
+        // The driver's stall must not exceed the same save made on the
+        // training thread by more than noise.
         let sync_stall: f64 = t.rows[3][3].parse().unwrap();
         let bg_stall: f64 = t.rows[5][3].parse().unwrap();
         assert!(
             bg_stall <= sync_stall * 3.0 + 1.0,
-            "bg stall {bg_stall} vs sync {sync_stall}"
+            "driver stall {bg_stall} vs synchronous {sync_stall}"
         );
     }
 }

@@ -1,12 +1,16 @@
-//! The one stage-write-(fsync)-rename every publish goes through.
+//! The one place a byte becomes durable: every write, fsync and rename
+//! behind a commit.
 //!
 //! A pack, a compacted manifest log, a reference-layout object, a
 //! daemon metadata blob and the daemon's `GENERATION` file are all made
-//! visible the same way: written whole to a staging path, optionally
-//! flushed, then renamed onto their final name — so a crash leaves either
-//! the old file or the new one, never a torn one, plus at most a
-//! disposable staging file. That sequence lives here once, carrying the
-//! `qcheck_fsync_ns` / `qcheck_rename_ns` timers at every site.
+//! visible the same way ([`publish`]): written whole to a staging path,
+//! optionally flushed, then renamed onto their final name — so a crash
+//! leaves either the old file or the new one, never a torn one, plus at
+//! most a disposable staging file. The two commit writes that rename
+//! nothing live here too: the manifest-log [`append`] and the root-slot
+//! [`overwrite`], whose torn outcomes the log's CRC framing and the
+//! second slot absorb. Every `qcheck_fsync_ns` / `qcheck_rename_ns`
+//! sample is taken in this file.
 
 use std::fs;
 use std::io::Write;
@@ -23,19 +27,63 @@ use crate::error::{Error, Result};
 /// Fails on the first filesystem error; `target` is then untouched and
 /// `tmp` may be left behind as staging debris.
 pub(crate) fn publish(tmp: &Path, target: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
-    {
-        let mut f = fs::File::create(tmp)
-            .map_err(|e| Error::io(format!("creating {}", tmp.display()), e))?;
-        f.write_all(bytes)
-            .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
-        if fsync {
-            qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-                .map_err(|e| Error::io(format!("syncing {}", tmp.display()), e))?;
-        }
-    }
+    overwrite(tmp, bytes, fsync)?;
     qobs::time(&crate::obs::RENAME_NS, || fs::rename(tmp, target))
         .map_err(|e| Error::io(format!("renaming into {}", target.display()), e))?;
     Ok(())
+}
+
+/// The timed fsync every durable write ends with, when asked for.
+fn sync(f: &fs::File, path: &Path, fsync: bool) -> Result<()> {
+    if fsync {
+        qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
+            .map_err(|e| Error::io(format!("syncing {}", path.display()), e))?;
+    }
+    Ok(())
+}
+
+/// Appends `bytes` to the file at `path`, creating it and writing
+/// `header` first when it is absent or empty, and `fsync`s when asked.
+/// Returns the offset `bytes` landed at.
+///
+/// # Errors
+///
+/// Fails on the first filesystem error; a prefix of the append may have
+/// reached the file.
+pub(crate) fn append(path: &Path, header: &[u8], bytes: &[u8], fsync: bool) -> Result<u64> {
+    let mut f = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
+    let mut len = f
+        .metadata()
+        .map_err(|e| Error::io(format!("stat {}", path.display()), e))?
+        .len();
+    if len == 0 {
+        f.write_all(header)
+            .map_err(|e| Error::io(format!("writing the header of {}", path.display()), e))?;
+        len = header.len() as u64;
+    }
+    f.write_all(bytes)
+        .map_err(|e| Error::io(format!("appending to {}", path.display()), e))?;
+    sync(&f, path, fsync)?;
+    Ok(len)
+}
+
+/// Replaces the content of the file at `path` in place — create or
+/// truncate, one write, `fsync` when asked, no rename.
+///
+/// # Errors
+///
+/// Fails on the first filesystem error; the file may be left empty or
+/// torn.
+pub(crate) fn overwrite(path: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
+    let mut f =
+        fs::File::create(path).map_err(|e| Error::io(format!("creating {}", path.display()), e))?;
+    f.write_all(bytes)
+        .map_err(|e| Error::io(format!("writing {}", path.display()), e))?;
+    sync(&f, path, fsync)
 }
 
 /// Removes every plain file directly under the staging directory `dir`

@@ -18,7 +18,8 @@
 //!   SHA-256-addressed, so corruption is always *detected* and recovery
 //!   falls back to the newest intact checkpoint.
 //! * **Cost-aware.** Built-in checkpoint-interval policies: every `k`
-//!   steps, and the Young–Daly optimum over the measured checkpoint cost.
+//!   steps, and the Young–Daly optimum over the measured checkpoint cost —
+//!   the time a checkpoint blocks the training thread.
 //!
 //! ## Threading model (save and resolve paths)
 //!
@@ -49,8 +50,9 @@
 //!
 //! Delta saves additionally keep the just-committed sections in memory, so
 //! the steady-state training loop never re-reads its own base checkpoint
-//! from disk; combined with [`background::BackgroundCheckpointer`], a
-//! parallel encode overlaps the training step entirely.
+//! from disk. [`checkpointer::Checkpointer`] runs every save on its own
+//! writer thread, so a parallel encode overlaps the training step
+//! entirely: the step waits for the snapshot capture and a hand-off.
 //!
 //! ## Quickstart
 //!
@@ -81,7 +83,7 @@
 //! |---|---|
 //! | [`snapshot`] | the training-state model and [`snapshot::Checkpointable`] contract |
 //! | [`repo`] | repository layout, atomic commit, load, recovery, GC, retention |
-//! | [`checkpointer`] | policy-driven driver for live training loops |
+//! | [`checkpointer`] | the one save driver: policy on the training thread, saves on a writer thread that holds the writer lock |
 //! | [`policy`] | interval policies incl. Young–Daly and its analytic models |
 //! | [`manifest`] | the framed on-disk metadata format |
 //! | [`store`] | pluggable content-addressed object stores ([`store::ObjectStore`]: batched packs on this disk / the remote daemon; one-file-per-chunk reference layout in test builds) |
@@ -98,7 +100,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod background;
 pub mod checkpointer;
 pub mod chunk;
 pub mod codec;
@@ -116,9 +117,9 @@ pub mod remote;
 pub mod repo;
 pub mod snapshot;
 pub mod store;
+mod sync;
 pub mod verify;
 
-pub use background::BackgroundCheckpointer;
 pub use checkpointer::Checkpointer;
 pub use compress::Compression;
 pub use error::{Error, Result};

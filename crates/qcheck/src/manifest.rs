@@ -25,6 +25,11 @@ pub const MANIFEST_MAGIC: &[u8; 6] = b"QCKPT\0";
 /// the workspace's first successful build); if that ever changes, gate the
 /// root-hash verification on the decoded version instead.
 pub const FORMAT_VERSION: u32 = 2;
+/// Encoded length of one chunk reference: hash + length.
+const CHUNK_REF_LEN: usize = 32 + 4;
+/// Least a section entry can encode to: an empty name's length prefix,
+/// codec, payload kind, two lengths, the digest and an empty chunk count.
+const MIN_SECTION_LEN: usize = 1 + 1 + 1 + 8 + 8 + 32 + 1;
 
 /// Identifier of a checkpoint, also its manifest file stem.
 ///
@@ -221,8 +226,10 @@ impl Manifest {
         let mut sha = [0u8; 32];
         sha.copy_from_slice(d.get_raw(32)?);
         let snapshot_sha = ContentHash(sha);
+        // Both counts are only declared: reserve for no more entries than
+        // the bytes still unread could encode.
         let n_sections = d.get_varint()? as usize;
-        let mut sections = Vec::with_capacity(n_sections.min(1 << 16));
+        let mut sections = Vec::with_capacity(n_sections.min(d.remaining() / MIN_SECTION_LEN));
         for _ in 0..n_sections {
             let name = d.get_str()?;
             let codec = Compression::from_tag(d.get_u8()?)?;
@@ -242,7 +249,7 @@ impl Manifest {
             let mut ssha = [0u8; 32];
             ssha.copy_from_slice(d.get_raw(32)?);
             let n_chunks = d.get_varint()? as usize;
-            let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
+            let mut chunks = Vec::with_capacity(n_chunks.min(d.remaining() / CHUNK_REF_LEN));
             for _ in 0..n_chunks {
                 let mut ch = [0u8; 32];
                 ch.copy_from_slice(d.get_raw(32)?);

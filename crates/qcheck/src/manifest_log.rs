@@ -40,7 +40,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::error::{Error, Result};
+use crate::durable;
+use crate::error::Result;
 use crate::hash::crc32;
 use crate::manifest::{CheckpointId, Manifest};
 
@@ -498,29 +499,7 @@ pub fn replay(dir: &Path) -> Result<LogReplay> {
 ///
 /// Filesystem errors.
 pub fn append_to_log(dir: &Path, epoch: u64, bytes: &[u8], fsync: bool) -> Result<u64> {
-    use std::io::Write;
-    let path = log_path(dir, epoch);
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
-    let mut len = f
-        .metadata()
-        .map_err(|e| Error::io("stat manifest log", e))?
-        .len();
-    if len == 0 {
-        f.write_all(&log_header(epoch))
-            .map_err(|e| Error::io("writing manifest log header", e))?;
-        len = LOG_HEADER_LEN;
-    }
-    f.write_all(bytes)
-        .map_err(|e| Error::io("appending manifest log record", e))?;
-    if fsync {
-        qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-            .map_err(|e| Error::io("syncing manifest log", e))?;
-    }
-    Ok(len)
+    durable::append(&log_path(dir, epoch), &log_header(epoch), bytes, fsync)
 }
 
 /// Writes root slot `slot` in place (single small write + optional fsync).
@@ -529,17 +508,7 @@ pub fn append_to_log(dir: &Path, epoch: u64, bytes: &[u8], fsync: bool) -> Resul
 ///
 /// Filesystem errors.
 pub fn write_root_slot(dir: &Path, slot: usize, root: &RootSlot, fsync: bool) -> Result<()> {
-    use std::io::Write;
-    let path = root_slot_path(dir, slot);
-    let mut f = fs::File::create(&path)
-        .map_err(|e| Error::io(format!("creating {}", path.display()), e))?;
-    f.write_all(&root.encode())
-        .map_err(|e| Error::io("writing root slot", e))?;
-    if fsync {
-        qobs::time(&crate::obs::FSYNC_NS, || f.sync_all())
-            .map_err(|e| Error::io("syncing root slot", e))?;
-    }
-    Ok(())
+    durable::overwrite(&root_slot_path(dir, slot), &root.encode(), fsync)
 }
 
 #[cfg(test)]

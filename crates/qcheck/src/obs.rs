@@ -46,3 +46,9 @@ pub static RENAME_NS: qobs::LazyHistogram = qobs::LazyHistogram::new("qcheck_ren
 /// connection; this is the aggregate a scrape sees).
 pub static ROUND_TRIPS: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_remote_round_trips_total");
+/// Time the training thread spent inside a
+/// [`crate::checkpointer::Checkpointer`] call that took a checkpoint —
+/// waiting out the previous save, capture, hand-off (and, for a forced
+/// checkpoint, the save itself) — in nanoseconds.
+pub static STEP_BLOCKED_NS: qobs::LazyHistogram =
+    qobs::LazyHistogram::new("qcheck_step_blocked_ns");

@@ -24,7 +24,10 @@ pub struct PolicyContext {
     pub last_checkpoint_step: Option<u64>,
     /// Wall-clock of the last checkpoint.
     pub last_checkpoint_ms: Option<u64>,
-    /// Exponentially weighted cost of recent checkpoint writes, ms.
+    /// Exponentially weighted time recent checkpoints blocked the
+    /// training thread (capture + hand-off + any wait for the previous
+    /// save), ms — the cost `C` a policy should weigh, since the save
+    /// itself overlaps training.
     pub observed_checkpoint_cost_ms: f64,
 }
 

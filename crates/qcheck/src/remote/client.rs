@@ -383,12 +383,7 @@ impl RemoteStore {
     /// redial. Every operation is idempotent, which is the rule the retry
     /// loop already relies on.
     fn lock_conn(&self) -> MutexGuard<'_, Option<Conn>> {
-        self.conn.lock().unwrap_or_else(|poisoned| {
-            let mut guard = poisoned.into_inner();
-            *guard = None;
-            self.conn.clear_poison();
-            guard
-        })
+        crate::sync::lock_recover(&self.conn, |conn| *conn = None)
     }
 
     /// Requests the namespace's writer lease (forcing a re-handshake so

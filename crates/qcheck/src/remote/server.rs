@@ -63,7 +63,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
@@ -273,6 +273,15 @@ static OBS_UPTIME: qobs::LazyGauge = qobs::LazyGauge::new("qckptd_uptime_seconds
 /// Per-frame length on the wire: 4-byte length prefix + 4-byte CRC32.
 const FRAME_OVERHEAD: u64 = 8;
 
+/// Locks one of the daemon's shared tables (namespace map, lease table,
+/// replication progress, socket registry). Each is valid after any
+/// single insert, remove or field store, so a handler that panicked
+/// holding one leaves nothing to repair — and must not take every later
+/// connection down with it.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    crate::sync::lock_recover(table, |_| {})
+}
+
 /// Bumps the per-namespace, per-op request counter
 /// (`qckptd_requests_total{ns=...,op=...}`).
 fn count_request(ns: &str, op: &'static str) {
@@ -343,7 +352,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub(crate) fn namespace(&self, name: &str) -> Result<Arc<Namespace>> {
-        let mut map = self.namespaces.lock().expect("namespace map poisoned");
+        let mut map = lock(&self.namespaces);
         if let Some(ns) = map.get(name) {
             return Ok(Arc::clone(ns));
         }
@@ -404,20 +413,20 @@ impl Shared {
 
     /// Secondary bookkeeping: what the primary looked like at last poll.
     pub(crate) fn note_primary(&self, generation: u64, total: u64) {
-        let mut repl = self.repl.lock().expect("repl state poisoned");
+        let mut repl = lock(&self.repl);
         repl.primary_generation = generation;
         repl.primary_total = total;
     }
 
     /// Secondary bookkeeping: entries applied locally after a pass.
     pub(crate) fn note_applied(&self, total: u64) {
-        self.repl.lock().expect("repl state poisoned").applied_total = total;
+        lock(&self.repl).applied_total = total;
     }
 
     /// Replication lag in entries, per the [`Response::Status`] contract.
     fn repl_lag(&self, lengths: &[(String, u64)]) -> u64 {
         let local_total: u64 = lengths.iter().map(|(_, l)| l).sum();
-        let repl = self.repl.lock().expect("repl state poisoned");
+        let repl = lock(&self.repl);
         if self.role() == ROLE_SECONDARY {
             repl.primary_total
                 .saturating_sub(repl.applied_total.max(local_total))
@@ -434,11 +443,7 @@ impl Shared {
     /// Promotes this daemon to primary under a bumped, persisted
     /// generation (strictly above anything it has seen).
     pub(crate) fn promote(&self) -> Result<u64> {
-        let seen = self
-            .repl
-            .lock()
-            .expect("repl state poisoned")
-            .primary_generation;
+        let seen = lock(&self.repl).primary_generation;
         let new_gen = self.generation().max(seen) + 1;
         persist_generation(&self.config.root, new_gen)?;
         self.generation.store(new_gen, Ordering::Release);
@@ -450,7 +455,7 @@ impl Shared {
     fn acquire_lease(&self, ns: &str, presented: u64, holder: &str) -> Result<LeaseGrant> {
         let ttl = self.config.lease_ttl;
         let now = Instant::now();
-        let mut leases = self.leases.lock().expect("lease table poisoned");
+        let mut leases = lock(&self.leases);
         // Reclaim a TTL-expired lease first so every expiry is counted
         // exactly once, whether a write with the stale token noticed it
         // (check_lease) or a new writer claimed the namespace here.
@@ -496,7 +501,7 @@ impl Shared {
     /// No lease (or an expired one) leaves writes open — leases are the
     /// opt-in exclusivity a [`crate::repo::CheckpointRepo`] requests.
     fn check_lease(&self, ns: &str, token: u64) -> Result<()> {
-        let mut leases = self.leases.lock().expect("lease table poisoned");
+        let mut leases = lock(&self.leases);
         if let Some(l) = leases.get_mut(ns) {
             if l.expires <= Instant::now() {
                 leases.remove(ns);
@@ -518,7 +523,7 @@ impl Shared {
         if token == 0 {
             return;
         }
-        let mut leases = self.leases.lock().expect("lease table poisoned");
+        let mut leases = lock(&self.leases);
         if let Some(l) = leases.get_mut(ns) {
             if l.token == token && l.expires > Instant::now() {
                 l.expires = Instant::now() + self.config.lease_ttl;
@@ -531,7 +536,7 @@ impl Shared {
         if token == 0 {
             return;
         }
-        let mut leases = self.leases.lock().expect("lease table poisoned");
+        let mut leases = lock(&self.leases);
         if leases.get(ns).is_some_and(|l| l.token == token) {
             leases.remove(ns);
         }
@@ -655,19 +660,15 @@ impl Server {
             shared.active.fetch_add(1, Ordering::Relaxed);
             let serving = Arc::new(AtomicBool::new(false));
             if let Ok(dup) = stream.try_clone() {
-                shared
-                    .socks
-                    .lock()
-                    .expect("socks poisoned")
-                    .insert(conn_id, (dup, Arc::clone(&serving)));
+                lock(&shared.socks).insert(conn_id, (dup, Arc::clone(&serving)));
             }
             std::thread::spawn(move || {
-                let _ = handle_connection(&shared, stream, &serving);
-                shared
-                    .socks
-                    .lock()
-                    .expect("socks poisoned")
-                    .remove(&conn_id);
+                // A handler that panics must still deregister, or every
+                // later shutdown waits out its deadline for it.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handle_connection(&shared, stream, &serving)
+                }));
+                lock(&shared.socks).remove(&conn_id);
                 shared.active.fetch_sub(1, Ordering::Relaxed);
                 OBS_INFLIGHT.sub(1);
             });
@@ -680,7 +681,7 @@ impl Server {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
             {
-                let socks = self.shared.socks.lock().expect("socks poisoned");
+                let socks = lock(&self.shared.socks);
                 let force = std::time::Instant::now() >= deadline;
                 for (sock, serving) in socks.values() {
                     if force || !serving.load(Ordering::Acquire) {
@@ -1310,17 +1311,23 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
         }
         Request::ReplAck { namespace, offset } => {
             require_repl(ctx, "REPL_ACK")?;
-            shared
-                .repl
-                .lock()
-                .expect("repl state poisoned")
-                .acked
-                .insert(namespace, offset);
+            lock(&shared.repl).acked.insert(namespace, offset);
             Ok(Response::Ok)
         }
         #[cfg(any(test, feature = "testing"))]
         Request::Corrupt { hash, offset } => {
             guard_write(shared, ctx, "corrupt_object")?;
+            // The panic drill: an offset no object reaches asks this
+            // handler to die holding every table the others share.
+            if offset == u64::MAX {
+                let _held = (
+                    lock(&shared.namespaces),
+                    lock(&shared.leases),
+                    lock(&shared.repl),
+                    lock(&shared.socks),
+                );
+                panic!("injected handler panic (testing builds only)");
+            }
             let ns = shared.namespace(namespace)?;
             ns.store.corrupt_object(&hash, offset as usize)?;
             Ok(Response::Ok)

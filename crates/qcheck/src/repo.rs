@@ -46,7 +46,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::chunk::{chunk_bytes_threads, DEFAULT_CHUNK_SIZE};
 use crate::compress::Compression;
@@ -60,6 +60,7 @@ use crate::snapshot::{
     Section, TrainingSnapshot, SECTION_LEDGER, SECTION_OPTIMIZER, SECTION_PARAMS,
 };
 use crate::store::{GcReport, ObjectStore, StagedChunk, StoreBackend, StoreKind};
+use crate::sync::lock_recover;
 
 /// Hard upper bound on delta-chain walks (cycle guard).
 const CHAIN_HARD_LIMIT: usize = 4096;
@@ -434,15 +435,39 @@ impl CheckpointRepo {
         // counter is seeded, so a fresh working directory continues the
         // namespace's id sequence instead of restarting it.
         repo.sync_shared_meta()?;
-        let next = repo
+        let next = repo.next_seq_on_disk()?;
+        *repo.lock_seq() = next;
+        Ok(repo)
+    }
+
+    /// One past the sequence number of the newest checkpoint id listed.
+    fn next_seq_on_disk(&self) -> Result<u64> {
+        Ok(self
             .list_ids()?
             .last()
-            .and_then(|id| id.as_str().rsplit('-').next().map(str::to_string))
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(|s| s + 1)
-            .unwrap_or(0);
-        *repo.seq.lock().expect("seq lock poisoned") = next;
-        Ok(repo)
+            .and_then(|id| id.as_str().rsplit('-').next()?.parse::<u64>().ok())
+            .map_or(0, |seq| seq + 1))
+    }
+
+    // The three locks below are shared with the save driver's writer
+    // thread. A holder that panicked must not wedge the handle: both
+    // caches are dropped, so the next access replays what reached the
+    // disk, and the id sequence is seeded from the listing again.
+
+    fn lock_state(&self) -> MutexGuard<'_, Option<LogReplay>> {
+        lock_recover(&self.state, |state| *state = None)
+    }
+
+    fn lock_encode_cache(&self) -> MutexGuard<'_, Option<EncodeCache>> {
+        lock_recover(&self.encode_cache, |cache| *cache = None)
+    }
+
+    fn lock_seq(&self) -> MutexGuard<'_, u64> {
+        lock_recover(&self.seq, |seq| {
+            if let Ok(next) = self.next_seq_on_disk() {
+                *seq = next;
+            }
+        })
     }
 
     /// Repository root path.
@@ -510,7 +535,7 @@ impl CheckpointRepo {
 
     /// Runs `f` against the (fresh) log state under the state lock.
     fn with_state<R>(&self, f: impl FnOnce(&mut LogReplay) -> Result<R>) -> Result<R> {
-        let mut guard = self.state.lock().expect("state lock poisoned");
+        let mut guard = self.lock_state();
         self.ensure_fresh(&mut guard)?;
         f(guard.as_mut().expect("state loaded"))
     }
@@ -675,8 +700,7 @@ impl CheckpointRepo {
                 if let Ok(m) = self.load_manifest(&latest_id) {
                     if m.chain_len < max_chain_len {
                         let cached = {
-                            let mut guard =
-                                self.encode_cache.lock().expect("encode cache poisoned");
+                            let mut guard = self.lock_encode_cache();
                             match guard.take() {
                                 Some(c) if c.id == m.id => Some(c),
                                 other => {
@@ -723,7 +747,7 @@ impl CheckpointRepo {
         }
 
         let seq = {
-            let mut guard = self.seq.lock().expect("seq lock poisoned");
+            let mut guard = self.lock_seq();
             let s = *guard;
             *guard += 1;
             s
@@ -852,7 +876,7 @@ impl CheckpointRepo {
         // (including simulated crashes) drops the cached state so the
         // next access replays exactly what reached the disk.
         let commit_fsyncs = {
-            let mut guard = self.state.lock().expect("state lock poisoned");
+            let mut guard = self.lock_state();
             self.ensure_fresh(&mut guard)?;
             let st = guard.as_mut().expect("state loaded");
             match self.commit_save(st, &id, &manifest, &manifest_bytes, options) {
@@ -884,7 +908,7 @@ impl CheckpointRepo {
                 (CheckpointKind::Delta { .. }, None) => None,
             }
         };
-        *self.encode_cache.lock().expect("encode cache poisoned") = match chain_chunks {
+        *self.lock_encode_cache() = match chain_chunks {
             Some(chain_chunks) if snapshot_bytes <= ENCODE_CACHE_MAX_BYTES => Some(EncodeCache {
                 id: id.clone(),
                 sections,
@@ -991,7 +1015,7 @@ impl CheckpointRepo {
         }
 
         // Publish. Atomic mode writes the *stale* slot (a torn write can
-        // only damage an already-superseded root); the in-place baseline
+        // only damage a root that was already stale); the in-place baseline
         // overwrites the live slot.
         let root = RootSlot {
             generation: st.generation + 1,
@@ -1051,7 +1075,7 @@ impl CheckpointRepo {
             return Ok(0);
         }
         let listed = self.store.meta_list("manifests/")?;
-        let mut guard = self.state.lock().expect("state lock poisoned");
+        let mut guard = self.lock_state();
         self.ensure_fresh(&mut guard)?;
         let st = guard.as_mut().expect("state loaded");
         let res = self.sync_shared_meta_locked(st, listed);
@@ -1497,7 +1521,7 @@ impl CheckpointRepo {
         // Force a from-disk replay — recovery must not trust cached
         // state — and chop any benign torn tail the crash left.
         {
-            let mut guard = self.state.lock().expect("state lock poisoned");
+            let mut guard = self.lock_state();
             *guard = None;
         }
         staging_cleared += self.with_state(|st| self.truncate_tail_locked(st))?;
@@ -1630,7 +1654,7 @@ impl CheckpointRepo {
         // Phase 1 (durable, local): compute the retire set against the
         // replayed state and append its tombstone records in one flip.
         let retired = {
-            let mut guard = self.state.lock().expect("state lock poisoned");
+            let mut guard = self.lock_state();
             self.ensure_fresh(&mut guard)?;
             let st = guard.as_mut().expect("state loaded");
             let res = self.retire_locked(st, keep_n);
@@ -1727,7 +1751,7 @@ impl CheckpointRepo {
     ///
     /// Fails on filesystem errors.
     fn maybe_compact(&self) -> Result<bool> {
-        let mut guard = self.state.lock().expect("state lock poisoned");
+        let mut guard = self.lock_state();
         self.ensure_fresh(&mut guard)?;
         let st = guard.as_mut().expect("state loaded");
         let live = st.manifests.len() as u64;
@@ -1855,7 +1879,7 @@ impl CheckpointRepo {
                 fs::write(&path, &bytes).map_err(|e| Error::io("writing manifest log", e))?;
             }
         }
-        *self.state.lock().expect("state lock poisoned") = None;
+        *self.lock_state() = None;
         Ok(())
     }
 
@@ -2341,6 +2365,42 @@ mod tests {
         assert!(path.join("LOCK").is_file(), "LOCK is never unlinked");
         assert!(repo.try_lock().is_ok());
         let _ = fs::remove_dir_all(path);
+    }
+
+    /// A thread that panicked holding any of the handle's three locks —
+    /// the save driver's writer thread, say — must not wedge the handle:
+    /// the caches are dropped and replayed from disk, the id sequence is
+    /// seeded from the listing again, and saving goes on where the disk
+    /// says it stood.
+    #[test]
+    fn a_panic_under_each_lock_leaves_the_handle_usable() {
+        let (_t, repo) = TempRepo::new();
+        let opts = SaveOptions::incremental(8);
+        let first = repo.save(&snapshot_at(1, vec![0.5; 3000]), &opts).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut state = repo.state.lock().unwrap();
+                let mut cache = repo.encode_cache.lock().unwrap();
+                let mut seq = repo.seq.lock().unwrap();
+                // What a half-finished update could leave behind.
+                state.as_mut().unwrap().latest = None;
+                cache.as_mut().unwrap().sections.clear();
+                *seq = 999;
+                panic!("injected panic under the repository locks");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(repo.state.is_poisoned() && repo.seq.is_poisoned());
+
+        assert_eq!(repo.read_latest().unwrap(), Some(first.id.clone()));
+        let second = repo.save(&snapshot_at(2, vec![0.25; 3000]), &opts).unwrap();
+        assert_eq!(second.id, CheckpointId::new(2, 1), "sequence re-seeded");
+        assert!(second.is_delta, "the base was resolved from disk");
+        let (snapshot, report) = repo.recover().unwrap();
+        assert_eq!(snapshot, snapshot_at(2, vec![0.25; 3000]));
+        assert!(report.skipped.is_empty());
+        assert!(!repo.state.is_poisoned() && !repo.encode_cache.is_poisoned());
     }
 
     #[test]

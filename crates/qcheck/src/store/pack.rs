@@ -786,7 +786,11 @@ fn read_pack_index(path: &Path) -> Result<Vec<(ContentHash, u64, u32)>> {
     let index_len = count
         .checked_mul(ENTRY_LEN)
         .ok_or_else(|| corrupt("index count overflow".into()))? as u64;
-    if index_offset < HEADER_LEN || index_offset + index_len != file_len - FOOTER_LEN {
+    // The footer carries no checksum of its own: both fields are whatever
+    // the file says until this comparison has passed.
+    if index_offset < HEADER_LEN
+        || index_offset.checked_add(index_len) != Some(file_len - FOOTER_LEN)
+    {
         return Err(corrupt("index bounds mismatch".into()));
     }
     let mut index_bytes = vec![0u8; index_len as usize];
@@ -801,7 +805,7 @@ fn read_pack_index(path: &Path) -> Result<Vec<(ContentHash, u64, u32)>> {
         hash.copy_from_slice(&chunk[..32]);
         let offset = u64::from_le_bytes(chunk[32..40].try_into().expect("8 bytes"));
         let len = u32::from_le_bytes(chunk[40..44].try_into().expect("4 bytes"));
-        if offset < HEADER_LEN || offset + len as u64 > index_offset {
+        if offset < HEADER_LEN || offset.saturating_add(u64::from(len)) > index_offset {
             return Err(corrupt("entry bounds mismatch".into()));
         }
         entries.push((ContentHash(hash), offset, len));

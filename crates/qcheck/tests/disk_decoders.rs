@@ -2,19 +2,32 @@
 //!
 //! A section payload reaches [`Compression::decompress`] from chunks a
 //! store handed back — a disk that failed, a daemon that lied — under a
-//! manifest that may be no better. The contract checked here, the one
-//! `properties.rs` holds the wire decoders to: any input decodes to `Ok`
-//! or to a typed [`Error::Decode`], never a panic, and never an output
-//! (so never an allocation) larger than the payload could encode.
+//! manifest that may be no better; a manifest comes out of a log record,
+//! the log is found through a root slot, and the chunks through a pack's
+//! embedded index. The contract checked here for all eight decoders, the
+//! one `properties.rs` holds the wire decoders to: any input — arbitrary
+//! bytes, every truncation and every single-byte mutation of a valid
+//! encoding, checksums re-sealed where a checksum would otherwise stop
+//! the input at the door — decodes to `Ok` or to a typed error, never a
+//! panic, and never with an allocation sized from a length the input
+//! merely declares.
 //!
-//! First instalment: the four section codecs. Manifest-log records, root
-//! slots and pack indexes are to join.
+//! The four section codecs bound their *output* by what the payload could
+//! encode. The four metadata decoders (manifest, manifest-log record, root
+//! slot, pack index) are held to the same rule through the allocator: the
+//! largest single allocation made while decoding is bounded by the input's
+//! length ([`largest_allocation_during`]).
 
 use proptest::prelude::*;
 
+use qcheck::chunk::ChunkRef;
 use qcheck::codec::Encoder;
 use qcheck::compress::{word_decompress_reference, Compression};
 use qcheck::error::Error;
+use qcheck::hash::{crc32, ContentHash, Sha256};
+use qcheck::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
+use qcheck::manifest_log::{self as mlog, RecordKind, RootSlot};
+use qcheck::store::{ObjectStore, PackStore, StagedChunk};
 
 /// The most output `len` payload bytes can decode to under `codec`.
 fn output_bound(codec: Compression, len: usize) -> usize {
@@ -167,6 +180,426 @@ proptest! {
                 decode_checked(codec, &payload, data.len());
                 payload[at] ^= flip;
             }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The metadata decoders: manifest, manifest-log record, root slot, pack
+// index.
+// ----------------------------------------------------------------------
+
+/// The system allocator, remembering per thread the largest single
+/// request — the only vantage point from which "this decoder reserved
+/// memory for a length it had not checked" is visible when the decode
+/// then fails and frees it.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a store to a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        PEAK.with(|peak| peak.set(peak.get().max(layout.size())));
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        PEAK.with(|peak| peak.set(peak.get().max(new_size)));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// this thread requested meanwhile.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(0));
+    let out = f();
+    (out, PEAK.with(|peak| peak.get()))
+}
+
+/// The most one allocation may ask for while decoding `len` input bytes:
+/// every in-memory form here is within a small factor of its encoding (a
+/// 36-byte chunk ref decodes to 36 bytes, a one-byte section name to a
+/// `SectionEntry` of ~150), plus slack for error strings and paths.
+fn allocation_bound(len: usize) -> usize {
+    256 * len + 4096
+}
+
+/// Every input derived from `valid`: itself, each proper prefix, and each
+/// single-byte mutation by `flip`.
+fn damaged_variants(valid: &[u8], flip: u8) -> Vec<Vec<u8>> {
+    let mut out = vec![valid.to_vec()];
+    out.extend((0..valid.len()).map(|cut| valid[..cut].to_vec()));
+    out.extend((0..valid.len()).map(|at| {
+        let mut bytes = valid.to_vec();
+        bytes[at] ^= flip;
+        bytes
+    }));
+    out
+}
+
+/// `bytes` with its trailing CRC32 recomputed over everything before it
+/// from offset `from` — what gets damage past the checksum and into the
+/// field parser.
+fn resealed(mut bytes: Vec<u8>, from: usize) -> Vec<u8> {
+    if bytes.len() >= from + 4 {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[from..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+    bytes
+}
+
+fn arb_hash() -> impl Strategy<Value = ContentHash> {
+    any::<u64>().prop_map(|seed| Sha256::digest(&seed.to_le_bytes()))
+}
+
+/// A manifest of fewer than `max` sections, each of fewer than `max`
+/// chunks.
+fn arb_manifest(max: usize) -> impl Strategy<Value = Manifest> {
+    let section = (
+        ".{1,6}",
+        0..4usize,
+        0..3u8,
+        any::<u32>(),
+        arb_hash(),
+        prop::collection::vec((arb_hash(), any::<u32>()), 0..max),
+    )
+        .prop_map(
+            |(name, codec, kind, len, section_sha, chunks)| SectionEntry {
+                name,
+                codec: Compression::all()[codec],
+                payload_kind: [
+                    PayloadKind::Full,
+                    PayloadKind::DeltaPatch,
+                    PayloadKind::XorBase,
+                ][kind as usize],
+                stored_len: u64::from(len),
+                section_len: u64::from(len) + 3,
+                section_sha,
+                chunks: chunks
+                    .into_iter()
+                    .map(|(hash, len)| ChunkRef { hash, len })
+                    .collect(),
+            },
+        );
+    (
+        0..1000u64,
+        any::<bool>(),
+        arb_hash(),
+        prop::collection::vec(section, 0..max),
+    )
+        .prop_map(|(step, delta, snapshot_sha, sections)| Manifest {
+            id: CheckpointId::new(step, step % 7),
+            step,
+            kind: if delta {
+                CheckpointKind::Delta {
+                    base: CheckpointId::new(step.saturating_sub(1), 0),
+                }
+            } else {
+                CheckpointKind::Full
+            },
+            chain_len: u32::from(delta),
+            created_unix_ms: 1_750_000_000_000 + step,
+            snapshot_sha,
+            sections,
+        })
+}
+
+/// `Manifest::decode` on `bytes`: `Ok` or a typed error, within the
+/// allocation bound.
+fn decode_manifest_checked(bytes: &[u8]) -> Option<Manifest> {
+    let (decoded, peak) = largest_allocation_during(|| Manifest::decode(bytes));
+    assert!(
+        peak <= allocation_bound(bytes.len()),
+        "a {}-byte manifest made the decoder allocate {peak} bytes at once",
+        bytes.len()
+    );
+    match decoded {
+        Ok(manifest) => Some(manifest),
+        Err(Error::Corrupt { .. } | Error::Decode { .. } | Error::UnsupportedVersion { .. }) => {
+            None
+        }
+        Err(other) => panic!("manifest: untyped failure {other:?}"),
+    }
+}
+
+/// A scratch directory for the decoders that read files.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "qcheck-disk-decoders-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&path).unwrap();
+        Scratch(path)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Replays `dir` with `log` as epoch 0's manifest log (the caller wrote
+/// the root slot that names it). Replay never fails on content: damage
+/// is skipped and recorded. Returns how many manifests survived.
+fn replay_checked(dir: &Scratch, log: &[u8]) -> usize {
+    std::fs::write(mlog::log_path(&dir.0, 0), log).unwrap();
+    let (replayed, peak) = largest_allocation_during(|| mlog::replay(&dir.0));
+    // Replay reads the whole log into memory, then decodes out of it.
+    assert!(
+        peak <= allocation_bound(log.len()),
+        "a {}-byte log made replay allocate {peak} bytes at once",
+        log.len()
+    );
+    let replayed = replayed.unwrap_or_else(|e| panic!("replay failed on content: {e:?}"));
+    for (id, manifest) in &replayed.manifests {
+        assert_eq!(*id, manifest.id);
+    }
+    assert!(replayed.valid_len <= log.len() as u64);
+    replayed.manifests.len()
+}
+
+/// Opens a pack store over one file `bytes` in `packs/` and reads back
+/// whatever its index lists. A damaged pack is skipped wholesale or its
+/// objects fail typed; nothing panics and nothing is allocated for a
+/// count or a length the footer merely claims.
+fn open_pack_checked(dir: &Scratch, bytes: &[u8]) {
+    let packs = dir.0.join("packs");
+    std::fs::create_dir_all(&packs).unwrap();
+    std::fs::write(packs.join(format!("pack-{}.qpk", "0".repeat(64))), bytes).unwrap();
+    let (listed, peak) = largest_allocation_during(|| {
+        let store = PackStore::open(&dir.0).expect("a damaged pack is skipped, not fatal");
+        let listed = store.list().unwrap();
+        for hash in &listed {
+            // The length is the index's business; ask for what it holds.
+            for len in [0u32, 64, bytes.len() as u32] {
+                match store.get(&ChunkRef { hash: *hash, len }) {
+                    Ok(_) | Err(Error::Corrupt { .. } | Error::NotFound { .. }) => {}
+                    Err(other) => panic!("pack: untyped failure {other:?}"),
+                }
+            }
+        }
+        listed
+    });
+    assert!(
+        peak <= allocation_bound(bytes.len()),
+        "a {}-byte pack made the store allocate {peak} bytes at once ({} listed)",
+        bytes.len(),
+        listed.len()
+    );
+}
+
+/// A small valid pack file, as `put_batch` writes it.
+fn valid_pack(blobs: &[Vec<u8>]) -> Vec<u8> {
+    let dir = Scratch::new("pack-src");
+    let store = PackStore::open(&dir.0).unwrap();
+    let refs: Vec<ChunkRef> = blobs
+        .iter()
+        .map(|b| ChunkRef {
+            hash: Sha256::digest(b),
+            len: b.len() as u32,
+        })
+        .collect();
+    let staged: Vec<StagedChunk<'_>> = refs
+        .iter()
+        .zip(blobs)
+        .map(|(reference, data)| StagedChunk {
+            reference: *reference,
+            data,
+        })
+        .collect();
+    store.put_batch(&staged, false).unwrap();
+    let pack = std::fs::read_dir(dir.0.join("packs"))
+        .unwrap()
+        .flatten()
+        .next()
+        .expect("one pack written");
+    std::fs::read(pack.path()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Root slots: arbitrary bytes, then every truncation and single-byte
+    /// mutation of a valid slot, as found and with the CRC re-sealed.
+    #[test]
+    fn root_slots_survive_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        (generation, epoch, committed_len) in (any::<u64>(), any::<u64>(), any::<u64>()),
+        latest in 0..20_000u64,
+        flip in 1..=255u8,
+    ) {
+        let check = |bytes: &[u8]| {
+            let (slot, peak) = largest_allocation_during(|| RootSlot::decode(bytes));
+            assert!(peak <= allocation_bound(bytes.len()), "{peak} bytes for a root slot");
+            if let Some(slot) = slot {
+                assert_eq!(slot.encode(), bytes, "a slot that decodes re-encodes to itself");
+            }
+        };
+        check(&noise);
+        let slot = RootSlot {
+            generation,
+            epoch,
+            committed_len,
+            latest: (latest < 10_000).then(|| CheckpointId::new(latest, 0)),
+        };
+        let valid = slot.encode();
+        prop_assert_eq!(RootSlot::decode(&valid), Some(slot));
+        for damaged in damaged_variants(&valid, flip) {
+            check(&damaged);
+            check(&resealed(damaged, 0));
+        }
+    }
+
+    /// Manifests, likewise; a proper prefix never decodes.
+    #[test]
+    fn manifests_survive_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..256),
+        manifest in arb_manifest(4),
+        flip in 1..=255u8,
+    ) {
+        decode_manifest_checked(&noise);
+        decode_manifest_checked(&resealed(noise, 0));
+        let valid = manifest.encode();
+        prop_assert_eq!(decode_manifest_checked(&valid), Some(manifest));
+        for (i, damaged) in damaged_variants(&valid, flip).into_iter().enumerate().skip(1) {
+            prop_assert_eq!(decode_manifest_checked(&damaged), None, "variant {}", i);
+            decode_manifest_checked(&resealed(damaged, 0));
+        }
+    }
+
+    /// Pack indexes, through `PackStore::open`: the footer carries no
+    /// checksum of its own, so its count and offset arrive unchecked.
+    #[test]
+    fn pack_indexes_survive_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..256),
+        blobs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..4),
+        flip in 1..=255u8,
+    ) {
+        let dir = Scratch::new("pack");
+        open_pack_checked(&dir, &noise);
+        let valid = valid_pack(&blobs);
+        for damaged in damaged_variants(&valid, flip) {
+            open_pack_checked(&dir, &damaged);
+        }
+    }
+}
+
+proptest! {
+    // Every variant is a file write and a replay: fewer cases by default.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Manifest-log records, through `replay`: a log of put / advance /
+    /// delete records under a root that commits all of it, so a cut or a
+    /// flip anywhere is damage inside the committed region.
+    #[test]
+    fn manifest_log_records_survive_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..256),
+        manifests in prop::collection::vec(arb_manifest(3), 1..3),
+        flip in 1..=255u8,
+    ) {
+        let mut log = mlog::log_header(0);
+        for manifest in &manifests {
+            let id = manifest.id.as_str();
+            log.extend(mlog::encode_record(RecordKind::ManifestPut, id, &manifest.encode()));
+            log.extend(mlog::encode_record(RecordKind::LatestAdvance, id, &[]));
+        }
+        log.extend(mlog::encode_record(RecordKind::ManifestDelete, manifests[0].id.as_str(), &[]));
+
+        let dir = Scratch::new("mlog");
+        let root = RootSlot {
+            generation: 1,
+            epoch: 0,
+            committed_len: log.len() as u64,
+            latest: Some(manifests[0].id.clone()),
+        };
+        std::fs::write(mlog::root_slot_path(&dir.0, 0), root.encode()).unwrap();
+
+        let mut with_header = mlog::log_header(0);
+        with_header.extend_from_slice(&noise);
+        replay_checked(&dir, &noise);
+        replay_checked(&dir, &with_header);
+        for damaged in damaged_variants(&log, flip) {
+            prop_assert!(replay_checked(&dir, &damaged) <= manifests.len());
+        }
+    }
+}
+
+/// The reproduction: 180 bytes whose last section declares 2^20 chunk
+/// refs over the 36 bytes of one used to reserve 36 MiB before the first
+/// short read; so did a section count, at 9 MiB.
+#[test]
+fn a_manifest_declaring_more_entries_than_its_bytes_is_refused_before_allocating() {
+    let section = SectionEntry {
+        name: "5".into(),
+        codec: Compression::None,
+        payload_kind: PayloadKind::Full,
+        stored_len: 0,
+        section_len: 3,
+        section_sha: Sha256::digest(b"s"),
+        chunks: vec![ChunkRef {
+            hash: Sha256::digest(b"c"),
+            len: 0,
+        }],
+    };
+    let manifest = Manifest {
+        id: CheckpointId::new(0, 0),
+        step: 0,
+        kind: CheckpointKind::Full,
+        chain_len: 0,
+        created_unix_ms: 1_750_000_000_000,
+        snapshot_sha: Sha256::digest(b"r"),
+        sections: vec![section],
+    };
+    let valid = manifest.encode();
+    // One-byte varints, found from the back: the chunk count sits before
+    // the one 36-byte ref and the CRC; the section count before the whole
+    // 89-byte entry.
+    let chunk_count = valid.len() - 4 - 36 - 1;
+    let section_count = chunk_count - (1 + 1 + 1 + 1 + 8 + 8 + 32) - 1;
+    assert_eq!((valid[chunk_count], valid[section_count]), (1, 1));
+    for at in [chunk_count, section_count] {
+        let mut bytes = valid[..at].to_vec();
+        bytes.extend_from_slice(&[0x80, 0x80, 0x40]); // varint 1 << 20
+        bytes.extend_from_slice(&valid[at + 1..]);
+        assert_eq!(decode_manifest_checked(&resealed(bytes, 0)), None);
+    }
+}
+
+/// The footer fields nothing checksums, set to the values arithmetic on
+/// them likes least.
+#[test]
+fn a_pack_footer_claiming_the_impossible_is_skipped() {
+    let dir = Scratch::new("pack-footer");
+    let valid = valid_pack(&[vec![1u8; 32], vec![2u8; 48]]);
+    let footer = valid.len() - 24;
+    for index_offset in [u64::MAX, u64::MAX - 43, u64::MAX - 88, 1 << 63, 0, 9] {
+        for count in [u32::MAX, 1 << 31, 2, 0] {
+            let mut bytes = valid.clone();
+            bytes[footer..footer + 8].copy_from_slice(&index_offset.to_le_bytes());
+            bytes[footer + 8..footer + 12].copy_from_slice(&count.to_le_bytes());
+            open_pack_checked(&dir, &bytes);
         }
     }
 }

@@ -21,9 +21,10 @@ use qcheck::remote::{
     spawn_daemon, DaemonHandle, RemoteStore, ReplStop, ReplicateConfig, Server, ServerConfig,
 };
 use qcheck::repo::{CheckpointRepo, Retention, SaveMode, SaveOptions, SaveReport};
-use qcheck::snapshot::{StateBlob, TrainingSnapshot};
+use qcheck::snapshot::{Checkpointable, StateBlob, TrainingSnapshot};
 use qcheck::store::{ObjectStore, StoreBackend, StoreKind};
 use qcheck::verify::fsck;
+use qcheck::{Checkpointer, EveryKSteps};
 
 /// One step of the randomized repository workload.
 #[derive(Clone, Copy, Debug)]
@@ -933,6 +934,78 @@ fn writer_lock_excludes_a_second_writer_on_every_backend() {
             "{backend}: exclusion must hold the other way round too"
         );
         drop(guard);
+    }
+}
+
+/// A subject whose state is one fixed snapshot.
+struct Frozen(TrainingSnapshot);
+
+impl Checkpointable for Frozen {
+    fn capture(&self) -> TrainingSnapshot {
+        self.0.clone()
+    }
+    fn restore(&mut self, snapshot: &TrainingSnapshot) -> Result<(), String> {
+        self.0 = snapshot.clone();
+        Ok(())
+    }
+}
+
+/// The save driver is the guard's one product caller: while a
+/// `Checkpointer` lives on a repository, a second one on the same
+/// directory / namespace is refused with the backend's typed error, and
+/// it is admitted once the first has finished — or was merely dropped,
+/// with a save still in flight, which the drop drains first.
+#[test]
+fn a_second_save_driver_is_refused_on_every_backend() {
+    for backend in ["loose", "pack", "remote"] {
+        let dir = TempDir::new("driver-lock");
+        let kind = StoreKind::parse(backend).unwrap();
+        let daemon = (kind == StoreKind::Remote)
+            .then(|| spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap());
+        let mut handles = 0;
+        let mut open = || match &daemon {
+            Some(daemon) => {
+                handles += 1;
+                let store = RemoteStore::connect(daemon.addr(), "driver-lock").unwrap();
+                let client = dir.0.join(format!("client-{handles}"));
+                CheckpointRepo::with_store(client, StoreBackend::Remote(store)).unwrap()
+            }
+            None => CheckpointRepo::open_with(&dir.0, kind).unwrap(),
+        };
+        let driver = |repo| {
+            let policy = Box::new(EveryKSteps::new(1));
+            Checkpointer::new(repo, policy, options(SaveMode::Full))
+        };
+        let subject = Frozen(snapshot_at(1, &vec![0.5; N_PARAMS]));
+
+        let mut first = driver(open()).unwrap();
+        assert!(first.on_step(1, &subject).unwrap());
+        let refusal = driver(open()).err();
+        assert!(
+            matches!(
+                refusal,
+                Some(qcheck::error::Error::Locked(_) | qcheck::error::Error::LeaseHeld(_))
+            ),
+            "{backend}: a second driver must be refused, got {refusal:?}"
+        );
+        first.finish().unwrap();
+
+        let mut second = driver(open())
+            .unwrap_or_else(|e| panic!("{backend}: finish must release the lock: {e}"));
+        assert!(
+            driver(open()).is_err(),
+            "{backend}: the second excludes too"
+        );
+        assert!(second.on_step(2, &subject).unwrap());
+        drop(second);
+
+        let third =
+            driver(open()).unwrap_or_else(|e| panic!("{backend}: drop must release the lock: {e}"));
+        assert_eq!(
+            third.repo().list_ids().unwrap().len(),
+            2,
+            "{backend}: the dropped driver's save in flight was drained"
+        );
     }
 }
 

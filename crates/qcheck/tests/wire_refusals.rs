@@ -394,3 +394,33 @@ fn a_fetch_beyond_the_frame_budget_is_cut_by_the_client_and_refused_by_the_daemo
     assert_eq!(rogue(&proto::Request::Ping.encode()), proto::Response::Pong);
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// A handler that panics holding every table the daemon's handlers share
+/// (the `testing` build's drill: a corrupt-object offset of `u64::MAX`)
+/// takes its own connection down and nothing else: the client sees a
+/// transport error on each retry, the next clients are served through the
+/// recovered locks, and shutdown does not wait for the dead handlers.
+#[test]
+fn a_panicking_handler_does_not_wedge_the_daemon() {
+    let root = scratch("handler-panic");
+    let daemon = spawn_daemon(root.join("daemon"), StoreKind::Pack).unwrap();
+    let addr = daemon.addr();
+    let victim = RemoteStore::connect(addr.as_str(), "panic-drill").unwrap();
+    let blob = vec![7u8; 4096];
+    let hash = put_all(&victim, std::slice::from_ref(&blob))[0].hash;
+    let err = victim.corrupt_object(&hash, usize::MAX).unwrap_err();
+    assert!(matches!(err, Error::Io { .. }), "{err}");
+
+    // The same handle redials and is served; so is a new tenant.
+    assert!(victim.contains(&hash));
+    assert_eq!(victim.status().unwrap().namespaces, 1);
+    save_and_recover(&addr, &root);
+
+    let t0 = std::time::Instant::now();
+    daemon.shutdown();
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(4),
+        "shutdown waited for handlers that had panicked"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}

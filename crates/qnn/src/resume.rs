@@ -6,7 +6,9 @@
 //! checkpoint — because a previous process crashed, was preempted, or just
 //! exited — the run resumes from it (exactly); otherwise it starts fresh.
 //! During training the embedded [`Checkpointer`] applies its policy after
-//! every step, and [`ResumableRun::finish`] writes a final checkpoint.
+//! every step — the step waits for the snapshot capture, the save runs on
+//! the driver's writer thread — and [`ResumableRun::finish`] writes a
+//! final checkpoint and waits for its acknowledgement.
 
 use qcheck::checkpointer::Checkpointer;
 use qcheck::error::Error as QcheckError;
@@ -14,7 +16,6 @@ use qcheck::manifest::CheckpointId;
 use qcheck::policy::CheckpointPolicy;
 use qcheck::repo::{CheckpointRepo, SaveOptions, SaveReport};
 use qcheck::snapshot::Checkpointable;
-use qcheck::store::ObjectStore;
 
 use crate::trainer::{StepReport, TrainError, Trainer};
 
@@ -71,13 +72,13 @@ pub enum RunStart {
 /// or remote when `QCHECK_REMOTE_ADDR` names a daemon; an existing
 /// repository's sticky `STORE` marker wins).
 ///
-/// Writer exclusion for *shared* (daemon-backed) repositories: the run
-/// takes the namespace's server-side writer lease before recovery, so two
-/// trainers pointed at one namespace fail loudly with a typed lease-held
-/// error instead of interleaving checkpoints, and hands it back in
-/// [`ResumableRun::finish`] (a run that is dropped or killed instead
-/// gives it up with its store handle, or by TTL). A local backend's
-/// working directory is already private and the call is a no-op.
+/// The run is the repository's one writer: its [`Checkpointer`] holds the
+/// writer lock (`LOCK` file lock locally, the namespace's writer lease on
+/// a daemon) from [`ResumableRun::start`] until [`ResumableRun::finish`]
+/// or drop, so a second trainer pointed at the same directory or
+/// namespace fails loudly with `Locked` / `LeaseHeld` instead of
+/// interleaving checkpoints. A killed run gives the lock up with its
+/// process (or, on a daemon, by lease TTL).
 #[derive(Debug)]
 pub struct ResumableRun {
     trainer: Trainer,
@@ -101,8 +102,10 @@ impl ResumableRun {
         options: SaveOptions,
     ) -> Result<Self, RunError> {
         let mut trainer = trainer;
-        repo.store().acquire_writer_lease()?;
-        let start = match repo.recover() {
+        // The writer lock comes first: recovery must not read a
+        // repository another run is still writing.
+        let checkpointer = Checkpointer::new(repo, policy, options)?;
+        let start = match checkpointer.repo().recover() {
             Ok((snapshot, report)) => {
                 let id = report.recovered.expect("recover names its source");
                 let step = snapshot.step;
@@ -110,18 +113,13 @@ impl ResumableRun {
                 RunStart::Resumed { id, step }
             }
             Err(QcheckError::NoValidCheckpoint { rejected: 0 }) => RunStart::Fresh,
-            Err(QcheckError::NoValidCheckpoint { rejected }) => {
-                // Checkpoints exist but none verify: surfacing this matters
-                // more than limping on from scratch.
-                return Err(RunError::Storage(QcheckError::NoValidCheckpoint {
-                    rejected,
-                }));
-            }
+            // `rejected > 0`: checkpoints exist but none verify — surfacing
+            // that matters more than limping on from scratch.
             Err(e) => return Err(RunError::Storage(e)),
         };
         Ok(ResumableRun {
             trainer,
-            checkpointer: Checkpointer::new(repo, policy, options),
+            checkpointer,
             start,
         })
     }
@@ -141,17 +139,18 @@ impl ResumableRun {
         &self.checkpointer
     }
 
-    /// Runs one step; the policy may persist a checkpoint afterwards.
+    /// Runs one step; the policy may hand a checkpoint to the writer
+    /// thread afterwards.
     ///
-    /// Returns the step report and the save report when one was written.
+    /// Returns the step report and whether a checkpoint was handed off.
     ///
     /// # Errors
     ///
-    /// Propagates training and storage failures.
-    pub fn step(&mut self) -> Result<(StepReport, Option<SaveReport>), RunError> {
+    /// Propagates training failures and the failure of an earlier save.
+    pub fn step(&mut self) -> Result<(StepReport, bool), RunError> {
         let report = self.trainer.train_step()?;
-        let saved = self.checkpointer.on_step(report.step, &self.trainer)?;
-        Ok((report, saved))
+        let handed_off = self.checkpointer.on_step(report.step, &self.trainer)?;
+        Ok((report, handed_off))
     }
 
     /// Trains until `target_step` (inclusive), checkpointing per policy.
@@ -168,7 +167,8 @@ impl ResumableRun {
         Ok(reports)
     }
 
-    /// Writes a final checkpoint and returns the trainer.
+    /// Writes a final checkpoint, waits for its acknowledgement, hands
+    /// the writer lock to the next run and returns the trainer.
     ///
     /// # Errors
     ///
@@ -177,10 +177,7 @@ impl ResumableRun {
         let report = self
             .checkpointer
             .force_checkpoint(self.trainer.step_count(), &self.trainer)?;
-        // A clean finish hands the namespace to the next writer
-        // immediately instead of waiting out the lease TTL. (A crashed
-        // run never reaches this; the daemon expires its lease.)
-        self.checkpointer.repo().store().release_writer_lease();
+        self.checkpointer.finish()?;
         Ok((self.trainer, report))
     }
 }

@@ -7,13 +7,15 @@
 //! uninterrupted run — losses compared by bit pattern, shot noise
 //! included.
 
+use qcheck::error::Error as QcheckError;
+use qcheck::failure::CrashPoint;
 use qcheck::policy::EveryKSteps;
 use qcheck::remote::{spawn_daemon, spawn_secondary, RemoteStore};
 use qcheck::repo::{CheckpointRepo, SaveOptions};
 use qcheck::store::{StoreBackend, StoreKind};
 use qnn::ansatz::{hardware_efficient, init_params};
 use qnn::optimizer::Adam;
-use qnn::resume::{ResumableRun, RunStart};
+use qnn::resume::{ResumableRun, RunError, RunStart};
 use qnn::trainer::{StepReport, Task, Trainer, TrainerConfig};
 use qsim::measure::EvalMode;
 use qsim::pauli::PauliSum;
@@ -118,6 +120,104 @@ fn killed_run_resumes_bit_identically_from_a_fresh_directory() {
     let (trainer, _) = run.finish().unwrap();
     assert_eq!(trainer.step_count(), 10);
     let _ = std::fs::remove_dir_all(dir_b);
+}
+
+/// The kill lands while a save is in flight. At every crash point of the
+/// commit protocol, on pack and against the daemon: the writer thread's
+/// save dies after the training thread handed it a snapshot and went on
+/// stepping; the failure surfaces on a later step as its typed error; the
+/// process is then killed. What `recover` finds is a complete checkpoint
+/// no older than the last acknowledged one (step 4) — the log's
+/// newest-valid-wins rule may surface the finished-but-unflipped save of
+/// step 5, a torn one never — and a run restarted from it reproduces the
+/// uninterrupted trajectory bit for bit.
+#[test]
+fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
+    let _env = ENV_LOCK.lock().unwrap();
+    let daemon = spawn_daemon(scratch("inflight-daemon"), StoreKind::Pack).unwrap();
+    let reference: Vec<StepReport> = build_trainer(3).train_steps(12).unwrap();
+
+    for remote in [false, true] {
+        for (case, point) in CrashPoint::all().into_iter().enumerate() {
+            let dir = scratch("inflight");
+            let ns = format!("inflight-{case}");
+            let start = |crash| {
+                let repo = if remote {
+                    open_remote_repo(&dir, &daemon.addr(), &ns)
+                } else {
+                    CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap()
+                };
+                let options = SaveOptions {
+                    crash,
+                    ..SaveOptions::default()
+                };
+                ResumableRun::start(
+                    build_trainer(3),
+                    repo,
+                    Box::new(EveryKSteps::new(2)),
+                    options,
+                )
+                .unwrap()
+            };
+
+            // Process 1 dies with its checkpoint of step 4 acknowledged
+            // (dropping the run drains it).
+            start(None).run_to_step(4).unwrap();
+
+            // Process 2: a fresh driver's first step is due, so the save
+            // of step 5 is handed off — and dies at `point` on the writer
+            // thread while training goes on.
+            let mut run = start(Some(point));
+            assert!(matches!(
+                run.start_info(),
+                RunStart::Resumed { step: 4, .. }
+            ));
+            assert!(run.step().unwrap().1, "{point}: step 5 is handed off");
+            let surfaced = loop {
+                match run.step() {
+                    // Step 7 is due again and waits for the verdict.
+                    Ok((report, _)) => assert!(report.step < 7, "{point}: never surfaced"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(
+                    surfaced,
+                    RunError::Storage(QcheckError::SimulatedCrash { .. })
+                ),
+                "{point}: {surfaced}"
+            );
+            assert!(run.trainer().step_count() > 5, "training had moved on");
+            drop(run);
+
+            // Process 3 resumes from whatever survived.
+            let mut run = start(None);
+            let resumed_at = match run.start_info() {
+                RunStart::Resumed { step, .. } => *step,
+                RunStart::Fresh => panic!("{point}: the acknowledged checkpoint is gone"),
+            };
+            let unflipped_but_whole = matches!(
+                point,
+                CrashPoint::BeforeLatestSwing | CrashPoint::MidLatestWrite
+            );
+            assert!(
+                resumed_at == 4 || (unflipped_but_whole && resumed_at == 5),
+                "{point} (remote: {remote}): resumed at step {resumed_at}"
+            );
+            let tail = run.run_to_step(12).unwrap();
+            assert_eq!(tail.len() as u64, 12 - resumed_at);
+            for (resumed, reference) in tail.iter().zip(&reference[resumed_at as usize..]) {
+                assert_eq!(
+                    resumed.loss.to_bits(),
+                    reference.loss.to_bits(),
+                    "{point} (remote: {remote}): diverged at step {}",
+                    resumed.step
+                );
+            }
+            run.finish().unwrap();
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// The replicated form of the acceptance drill: the *daemon* is what

@@ -8,9 +8,10 @@
 //! ```
 
 use qnn_checkpoint::qcheck::repo::{CheckpointRepo, SaveOptions};
-use qnn_checkpoint::qcheck::snapshot::Checkpointable;
+use qnn_checkpoint::qcheck::EveryKSteps;
 use qnn_checkpoint::qnn::ansatz::{hardware_efficient, init_params};
 use qnn_checkpoint::qnn::optimizer::Adam;
+use qnn_checkpoint::qnn::resume::{ResumableRun, RunStart};
 use qnn_checkpoint::qnn::trainer::{Task, Trainer, TrainerConfig};
 use qnn_checkpoint::qsim::measure::EvalMode;
 use qnn_checkpoint::qsim::pauli::PauliSum;
@@ -41,7 +42,16 @@ fn build_trainer() -> Trainer {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("qnn-ckpt-crash-{}", std::process::id()));
-    let repo = CheckpointRepo::open(&dir)?;
+    // Every process starts its run the same way: writer lock, recover,
+    // then train with the save driver checkpointing every 8 steps.
+    let start_run = || {
+        ResumableRun::start(
+            build_trainer(),
+            CheckpointRepo::open(&dir)?,
+            Box::new(EveryKSteps::new(8)),
+            SaveOptions::default(),
+        )
+    };
 
     // Reference: an uninterrupted 16-step run.
     let mut reference = build_trainer();
@@ -51,50 +61,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Victim: same run, checkpointed at step 8, then "killed".
-    let mut victim = build_trainer();
-    for _ in 0..8 {
-        victim.train_step()?;
-    }
-    repo.save(&victim.capture(), &SaveOptions::default())?;
-    println!("checkpoint written at step 8; simulating a crash (dropping the trainer)");
+    let mut victim = start_run()?;
+    assert_eq!(*victim.start_info(), RunStart::Fresh);
+    victim.run_to_step(8)?;
+    println!("checkpoint handed off at step 8; simulating a crash (dropping the run)");
     drop(victim);
 
-    // Resume in a "new process": recover from disk into a fresh trainer.
-    let mut resumed = build_trainer();
-    let (snapshot, report) = repo.recover()?;
-    resumed
-        .restore(&snapshot)
-        .map_err(|e| format!("restore failed: {e}"))?;
-    println!(
-        "recovered {} (skipped {} manifests)",
-        report.recovered.expect("id"),
-        report.skipped.len()
-    );
+    // Resume in a "new process": the same call recovers from disk.
+    let mut resumed = start_run()?;
+    match resumed.start_info() {
+        RunStart::Resumed { id, step } => println!("recovered {id} at step {step}"),
+        RunStart::Fresh => unreachable!("a checkpoint exists"),
+    }
+    let resumed_losses = resumed.run_to_step(16)?;
 
     println!("\nstep   reference-loss       resumed-loss        bit-identical");
     let mut all_equal = true;
-    for (step, &reference_loss) in reference_losses.iter().enumerate().take(16).skip(8) {
-        let resumed_loss = resumed.train_step()?.loss;
-        let same = reference_loss.to_bits() == resumed_loss.to_bits();
+    for (report, &reference_loss) in resumed_losses.iter().zip(&reference_losses[8..]) {
+        let same = reference_loss.to_bits() == report.loss.to_bits();
         all_equal &= same;
         println!(
             "{:>4}   {:>18.12}   {:>18.12}   {}",
-            step + 1,
+            report.step,
             reference_loss,
-            resumed_loss,
+            report.loss,
             if same { "yes" } else { "NO" }
         );
     }
+    assert_eq!(resumed_losses.len(), 8);
     assert!(all_equal, "resume was not exact");
     assert_eq!(
         reference.ledger().total_shots(),
-        resumed.ledger().total_shots(),
+        resumed.trainer().ledger().total_shots(),
         "shot accounting diverged"
     );
     println!(
         "\nok: 8 post-crash steps bitwise-identical; total shots accounted: {}",
-        resumed.ledger().total_shots()
+        resumed.trainer().ledger().total_shots()
     );
+    resumed.finish()?;
     std::fs::remove_dir_all(&dir)?;
     Ok(())
 }

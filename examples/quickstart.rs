@@ -37,26 +37,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("qnn-ckpt-quickstart-{}", std::process::id()));
     let repo = CheckpointRepo::open(&dir)?;
     let mut checkpointer =
-        Checkpointer::new(repo, Box::new(EveryKSteps::new(5)), SaveOptions::default());
+        Checkpointer::new(repo, Box::new(EveryKSteps::new(5)), SaveOptions::default())?;
 
-    // 3. Train; the checkpointer captures the complete hybrid state
-    //    (parameters, Adam moments, RNG streams, shot ledger) when due.
+    // 3. Train; when due, the checkpointer captures the complete hybrid
+    //    state (parameters, Adam moments, RNG streams, shot ledger) and
+    //    hands it to its writer thread — the loop does not wait for the
+    //    save.
     println!("step   loss       checkpoint");
     for _ in 0..20 {
         let report = trainer.train_step()?;
-        let saved = checkpointer.on_step(report.step, &trainer)?;
+        let handed_off = checkpointer.on_step(report.step, &trainer)?;
         println!(
             "{:>4}   {:>8.4}   {}",
             report.step,
             report.loss,
-            saved
-                .map(|s| format!("{} ({} B)", s.id, s.bytes_written()))
-                .unwrap_or_else(|| "-".into())
+            if handed_off { "handed off" } else { "-" }
         );
     }
 
-    // Always persist the final state before shutting down.
+    // Always persist the final state before shutting down; a forced
+    // checkpoint returns once it is acknowledged.
     checkpointer.force_checkpoint(trainer.step_count(), &trainer)?;
+    for save in checkpointer.history() {
+        println!("acknowledged {} ({} B)", save.id, save.bytes_written());
+    }
 
     // 4. Simulate a crash: build a fresh process-equivalent trainer and
     //    restore the newest valid checkpoint from disk.

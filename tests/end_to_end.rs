@@ -128,12 +128,13 @@ fn checkpointer_with_young_daly_policy_drives_training() {
         repo,
         Box::new(YoungDaly::new(200.0, 1.0)),
         SaveOptions::incremental(8),
-    );
+    )
+    .unwrap();
     let mut trainer = shot_trainer(303);
     let mut taken = 0;
     for _ in 0..8 {
         let report = trainer.train_step().unwrap();
-        if ckptr.on_step(report.step, &trainer).unwrap().is_some() {
+        if ckptr.on_step(report.step, &trainer).unwrap() {
             taken += 1;
         }
     }

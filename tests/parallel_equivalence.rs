@@ -1,14 +1,14 @@
 //! Determinism contract of the parallel hot paths: every kernel, gradient
 //! and checkpoint-encode result must be **bit-identical** for 1/2/4/8
-//! worker threads, and resume through the background checkpointer with a
-//! parallel encoder must stay exact.
+//! worker threads, and resume through the save driver with a parallel
+//! encoder on its writer thread must stay exact.
 
-use qnn_checkpoint::qcheck::background::BackgroundCheckpointer;
 use qnn_checkpoint::qcheck::chunk::chunk_bytes_threads;
 use qnn_checkpoint::qcheck::compress::{compress_sections, Compression};
 use qnn_checkpoint::qcheck::hash::Sha256;
 use qnn_checkpoint::qcheck::repo::{CheckpointRepo, SaveOptions};
 use qnn_checkpoint::qcheck::snapshot::{Checkpointable, StateBlob, TrainingSnapshot};
+use qnn_checkpoint::qcheck::{Checkpointer, EveryKSteps};
 use qnn_checkpoint::qnn::ansatz::{hardware_efficient, init_params};
 use qnn_checkpoint::qnn::optimizer::Adam;
 use qnn_checkpoint::qnn::trainer::{Task, Trainer, TrainerConfig};
@@ -218,8 +218,8 @@ fn delta_base_cache_matches_disk_resolution() {
 }
 
 #[test]
-fn background_checkpointer_parallel_encode_resume_is_exact() {
-    // Train, checkpoint asynchronously with a parallel encoder, crash,
+fn checkpointer_parallel_encode_resume_is_exact() {
+    // Train, checkpoint on the writer thread with a parallel encoder, crash,
     // recover, continue — the resumed trajectory must be bitwise identical
     // to one that never stopped.
     let make_trainer = || {
@@ -251,18 +251,23 @@ fn background_checkpointer_parallel_encode_resume_is_exact() {
     }
     let reference_bits: Vec<u64> = reference.params().iter().map(|p| p.to_bits()).collect();
 
-    // Interrupted run: 8 steps with async parallel-encode checkpoints.
+    // Interrupted run: 8 steps, each checkpointed with a parallel encode
+    // while the next step computes.
     let dir = scratch("bg-resume");
     let mut opts = SaveOptions::incremental(8);
     opts.threads = Some(4);
-    let mut bg = BackgroundCheckpointer::spawn(CheckpointRepo::open(&dir).unwrap(), opts);
+    let mut driver = Checkpointer::new(
+        CheckpointRepo::open(&dir).unwrap(),
+        Box::new(EveryKSteps::new(1)),
+        opts,
+    )
+    .unwrap();
     let mut interrupted = make_trainer();
     for _ in 0..8 {
-        interrupted.train_step().unwrap();
-        bg.submit(interrupted.capture()).unwrap();
+        let step = interrupted.train_step().unwrap().step;
+        assert!(driver.on_step(step, &interrupted).unwrap());
     }
-    bg.drain().unwrap();
-    drop(bg); // crash: the trainer state is lost, only the repo survives
+    drop(driver); // crash after the last acknowledgement: only the repo survives
     drop(interrupted);
 
     let (snapshot, _) = CheckpointRepo::open(&dir).unwrap().recover().unwrap();
