@@ -227,18 +227,25 @@ impl Checkpointer {
     }
 
     /// Restores `subject` from the newest valid checkpoint (recovery
-    /// scan), after draining. Returns the id restored from.
+    /// scan), after draining. Returns the id restored from and the step it
+    /// holds; the policy counts from that step, so a resumed run's next
+    /// checkpoint is due one interval after the one it came from.
     ///
     /// # Errors
     ///
     /// Fails when the save in flight failed, when no valid checkpoint
-    /// exists, or when the snapshot is structurally incompatible with
-    /// `subject`.
-    pub fn restore_latest<T: Checkpointable>(&mut self, subject: &mut T) -> Result<CheckpointId> {
+    /// exists, or ([`Error::InvalidConfig`]) when the snapshot is
+    /// structurally incompatible with `subject`.
+    pub fn restore_latest<T: Checkpointable>(
+        &mut self,
+        subject: &mut T,
+    ) -> Result<(CheckpointId, u64)> {
         self.drain()?;
         let (snapshot, report) = self.repo.recover()?;
         subject.restore(&snapshot).map_err(Error::InvalidConfig)?;
-        Ok(report.recovered.expect("recover() always names its source"))
+        self.last_checkpoint_step = Some(snapshot.step);
+        let id = report.recovered.expect("recover() always names its source");
+        Ok((id, snapshot.step))
     }
 
     /// Takes the outcome of the save in flight, waiting for it when
@@ -416,9 +423,10 @@ mod tests {
 
         // "Crash": fresh loop, restore.
         let mut fresh = ToyLoop::new(16);
-        let id = ckptr.restore_latest(&mut fresh).unwrap();
+        let (id, step) = ckptr.restore_latest(&mut fresh).unwrap();
         assert_eq!(fresh, expected);
         assert!(id.as_str().contains("0000000007"));
+        assert_eq!(step, 7);
         let _ = std::fs::remove_dir_all(path);
     }
 

@@ -613,18 +613,6 @@ pub fn word_decompress_reference(data: &[u8], predecessor_xor: bool) -> Result<V
     Ok(out)
 }
 
-/// Compresses many independent `(codec, payload)` pairs on `threads`
-/// scoped worker threads, preserving input order. Each output is
-/// byte-identical to `codec.compress(payload)` run serially.
-///
-/// Standalone fan-out primitive (benches, external pipelines). The save
-/// path in [`crate::repo`] parallelizes at the section level too, but
-/// inline — its per-section work also includes delta-candidate selection,
-/// not just one codec call.
-pub fn compress_sections(jobs: Vec<(Compression, &[u8])>, threads: usize) -> Vec<Vec<u8>> {
-    qpar::map_threads(threads, jobs, |(codec, data)| codec.compress(data))
-}
-
 /// Compression outcome statistics, for the evaluation tables.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompressionStats {

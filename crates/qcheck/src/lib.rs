@@ -32,9 +32,9 @@
 //! section's delta chain on its own. Both hand the sections to the
 //! threads **by size** (largest first onto the lightest thread — a
 //! snapshot is two heavy sections and a handful of tiny ones). The thread
-//! count is [`repo::SaveOptions::threads`] when set, else
-//! [`qpar::current_threads`] (`QCHECK_THREADS` env var / builder /
-//! hardware). Guarantees:
+//! count is [`qpar::current_threads`] on the thread that calls `save` —
+//! the driver's writer thread — so `QCHECK_THREADS` / the builder /
+//! hardware set it. Guarantees:
 //!
 //! 1. **Bit-exactness** — encoded bytes, chunk refs, manifests and
 //!    resolved sections are byte-identical at every thread count: all

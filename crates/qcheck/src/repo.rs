@@ -188,11 +188,6 @@ pub struct SaveOptions {
     pub crash: Option<CrashPoint>,
     /// Override the manifest timestamp (tests / determinism).
     pub created_unix_ms: Option<u64>,
-    /// Worker threads for the encode phase (per-section compression and
-    /// per-chunk hashing). `None` resolves [`qpar::current_threads`]
-    /// (`QCHECK_THREADS` / builder override / hardware). The encoded bytes
-    /// are identical for every thread count.
-    pub threads: Option<usize>,
 }
 
 impl Default for SaveOptions {
@@ -206,7 +201,6 @@ impl Default for SaveOptions {
             fsync: false,
             crash: None,
             created_unix_ms: None,
-            threads: None,
         }
     }
 }
@@ -760,7 +754,7 @@ impl CheckpointRepo {
         // size (sections are independent). The chosen encodings are
         // identical at every thread count.
         // ------------------------------------------------------------------
-        let threads = options.threads.unwrap_or_else(qpar::current_threads);
+        let threads = qpar::current_threads();
         let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
         let encode_one = |section: &Section| -> SectionEncode {
             let section_sha = Sha256::digest(&section.bytes);

@@ -52,6 +52,7 @@ use crate::chunk::ChunkRef;
 use crate::durable;
 use crate::error::{Error, Result};
 use crate::hash::{crc32, ContentHash, Sha256};
+use crate::sync::lock_recover;
 
 use super::{verify_chunk, BatchPutReport, GcReport, ObjectStore, StagedChunk, StoreStats};
 
@@ -227,8 +228,21 @@ impl PackStore {
         self.gc_dead_fraction = fraction.clamp(0.0, 1.0);
     }
 
+    /// The index lock. A holder that panicked may have left the index
+    /// half-updated (a pack registered, its objects not), so it is emptied
+    /// and rebuilt from `packs/`, which is what it caches. If the listing
+    /// fails it stays empty and the next miss surfaces the error.
     fn lock(&self) -> MutexGuard<'_, PackIndex> {
-        self.index.lock().expect("pack index lock poisoned")
+        lock_recover(&self.index, |index| {
+            *index = PackIndex::default();
+            let _ = self.refresh(index);
+        })
+    }
+
+    /// The MRU-descriptor lock; after a holder's panic the handle is
+    /// dropped and the next read reopens its pack.
+    fn lock_mru(&self) -> MutexGuard<'_, MruPack> {
+        lock_recover(&self.mru_pack, |mru| *mru = None)
     }
 
     fn pack_path(&self, name: &str) -> PathBuf {
@@ -355,7 +369,7 @@ impl PackStore {
     /// anyway).
     fn open_pack(&self, name: &str) -> std::io::Result<Arc<fs::File>> {
         let cached = {
-            let mru = self.mru_pack.lock().expect("mru lock poisoned");
+            let mru = self.lock_mru();
             mru.as_ref()
                 .filter(|(n, _)| n == name)
                 .map(|(_, f)| Arc::clone(f))
@@ -364,8 +378,7 @@ impl PackStore {
             return Ok(f);
         }
         let f = Arc::new(fs::File::open(self.pack_path(name))?);
-        *self.mru_pack.lock().expect("mru lock poisoned") =
-            Some((name.to_string(), Arc::clone(&f)));
+        *self.lock_mru() = Some((name.to_string(), Arc::clone(&f)));
         Ok(f)
     }
 
@@ -1013,6 +1026,32 @@ mod tests {
             reader.get_many(&refs),
             Err(Error::NotFound { .. })
         ));
+    }
+
+    #[test]
+    fn a_panic_under_the_index_or_mru_lock_does_not_wedge_the_handle() {
+        let (_dir, store) = temp_store();
+        let blobs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 128]).collect();
+        store.put_batch(&stage(&blobs), false).unwrap();
+        let refs = refs_of(&blobs);
+        assert_eq!(store.get_many(&refs).unwrap(), blobs);
+
+        let rescans = store.index_rescans();
+        let holder = store.clone();
+        let panicked = std::thread::spawn(move || {
+            let _index = holder.lock();
+            let _mru = holder.lock_mru();
+            panic!("drill: a holder of both pack locks dies");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(store.index.is_poisoned() && store.mru_pack.is_poisoned());
+
+        // Served from an index rebuilt by exactly one rescan of `packs/`.
+        assert_eq!(store.get_many(&refs).unwrap(), blobs);
+        assert_eq!(store.index_rescans(), rescans + 1);
+        assert!(!store.index.is_poisoned() && !store.mru_pack.is_poisoned());
+        assert_eq!(store.stats().unwrap().object_count, 4);
     }
 
     #[test]

@@ -294,7 +294,7 @@ proptest! {
     }
 
     /// `digest_many` (the parallel encode primitive) agrees with serial
-    /// scalar digests — pool workers resolve the backend themselves from
+    /// scalar digests — worker threads resolve the backend themselves from
     /// the environment, and both resolutions hash identically.
     #[test]
     fn digest_many_matches_scalar(

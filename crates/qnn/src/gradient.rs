@@ -69,62 +69,53 @@ pub struct ShiftSite {
     pub scale: f64,
 }
 
-/// Generalized parameter-shift gradient over explicit shift sites, with the
-/// `±shift` evaluations of every site fanned out across the ambient
-/// [`qpar::current_threads`] worker threads.
+/// The `(+delta, −delta)` results of one differentiation site.
+type Pair<E> = (Result<f64, E>, Result<f64, E>);
+
+/// The one fan-out a gradient takes: evaluates `eval(scratch, site, ±delta)`
+/// for every site in `0..sites`, the sites split into one contiguous range
+/// per ambient [`qpar::current_threads`] worker (inline at one thread), and
+/// returns the pairs in site order.
 ///
-/// `eval(op_index, delta)` must be a *pure* loss evaluation (exact
-/// expectation — no RNG draws), which is what makes the fan-out safe: each
-/// worker runs its own circuit evaluation. Per-site contributions are
-/// accumulated into the gradient in site order, so the result is
-/// bit-identical for every thread count.
-///
-/// A gradient costs `2 · sites.len()` circuit evaluations, so `eval`
-/// should run a **precompiled** `qsim::plan::ExecPlan` (shift sites
-/// patch resolved angles at bind time via
-/// `ExecPlan::run_on_with_op_shift`) rather than re-interpreting the
-/// circuit — the trainer compiles one plan per ansatz and reuses it for
-/// every site of every epoch.
-///
-/// # Errors
-///
-/// Returns the first failing evaluation in site order.
-pub fn parameter_shift_gradient<E, F>(
-    num_params: usize,
-    sites: &[ShiftSite],
-    shift: f64,
-    eval: F,
-) -> Result<Vec<f64>, E>
+/// `init()` runs **once per worker** to build a reusable scratch value `S`
+/// (typically a `qsim::plan::BoundPlan` rebound in place), so the `2·sites`
+/// evaluations of a gradient stop paying per-bind allocation. `eval` must
+/// be *pure* (exact expectations — no RNG draws), which is what makes the
+/// fan-out safe and its result independent of the thread count.
+fn shifted_pairs<E, S, I, F>(sites: usize, delta: f64, init: I, eval: F) -> Vec<Pair<E>>
 where
     E: Send,
-    F: Fn(usize, f64) -> Result<f64, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, f64) -> Result<f64, E> + Sync,
 {
-    parameter_shift_gradient_with(
-        num_params,
-        sites,
-        shift,
-        || (),
-        |(), op, delta| eval(op, delta),
-    )
+    let chunks = qpar::ranges(sites, qpar::current_threads());
+    let results: Vec<Vec<Pair<E>>> = qpar::map(chunks, |chunk| {
+        // The site fan-out owns the parallelism budget; keep the nested
+        // gate kernels serial on worker threads (they would otherwise
+        // re-resolve the ambient thread count and oversubscribe).
+        qpar::with_threads(1, || {
+            let mut scratch = init();
+            chunk
+                .map(|i| (eval(&mut scratch, i, delta), eval(&mut scratch, i, -delta)))
+                .collect()
+        })
+    });
+    results.into_iter().flatten().collect()
 }
 
-/// [`parameter_shift_gradient`] with per-worker evaluation scratch.
+/// Generalized parameter-shift gradient over explicit shift sites:
+/// `eval(scratch, op_index, ±shift)` for every site, fanned out across the
+/// ambient worker threads with one `init()` scratch per worker (the
+/// trainer passes a `BoundPlan` shell it rebinds with `rebind_shifted`).
 ///
-/// A gradient performs `2 · sites.len()` evaluations; when each
-/// evaluation binds a fresh [`qsim::plan::BoundPlan`], the allocation
-/// cost dominates small circuits. This variant chunks the sites across
-/// the ambient worker threads and calls `init()` **once per worker** to
-/// build a reusable scratch value `S` (typically a `BoundPlan` rebound
-/// in place via `rebind_shifted` — see `Trainer::gradient`), so the
-/// 2P+1 binds per step stop paying per-bind allocation.
-///
-/// Per-site contributions accumulate in site order regardless of the
-/// chunking, so the gradient is bit-identical at every thread count.
+/// `eval` must be a *pure* loss evaluation. Per-site contributions
+/// accumulate in site order regardless of the chunking, so the gradient is
+/// bit-identical at every thread count.
 ///
 /// # Errors
 ///
 /// Returns the first failing evaluation in site order.
-pub fn parameter_shift_gradient_with<E, S, I, F>(
+pub fn parameter_shift_gradient<E, S, I, F>(
     num_params: usize,
     sites: &[ShiftSite],
     shift: f64,
@@ -136,65 +127,46 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, f64) -> Result<f64, E> + Sync,
 {
-    type Pair<E> = (Result<f64, E>, Result<f64, E>);
-    let mut grad = vec![0.0; num_params];
-    if sites.is_empty() {
-        return Ok(grad);
-    }
-    // One chunk per worker slot: each chunk builds its scratch once and
-    // walks its sites serially, so scratch reuse scales with sites per
-    // worker instead of being reset 2·sites times.
-    let threads = qpar::current_threads().max(1);
-    let per = sites.len().div_ceil(threads);
-    let chunks: Vec<Vec<ShiftSite>> = sites.chunks(per).map(|c| c.to_vec()).collect();
-    let results: Vec<Vec<Pair<E>>> = qpar::map(chunks, |chunk| {
-        // The site fan-out owns the parallelism budget; keep the nested
-        // gate kernels serial on worker threads (they would otherwise
-        // re-resolve the ambient thread count and oversubscribe).
-        qpar::with_threads(1, || {
-            let mut scratch = init();
-            chunk
-                .iter()
-                .map(|s| {
-                    (
-                        eval(&mut scratch, s.op_index, shift),
-                        eval(&mut scratch, s.op_index, -shift),
-                    )
-                })
-                .collect()
-        })
+    let pairs = shifted_pairs(sites.len(), shift, init, |scratch, i, delta| {
+        eval(scratch, sites[i].op_index, delta)
     });
-    for (site, (plus, minus)) in sites.iter().zip(results.into_iter().flatten()) {
+    let mut grad = vec![0.0; num_params];
+    for (site, (plus, minus)) in sites.iter().zip(pairs) {
         grad[site.param_index] += site.scale * (plus? - minus?) / 2.0;
     }
     Ok(grad)
 }
 
 /// Parallel central-difference gradient of a *pure* black-box loss: the
-/// per-parameter `±eps` evaluations run on the ambient
-/// [`qpar::current_threads`] worker threads. Results are bit-identical to
+/// per-parameter `±eps` evaluations run on the ambient worker threads with
+/// one `init()` scratch per worker. Results are bit-identical to
 /// [`finite_diff_gradient`] (same perturbed vectors, same arithmetic).
 ///
 /// # Errors
 ///
 /// Returns the first failing evaluation in parameter order.
-pub fn finite_diff_gradient_parallel<E, F>(params: &[f64], eps: f64, loss: F) -> Result<Vec<f64>, E>
+pub fn finite_diff_gradient_parallel<E, S, I, F>(
+    params: &[f64],
+    eps: f64,
+    init: I,
+    loss: F,
+) -> Result<Vec<f64>, E>
 where
     E: Send,
-    F: Fn(&[f64]) -> Result<f64, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &[f64]) -> Result<f64, E> + Sync,
 {
-    type Pair<E> = (Result<f64, E>, Result<f64, E>);
-    let pairs: Vec<Pair<E>> = qpar::map((0..params.len()).collect(), |i| {
-        // See parameter_shift_gradient: one level of fan-out only.
-        qpar::with_threads(1, || {
-            let mut work = params.to_vec();
-            work[i] = params[i] + eps;
-            let plus = loss(&work);
-            work[i] = params[i] - eps;
-            let minus = loss(&work);
-            (plus, minus)
-        })
-    });
+    let pairs = shifted_pairs(
+        params.len(),
+        eps,
+        || (init(), params.to_vec()),
+        |(scratch, work), i, delta| {
+            work[i] = params[i] + delta;
+            let value = loss(scratch, work);
+            work[i] = params[i];
+            value
+        },
+    );
     let mut grad = vec![0.0; params.len()];
     for (g, (plus, minus)) in grad.iter_mut().zip(pairs) {
         *g = (plus? - minus?) / (2.0 * eps);

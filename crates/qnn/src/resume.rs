@@ -15,7 +15,6 @@ use qcheck::error::Error as QcheckError;
 use qcheck::manifest::CheckpointId;
 use qcheck::policy::CheckpointPolicy;
 use qcheck::repo::{CheckpointRepo, SaveOptions, SaveReport};
-use qcheck::snapshot::Checkpointable;
 
 use crate::trainer::{StepReport, TrainError, Trainer};
 
@@ -104,15 +103,11 @@ impl ResumableRun {
         let mut trainer = trainer;
         // The writer lock comes first: recovery must not read a
         // repository another run is still writing.
-        let checkpointer = Checkpointer::new(repo, policy, options)?;
-        let start = match checkpointer.repo().recover() {
-            Ok((snapshot, report)) => {
-                let id = report.recovered.expect("recover names its source");
-                let step = snapshot.step;
-                trainer.restore(&snapshot).map_err(RunError::Incompatible)?;
-                RunStart::Resumed { id, step }
-            }
+        let mut checkpointer = Checkpointer::new(repo, policy, options)?;
+        let start = match checkpointer.restore_latest(&mut trainer) {
+            Ok((id, step)) => RunStart::Resumed { id, step },
             Err(QcheckError::NoValidCheckpoint { rejected: 0 }) => RunStart::Fresh,
+            Err(QcheckError::InvalidConfig(msg)) => return Err(RunError::Incompatible(msg)),
             // `rejected > 0`: checkpoints exist but none verify — surfacing
             // that matters more than limping on from scratch.
             Err(e) => return Err(RunError::Storage(e)),
@@ -284,6 +279,38 @@ mod tests {
             final_save.id.as_str().split('-').nth(1).unwrap(),
             "0000000010"
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_resumed_run_checkpoints_one_interval_after_the_one_it_came_from() {
+        let dir = scratch();
+        let start = || {
+            ResumableRun::start(
+                build_trainer(3),
+                CheckpointRepo::open(&dir).unwrap(),
+                Box::new(EveryKSteps::new(5)),
+                SaveOptions::default(),
+            )
+            .unwrap()
+        };
+        // Killed after the step-5 save: dropped without `finish`.
+        start().run_to_step(5).unwrap();
+
+        let mut run = start();
+        assert!(matches!(
+            run.start_info(),
+            RunStart::Resumed { step: 5, .. }
+        ));
+        let mut saved_at = Vec::new();
+        while run.trainer().step_count() < 12 {
+            let (report, handed_off) = run.step().unwrap();
+            if handed_off {
+                saved_at.push(report.step);
+            }
+        }
+        assert_eq!(saved_at, vec![10], "not one step after the resume");
+        drop(run);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -22,8 +22,8 @@ use qsim::state::{StateError, StateVector};
 use crate::dataset::{Labeled, StatePairs};
 use crate::encode::FeatureMap;
 use crate::gradient::{
-    finite_diff_gradient, finite_diff_gradient_parallel, parameter_shift_gradient_with,
-    spsa_gradient, GradientMethod, ShiftSite,
+    finite_diff_gradient, finite_diff_gradient_parallel, parameter_shift_gradient, spsa_gradient,
+    GradientMethod, ShiftSite,
 };
 use crate::ledger::ShotLedger;
 use crate::optimizer::Optimizer;
@@ -51,38 +51,47 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Body of [`Trainer::exact_loss_at`], over just a bound-plan scratch and
-/// the task so gradient workers can share it without capturing the whole
-/// (non-`Sync`) trainer. The plan is compiled once per trainer; `bound`
-/// is a reusable [`BoundPlan`] shell (see [`ExecPlan::bind_scratch`])
-/// rebound in place here, so the `2·sites` evaluations of a gradient pay
-/// one bind each but zero allocations — and the batch loops below bind
-/// once per *loss call*, not once per example.
-fn exact_loss_at_parts(
-    bound: &mut BoundPlan<'_>,
+/// Loss of `task` on `batch` over a bound plan, returning `(loss, shots)`
+/// — the one per-task body behind [`Trainer::loss_at`], the gradient
+/// workers and [`Trainer::exact_loss`]. It takes the task rather than the
+/// (non-`Sync`) trainer so workers can share it, and binds nothing: the
+/// caller binds once per *loss call* and the batch loops below only vary
+/// the input state.
+///
+/// In [`EvalMode::Exact`] nothing is drawn from `rng`.
+fn task_loss(
+    bound: &BoundPlan<'_>,
     task: &Task,
-    params: &[f64],
     batch: &[usize],
-    op_shift: Option<(usize, f64)>,
-) -> Result<f64, TrainError> {
-    match op_shift {
-        Some((op, delta)) => bound.rebind_shifted(params, op, delta)?,
-        None => bound.rebind(params)?,
-    }
+    mode: EvalMode,
+    rng: &mut Xoshiro256,
+) -> Result<(f64, u64), TrainError> {
     match task {
         Task::Vqe { hamiltonian } => {
             let mut state = StateVector::zero_state(bound.num_qubits());
             bound.run_on(&mut state)?;
-            Ok(hamiltonian.expectation(&state)?)
+            Ok(evaluate_observable(&state, hamiltonian, mode, rng)?)
         }
         Task::StateLearning { data } => {
             let mut acc = 0.0;
+            let mut shots_total = 0u64;
             for &i in batch {
                 let mut state = data.inputs[i].clone();
                 bound.run_on(&mut state)?;
-                acc += state.fidelity(&data.targets[i])?;
+                match mode {
+                    EvalMode::Exact => acc += state.fidelity(&data.targets[i])?,
+                    EvalMode::Shots(shots) => {
+                        acc += qsim::measure::swap_test_fidelity(
+                            &state,
+                            &data.targets[i],
+                            shots,
+                            rng,
+                        )?;
+                        shots_total += shots as u64;
+                    }
+                }
             }
-            Ok(1.0 - acc / batch.len() as f64)
+            Ok((1.0 - acc / batch.len() as f64, shots_total))
         }
         Task::Classification {
             data,
@@ -91,17 +100,33 @@ fn exact_loss_at_parts(
             ..
         } => {
             let mut acc = 0.0;
+            let mut shots_total = 0u64;
             for &i in batch {
                 let mut state = StateVector::zero_state(bound.num_qubits());
                 feature_map.encode_onto(&mut state, &data.features[i])?;
                 bound.run_on(&mut state)?;
-                let pred = observable.expectation(&state)?;
+                let (pred, shots) = evaluate_observable(&state, observable, mode, rng)?;
+                shots_total += shots;
                 let err = pred - data.labels[i];
                 acc += err * err;
             }
-            Ok(acc / batch.len() as f64)
+            Ok((acc / batch.len() as f64, shots_total))
         }
     }
+}
+
+/// [`task_loss`] in [`EvalMode::Exact`]: a pure function of its arguments
+/// (the stream it hands over is never read), so gradient workers may call
+/// it concurrently.
+fn exact_task_loss(bound: &BoundPlan<'_>, task: &Task, batch: &[usize]) -> Result<f64, TrainError> {
+    let (loss, _) = task_loss(
+        bound,
+        task,
+        batch,
+        EvalMode::Exact,
+        &mut Xoshiro256::seed_from(0),
+    )?;
+    Ok(loss)
 }
 
 impl From<CircuitError> for TrainError {
@@ -151,6 +176,14 @@ impl Task {
             Task::Vqe { .. } => 0,
             Task::StateLearning { data } => data.len(),
             Task::Classification { data, .. } => data.len(),
+        }
+    }
+
+    /// Observable evaluations one loss call on `batch` consumes.
+    fn evals_per_loss(&self, batch: &[usize]) -> u32 {
+        match self {
+            Task::Vqe { .. } => 1,
+            _ => batch.len() as u32,
         }
     }
 
@@ -401,68 +434,19 @@ impl Trainer {
         batch: &[usize],
         op_shift: Option<(usize, f64)>,
     ) -> Result<(f64, u32, u64), TrainError> {
-        let mode = self.config.eval_mode;
-        // One bind per loss call; the batch loops below reuse the bound
-        // schedule and only vary the input state.
         let mut bound = self.plan.bind_scratch();
         match op_shift {
             Some((op, delta)) => bound.rebind_shifted(params, op, delta)?,
             None => bound.rebind(params)?,
         }
-        match &self.task {
-            Task::Vqe { hamiltonian } => {
-                let mut state = StateVector::zero_state(self.circuit.num_qubits());
-                bound.run_on(&mut state)?;
-                let (value, shots) =
-                    evaluate_observable(&state, hamiltonian, mode, &mut self.shots_rng)?;
-                Ok((value, 1, shots))
-            }
-            Task::StateLearning { data } => {
-                let mut acc = 0.0;
-                let mut shots_total = 0u64;
-                for &i in batch {
-                    let mut state = data.inputs[i].clone();
-                    bound.run_on(&mut state)?;
-                    match mode {
-                        EvalMode::Exact => acc += state.fidelity(&data.targets[i])?,
-                        EvalMode::Shots(shots) => {
-                            acc += qsim::measure::swap_test_fidelity(
-                                &state,
-                                &data.targets[i],
-                                shots,
-                                &mut self.shots_rng,
-                            )?;
-                            shots_total += shots as u64;
-                        }
-                    }
-                }
-                Ok((
-                    1.0 - acc / batch.len() as f64,
-                    batch.len() as u32,
-                    shots_total,
-                ))
-            }
-            Task::Classification {
-                data,
-                feature_map,
-                observable,
-                ..
-            } => {
-                let mut acc = 0.0;
-                let mut shots_total = 0u64;
-                for &i in batch {
-                    let mut state = StateVector::zero_state(self.circuit.num_qubits());
-                    feature_map.encode_onto(&mut state, &data.features[i])?;
-                    bound.run_on(&mut state)?;
-                    let (pred, shots) =
-                        evaluate_observable(&state, observable, mode, &mut self.shots_rng)?;
-                    shots_total += shots;
-                    let err = pred - data.labels[i];
-                    acc += err * err;
-                }
-                Ok((acc / batch.len() as f64, batch.len() as u32, shots_total))
-            }
-        }
+        let (loss, shots) = task_loss(
+            &bound,
+            &self.task,
+            batch,
+            self.config.eval_mode,
+            &mut self.shots_rng,
+        )?;
+        Ok((loss, self.task.evals_per_loss(batch), shots))
     }
 
     /// Per-example prediction with optional op shift (classification chain
@@ -499,115 +483,112 @@ impl Trainer {
         }
     }
 
-    /// Loss evaluations consumed by one exact-loss call (mirrors the
-    /// `evals` accounting of the serial `loss_at`).
-    fn exact_evals_per_loss(&self, batch: &[usize]) -> u32 {
-        match &self.task {
-            Task::Vqe { .. } => 1,
-            _ => batch.len() as u32,
-        }
-    }
-
-    /// `(op_index, param_index, scale)` of every parametrized op.
-    fn shift_sites(&self) -> Vec<(usize, usize, f64)> {
+    /// Every parametrized op occurrence, in op order.
+    fn shift_sites(&self) -> Vec<ShiftSite> {
         self.circuit
             .ops()
             .iter()
             .enumerate()
-            .filter_map(|(i, op)| match op.param {
-                Some(ParamRef::Sym { index, scale }) => Some((i, index, scale)),
+            .filter_map(|(op_index, op)| match op.param {
+                Some(ParamRef::Sym { index, scale }) => Some(ShiftSite {
+                    op_index,
+                    param_index: index,
+                    scale,
+                }),
                 _ => None,
             })
             .collect()
     }
 
     /// Computes the gradient on a batch. Returns `(grad, evals, shots)`.
+    ///
+    /// Exact evaluations draw no RNG, so they always go through the
+    /// fan-out driver of [`crate::gradient`] (inline at one thread, one
+    /// reused [`BoundPlan`] scratch per worker) and are bit-identical at
+    /// every thread count; shot-mode evaluations keep the serial loops
+    /// their draw order requires.
     fn gradient(&mut self, batch: &[usize]) -> Result<(Vec<f64>, u32, u64), TrainError> {
         let _span = qobs::span("qnn.gradient");
         const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
         let params = self.params.clone();
+        let exact = self.config.eval_mode == EvalMode::Exact;
         match self.config.gradient {
             GradientMethod::ParameterShift => {
                 let sites = self.shift_sites();
-                let mut grad = vec![0.0; params.len()];
-                let mut evals = 0u32;
-                let mut shots = 0u64;
                 match &self.task {
                     Task::Classification { data, .. } => {
                         // Chain rule: dL/dθ = (2/B) Σ_x (p_x − y_x) · dp_x/dθ.
+                        let mut grad = vec![0.0; params.len()];
+                        let mut evals = 0u32;
+                        let mut shots = 0u64;
                         let labels: Vec<f64> = batch.iter().map(|&i| data.labels[i]).collect();
-                        for (bi, &example) in batch.to_vec().iter().enumerate() {
+                        for (&example, label) in batch.iter().zip(labels) {
                             let (pred, s0) = self.prediction_at(&params, example, None)?;
                             shots += s0;
                             evals += 1;
-                            let residual = 2.0 * (pred - labels[bi]) / batch.len() as f64;
-                            for &(op, pidx, scale) in &sites {
+                            let residual = 2.0 * (pred - label) / batch.len() as f64;
+                            for site in &sites {
+                                let op = site.op_index;
                                 let (plus, s1) =
                                     self.prediction_at(&params, example, Some((op, SHIFT)))?;
                                 let (minus, s2) =
                                     self.prediction_at(&params, example, Some((op, -SHIFT)))?;
                                 shots += s1 + s2;
                                 evals += 2;
-                                grad[pidx] += residual * scale * (plus - minus) / 2.0;
+                                grad[site.param_index] +=
+                                    residual * site.scale * (plus - minus) / 2.0;
                             }
                         }
+                        Ok((grad, evals, shots))
+                    }
+                    task if exact => {
+                        let plan = &self.plan;
+                        let grad = parameter_shift_gradient(
+                            params.len(),
+                            &sites,
+                            SHIFT,
+                            || plan.bind_scratch(),
+                            |bound, op, delta| {
+                                bound.rebind_shifted(&params, op, delta)?;
+                                exact_task_loss(bound, task, batch)
+                            },
+                        )?;
+                        let evals = 2 * sites.len() as u32 * task.evals_per_loss(batch);
+                        Ok((grad, evals, 0))
                     }
                     _ => {
-                        if self.config.eval_mode == EvalMode::Exact && qpar::current_threads() > 1 {
-                            // Exact evaluations draw no RNG, so the ±π/2
-                            // evaluations of every site are embarrassingly
-                            // parallel; results are bit-identical to the
-                            // serial loop below.
-                            let shift_sites: Vec<ShiftSite> = sites
-                                .iter()
-                                .map(|&(op, pidx, scale)| ShiftSite {
-                                    op_index: op,
-                                    param_index: pidx,
-                                    scale,
-                                })
-                                .collect();
-                            let (plan, task) = (&self.plan, &self.task);
-                            grad = parameter_shift_gradient_with(
-                                params.len(),
-                                &shift_sites,
-                                SHIFT,
-                                || plan.bind_scratch(),
-                                |bound, op, delta| {
-                                    exact_loss_at_parts(
-                                        bound,
-                                        task,
-                                        &params,
-                                        batch,
-                                        Some((op, delta)),
-                                    )
-                                },
-                            )?;
-                            evals += 2 * sites.len() as u32 * self.exact_evals_per_loss(batch);
-                        } else {
-                            // Direct rule on the (expectation-shaped) loss.
-                            for &(op, pidx, scale) in &sites {
-                                let (plus, e1, s1) =
-                                    self.loss_at(&params, batch, Some((op, SHIFT)))?;
-                                let (minus, e2, s2) =
-                                    self.loss_at(&params, batch, Some((op, -SHIFT)))?;
-                                evals += e1 + e2;
-                                shots += s1 + s2;
-                                grad[pidx] += scale * (plus - minus) / 2.0;
-                            }
+                        // Direct rule on the (expectation-shaped) loss.
+                        let mut grad = vec![0.0; params.len()];
+                        let mut evals = 0u32;
+                        let mut shots = 0u64;
+                        for site in &sites {
+                            let op = site.op_index;
+                            let (plus, e1, s1) = self.loss_at(&params, batch, Some((op, SHIFT)))?;
+                            let (minus, e2, s2) =
+                                self.loss_at(&params, batch, Some((op, -SHIFT)))?;
+                            evals += e1 + e2;
+                            shots += s1 + s2;
+                            grad[site.param_index] += site.scale * (plus - minus) / 2.0;
                         }
+                        Ok((grad, evals, shots))
                     }
                 }
-                Ok((grad, evals, shots))
+            }
+            GradientMethod::FiniteDiff { eps } if exact => {
+                let (plan, task) = (&self.plan, &self.task);
+                let grad = finite_diff_gradient_parallel(
+                    &params,
+                    eps,
+                    || plan.bind_scratch(),
+                    |bound, p| {
+                        bound.rebind(p)?;
+                        exact_task_loss(bound, task, batch)
+                    },
+                )?;
+                let evals = 2 * params.len() as u32 * task.evals_per_loss(batch);
+                Ok((grad, evals, 0))
             }
             GradientMethod::FiniteDiff { eps } => {
-                if self.config.eval_mode == EvalMode::Exact && qpar::current_threads() > 1 {
-                    let (plan, task) = (&self.plan, &self.task);
-                    let grad = finite_diff_gradient_parallel(&params, eps, |p| {
-                        exact_loss_at_parts(&mut plan.bind_scratch(), task, p, batch, None)
-                    })?;
-                    let evals = 2 * params.len() as u32 * self.exact_evals_per_loss(batch);
-                    return Ok((grad, evals, 0));
-                }
                 let mut evals = 0u32;
                 let mut shots = 0u64;
                 let grad = finite_diff_gradient(&params, eps, |p| {
@@ -689,39 +670,8 @@ impl Trainer {
     ///
     /// Propagates circuit/state failures.
     pub fn exact_loss(&self) -> Result<f64, TrainError> {
-        match &self.task {
-            Task::Vqe { hamiltonian } => {
-                let state = self.plan.run(&self.params)?;
-                Ok(hamiltonian.expectation(&state)?)
-            }
-            Task::StateLearning { data } => {
-                let bound = self.plan.bind(&self.params)?;
-                let mut acc = 0.0;
-                for (input, target) in data.inputs.iter().zip(&data.targets) {
-                    let mut state = input.clone();
-                    bound.run_on(&mut state)?;
-                    acc += state.fidelity(target)?;
-                }
-                Ok(1.0 - acc / data.len() as f64)
-            }
-            Task::Classification {
-                data,
-                feature_map,
-                observable,
-                ..
-            } => {
-                let bound = self.plan.bind(&self.params)?;
-                let mut acc = 0.0;
-                for (x, y) in data.features.iter().zip(&data.labels) {
-                    let mut state = StateVector::zero_state(self.circuit.num_qubits());
-                    feature_map.encode_onto(&mut state, x)?;
-                    bound.run_on(&mut state)?;
-                    let pred = observable.expectation(&state)?;
-                    acc += (pred - y) * (pred - y);
-                }
-                Ok(acc / data.len() as f64)
-            }
-        }
+        let all: Vec<usize> = (0..self.task.dataset_len()).collect();
+        exact_task_loss(&self.plan.bind(&self.params)?, &self.task, &all)
     }
 }
 
@@ -1049,25 +999,60 @@ mod tests {
     #[test]
     fn parallel_gradients_bit_identical_across_thread_counts() {
         // Exact-mode gradients must not depend on the worker count: run the
-        // same training trajectory under different qpar overrides and
-        // compare parameter bits.
-        let run_at = |threads: usize, method: GradientMethod| {
+        // same trajectory of every task × estimator under different qpar
+        // overrides and compare what a step reports, what it leaves in the
+        // parameters and what it books in the ledger, bit for bit. One
+        // thread takes the fan-out driver inline; four really fan out.
+        let build = |task_name: &str, method: GradientMethod| {
+            let mut rng = Xoshiro256::seed_from(11);
+            let (circuit, info) = hardware_efficient(2, 2);
+            let task = match task_name {
+                "vqe" => Task::Vqe {
+                    hamiltonian: PauliSum::transverse_ising(2, 1.0, 0.7),
+                },
+                "state-learning" => Task::StateLearning {
+                    data: dataset::unitary_learning(2, 5, 1, &mut rng).0,
+                },
+                _ => Task::Classification {
+                    data: dataset::blobs(2, 10, 2.0, &mut rng),
+                    feature_map: FeatureMap::Angle,
+                    observable: PauliSum::mean_z(2),
+                    batch_size: 4,
+                },
+            };
+            assert_eq!(task.name(), task_name);
+            let params = init_params(info.num_params, &mut rng);
+            let config = TrainerConfig {
+                gradient: method,
+                ..TrainerConfig::default()
+            };
+            Trainer::new(circuit, task, Box::new(Adam::new(0.05)), params, config).unwrap()
+        };
+        let run_at = |threads: usize, task_name: &str, method: GradientMethod| {
             qpar::with_threads(threads, || {
-                let mut t = vqe_trainer(11, EvalMode::Exact);
-                t.config.gradient = method;
-                for _ in 0..5 {
-                    t.train_step().unwrap();
-                }
-                t.params().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
+                let mut t = build(task_name, method);
+                let reports: Vec<(u64, u64, u32, u64)> = t
+                    .train_steps(5)
+                    .unwrap()
+                    .iter()
+                    .map(|r| (r.loss.to_bits(), r.grad_norm.to_bits(), r.evals, r.shots))
+                    .collect();
+                let params: Vec<u64> = t.params().iter().map(|p| p.to_bits()).collect();
+                (reports, params, t.ledger().to_bytes())
             })
         };
-        for method in [
-            GradientMethod::ParameterShift,
-            GradientMethod::FiniteDiff { eps: 1e-5 },
-        ] {
-            let reference = run_at(1, method);
-            for threads in [2, 4, 8] {
-                assert_eq!(run_at(threads, method), reference, "{method} x{threads}");
+        for task_name in ["vqe", "state-learning", "classification"] {
+            for method in [
+                GradientMethod::ParameterShift,
+                GradientMethod::FiniteDiff { eps: 1e-5 },
+            ] {
+                let reference = run_at(1, task_name, method);
+                assert!(reference.0.iter().all(|r| r.2 > 1 && r.3 == 0));
+                assert_eq!(
+                    run_at(4, task_name, method),
+                    reference,
+                    "{task_name} {method} x4"
+                );
             }
         }
     }

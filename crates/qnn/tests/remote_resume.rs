@@ -129,7 +129,7 @@ fn killed_run_resumes_bit_identically_from_a_fresh_directory() {
 /// process is then killed. What `recover` finds is a complete checkpoint
 /// no older than the last acknowledged one (step 4) — the log's
 /// newest-valid-wins rule may surface the finished-but-unflipped save of
-/// step 5, a torn one never — and a run restarted from it reproduces the
+/// step 6, a torn one never — and a run restarted from it reproduces the
 /// uninterrupted trajectory bit for bit.
 #[test]
 fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
@@ -164,19 +164,20 @@ fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
             // (dropping the run drains it).
             start(None).run_to_step(4).unwrap();
 
-            // Process 2: a fresh driver's first step is due, so the save
-            // of step 5 is handed off — and dies at `point` on the writer
-            // thread while training goes on.
+            // Process 2: the resumed driver counts from step 4, so step 5
+            // is not due and the save of step 6 is handed off — and dies
+            // at `point` on the writer thread while training goes on.
             let mut run = start(Some(point));
             assert!(matches!(
                 run.start_info(),
                 RunStart::Resumed { step: 4, .. }
             ));
-            assert!(run.step().unwrap().1, "{point}: step 5 is handed off");
+            assert!(!run.step().unwrap().1, "{point}: step 5 is not due");
+            assert!(run.step().unwrap().1, "{point}: step 6 is handed off");
             let surfaced = loop {
                 match run.step() {
-                    // Step 7 is due again and waits for the verdict.
-                    Ok((report, _)) => assert!(report.step < 7, "{point}: never surfaced"),
+                    // Step 8 is due again and waits for the verdict.
+                    Ok((report, _)) => assert!(report.step < 8, "{point}: never surfaced"),
                     Err(e) => break e,
                 }
             };
@@ -187,7 +188,7 @@ fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
                 ),
                 "{point}: {surfaced}"
             );
-            assert!(run.trainer().step_count() > 5, "training had moved on");
+            assert!(run.trainer().step_count() > 6, "training had moved on");
             drop(run);
 
             // Process 3 resumes from whatever survived.
@@ -201,7 +202,7 @@ fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
                 CrashPoint::BeforeLatestSwing | CrashPoint::MidLatestWrite
             );
             assert!(
-                resumed_at == 4 || (unflipped_but_whole && resumed_at == 5),
+                resumed_at == 4 || (unflipped_but_whole && resumed_at == 6),
                 "{point} (remote: {remote}): resumed at step {resumed_at}"
             );
             let tail = run.run_to_step(12).unwrap();

@@ -25,36 +25,29 @@
 //! per-thread accumulation order) so that results are bit-identical for
 //! every thread count — see `qsim::state` for the pattern.
 //!
-//! ## Executors: scoped threads vs the persistent pool
+//! ## One executor: scoped threads
 //!
-//! Two executors sit behind the combinator family:
+//! Every fan-out ([`map_threads`], [`for_each_threads`] and their
+//! ambient-count forms [`map`] / [`for_each`]) spawns per call via
+//! [`std::thread::scope`]: stripe 0 runs on the calling thread, the rest
+//! on threads the scope joins before it returns. Work items may therefore
+//! *borrow* from the caller's stack — the gate kernels hand out disjoint
+//! `&mut` slices of the state — at the price of one thread spawn per
+//! extra stripe per fan-out.
 //!
-//! * **Scoped threads** ([`map_threads`], [`for_each_threads`]) — spawn
-//!   per call via [`std::thread::scope`]. Work items may *borrow* from the
-//!   caller's stack (the gate kernels hand out disjoint `&mut` slices),
-//!   but every fan-out pays thread-spawn cost (~140 µs for 8 threads on
-//!   the reference container).
-//! * **The persistent pool** ([`map_owned`], [`for_each_owned`]) — a
-//!   process-wide set of long-lived workers fed through an
-//!   ownership-passing job queue. Jobs must own their data
-//!   (`T: 'static`), which is what keeps the pool free of `unsafe`:
-//!   nothing borrowed ever crosses into a thread that outlives the
-//!   borrow. Spawn cost is paid once per process, not per fan-out.
-//!
-//! Both executors stripe identically and preserve input order, so their
-//! results are bit-identical to each other and to the serial path at
-//! every thread count. The owned combinators always use the pool; scoped
-//! threads are their fallback when it cannot spawn workers, inside a pool
-//! worker, and under the tests' [`with_pool`]`(false, …)` override.
+//! Why not a persistent pool: a job handed to a thread that outlives the
+//! call must be `'static` — own its data — unless the crate takes on
+//! `unsafe`, so a pooled tile pass has to copy each state stripe out and
+//! back. Timed against the scoped fan-out that cost 1.0–1.7× at 14–17
+//! qubits and no tracked workload reached it (CHANGES.md, PR 23), so
+//! there is one executor and no `'static` bound on its work items.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pool;
-
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Name of the environment variable controlling the default thread count.
 pub const THREADS_ENV: &str = "QCHECK_THREADS";
@@ -162,9 +155,7 @@ where
 }
 
 /// Splits owned items into at most `t` contiguous stripes of
-/// `ceil(n / t)` items each — the single striping rule every executor
-/// (serial, scoped, pooled) shares, so grouping never depends on which
-/// executor runs the work.
+/// `ceil(n / t)` items each.
 fn stripe_items<T>(items: Vec<T>, t: usize) -> Vec<Vec<T>> {
     let stripe = items.len().div_ceil(t);
     let mut stripes: Vec<Vec<T>> = Vec::with_capacity(t);
@@ -177,70 +168,17 @@ fn stripe_items<T>(items: Vec<T>, t: usize) -> Vec<Vec<T>> {
     stripes
 }
 
-/// Order-preserving parallel map over owned work items on the persistent
-/// worker pool ([`pool`]). Striping, ordering and per-item arithmetic are
-/// identical to [`map_threads`], so the two executors produce
-/// bit-identical results; only *where* the stripes run differs.
-///
-/// The `'static` bounds are the safety contract of the pool: jobs own
-/// their stripe outright, so no borrow ever crosses into a long-lived
-/// worker thread. Falls back to the scoped-thread executor when the pool
-/// is disabled ([`with_pool`]), when called from inside a
-/// pool worker (nested fan-out would deadlock the queue), or when no
-/// worker can be spawned.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (worker panics are captured and re-raised
-/// on the calling thread).
+/// [`map_threads`] under the name and bounds `benchmark/src/stages.rs`
+/// compiles against. Nothing else calls it: ROADMAP item 1's `benchmark`
+/// PR removes that call, then this forward and the `qobs` line in
+/// `Cargo.toml` (recorded by `benchmark/Cargo.lock`) go with it.
 pub fn map_owned<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + 'static,
     R: Send + 'static,
     F: Fn(T) -> R + Send + Sync + 'static,
 {
-    let n = items.len();
-    let t = threads.clamp(1, n.max(1));
-    if t <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    if !pool::active(t) {
-        return map_threads(t, items, f);
-    }
-    let f = Arc::new(f);
-    let stripes = stripe_items(items, t);
-    let jobs: Vec<Box<dyn FnOnce() -> Vec<R> + Send>> = stripes
-        .into_iter()
-        .map(|stripe| {
-            let f = Arc::clone(&f);
-            let job: Box<dyn FnOnce() -> Vec<R> + Send> =
-                Box::new(move || stripe.into_iter().map(|x| f(x)).collect());
-            job
-        })
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for part in pool::run_owned(jobs) {
-        out.extend(part);
-    }
-    out
-}
-
-/// [`map_owned`] discarding results: order-independent consumption of
-/// owned work items on the persistent pool (scoped fallback as
-/// [`map_owned`]).
-pub fn for_each_owned<T, F>(threads: usize, items: Vec<T>, f: F)
-where
-    T: Send + 'static,
-    F: Fn(T) + Send + Sync + 'static,
-{
-    map_owned(threads, items, f);
-}
-
-/// Runs `f` with a thread-local override of the pool toggle — the hook
-/// equivalence tests use to sweep the pooled and scoped executors inside
-/// one process.
-pub fn with_pool<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    pool::with_enabled(enabled, f)
+    map_threads(threads, items, f)
 }
 
 /// [`map_threads`] with the ambient [`current_threads`] count.
@@ -372,64 +310,6 @@ mod tests {
         let rs = ranges(3, 8);
         assert_eq!(rs, vec![0..1, 1..2, 2..3]);
         assert!(rs.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn map_owned_matches_map_threads_at_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for t in [1, 2, 4, 8, 17] {
-            let scoped = map_threads(t, items.clone(), |x| x * x + 1);
-            let pooled = map_owned(t, items.clone(), |x| x * x + 1);
-            let forced_scoped = with_pool(false, || map_owned(t, items.clone(), |x| x * x + 1));
-            assert_eq!(scoped, expect, "scoped threads={t}");
-            assert_eq!(pooled, expect, "pooled threads={t}");
-            assert_eq!(forced_scoped, expect, "fallback threads={t}");
-        }
-    }
-
-    #[test]
-    fn map_owned_handles_edge_sizes() {
-        assert_eq!(map_owned::<u8, u8, _>(4, vec![], |x| x), Vec::<u8>::new());
-        assert_eq!(map_owned(4, vec![9], |x: i32| x + 1), vec![10]);
-        assert_eq!(map_owned(8, vec![1, 2], |x: i32| x * 2), vec![2, 4]);
-    }
-
-    #[test]
-    fn for_each_owned_touches_every_item_once() {
-        use std::sync::atomic::AtomicU64;
-        let hits = Arc::new(AtomicU64::new(0));
-        let items: Vec<u64> = (1..=100).collect();
-        let sink = Arc::clone(&hits);
-        for_each_owned(4, items, move |x| {
-            sink.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn nested_map_owned_from_a_pool_worker_does_not_deadlock() {
-        // Each outer job fans out again; the nested call must detect it
-        // is running on a worker and go serial instead of queueing.
-        let outer: Vec<u64> = (0..8).collect();
-        let got = map_owned(4, outer, |i| {
-            map_owned(4, (0..50u64).collect(), move |x| x + i)
-                .into_iter()
-                .sum::<u64>()
-        });
-        let expect: Vec<u64> = (0..8).map(|i| (0..50u64).map(|x| x + i).sum()).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn map_owned_propagates_panics() {
-        let result = std::panic::catch_unwind(|| {
-            map_owned(2, (0..64).collect::<Vec<i32>>(), |x: i32| {
-                assert!(x < 60, "boom");
-                x
-            })
-        });
-        assert!(result.is_err());
     }
 
     #[test]

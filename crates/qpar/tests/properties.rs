@@ -86,22 +86,6 @@ proptest! {
         prop_assert_eq!(qpar::map_threads(threads, items, f), serial);
     }
 
-    /// `map_owned` (the persistent-pool executor) is a drop-in for both
-    /// the serial map and the scoped executor at any thread count, with
-    /// the pool forced on and forced off (scoped fallback).
-    #[test]
-    fn map_owned_matches_serial_map_on_both_executors(
-        items in prop::collection::vec(any::<u64>(), 0..500),
-        threads in 1usize..9,
-    ) {
-        let f = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        let serial: Vec<u64> = items.iter().copied().map(f).collect();
-        for pooled in [true, false] {
-            let got = qpar::with_pool(pooled, || qpar::map_owned(threads, items.clone(), f));
-            prop_assert_eq!(got, serial.clone(), "pooled={}", pooled);
-        }
-    }
-
     /// `ranges` tiles `[0, len)` exactly: contiguous, in order, no gaps or
     /// overlap, and never more than `parts` pieces.
     #[test]

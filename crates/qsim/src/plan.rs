@@ -50,9 +50,8 @@
 //!
 //! ## Bit-exactness
 //!
-//! Plan execution is bit-identical, at every thread count and for both
-//! the pooled and the scoped-thread fan-out, to the op-by-op reference
-//! interpreter that tests keep as an oracle (`ExecMode::Interp`, only
+//! Plan execution is bit-identical, at every thread count, to the
+//! op-by-op reference interpreter that tests keep as an oracle (`ExecMode::Interp`, only
 //! built under `cfg(test)` / the `testing` feature;
 //! `crates/qsim/tests/plan_equivalence.rs` proves it over random
 //! circuits):
@@ -64,19 +63,18 @@
 //!   applying a gate tile-by-tile (any region decomposition into whole
 //!   pair/quad blocks) is bit-identical to one whole-array pass;
 //! * parallel execution hands each worker whole tiles; per-tile
-//!   arithmetic does not depend on which thread (or which fan-out —
-//!   pooled or scoped) runs the tile.
+//!   arithmetic does not depend on which thread runs the tile.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::circuit::{
     is_dense4, is_diag2, is_unit_perm4, mat2_mul, mat4_fold1q, Circuit, CircuitError, ParamRef,
 };
 use crate::complex::Complex64;
 use crate::gate::{Gate, Matrix2, Matrix4};
-use crate::state::{Kernel2, Kernel4, StateError, StateVector, PARALLEL_MIN_AMPS};
+use crate::state::{kernel_threads, Kernel2, Kernel4, StateError, StateVector};
 
 /// Name of the environment variable toggling pass-fusion scheduling
 /// (`QSIM_FUSE=off` forces the per-gate schedule — the escape hatch that
@@ -92,13 +90,6 @@ const TILE_QUBITS: usize = 13;
 /// tile block (a single gate executes faster as one whole-array sweep,
 /// which also keeps its built-in threading).
 const MIN_TILE_GROUP: usize = 2;
-
-/// Largest state (in amplitudes) the parallel tile executor hands to the
-/// persistent pool. Pooled dispatch passes *owned* stripes (two copy
-/// passes over the state) to stay `unsafe`-free; above this size the
-/// copies cost more than the ~140 µs scoped-thread spawn they avoid, so
-/// bigger states take the zero-copy scoped path.
-const POOLED_TILE_MAX_AMPS: usize = 1 << 17;
 
 /// Widest plan the permutation scheduler handles: affine index maps are
 /// stored as one `u32` bit-column per qubit. Plans wider than this (far
@@ -583,11 +574,7 @@ fn run_permute(state: &mut StateVector, spec: &PermSpec) {
         };
         *p = acc;
     }
-    let threads = if len < PARALLEL_MIN_AMPS {
-        1
-    } else {
-        qpar::current_threads()
-    };
+    let threads = kernel_threads(len);
     PERM_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         // The gather overwrites every slot, so the zero-fill only matters
@@ -599,9 +586,9 @@ fn run_permute(state: &mut StateVector, spec: &PermSpec) {
         if threads <= 1 {
             gather_permuted(amps, &mut scratch, 0, spec, &prefix);
         } else {
-            // Scoped threads only: gathers read the shared input slice
-            // and write disjoint output chunks — moves, never arithmetic,
-            // so any chunking is trivially bit-exact.
+            // Gathers read the shared input slice and write disjoint
+            // output chunks — moves, never arithmetic, so any chunking
+            // is trivially bit-exact.
             let chunk = len.div_ceil(threads);
             let input: &[Complex64] = amps;
             let items: Vec<(usize, &mut [Complex64])> = scratch
@@ -1273,14 +1260,10 @@ impl BoundPlan<'_> {
         let n = amps.len();
         let tile = (1usize << TILE_QUBITS).min(n);
         // SIMD level resolved here, on the calling thread, before any
-        // fan-out — pool workers cannot see the caller's thread-local
+        // fan-out — its workers cannot see the caller's thread-local
         // override.
         let lvl = qsimd::active();
-        let threads = if n < PARALLEL_MIN_AMPS {
-            1
-        } else {
-            qpar::current_threads()
-        };
+        let threads = kernel_threads(n);
         let n_tiles = n / tile;
         if threads <= 1 || n_tiles <= 1 {
             for region in amps.chunks_mut(tile) {
@@ -1291,28 +1274,10 @@ impl BoundPlan<'_> {
         // Whole tiles per worker stripe; per-tile arithmetic is
         // independent, so any stripe assignment is bit-exact.
         let stripe = n_tiles.div_ceil(threads).max(1) * tile;
-        if n <= POOLED_TILE_MAX_AMPS && qpar::pool::active(threads) {
-            // Pooled executor: ownership-passing — each worker receives
-            // its stripe by value and returns it transformed (two copy
-            // passes buy spawn-free fan-out; the scoped path below stays
-            // zero-copy as the fallback).
-            let block: Arc<Vec<BoundGate>> = Arc::new(gates.to_vec());
-            let stripes: Vec<Vec<Complex64>> = amps.chunks(stripe).map(<[_]>::to_vec).collect();
-            let parts = qpar::map_owned(threads, stripes, move |mut part| {
-                run_block_region(&block, &mut part, tile, lvl);
-                part
-            });
-            let mut offset = 0;
-            for part in parts {
-                amps[offset..offset + part.len()].copy_from_slice(&part);
-                offset += part.len();
-            }
-        } else {
-            let items: Vec<&mut [Complex64]> = amps.chunks_mut(stripe).collect();
-            qpar::for_each_threads(threads, items, |chunk| {
-                run_block_region(gates, chunk, tile, lvl);
-            });
-        }
+        let items: Vec<&mut [Complex64]> = amps.chunks_mut(stripe).collect();
+        qpar::for_each_threads(threads, items, |chunk| {
+            run_block_region(gates, chunk, tile, lvl);
+        });
     }
 }
 

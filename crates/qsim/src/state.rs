@@ -11,9 +11,9 @@
 //! the explicit-SIMD primitives in `qsimd` (`QSIM_SIMD` selects the level;
 //! scalar is the bit-exactness oracle — see the `qsimd` crate docs). The
 //! level is resolved **once per gate application on the calling thread**
-//! and passed explicitly into every kernel, so pool worker threads — which
-//! cannot see a caller's thread-local override — always run the level the
-//! caller chose.
+//! and passed explicitly into every kernel, so the scoped worker threads of
+//! a fan-out — which cannot see a caller's thread-local override — always
+//! run the level the caller chose.
 //!
 //! ## Kernel structure & threading
 //!
@@ -358,7 +358,7 @@ impl StateVector {
     /// (the execution-plan layer classifies once at bind time).
     pub(crate) fn apply_matrix2_with(&mut self, kernel: Kernel2, m: &Matrix2, q: usize) {
         let bit = 1usize << q;
-        // Resolved here, on the calling thread, before any fan-out: pool
+        // Resolved here, on the calling thread, before any fan-out: its
         // workers cannot see the caller's thread-local SIMD override.
         let lvl = qsimd::active();
         let threads = kernel_threads(self.amplitudes.len());
@@ -574,7 +574,7 @@ fn flat4(m: &Matrix4) -> [f64; 32] {
 
 /// Threads a gate kernel over `len` amplitudes may use: 1 below the
 /// fan-out threshold, the ambient [`qpar::current_threads`] otherwise.
-fn kernel_threads(len: usize) -> usize {
+pub(crate) fn kernel_threads(len: usize) -> usize {
     if len < PARALLEL_MIN_AMPS {
         1
     } else {

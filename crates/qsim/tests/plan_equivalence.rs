@@ -2,8 +2,7 @@
 //! op-by-op interpreter.
 //!
 //! Random circuits (fixed and symbolic gates) × random parameter
-//! vectors × 1/2/4/8 threads × both qpar executors (persistent pool and
-//! scoped threads): `Circuit::compile()` + plan execution must
+//! vectors × 1/2/4/8 threads: `Circuit::compile()` + plan execution must
 //! reproduce the interpreter's amplitudes bit for bit, including
 //! parameter-shifted runs. The reference bits always come from the
 //! serial interpreter (`ExecMode::Interp`, one thread).
@@ -62,7 +61,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Plan execution reproduces the interpreter bit for bit at every
-    /// thread count, on both the pooled and the scoped-thread executor.
+    /// thread count.
     #[test]
     fn plan_matches_interpreter_across_threads_and_executors(
         (c, params) in arb_plan_circuit(),
@@ -70,15 +69,8 @@ proptest! {
         let want = reference(&c, &params, None);
         let plan = c.compile().unwrap();
         for threads in [1usize, 2, 4, 8] {
-            for pooled in [true, false] {
-                let got = qpar::with_threads(threads, || {
-                    qpar::with_pool(pooled, || bits(&plan.run(&params).unwrap()))
-                });
-                prop_assert_eq!(
-                    &got, &want,
-                    "threads={} pooled={}", threads, pooled
-                );
-            }
+            let got = qpar::with_threads(threads, || bits(&plan.run(&params).unwrap()));
+            prop_assert_eq!(&got, &want, "threads={}", threads);
         }
         // The `Circuit::run_on` wrapper (plan-mode dispatch) agrees too.
         let via_wrapper = with_exec_mode(ExecMode::Plan, || {
@@ -104,19 +96,12 @@ proptest! {
         let want = reference(&c, &params, Some((op_index, delta)));
         let plan = c.compile().unwrap();
         for threads in [1usize, 4] {
-            for pooled in [true, false] {
-                let got = qpar::with_threads(threads, || {
-                    qpar::with_pool(pooled, || {
-                        let mut s = StateVector::zero_state(c.num_qubits());
-                        plan.run_on_with_op_shift(&mut s, &params, op_index, delta).unwrap();
-                        bits(&s)
-                    })
-                });
-                prop_assert_eq!(
-                    &got, &want,
-                    "threads={} pooled={} op={}", threads, pooled, op_index
-                );
-            }
+            let got = qpar::with_threads(threads, || {
+                let mut s = StateVector::zero_state(c.num_qubits());
+                plan.run_on_with_op_shift(&mut s, &params, op_index, delta).unwrap();
+                bits(&s)
+            });
+            prop_assert_eq!(&got, &want, "threads={} op={}", threads, op_index);
         }
         // `run_shifted` (whole-parameter shift) dispatches through the
         // plan by default; cross-check against the interpreter.
@@ -149,8 +134,8 @@ proptest! {
     /// bit-identical reductions: the vector kernels in `qsimd` are
     /// drop-in replacements for the scalar arms, not approximations.
     /// Forcing `Level::Scalar` via `with_level` must match the detected
-    /// level on both executors and under the pooled fan-out (the level
-    /// is resolved on the calling thread before workers spawn).
+    /// level on both executors and at 1, 2 and 4 threads (the level is
+    /// resolved on the calling thread before workers spawn).
     #[test]
     fn plan_matches_across_simd_levels((c, params) in arb_plan_circuit()) {
         let detected = qsimd::detected();
@@ -164,16 +149,14 @@ proptest! {
                             (bits(&s), s.norm().to_bits(), s.prob_one(0).unwrap().to_bits())
                         })
                     });
-                    let pooled = with_exec_mode(mode, || {
+                    let fanned = with_exec_mode(mode, || {
                         qpar::with_threads(4, || {
-                            qpar::with_pool(true, || {
-                                let mut s = StateVector::zero_state(c.num_qubits());
-                                c.run_on(&mut s, &params).unwrap();
-                                (bits(&s), s.norm().to_bits(), s.prob_one(0).unwrap().to_bits())
-                            })
+                            let mut s = StateVector::zero_state(c.num_qubits());
+                            c.run_on(&mut s, &params).unwrap();
+                            (bits(&s), s.norm().to_bits(), s.prob_one(0).unwrap().to_bits())
                         })
                     });
-                    assert_eq!(got, pooled, "level={} mode={:?}", level.name(), mode);
+                    assert_eq!(got, fanned, "level={} mode={:?}", level.name(), mode);
                 }
                 with_exec_mode(ExecMode::Plan, || {
                     qpar::with_threads(2, || {
@@ -189,8 +172,8 @@ proptest! {
         prop_assert_eq!(&scalar, &native, "scalar vs {}", detected.name());
     }
 
-    /// A 16-qubit-wide case crosses the parallel kernel thresholds so
-    /// the pooled tile executor really fans out.
+    /// A 16-qubit-wide case crosses the parallel kernel thresholds, so
+    /// `run_tiled`'s scoped stripes and the threaded sweeps really fan out.
     #[test]
     fn wide_plan_matches_interpreter(seed_ops in prop::collection::vec(arb_op(16), 1..10)) {
         let mut c = Circuit::new(16);
@@ -199,11 +182,9 @@ proptest! {
         }
         let want = reference(&c, &[], None);
         let plan = c.compile().unwrap();
-        for pooled in [true, false] {
-            let got = qpar::with_threads(4, || {
-                qpar::with_pool(pooled, || bits(&plan.run(&[]).unwrap()))
-            });
-            prop_assert_eq!(&got, &want, "pooled={}", pooled);
+        for threads in [2usize, 4, 8] {
+            let got = qpar::with_threads(threads, || bits(&plan.run(&[]).unwrap()));
+            prop_assert_eq!(&got, &want, "threads={}", threads);
         }
     }
 }

@@ -878,18 +878,11 @@ mod tests {
         let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_mode(Mode::Counters);
         let before = counter("zconc_total").get();
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32)
-            .map(|_| {
-                let job: Box<dyn FnOnce() -> usize + Send> = Box::new(|| {
-                    for _ in 0..1000 {
-                        counter("zconc_total").inc();
-                    }
-                    0
-                });
-                job
-            })
-            .collect();
-        qpar::pool::run_owned(jobs);
+        qpar::map_threads(8, (0..32).collect(), |_: usize| {
+            for _ in 0..1000 {
+                counter("zconc_total").inc();
+            }
+        });
         assert_eq!(counter("zconc_total").get() - before, 32_000);
     }
 

@@ -13,8 +13,8 @@
 //! 2. **Dispatch is resolved by the caller, once, on the calling
 //!    thread.** Kernels take an explicit [`Level`] so parallel executors
 //!    resolve `QSIM_SIMD` (or a [`with_level`] test override) *before*
-//!    fanning work out to pool threads that cannot see the caller's
-//!    thread-local override.
+//!    fanning work out to scoped worker threads, which cannot see the
+//!    caller's thread-local override.
 //! 3. **Reductions use a fixed lane structure.** Horizontal sums are not
 //!    order-preserving, so [`accumulate_sq`] defines one canonical
 //!    4-lane accumulation (lane `i & 3`, combined by [`combine_lanes`])

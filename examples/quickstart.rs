@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..TrainerConfig::default()
         },
     )?;
-    let recovered_from = checkpointer.restore_latest(&mut fresh)?;
+    let (recovered_from, _) = checkpointer.restore_latest(&mut fresh)?;
     println!(
         "\nrecovered {} at step {} — loss {:.4}",
         recovered_from,

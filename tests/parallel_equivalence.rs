@@ -4,7 +4,7 @@
 //! encoder on its writer thread must stay exact.
 
 use qnn_checkpoint::qcheck::chunk::chunk_bytes_threads;
-use qnn_checkpoint::qcheck::compress::{compress_sections, Compression};
+use qnn_checkpoint::qcheck::compress::Compression;
 use qnn_checkpoint::qcheck::hash::Sha256;
 use qnn_checkpoint::qcheck::repo::{CheckpointRepo, SaveOptions};
 use qnn_checkpoint::qcheck::snapshot::{Checkpointable, StateBlob, TrainingSnapshot};
@@ -136,13 +136,11 @@ fn section_compression_bit_identical_across_threads() {
             .map(|(k, p)| (Compression::all()[k % 4], p.as_slice()))
             .collect()
     };
-    let reference = compress_sections(jobs(0), 1);
+    let compress_at =
+        |threads: usize| qpar::map_threads(threads, jobs(0), |(codec, data)| codec.compress(data));
+    let reference = compress_at(1);
     for threads in &THREAD_SWEEP[1..] {
-        assert_eq!(
-            compress_sections(jobs(0), *threads),
-            reference,
-            "threads={threads}"
-        );
+        assert_eq!(compress_at(*threads), reference, "threads={threads}");
     }
 }
 
@@ -166,10 +164,10 @@ fn checkpoint_manifests_bit_identical_across_threads() {
         let repo = CheckpointRepo::open(&dir).unwrap();
         let mut opts = SaveOptions::incremental(8);
         opts.created_unix_ms = Some(1_700_000_000_000);
-        opts.threads = Some(threads);
         let mut out = Vec::new();
         for step in 0..6u64 {
-            let report = repo.save(&snapshot_at(step), &opts).unwrap();
+            let report =
+                qpar::with_threads(threads, || repo.save(&snapshot_at(step), &opts)).unwrap();
             let encoded = repo.load_manifest(&report.id).unwrap().encode();
             out.push((report.id.as_str().to_string(), encoded));
         }
@@ -254,12 +252,14 @@ fn checkpointer_parallel_encode_resume_is_exact() {
     // Interrupted run: 8 steps, each checkpointed with a parallel encode
     // while the next step computes.
     let dir = scratch("bg-resume");
-    let mut opts = SaveOptions::incremental(8);
-    opts.threads = Some(4);
+    // The save resolves its width on the writer thread, which a
+    // thread-local override cannot reach: set the process-wide count
+    // (every other test here pins its own or is thread-count-invariant).
+    qpar::set_global_threads(4);
     let mut driver = Checkpointer::new(
         CheckpointRepo::open(&dir).unwrap(),
         Box::new(EveryKSteps::new(1)),
-        opts,
+        SaveOptions::incremental(8),
     )
     .unwrap();
     let mut interrupted = make_trainer();
@@ -268,6 +268,7 @@ fn checkpointer_parallel_encode_resume_is_exact() {
         assert!(driver.on_step(step, &interrupted).unwrap());
     }
     drop(driver); // crash after the last acknowledgement: only the repo survives
+    qpar::set_global_threads(0);
     drop(interrupted);
 
     let (snapshot, _) = CheckpointRepo::open(&dir).unwrap().recover().unwrap();
