@@ -9,8 +9,6 @@
 //! qckpt <repo> gc                       sweep unreferenced chunks
 //! qckpt <repo> compact                  rewrite the latest chain as full
 //! qckpt <repo> retain <n>               keep the newest n checkpoints
-//! qckpt <repo> export <id|latest> <file>  write a portable bundle
-//! qckpt <repo> import <file>            import a bundle as a new checkpoint
 //! ```
 
 use std::process::ExitCode;
@@ -18,11 +16,11 @@ use std::process::ExitCode;
 use qcheck::manifest::CheckpointId;
 use qcheck::repo::{CheckpointRepo, Retention, SaveOptions};
 use qcheck::store::ObjectStore;
-use qcheck::verify::{export_bundle, fsck, import_bundle, CheckpointHealth};
+use qcheck::verify::{fsck, CheckpointHealth};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: qckpt <repo> <list|show|stats|metrics|fsck|gc|compact|retain|export|import> [args]\n\
+        "usage: qckpt <repo> <list|show|stats|metrics|fsck|gc|compact|retain> [args]\n\
          see `qckpt --help` in the module docs for details"
     );
     ExitCode::from(2)
@@ -202,19 +200,6 @@ fn run() -> Result<(), String> {
                 "deleted {} manifests; gc reclaimed {} B",
                 report.manifests_deleted, report.gc.reclaimed_bytes
             );
-            Ok(())
-        }
-        ("export", Some(spec), Some(path)) => {
-            let id = resolve_id(&repo, spec)?;
-            let bundle = export_bundle(&repo, &id).map_err(|e| e.to_string())?;
-            std::fs::write(path, &bundle).map_err(|e| e.to_string())?;
-            println!("wrote {} ({} B) to {path}", id, bundle.len());
-            Ok(())
-        }
-        ("import", Some(path), None) => {
-            let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-            let id = import_bundle(&repo, &bytes).map_err(|e| e.to_string())?;
-            println!("imported as {id}");
             Ok(())
         }
         _ => Err("unrecognized command".into()),

@@ -98,8 +98,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         repl.auth_token = auth_token;
         config.replicate = Some(repl);
     }
-    // Optional periodic metrics dump to stderr (QOBS_DUMP_SECS=<n>).
-    qobs::init_dump_from_env();
     let server = Server::bind(&addr, config).map_err(|e| e.to_string())?;
     let bound = server.local_addr();
     match &replicate_from {

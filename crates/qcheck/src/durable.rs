@@ -6,10 +6,12 @@
 //! visible the same way ([`publish`]): written whole to a staging path,
 //! optionally flushed, then renamed onto their final name — so a crash
 //! leaves either the old file or the new one, never a torn one, plus at
-//! most a disposable staging file. The two commit writes that rename
-//! nothing live here too: the manifest-log [`append`] and the root-slot
-//! [`overwrite`], whose torn outcomes the log's CRC framing and the
-//! second slot absorb. Every `qcheck_fsync_ns` / `qcheck_rename_ns`
+//! most a disposable staging file. The writes that rename nothing live
+//! here too: the [`append`] of the manifest log and of the daemon's
+//! `OPLOG` (one `write` per record, no header), and the root-slot
+//! [`overwrite`] — their torn outcomes are absorbed by the logs' CRC
+//! framing (a torn tail is cut with [`truncate`] before the next append)
+//! and by the second slot. Every `qcheck_fsync_ns` / `qcheck_rename_ns`
 //! sample is taken in this file.
 
 use std::fs;
@@ -84,6 +86,20 @@ pub(crate) fn overwrite(path: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
     f.write_all(bytes)
         .map_err(|e| Error::io(format!("writing {}", path.display()), e))?;
     sync(&f, path, fsync)
+}
+
+/// Cuts the file at `path` back to `len` bytes: a torn tail dropped before
+/// the next append.
+///
+/// # Errors
+///
+/// Fails when the file cannot be opened for writing or truncated.
+pub(crate) fn truncate(path: &Path, len: u64) -> Result<()> {
+    fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(len))
+        .map_err(|e| Error::io(format!("truncating {} to {len} bytes", path.display()), e))
 }
 
 /// Removes every plain file directly under the staging directory `dir`

@@ -82,7 +82,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`snapshot`] | the training-state model and [`snapshot::Checkpointable`] contract |
-//! | [`repo`] | repository layout, atomic commit, load, recovery, GC, retention |
+//! | [`repo`] | repository layout, save (which records a commit writes, the mirror calls between its two phases), load, recovery, GC, retention |
 //! | [`checkpointer`] | the one save driver: policy on the training thread, saves on a writer thread that holds the writer lock |
 //! | [`policy`] | interval policies incl. Young–Daly and its analytic models |
 //! | [`manifest`] | the framed on-disk metadata format |
@@ -92,7 +92,8 @@
 //! | [`compress`] | the four section codecs (identity, RLE, XOR-f64, zero-elide-f64) and their exact size pass |
 //! | [`chunk`] | fixed-size chunking |
 //! | [`codec`] | deterministic binary encoding |
-//! | [`manifest_log`] | append-only manifest log + dual root slots (the O(1) commit) |
+//! | [`manifest_log`] | the O(1) commit protocol and its one owner: [`manifest_log::ManifestLog`] appends, publishes and compacts the manifest log + dual root slots, with the state machine `replay` runs |
+//! | [`verify`] | [`verify::fsck`]: read-only verification of every manifest, chunk and delta chain |
 //! | [`hash`] | in-repo SHA-256 and CRC32 |
 //! | [`failure`] | crash points and storage-fault injection |
 //! | [`error`] | the crate-wide [`error::Error`] |
@@ -133,4 +134,4 @@ pub use snapshot::{Checkpointable, TrainingSnapshot};
 #[cfg(any(test, feature = "testing"))]
 pub use store::LooseStore;
 pub use store::{ObjectStore, PackStore, StoreBackend, StoreKind, StoreStats};
-pub use verify::{export_bundle, fsck, import_bundle, read_bundle, FsckReport};
+pub use verify::{fsck, FsckReport};

@@ -35,13 +35,40 @@
 //! rewritten into `manifest-<epoch+1>.qlg` (staged + renamed), the root
 //! flips to the new epoch, and the old log is deleted. Saves never compact,
 //! so the save path stays O(1).
+//!
+//! ## One owner: [`ManifestLog`]
+//!
+//! [`ManifestLog`] owns a directory and the [`LogReplay`] it replays to,
+//! and is the only code that appends, flips and compacts; the free
+//! functions are its primitives. What a record *does* to the state is
+//! written once (`LogReplay::apply`): [`replay`] runs it over the file,
+//! [`ManifestLog::publish`] over the bytes just appended, so the cached
+//! state and a fresh replay of the directory cannot drift apart.
+//!
+//! A commit has two phases, so that a caller with a shared backend can
+//! mirror between them: [`ManifestLog::append`] drops a torn tail and
+//! lands the records past the committed length (nothing is visible yet);
+//! [`ManifestLog::publish`] applies them to the cached state and writes
+//! the stale root slot. The holder may `append` and then return an error
+//! instead of publishing (a failed mirror write, a simulated crash): that
+//! leaves what a crash between the phases leaves — complete records beyond
+//! the committed length, which still count on replay (newest-valid-wins)
+//! and resolve, because their chunks were stored before `append`. The one
+//! rule: after any error the holder must [`ManifestLog::invalidate`], so
+//! the next [`ManifestLog::refresh`] replays what reached the disk.
+//!
+//! [`CommitMode::InPlaceUnsafe`] (the paper's R-F8 baseline) differs in two
+//! places, each beside the write it changes: `publish` overwrites the
+//! *live* slot, and under the torn-append drill the root advances *before*
+//! its record lands.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::durable;
-use crate::error::Result;
+use crate::error::{Error, Result};
+use crate::failure::{CrashPoint, StorageFault};
 use crate::hash::crc32;
 use crate::manifest::{CheckpointId, Manifest};
 
@@ -69,15 +96,15 @@ const MAX_RECORD_ID: usize = 256;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecordKind {
     /// Filler produced by scrubbing a record in place; replay skips it.
-    Padding,
+    Padding = 0,
     /// A checkpoint manifest (payload = `Manifest::encode()` bytes).
-    ManifestPut,
+    ManifestPut = 1,
     /// The latest pointer advanced to `id` (no payload).
-    LatestAdvance,
+    LatestAdvance = 2,
     /// Checkpoint `id` was retired by retention (durable delete intent —
     /// for shared backends this record is the proof the mirror delete
     /// must be reconciled, so compaction retains it).
-    ManifestDelete,
+    ManifestDelete = 3,
 }
 
 impl RecordKind {
@@ -88,15 +115,6 @@ impl RecordKind {
             2 => Some(RecordKind::LatestAdvance),
             3 => Some(RecordKind::ManifestDelete),
             _ => None,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            RecordKind::Padding => 0,
-            RecordKind::ManifestPut => 1,
-            RecordKind::LatestAdvance => 2,
-            RecordKind::ManifestDelete => 3,
         }
     }
 }
@@ -193,7 +211,7 @@ pub fn log_header(epoch: u64) -> Vec<u8> {
 pub fn encode_record(kind: RecordKind, id: &str, payload: &[u8]) -> Vec<u8> {
     let mut b = Vec::with_capacity(RECORD_OVERHEAD + id.len() + payload.len());
     b.extend_from_slice(&RECORD_MAGIC);
-    b.push(kind.as_u8());
+    b.push(kind as u8);
     b.extend_from_slice(&(id.len() as u16).to_le_bytes());
     b.extend_from_slice(id.as_bytes());
     b.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -265,7 +283,7 @@ fn find_magic(bytes: &[u8], from: usize) -> Option<usize> {
 }
 
 /// The replayed state of a repository's manifest log.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LogReplay {
     /// Generation of the chosen root (0 when no valid root exists).
     pub generation: u64,
@@ -302,9 +320,99 @@ pub struct LogReplay {
 }
 
 impl LogReplay {
-    /// True when neither a root slot nor a log file exists yet.
-    pub fn is_empty_layout(&self) -> bool {
-        self.generation == 0 && self.file_len == 0 && self.manifests.is_empty()
+    /// What one record, framed at log offset `offset`, does to the state —
+    /// the only place in the crate a [`RecordKind`] changes a `LogReplay`.
+    fn apply(&mut self, rec: &ParsedRecord<'_>, offset: u64) {
+        if rec.kind != RecordKind::Padding {
+            self.records += 1;
+        }
+        match rec.kind {
+            RecordKind::Padding => {}
+            RecordKind::ManifestPut => match Manifest::decode(rec.payload) {
+                Ok(m) if m.id.as_str() == rec.id => {
+                    self.tombstones.remove(&m.id);
+                    self.spans
+                        .insert(m.id.clone(), (offset, rec.consumed as u64));
+                    self.manifests.insert(m.id.clone(), m);
+                }
+                Ok(m) => self.damaged.push((
+                    rec.id.clone(),
+                    format!("record id does not match manifest id {}", m.id),
+                )),
+                Err(e) => self.damaged.push((rec.id.clone(), e.to_string())),
+            },
+            RecordKind::LatestAdvance => self.latest = Some(CheckpointId(rec.id.clone())),
+            RecordKind::ManifestDelete => {
+                let id = CheckpointId(rec.id.clone());
+                self.manifests.remove(&id);
+                self.spans.remove(&id);
+                if self.latest.as_ref() == Some(&id) {
+                    self.latest = None;
+                }
+                self.tombstones.insert(id);
+            }
+        }
+    }
+
+    /// Applies every record framed in `bytes`, which sit at log offset
+    /// `base`: the whole record region of a file for [`replay`], the bytes
+    /// just appended for [`ManifestLog::publish`]. Advances `valid_len`
+    /// past each valid record and files what fails to frame under
+    /// `damaged`.
+    fn scan(&mut self, bytes: &[u8], base: u64) {
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let at = base + pos as u64;
+            match parse_record(&bytes[pos..]) {
+                Ok(rec) => {
+                    self.apply(&rec, at);
+                    pos += rec.consumed;
+                    self.valid_len = base + pos as u64;
+                }
+                Err((guess, reason)) => {
+                    let label = guess.unwrap_or_else(|| format!("offset-{at}"));
+                    match find_magic(bytes, pos + 1) {
+                        Some(next) => {
+                            // Mid-log damage: later records exist, so this is
+                            // a detectable hole, not a torn tail. Skip to the
+                            // next record magic.
+                            self.damaged.push((label, reason));
+                            pos = next;
+                        }
+                        None => {
+                            // Tail damage. Inside the committed region it is
+                            // real corruption (an in-place writer claimed these
+                            // bytes); beyond it, the benign torn tail of a
+                            // crashed append, silently truncated on replay.
+                            if at < self.committed_len {
+                                self.damaged.push((label, reason));
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        // A latest pointer that names no live manifest (deleted, damaged or
+        // never landed) is treated as absent; recovery never trusted the
+        // pointer anyway.
+        if let Some(l) = &self.latest {
+            if !self.manifests.contains_key(l) {
+                self.latest = None;
+            }
+        }
+    }
+
+    /// Adopts the root in `slot`. The lengths say the log ends where the
+    /// root does: true of a root just written, and what [`replay`] then
+    /// corrects from the file it reads.
+    fn rooted(&mut self, root: &RootSlot, slot: usize) {
+        self.generation = root.generation;
+        self.epoch = root.epoch;
+        self.root_slot = slot;
+        self.committed_len = root.committed_len;
+        self.valid_len = root.committed_len;
+        self.file_len = root.committed_len;
     }
 }
 
@@ -371,10 +479,7 @@ pub fn replay(dir: &Path) -> Result<LogReplay> {
     for (rank, (slot, root)) in candidates.iter().enumerate() {
         match read_log(dir, root.epoch) {
             Some(bytes) => {
-                out.generation = root.generation;
-                out.epoch = root.epoch;
-                out.root_slot = *slot;
-                out.committed_len = root.committed_len;
+                out.rooted(root, *slot);
                 out.latest = root.latest.clone();
                 out.root_fallback = rank > 0;
                 log_bytes = Some(bytes);
@@ -416,79 +521,8 @@ pub fn replay(dir: &Path) -> Result<LogReplay> {
     };
 
     out.file_len = bytes.len() as u64;
-    out.valid_len = LOG_HEADER_LEN.min(out.file_len);
-    let mut pos = LOG_HEADER_LEN as usize;
-    while pos < bytes.len() {
-        match parse_record(&bytes[pos..]) {
-            Ok(rec) => {
-                let span = (pos as u64, rec.consumed as u64);
-                match rec.kind {
-                    RecordKind::Padding => {}
-                    RecordKind::ManifestPut => {
-                        out.records += 1;
-                        match Manifest::decode(rec.payload) {
-                            Ok(m) if m.id.as_str() == rec.id => {
-                                out.tombstones.remove(&m.id);
-                                out.spans.insert(m.id.clone(), span);
-                                out.manifests.insert(m.id.clone(), m);
-                            }
-                            Ok(m) => out.damaged.push((
-                                rec.id.clone(),
-                                format!("record id does not match manifest id {}", m.id),
-                            )),
-                            Err(e) => out.damaged.push((rec.id.clone(), e.to_string())),
-                        }
-                    }
-                    RecordKind::LatestAdvance => {
-                        out.records += 1;
-                        out.latest = Some(CheckpointId(rec.id.clone()));
-                    }
-                    RecordKind::ManifestDelete => {
-                        out.records += 1;
-                        let id = CheckpointId(rec.id.clone());
-                        out.manifests.remove(&id);
-                        out.spans.remove(&id);
-                        if out.latest.as_ref() == Some(&id) {
-                            out.latest = None;
-                        }
-                        out.tombstones.insert(id);
-                    }
-                }
-                pos += rec.consumed;
-                out.valid_len = pos as u64;
-            }
-            Err((guess, reason)) => {
-                let label = guess.unwrap_or_else(|| format!("offset-{pos}"));
-                match find_magic(&bytes, pos + 1) {
-                    Some(next) => {
-                        // Mid-log damage: later records exist, so this is
-                        // a detectable hole, not a torn tail. Skip to the
-                        // next record magic.
-                        out.damaged.push((label, reason));
-                        pos = next;
-                    }
-                    None => {
-                        // Tail damage. Inside the committed region it is
-                        // real corruption (an in-place writer claimed these
-                        // bytes); beyond it, the benign torn tail of a
-                        // crashed append, silently truncated on replay.
-                        if (pos as u64) < out.committed_len {
-                            out.damaged.push((label, reason));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    // A latest pointer that names no live manifest (deleted, damaged or
-    // never landed) is treated as absent; recovery never trusted the
-    // pointer anyway.
-    if let Some(l) = &out.latest {
-        if !out.manifests.contains_key(l) {
-            out.latest = None;
-        }
-    }
+    out.valid_len = LOG_HEADER_LEN;
+    out.scan(&bytes[LOG_HEADER_LEN as usize..], LOG_HEADER_LEN);
     Ok(out)
 }
 
@@ -509,6 +543,329 @@ pub fn append_to_log(dir: &Path, epoch: u64, bytes: &[u8], fsync: bool) -> Resul
 /// Filesystem errors.
 pub fn write_root_slot(dir: &Path, slot: usize, root: &RootSlot, fsync: bool) -> Result<()> {
     durable::overwrite(&root_slot_path(dir, slot), &root.encode(), fsync)
+}
+
+/// Commit durability protocol.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum CommitMode {
+    /// Append, then write the stale root slot; crash-safe at every point.
+    #[default]
+    Atomic,
+    /// Overwrite the live root slot in place — the unsafe baseline.
+    InPlaceUnsafe,
+}
+
+/// How one commit is written: the part of a save's options the log acts on.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CommitWrite {
+    /// Which root slot `publish` writes.
+    pub mode: CommitMode,
+    /// fsync the log append and the root-slot write.
+    pub fsync: bool,
+    /// Torn-write drill: `MidManifestWrite` fires inside `append`,
+    /// `MidLatestWrite` inside `publish`; the other crash points sit
+    /// between the caller's own steps and are ignored here.
+    pub crash: Option<CrashPoint>,
+}
+
+/// Records [`ManifestLog::append`] has landed and
+/// [`ManifestLog::publish`] has yet to make visible.
+#[derive(Debug)]
+pub struct Appended {
+    offset: u64,
+    records: Vec<u8>,
+    how: CommitWrite,
+}
+
+/// One directory's manifest log and root slots, with the state they replay
+/// to: the owner of the commit protocol (see the module docs).
+#[derive(Debug)]
+pub struct ManifestLog {
+    dir: PathBuf,
+    state: LogReplay,
+    /// Set at construction and by [`Self::invalidate`]: the next
+    /// [`Self::refresh`] replays without asking the disk whether it has to.
+    stale: bool,
+}
+
+impl ManifestLog {
+    /// The log under `dir`. No I/O: the handle starts out stale, and the
+    /// first [`Self::refresh`] replays (an empty directory replays to the
+    /// empty state; nothing is created until the first commit).
+    pub fn new(dir: impl Into<PathBuf>) -> ManifestLog {
+        ManifestLog {
+            dir: dir.into(),
+            state: LogReplay::default(),
+            stale: true,
+        }
+    }
+
+    /// The replayed state as of the last [`Self::refresh`] or commit
+    /// (empty before the first).
+    pub fn state(&self) -> &LogReplay {
+        &self.state
+    }
+
+    /// Test hook: the cached state, for planting what a half-finished
+    /// update could leave behind.
+    #[cfg(test)]
+    pub(crate) fn state_mut(&mut self) -> &mut LogReplay {
+        &mut self.state
+    }
+
+    /// Path of the current epoch's log file.
+    pub fn log_path(&self) -> PathBuf {
+        log_path(&self.dir, self.state.epoch)
+    }
+
+    /// Whether the cached state still describes the directory: the newest
+    /// root generation and the log length (two tiny reads) are what this
+    /// handle last saw, so a commit by any other handle shows.
+    pub fn is_current(&self) -> bool {
+        if self.stale {
+            return false;
+        }
+        let generation = read_root_slots(&self.dir)
+            .iter()
+            .flatten()
+            .map(|r| r.generation)
+            .max()
+            .unwrap_or(0);
+        let len = fs::metadata(self.log_path()).map_or(0, |m| m.len());
+        generation == self.state.generation && len == self.state.file_len
+    }
+
+    /// Replays from disk unless the cached state [`Self::is_current`].
+    ///
+    /// # Errors
+    ///
+    /// As [`replay`].
+    pub fn refresh(&mut self) -> Result<()> {
+        if !self.is_current() {
+            self.state = replay(&self.dir)?;
+            self.stale = false;
+        }
+        Ok(())
+    }
+
+    /// Distrusts the cached state: after a failed or simulated-crash
+    /// commit, or a panic under the owner's lock, only the disk knows
+    /// what landed.
+    pub fn invalidate(&mut self) {
+        self.stale = true;
+    }
+
+    /// Drops a benign torn tail (bytes past the last valid record, at or
+    /// beyond the committed length) from the log file. Tail damage
+    /// *inside* the committed region is evidence of in-place corruption
+    /// and is preserved for detection. Returns whether bytes were cut.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors.
+    pub fn truncate_torn_tail(&mut self) -> Result<bool> {
+        let st = &mut self.state;
+        let torn = st.file_len > st.valid_len && st.valid_len >= st.committed_len;
+        if torn {
+            durable::truncate(&log_path(&self.dir, st.epoch), st.valid_len)?;
+            st.file_len = st.valid_len;
+        }
+        Ok(torn)
+    }
+
+    /// The root that publishes `committed_len` bytes of log `epoch`:
+    /// generation + 1, carrying the state's latest pointer.
+    fn next_root(&self, epoch: u64, committed_len: u64) -> RootSlot {
+        RootSlot {
+            generation: self.state.generation + 1,
+            epoch,
+            committed_len,
+            latest: self.state.latest.clone(),
+        }
+    }
+
+    /// Phase one of a commit: lands `records` (whole framed records) past
+    /// the committed length, after dropping a torn tail. Nothing is
+    /// visible until [`Self::publish`].
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors, or [`Error::SimulatedCrash`] under the
+    /// [`CrashPoint::MidManifestWrite`] drill.
+    pub fn append(&mut self, records: Vec<u8>, how: &CommitWrite) -> Result<Appended> {
+        self.truncate_torn_tail()?;
+        let st = &self.state;
+        if let Some(CrashPoint::MidManifestWrite { keep_fraction_pct }) = how.crash {
+            // Torn append: bytes land past the committed length and the
+            // root never moves — recovery truncates them as debris, no
+            // detectable corruption remains.
+            let keep = records.len() * keep_fraction_pct.min(100) as usize / 100;
+            let mut mode = "atomic";
+            if how.mode == CommitMode::InPlaceUnsafe {
+                // The unsafe baseline advances the committed length
+                // *before* the record lands, so the torn record sits
+                // inside the committed region — detectable corruption
+                // recovery must flag (experiment R-F8).
+                let end = st.file_len.max(LOG_HEADER_LEN) + records.len() as u64;
+                let root = self.next_root(st.epoch, end);
+                write_root_slot(&self.dir, st.root_slot, &root, false)?;
+                mode = "in-place";
+            }
+            append_to_log(&self.dir, st.epoch, &records[..keep], false)?;
+            return Err(Error::SimulatedCrash {
+                at: format!("mid-manifest-write({mode},{keep})"),
+            });
+        }
+        let offset = append_to_log(&self.dir, st.epoch, &records, how.fsync)?;
+        Ok(Appended {
+            offset,
+            records,
+            how: *how,
+        })
+    }
+
+    /// Phase two: applies the appended records to the cached state — with
+    /// the function [`replay`] applies them with — and makes them the
+    /// committed view by writing a root slot with generation + 1. Returns
+    /// the fsyncs the whole commit issued (0, or 2 with `fsync` on).
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors, or [`Error::SimulatedCrash`] under the
+    /// [`CrashPoint::MidLatestWrite`] drill; the cached state is then
+    /// ahead of the disk and must be [`Self::invalidate`]d.
+    pub fn publish(&mut self, appended: Appended) -> Result<u64> {
+        let how = appended.how;
+        let end = appended.offset + appended.records.len() as u64;
+        self.state.scan(&appended.records, appended.offset);
+        let root = self.next_root(self.state.epoch, end);
+        // Atomic mode writes the *stale* slot (a torn write can only
+        // damage a root that was already stale); the in-place baseline
+        // overwrites the live slot.
+        let slot = match how.mode {
+            CommitMode::Atomic => 1 - self.state.root_slot,
+            CommitMode::InPlaceUnsafe => self.state.root_slot,
+        };
+        if let Some(CrashPoint::MidLatestWrite) = how.crash {
+            let bytes = root.encode();
+            durable::overwrite(
+                &root_slot_path(&self.dir, slot),
+                &bytes[..bytes.len() / 2],
+                false,
+            )?;
+            return Err(Error::SimulatedCrash {
+                at: CrashPoint::MidLatestWrite.to_string(),
+            });
+        }
+        write_root_slot(&self.dir, slot, &root, how.fsync)?;
+        self.state.rooted(&root, slot);
+        Ok(2 * u64::from(how.fsync))
+    }
+
+    /// Both phases back to back (atomic, no fsync), for commits with
+    /// nothing to mirror in between: retention's tombstones, the
+    /// shared-metadata pull.
+    ///
+    /// # Errors
+    ///
+    /// As the two phases.
+    pub fn commit(&mut self, records: Vec<u8>) -> Result<()> {
+        let appended = self.append(records, &CommitWrite::default())?;
+        self.publish(appended).map(drop)
+    }
+
+    /// Rewrites the live state into the next epoch's log — live manifests,
+    /// tombstones when `keep_tombstones` (the durable delete intent a
+    /// shared backend reconciles its mirror from), the latest pointer —
+    /// staged under `staging` and renamed in (the one rename retention
+    /// pays); the root flips to the new epoch and older logs are deleted.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors.
+    pub fn compact(&mut self, staging: &Path, keep_tombstones: bool) -> Result<()> {
+        static STAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let _span = qobs::span("qcheck.compact_log");
+        crate::obs::COMPACTIONS.inc();
+        let st = &self.state;
+        let epoch = st.epoch + 1;
+        let puts = st.manifests.iter();
+        let deletes = st.tombstones.iter().filter(|_| keep_tombstones);
+        let records = puts
+            .map(|(id, m)| (RecordKind::ManifestPut, id, m.encode()))
+            .chain(deletes.map(|id| (RecordKind::ManifestDelete, id, Vec::new())))
+            .chain(
+                st.latest
+                    .iter()
+                    .map(|id| (RecordKind::LatestAdvance, id, Vec::new())),
+            );
+        let mut buf = log_header(epoch);
+        for (kind, id, payload) in records {
+            buf.extend(encode_record(kind, id.as_str(), &payload));
+        }
+        let tmp = staging.join(format!(
+            "stage-{}-{}",
+            std::process::id(),
+            STAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        durable::publish(&tmp, &log_path(&self.dir, epoch), &buf, true)?;
+        let root = self.next_root(epoch, buf.len() as u64);
+        let slot = 1 - st.root_slot;
+        write_root_slot(&self.dir, slot, &root, true)?;
+        for old in list_log_epochs(&self.dir) {
+            if old != epoch {
+                let _ = fs::remove_file(log_path(&self.dir, old));
+            }
+        }
+        // The new epoch's state is what its log replays to.
+        let mut next = LogReplay {
+            latest: root.latest.clone(),
+            root_fallback: st.root_fallback,
+            ..LogReplay::default()
+        };
+        next.scan(&buf[LOG_HEADER_LEN as usize..], LOG_HEADER_LEN);
+        next.rooted(&root, slot);
+        self.state = next;
+        Ok(())
+    }
+
+    /// Fault-injection hook: damages the *log record* carrying `id`'s
+    /// manifest in place. `BitFlip` flips one payload byte, `Truncate`
+    /// chops the record (and everything after it), `Delete` scrubs the
+    /// record to same-length padding so the id vanishes without a frame
+    /// error. The cached state is invalidated.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotFound`] when the log carries no record for `id`.
+    pub fn damage_record(&mut self, id: &CheckpointId, fault: StorageFault) -> Result<()> {
+        let &(off, len) = self.state.spans.get(id).ok_or_else(|| Error::NotFound {
+            what: format!("manifest record {id}"),
+        })?;
+        let (off, len) = (off as usize, len as usize);
+        let path = self.log_path();
+        let mut bytes = fs::read(&path).map_err(|e| Error::io("reading manifest log", e))?;
+        match fault {
+            StorageFault::BitFlip { offset } => {
+                // Land inside the record payload (past the frame header,
+                // short of the trailing CRC) so the flip damages manifest
+                // bytes, not the record id.
+                let header = RECORD_OVERHEAD - 4 + id.as_str().len();
+                let payload_len = len.saturating_sub(header + 4).max(1);
+                bytes[off + header + offset as usize % payload_len] ^= 0x01;
+            }
+            StorageFault::Truncate { keep_pct } => {
+                bytes.truncate(off + len * usize::from(keep_pct.min(100)) / 100);
+            }
+            StorageFault::Delete => {
+                let pad = encode_record(RecordKind::Padding, "", &vec![0; len - RECORD_OVERHEAD]);
+                bytes[off..off + len].copy_from_slice(&pad);
+            }
+        }
+        fs::write(&path, &bytes).map_err(|e| Error::io("writing manifest log", e))?;
+        self.invalidate();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -539,18 +896,45 @@ mod tests {
         }
     }
 
-    fn commit(dir: &Path, gen: u64, slot: usize, m: &Manifest) {
+    fn id(s: &str) -> CheckpointId {
+        CheckpointId(s.to_string())
+    }
+
+    /// The record pair a save writes.
+    fn put_and_advance(m: &Manifest) -> Vec<u8> {
         let mut rec = encode_record(RecordKind::ManifestPut, m.id.as_str(), &m.encode());
         rec.extend(encode_record(RecordKind::LatestAdvance, m.id.as_str(), &[]));
-        let before = append_to_log(dir, 0, &rec, false).unwrap();
-        let root = RootSlot {
-            generation: gen,
-            epoch: 0,
-            committed_len: before + rec.len() as u64,
-            latest: Some(m.id.clone()),
-        };
-        write_root_slot(dir, slot, &root, false).unwrap();
+        rec
     }
+
+    fn delete(id: &str) -> Vec<u8> {
+        encode_record(RecordKind::ManifestDelete, id, &[])
+    }
+
+    fn open(dir: &Path) -> ManifestLog {
+        let mut log = ManifestLog::new(dir);
+        log.refresh().unwrap();
+        log
+    }
+
+    /// A log on `dir` with one save committed per id.
+    fn log_with(dir: &Path, ids: &[&str]) -> ManifestLog {
+        let mut log = open(dir);
+        for id in ids {
+            commit(&mut log, put_and_advance(&manifest(id)));
+        }
+        log
+    }
+
+    /// Commits `records` and checks the cached state against a replay.
+    fn commit(log: &mut ManifestLog, records: Vec<u8>) {
+        log.commit(records).unwrap();
+        assert_eq!(log.state(), &replay(&log.dir).unwrap());
+    }
+
+    const A: &str = "ckpt-0000000001-000000";
+    const B: &str = "ckpt-0000000002-000001";
+    const C: &str = "ckpt-0000000003-000002";
 
     #[test]
     fn root_slot_round_trips_and_rejects_any_bitflip() {
@@ -575,38 +959,26 @@ mod tests {
     #[test]
     fn replay_applies_put_advance_delete() {
         let dir = scratch("apply");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
-        commit(&dir, 2, 1, &manifest("ckpt-0000000002-000001"));
+        let mut log = log_with(&dir, &[A, B]);
         let st = replay(&dir).unwrap();
         assert_eq!(st.generation, 2);
         assert_eq!(st.manifests.len(), 2);
-        assert_eq!(
-            st.latest.as_ref().unwrap().as_str(),
-            "ckpt-0000000002-000001"
-        );
+        assert_eq!(st.latest, Some(id(B)));
         assert!(st.damaged.is_empty());
         // Retire the older one.
-        let rec = encode_record(RecordKind::ManifestDelete, "ckpt-0000000001-000000", &[]);
-        let before = append_to_log(&dir, 0, &rec, false).unwrap();
-        let root = RootSlot {
-            generation: 3,
-            epoch: 0,
-            committed_len: before + rec.len() as u64,
-            latest: st.latest.clone(),
-        };
-        write_root_slot(&dir, 1, &root, false).unwrap();
+        commit(&mut log, delete(A));
         let st = replay(&dir).unwrap();
+        assert_eq!(st.generation, 3);
         assert_eq!(st.manifests.len(), 1);
-        assert!(st
-            .tombstones
-            .contains(&CheckpointId("ckpt-0000000001-000000".into())));
+        assert!(st.tombstones.contains(&id(A)));
+        assert_eq!(st.latest, Some(id(B)));
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn torn_tail_beyond_committed_is_silently_truncated() {
         let dir = scratch("tail");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
+        let mut log = log_with(&dir, &[A]);
         let full = replay(&dir).unwrap();
         // Append a torn (partial) record without flipping the root.
         let rec = encode_record(RecordKind::ManifestPut, "ckpt-0000000002-000001", b"junk");
@@ -616,67 +988,66 @@ mod tests {
         assert!(st.damaged.is_empty(), "{:?}", st.damaged);
         assert_eq!(st.valid_len, full.valid_len);
         assert!(st.file_len > st.valid_len);
+        // The owner sees the longer file, and cuts the tail before it
+        // appends: the log is then what two clean commits leave.
+        assert!(!log.is_current());
+        log.refresh().unwrap();
+        commit(&mut log, put_and_advance(&manifest(B)));
+        assert_eq!(log.state().file_len, log.state().valid_len);
+        assert_eq!(log.state().manifests.len(), 2);
+        assert!(!log.truncate_torn_tail().unwrap());
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn complete_records_beyond_committed_still_count() {
         let dir = scratch("beyond");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
+        let mut log = log_with(&dir, &[A]);
         // Full append of checkpoint 2, but the root never flipped
         // (crash before the root write).
-        let m2 = manifest("ckpt-0000000002-000001");
-        let mut rec = encode_record(RecordKind::ManifestPut, m2.id.as_str(), &m2.encode());
-        rec.extend(encode_record(
-            RecordKind::LatestAdvance,
-            m2.id.as_str(),
-            &[],
-        ));
-        append_to_log(&dir, 0, &rec, false).unwrap();
+        log.append(put_and_advance(&manifest(B)), &CommitWrite::default())
+            .unwrap();
         let st = replay(&dir).unwrap();
+        assert_eq!(st.generation, 1);
         assert_eq!(st.manifests.len(), 2, "newest valid wins");
-        assert_eq!(st.latest.as_ref().unwrap().as_str(), m2.id.as_str());
+        assert_eq!(st.latest, Some(id(B)));
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn mid_log_damage_is_skipped_with_resync() {
         let dir = scratch("midlog");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
-        commit(&dir, 2, 1, &manifest("ckpt-0000000002-000001"));
-        let st = replay(&dir).unwrap();
-        let (off, len) = st.spans[&CheckpointId("ckpt-0000000001-000000".into())];
+        let mut log = log_with(&dir, &[A, B]);
         // Flip a payload byte of the *older* record.
-        let path = log_path(&dir, 0);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[(off + len / 2) as usize] ^= 0x01;
-        fs::write(&path, bytes).unwrap();
+        log.damage_record(&id(A), StorageFault::BitFlip { offset: 40 })
+            .unwrap();
         let st = replay(&dir).unwrap();
         assert_eq!(st.manifests.len(), 1, "later record must survive");
-        assert!(st
-            .manifests
-            .contains_key(&CheckpointId("ckpt-0000000002-000001".into())));
+        assert!(st.manifests.contains_key(&id(B)));
         assert_eq!(st.damaged.len(), 1);
-        assert_eq!(st.damaged[0].0, "ckpt-0000000001-000000");
+        assert_eq!(st.damaged[0].0, A);
+        // The hook left the owner stale; refreshed, it reports the same.
+        log.refresh().unwrap();
+        assert_eq!(log.state(), &st);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn torn_newest_root_falls_back_to_previous_slot() {
         let dir = scratch("rootfall");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
-        commit(&dir, 2, 1, &manifest("ckpt-0000000002-000001"));
-        // Tear the newest root (slot 1, generation 2) at every prefix.
-        let good = fs::read(root_slot_path(&dir, 1)).unwrap();
+        let log = log_with(&dir, &[A, B]);
+        // Tear the newest root (generation 2) at every prefix.
+        let newest = root_slot_path(&dir, log.state().root_slot);
+        let good = fs::read(&newest).unwrap();
         for keep in 0..good.len() {
-            fs::write(root_slot_path(&dir, 1), &good[..keep]).unwrap();
+            fs::write(&newest, &good[..keep]).unwrap();
             let st = replay(&dir).unwrap();
             assert_eq!(st.generation, 1, "keep={keep}");
             assert!(st.root_fallback, "keep={keep}");
             // The log records are intact, so both manifests still replay.
             assert_eq!(st.manifests.len(), 2, "keep={keep}");
         }
-        fs::write(root_slot_path(&dir, 1), &good).unwrap();
+        fs::write(&newest, &good).unwrap();
         assert!(!replay(&dir).unwrap().root_fallback);
         let _ = fs::remove_dir_all(dir);
     }
@@ -684,29 +1055,160 @@ mod tests {
     #[test]
     fn empty_dir_replays_to_empty_state() {
         let dir = scratch("empty");
-        let st = replay(&dir).unwrap();
-        assert!(st.is_empty_layout());
-        assert!(st.latest.is_none());
+        assert_eq!(replay(&dir).unwrap(), LogReplay::default());
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn padding_records_are_invisible() {
         let dir = scratch("pad");
-        commit(&dir, 1, 0, &manifest("ckpt-0000000001-000000"));
-        let st = replay(&dir).unwrap();
-        let (off, len) = st.spans[&CheckpointId("ckpt-0000000001-000000".into())];
+        let mut log = log_with(&dir, &[A]);
+        let len_before = fs::metadata(log.log_path()).unwrap().len();
         // Scrub the record in place with a same-length padding record.
-        let pad_payload = vec![0u8; len as usize - RECORD_OVERHEAD];
-        let pad = encode_record(RecordKind::Padding, "", &pad_payload);
-        assert_eq!(pad.len() as u64, len);
-        let path = log_path(&dir, 0);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[off as usize..(off + len) as usize].copy_from_slice(&pad);
-        fs::write(&path, bytes).unwrap();
+        log.damage_record(&id(A), StorageFault::Delete).unwrap();
+        assert_eq!(fs::metadata(log.log_path()).unwrap().len(), len_before);
         let st = replay(&dir).unwrap();
         assert!(st.manifests.is_empty());
+        assert!(st.latest.is_none(), "the pointer dangles");
         assert!(st.damaged.is_empty(), "{:?}", st.damaged);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// (i) Whatever a commit writes, the state `publish` leaves in memory
+    /// is the state a fresh replay of the directory reaches: each record
+    /// kind on its own (`commit` asserts it), then one batch mixing all
+    /// three.
+    #[test]
+    fn publish_leaves_the_state_replay_reaches() {
+        let dir = scratch("publish");
+        let mut log = open(&dir);
+        let put = |m: &Manifest| encode_record(RecordKind::ManifestPut, m.id.as_str(), &m.encode());
+        commit(&mut log, put(&manifest(A)));
+        assert_eq!(log.state().latest, None);
+        commit(&mut log, encode_record(RecordKind::LatestAdvance, A, &[]));
+        assert_eq!(log.state().latest, Some(id(A)));
+        commit(&mut log, delete(A));
+        assert_eq!(log.state().latest, None, "the pointer itself was retired");
+        assert!(log.state().manifests.is_empty());
+
+        let mut batch = put_and_advance(&manifest(B));
+        batch.extend(put(&manifest(C)));
+        batch.extend(delete(B));
+        batch.extend(put(&manifest(A)));
+        commit(&mut log, batch);
+        let st = log.state();
+        assert_eq!(st.manifests.keys().collect::<Vec<_>>(), [&id(A), &id(C)]);
+        assert_eq!(st.tombstones.iter().collect::<Vec<_>>(), [&id(B)]);
+        assert_eq!(
+            (st.generation, st.records, st.latest.as_ref()),
+            (4, 8, None)
+        );
+        assert_eq!(st.spans.len(), 2);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// (ii) Two owners of one directory: a commit through the first makes
+    /// the second "not current" until it refreshes.
+    #[test]
+    fn a_second_owner_sees_the_first_ones_commit() {
+        let dir = scratch("two");
+        let mut first = log_with(&dir, &[A]);
+        let mut second = ManifestLog::new(&dir);
+        assert!(first.is_current() && !second.is_current());
+        second.refresh().unwrap();
+        assert!(second.is_current());
+        commit(&mut first, put_and_advance(&manifest(B)));
+        assert!(first.is_current());
+        assert!(!second.is_current());
+        second.refresh().unwrap();
+        assert!(second.is_current());
+        assert_eq!(second.state(), first.state());
+        // An append alone (no publish yet) shows as well: the log grew.
+        second.append(delete(A), &CommitWrite::default()).unwrap();
+        assert!(!first.is_current());
+        // And `invalidate` needs no disk change to force the replay.
+        second.invalidate();
+        assert!(!second.is_current());
+        second.refresh().unwrap();
+        assert!(second.state().tombstones.contains(&id(A)));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// (iii) Compaction leaves in memory the state its new log replays
+    /// to, with tombstones retained (shared backend) and dropped (local).
+    #[test]
+    fn compaction_replays_to_the_state_it_left() {
+        for keep_tombstones in [true, false] {
+            let dir = scratch("compact");
+            let staging = dir.join("tmp");
+            fs::create_dir_all(&staging).unwrap();
+            let mut log = log_with(&dir, &[A, B, C]);
+            commit(&mut log, delete(A));
+            let before = log.state().clone();
+            log.compact(&staging, keep_tombstones).unwrap();
+            let st = log.state();
+            assert_eq!(st, &replay(&dir).unwrap());
+            assert_eq!((st.epoch, st.generation), (1, before.generation + 1));
+            assert_eq!(list_log_epochs(&dir), [1], "the old log is deleted");
+            assert_eq!(fs::read_dir(&staging).unwrap().count(), 0);
+            assert_eq!(st.manifests, before.manifests);
+            assert_eq!(st.latest, before.latest);
+            assert_eq!(st.tombstones.contains(&id(A)), keep_tombstones);
+            assert_eq!(st.records, 3 + u64::from(keep_tombstones));
+            // The compacted log takes commits like any other.
+            commit(&mut log, delete(B));
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    /// The two ways `InPlaceUnsafe` differs, and the torn-write drills,
+    /// beside the writes they change.
+    #[test]
+    fn drills_tear_the_write_they_name() {
+        let torn = |mode, crash| CommitWrite {
+            mode,
+            fsync: false,
+            crash: Some(crash),
+        };
+        let mid_append = CrashPoint::MidManifestWrite {
+            keep_fraction_pct: 50,
+        };
+        // Atomic: a torn append is debris past the committed length.
+        let dir = scratch("drill-atomic");
+        let mut log = log_with(&dir, &[A]);
+        let err = log
+            .append(
+                put_and_advance(&manifest(B)),
+                &torn(CommitMode::Atomic, mid_append),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::SimulatedCrash { .. }), "{err}");
+        let st = replay(&dir).unwrap();
+        assert_eq!((st.generation, st.manifests.len()), (1, 1));
+        assert!(st.damaged.is_empty() && st.file_len > st.valid_len);
+        // A torn root write only ever hits the stale slot.
+        log.invalidate();
+        log.refresh().unwrap();
+        let live = log.state().root_slot;
+        let how = torn(CommitMode::Atomic, CrashPoint::MidLatestWrite);
+        let appended = log.append(put_and_advance(&manifest(B)), &how).unwrap();
+        assert!(log.publish(appended).is_err());
+        let st = replay(&dir).unwrap();
+        assert_eq!((st.generation, st.root_slot), (1, live));
+        assert!(st.root_fallback);
+        assert_eq!(st.manifests.len(), 2, "the complete append still counts");
+        let _ = fs::remove_dir_all(dir);
+
+        // In place: the root advances before the record lands, so the
+        // torn record sits inside the committed region — real damage.
+        let dir = scratch("drill-inplace");
+        let mut log = log_with(&dir, &[A]);
+        let live = log.state().root_slot;
+        let how = torn(CommitMode::InPlaceUnsafe, mid_append);
+        assert!(log.append(put_and_advance(&manifest(B)), &how).is_err());
+        let st = replay(&dir).unwrap();
+        assert_eq!((st.generation, st.root_slot), (2, live));
+        assert_eq!(st.damaged.len(), 1, "{:?}", st.damaged);
         let _ = fs::remove_dir_all(dir);
     }
 }

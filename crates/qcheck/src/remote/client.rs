@@ -300,6 +300,13 @@ impl RemoteStore {
         self.max_generation.load(Ordering::Relaxed)
     }
 
+    /// The fence list. After a panic under it the list is cleared: a
+    /// demoted daemon refuses the next handshake with `StaleGeneration`
+    /// and is fenced again.
+    fn lock_fenced(&self) -> MutexGuard<'_, Vec<bool>> {
+        crate::sync::lock_recover(&self.fenced, |fenced| fenced.fill(false))
+    }
+
     /// Dials across the address list (skipping fenced entries) starting
     /// at the last-good address. A stale-generation refusal fences that
     /// address permanently and moves on; other deterministic refusals
@@ -310,7 +317,7 @@ impl RemoteStore {
         let mut last_err: Option<Error> = None;
         for k in 0..n {
             let i = (start + k) % n;
-            if self.fenced.lock().expect("fence list poisoned")[i] {
+            if self.lock_fenced()[i] {
                 continue;
             }
             match self.dial_one(i) {
@@ -319,7 +326,7 @@ impl RemoteStore {
                     return Ok(conn);
                 }
                 Err(e @ Error::StaleGeneration(_)) => {
-                    self.fenced.lock().expect("fence list poisoned")[i] = true;
+                    self.lock_fenced()[i] = true;
                     last_err = Some(e);
                 }
                 Err(e) if is_fatal_dial_error(&e) => return Err(e),
@@ -957,6 +964,32 @@ mod tests {
         let before = store.round_trips();
         store.ping().unwrap();
         assert_eq!(store.round_trips() - before, 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Same for the fence list: after a panic under it the list is
+    /// cleared rather than trusted, so the next dial reaches the live
+    /// daemon (a demoted one would refuse the handshake and be fenced
+    /// again).
+    #[test]
+    fn a_poisoned_fence_list_is_cleared_and_the_next_dial_succeeds() {
+        let root = scratch("fence-poison");
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+        let store = RemoteStore::connect(daemon.addr(), "fence-poisoned").unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut fenced = store.fenced.lock().unwrap();
+                fenced[0] = true;
+                panic!("a dialling thread dies holding the fence list");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(store.fenced.is_poisoned());
+
+        store.dial().expect("the only address is dialled again");
+        assert!(!store.fenced.is_poisoned());
+        assert_eq!(*store.lock_fenced(), [false]);
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -42,14 +42,16 @@
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::codec::{Decoder, Encoder};
+use crate::durable;
 use crate::error::{Error, Result};
 use crate::hash::crc32;
 use crate::manifest::Manifest;
 use crate::store::{ObjectStore, StagedChunk};
+use crate::sync::lock_recover;
 
 use super::client::Conn;
 use super::proto::{
@@ -150,9 +152,16 @@ impl Oplog {
     /// Fails on I/O errors other than a missing file.
     pub fn open(ns_root: &Path) -> Result<Oplog> {
         let path = ns_root.join(OPLOG_FILE);
+        let state = Mutex::new(Self::scan(&path)?);
+        Ok(Oplog { path, state })
+    }
+
+    /// Indexes the records of the file at `path`, truncating a torn tail:
+    /// what `open` starts from, and what a poisoned lock falls back to.
+    fn scan(path: &Path) -> Result<OplogState> {
         let mut starts = Vec::new();
         let mut end = 0u64;
-        match fs::File::open(&path) {
+        match fs::File::open(path) {
             Ok(file) => {
                 let file_len = file
                     .metadata()
@@ -166,26 +175,29 @@ impl Oplog {
                     end += 8 + body.len() as u64;
                 }
                 if end < file_len {
-                    let f = fs::OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .map_err(|e| Error::io("opening oplog for truncation", e))?;
-                    f.set_len(end)
-                        .map_err(|e| Error::io("truncating torn oplog tail", e))?;
+                    durable::truncate(path, end)?;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(Error::io(format!("opening {}", path.display()), e)),
         }
-        Ok(Oplog {
-            path,
-            state: Mutex::new(OplogState { starts, end }),
+        Ok(OplogState { starts, end })
+    }
+
+    /// The index lock. A holder that panicked may have left the index and
+    /// the file disagreeing by one record; the file is the truth, so the
+    /// index is rebuilt from it exactly as `open` builds it.
+    fn lock_state(&self) -> MutexGuard<'_, OplogState> {
+        lock_recover(&self.state, |state| {
+            if let Ok(scanned) = Self::scan(&self.path) {
+                *state = scanned;
+            }
         })
     }
 
     /// Number of committed entries.
     pub fn len(&self) -> u64 {
-        self.state.lock().expect("oplog lock poisoned").starts.len() as u64
+        self.lock_state().starts.len() as u64
     }
 
     /// Whether the log holds no entries.
@@ -199,7 +211,7 @@ impl Oplog {
     ///
     /// Fails on I/O errors; the log is untouched then.
     pub fn append(&self, op: &OplogOp) -> Result<u64> {
-        let mut state = self.state.lock().expect("oplog lock poisoned");
+        let mut state = self.lock_state();
         let offset = state.starts.len() as u64;
         self.append_locked(
             &mut state,
@@ -219,7 +231,7 @@ impl Oplog {
     ///
     /// [`Error::Protocol`] on an offset gap, otherwise I/O errors.
     pub fn append_record(&self, rec: &OplogRecord) -> Result<()> {
-        let mut state = self.state.lock().expect("oplog lock poisoned");
+        let mut state = self.lock_state();
         let next = state.starts.len() as u64;
         if rec.offset != next {
             return Err(Error::protocol(
@@ -235,27 +247,16 @@ impl Oplog {
         enc.put_u64(rec.offset);
         rec.op.encode_into(&mut enc);
         let body = enc.into_bytes();
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| Error::io(format!("opening {}", self.path.display()), e))?;
         // Defensive: if an earlier crash left bytes past the scanned
         // end, appending would interleave with garbage; truncate first.
-        let disk_len = file
-            .metadata()
-            .map_err(|e| Error::io("reading oplog metadata", e))?
-            .len();
-        if disk_len != state.end {
-            file.set_len(state.end)
-                .map_err(|e| Error::io("truncating oplog before append", e))?;
+        if fs::metadata(&self.path).map_or(0, |m| m.len()) != state.end {
+            durable::truncate(&self.path, state.end)?;
         }
         // One `write` per record, as ever: a kill lands between records,
         // not between a length prefix and its body.
         let mut record = Vec::with_capacity(8 + body.len());
         write_frame(&mut record, &body)?;
-        file.write_all(&record)
-            .map_err(|e| Error::io("appending to oplog", e))?;
+        durable::append(&self.path, &[], &record, false)?;
         state.starts.push(state.end);
         state.end += 8 + body.len() as u64;
         Ok(())
@@ -269,7 +270,7 @@ impl Oplog {
     /// record failing to decode here means on-disk damage after open).
     pub fn read_from(&self, from: u64, max: usize) -> Result<Vec<OplogRecord>> {
         let (start_byte, available) = {
-            let state = self.state.lock().expect("oplog lock poisoned");
+            let state = self.lock_state();
             let total = state.starts.len() as u64;
             if from >= total {
                 return Ok(Vec::new());
@@ -708,6 +709,47 @@ mod tests {
             log.read_from(3, 1).unwrap()[0].op,
             OplogOp::MetaDelete { name: "x".into() }
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A thread that panicked holding the index lock — between the file
+    /// write and the index update, say — must not take every later
+    /// `append` / `read_from` of the namespace down with it: the index is
+    /// rebuilt from the file, which is the truth.
+    #[test]
+    fn a_panic_under_the_index_lock_rescans_the_file() {
+        let dir = scratch("poison");
+        let log = Oplog::open(&dir).unwrap();
+        for op in sample_ops() {
+            log.append(&op).unwrap();
+        }
+        let poison = || {
+            let panicked = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut state = log.state.lock().unwrap();
+                    // An index that ran ahead of the file.
+                    let end = state.end;
+                    state.starts.push(end);
+                    state.end += 64;
+                    panic!("injected panic under the oplog lock");
+                })
+                .join()
+            });
+            assert!(panicked.is_err());
+            assert!(log.state.is_poisoned());
+        };
+        poison();
+        let off = log
+            .append(&OplogOp::MetaDelete { name: "z".into() })
+            .unwrap();
+        assert_eq!(off, 4, "the phantom entry is gone");
+        assert!(!log.state.is_poisoned());
+        poison();
+        let back = log.read_from(0, 100).unwrap();
+        assert_eq!(back.len(), 5);
+        assert_eq!(back[4].op, OplogOp::MetaDelete { name: "z".into() });
+        drop(log);
+        assert_eq!(Oplog::open(&dir).unwrap().len(), 5);
         let _ = std::fs::remove_dir_all(dir);
     }
 

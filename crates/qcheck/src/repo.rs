@@ -15,32 +15,26 @@
 //! also create the reference layout (`STORE` = `loose`, chunks under
 //! `objects/ab/cdef…`).
 //!
-//! ## Commit protocol (atomic mode)
+//! ## A save
 //!
 //! 1. write every new chunk (one [`crate::store::ObjectStore::put_batch`]
 //!    call: a single staged pack published by one fsync+rename);
-//! 2. append one `ManifestPut` + `LatestAdvance` record pair to the
-//!    manifest log — **one** write, one optional fsync, zero renames;
-//! 3. publish by writing the *stale* root slot with a bumped generation —
-//!    one small write, one optional fsync.
+//! 2. [`ManifestLog::append`] one `ManifestPut` + `LatestAdvance` record
+//!    pair — **one** write, one optional fsync, zero renames — and mirror
+//!    the manifest to a shared backend;
+//! 3. [`ManifestLog::publish`] — one small root-slot write, one optional
+//!    fsync — and mirror `LATEST`.
 //!
-//! A crash during step 2 leaves a torn log tail behind the committed
-//! region (truncated on recovery); a crash during step 3 can only tear the
-//! stale slot, so readers fall back to the surviving root. Valid records
-//! beyond the committed length are a completed-but-unpublished save and
-//! still count for recovery (newest-valid-wins). Whole-save commit cost is
-//! therefore O(1) in renames and fsyncs regardless of snapshot size.
-//! Recovery replays the log (already in id order) instead of walking a
-//! manifest directory. A directory in the older `manifests/` + `LATEST`
-//! layout is refused on open, untouched.
-//! The naive in-place mode ([`CommitMode::InPlaceUnsafe`]) exists purely as
-//! the baseline for experiment R-F8: it publishes by overwriting the live
-//! root slot in place, and advances the committed length *before* the
-//! record lands — exactly the torn-write exposure the dual-slot protocol
-//! removes.
+//! The commit protocol itself (framing, root slots, what a crash at any
+//! byte leaves, the in-place baseline of experiment R-F8) is
+//! [`crate::manifest_log`]'s. This module decides *which* records to
+//! write, places the mirror calls between the two phases, and owns the
+//! three crash points that sit between its own steps. Recovery replays the
+//! log; a directory in the older `manifests/` + `LATEST` layout is refused
+//! on open, untouched.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -55,7 +49,8 @@ use crate::error::{Error, Result};
 use crate::failure::{CrashPoint, StorageFault};
 use crate::hash::Sha256;
 use crate::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
-use crate::manifest_log::{self as mlog, LogReplay, RecordKind, RootSlot};
+pub use crate::manifest_log::CommitMode;
+use crate::manifest_log::{self as mlog, CommitWrite, LogReplay, ManifestLog, RecordKind};
 use crate::snapshot::{
     Section, TrainingSnapshot, SECTION_LEDGER, SECTION_OPTIMIZER, SECTION_PARAMS,
 };
@@ -135,15 +130,6 @@ pub enum SaveMode {
         /// Maximum allowed chain length (a full checkpoint has length 0).
         max_chain_len: u32,
     },
-}
-
-/// Commit durability protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitMode {
-    /// Stage + rename; crash-safe at every point.
-    Atomic,
-    /// Write manifest and pointer in place — the unsafe baseline.
-    InPlaceUnsafe,
 }
 
 /// Per-section compression selection.
@@ -321,11 +307,10 @@ pub struct CheckpointRepo {
     tmp_dir: PathBuf,
     store: StoreBackend,
     seq: Mutex<u64>,
-    /// Cached replay of the manifest log. `None` forces a from-disk
-    /// replay on next access; a cached state is cross-checked against
-    /// the on-disk root generation and log length (two tiny reads) so
+    /// The manifest log and its cached replay, reached only through
+    /// [`Self::with_log`] — which re-checks the cache against the disk, so
     /// concurrent handles observe each other's commits.
-    state: Mutex<Option<LogReplay>>,
+    log: Mutex<ManifestLog>,
     /// Total manifests pulled from a shared backend by this handle
     /// (see [`RecoveryReport::meta_synced`]).
     meta_synced: std::sync::atomic::AtomicUsize,
@@ -416,11 +401,11 @@ impl CheckpointRepo {
         fs::create_dir_all(&tmp_dir)
             .map_err(|e| Error::io(format!("creating {}", tmp_dir.display()), e))?;
         let repo = CheckpointRepo {
+            log: Mutex::new(ManifestLog::new(&root)),
             root,
             tmp_dir,
             store,
             seq: Mutex::new(0),
-            state: Mutex::new(None),
             encode_cache: Mutex::new(None),
             meta_synced: std::sync::atomic::AtomicUsize::new(0),
         };
@@ -443,13 +428,13 @@ impl CheckpointRepo {
             .map_or(0, |seq| seq + 1))
     }
 
-    // The three locks below are shared with the save driver's writer
+    // The handle's three locks are shared with the save driver's writer
     // thread. A holder that panicked must not wedge the handle: both
     // caches are dropped, so the next access replays what reached the
     // disk, and the id sequence is seeded from the listing again.
 
-    fn lock_state(&self) -> MutexGuard<'_, Option<LogReplay>> {
-        lock_recover(&self.state, |state| *state = None)
+    fn lock_log(&self) -> MutexGuard<'_, ManifestLog> {
+        lock_recover(&self.log, ManifestLog::invalidate)
     }
 
     fn lock_encode_cache(&self) -> MutexGuard<'_, Option<EncodeCache>> {
@@ -486,103 +471,32 @@ impl CheckpointRepo {
     ///
     /// Fails on filesystem errors while refreshing the log state.
     pub fn manifest_log_path(&self) -> Result<PathBuf> {
-        self.with_state(|st| Ok(mlog::log_path(&self.root, st.epoch)))
-    }
-
-    /// Paths of the two root slots (`ROOT.0`, `ROOT.1`). Either or both
-    /// may not exist yet.
-    pub fn root_slot_paths(&self) -> [PathBuf; 2] {
-        [
-            mlog::root_slot_path(&self.root, 0),
-            mlog::root_slot_path(&self.root, 1),
-        ]
+        self.with_log(|log| Ok(log.log_path()))
     }
 
     // ------------------------------------------------------------------
     // manifest-log state
     // ------------------------------------------------------------------
 
-    /// Ensures the cached log replay matches the on-disk commit
-    /// structures (root generation + log length), replaying when stale.
-    fn ensure_fresh(&self, guard: &mut Option<LogReplay>) -> Result<()> {
-        let fresh = match guard.as_ref() {
-            None => false,
-            Some(st) => {
-                let slots = mlog::read_root_slots(&self.root);
-                let gen_now = slots
-                    .iter()
-                    .flatten()
-                    .map(|r| r.generation)
-                    .max()
-                    .unwrap_or(0);
-                let len_now = fs::metadata(mlog::log_path(&self.root, st.epoch))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                gen_now == st.generation && len_now == st.file_len
-            }
-        };
-        if !fresh {
-            *guard = Some(mlog::replay(&self.root)?);
+    /// Runs `f` against the manifest log under its lock, the cached state
+    /// first brought up to date with the disk. An `Err` from `f` may have
+    /// left a commit half-written, so it invalidates the cache: the next
+    /// access replays exactly what reached the disk.
+    fn with_log<R>(&self, f: impl FnOnce(&mut ManifestLog) -> Result<R>) -> Result<R> {
+        let mut log = self.lock_log();
+        log.refresh()?;
+        let result = f(&mut log);
+        if result.is_err() {
+            log.invalidate();
         }
-        Ok(())
+        result
     }
 
-    /// Runs `f` against the (fresh) log state under the state lock.
-    fn with_state<R>(&self, f: impl FnOnce(&mut LogReplay) -> Result<R>) -> Result<R> {
-        let mut guard = self.lock_state();
-        self.ensure_fresh(&mut guard)?;
-        f(guard.as_mut().expect("state loaded"))
-    }
-
-    /// Drops a benign torn tail (bytes past the last valid record, at or
-    /// beyond the committed length) from the log file. Tail damage
-    /// *inside* the committed region is evidence of in-place corruption
-    /// and is preserved for detection. Returns 1 when bytes were cut.
-    fn truncate_tail_locked(&self, st: &mut LogReplay) -> Result<usize> {
-        if st.file_len > st.valid_len && st.valid_len >= st.committed_len {
-            let path = mlog::log_path(&self.root, st.epoch);
-            let f = fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
-            f.set_len(st.valid_len)
-                .map_err(|e| Error::io("truncating torn manifest-log tail", e))?;
-            st.file_len = st.valid_len;
-            return Ok(1);
-        }
-        Ok(0)
-    }
-
-    /// Appends `buf` to the current log and publishes it by flipping the
-    /// stale root slot (generation + 1). `new_latest` overrides the
-    /// latest pointer carried by the new root; `None` keeps the current
-    /// one. Returns the log offset the append landed at. The caller
-    /// updates the in-memory manifest/span/tombstone maps itself.
-    fn append_and_flip(
-        &self,
-        st: &mut LogReplay,
-        buf: &[u8],
-        new_latest: Option<&CheckpointId>,
-        fsync: bool,
-    ) -> Result<u64> {
-        self.truncate_tail_locked(st)?;
-        let before = mlog::append_to_log(&self.root, st.epoch, buf, fsync)?;
-        let latest = new_latest.cloned().or_else(|| st.latest.clone());
-        let root = RootSlot {
-            generation: st.generation + 1,
-            epoch: st.epoch,
-            committed_len: before + buf.len() as u64,
-            latest: latest.clone(),
-        };
-        let slot = 1 - st.root_slot;
-        mlog::write_root_slot(&self.root, slot, &root, fsync)?;
-        st.generation = root.generation;
-        st.root_slot = slot;
-        st.file_len = root.committed_len;
-        st.valid_len = root.committed_len;
-        st.committed_len = root.committed_len;
-        st.latest = latest;
-        Ok(before)
+    /// [`Self::with_log`] for readers of the replayed state. What a reader
+    /// answers — "no such manifest" included — is never a reason to
+    /// distrust the cache, so `f`'s value is passed through as it is.
+    fn with_state<R>(&self, f: impl FnOnce(&LogReplay) -> R) -> Result<R> {
+        self.with_log(|log| Ok(f(log.state())))
     }
 
     /// Refuses a directory in the pre-log layout (`manifests/*.qmf` +
@@ -721,9 +635,11 @@ impl CheckpointRepo {
                                 // and the chunk inventory of the new cache
                                 // entry (resolve verified content, so
                                 // existence is implied here).
-                                let resolved = self
-                                    .with_state(|st| chain_bases(st, &m))
-                                    .and_then(|bases| Ok((self.resolve_chain(&m, &bases)?, bases)));
+                                let resolved =
+                                    self.with_state(|st| chain_bases(st, &m)).and_then(|bases| {
+                                        let bases = bases?;
+                                        Ok((self.resolve_chain(&m, &bases)?, bases))
+                                    });
                                 if let Ok((base_sections, bases)) = resolved {
                                     base_chain_chunks = Some(
                                         std::iter::once(&m)
@@ -865,22 +781,38 @@ impl CheckpointRepo {
         };
         let manifest_bytes = manifest.encode();
 
-        // Commit: append the record pair to the manifest log, mirror to a
-        // shared backend, publish with a root-slot write. Any failure
-        // (including simulated crashes) drops the cached state so the
-        // next access replays exactly what reached the disk.
-        let commit_fsyncs = {
-            let mut guard = self.lock_state();
-            self.ensure_fresh(&mut guard)?;
-            let st = guard.as_mut().expect("state loaded");
-            match self.commit_save(st, &id, &manifest, &manifest_bytes, options) {
-                Ok(n) => n,
-                Err(e) => {
-                    *guard = None;
-                    return Err(e);
-                }
-            }
+        // Commit: append the record pair, mirror the manifest, publish,
+        // mirror `LATEST`.
+        let how = CommitWrite {
+            mode: options.commit,
+            fsync: options.fsync,
+            crash: options.crash,
         };
+        let mut records =
+            mlog::encode_record(RecordKind::ManifestPut, id.as_str(), &manifest_bytes);
+        records.extend(mlog::encode_record(
+            RecordKind::LatestAdvance,
+            id.as_str(),
+            &[],
+        ));
+        let commit_fsyncs = self.with_log(|log| {
+            let appended = log.append(records, &how)?;
+            // Mirror the manifest to a shared backend once it is locally
+            // durable. Ordering matters for fresh-directory recovery: the
+            // chunks went to the (shared) store before the manifest, so a
+            // mirrored manifest is always resolvable remotely; a crash in
+            // between leaves the remote one checkpoint behind the local
+            // directory, never ahead of its data.
+            self.mirror_meta(&format!("manifests/{}", id.file_name()), &manifest_bytes)?;
+            if let Some(CrashPoint::BeforeLatestSwing) = options.crash {
+                return Err(Error::SimulatedCrash {
+                    at: CrashPoint::BeforeLatestSwing.to_string(),
+                });
+            }
+            let fsyncs = log.publish(appended)?;
+            self.mirror_meta("LATEST", format!("{}\n", id.as_str()).as_bytes())?;
+            Ok(fsyncs)
+        })?;
 
         // Seed the encode cache for the next delta save: the checkpoint we
         // just committed is the latest, and these are exactly the sections
@@ -928,129 +860,6 @@ impl CheckpointRepo {
         })
     }
 
-    /// The commit half of [`CheckpointRepo::save`]: log append + mirror +
-    /// root publication, with the simulated crash points woven in.
-    /// Returns the number of commit-path fsyncs issued. Runs under the
-    /// state lock; on error the caller must invalidate the cached state.
-    fn commit_save(
-        &self,
-        st: &mut LogReplay,
-        id: &CheckpointId,
-        manifest: &Manifest,
-        manifest_bytes: &[u8],
-        options: &SaveOptions,
-    ) -> Result<u64> {
-        let mut records = mlog::encode_record(RecordKind::ManifestPut, id.as_str(), manifest_bytes);
-        let put_len = records.len() as u64;
-        records.extend(mlog::encode_record(
-            RecordKind::LatestAdvance,
-            id.as_str(),
-            &[],
-        ));
-        self.truncate_tail_locked(st)?;
-        let mut commit_fsyncs = 0u64;
-        let before;
-        match options.commit {
-            CommitMode::Atomic => {
-                if let Some(CrashPoint::MidManifestWrite { keep_fraction_pct }) = options.crash {
-                    // Torn append: bytes land past the committed length
-                    // and the root never moves — recovery truncates them
-                    // as debris, no detectable corruption remains.
-                    let keep = records.len() * keep_fraction_pct.min(100) as usize / 100;
-                    mlog::append_to_log(&self.root, st.epoch, &records[..keep], false)?;
-                    return Err(Error::SimulatedCrash {
-                        at: format!("mid-manifest-write(atomic,{keep})"),
-                    });
-                }
-                before = mlog::append_to_log(&self.root, st.epoch, &records, options.fsync)?;
-                if options.fsync {
-                    commit_fsyncs += 1;
-                }
-            }
-            CommitMode::InPlaceUnsafe => {
-                if let Some(CrashPoint::MidManifestWrite { keep_fraction_pct }) = options.crash {
-                    // The unsafe baseline advances the committed length
-                    // *before* the record lands, so the torn record sits
-                    // inside the committed region — detectable corruption
-                    // recovery must flag (experiment R-F8).
-                    let keep = records.len() * keep_fraction_pct.min(100) as usize / 100;
-                    let base = st.file_len.max(mlog::LOG_HEADER_LEN);
-                    let root = RootSlot {
-                        generation: st.generation + 1,
-                        epoch: st.epoch,
-                        committed_len: base + records.len() as u64,
-                        latest: st.latest.clone(),
-                    };
-                    mlog::write_root_slot(&self.root, st.root_slot, &root, false)?;
-                    mlog::append_to_log(&self.root, st.epoch, &records[..keep], false)?;
-                    return Err(Error::SimulatedCrash {
-                        at: format!("mid-manifest-write(in-place,{keep})"),
-                    });
-                }
-                before = mlog::append_to_log(&self.root, st.epoch, &records, options.fsync)?;
-                if options.fsync {
-                    commit_fsyncs += 1;
-                }
-            }
-        }
-
-        // Mirror the manifest to a shared backend once it is locally
-        // durable. Ordering matters for fresh-directory recovery: the
-        // chunks went to the (shared) store before the manifest, so a
-        // mirrored manifest is always resolvable remotely; a crash in
-        // between leaves the remote one checkpoint behind the local
-        // directory, never ahead of its data.
-        self.mirror_meta(&format!("manifests/{}", id.file_name()), manifest_bytes)?;
-
-        if let Some(CrashPoint::BeforeLatestSwing) = options.crash {
-            return Err(Error::SimulatedCrash {
-                at: CrashPoint::BeforeLatestSwing.to_string(),
-            });
-        }
-
-        // Publish. Atomic mode writes the *stale* slot (a torn write can
-        // only damage a root that was already stale); the in-place baseline
-        // overwrites the live slot.
-        let root = RootSlot {
-            generation: st.generation + 1,
-            epoch: st.epoch,
-            committed_len: before + records.len() as u64,
-            latest: Some(id.clone()),
-        };
-        let slot = match options.commit {
-            CommitMode::Atomic => 1 - st.root_slot,
-            CommitMode::InPlaceUnsafe => st.root_slot,
-        };
-        if matches!(options.crash, Some(CrashPoint::MidLatestWrite)) {
-            let bytes = root.encode();
-            fs::write(
-                mlog::root_slot_path(&self.root, slot),
-                &bytes[..bytes.len() / 2],
-            )
-            .map_err(|e| Error::io("torn root-slot write", e))?;
-            return Err(Error::SimulatedCrash {
-                at: CrashPoint::MidLatestWrite.to_string(),
-            });
-        }
-        mlog::write_root_slot(&self.root, slot, &root, options.fsync)?;
-        if options.fsync {
-            commit_fsyncs += 1;
-        }
-        self.mirror_meta("LATEST", format!("{}\n", id.as_str()).as_bytes())?;
-
-        st.spans.insert(id.clone(), (before, put_len));
-        st.manifests.insert(id.clone(), manifest.clone());
-        st.tombstones.remove(id);
-        st.latest = Some(id.clone());
-        st.records += 2;
-        st.generation = root.generation;
-        st.root_slot = slot;
-        st.file_len = root.committed_len;
-        st.valid_len = root.committed_len;
-        st.committed_len = root.committed_len;
-        Ok(commit_fsyncs)
-    }
-
     /// Pulls repository metadata (manifests, `LATEST`) down from a
     /// shared backend into this working directory's manifest log. No-op
     /// (`Ok(0)`) for local backends. Local state wins: a manifest the
@@ -1069,17 +878,11 @@ impl CheckpointRepo {
             return Ok(0);
         }
         let listed = self.store.meta_list("manifests/")?;
-        let mut guard = self.lock_state();
-        self.ensure_fresh(&mut guard)?;
-        let st = guard.as_mut().expect("state loaded");
-        let res = self.sync_shared_meta_locked(st, listed);
-        if res.is_err() {
-            *guard = None;
-        }
-        res
+        self.with_log(|log| self.pull_shared_meta(log, listed))
     }
 
-    fn sync_shared_meta_locked(&self, st: &mut LogReplay, listed: Vec<String>) -> Result<usize> {
+    fn pull_shared_meta(&self, log: &mut ManifestLog, listed: Vec<String>) -> Result<usize> {
+        let st = log.state();
         // Partition the mirror's inventory. Defensive name filter: the
         // server validated these, but only plain `<id>.qmf` names are
         // meaningful here.
@@ -1106,47 +909,36 @@ impl CheckpointRepo {
         // backend overrides meta_get_many), not a round trip each.
         let names: Vec<String> = missing.iter().map(|(n, _)| n.clone()).collect();
         let mut buf = Vec::new();
-        let mut pulled: Vec<(CheckpointId, Manifest, u64, u64)> = Vec::new();
+        let mut pulled: Vec<&CheckpointId> = Vec::new();
         for ((_, id), bytes) in missing.iter().zip(self.store.meta_get_many(&names)?) {
             let Some(bytes) = bytes else { continue };
             // Verify before adoption — a mirror can rot like any store.
-            let Ok(m) = Manifest::decode(&bytes) else {
-                continue;
-            };
-            if &m.id != id {
+            if !Manifest::decode(&bytes).is_ok_and(|m| &m.id == id) {
                 continue;
             }
-            let off = buf.len() as u64;
-            let rec = mlog::encode_record(RecordKind::ManifestPut, id.as_str(), &bytes);
-            buf.extend_from_slice(&rec);
-            pulled.push((id.clone(), m, off, rec.len() as u64));
+            buf.extend(mlog::encode_record(
+                RecordKind::ManifestPut,
+                id.as_str(),
+                &bytes,
+            ));
+            pulled.push(id);
         }
-        let mut adopt_latest: Option<CheckpointId> = None;
         if st.latest.is_none() {
             if let Some(bytes) = self.store.meta_get("LATEST")? {
                 let id = CheckpointId(String::from_utf8_lossy(&bytes).trim().to_string());
-                if st.manifests.contains_key(&id) || pulled.iter().any(|(p, ..)| p == &id) {
+                if st.manifests.contains_key(&id) || pulled.contains(&&id) {
                     buf.extend(mlog::encode_record(
                         RecordKind::LatestAdvance,
                         id.as_str(),
                         &[],
                     ));
-                    adopt_latest = Some(id);
                 }
             }
         }
         let count = pulled.len();
         if !buf.is_empty() {
             // One batched append + root flip for the whole pull.
-            let before = self.append_and_flip(st, &buf, adopt_latest.as_ref(), false)?;
-            for (id, m, off, len) in pulled {
-                st.spans.insert(id.clone(), (before + off, len));
-                st.records += 1;
-                st.manifests.insert(id, m);
-            }
-            if adopt_latest.is_some() {
-                st.records += 1;
-            }
+            log.commit(buf)?;
         }
         // Reconcile retention divergence: re-issue the (idempotent)
         // mirror delete for every id we retired durably but the mirror
@@ -1168,16 +960,6 @@ impl CheckpointRepo {
         Ok(())
     }
 
-    fn atomic_write(&self, target: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
-        static STAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.tmp_dir.join(format!(
-            "stage-{}-{}",
-            std::process::id(),
-            STAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        crate::durable::publish(&tmp, target, bytes, fsync)
-    }
-
     // ------------------------------------------------------------------
     // load
     // ------------------------------------------------------------------
@@ -1190,7 +972,7 @@ impl CheckpointRepo {
     ///
     /// Fails on log-replay I/O errors.
     pub fn read_latest(&self) -> Result<Option<CheckpointId>> {
-        self.with_state(|st| Ok(st.latest.clone()))
+        self.with_state(|st| st.latest.clone())
     }
 
     /// Lists all intact checkpoint ids, ascending.
@@ -1199,7 +981,7 @@ impl CheckpointRepo {
     ///
     /// Fails on log-replay I/O errors.
     pub fn list_ids(&self) -> Result<Vec<CheckpointId>> {
-        self.with_state(|st| Ok(st.manifests.keys().cloned().collect()))
+        self.with_state(|st| st.manifests.keys().cloned().collect())
     }
 
     /// Loads one manifest from the replayed log state.
@@ -1210,14 +992,10 @@ impl CheckpointRepo {
     /// `id` (absent, deleted, or damaged — damage details are surfaced
     /// via [`Self::damaged_manifests`]).
     pub fn load_manifest(&self, id: &CheckpointId) -> Result<Manifest> {
-        self.with_state(|st| {
-            st.manifests
-                .get(id)
-                .cloned()
-                .ok_or_else(|| Error::NotFound {
-                    what: format!("manifest {id}"),
-                })
-        })
+        self.with_state(|st| st.manifests.get(id).cloned())?
+            .ok_or_else(|| Error::NotFound {
+                what: format!("manifest {id}"),
+            })
     }
 
     /// Manifest-log records that failed CRC/frame validation on the
@@ -1229,7 +1007,7 @@ impl CheckpointRepo {
     ///
     /// Fails on log-replay I/O errors.
     pub fn damaged_manifests(&self) -> Result<Vec<(String, String)>> {
-        self.with_state(|st| Ok(st.damaged.clone()))
+        self.with_state(|st| st.damaged.clone())
     }
 
     /// Resolves a manifest to its full section payloads by folding its
@@ -1252,7 +1030,7 @@ impl CheckpointRepo {
     /// hash mismatch of the resolved sections, or on chains exceeding the
     /// hard cycle guard.
     pub fn resolve_sections(&self, manifest: &Manifest) -> Result<Vec<Section>> {
-        let bases = self.with_state(|st| chain_bases(st, manifest))?;
+        let bases = self.with_state(|st| chain_bases(st, manifest))??;
         self.resolve_chain(manifest, &bases)
     }
 
@@ -1464,8 +1242,8 @@ impl CheckpointRepo {
                     what: format!("manifest {id}"),
                 })?;
             let bases = chain_bases(st, &manifest)?;
-            Ok((manifest, bases))
-        })?;
+            Ok::<_, Error>((manifest, bases))
+        })??;
         let sections = self.resolve_chain(&manifest, &bases)?;
         TrainingSnapshot::from_sections(&sections)
     }
@@ -1514,11 +1292,8 @@ impl CheckpointRepo {
         staging_cleared += crate::durable::clear_dir_files(&self.tmp_dir).unwrap_or(0);
         // Force a from-disk replay — recovery must not trust cached
         // state — and chop any benign torn tail the crash left.
-        {
-            let mut guard = self.lock_state();
-            *guard = None;
-        }
-        staging_cleared += self.with_state(|st| self.truncate_tail_locked(st))?;
+        self.lock_log().invalidate();
+        staging_cleared += usize::from(self.with_log(ManifestLog::truncate_torn_tail)?);
         let mut report = RecoveryReport {
             staging_cleared,
             meta_synced: {
@@ -1528,10 +1303,10 @@ impl CheckpointRepo {
             ..RecoveryReport::default()
         };
         let (ids, damaged) = self.with_state(|st| {
-            Ok((
+            (
                 st.manifests.keys().rev().cloned().collect::<Vec<_>>(),
                 st.damaged.clone(),
-            ))
+            )
         })?;
         // Log records that failed validation are reported alongside the
         // checkpoints whose chunks fail below.
@@ -1596,11 +1371,10 @@ impl CheckpointRepo {
     /// The chunk hashes referenced by every intact manifest.
     fn reachable_chunks(&self) -> Result<BTreeSet<crate::hash::ContentHash>> {
         self.with_state(|st| {
-            Ok(st
-                .manifests
+            st.manifests
                 .values()
                 .flat_map(|m| m.chunk_refs().map(|c| c.hash))
-                .collect())
+                .collect()
         })
     }
 
@@ -1647,16 +1421,7 @@ impl CheckpointRepo {
         };
         // Phase 1 (durable, local): compute the retire set against the
         // replayed state and append its tombstone records in one flip.
-        let retired = {
-            let mut guard = self.lock_state();
-            self.ensure_fresh(&mut guard)?;
-            let st = guard.as_mut().expect("state loaded");
-            let res = self.retire_locked(st, keep_n);
-            if res.is_err() {
-                *guard = None;
-            }
-            res?
-        };
+        let retired = self.with_log(|log| Self::retire(log, keep_n))?;
         if matches!(crash, Some(CrashPoint::AfterRetireLocal)) && !retired.is_empty() {
             return Err(Error::SimulatedCrash {
                 at: CrashPoint::AfterRetireLocal.to_string(),
@@ -1676,9 +1441,10 @@ impl CheckpointRepo {
         Ok(report)
     }
 
-    /// Computes the retire set under the state lock and appends its
-    /// tombstone records + root flip. Returns the retired ids.
-    fn retire_locked(&self, st: &mut LogReplay, keep_n: usize) -> Result<Vec<CheckpointId>> {
+    /// Computes the retire set against the replayed state and commits its
+    /// tombstone records in one flip. Returns the retired ids.
+    fn retire(log: &mut ManifestLog, keep_n: usize) -> Result<Vec<CheckpointId>> {
+        let st = log.state();
         let newest: Vec<CheckpointId> = st.manifests.keys().rev().take(keep_n).cloned().collect();
         // Transitively keep delta bases.
         let mut keep: BTreeSet<CheckpointId> = BTreeSet::new();
@@ -1719,162 +1485,33 @@ impl CheckpointRepo {
                 &[],
             ));
         }
-        self.append_and_flip(st, &buf, None, false)?;
-        for id in &retired {
-            st.manifests.remove(id);
-            st.spans.remove(id);
-            st.tombstones.insert(id.clone());
-            st.records += 1;
-            if st.latest.as_ref() == Some(id) {
-                // KeepLast(0) edge: the pointer itself was retired.
-                st.latest = None;
-            }
-        }
+        log.commit(buf)?;
         Ok(retired)
     }
 
-    /// Compacts the manifest log into a fresh epoch when replay cost has
-    /// outgrown the live state (record count > 2× live + tombstones +
-    /// slack). The new log is staged and renamed in (the one rename
-    /// retention pays), the root flips to the new epoch, and old epoch
-    /// logs are deleted. Tombstones survive compaction on shared
-    /// backends (they are the durable delete intent the mirror
-    /// reconciliation needs) and are dropped on local ones.
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors.
-    fn maybe_compact(&self) -> Result<bool> {
-        let mut guard = self.lock_state();
-        self.ensure_fresh(&mut guard)?;
-        let st = guard.as_mut().expect("state loaded");
-        let live = st.manifests.len() as u64;
-        let tombs = st.tombstones.len() as u64;
-        if st.records <= 2 * (live + tombs) + 16 {
-            return Ok(false);
-        }
-        let res = self.compact_log_locked(st);
-        if res.is_err() {
-            *guard = None;
-        }
-        res.map(|()| true)
-    }
-
-    fn compact_log_locked(&self, st: &mut LogReplay) -> Result<()> {
-        let _span = qobs::span("qcheck.compact_log");
-        crate::obs::COMPACTIONS.inc();
-        let epoch = st.epoch + 1;
-        let mut buf = mlog::log_header(epoch).to_vec();
-        let mut spans: BTreeMap<CheckpointId, (u64, u64)> = BTreeMap::new();
-        let mut records = 0u64;
-        for (id, m) in &st.manifests {
-            let off = buf.len() as u64;
-            let rec = mlog::encode_record(RecordKind::ManifestPut, id.as_str(), &m.encode());
-            buf.extend_from_slice(&rec);
-            spans.insert(id.clone(), (off, rec.len() as u64));
-            records += 1;
-        }
-        if self.store.is_shared() {
-            for id in &st.tombstones {
-                buf.extend(mlog::encode_record(
-                    RecordKind::ManifestDelete,
-                    id.as_str(),
-                    &[],
-                ));
-                records += 1;
+    /// Compacts the manifest log ([`ManifestLog::compact`]) when replay
+    /// cost has outgrown the live state (record count > 2× live +
+    /// tombstones + slack). Tombstones survive on a shared backend, whose
+    /// mirror reconciliation needs them, and are dropped on a local one.
+    fn maybe_compact(&self) -> Result<()> {
+        self.with_log(|log| {
+            let st = log.state();
+            let live = (st.manifests.len() + st.tombstones.len()) as u64;
+            if st.records > 2 * live + 16 {
+                log.compact(&self.tmp_dir, self.store.is_shared())?;
             }
-        } else {
-            st.tombstones.clear();
-        }
-        if let Some(latest) = &st.latest {
-            buf.extend(mlog::encode_record(
-                RecordKind::LatestAdvance,
-                latest.as_str(),
-                &[],
-            ));
-            records += 1;
-        }
-        self.atomic_write(&mlog::log_path(&self.root, epoch), &buf, true)?;
-        let root = RootSlot {
-            generation: st.generation + 1,
-            epoch,
-            committed_len: buf.len() as u64,
-            latest: st.latest.clone(),
-        };
-        let slot = 1 - st.root_slot;
-        mlog::write_root_slot(&self.root, slot, &root, true)?;
-        for old in mlog::list_log_epochs(&self.root) {
-            if old != epoch {
-                let _ = fs::remove_file(mlog::log_path(&self.root, old));
-            }
-        }
-        st.generation = root.generation;
-        st.epoch = epoch;
-        st.root_slot = slot;
-        st.committed_len = buf.len() as u64;
-        st.valid_len = buf.len() as u64;
-        st.file_len = buf.len() as u64;
-        st.spans = spans;
-        st.records = records;
-        st.damaged.clear();
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Test/fault-injection hook: damages the *log record* carrying
-    /// `id`'s manifest in place, the manifest-log equivalent of
-    /// corrupting a per-checkpoint file in the legacy layout.
-    /// `BitFlip` flips one payload byte, `Truncate` chops the record
-    /// (and everything after it), `Delete` scrubs the record to same-
-    /// length padding so the id vanishes without a frame error.
+    /// `id`'s manifest in place ([`ManifestLog::damage_record`]).
     ///
     /// # Errors
     ///
     /// [`Error::NotFound`] when the log carries no record for `id`.
     pub fn corrupt_manifest(&self, id: &CheckpointId, fault: StorageFault) -> Result<()> {
-        let (epoch, span) = self.with_state(|st| {
-            let span = st.spans.get(id).copied().ok_or_else(|| Error::NotFound {
-                what: format!("manifest record {id}"),
-            })?;
-            Ok((st.epoch, span))
-        })?;
-        let path = mlog::log_path(&self.root, epoch);
-        let (off, len) = (span.0 as usize, span.1 as usize);
-        match fault {
-            StorageFault::BitFlip { offset } => {
-                let mut bytes =
-                    fs::read(&path).map_err(|e| Error::io("reading manifest log", e))?;
-                // Land inside the record payload (past the frame
-                // header) so the flip damages manifest bytes, not the
-                // record id.
-                let header = 4 + 1 + 2 + id.as_str().len() + 4;
-                let payload_len = len.saturating_sub(header + 4).max(1);
-                let target = off + header + (offset as usize % payload_len);
-                bytes[target] ^= 0x01;
-                fs::write(&path, &bytes).map_err(|e| Error::io("writing manifest log", e))?;
-            }
-            StorageFault::Truncate { keep_pct } => {
-                let keep = span.0 + span.1 * u64::from(keep_pct.min(100)) / 100;
-                let f = fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| Error::io("opening manifest log", e))?;
-                f.set_len(keep)
-                    .map_err(|e| Error::io("truncating manifest log", e))?;
-            }
-            StorageFault::Delete => {
-                let mut bytes =
-                    fs::read(&path).map_err(|e| Error::io("reading manifest log", e))?;
-                let pad = mlog::encode_record(
-                    RecordKind::Padding,
-                    "",
-                    &vec![0u8; len - mlog::RECORD_OVERHEAD],
-                );
-                bytes[off..off + len].copy_from_slice(&pad);
-                fs::write(&path, &bytes).map_err(|e| Error::io("writing manifest log", e))?;
-            }
-        }
-        *self.lock_state() = None;
-        Ok(())
+        self.with_log(|log| log.damage_record(id, fault))
     }
 
     /// Compacts the latest checkpoint's delta chain by rewriting it as a
@@ -2373,11 +2010,11 @@ mod tests {
         let first = repo.save(&snapshot_at(1, vec![0.5; 3000]), &opts).unwrap();
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
-                let mut state = repo.state.lock().unwrap();
+                let mut log = repo.log.lock().unwrap();
                 let mut cache = repo.encode_cache.lock().unwrap();
                 let mut seq = repo.seq.lock().unwrap();
                 // What a half-finished update could leave behind.
-                state.as_mut().unwrap().latest = None;
+                log.state_mut().latest = None;
                 cache.as_mut().unwrap().sections.clear();
                 *seq = 999;
                 panic!("injected panic under the repository locks");
@@ -2385,7 +2022,7 @@ mod tests {
             .join()
         });
         assert!(panicked.is_err());
-        assert!(repo.state.is_poisoned() && repo.seq.is_poisoned());
+        assert!(repo.log.is_poisoned() && repo.seq.is_poisoned());
 
         assert_eq!(repo.read_latest().unwrap(), Some(first.id.clone()));
         let second = repo.save(&snapshot_at(2, vec![0.25; 3000]), &opts).unwrap();
@@ -2394,7 +2031,7 @@ mod tests {
         let (snapshot, report) = repo.recover().unwrap();
         assert_eq!(snapshot, snapshot_at(2, vec![0.25; 3000]));
         assert!(report.skipped.is_empty());
-        assert!(!repo.state.is_poisoned() && !repo.encode_cache.is_poisoned());
+        assert!(!repo.log.is_poisoned() && !repo.encode_cache.is_poisoned());
     }
 
     #[test]

@@ -1,27 +1,15 @@
-//! Repository verification (`fsck`) and portable checkpoint bundles.
+//! Repository verification (`fsck`).
 //!
-//! * [`fsck`] walks the entire repository — every manifest, every chunk,
-//!   every delta chain — and reports what is intact, what is damaged and
-//!   what is orphaned, without modifying anything. Operators run it after
-//!   suspected storage trouble; the failure-injection tests run it to prove
-//!   damage is always *visible*.
-//! * [`export_bundle`]/[`import_bundle`] pack one checkpoint (with its full
-//!   delta chain collapsed) into a single self-describing byte stream, so a
-//!   training run can move between machines — e.g. from the cloud worker
-//!   that crashed to the workstation debugging it.
+//! [`fsck`] walks the entire repository — every manifest, every chunk,
+//! every delta chain — and reports what is intact, what is damaged and
+//! what is orphaned, without modifying anything. Operators run it after
+//! suspected storage trouble; the failure-injection tests run it to prove
+//! damage is always *visible*.
 
-use crate::codec::{Decoder, Encoder};
-use crate::error::{Error, Result};
-use crate::hash::{crc32, Sha256};
+use crate::error::Result;
 use crate::manifest::CheckpointId;
-use crate::repo::{CheckpointRepo, SaveOptions};
-use crate::snapshot::TrainingSnapshot;
+use crate::repo::CheckpointRepo;
 use crate::store::ObjectStore;
-
-/// Magic framing for portable bundles.
-const BUNDLE_MAGIC: &[u8; 6] = b"QBNDL\0";
-/// Bundle format version.
-const BUNDLE_VERSION: u32 = 1;
 
 /// Per-checkpoint verification outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,102 +139,12 @@ pub fn fsck(repo: &CheckpointRepo) -> Result<FsckReport> {
     Ok(report)
 }
 
-/// Exports one checkpoint (delta chain collapsed) as a portable bundle.
-///
-/// Layout: magic, version, id, snapshot payload (sections re-serialized
-/// from the resolved snapshot), SHA-256 of the payload, trailing CRC32.
-///
-/// # Errors
-///
-/// Fails when the checkpoint cannot be loaded or verified.
-pub fn export_bundle(repo: &CheckpointRepo, id: &CheckpointId) -> Result<Vec<u8>> {
-    let snapshot = repo.load(id)?;
-    let mut payload = Encoder::new();
-    let sections = snapshot.to_sections();
-    payload.put_varint(sections.len() as u64);
-    for s in &sections {
-        payload.put_str(&s.name).put_bytes(&s.bytes);
-    }
-    let payload = payload.into_bytes();
-    let sha = Sha256::digest(&payload);
-
-    let mut e = Encoder::with_capacity(payload.len() + 128);
-    e.put_raw(BUNDLE_MAGIC);
-    e.put_u32(BUNDLE_VERSION);
-    e.put_str(id.as_str());
-    e.put_raw(&sha.0);
-    e.put_bytes(&payload);
-    let crc = crc32(e.as_bytes());
-    e.put_u32(crc);
-    Ok(e.into_bytes())
-}
-
-/// Parses and verifies a bundle, returning the snapshot and its original id.
-///
-/// # Errors
-///
-/// Fails on framing, version, CRC or SHA mismatches.
-pub fn read_bundle(bytes: &[u8]) -> Result<(CheckpointId, TrainingSnapshot)> {
-    if bytes.len() < BUNDLE_MAGIC.len() + 8 {
-        return Err(Error::corrupt("bundle", "too short"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if stored_crc != crc32(body) {
-        return Err(Error::corrupt("bundle", "crc mismatch"));
-    }
-    let mut d = Decoder::new(body, "bundle");
-    let magic = d.get_raw(BUNDLE_MAGIC.len())?;
-    if magic != BUNDLE_MAGIC {
-        return Err(Error::corrupt("bundle", "bad magic"));
-    }
-    let version = d.get_u32()?;
-    if version != BUNDLE_VERSION {
-        return Err(Error::UnsupportedVersion {
-            found: version,
-            supported: BUNDLE_VERSION,
-        });
-    }
-    let id = CheckpointId(d.get_str()?);
-    let mut sha = [0u8; 32];
-    sha.copy_from_slice(d.get_raw(32)?);
-    let payload = d.get_bytes()?;
-    d.finish()?;
-    if Sha256::digest(&payload) != crate::hash::ContentHash(sha) {
-        return Err(Error::corrupt("bundle", "payload hash mismatch"));
-    }
-    let mut pd = Decoder::new(&payload, "bundle payload");
-    let n = pd.get_varint()? as usize;
-    let mut sections = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        sections.push(crate::snapshot::Section {
-            name: pd.get_str()?,
-            bytes: pd.get_bytes()?,
-        });
-    }
-    pd.finish()?;
-    let snapshot = TrainingSnapshot::from_sections(&sections)?;
-    Ok((id, snapshot))
-}
-
-/// Imports a bundle into a repository as a new full checkpoint.
-///
-/// Returns the id assigned in the destination repository.
-///
-/// # Errors
-///
-/// Fails on bundle verification or save errors.
-pub fn import_bundle(repo: &CheckpointRepo, bytes: &[u8]) -> Result<CheckpointId> {
-    let (_, snapshot) = read_bundle(bytes)?;
-    let report = repo.save(&snapshot, &SaveOptions::default())?;
-    Ok(report.id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::failure::StorageFault;
-    use crate::snapshot::StateBlob;
+    use crate::repo::SaveOptions;
+    use crate::snapshot::{StateBlob, TrainingSnapshot};
 
     fn scratch() -> std::path::PathBuf {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -346,65 +244,6 @@ mod tests {
             matches!(delta_health, CheckpointHealth::ChainBroken(_)),
             "{delta_health:?}"
         );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn bundle_round_trip() {
-        let dir = scratch();
-        let repo = CheckpointRepo::open(&dir).unwrap();
-        let opts = SaveOptions::incremental(8);
-        // Build a chain so export has to collapse it.
-        for step in 1..=4 {
-            repo.save(&snapshot_at(step), &opts).unwrap();
-        }
-        let latest = repo.read_latest().unwrap().unwrap();
-        let bundle = export_bundle(&repo, &latest).unwrap();
-
-        let (orig_id, snapshot) = read_bundle(&bundle).unwrap();
-        assert_eq!(orig_id, latest);
-        assert_eq!(snapshot.step, 4);
-        assert_eq!(snapshot, snapshot_at(4));
-
-        // Import into a fresh repository.
-        let dir2 = scratch();
-        let repo2 = CheckpointRepo::open(&dir2).unwrap();
-        let new_id = import_bundle(&repo2, &bundle).unwrap();
-        let loaded = repo2.load(&new_id).unwrap();
-        assert_eq!(loaded, snapshot_at(4));
-        let _ = std::fs::remove_dir_all(dir);
-        let _ = std::fs::remove_dir_all(dir2);
-    }
-
-    #[test]
-    fn bundle_rejects_corruption() {
-        let dir = scratch();
-        let repo = CheckpointRepo::open(&dir).unwrap();
-        let r = repo.save(&snapshot_at(9), &SaveOptions::default()).unwrap();
-        let bundle = export_bundle(&repo, &r.id).unwrap();
-        for i in (0..bundle.len()).step_by(101) {
-            let mut broken = bundle.clone();
-            broken[i] ^= 0x10;
-            assert!(read_bundle(&broken).is_err(), "flip at {i} accepted");
-        }
-        assert!(read_bundle(&bundle[..bundle.len() / 2]).is_err());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn bundle_rejects_future_version() {
-        let dir = scratch();
-        let repo = CheckpointRepo::open(&dir).unwrap();
-        let r = repo.save(&snapshot_at(1), &SaveOptions::default()).unwrap();
-        let mut bundle = export_bundle(&repo, &r.id).unwrap();
-        bundle.truncate(bundle.len() - 4);
-        bundle[6..10].copy_from_slice(&7u32.to_le_bytes());
-        let crc = crc32(&bundle);
-        bundle.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            read_bundle(&bundle),
-            Err(Error::UnsupportedVersion { found: 7, .. })
-        ));
         let _ = std::fs::remove_dir_all(dir);
     }
 }

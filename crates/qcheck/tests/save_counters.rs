@@ -1,6 +1,9 @@
 //! The deterministic form of "one materialised encoding per section", as
 //! exact counter deltas: a save enters `Compression::compress` once per
 //! section, and sizes its other candidates without compressing them.
+//! And of "a save does not replay": the handle keeps its log state current
+//! by applying the records it commits, so after the open the manifest log
+//! is never read back — the reason the cached state exists.
 //!
 //! One test, alone in its binary, like `resolve_counters.rs`: the qobs
 //! registry is process-wide, and `==` on a delta needs a process nothing
@@ -28,6 +31,9 @@ fn a_save_compresses_once_per_section_whatever_it_probes() {
     let dir = std::env::temp_dir().join(format!("qcheck-save-counters-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
+    let replays = || qobs::counter("qcheck_manifest_log_replays_total").get();
+    let replays_after_open = replays();
+    assert!(replays_after_open > 0, "the open replays");
     let counters = || {
         [
             qobs::counter("qcheck_section_encodes_total").get(),
@@ -61,6 +67,11 @@ fn a_save_compresses_once_per_section_whatever_it_probes() {
     }
 
     assert_eq!(repo.load_latest().unwrap().1, snapshot(3));
+    assert_eq!(
+        replays(),
+        replays_after_open,
+        "four saves and a load on one handle read the log back 0 times"
+    );
     drop(repo);
     let _ = std::fs::remove_dir_all(&dir);
 }

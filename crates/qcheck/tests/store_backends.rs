@@ -209,6 +209,28 @@ fn evolve(params: &mut [f64], op: Op, step: u64) {
     }
 }
 
+/// What the live handle answers from its cached log state — kept current
+/// by applying each commit's records in memory, not by replaying — is what
+/// a fresh replay of the same directory reaches.
+fn assert_cached_state_is_replayed_state(repo: &CheckpointRepo, when: &str) {
+    let replayed = qcheck::manifest_log::replay(repo.root()).unwrap();
+    let ids: Vec<_> = replayed.manifests.keys().cloned().collect();
+    assert_eq!(repo.list_ids().unwrap(), ids, "ids, {when}");
+    assert_eq!(
+        repo.read_latest().unwrap(),
+        replayed.latest,
+        "latest, {when}"
+    );
+    for (id, manifest) in &replayed.manifests {
+        assert_eq!(&repo.load_manifest(id).unwrap(), manifest, "{id}, {when}");
+    }
+    assert_eq!(
+        repo.damaged_manifests().unwrap(),
+        replayed.damaged,
+        "damaged, {when}"
+    );
+}
+
 proptest! {
     // Each case replays a whole repository history twice (fs-heavy);
     // keep the default case count modest. QPROP_CASES still overrides.
@@ -256,6 +278,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(&outcomes[0], &outcomes[1], "pack diverged at op {} ({:?})", i, op);
             prop_assert_eq!(&outcomes[0], &outcomes[2], "remote diverged at op {} ({:?})", i, op);
+            for (kind, repo) in &repos {
+                assert_cached_state_is_replayed_state(repo, &format!("{kind} after op {i} ({op:?})"));
+            }
         }
 
         // Histories must agree checkpoint by checkpoint…
@@ -602,7 +627,7 @@ fn torn_tail_sweep(repo: &CheckpointRepo, mirror_heals: bool, stride: usize) {
         .unwrap();
     let log = repo.manifest_log_path().unwrap();
     let committed = std::fs::read(&log).unwrap().len();
-    let paths = repo.root_slot_paths();
+    let paths = [0, 1].map(|slot| qcheck::manifest_log::root_slot_path(repo.root(), slot));
     let slots1 = read_slots(&paths);
     repo.save(&snapshot_at(2, &params2), &options(SaveMode::Full))
         .unwrap();

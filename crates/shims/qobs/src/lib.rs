@@ -23,8 +23,7 @@
 //! Metrics are registered by name on first use and live for the rest of
 //! the process. [`text_exposition`] renders a Prometheus-style text
 //! snapshot whose line order is the lexicographic name order — two
-//! scrapes of the same process are stable-ordered — and
-//! [`json_snapshot`] renders the same data as one JSON object.
+//! scrapes of the same process are stable-ordered.
 //! Counters are lock-striped (8 cache-line-padded stripes, summed on
 //! read) so hot concurrent increments do not bounce one cache line.
 //!
@@ -56,9 +55,6 @@ pub const ENV_MODE: &str = "QOBS";
 /// `QOBS=trace`. Without it, trace mode still records histograms but
 /// emits no events.
 pub const ENV_TRACE: &str = "QOBS_TRACE";
-/// Environment variable asking long-running processes (qckptd) to log a
-/// one-line metrics dump every N seconds ([`init_dump_from_env`]).
-pub const ENV_DUMP_SECS: &str = "QOBS_DUMP_SECS";
 
 // ---------------------------------------------------------------------------
 // Mode
@@ -456,36 +452,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The same snapshot as one JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{name:{count,sum,p50,p99,p999}}}`.
-pub fn json_snapshot() -> String {
-    let map = registry().lock().expect("qobs registry poisoned");
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut hists = Vec::new();
-    for (name, metric) in map.iter() {
-        let key = json_escape(name);
-        match metric {
-            Metric::Counter(c) => counters.push(format!("\"{key}\":{}", c.get())),
-            Metric::Gauge(g) => gauges.push(format!("\"{key}\":{}", g.get())),
-            Metric::Histogram(h) => hists.push(format!(
-                "\"{key}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                h.count(),
-                h.sum(),
-                h.p50(),
-                h.p99(),
-                h.p999()
-            )),
-        }
-    }
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Lazy handles — one-time registry lookup, `enabled()`-gated recording
 
@@ -735,31 +701,6 @@ fn trace_event(name: &str, id: u64, parent: u64, start: Instant, dur: Duration) 
     }
 }
 
-// ---------------------------------------------------------------------------
-// Periodic dump
-
-/// Spawns a background thread logging one compact metrics line to
-/// stderr every `QOBS_DUMP_SECS` seconds (no-op when the variable is
-/// unset, unparsable, or 0 — or when the mode is off).
-pub fn init_dump_from_env() {
-    let Some(secs) = std::env::var(ENV_DUMP_SECS)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&s| s > 0)
-    else {
-        return;
-    };
-    if !enabled() {
-        return;
-    }
-    let _ = std::thread::Builder::new()
-        .name("qobs-dump".into())
-        .spawn(move || loop {
-            std::thread::sleep(Duration::from_secs(secs));
-            eprintln!("qobs: {}", json_snapshot());
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,17 +801,6 @@ mod tests {
             labeled("req_total", &[("ns", "a\"b"), ("op", "get")]),
             "req_total{ns=\"a\\\"b\",op=\"get\"}"
         );
-    }
-
-    #[test]
-    fn json_snapshot_parses_shape() {
-        let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_mode(Mode::Counters);
-        counter("zjson_total").inc();
-        let s = json_snapshot();
-        assert!(s.starts_with("{\"counters\":{"));
-        assert!(s.contains("\"zjson_total\":"));
-        assert!(s.ends_with("}}"));
     }
 
     #[test]
