@@ -524,38 +524,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(path);
     }
 
+    /// Each durable op of the first save in turn fails with an I/O error
+    /// (the fault plan reaches the writer thread: it is scoped by path).
     #[test]
     fn a_failed_save_surfaces_on_the_next_call_and_the_next_step_retries() {
-        let (path, repo) = temp_repo();
-        let failed_once = std::sync::atomic::AtomicBool::new(false);
-        let mut ckptr = Checkpointer::with_save(repo, every(2), move |repo, snapshot| {
-            let crash = (!failed_once.swap(true, std::sync::atomic::Ordering::SeqCst))
-                .then_some(crate::failure::CrashPoint::BeforeLatestSwing);
-            let options = SaveOptions {
-                crash,
-                ..SaveOptions::default()
-            };
-            repo.save(snapshot, &options)
-        })
-        .unwrap();
-        let mut looped = ToyLoop::new(16);
-        looped.advance();
-        looped.advance();
-        assert!(ckptr.on_step(2, &looped).unwrap(), "the hand-off succeeds");
-        assert!(matches!(ckptr.drain(), Err(Error::SimulatedCrash { .. })));
-        assert!(ckptr.drain().is_ok(), "an error is reported once");
-        // Every-2 would next fire at step 4 had step 2 counted.
-        looped.advance();
-        assert!(
-            ckptr.on_step(3, &looped).unwrap(),
-            "policy state rolled back"
-        );
-        ckptr.drain().unwrap();
-        assert_eq!(ckptr.history().len(), 1);
-        let mut fresh = ToyLoop::new(16);
-        ckptr.restore_latest(&mut fresh).unwrap();
-        assert_eq!(fresh, looped);
-        let _ = std::fs::remove_dir_all(path);
+        use crate::failure::{arm, Fault};
+        let mut at = 1;
+        loop {
+            let (path, repo) = temp_repo();
+            let root = path.clone();
+            let failed_once = std::sync::atomic::AtomicBool::new(false);
+            let mut ckptr = Checkpointer::with_save(repo, every(2), move |repo, snapshot| {
+                let first = !failed_once.swap(true, std::sync::atomic::Ordering::SeqCst);
+                let _armed = first.then(|| arm(&root, at, Fault::Fail));
+                repo.save(snapshot, &SaveOptions::default())
+            })
+            .unwrap();
+            let mut looped = ToyLoop::new(16);
+            looped.advance();
+            looped.advance();
+            assert!(ckptr.on_step(2, &looped).unwrap(), "the hand-off succeeds");
+            match ckptr.drain() {
+                Err(Error::Io { .. }) => {}
+                // Past the save's last op: every op has been failed once.
+                Ok(()) if at > 1 => {
+                    drop(ckptr);
+                    let _ = std::fs::remove_dir_all(path);
+                    break;
+                }
+                other => panic!("op {at}: {other:?}"),
+            }
+            assert!(ckptr.drain().is_ok(), "an error is reported once");
+            // Every-2 would next fire at step 4 had step 2 counted.
+            looped.advance();
+            assert!(
+                ckptr.on_step(3, &looped).unwrap(),
+                "policy state rolled back"
+            );
+            ckptr.drain().unwrap();
+            assert_eq!(ckptr.history().len(), 1);
+            let mut fresh = ToyLoop::new(16);
+            ckptr.restore_latest(&mut fresh).unwrap();
+            assert_eq!(fresh, looped);
+            drop(ckptr);
+            let _ = std::fs::remove_dir_all(path);
+            at += 1;
+        }
     }
 
     /// A panic on the writer thread is a typed error on this side — at

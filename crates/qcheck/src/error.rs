@@ -67,10 +67,10 @@ pub enum Error {
         /// What went wrong.
         detail: String,
     },
-    /// A failure-injection plan deliberately aborted the operation
-    /// (testing / evaluation only; never produced in normal operation).
+    /// An armed fault plan ([`crate::failure::arm`]) killed the process
+    /// at a durable op (testing / evaluation only).
     SimulatedCrash {
-        /// Which crash point fired.
+        /// The op: its index, kind and file.
         at: String,
     },
     /// The daemon requires an auth token this client did not (correctly)

@@ -2,10 +2,13 @@
 //!
 //! Two families of faults are modelled:
 //!
-//! * **Crash points** ([`CrashPoint`]) — the writer process dies at a chosen
-//!   stage of the commit protocol. Under the atomic protocol every crash
-//!   point must leave the repository recoverable to the *previous*
-//!   checkpoint; under the naive in-place protocol some points corrupt it
+//! * **A fault at a durable op** ([`arm`] a [`Fault`]) — the process dies
+//!   in, or an I/O error fails, the `n`-th write, rename or removal under
+//!   a directory; a test counts a scenario's ops ([`Armed::ops`]), then
+//!   crashes at each. Under the atomic protocol every op leaves the last
+//!   acknowledged checkpoint or the one in flight; the in-place baseline
+//!   ([`crate::repo::CommitMode::InPlaceUnsafe`]) orders the same writes
+//!   differently, and the sweep finds the op it does not survive
 //!   (experiment R-F8).
 //! * **Storage faults** ([`StorageFault`]) — bytes rot, files truncate, or
 //!   whole files vanish after a successful commit. These must always be
@@ -17,61 +20,8 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+pub use crate::durable::{arm, Armed, Fault};
 use crate::error::{Error, Result};
-
-/// Stage of the commit protocol at which the simulated crash fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CrashPoint {
-    /// After chunk objects are written but before the manifest exists.
-    AfterChunkWrites,
-    /// Mid-way through writing the manifest file; `keep_fraction_pct` percent
-    /// of the manifest bytes reach the target file before the crash.
-    MidManifestWrite {
-        /// Percentage (0–100) of manifest bytes persisted.
-        keep_fraction_pct: u8,
-    },
-    /// Manifest fully written, crash before the `LATEST` pointer moves.
-    BeforeLatestSwing,
-    /// Mid-way through writing the `LATEST` pointer (torn pointer).
-    MidLatestWrite,
-    /// Retention only: after tombstone records land durably in the local
-    /// manifest log but before the deletes are mirrored to a shared
-    /// backend — the interleaving that used to resurrect retired
-    /// checkpoints on the next fresh-directory sync. Not part of
-    /// [`CrashPoint::all`]; exercised by the retention crash tests.
-    AfterRetireLocal,
-}
-
-impl CrashPoint {
-    /// All crash points exercised by the evaluation, including torn writes.
-    pub fn all() -> Vec<CrashPoint> {
-        vec![
-            CrashPoint::AfterChunkWrites,
-            CrashPoint::MidManifestWrite {
-                keep_fraction_pct: 25,
-            },
-            CrashPoint::MidManifestWrite {
-                keep_fraction_pct: 75,
-            },
-            CrashPoint::BeforeLatestSwing,
-            CrashPoint::MidLatestWrite,
-        ]
-    }
-}
-
-impl std::fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CrashPoint::AfterChunkWrites => write!(f, "after-chunk-writes"),
-            CrashPoint::MidManifestWrite { keep_fraction_pct } => {
-                write!(f, "mid-manifest-write({keep_fraction_pct}%)")
-            }
-            CrashPoint::BeforeLatestSwing => write!(f, "before-latest-swing"),
-            CrashPoint::MidLatestWrite => write!(f, "mid-latest-write"),
-            CrashPoint::AfterRetireLocal => write!(f, "after-retire-local"),
-        }
-    }
-}
 
 /// Post-commit storage faults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -179,19 +129,5 @@ mod tests {
         let p = std::env::temp_dir().join("qcheck-fault-definitely-missing");
         assert!(inject_fault(&p, StorageFault::Delete).is_err());
         assert!(inject_fault(&p, StorageFault::BitFlip { offset: 0 }).is_err());
-    }
-
-    #[test]
-    fn crash_points_display() {
-        for cp in CrashPoint::all() {
-            assert!(!cp.to_string().is_empty());
-        }
-        assert_eq!(
-            CrashPoint::MidManifestWrite {
-                keep_fraction_pct: 25
-            }
-            .to_string(),
-            "mid-manifest-write(25%)"
-        );
     }
 }

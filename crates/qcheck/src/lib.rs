@@ -95,7 +95,7 @@
 //! | [`manifest_log`] | the O(1) commit protocol and its one owner: [`manifest_log::ManifestLog`] appends, publishes and compacts the manifest log + dual root slots, with the state machine `replay` runs |
 //! | [`verify`] | [`verify::fsck`]: read-only verification of every manifest, chunk and delta chain |
 //! | [`hash`] | in-repo SHA-256 and CRC32 |
-//! | [`failure`] | crash points and storage-fault injection |
+//! | [`failure`] | the fault plan ([`failure::arm`]: crash or fail the `n`-th durable op under a directory) and storage-fault injection |
 //! | [`error`] | the crate-wide [`error::Error`] |
 
 #![forbid(unsafe_code)]

@@ -50,17 +50,18 @@
 //! lands the records past the committed length (nothing is visible yet);
 //! [`ManifestLog::publish`] applies them to the cached state and writes
 //! the stale root slot. The holder may `append` and then return an error
-//! instead of publishing (a failed mirror write, a simulated crash): that
-//! leaves what a crash between the phases leaves — complete records beyond
-//! the committed length, which still count on replay (newest-valid-wins)
-//! and resolve, because their chunks were stored before `append`. The one
-//! rule: after any error the holder must [`ManifestLog::invalidate`], so
-//! the next [`ManifestLog::refresh`] replays what reached the disk.
+//! instead of publishing (a failed mirror write): that leaves what a crash
+//! between the phases leaves — complete records beyond the committed
+//! length, which still count on replay (newest-valid-wins) and resolve,
+//! because their chunks were stored before `append`. The one rule: after
+//! any error the holder must [`ManifestLog::invalidate`], so the next
+//! [`ManifestLog::refresh`] replays what reached the disk.
 //!
-//! [`CommitMode::InPlaceUnsafe`] (the paper's R-F8 baseline) differs in two
-//! places, each beside the write it changes: `publish` overwrites the
-//! *live* slot, and under the torn-append drill the root advances *before*
-//! its record lands.
+//! [`CommitMode::InPlaceUnsafe`] (the paper's R-F8 baseline) is one
+//! ordering decision, in `append`: the *live* slot takes the new committed
+//! length before the records land, so a crash inside the append leaves a
+//! torn record in the committed region. No write here knows about crashes:
+//! [`crate::failure::arm`] tears them at the `durable` seam.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -68,7 +69,7 @@ use std::path::{Path, PathBuf};
 
 use crate::durable;
 use crate::error::{Error, Result};
-use crate::failure::{CrashPoint, StorageFault};
+use crate::failure::StorageFault;
 use crate::hash::crc32;
 use crate::manifest::{CheckpointId, Manifest};
 
@@ -551,21 +552,17 @@ pub enum CommitMode {
     /// Append, then write the stale root slot; crash-safe at every point.
     #[default]
     Atomic,
-    /// Overwrite the live root slot in place — the unsafe baseline.
+    /// Overwrite the live root slot, then append — the unsafe baseline.
     InPlaceUnsafe,
 }
 
 /// How one commit is written: the part of a save's options the log acts on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommitWrite {
-    /// Which root slot `publish` writes.
+    /// Which root slot is written, and when.
     pub mode: CommitMode,
     /// fsync the log append and the root-slot write.
     pub fsync: bool,
-    /// Torn-write drill: `MidManifestWrite` fires inside `append`,
-    /// `MidLatestWrite` inside `publish`; the other crash points sit
-    /// between the caller's own steps and are ignored here.
-    pub crash: Option<CrashPoint>,
 }
 
 /// Records [`ManifestLog::append`] has landed and
@@ -686,37 +683,19 @@ impl ManifestLog {
 
     /// Phase one of a commit: lands `records` (whole framed records) past
     /// the committed length, after dropping a torn tail. Nothing is
-    /// visible until [`Self::publish`].
+    /// visible until [`Self::publish`] — unless `how` is
+    /// [`CommitMode::InPlaceUnsafe`], which publishes first.
     ///
     /// # Errors
     ///
-    /// Filesystem errors, or [`Error::SimulatedCrash`] under the
-    /// [`CrashPoint::MidManifestWrite`] drill.
+    /// Filesystem errors.
     pub fn append(&mut self, records: Vec<u8>, how: &CommitWrite) -> Result<Appended> {
         self.truncate_torn_tail()?;
-        let st = &self.state;
-        if let Some(CrashPoint::MidManifestWrite { keep_fraction_pct }) = how.crash {
-            // Torn append: bytes land past the committed length and the
-            // root never moves — recovery truncates them as debris, no
-            // detectable corruption remains.
-            let keep = records.len() * keep_fraction_pct.min(100) as usize / 100;
-            let mut mode = "atomic";
-            if how.mode == CommitMode::InPlaceUnsafe {
-                // The unsafe baseline advances the committed length
-                // *before* the record lands, so the torn record sits
-                // inside the committed region — detectable corruption
-                // recovery must flag (experiment R-F8).
-                let end = st.file_len.max(LOG_HEADER_LEN) + records.len() as u64;
-                let root = self.next_root(st.epoch, end);
-                write_root_slot(&self.dir, st.root_slot, &root, false)?;
-                mode = "in-place";
-            }
-            append_to_log(&self.dir, st.epoch, &records[..keep], false)?;
-            return Err(Error::SimulatedCrash {
-                at: format!("mid-manifest-write({mode},{keep})"),
-            });
+        if how.mode == CommitMode::InPlaceUnsafe {
+            let offset = self.state.file_len.max(LOG_HEADER_LEN);
+            self.flip(&records, offset, self.state.root_slot, how.fsync)?;
         }
-        let offset = append_to_log(&self.dir, st.epoch, &records, how.fsync)?;
+        let offset = append_to_log(&self.dir, self.state.epoch, &records, how.fsync)?;
         Ok(Appended {
             offset,
             records,
@@ -726,40 +705,31 @@ impl ManifestLog {
 
     /// Phase two: applies the appended records to the cached state — with
     /// the function [`replay`] applies them with — and makes them the
-    /// committed view by writing a root slot with generation + 1. Returns
-    /// the fsyncs the whole commit issued (0, or 2 with `fsync` on).
+    /// committed view by writing the stale root slot (a torn write only
+    /// damages a root already stale) with generation + 1. Returns the
+    /// fsyncs the whole commit issued (0, or 2 with `fsync` on).
     ///
     /// # Errors
     ///
-    /// Filesystem errors, or [`Error::SimulatedCrash`] under the
-    /// [`CrashPoint::MidLatestWrite`] drill; the cached state is then
-    /// ahead of the disk and must be [`Self::invalidate`]d.
+    /// Filesystem errors; the cached state is then ahead of the disk and
+    /// must be [`Self::invalidate`]d.
     pub fn publish(&mut self, appended: Appended) -> Result<u64> {
         let how = appended.how;
-        let end = appended.offset + appended.records.len() as u64;
-        self.state.scan(&appended.records, appended.offset);
-        let root = self.next_root(self.state.epoch, end);
-        // Atomic mode writes the *stale* slot (a torn write can only
-        // damage a root that was already stale); the in-place baseline
-        // overwrites the live slot.
-        let slot = match how.mode {
-            CommitMode::Atomic => 1 - self.state.root_slot,
-            CommitMode::InPlaceUnsafe => self.state.root_slot,
-        };
-        if let Some(CrashPoint::MidLatestWrite) = how.crash {
-            let bytes = root.encode();
-            durable::overwrite(
-                &root_slot_path(&self.dir, slot),
-                &bytes[..bytes.len() / 2],
-                false,
-            )?;
-            return Err(Error::SimulatedCrash {
-                at: CrashPoint::MidLatestWrite.to_string(),
-            });
+        if how.mode == CommitMode::Atomic {
+            let stale = 1 - self.state.root_slot;
+            self.flip(&appended.records, appended.offset, stale, how.fsync)?;
         }
-        write_root_slot(&self.dir, slot, &root, how.fsync)?;
-        self.state.rooted(&root, slot);
         Ok(2 * u64::from(how.fsync))
+    }
+
+    /// Applies `records`, framed at log offset `offset`, to the cached
+    /// state and writes the root that commits them into `slot`.
+    fn flip(&mut self, records: &[u8], offset: u64, slot: usize, fsync: bool) -> Result<()> {
+        self.state.scan(records, offset);
+        let root = self.next_root(self.state.epoch, offset + records.len() as u64);
+        write_root_slot(&self.dir, slot, &root, fsync)?;
+        self.state.rooted(&root, slot);
+        Ok(())
     }
 
     /// Both phases back to back (atomic, no fsync), for commits with
@@ -814,7 +784,7 @@ impl ManifestLog {
         write_root_slot(&self.dir, slot, &root, true)?;
         for old in list_log_epochs(&self.dir) {
             if old != epoch {
-                let _ = fs::remove_file(log_path(&self.dir, old));
+                durable::remove(&log_path(&self.dir, old))?;
             }
         }
         // The new epoch's state is what its log replays to.
@@ -1161,54 +1131,86 @@ mod tests {
         }
     }
 
-    /// The two ways `InPlaceUnsafe` differs, and the torn-write drills,
-    /// beside the writes they change.
+    /// A crash at each write of a commit, torn by the fault plan at the
+    /// `durable` seam (the protocol holds no drill of its own), atomic and
+    /// in place; and the in-place order, completed, writes the same bytes.
     #[test]
     fn drills_tear_the_write_they_name() {
-        let torn = |mode, crash| CommitWrite {
-            mode,
+        use crate::failure::{arm, Fault};
+        let torn = Fault::Crash { keep_pct: 50 };
+        let in_place = CommitWrite {
+            mode: CommitMode::InPlaceUnsafe,
             fsync: false,
-            crash: Some(crash),
         };
-        let mid_append = CrashPoint::MidManifestWrite {
-            keep_fraction_pct: 50,
-        };
-        // Atomic: a torn append is debris past the committed length.
+        // Atomic: a torn append (op 1) is debris past the committed length.
         let dir = scratch("drill-atomic");
         let mut log = log_with(&dir, &[A]);
-        let err = log
-            .append(
-                put_and_advance(&manifest(B)),
-                &torn(CommitMode::Atomic, mid_append),
-            )
-            .unwrap_err();
+        let err = {
+            let _armed = arm(&dir, 1, torn);
+            log.append(put_and_advance(&manifest(B)), &CommitWrite::default())
+                .unwrap_err()
+        };
         assert!(matches!(err, Error::SimulatedCrash { .. }), "{err}");
         let st = replay(&dir).unwrap();
         assert_eq!((st.generation, st.manifests.len()), (1, 1));
         assert!(st.damaged.is_empty() && st.file_len > st.valid_len);
-        // A torn root write only ever hits the stale slot.
+        // A torn root write (op 3, after cutting that tail and appending)
+        // only ever hits the stale slot.
         log.invalidate();
         log.refresh().unwrap();
         let live = log.state().root_slot;
-        let how = torn(CommitMode::Atomic, CrashPoint::MidLatestWrite);
-        let appended = log.append(put_and_advance(&manifest(B)), &how).unwrap();
-        assert!(log.publish(appended).is_err());
+        {
+            let _armed = arm(&dir, 3, torn);
+            let appended = log
+                .append(put_and_advance(&manifest(B)), &CommitWrite::default())
+                .unwrap();
+            assert!(log.publish(appended).is_err());
+        }
         let st = replay(&dir).unwrap();
         assert_eq!((st.generation, st.root_slot), (1, live));
         assert!(st.root_fallback);
         assert_eq!(st.manifests.len(), 2, "the complete append still counts");
         let _ = fs::remove_dir_all(dir);
 
-        // In place: the root advances before the record lands, so the
-        // torn record sits inside the committed region — real damage.
+        // In place: the live root advances (op 1) before the record lands
+        // (op 2), so the torn record sits inside the committed region —
+        // real damage.
         let dir = scratch("drill-inplace");
         let mut log = log_with(&dir, &[A]);
         let live = log.state().root_slot;
-        let how = torn(CommitMode::InPlaceUnsafe, mid_append);
-        assert!(log.append(put_and_advance(&manifest(B)), &how).is_err());
+        {
+            let _armed = arm(&dir, 2, torn);
+            assert!(log
+                .append(put_and_advance(&manifest(B)), &in_place)
+                .is_err());
+        }
         let st = replay(&dir).unwrap();
         assert_eq!((st.generation, st.root_slot), (2, live));
         assert_eq!(st.damaged.len(), 1, "{:?}", st.damaged);
         let _ = fs::remove_dir_all(dir);
+
+        // Completed, the in-place order leaves the log and root bytes an
+        // atomic commit leaves, the root in the other slot.
+        let (atomic_dir, in_place_dir) = (scratch("order-atomic"), scratch("order-inplace"));
+        let mut atomic = log_with(&atomic_dir, &[A]);
+        let mut unsafe_log = log_with(&in_place_dir, &[A]);
+        commit(&mut atomic, put_and_advance(&manifest(B)));
+        let appended = unsafe_log
+            .append(put_and_advance(&manifest(B)), &in_place)
+            .unwrap();
+        assert_eq!(unsafe_log.publish(appended).unwrap(), 0);
+        assert_eq!(unsafe_log.state(), &replay(&in_place_dir).unwrap());
+        let (a, b) = (atomic.state(), unsafe_log.state());
+        assert_eq!((a.generation, a.root_slot), (2, 1 - b.root_slot));
+        assert_eq!(
+            fs::read(atomic.log_path()).unwrap(),
+            fs::read(unsafe_log.log_path()).unwrap()
+        );
+        assert_eq!(
+            fs::read(root_slot_path(&atomic_dir, a.root_slot)).unwrap(),
+            fs::read(root_slot_path(&in_place_dir, b.root_slot)).unwrap()
+        );
+        let _ = fs::remove_dir_all(atomic_dir);
+        let _ = fs::remove_dir_all(in_place_dir);
     }
 }

@@ -221,11 +221,7 @@ impl Namespace {
     }
 
     pub(crate) fn meta_delete(&self, name: &str) -> Result<()> {
-        match fs::remove_file(self.meta_path(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(Error::io(format!("deleting meta {name}"), e)),
-        }
+        crate::durable::remove(&self.meta_path(name))
     }
 }
 

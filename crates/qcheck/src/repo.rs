@@ -28,10 +28,10 @@
 //! The commit protocol itself (framing, root slots, what a crash at any
 //! byte leaves, the in-place baseline of experiment R-F8) is
 //! [`crate::manifest_log`]'s. This module decides *which* records to
-//! write, places the mirror calls between the two phases, and owns the
-//! three crash points that sit between its own steps. Recovery replays the
-//! log; a directory in the older `manifests/` + `LATEST` layout is refused
-//! on open, untouched.
+//! write and places the mirror calls between the two phases; crashes are
+//! injected under it, at the `durable` seam ([`crate::failure::arm`]).
+//! Recovery replays the log; a directory in the older `manifests/` +
+//! `LATEST` layout is refused on open, untouched.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -46,7 +46,7 @@ use crate::chunk::{chunk_bytes_threads, DEFAULT_CHUNK_SIZE};
 use crate::compress::Compression;
 use crate::delta::{BlockPatch, DEFAULT_BLOCK_SIZE};
 use crate::error::{Error, Result};
-use crate::failure::{CrashPoint, StorageFault};
+use crate::failure::StorageFault;
 use crate::hash::Sha256;
 use crate::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
 pub use crate::manifest_log::CommitMode;
@@ -170,8 +170,6 @@ pub struct SaveOptions {
     pub commit: CommitMode,
     /// fsync staged files before rename.
     pub fsync: bool,
-    /// Optional simulated crash (evaluation only).
-    pub crash: Option<CrashPoint>,
     /// Override the manifest timestamp (tests / determinism).
     pub created_unix_ms: Option<u64>,
 }
@@ -185,7 +183,6 @@ impl Default for SaveOptions {
             delta_block_size: DEFAULT_BLOCK_SIZE,
             commit: CommitMode::Atomic,
             fsync: false,
-            crash: None,
             created_unix_ms: None,
         }
     }
@@ -585,8 +582,8 @@ impl CheckpointRepo {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, on integrity failures while reading the delta
-    /// base, or with [`Error::SimulatedCrash`] when a crash point fires.
+    /// Fails on I/O errors, or on integrity failures while reading the
+    /// delta base.
     pub fn save(&self, snapshot: &TrainingSnapshot, options: &SaveOptions) -> Result<SaveReport> {
         if options.chunk_size == 0 || options.delta_block_size == 0 {
             return Err(Error::InvalidConfig(
@@ -756,12 +753,6 @@ impl CheckpointRepo {
             })
             .collect();
 
-        if let Some(CrashPoint::AfterChunkWrites) = options.crash {
-            return Err(Error::SimulatedCrash {
-                at: CrashPoint::AfterChunkWrites.to_string(),
-            });
-        }
-
         let (kind, chain_len) = match &base {
             Some((m, _)) => (
                 CheckpointKind::Delta { base: m.id.clone() },
@@ -786,7 +777,6 @@ impl CheckpointRepo {
         let how = CommitWrite {
             mode: options.commit,
             fsync: options.fsync,
-            crash: options.crash,
         };
         let mut records =
             mlog::encode_record(RecordKind::ManifestPut, id.as_str(), &manifest_bytes);
@@ -804,11 +794,6 @@ impl CheckpointRepo {
             // between leaves the remote one checkpoint behind the local
             // directory, never ahead of its data.
             self.mirror_meta(&format!("manifests/{}", id.file_name()), &manifest_bytes)?;
-            if let Some(CrashPoint::BeforeLatestSwing) = options.crash {
-                return Err(Error::SimulatedCrash {
-                    at: CrashPoint::BeforeLatestSwing.to_string(),
-                });
-            }
             let fsyncs = log.publish(appended)?;
             self.mirror_meta("LATEST", format!("{}\n", id.as_str()).as_bytes())?;
             Ok(fsyncs)
@@ -1392,24 +1377,6 @@ impl CheckpointRepo {
     ///
     /// Fails on filesystem errors.
     pub fn apply_retention(&self, retention: Retention) -> Result<RetentionReport> {
-        self.apply_retention_with(retention, None)
-    }
-
-    /// [`Self::apply_retention`] with an optional injected crash point
-    /// ([`CrashPoint::AfterRetireLocal`] fires between the local
-    /// tombstone append and the mirror deletes — the exact interleaving
-    /// that used to resurrect retired checkpoints on the next fresh-dir
-    /// sync).
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors, or [`Error::SimulatedCrash`] at the
-    /// injected point.
-    pub fn apply_retention_with(
-        &self,
-        retention: Retention,
-        crash: Option<CrashPoint>,
-    ) -> Result<RetentionReport> {
         let mut report = RetentionReport::default();
         let keep_n = match retention {
             Retention::KeepAll => {
@@ -1422,11 +1389,6 @@ impl CheckpointRepo {
         // Phase 1 (durable, local): compute the retire set against the
         // replayed state and append its tombstone records in one flip.
         let retired = self.with_log(|log| Self::retire(log, keep_n))?;
-        if matches!(crash, Some(CrashPoint::AfterRetireLocal)) && !retired.is_empty() {
-            return Err(Error::SimulatedCrash {
-                at: CrashPoint::AfterRetireLocal.to_string(),
-            });
-        }
         // Phase 2: mirror the deletes (idempotent — missing names are
         // fine, so crash-replay of this loop converges).
         if self.store.is_shared() {
@@ -1642,6 +1604,7 @@ pub fn naive_statevector_bytes(num_qubits: u32) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::{arm, Fault};
     use crate::snapshot::StateBlob;
 
     struct TempRepo {
@@ -1813,38 +1776,54 @@ mod tests {
         }
     }
 
+    /// A repository holding checkpoint 1, and how many durable ops saving
+    /// checkpoint 2 into it under `opts` issues in its directory (counted
+    /// on a twin: the pack publish, if the chunks are local, then the two
+    /// commit writes — so the tests below index from the end and hold on
+    /// every backend).
+    fn one_checkpoint_and_ops_of_the_next(opts: &SaveOptions) -> (TempRepo, CheckpointRepo, u64) {
+        let setup = || {
+            let (t, repo) = TempRepo::new();
+            repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
+                .unwrap();
+            (t, repo)
+        };
+        let ops = {
+            let (_t, twin) = setup();
+            let counting = arm(twin.root(), 0, Fault::Fail);
+            twin.save(&snapshot_at(2, vec![2.0; 100]), opts).unwrap();
+            counting.ops()
+        };
+        let (t, repo) = setup();
+        (t, repo, ops)
+    }
+
+    /// Saves checkpoint 2 under `opts` with `fault` armed at its `at`-th
+    /// durable op, and returns the save's error.
+    fn save_2_with(repo: &CheckpointRepo, opts: &SaveOptions, at: u64, fault: Fault) -> Error {
+        let _armed = arm(repo.root(), at, fault);
+        repo.save(&snapshot_at(2, vec![2.0; 100]), opts)
+            .unwrap_err()
+    }
+
     #[test]
     fn crash_before_manifest_leaves_previous_state() {
-        let (_t, repo) = TempRepo::new();
-        repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
-            .unwrap();
-        let opts = SaveOptions {
-            crash: Some(CrashPoint::AfterChunkWrites),
-            ..SaveOptions::default()
-        };
-        let err = repo
-            .save(&snapshot_at(2, vec![2.0; 100]), &opts)
-            .unwrap_err();
-        assert!(matches!(err, Error::SimulatedCrash { .. }));
+        let opts = SaveOptions::default();
+        let (_t, repo, ops) = one_checkpoint_and_ops_of_the_next(&opts);
+        // The append (second-to-last op) dies before a byte of it lands:
+        // the chunks are stored, the manifest is not.
+        let err = save_2_with(&repo, &opts, ops - 1, Fault::Crash { keep_pct: 0 });
+        assert!(matches!(err, Error::SimulatedCrash { .. }), "{err}");
         let (snap, _) = repo.recover().unwrap();
         assert_eq!(snap.step, 1);
     }
 
     #[test]
     fn atomic_mid_manifest_crash_is_recoverable() {
-        let (_t, repo) = TempRepo::new();
-        repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
-            .unwrap();
+        let opts = SaveOptions::default();
         for pct in [10u8, 50, 90] {
-            let opts = SaveOptions {
-                crash: Some(CrashPoint::MidManifestWrite {
-                    keep_fraction_pct: pct,
-                }),
-                ..SaveOptions::default()
-            };
-            let _ = repo
-                .save(&snapshot_at(2, vec![2.0; 100]), &opts)
-                .unwrap_err();
+            let (_t, repo, ops) = one_checkpoint_and_ops_of_the_next(&opts);
+            save_2_with(&repo, &opts, ops - 1, Fault::Crash { keep_pct: pct });
             let (snap, report) = repo.recover().unwrap();
             assert_eq!(snap.step, 1, "pct {pct}");
             assert!(report.skipped.is_empty(), "atomic mode left no debris");
@@ -1853,19 +1832,14 @@ mod tests {
 
     #[test]
     fn inplace_mid_manifest_crash_leaves_detectable_corruption() {
-        let (_t, repo) = TempRepo::new();
-        repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
-            .unwrap();
         let opts = SaveOptions {
             commit: CommitMode::InPlaceUnsafe,
-            crash: Some(CrashPoint::MidManifestWrite {
-                keep_fraction_pct: 60,
-            }),
             ..SaveOptions::default()
         };
-        let _ = repo
-            .save(&snapshot_at(2, vec![2.0; 100]), &opts)
-            .unwrap_err();
+        let (_t, repo, ops) = one_checkpoint_and_ops_of_the_next(&opts);
+        // In place, the append is the last op: the live root already
+        // claims the bytes it tears.
+        save_2_with(&repo, &opts, ops, Fault::Crash { keep_pct: 60 });
         // The torn manifest exists on disk but must be rejected, not
         // silently half-read.
         let (snap, report) = repo.recover().unwrap();
@@ -1875,17 +1849,9 @@ mod tests {
 
     #[test]
     fn torn_latest_pointer_does_not_break_recovery() {
-        let (_t, repo) = TempRepo::new();
-        repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
-            .unwrap();
-        let opts = SaveOptions {
-            commit: CommitMode::InPlaceUnsafe,
-            crash: Some(CrashPoint::MidLatestWrite),
-            ..SaveOptions::default()
-        };
-        let _ = repo
-            .save(&snapshot_at(2, vec![2.0; 100]), &opts)
-            .unwrap_err();
+        let opts = SaveOptions::default();
+        let (_t, repo, ops) = one_checkpoint_and_ops_of_the_next(&opts);
+        save_2_with(&repo, &opts, ops, Fault::Crash { keep_pct: 50 });
         // load_latest may fail (torn pointer), recover() must not.
         let (snap, _) = repo.recover().unwrap();
         assert_eq!(
@@ -2160,23 +2126,16 @@ mod tests {
 
     #[test]
     fn recover_clears_staging_debris() {
-        let (_t, repo) = TempRepo::new();
-        repo.save(&snapshot_at(1, vec![1.0; 100]), &SaveOptions::default())
-            .unwrap();
-        let opts = SaveOptions {
-            crash: Some(CrashPoint::MidManifestWrite {
-                keep_fraction_pct: 50,
-            }),
-            ..SaveOptions::default()
-        };
-        let _ = repo
-            .save(&snapshot_at(2, vec![2.0; 100]), &opts)
-            .unwrap_err();
+        let opts = SaveOptions::default();
+        let (_t, repo, _) = one_checkpoint_and_ops_of_the_next(&opts);
+        // Half of the save's first write lands: a staged pack, or (chunks
+        // on a daemon) a torn log tail.
+        save_2_with(&repo, &opts, 1, Fault::Crash { keep_pct: 50 });
         let (snap, report) = repo.recover().unwrap();
         assert_eq!(snap.step, 1);
         assert!(
             report.staging_cleared >= 1,
-            "the torn staged manifest must be garbage collected"
+            "the crash's debris must be garbage collected"
         );
         let leftovers = fs::read_dir(repo.root().join("tmp")).unwrap().count();
         assert_eq!(leftovers, 0);

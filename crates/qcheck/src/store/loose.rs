@@ -175,8 +175,7 @@ impl ObjectStore for LooseStore {
                 live_stats.total_bytes += len;
             } else {
                 if !dry_run {
-                    fs::remove_file(&path)
-                        .map_err(|e| Error::io(format!("deleting {}", path.display()), e))?;
+                    durable::remove(&path)?;
                 }
                 report.deleted += 1;
                 report.reclaimed_bytes += len;

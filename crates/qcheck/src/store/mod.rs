@@ -484,10 +484,7 @@ impl StoreBackend {
                 )
             })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                fs::create_dir_all(root)
-                    .map_err(|e| Error::io(format!("creating {}", root.display()), e))?;
-                fs::write(&marker, format!("{}\n", requested.as_str()))
-                    .map_err(|e| Error::io(format!("writing {}", marker.display()), e))?;
+                publish_marker(root, STORE_MARKER_FILE, requested.as_str(), false)?;
                 requested
             }
             Err(e) => return Err(Error::io(format!("reading {}", marker.display()), e)),
@@ -571,14 +568,25 @@ fn resolve_remote_namespace(root: &Path, pinned: Option<String>) -> Result<Strin
                     .to_le_bytes(),
             );
             let ns = format!("auto-{}", &h.finalize().to_hex()[..16]);
-            fs::create_dir_all(root)
-                .map_err(|e| Error::io(format!("creating {}", root.display()), e))?;
-            fs::write(&marker, format!("{ns}\n"))
-                .map_err(|e| Error::io(format!("writing {}", marker.display()), e))?;
+            // Flushed: lost, it would restart the run in a new namespace.
+            publish_marker(root, REMOTE_NS_MARKER_FILE, &ns, true)?;
             Ok(ns)
         }
         Err(e) => Err(Error::io(format!("reading {}", marker.display()), e)),
     }
+}
+
+/// Publishes the one-line marker `name` under `root`, staged in `root/tmp/`
+/// (which recovery clears), so a torn marker is never read.
+fn publish_marker(root: &Path, name: &str, value: &str, fsync: bool) -> Result<()> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let tmp_dir = root.join("tmp");
+    fs::create_dir_all(&tmp_dir)
+        .map_err(|e| Error::io(format!("creating {}", tmp_dir.display()), e))?;
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = tmp_dir.join(format!("{name}-{}-{seq}", std::process::id()));
+    let line = format!("{value}\n");
+    crate::durable::publish(&tmp, &root.join(name), line.as_bytes(), fsync)
 }
 
 macro_rules! delegate {

@@ -675,8 +675,7 @@ impl ObjectStore for PackStore {
             let old_path = self.pack_path(&name);
             let pack_hashes: Vec<ContentHash> = entries.iter().map(|(h, _)| *h).collect();
             if live.is_empty() {
-                fs::remove_file(&old_path)
-                    .map_err(|e| Error::io(format!("deleting {}", old_path.display()), e))?;
+                durable::remove(&old_path)?;
                 index.remove_pack_entries(slot, &pack_hashes);
                 continue;
             }
@@ -704,7 +703,7 @@ impl ObjectStore for PackStore {
                 .collect();
             index.remove_pack_entries(slot, &pack_hashes);
             index.insert_pack(new_name, new_entries);
-            let _ = fs::remove_file(&old_path);
+            durable::remove(&old_path)?;
         }
         drop(index);
         if !dry_run {

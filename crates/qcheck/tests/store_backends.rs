@@ -9,14 +9,15 @@
 //! reachability and identical fsck health — only the syscall profile
 //! (renames/fsyncs per save) may differ. These properties drive random
 //! operation sequences against all backends side by side and assert
-//! exactly that, plus the crash-safety contract (every simulated crash
-//! point leaves every repository recoverable to the same state, and
-//! `recover` clears the staging debris the crash left behind — local
-//! *and*, for the remote backend, server-side via `CLEAR_STAGING`).
+//! exactly that, plus the crash-safety contract (a crash at every durable
+//! op of a save leaves every repository recoverable — to the last
+//! acknowledged checkpoint up to some op, to the one in flight from there
+//! on — and `recover` clears the staging debris the crash left behind —
+//! local *and*, for the remote backend, server-side via `CLEAR_STAGING`).
 
 use proptest::prelude::*;
 
-use qcheck::failure::CrashPoint;
+use qcheck::failure::{arm, Fault};
 use qcheck::remote::{
     spawn_daemon, DaemonHandle, RemoteStore, ReplStop, ReplicateConfig, Server, ServerConfig,
 };
@@ -318,54 +319,80 @@ proptest! {
         }
     }
 
-    /// Every simulated crash point leaves EVERY backend recoverable to the
-    /// same pre-crash state, and `recover` clears the staging debris.
+    /// A crash at every durable op of a save, on every backend, leaves a
+    /// reopened handle recovering the last acknowledged snapshot up to
+    /// some op and the one in flight from there on — never a third state,
+    /// never back again — with an empty staging area. A crash before the
+    /// first op's bytes all land keeps checkpoint `committed_saves`; one
+    /// after the last op's bytes all landed keeps the new one.
     #[test]
     fn crash_points_recover_identically_on_all_backends(
         committed_saves in 1u8..4,
-        crash_idx in 0usize..5,
+        keep_pct in prop_oneof![Just(0u8), Just(50), Just(100)],
     ) {
         // (Crash recovery never sweeps objects, so the pack GC deferral
         // threshold is irrelevant here — no pinning needed.)
-        let crash = CrashPoint::all()[crash_idx];
-        let loose_dir = TempDir::new("crash-loose");
-        let pack_dir = TempDir::new("crash-pack");
-        let remote_dir = TempDir::new("crash-remote");
-        let (_daemon, remote) = remote_repo(&remote_dir.0, "crash");
-        let repos = [
-            CheckpointRepo::open_with(&loose_dir.0, StoreKind::Loose).unwrap(),
-            CheckpointRepo::open_with(&pack_dir.0, StoreKind::Pack).unwrap(),
-            remote,
-        ];
-
-        let mut outcomes = Vec::new();
-        for repo in &repos {
-            let mut params = vec![0.25f64; N_PARAMS];
-            for step in 1..=committed_saves as u64 {
-                params[step as usize] += 0.5;
-                repo.save(&snapshot_at(step, &params), &options(SaveMode::Full)).unwrap();
-            }
-            params[0] = -1.0;
-            let crashing = SaveOptions {
-                crash: Some(crash),
-                ..options(SaveMode::Full)
+        for kind in [StoreKind::Loose, StoreKind::Pack, StoreKind::Remote] {
+            // One fresh repository per case: the client directory is armed
+            // (for the remote backend the daemon lives on, as it would).
+            let case = |at: u64, fault: Fault| {
+                let dir = TempDir::new("crash");
+                let (daemon, repo) = match kind {
+                    StoreKind::Remote => {
+                        let (daemon, repo) = remote_repo(&dir.0, "crash");
+                        (Some(daemon), repo)
+                    }
+                    _ => (None, CheckpointRepo::open_with(&dir.0, kind).unwrap()),
+                };
+                let mut params = vec![0.25f64; N_PARAMS];
+                for step in 1..=committed_saves as u64 {
+                    params[step as usize] += 0.5;
+                    repo.save(&snapshot_at(step, &params), &options(SaveMode::Full)).unwrap();
+                }
+                params[0] = -1.0;
+                let armed = arm(repo.root(), at, fault);
+                let saved = repo.save(
+                    &snapshot_at(committed_saves as u64 + 1, &params),
+                    &options(SaveMode::Full),
+                );
+                let ops = armed.ops();
+                drop(armed);
+                let root = repo.root().to_path_buf();
+                let namespace = repo.store().remote().map(|r| r.namespace().to_string());
+                drop(repo);
+                let reopened = match (&daemon, namespace) {
+                    (Some(daemon), Some(ns)) => {
+                        let store = RemoteStore::connect(daemon.addr(), ns).unwrap();
+                        CheckpointRepo::with_store(&root, StoreBackend::Remote(store)).unwrap()
+                    }
+                    _ => CheckpointRepo::open_with(&root, kind).unwrap(),
+                };
+                let (snap, _) = reopened.recover().unwrap();
+                let leftovers = std::fs::read_dir(root.join("tmp")).unwrap().count();
+                (saved.is_ok(), ops, snap.step, leftovers, dir)
             };
-            let err = repo
-                .save(&snapshot_at(committed_saves as u64 + 1, &params), &crashing)
-                .unwrap_err();
-            prop_assert!(matches!(err, qcheck::Error::SimulatedCrash { .. }));
-
-            let (snap, report) = repo.recover().unwrap();
-            // The staging area must be empty after recovery — the whole
-            // point of clearing orphaned debris. (For the remote backend
-            // this covers the *local* manifest staging; server-side
-            // staging is exercised below.)
-            let leftovers = std::fs::read_dir(repo.root().join("tmp")).unwrap().count();
-            prop_assert_eq!(leftovers, 0, "recover must clear staging debris");
-            outcomes.push((snap.step, snap.params.clone(), report.recovered));
+            let (saved, ops, step, _, _) = case(0, Fault::Fail);
+            prop_assert!(saved && step == committed_saves as u64 + 1, "{} counting run", kind);
+            let mut steps = Vec::new();
+            for at in 1..=ops {
+                let (saved, _, step, leftovers, _dir) = case(at, Fault::Crash { keep_pct });
+                prop_assert!(!saved, "{} op {}: the crash must fail the save", kind, at);
+                prop_assert_eq!(leftovers, 0, "{} op {}: recover must clear staging debris", kind, at);
+                steps.push(step);
+            }
+            let (acked, in_flight) = (committed_saves as u64, committed_saves as u64 + 1);
+            if keep_pct == 100 {
+                prop_assert_eq!(steps[steps.len() - 1], in_flight, "{} last op", kind);
+            } else {
+                prop_assert_eq!(steps[0], acked, "{} first op", kind);
+            }
+            let switch = steps.iter().position(|s| *s == in_flight).unwrap_or(steps.len());
+            prop_assert!(
+                steps[..switch].iter().all(|s| *s == acked)
+                    && steps[switch..].iter().all(|s| *s == in_flight),
+                "{} at keep {}: {:?}", kind, keep_pct, steps
+            );
         }
-        prop_assert_eq!(&outcomes[0], &outcomes[1], "crash {:?} diverged loose/pack", crash);
-        prop_assert_eq!(&outcomes[0], &outcomes[2], "crash {:?} diverged loose/remote", crash);
     }
 }
 
@@ -563,10 +590,20 @@ fn retention_crash_before_mirror_deletes_does_not_resurrect() {
     assert_eq!(ids.len(), 3);
     let kept = ids.last().unwrap().clone();
 
-    let err = repo
-        .apply_retention_with(Retention::KeepLast(1), Some(CrashPoint::AfterRetireLocal))
-        .unwrap_err();
-    assert!(matches!(err, qcheck::Error::SimulatedCrash { .. }), "{err}");
+    // The daemon dies at its first op of the retention — the first mirror
+    // delete — after the tombstones landed in the client's log.
+    let err = {
+        let _armed = arm(
+            dir.0.join("daemon/ns").join(&ns),
+            1,
+            Fault::Crash { keep_pct: 0 },
+        );
+        repo.apply_retention(Retention::KeepLast(1)).unwrap_err()
+    };
+    assert!(
+        err.to_string().contains("op 1: remove meta/manifests/"),
+        "{err}"
+    );
 
     // The crash left the exact divergence of the bug: tombstones are
     // durable locally, but the mirror still lists every manifest.
@@ -858,14 +895,19 @@ fn dry_run_sweep_changes_no_file_and_predicts_the_sweep() {
                 .unwrap();
         }
         params.iter_mut().for_each(|p| *p = -*p);
-        let crashing = SaveOptions {
-            crash: Some(CrashPoint::AfterChunkWrites),
-            ..options(SaveMode::Full)
-        };
-        repo.save(&snapshot_at(4, &params), &crashing).unwrap_err();
-        // Retire without collecting: the crash fires before the GC.
-        repo.apply_retention_with(Retention::KeepLast(1), Some(CrashPoint::AfterRetireLocal))
-            .unwrap_err();
+        // `dir` holds the daemon too: its first op is the save's first
+        // chunk write, which lands whole before the process dies.
+        {
+            let _armed = arm(&dir.0, 1, Fault::Crash { keep_pct: 100 });
+            repo.save(&snapshot_at(4, &params), &options(SaveMode::Full))
+                .unwrap_err();
+        }
+        // Retire without collecting: the process dies once the tombstones
+        // are committed (the log append, the root write), before the GC.
+        {
+            let _armed = arm(&dir.0, 2, Fault::Crash { keep_pct: 100 });
+            repo.apply_retention(Retention::KeepLast(1)).unwrap_err();
+        }
 
         let before = file_map(&dir.0);
         let plan = repo.gc_plan().unwrap();

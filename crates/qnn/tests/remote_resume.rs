@@ -8,7 +8,7 @@
 //! included.
 
 use qcheck::error::Error as QcheckError;
-use qcheck::failure::CrashPoint;
+use qcheck::failure::{arm, Fault};
 use qcheck::policy::EveryKSteps;
 use qcheck::remote::{spawn_daemon, spawn_secondary, RemoteStore};
 use qcheck::repo::{CheckpointRepo, SaveOptions};
@@ -122,103 +122,116 @@ fn killed_run_resumes_bit_identically_from_a_fresh_directory() {
     let _ = std::fs::remove_dir_all(dir_b);
 }
 
-/// The kill lands while a save is in flight. At every crash point of the
-/// commit protocol, on pack and against the daemon: the writer thread's
-/// save dies after the training thread handed it a snapshot and went on
-/// stepping; the failure surfaces on a later step as its typed error; the
-/// process is then killed. What `recover` finds is a complete checkpoint
-/// no older than the last acknowledged one (step 4) — the log's
-/// newest-valid-wins rule may surface the finished-but-unflipped save of
-/// step 6, a torn one never — and a run restarted from it reproduces the
-/// uninterrupted trajectory bit for bit.
+/// The kill lands while a save is in flight, at every durable op the
+/// save issues in the killed process's working directory (keeping 0, 50
+/// and 100 % of that op), on pack and against the daemon: the writer
+/// thread's save dies after the training thread handed it a snapshot and
+/// went on stepping; the failure surfaces on a later step as its typed
+/// error; the process is then killed. What `recover` finds is a complete
+/// checkpoint no older than the last acknowledged one (step 4) — the
+/// log's newest-valid-wins rule may surface the finished-but-unflipped
+/// save of step 6, a torn one never — and a run restarted from it
+/// reproduces the uninterrupted trajectory bit for bit.
 #[test]
 fn a_kill_with_a_save_in_flight_resumes_from_an_acknowledged_checkpoint() {
     let _env = ENV_LOCK.lock().unwrap();
     let daemon = spawn_daemon(scratch("inflight-daemon"), StoreKind::Pack).unwrap();
     let reference: Vec<StepReport> = build_trainer(3).train_steps(12).unwrap();
 
+    let mut cases = 0;
     for remote in [false, true] {
-        for (case, point) in CrashPoint::all().into_iter().enumerate() {
-            let dir = scratch("inflight");
-            let ns = format!("inflight-{case}");
-            let start = |crash| {
-                let repo = if remote {
-                    open_remote_repo(&dir, &daemon.addr(), &ns)
-                } else {
-                    CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap()
+        // `at` 0 sizes the sweep: it counts the ops of the save of step 6.
+        let mut ops = 0;
+        let mut at = 0;
+        while at <= ops {
+            for keep_pct in [0, 50, 100] {
+                let dir = scratch("inflight");
+                let ns = format!("inflight-{at}-{keep_pct}");
+                let start = || {
+                    let repo = if remote {
+                        open_remote_repo(&dir, &daemon.addr(), &ns)
+                    } else {
+                        CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap()
+                    };
+                    ResumableRun::start(
+                        build_trainer(3),
+                        repo,
+                        Box::new(EveryKSteps::new(2)),
+                        SaveOptions::default(),
+                    )
+                    .unwrap()
                 };
-                let options = SaveOptions {
-                    crash,
-                    ..SaveOptions::default()
-                };
-                ResumableRun::start(
-                    build_trainer(3),
-                    repo,
-                    Box::new(EveryKSteps::new(2)),
-                    options,
-                )
-                .unwrap()
-            };
+                let case = format!("op {at}, keep {keep_pct} % (remote: {remote})");
 
-            // Process 1 dies with its checkpoint of step 4 acknowledged
-            // (dropping the run drains it).
-            start(None).run_to_step(4).unwrap();
+                // Process 1 dies with its checkpoint of step 4 acknowledged
+                // (dropping the run drains it).
+                start().run_to_step(4).unwrap();
 
-            // Process 2: the resumed driver counts from step 4, so step 5
-            // is not due and the save of step 6 is handed off — and dies
-            // at `point` on the writer thread while training goes on.
-            let mut run = start(Some(point));
-            assert!(matches!(
-                run.start_info(),
-                RunStart::Resumed { step: 4, .. }
-            ));
-            assert!(!run.step().unwrap().1, "{point}: step 5 is not due");
-            assert!(run.step().unwrap().1, "{point}: step 6 is handed off");
-            let surfaced = loop {
-                match run.step() {
-                    // Step 8 is due again and waits for the verdict.
-                    Ok((report, _)) => assert!(report.step < 8, "{point}: never surfaced"),
-                    Err(e) => break e,
+                // Process 2: the resumed driver counts from step 4, so step
+                // 5 is not due and the save of step 6 is handed off — and
+                // dies at op `at` on the writer thread while training goes
+                // on.
+                let mut run = start();
+                assert!(matches!(
+                    run.start_info(),
+                    RunStart::Resumed { step: 4, .. }
+                ));
+                let armed = arm(&dir, at, Fault::Crash { keep_pct });
+                assert!(!run.step().unwrap().1, "{case}: step 5 is not due");
+                assert!(run.step().unwrap().1, "{case}: step 6 is handed off");
+                if at == 0 {
+                    drop(run);
+                    ops = armed.ops();
+                    assert!(ops >= 2, "the save of step 6 issued {ops} ops");
+                    let _ = std::fs::remove_dir_all(&dir);
+                    break;
                 }
-            };
-            assert!(
-                matches!(
-                    surfaced,
-                    RunError::Storage(QcheckError::SimulatedCrash { .. })
-                ),
-                "{point}: {surfaced}"
-            );
-            assert!(run.trainer().step_count() > 6, "training had moved on");
-            drop(run);
-
-            // Process 3 resumes from whatever survived.
-            let mut run = start(None);
-            let resumed_at = match run.start_info() {
-                RunStart::Resumed { step, .. } => *step,
-                RunStart::Fresh => panic!("{point}: the acknowledged checkpoint is gone"),
-            };
-            let unflipped_but_whole = matches!(
-                point,
-                CrashPoint::BeforeLatestSwing | CrashPoint::MidLatestWrite
-            );
-            assert!(
-                resumed_at == 4 || (unflipped_but_whole && resumed_at == 6),
-                "{point} (remote: {remote}): resumed at step {resumed_at}"
-            );
-            let tail = run.run_to_step(12).unwrap();
-            assert_eq!(tail.len() as u64, 12 - resumed_at);
-            for (resumed, reference) in tail.iter().zip(&reference[resumed_at as usize..]) {
-                assert_eq!(
-                    resumed.loss.to_bits(),
-                    reference.loss.to_bits(),
-                    "{point} (remote: {remote}): diverged at step {}",
-                    resumed.step
+                let surfaced = loop {
+                    match run.step() {
+                        // Step 8 is due again and waits for the verdict.
+                        Ok((report, _)) => assert!(report.step < 8, "{case}: never surfaced"),
+                        Err(e) => break e,
+                    }
+                };
+                assert!(
+                    matches!(
+                        surfaced,
+                        RunError::Storage(QcheckError::SimulatedCrash { .. })
+                    ),
+                    "{case}: {surfaced}"
                 );
+                assert!(run.trainer().step_count() > 6, "training had moved on");
+                drop(run);
+                drop(armed);
+
+                // Process 3 resumes from whatever survived.
+                let mut run = start();
+                let resumed_at = match run.start_info() {
+                    RunStart::Resumed { step, .. } => *step,
+                    RunStart::Fresh => panic!("{case}: the acknowledged checkpoint is gone"),
+                };
+                assert!(
+                    resumed_at == 4 || resumed_at == 6,
+                    "{case}: resumed at step {resumed_at}"
+                );
+                let tail = run.run_to_step(12).unwrap();
+                assert_eq!(tail.len() as u64, 12 - resumed_at);
+                for (resumed, reference) in tail.iter().zip(&reference[resumed_at as usize..]) {
+                    assert_eq!(
+                        resumed.loss.to_bits(),
+                        reference.loss.to_bits(),
+                        "{case}: diverged at step {}",
+                        resumed.step
+                    );
+                }
+                run.finish().unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                cases += 1;
             }
-            run.finish().unwrap();
-            let _ = std::fs::remove_dir_all(dir);
+            at += 1;
         }
     }
+    println!("kill-with-a-save-in-flight matrix: {cases} crashed saves");
 }
 
 /// The replicated form of the acceptance drill: the *daemon* is what

@@ -5,7 +5,7 @@
 //! cargo run --example failure_drill
 //! ```
 
-use qnn_checkpoint::qcheck::failure::{CrashPoint, StorageFault};
+use qnn_checkpoint::qcheck::failure::{arm, Fault, StorageFault};
 use qnn_checkpoint::qcheck::repo::{CheckpointRepo, CommitMode, SaveOptions};
 use qnn_checkpoint::qcheck::snapshot::Checkpointable;
 use qnn_checkpoint::qcheck::store::ObjectStore;
@@ -38,61 +38,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Two good checkpoints.
     t.train_step()?;
-    repo.save(&t.capture(), &SaveOptions::default())?;
+    let first = repo.save(&t.capture(), &SaveOptions::default())?;
     t.train_step()?;
     let second = repo.save(&t.capture(), &SaveOptions::default())?;
     println!("baseline: two good checkpoints (steps 1 and 2)\n");
 
-    // Drill 1: crash at every commit stage while writing a third checkpoint.
-    println!("-- crash-point drill (atomic commit protocol) --");
+    // Drills 1 and 2: a crash at every durable op of a third save
+    // (keeping 0, 50 and 100 % of the op), each on a fresh repository
+    // holding the two good checkpoints, under both commit protocols.
     t.train_step()?;
-    let snap3 = t.capture();
-    for crash in CrashPoint::all() {
-        let opts = SaveOptions {
-            crash: Some(crash),
-            ..SaveOptions::default()
-        };
-        let err = repo.save(&snap3, &opts).unwrap_err();
-        let (recovered, report) = repo.recover()?;
-        println!(
-            "crash {:<28} → save error '{}'; recovered step {} (skipped {})",
-            crash.to_string(),
-            err,
-            recovered.step,
-            report.skipped.len()
-        );
-        assert!(recovered.step >= 2);
-    }
-
-    // Drill 2: the same crash points under the naive in-place protocol.
-    println!("\n-- crash-point drill (naive in-place baseline) --");
-    for crash in CrashPoint::all() {
-        let opts = SaveOptions {
-            commit: CommitMode::InPlaceUnsafe,
-            crash: Some(crash),
-            ..SaveOptions::default()
-        };
-        let _ = repo.save(&snap3, &opts);
-        match repo.recover() {
-            Ok((recovered, report)) => println!(
-                "crash {:<28} → recovered step {} (skipped {} torn manifests)",
-                crash.to_string(),
-                recovered.step,
-                report.skipped.len()
-            ),
-            Err(e) => println!("crash {:<28} → unrecoverable: {e}", crash.to_string()),
+    let snaps = [repo.load(&first.id)?, repo.load(&second.id)?, t.capture()];
+    let crash_dir = dir.with_extension("crash");
+    for commit in [CommitMode::Atomic, CommitMode::InPlaceUnsafe] {
+        println!("-- crash at every durable op ({commit:?}) --");
+        for (at, keep_pct) in (1..).flat_map(|at| [0, 50, 100].map(|keep| (at, keep))) {
+            let crash = {
+                let repo = CheckpointRepo::open(&crash_dir)?;
+                repo.save(&snaps[0], &SaveOptions::default())?;
+                repo.save(&snaps[1], &SaveOptions::default())?;
+                let _armed = arm(&crash_dir, at, Fault::Crash { keep_pct });
+                let opts = SaveOptions {
+                    commit,
+                    ..SaveOptions::default()
+                };
+                repo.save(&snaps[2], &opts).err()
+            };
+            let (snap, report) = CheckpointRepo::open(&crash_dir)?.recover()?;
+            std::fs::remove_dir_all(&crash_dir)?;
+            // Past the save's last op, nothing crashes.
+            let Some(crash) = crash else { break };
+            let skipped = report.skipped.len();
+            println!(
+                "{crash}, keep {keep_pct:>3} % → recovered step {} (skipped {skipped})",
+                snap.step
+            );
+            assert!(snap.step >= 2, "an acknowledged checkpoint was lost");
+            assert!(commit == CommitMode::InPlaceUnsafe || skipped == 0);
         }
+        println!();
     }
 
     // Drill 3: post-commit bit rot on the newest good manifest.
-    println!("\n-- storage-fault drill --");
+    println!("-- storage-fault drill --");
     for fault in [
         StorageFault::BitFlip { offset: 17 },
         StorageFault::Truncate { keep_pct: 60 },
         StorageFault::Delete,
     ] {
         // Re-write checkpoint 2 cleanly, then damage it.
-        let fresh = repo.save(&snap3, &SaveOptions::default())?;
+        let fresh = repo.save(&snaps[2], &SaveOptions::default())?;
         repo.corrupt_manifest(&fresh.id, fault)?;
         let (recovered, report) = repo.recover()?;
         println!(
