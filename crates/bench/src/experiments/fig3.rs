@@ -1,14 +1,17 @@
 //! R-F3 — Checkpoint overhead vs interval, with the Young–Daly optimum.
 //!
-//! The checkpoint write cost `C` is *measured* on the real `qcheck` stack
-//! (median of repeated commits of a real training snapshot); the overhead
-//! curve is then produced both from the first-order analytic model and from
-//! the `qhw` simulation, sweeping the interval through the Young–Daly
-//! optimum `τ* = √(2·C·MTBF)`.
+//! The checkpoint cost `C` is *measured* on the real `qcheck` stack, as the
+//! product's own Young–Daly policy measures it: a [`Checkpointer`] saves a
+//! real training run after every step, and `C` is the time a checkpoint
+//! *blocked* the training thread ([`Checkpointer::observed_cost_ms`]); the
+//! commit itself runs on the `Checkpointer`'s writer thread. The overhead curve is
+//! then produced both from the first-order analytic model and from the
+//! `qhw` simulation, sweeping the interval through the Young–Daly optimum
+//! `τ* = √(2·C·MTBF)`.
 
 use qcheck::policy::math;
 use qcheck::repo::{CheckpointRepo, SaveOptions};
-use qcheck::snapshot::Checkpointable;
+use qcheck::{Checkpointer, EveryKSteps};
 use qhw::client::{mean_outcome, CheckpointStrategy, Environment, JobSpec};
 use qhw::event::{HOUR, MINUTE, SECOND};
 use qhw::queue::WaitModel;
@@ -16,26 +19,24 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::report::{quick_mode, scratch_dir, Table};
-use crate::workloads::{median_ms, time_ms, vqe_tfim_trainer_spsa};
+use crate::workloads::vqe_tfim_trainer_spsa;
 
-/// Measures the real cost (ms) of committing one full snapshot.
+/// Measures the real cost (ms) of a checkpoint to the training thread: the
+/// `Checkpointer`'s observed blocked time over a run checkpointed every step.
 pub fn measured_checkpoint_cost_ms() -> f64 {
     let dir = scratch_dir("fig3-cost");
     let repo = CheckpointRepo::open(&dir).expect("repo");
+    let mut checkpointer =
+        Checkpointer::new(repo, Box::new(EveryKSteps::new(1)), SaveOptions::default())
+            .expect("checkpointer");
     let mut trainer = vqe_tfim_trainer_spsa(10, 4, 3, qsim::measure::EvalMode::Shots(128));
-    for _ in 0..3 {
-        trainer.train_step().expect("step");
+    let steps = if quick_mode() { 5 } else { 15 };
+    for _ in 0..steps {
+        let step = trainer.train_step().expect("step").step;
+        assert!(checkpointer.on_step(step, &trainer).expect("on_step"));
     }
-    let snap = trainer.capture();
-    let reps = if quick_mode() { 5 } else { 15 };
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let (r, ms) = time_ms(|| repo.save(&snap, &SaveOptions::default()));
-            r.expect("save");
-            ms
-        })
-        .collect();
-    let cost = median_ms(&mut samples);
+    let cost = checkpointer.observed_cost_ms();
+    checkpointer.finish().expect("finish");
     let _ = std::fs::remove_dir_all(dir);
     cost
 }
@@ -72,7 +73,7 @@ pub fn run() -> Table {
     let ideal = (spec.total_steps * spec.step_cost + 5 * MINUTE) as f64;
     let mut table = Table::new(
         format!(
-            "R-F3  overhead vs checkpoint interval (C={:.1} ms measured → {} µs sim; MTBF=2 h; τ*={} steps)",
+            "R-F3  overhead vs checkpoint interval (C={:.3} ms blocked → {} µs sim; MTBF=2 h; τ*={} steps)",
             cost_ms, write_cost, opt_steps
         ),
         &["interval-steps", "tau/tau*", "model-overhead-%", "sim-overhead-%"],

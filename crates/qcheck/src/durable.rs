@@ -1,16 +1,15 @@
 //! The one place a byte becomes durable — every write, fsync, rename and
 //! removal behind a commit — and so the one place a fault is injected.
 //!
-//! A pack, a compacted manifest log, a reference-layout object, a daemon
-//! metadata blob, the daemon's `GENERATION` file and the `STORE` /
-//! `REMOTE_NS` markers are made visible by [`publish`]: staged whole,
-//! optionally flushed, renamed — a crash leaves the old file or the new
-//! one, plus staging debris ([`clear_dir_files`]). The log [`append`]s
-//! (manifest log, `OPLOG`) and the root-slot [`overwrite`] rename nothing:
-//! CRC framing, the tail cut ([`truncate`]) and the second slot absorb
-//! their torn outcomes. Swept packs, old log epochs and daemon metadata go
-//! through [`remove`]. Every `qcheck_fsync_ns` / `qcheck_rename_ns` sample
-//! is taken here.
+//! A pack, a compacted manifest log, a reference-layout object, the
+//! daemon's `GENERATION` file and the `STORE` / `REMOTE_NS` markers are
+//! made visible by [`publish`]: staged whole, optionally flushed, renamed
+//! — a crash leaves the old file or the new one, plus staging debris
+//! ([`clear_dir_files`]). The log [`append`]s (manifest log, `OPLOG`) and
+//! the root-slot [`overwrite`] rename nothing: CRC framing, the tail cut
+//! ([`truncate`]) and the second slot absorb their torn outcomes. Swept
+//! packs and old log epochs go through [`remove`]. Every
+//! `qcheck_fsync_ns` / `qcheck_rename_ns` sample is taken here.
 //!
 //! The fault plan: after [`arm`], every op on a path under the armed
 //! directory counts, from 1, and op `at_op` meets the [`Fault`]. Plans are

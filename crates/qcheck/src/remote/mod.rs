@@ -10,14 +10,15 @@
 //! * [`Server`] / the `qckptd` binary — a multi-tenant daemon serving
 //!   per-namespace object stores (reusing the local pack layout and its
 //!   crash-safety machinery) plus a named-metadata space for manifests
-//!   and the `LATEST` pointer;
+//!   and the `LATEST` pointer, kept in one record: the namespace's oplog;
 //! * [`RemoteStore`] — an [`crate::store::ObjectStore`] client with
 //!   connection reuse, pipelined `put_batch`, multi-address failover
 //!   with jittered backoff, generation fencing, and server-side writer
 //!   leases;
-//! * [`repl`] — the per-namespace oplog and the secondary's tailer,
-//!   which together replicate a primary onto a warm standby that can be
-//!   promoted (`qckptd promote`) when the primary dies.
+//! * [`repl`] — the per-namespace oplog and the secondary's tailer, which
+//!   applies each entry by appending it to its own oplog, replicating a
+//!   primary onto a warm standby that can be promoted (`qckptd promote`)
+//!   when the primary dies.
 //!
 //! Selected by the deployment setting alone: a fresh repository opened
 //! with `QCHECK_REMOTE_ADDR=host:port` exported is remote (optionally
@@ -36,7 +37,7 @@ mod client;
 mod server;
 
 pub use client::{RemoteStatus, RemoteStore};
-pub use repl::{ReplStop, ReplicateConfig, SyncReport};
+pub use repl::{ReplicateConfig, SyncReport};
 pub use server::{
     spawn_daemon, spawn_secondary, DaemonHandle, Server, ServerConfig, DEFAULT_LEASE_TTL,
 };
@@ -142,6 +143,7 @@ pub mod fault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::store::{ObjectStore, StoreKind};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -211,6 +213,97 @@ mod tests {
             store.meta_list("manifests/").unwrap(),
             vec!["manifests/ck-2.qmf"]
         );
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A `meta/` directory an older build kept beside `OPLOG` is neither
+    /// read nor touched: the daemon answers from the oplog even where the
+    /// stale copy disagrees with it, and writes on without it.
+    #[test]
+    fn an_older_builds_meta_copy_is_ignored_and_left_in_place() {
+        let root = scratch("stale-meta");
+        {
+            let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+            let store = RemoteStore::connect(daemon.addr(), "upgrade").unwrap();
+            store.meta_put("manifests/ck-1.qmf", b"m1").unwrap();
+            store.meta_put("manifests/ck-2.qmf", b"m2").unwrap();
+            store.meta_put("LATEST", b"ck-2\n").unwrap();
+            store.meta_delete("manifests/ck-1.qmf").unwrap();
+        }
+        let meta = root.join("ns/upgrade/meta");
+        let stale: [(&str, &[u8]); 4] = [
+            ("LATEST", b"ck-1\n"),
+            ("manifests/ck-1.qmf", b"m1"),
+            ("manifests/ck-2.qmf", b"stale"),
+            ("manifests/ck-9.qmf", b"m9"),
+        ];
+        std::fs::create_dir_all(meta.join("manifests")).unwrap();
+        for (name, bytes) in stale {
+            std::fs::write(meta.join(name), bytes).unwrap();
+        }
+
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+        let store = RemoteStore::connect(daemon.addr(), "upgrade").unwrap();
+        assert_eq!(
+            store.meta_list("manifests/").unwrap(),
+            vec!["manifests/ck-2.qmf"]
+        );
+        assert_eq!(store.meta_get("LATEST").unwrap().unwrap(), b"ck-2\n");
+        assert_eq!(
+            store.meta_get("manifests/ck-2.qmf").unwrap().unwrap(),
+            b"m2"
+        );
+        assert_eq!(store.meta_get("manifests/ck-9.qmf").unwrap(), None);
+        store.meta_put("manifests/ck-3.qmf", b"m3").unwrap();
+        store.meta_delete("manifests/ck-2.qmf").unwrap();
+        assert_eq!(
+            store.meta_list("").unwrap(),
+            vec!["LATEST", "manifests/ck-3.qmf"]
+        );
+        for (name, bytes) in stale {
+            assert_eq!(std::fs::read(meta.join(name)).unwrap(), bytes, "{name}");
+        }
+        let files = std::fs::read_dir(meta.join("manifests")).unwrap().count();
+        assert_eq!(files, 3, "nothing written into meta/");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A namespace from before the oplog has its metadata only under
+    /// `meta/`. Serving it from an empty log would make its checkpoints
+    /// vanish, so it is refused typed, and no file in it changes.
+    #[test]
+    fn a_namespace_from_before_the_oplog_is_refused_and_left_in_place() {
+        let root = scratch("pre-oplog");
+        let ns = root.join("ns/legacy");
+        std::fs::create_dir_all(ns.join("meta/manifests")).unwrap();
+        std::fs::write(ns.join("meta/LATEST"), b"ck-1\n").unwrap();
+        std::fs::write(ns.join("meta/manifests/ck-1.qmf"), b"m1").unwrap();
+        let files = |dir: &std::path::Path| {
+            let mut out = Vec::new();
+            let mut stack = vec![dir.to_path_buf()];
+            while let Some(dir) = stack.pop() {
+                for entry in std::fs::read_dir(dir).unwrap().flatten() {
+                    let path = entry.path();
+                    if path.is_dir() {
+                        stack.push(path.clone());
+                    }
+                    let bytes = std::fs::read(&path).ok();
+                    out.push((path, bytes));
+                }
+            }
+            out.sort();
+            out
+        };
+        let before = files(&ns);
+
+        let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
+        let err = RemoteStore::connect(daemon.addr(), "legacy")
+            .and_then(|store| store.meta_list(""))
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("no `OPLOG` records"), "{err}");
+        assert_eq!(files(&ns), before);
+        daemon.shutdown();
         let _ = std::fs::remove_dir_all(root);
     }
 

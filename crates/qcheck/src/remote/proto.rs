@@ -150,8 +150,8 @@ pub fn valid_namespace(ns: &str) -> bool {
 
 /// Metadata-name grammar: relative slash-separated path whose components
 /// each satisfy the namespace grammar (e.g. `manifests/ck-….qmf`,
-/// `LATEST`). Same reasoning: these become file names under the
-/// namespace's `meta/` directory.
+/// `LATEST`). The names are keys of the namespace's oplog, not file
+/// names; the grammar stays the input check every `Meta*` op applies.
 pub fn valid_meta_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 256

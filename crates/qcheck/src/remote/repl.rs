@@ -2,14 +2,17 @@
 //!
 //! ## The oplog
 //!
-//! A primary appends one [`OplogOp`] per *committed* metadata mutation:
-//! manifest publishes and `LATEST` advances (`MetaPut`), retention
-//! deletes (`MetaDelete`), and mark-and-sweep runs (`Sweep`). Chunk
-//! content is deliberately **not** logged — it is content-addressed, so
-//! a secondary derives what it is missing from each replicated manifest
-//! and pulls exactly that over [`Request::Fetch`] — the op every client
-//! reads chunks with, here naming the replicated namespace; re-pulling after
-//! a crash is idempotent by construction.
+//! The oplog is a namespace's only metadata record. A primary appends one
+//! [`OplogOp`] per metadata mutation — manifest publishes and `LATEST`
+//! advances (`MetaPut`), retention deletes (`MetaDelete`), mark-and-sweep
+//! runs (`Sweep`) — and the append *is* the commit: `MetaGet` and
+//! `MetaList` answer from an in-memory index of the log ([`Oplog::get`],
+//! [`Oplog::names`]), which holds each live name's entry offset, never its
+//! bytes. Chunk content is deliberately **not** logged — it is
+//! content-addressed, so a secondary derives what it is missing from each
+//! replicated manifest and pulls exactly that over [`Request::Fetch`] —
+//! the op every client reads chunks with, here naming the replicated
+//! namespace; re-pulling after a crash is idempotent by construction.
 //!
 //! On disk the log is one append-only file per namespace
 //! (`ns/<name>/OPLOG`) of CRC-framed records, the same framing as the
@@ -17,30 +20,37 @@
 //! by the op's wire encoding. A torn tail — the daemon died mid-append —
 //! is detected by the CRC and truncated away on open: an oplog entry
 //! either fully committed or never happened, matching the store's
-//! staged-rename discipline.
+//! staged-rename discipline. Only the last frame can be torn, since every
+//! append first cuts the file back to its scanned end. A record that
+//! fails its CRC with bytes after it, or whose CRC holds but whose body
+//! does not decode, is damage, not a tear: the open fails with
+//! [`Error::Corrupt`] and the file is left as found.
 //!
 //! ## The tailer
 //!
 //! A secondary polls its primary: [`Request::ReplStatus`] discovers
 //! namespaces and their log lengths, [`Request::ReplFetch`] streams
-//! entries from the local offset, chunks are pulled and **re-verified**
-//! against their content addresses (the replication link is not trusted
-//! over the hash, same as every other path), the entry is applied to the
-//! local namespace, appended to the **local** oplog (keeping offsets
-//! aligned, so a promoted secondary can itself be tailed), and the
-//! applied offset is acked for primary-side lag accounting.
+//! entries from the local offset, and each entry is applied by appending
+//! it — after its chunks are pulled, **re-verified** against their content
+//! addresses (the replication link is not trusted over the hash, same as
+//! every other path) and stored, and after its sweep ran, for a `Sweep`.
+//! The local oplog keeps the primary's offsets, so a promoted secondary
+//! can itself be tailed, and the applied offset is acked for primary-side
+//! lag accounting.
 //!
-//! Apply order inside one entry mirrors the client commit protocol:
-//! chunks first, then the metadata publish. A crash between the two
-//! leaves orphan chunks at worst — exactly the debris recovery and GC
-//! already tolerate — and the entry is re-applied idempotently on the
-//! next pass. A chunk the primary no longer holds (swept while the
-//! secondary was behind) arrives as `None` and is skipped: the sweep
-//! that removed it is a later entry in the same log, so convergence at
-//! full catch-up is unaffected.
+//! Nothing becomes reachable before its chunks are durable: a crash
+//! between the chunk put and the append leaves orphan chunks at worst —
+//! exactly the debris recovery and GC already tolerate — and the entry is
+//! re-applied idempotently on the next pass. Crash drills arm the fault
+//! plan ([`crate::failure::arm`]) on the secondary's namespace directory.
+//! A chunk the primary no longer holds (swept while the secondary was
+//! behind) arrives as `None` and is skipped: the sweep that removed it is
+//! a later entry in the same log, so convergence at full catch-up is
+//! unaffected.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -48,7 +58,6 @@ use std::time::Duration;
 use crate::codec::{Decoder, Encoder};
 use crate::durable;
 use crate::error::{Error, Result};
-use crate::hash::crc32;
 use crate::manifest::Manifest;
 use crate::store::{ObjectStore, StagedChunk};
 use crate::sync::lock_recover;
@@ -77,8 +86,8 @@ pub struct ReplicateConfig {
     /// Delay between tail polls when caught up.
     pub poll_interval: Duration,
     /// Disable the background tailer thread; tests drive replication
-    /// one step at a time through `DaemonHandle::repl_sync` to place
-    /// crashes between oplog stages.
+    /// one pass at a time through `DaemonHandle::repl_sync`, crashing a
+    /// pass with the fault plan armed on the namespace directory.
     pub manual: bool,
 }
 
@@ -92,17 +101,6 @@ impl ReplicateConfig {
             manual: false,
         }
     }
-}
-
-/// Where a manual replication pass stops early — the crash-drill hook
-/// for killing a primary "between" oplog stages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplStop {
-    /// Stop after pulling and storing the next entry's missing chunks,
-    /// before applying its metadata (the "chunks shipped" stage).
-    AfterChunks,
-    /// Stop after fully applying one entry, before acking it.
-    AfterEntry,
 }
 
 /// Outcome of one replication pass.
@@ -135,12 +133,48 @@ pub struct Oplog {
     state: Mutex<OplogState>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct OplogState {
     /// Byte offset where each record starts (index = entry offset).
     starts: Vec<u64>,
     /// Byte length of the valid log (truncation point for appends).
     end: u64,
+    /// Each live metadata name's newest `MetaPut`, by entry offset.
+    names: BTreeMap<String, u64>,
+}
+
+impl OplogState {
+    /// Records that `op` landed as the next entry, `len` bytes long.
+    fn push(&mut self, op: &OplogOp, len: u64) {
+        let entry = self.starts.len() as u64;
+        match op {
+            OplogOp::MetaPut { name, .. } => {
+                self.names.insert(name.clone(), entry);
+            }
+            OplogOp::MetaDelete { name } => {
+                self.names.remove(name);
+            }
+            OplogOp::Sweep { .. } => {}
+        }
+        self.starts.push(self.end);
+        self.end += len;
+    }
+}
+
+/// Decodes the body of the record at entry `entry`; a body that does not
+/// decode, or names another offset, is damage under an intact CRC.
+fn decode_record(body: &[u8], entry: u64) -> Result<OplogRecord> {
+    let mut dec = Decoder::new(body, "oplog record");
+    let decoded = dec.get_u64().and_then(|offset| {
+        let op = OplogOp::decode_from(&mut dec)?;
+        dec.finish().map(|()| OplogRecord { offset, op })
+    });
+    let damage = |what: String| Error::corrupt("oplog", format!("record at entry {entry}: {what}"));
+    match decoded {
+        Ok(rec) if rec.offset == entry => Ok(rec),
+        Ok(rec) => Err(damage(format!("claims offset {}", rec.offset))),
+        Err(e) => Err(damage(e.to_string())),
+    }
 }
 
 impl Oplog {
@@ -149,7 +183,9 @@ impl Oplog {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors other than a missing file.
+    /// I/O errors other than a missing file, and [`Error::Corrupt`] for a
+    /// record that fails its CRC with bytes after it, or whose CRC holds
+    /// but whose body does not decode.
     pub fn open(ns_root: &Path) -> Result<Oplog> {
         let path = ns_root.join(OPLOG_FILE);
         let state = Mutex::new(Self::scan(&path)?);
@@ -159,29 +195,50 @@ impl Oplog {
     /// Indexes the records of the file at `path`, truncating a torn tail:
     /// what `open` starts from, and what a poisoned lock falls back to.
     fn scan(path: &Path) -> Result<OplogState> {
-        let mut starts = Vec::new();
-        let mut end = 0u64;
-        match fs::File::open(path) {
-            Ok(file) => {
-                let file_len = file
-                    .metadata()
-                    .map_err(|e| Error::io("reading oplog metadata", e))?
-                    .len();
-                let mut reader = std::io::BufReader::new(file);
-                // A read error is a clean EOF or a torn/damaged tail:
-                // everything before `end` is intact; drop the rest.
-                while let Ok(body) = read_frame(&mut reader) {
-                    starts.push(end);
-                    end += 8 + body.len() as u64;
-                }
-                if end < file_len {
-                    durable::truncate(path, end)?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        let mut state = OplogState::default();
+        let file = match fs::File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(state),
             Err(e) => return Err(Error::io(format!("opening {}", path.display()), e)),
+        };
+        let file_len = file
+            .metadata()
+            .map_err(|e| Error::io("reading oplog metadata", e))?
+            .len();
+        let mut reader = std::io::BufReader::new(file);
+        // A tear can only be the last frame — every append first cuts the
+        // file back to `end` — so a frame that runs past the end of the
+        // file, or fails its CRC as the file's last frame, is a torn tail:
+        // everything before `end` is intact; drop the rest. A frame that
+        // fails its CRC with bytes after it is damage, left as found.
+        let mut prefix = [0u8; 4];
+        while reader.read_exact(&mut prefix).is_ok() {
+            let len = 8 + u64::from(u32::from_le_bytes(prefix));
+            if state.end + len > file_len {
+                break;
+            }
+            let body = match read_frame(&mut prefix.as_slice().chain(&mut reader)) {
+                Ok(body) => body,
+                Err(Error::Protocol { .. }) if state.end + len == file_len => break,
+                Err(e @ Error::Protocol { .. }) => {
+                    return Err(Error::corrupt(
+                        "oplog",
+                        format!(
+                            "record at entry {}: {e}, with {} bytes after it",
+                            state.starts.len(),
+                            file_len - state.end - len
+                        ),
+                    ))
+                }
+                Err(e) => return Err(e),
+            };
+            let rec = decode_record(&body, state.starts.len() as u64)?;
+            state.push(&rec.op, len);
         }
-        Ok(OplogState { starts, end })
+        if state.end < file_len {
+            durable::truncate(path, state.end)?;
+        }
+        Ok(state)
     }
 
     /// The index lock. A holder that panicked may have left the index and
@@ -213,13 +270,7 @@ impl Oplog {
     pub fn append(&self, op: &OplogOp) -> Result<u64> {
         let mut state = self.lock_state();
         let offset = state.starts.len() as u64;
-        self.append_locked(
-            &mut state,
-            &OplogRecord {
-                offset,
-                op: op.clone(),
-            },
-        )?;
+        self.append_locked(&mut state, offset, op)?;
         Ok(offset)
     }
 
@@ -239,13 +290,13 @@ impl Oplog {
                 format!("offset {} does not follow local length {next}", rec.offset),
             ));
         }
-        self.append_locked(&mut state, rec)
+        self.append_locked(&mut state, rec.offset, &rec.op)
     }
 
-    fn append_locked(&self, state: &mut OplogState, rec: &OplogRecord) -> Result<()> {
+    fn append_locked(&self, state: &mut OplogState, offset: u64, op: &OplogOp) -> Result<()> {
         let mut enc = Encoder::new();
-        enc.put_u64(rec.offset);
-        rec.op.encode_into(&mut enc);
+        enc.put_u64(offset);
+        op.encode_into(&mut enc);
         let body = enc.into_bytes();
         // Defensive: if an earlier crash left bytes past the scanned
         // end, appending would interleave with garbage; truncate first.
@@ -257,17 +308,44 @@ impl Oplog {
         let mut record = Vec::with_capacity(8 + body.len());
         write_frame(&mut record, &body)?;
         durable::append(&self.path, &[], &record, false)?;
-        state.starts.push(state.end);
-        state.end += 8 + body.len() as u64;
+        state.push(op, record.len() as u64);
         Ok(())
+    }
+
+    /// The bytes of `name`'s newest `MetaPut`, unless a later `MetaDelete`
+    /// removed the name.
+    ///
+    /// # Errors
+    ///
+    /// As [`Oplog::read_from`], and [`Error::Corrupt`] when the indexed
+    /// record is no longer that `MetaPut`.
+    pub fn get(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        let Some(entry) = self.lock_state().names.get(name).copied() else {
+            return Ok(None);
+        };
+        match self.read_from(entry, 1)?.pop().map(|rec| rec.op) {
+            Some(OplogOp::MetaPut { bytes, .. }) => Ok(Some(bytes)),
+            _ => Err(Error::corrupt(
+                "oplog",
+                format!("entry {entry} is not the MetaPut of {name:?}"),
+            )),
+        }
+    }
+
+    /// The live metadata names starting with `prefix`, sorted.
+    pub fn names(&self, prefix: &str) -> Vec<String> {
+        let state = self.lock_state();
+        let names = state.names.keys().filter(|n| n.starts_with(prefix));
+        names.cloned().collect()
     }
 
     /// Reads up to `max` records starting at entry offset `from`.
     ///
     /// # Errors
     ///
-    /// Fails on I/O or decode errors (the scanned prefix is trusted; a
-    /// record failing to decode here means on-disk damage after open).
+    /// Fails on I/O errors, and with [`Error::Corrupt`] on a record that
+    /// no longer decodes (the scanned prefix is trusted; this means
+    /// on-disk damage after open).
     pub fn read_from(&self, from: u64, max: usize) -> Result<Vec<OplogRecord>> {
         let (start_byte, available) = {
             let state = self.lock_state();
@@ -283,27 +361,12 @@ impl Oplog {
             .map_err(|e| Error::io("seeking oplog", e))?;
         let mut reader = std::io::BufReader::new(file);
         let mut out = Vec::new();
-        for i in 0..available.min(max) {
-            let body = read_frame(&mut reader)?;
-            let mut dec = Decoder::new(&body, "oplog record");
-            let offset = dec.get_u64()?;
-            let op = OplogOp::decode_from(&mut dec)?;
-            dec.finish()?;
-            if offset != from + i as u64 {
-                return Err(Error::corrupt(
-                    "oplog",
-                    format!("record at entry {} claims offset {offset}", from + i as u64),
-                ));
-            }
-            out.push(OplogRecord { offset, op });
+        for entry in from..from + available.min(max) as u64 {
+            out.push(decode_record(&read_frame(&mut reader)?, entry)?);
         }
         Ok(out)
     }
 }
-
-// crc32 is pulled in through proto's framing; referenced here so the
-// module's framing claim is checked at compile time if proto changes.
-const _: fn(&[u8]) -> u32 = crc32;
 
 // ---------------------------------------------------------------------
 // Replication client (secondary -> primary)
@@ -404,13 +467,8 @@ fn unexpected(resp: &Response) -> Error {
 // ---------------------------------------------------------------------
 
 /// Runs one full replication pass: polls the primary, catches every
-/// namespace up (or stops early at `stop` for the crash drills), acks
-/// progress, and updates the daemon's lag accounting.
-pub(crate) fn sync_once(
-    shared: &Shared,
-    client: &mut ReplClient,
-    stop: Option<ReplStop>,
-) -> Result<SyncReport> {
+/// namespace up, acks progress, and updates the daemon's lag accounting.
+pub(crate) fn sync_once(shared: &Shared, client: &mut ReplClient) -> Result<SyncReport> {
     let (generation, _role, namespaces) = client.status()?;
     let primary_total: u64 = namespaces.iter().map(|(_, len)| len).sum();
     shared.note_primary(generation, primary_total);
@@ -420,24 +478,14 @@ pub(crate) fn sync_once(
         ..SyncReport::default()
     };
     let mut applied_total = 0u64;
-    let mut stopped = false;
     for (ns_name, primary_len) in &namespaces {
         if !valid_namespace(ns_name) {
             continue;
         }
         let ns = shared.namespace(ns_name)?;
-        if stopped {
-            // A crash drill already fired: no further catch-up or acks,
-            // but the lag accounting still counts what is on disk.
-            applied_total += ns.oplog.len();
-            continue;
-        }
-        match catch_up_namespace(&ns, client, ns_name, *primary_len, stop, &mut report) {
-            Ok((local, this_stopped)) => {
-                stopped = this_stopped;
-                if !stopped {
-                    client.ack(ns_name, local)?;
-                }
+        match catch_up_namespace(&ns, client, ns_name, *primary_len, &mut report) {
+            Ok(local) => {
+                client.ack(ns_name, local)?;
                 applied_total += local;
             }
             // The stream itself is suspect (dropped, or framing no
@@ -459,15 +507,15 @@ pub(crate) fn sync_once(
 }
 
 /// Catches one namespace up to the primary's oplog length, returning
-/// its new local length and whether a crash-drill `stop` fired.
+/// its new local length. An entry is applied by appending it, once its
+/// chunks are stored and, for a `Sweep`, its sweep has run.
 fn catch_up_namespace(
     ns: &super::server::Namespace,
     client: &mut ReplClient,
     ns_name: &str,
     primary_len: u64,
-    stop: Option<ReplStop>,
     report: &mut SyncReport,
-) -> Result<(u64, bool)> {
+) -> Result<u64> {
     let mut local = ns.oplog.len();
     while local < primary_len {
         let records = client.fetch(ns_name, local, FETCH_BATCH)?;
@@ -482,19 +530,16 @@ fn catch_up_namespace(
                 ));
             }
             report.chunks_pulled += pull_missing_chunks(ns, client, ns_name, &rec.op)?;
-            if stop == Some(ReplStop::AfterChunks) {
-                return Ok((local, true));
+            if let OplogOp::Sweep { reachable } = &rec.op {
+                ns.store
+                    .sweep(&reachable.iter().copied().collect(), false)?;
             }
-            apply_op(ns, &rec.op)?;
             ns.oplog.append_record(&rec)?;
             local += 1;
             report.entries_applied += 1;
-            if stop == Some(ReplStop::AfterEntry) {
-                return Ok((local, true));
-            }
         }
     }
-    Ok((local, false))
+    Ok(local)
 }
 
 /// For a replicated manifest publish, pulls whatever referenced chunks
@@ -560,18 +605,6 @@ fn pull_missing_chunks(
     Ok(stored)
 }
 
-/// Applies one oplog op to the local namespace (idempotent).
-fn apply_op(ns: &super::server::Namespace, op: &OplogOp) -> Result<()> {
-    match op {
-        OplogOp::MetaPut { name, bytes } => ns.meta_put(name, bytes),
-        OplogOp::MetaDelete { name } => ns.meta_delete(name),
-        OplogOp::Sweep { reachable } => {
-            let set: std::collections::BTreeSet<_> = reachable.iter().copied().collect();
-            ns.store.sweep(&set, false).map(|_| ())
-        }
-    }
-}
-
 /// The secondary's background loop: connect, tail, reconnect with
 /// backoff on failure, exit when the daemon shuts down or is promoted.
 pub(crate) fn run_tailer(shared: std::sync::Arc<Shared>, cfg: ReplicateConfig) {
@@ -593,7 +626,7 @@ pub(crate) fn run_tailer(shared: std::sync::Arc<Shared>, cfg: ReplicateConfig) {
                 }
             },
         };
-        match sync_once(&shared, conn, None) {
+        match sync_once(&shared, conn) {
             Ok(_) => interruptible_sleep(&shared, cfg.poll_interval),
             Err(_) => {
                 // Primary unreachable or mid-restart: drop the link and
@@ -750,6 +783,73 @@ mod tests {
         assert_eq!(back[4].op, OplogOp::MetaDelete { name: "z".into() });
         drop(log);
         assert_eq!(Oplog::open(&dir).unwrap().len(), 5);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_index_answers_names_and_bytes_across_a_reopen() {
+        let dir = scratch("index");
+        let log = Oplog::open(&dir).unwrap();
+        for op in sample_ops() {
+            log.append(&op).unwrap();
+        }
+        assert_eq!(log.names(""), ["LATEST", "manifests/ck-1.qmf"]);
+        assert_eq!(log.get("LATEST").unwrap().unwrap(), b"ck-1\n");
+        log.append(&OplogOp::MetaPut {
+            name: "LATEST".into(),
+            bytes: b"ck-2\n".to_vec(),
+        })
+        .unwrap();
+        log.append(&OplogOp::MetaDelete {
+            name: "manifests/ck-1.qmf".into(),
+        })
+        .unwrap();
+        for log in [log, Oplog::open(&dir).unwrap()] {
+            assert_eq!(log.names(""), ["LATEST"]);
+            assert!(log.names("manifests/").is_empty());
+            assert_eq!(log.get("LATEST").unwrap().unwrap(), b"ck-2\n");
+            assert_eq!(log.get("manifests/ck-1.qmf").unwrap(), None);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A record whose CRC holds but whose op does not decode is damage,
+    /// not a torn tail: the open fails typed and cuts nothing.
+    #[test]
+    fn an_undecodable_record_fails_the_open_and_is_left_in_place() {
+        let dir = scratch("undecodable");
+        Oplog::open(&dir).unwrap().append(&sample_ops()[0]).unwrap();
+        let path = dir.join(OPLOG_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut body = Encoder::new();
+        body.put_u64(1).put_u8(0xEE);
+        write_frame(&mut bytes, &body.into_bytes()).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Oplog::open(&dir).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A tear can only be the last frame, so a CRC failure with records
+    /// after it is damage: cutting there would silently drop every later
+    /// acknowledged `MetaPut`. The open fails typed and cuts nothing.
+    #[test]
+    fn a_bad_crc_before_later_records_fails_the_open_and_is_left_in_place() {
+        let dir = scratch("bad-crc");
+        let log = Oplog::open(&dir).unwrap();
+        for op in &sample_ops()[..3] {
+            log.append(op).unwrap();
+        }
+        drop(log);
+        let path = dir.join(OPLOG_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // A byte inside the first record's body.
+        bytes[4 + 8 + 2] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Oplog::open(&dir).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -12,9 +12,17 @@
 //!   packs/           the namespace's object store (reuses the local
 //!                    backend: pack v3 files)
 //!   tmp/             server-side staging (disposable)
-//!   meta/            named metadata blobs (manifests/…, LATEST)
-//!   OPLOG            append-only log of committed mutations (repl)
+//!   OPLOG            the namespace's metadata: an append-only log of
+//!                    named blobs (manifests/…, LATEST), their deletes
+//!                    and sweeps — `MetaGet` / `MetaList` read its
+//!                    index, and replication ships it
 //! ```
+//!
+//! A `meta/` directory left by an older build (which kept a second copy
+//! of every blob there) is ignored and left in place: everything it
+//! holds that a client saw acknowledged is also in `OPLOG`. A namespace
+//! with a non-empty `meta/` and no `OPLOG` records predates the oplog;
+//! opening it fails with a typed error and changes no file.
 //!
 //! Reusing [`StoreBackend`] for per-namespace storage means the daemon
 //! inherits the local backend's whole crash-safety story: staged writes,
@@ -74,7 +82,7 @@ use super::proto::{
     Request, Response, BATCH_FRAME_BYTES, HELLO_FLAG_REPL, HELLO_FLAG_WANT_LEASE, PROTO_VERSION,
     ROLE_PRIMARY, ROLE_SECONDARY,
 };
-use super::repl::{self, Oplog, ReplStop, ReplicateConfig, SyncReport};
+use super::repl::{self, Oplog, ReplicateConfig, SyncReport};
 
 /// File (under the daemon root) persisting the generation across
 /// restarts — a promoted daemon must never come back demoted.
@@ -128,15 +136,11 @@ impl ServerConfig {
     }
 }
 
-/// One namespace's storage: object store + metadata directory + oplog.
+/// One namespace's storage: the object store, and the oplog that is its
+/// only metadata record.
 #[derive(Debug)]
 pub(crate) struct Namespace {
     pub(crate) store: StoreBackend,
-    root: PathBuf,
-    meta_dir: PathBuf,
-    /// Staging counter for atomic metadata publishes.
-    meta_seq: AtomicU64,
-    /// Append-only log of committed mutations (the unit of replication).
     pub(crate) oplog: Oplog,
 }
 
@@ -144,84 +148,23 @@ impl Namespace {
     fn open(ns_root: &Path, kind: StoreKind, gc_dead_fraction: Option<f64>) -> Result<Namespace> {
         fs::create_dir_all(ns_root)
             .map_err(|e| Error::io(format!("creating {}", ns_root.display()), e))?;
+        let oplog = Oplog::open(ns_root)?;
+        // A namespace from before the oplog kept its metadata only under
+        // `meta/`; serving it from an empty log would hide every
+        // checkpoint it holds, so it is refused before the store opens.
+        let pre_oplog = || fs::read_dir(ns_root.join("meta")).is_ok_and(|mut d| d.next().is_some());
+        if oplog.is_empty() && pre_oplog() {
+            return Err(Error::InvalidConfig(format!(
+                "{} holds metadata under `meta/` and no `OPLOG` records; this \
+                 build serves a namespace's metadata only from its oplog",
+                ns_root.display()
+            )));
+        }
         let mut store = StoreBackend::open_sticky(ns_root, kind)?;
         if let Some(f) = gc_dead_fraction {
             store.set_gc_dead_fraction(f);
         }
-        let meta_dir = ns_root.join("meta");
-        fs::create_dir_all(&meta_dir)
-            .map_err(|e| Error::io(format!("creating {}", meta_dir.display()), e))?;
-        let oplog = Oplog::open(ns_root)?;
-        Ok(Namespace {
-            store,
-            root: ns_root.to_path_buf(),
-            meta_dir,
-            meta_seq: AtomicU64::new(0),
-            oplog,
-        })
-    }
-
-    fn meta_path(&self, name: &str) -> PathBuf {
-        // `name` passed the grammar check: relative, no `..` components.
-        self.meta_dir.join(name)
-    }
-
-    /// Atomically publishes one metadata blob (stage in `tmp/`, rename).
-    pub(crate) fn meta_put(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        let target = self.meta_path(name);
-        if let Some(parent) = target.parent() {
-            fs::create_dir_all(parent)
-                .map_err(|e| Error::io(format!("creating {}", parent.display()), e))?;
-        }
-        let tmp_dir = self.root.join("tmp");
-        fs::create_dir_all(&tmp_dir)
-            .map_err(|e| Error::io(format!("creating {}", tmp_dir.display()), e))?;
-        let tmp = tmp_dir.join(format!(
-            "meta-{}-{}",
-            std::process::id(),
-            self.meta_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        crate::durable::publish(&tmp, &target, bytes, false)
-    }
-
-    fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        match fs::read(self.meta_path(name)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(Error::io(format!("reading meta {name}"), e)),
-        }
-    }
-
-    fn meta_list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        let mut stack = vec![(self.meta_dir.clone(), String::new())];
-        while let Some((dir, rel)) = stack.pop() {
-            let entries = match fs::read_dir(&dir) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(Error::io(format!("listing {}", dir.display()), e)),
-            };
-            for entry in entries {
-                let entry = entry.map_err(|e| Error::io("walking meta", e))?;
-                let name = entry.file_name().to_string_lossy().to_string();
-                let child_rel = if rel.is_empty() {
-                    name
-                } else {
-                    format!("{rel}/{name}")
-                };
-                if entry.path().is_dir() {
-                    stack.push((entry.path(), child_rel));
-                } else if child_rel.starts_with(prefix) {
-                    out.push(child_rel);
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    pub(crate) fn meta_delete(&self, name: &str) -> Result<()> {
-        crate::durable::remove(&self.meta_path(name))
+        Ok(Namespace { store, oplog })
     }
 }
 
@@ -749,21 +692,20 @@ impl DaemonHandle {
         self.shared.promote()
     }
 
-    /// Runs one replication pass against the configured primary,
-    /// optionally stopping early at a crash-drill point. Only valid on
-    /// a daemon configured with [`ServerConfig::replicate`]; pairs with
-    /// `manual: true`, where no background tailer competes.
+    /// Runs one replication pass against the configured primary. Only
+    /// valid on a daemon configured with [`ServerConfig::replicate`];
+    /// pairs with `manual: true`, where no background tailer competes.
     ///
     /// # Errors
     ///
     /// Fails when this daemon is not a secondary or the primary is
     /// unreachable.
-    pub fn repl_sync(&self, stop: Option<ReplStop>) -> Result<SyncReport> {
+    pub fn repl_sync(&self) -> Result<SyncReport> {
         let cfg = self.shared.config.replicate.clone().ok_or_else(|| {
             Error::InvalidConfig("daemon is not configured as a replication secondary".into())
         })?;
         let mut client = repl::ReplClient::connect(&cfg.primary_addr, cfg.auth_token.as_deref())?;
-        repl::sync_once(&self.shared, &mut client, stop)
+        repl::sync_once(&self.shared, &mut client)
     }
 
     /// Stops the accept loop and joins the server thread.
@@ -1200,27 +1142,22 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
             guard_write(shared, ctx, "meta_put")?;
             let ns = shared.namespace(namespace)?;
             check_meta_name(&name)?;
-            ns.meta_put(&name, &bytes)?;
-            // Logged *after* the local apply: a crash in the gap loses
-            // the log entry but not the data, and the client's replay
-            // of the idempotent MetaPut re-appends it.
             ns.oplog.append(&OplogOp::MetaPut { name, bytes })?;
             Ok(Response::Ok)
         }
         Request::MetaGet { name } => {
             let ns = shared.namespace(namespace)?;
             check_meta_name(&name)?;
-            Ok(Response::Meta(ns.meta_get(&name)?))
+            Ok(Response::Meta(ns.oplog.get(&name)?))
         }
         Request::MetaList { prefix } => {
             let ns = shared.namespace(namespace)?;
-            Ok(Response::Names(ns.meta_list(&prefix)?))
+            Ok(Response::Names(ns.oplog.names(&prefix)))
         }
         Request::MetaDelete { name } => {
             guard_write(shared, ctx, "meta_delete")?;
             let ns = shared.namespace(namespace)?;
             check_meta_name(&name)?;
-            ns.meta_delete(&name)?;
             ns.oplog.append(&OplogOp::MetaDelete { name })?;
             Ok(Response::Ok)
         }

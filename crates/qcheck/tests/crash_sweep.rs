@@ -13,14 +13,21 @@
 //! no orphan chunk, no damaged record — and `tmp/` is empty. The same
 //! sweep over `CommitMode::InPlaceUnsafe` never returns a wrong snapshot,
 //! and finds the op it does not survive: experiment R-F8's contrast.
+//!
+//! Replication is swept the same way, from both ends: a crash at any op of
+//! a save on the primary leaves it and a secondary agreeing on every name
+//! once synced, and a secondary that dies at any op of applying records
+//! resyncs to a repository that recovers bit-identically.
 
 use std::path::{Path, PathBuf};
 
 use qcheck::failure::{arm, Fault};
-use qcheck::remote::{spawn_daemon, DaemonHandle, RemoteStore};
+use qcheck::remote::{
+    spawn_daemon, DaemonHandle, RemoteStore, ReplicateConfig, Server, ServerConfig,
+};
 use qcheck::repo::{CheckpointRepo, CommitMode, Retention, SaveMode, SaveOptions};
 use qcheck::snapshot::{StateBlob, TrainingSnapshot};
-use qcheck::store::{StoreBackend, StoreKind};
+use qcheck::store::{ObjectStore, StoreBackend, StoreKind};
 use qcheck::verify::fsck;
 use qcheck::Error;
 
@@ -416,4 +423,155 @@ fn the_retention_scenarios_rewrite_a_pack_and_compact_the_log() {
     assert_eq!(epochs, [0]);
     let (_, epochs, _dir) = run(&SCENARIOS[3]);
     assert_eq!(epochs, [1], "the retention did not compact the log");
+}
+
+/// A replication secondary of a daemon under `root`, driven one pass at a
+/// time (no background tailer).
+fn spawn_manual_secondary(root: &Path, primary_addr: &str) -> DaemonHandle {
+    let mut config = ServerConfig::new(root);
+    config.gc_dead_fraction = Some(0.0);
+    let mut repl = ReplicateConfig::new(primary_addr);
+    repl.manual = true;
+    config.replicate = Some(repl);
+    Server::bind("127.0.0.1:0", config).unwrap().spawn()
+}
+
+fn sync_to_convergence(secondary: &DaemonHandle) {
+    for _ in 0..64 {
+        if secondary.repl_sync().unwrap().remaining == 0 {
+            return;
+        }
+    }
+    panic!("the secondary did not converge");
+}
+
+/// What a daemon answers for the names a client recovers from.
+fn listed(daemon: &DaemonHandle) -> (Vec<String>, Option<Vec<u8>>) {
+    let store = RemoteStore::connect(daemon.addr(), NS).unwrap();
+    (
+        store.meta_list("manifests/").unwrap(),
+        store.meta_get("LATEST").unwrap(),
+    )
+}
+
+/// A crash at any op of a remote save leaves the primary and a secondary
+/// agreeing on every name once synced: a name the primary lists exists
+/// only as the `OPLOG` record the secondary replicates, so no op can leave
+/// the primary listing a manifest that no secondary will ever receive.
+#[test]
+fn primary_and_secondary_agree_after_a_crash_at_any_op_of_a_save() {
+    let start_from = template(&SCENARIOS[0], true);
+    let case = |at: u64, fault: Fault| -> u64 {
+        let world = TempDir::new("agree");
+        let root = &world.0;
+        copy_tree(&start_from.0, root);
+        let ops = {
+            let (_daemon, repo) = start(root, true);
+            let plan = arm(Armed::Namespace.dir(root), at, fault);
+            let saved = save(&repo, 2, SaveMode::Full, CommitMode::Atomic);
+            assert_eq!(saved.is_err(), at > 0, "op {at} {fault:?}");
+            plan.ops()
+        };
+        let primary = spawn_daemon(root.join("daemon"), StoreKind::Pack).unwrap();
+        let secondary = spawn_manual_secondary(&root.join("secondary"), &primary.addr());
+        sync_to_convergence(&secondary);
+        let (names, latest) = listed(&primary);
+        assert!(!names.is_empty() && latest.is_some(), "op {at} {fault:?}");
+        assert_eq!(
+            (names, latest),
+            listed(&secondary),
+            "op {at} {fault:?}: primary and secondary disagree"
+        );
+        for daemon in ["daemon", "secondary"] {
+            let ns = root.join(daemon).join("ns").join(NS);
+            assert!(ns.join("OPLOG").exists() && !ns.join("meta").exists());
+        }
+        ops
+    };
+    let ops = case(0, Fault::Fail);
+    assert_eq!(
+        ops, 3,
+        "a remote save is one pack publish and two appends in the namespace directory"
+    );
+    for at in 1..=ops {
+        for fault in FAULTS {
+            case(at, fault);
+        }
+    }
+    println!(
+        "primary crash, then sync: {ops} ops, {} cases",
+        ops as usize * FAULTS.len()
+    );
+}
+
+/// A secondary applying records is a swept scenario. The primary holds
+/// two full saves, a delta save on the second and a `KeepLast(1)`
+/// retention that retires the first (a `MetaDelete` and a `Sweep`); one
+/// manual pass applies all of it with the fault plan armed on the
+/// secondary's namespace directory. The secondary restarts from its root,
+/// resyncs and is promoted, and a fresh directory recovers from it what a
+/// fresh directory recovers from the primary, bit for bit, with the same
+/// ids and manifests and no orphan chunk.
+#[test]
+fn a_secondary_survives_a_crash_at_every_op_of_applying_records() {
+    let world = TempDir::new("apply");
+    let root = &world.0;
+    let (primary, repo) = start(root, true);
+    let primary = primary.unwrap();
+    save(&repo, 1, SaveMode::Full, CommitMode::Atomic).unwrap();
+    save(&repo, 2, SaveMode::Full, CommitMode::Atomic).unwrap();
+    save(&repo, 3, DELTA, CommitMode::Atomic).unwrap();
+    let retired = repo.apply_retention(Retention::KeepLast(1)).unwrap();
+    assert_eq!(retired.manifests_deleted, 1);
+    let ids = repo.list_ids().unwrap();
+    let fresh = |daemon: &DaemonHandle, dir: PathBuf| {
+        let store = RemoteStore::connect(daemon.addr(), NS).unwrap();
+        CheckpointRepo::with_store(dir, StoreBackend::Remote(store)).unwrap()
+    };
+    let (want, _) = fresh(&primary, root.join("fresh-primary"))
+        .recover()
+        .unwrap();
+    assert_eq!(want, snapshot(3));
+
+    let mut cases = 0;
+    let mut case = |at: u64, fault: Fault| -> u64 {
+        cases += 1;
+        let dir = root.join(format!("secondary-{cases}"));
+        let ops = {
+            let secondary = spawn_manual_secondary(&dir, &primary.addr());
+            let plan = arm(dir.join("ns").join(NS), at, fault);
+            let _ = secondary.repl_sync();
+            plan.ops()
+        };
+        let secondary = spawn_manual_secondary(&dir, &primary.addr());
+        sync_to_convergence(&secondary);
+        secondary.promote().unwrap();
+        let failover = fresh(&secondary, dir.join("fresh"));
+        let label = format!("op {at} {fault:?}");
+        let (snap, _) = failover.recover().unwrap();
+        assert!(snap == want, "{label}: recovered step {}", snap.step);
+        assert_eq!(failover.list_ids().unwrap(), ids, "{label}");
+        for id in &ids {
+            assert_eq!(
+                failover.load_manifest(id).unwrap().encode(),
+                repo.load_manifest(id).unwrap().encode(),
+                "{label}: manifest {id}"
+            );
+        }
+        let health = fsck(&failover).unwrap();
+        assert!(health.orphan_chunks == 0 && health.is_clean(), "{label}");
+        assert!(!dir.join("ns").join(NS).join("meta").exists(), "{label}");
+        ops
+    };
+    let ops = case(0, Fault::Fail);
+    assert!(ops > 0, "the pass issued no durable op");
+    for at in 1..=ops {
+        for fault in FAULTS {
+            case(at, fault);
+        }
+    }
+    println!(
+        "secondary applying records: {ops} ops, {} cases",
+        ops as usize * FAULTS.len()
+    );
 }

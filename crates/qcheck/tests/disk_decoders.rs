@@ -4,7 +4,8 @@
 //! store handed back — a disk that failed, a daemon that lied — under a
 //! manifest that may be no better; a manifest comes out of a log record,
 //! the log is found through a root slot, and the chunks through a pack's
-//! embedded index. The contract checked here for all eight decoders, the
+//! embedded index; a daemon's namespace metadata comes out of its oplog.
+//! The contract checked here for all nine decoders, the
 //! one `properties.rs` holds the wire decoders to: any input — arbitrary
 //! bytes, every truncation and every single-byte mutation of a valid
 //! encoding, checksums re-sealed where a checksum would otherwise stop
@@ -13,8 +14,9 @@
 //! merely declares.
 //!
 //! The four section codecs bound their *output* by what the payload could
-//! encode. The four metadata decoders (manifest, manifest-log record, root
-//! slot, pack index) are held to the same rule through the allocator: the
+//! encode. The five metadata decoders (manifest, manifest-log record, root
+//! slot, pack index, oplog record) are held to the same rule through the
+//! allocator: the
 //! largest single allocation made while decoding is bounded by the input's
 //! length ([`largest_allocation_during`]).
 
@@ -27,6 +29,8 @@ use qcheck::error::Error;
 use qcheck::hash::{crc32, ContentHash, Sha256};
 use qcheck::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
 use qcheck::manifest_log::{self as mlog, RecordKind, RootSlot};
+use qcheck::remote::proto::{write_frame, OplogOp, OplogRecord};
+use qcheck::remote::repl::{Oplog, OPLOG_FILE};
 use qcheck::store::{ObjectStore, PackStore, StagedChunk};
 
 /// The most output `len` payload bytes can decode to under `codec`.
@@ -186,7 +190,7 @@ proptest! {
 
 // ----------------------------------------------------------------------
 // The metadata decoders: manifest, manifest-log record, root slot, pack
-// index.
+// index, oplog record.
 // ----------------------------------------------------------------------
 
 /// The system allocator, remembering per thread the largest single
@@ -542,6 +546,110 @@ proptest! {
         replay_checked(&dir, &with_header);
         for damaged in damaged_variants(&log, flip) {
             prop_assert!(replay_checked(&dir, &damaged) <= manifests.len());
+        }
+    }
+}
+
+/// The fixed read buffer an oplog scan or read streams the file through
+/// (`std::io::BufReader`'s default): sized by nothing the file declares.
+const OPLOG_READ_BUFFER: usize = 8 << 10;
+
+/// Opens an oplog over `bytes` as a daemon opens a namespace, then reads
+/// back every record and every name its index lists. Returns the records
+/// on `Ok`, and `None` on the typed error damage earns.
+fn open_oplog_checked(dir: &Scratch, bytes: &[u8]) -> Option<Vec<OplogRecord>> {
+    std::fs::write(dir.0.join(OPLOG_FILE), bytes).unwrap();
+    let (opened, peak) = largest_allocation_during(|| {
+        let log = Oplog::open(&dir.0)?;
+        let records = log.read_from(0, usize::MAX)?;
+        for name in log.names("") {
+            assert!(log.get(&name)?.is_some(), "{name} is listed but absent");
+        }
+        Ok::<_, Error>(records)
+    });
+    assert!(
+        peak <= allocation_bound(bytes.len()) + OPLOG_READ_BUFFER,
+        "a {}-byte oplog made the open allocate {peak} bytes at once",
+        bytes.len()
+    );
+    match opened {
+        Ok(records) => {
+            assert!(8 * records.len() <= bytes.len());
+            Some(records)
+        }
+        Err(Error::Corrupt { .. }) => None,
+        Err(other) => panic!("oplog: untyped failure {other:?}"),
+    }
+}
+
+fn arb_oplog_op() -> impl Strategy<Value = OplogOp> {
+    prop_oneof![
+        (".{1,12}", prop::collection::vec(any::<u8>(), 0..48))
+            .prop_map(|(name, bytes)| OplogOp::MetaPut { name, bytes }),
+        ".{1,12}".prop_map(|name| OplogOp::MetaDelete { name }),
+        prop::collection::vec(arb_hash(), 0..3).prop_map(|reachable| OplogOp::Sweep { reachable }),
+    ]
+}
+
+proptest! {
+    // Every variant is a file write and an open: fewer cases by default.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Oplog records, through `Oplog::open`: arbitrary bytes, arbitrary
+    /// bytes framed under a valid CRC, then every truncation and
+    /// single-byte mutation of a valid log, as found and with the last
+    /// record's CRC re-sealed. An open that succeeds over damage still
+    /// lists every record before the damaged one, and every record after
+    /// it too unless the damage can pass for a torn tail: a cut, or a
+    /// length word pointing past the end. Any other damage drops at most
+    /// the last record.
+    #[test]
+    fn oplog_records_survive_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..256),
+        ops in prop::collection::vec(arb_oplog_op(), 1..4),
+        flip in 1..=255u8,
+    ) {
+        let dir = Scratch::new("oplog");
+        open_oplog_checked(&dir, &noise);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &noise).unwrap();
+        open_oplog_checked(&dir, &framed);
+
+        let src = Scratch::new("oplog-src");
+        let path = src.0.join(OPLOG_FILE);
+        let log = Oplog::open(&src.0).unwrap();
+        let mut last_start = 0;
+        let mut ends = Vec::new();
+        for op in &ops {
+            last_start = std::fs::metadata(&path).map_or(0, |m| m.len() as usize);
+            log.append(op).unwrap();
+            ends.push(std::fs::metadata(&path).unwrap().len() as usize);
+        }
+        let originals = log.read_from(0, usize::MAX).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let n = ends.len();
+        let starts: Vec<usize> = std::iter::once(0).chain(ends.iter().copied()).take(n).collect();
+        let before = |at: usize| ends.iter().take_while(|&&end| end <= at).count();
+        // Each variant with how many leading records an `Ok` must list.
+        let mut cases = vec![(valid.clone(), n)];
+        cases.extend((0..valid.len()).map(|cut| (valid[..cut].to_vec(), before(cut))));
+        cases.extend((0..valid.len()).map(|at| {
+            let mut bytes = valid.clone();
+            bytes[at] ^= flip;
+            let length_word = starts.iter().any(|&s| (s..s + 4).contains(&at));
+            let kept = if length_word { before(at) } else { before(at).max(n - 1) };
+            (bytes, kept)
+        }));
+        for (damaged, kept) in cases {
+            for bytes in [damaged.clone(), resealed(damaged, last_start + 4)] {
+                if let Some(records) = open_oplog_checked(&dir, &bytes) {
+                    prop_assert!(
+                        records.len() >= kept && records[..kept] == originals[..kept],
+                        "an open over damage listed {} records, not the first {kept}",
+                        records.len()
+                    );
+                }
+            }
         }
     }
 }

@@ -13,10 +13,10 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use qcheck::failure::{arm, Fault};
-use qcheck::remote::spawn_daemon;
+use qcheck::remote::{spawn_daemon, DaemonHandle, RemoteStore};
 use qcheck::repo::{CheckpointRepo, SaveOptions};
 use qcheck::snapshot::TrainingSnapshot;
-use qcheck::store::StoreKind;
+use qcheck::store::{ObjectStore, StoreKind};
 use qcheck::Error;
 
 struct TempDir(PathBuf);
@@ -39,15 +39,15 @@ impl Drop for TempDir {
     }
 }
 
-/// Namespaces under a daemon root that hold a mirrored manifest.
-fn namespaces_with_manifests(daemon_root: &Path) -> BTreeSet<String> {
+/// Namespaces on `daemon` (rooted at `daemon_root`) that list a manifest.
+fn namespaces_with_manifests(daemon: &DaemonHandle, daemon_root: &Path) -> BTreeSet<String> {
     let names = std::fs::read_dir(daemon_root.join("ns")).unwrap().flatten();
     names
-        .filter(|ns| {
-            std::fs::read_dir(ns.path().join("meta/manifests"))
-                .is_ok_and(|mut manifests| manifests.next().is_some())
-        })
         .map(|ns| ns.file_name().to_string_lossy().to_string())
+        .filter(|ns| {
+            let store = RemoteStore::connect(daemon.addr(), ns.as_str()).unwrap();
+            !store.meta_list("manifests/").unwrap().is_empty()
+        })
         .collect()
 }
 
@@ -79,7 +79,7 @@ fn a_crash_opening_a_fresh_directory_keeps_its_backend_and_namespace() {
         for at in 1..=ops {
             for fault in faults.into_iter().chain([Fault::Fail]) {
                 let dir = TempDir::new("case");
-                let before = namespaces_with_manifests(&daemon_dir.0);
+                let before = namespaces_with_manifests(&daemon, &daemon_dir.0);
                 {
                     let _armed = arm(&dir.0, at, fault);
                     assert!(run(&dir.0, kind).is_err(), "op {at} {fault:?}");
@@ -90,7 +90,7 @@ fn a_crash_opening_a_fresh_directory_keeps_its_backend_and_namespace() {
                     Ok((recovered, _)) => assert_eq!(recovered, snapshot),
                     Err(e) => assert!(matches!(e, Error::NoValidCheckpoint { .. }), "{e}"),
                 }
-                let after = namespaces_with_manifests(&daemon_dir.0);
+                let after = namespaces_with_manifests(&daemon, &daemon_dir.0);
                 let theirs: Vec<&String> = after.difference(&before).collect();
                 if let Some(remote) = repo.store().remote() {
                     assert!(

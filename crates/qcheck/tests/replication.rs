@@ -11,10 +11,10 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use qcheck::failure::{arm, Fault};
 use qcheck::remote::proto::{ROLE_PRIMARY, ROLE_SECONDARY};
 use qcheck::remote::{
-    spawn_daemon, spawn_secondary, DaemonHandle, RemoteStore, ReplStop, ReplicateConfig, Server,
-    ServerConfig,
+    spawn_daemon, spawn_secondary, DaemonHandle, RemoteStore, ReplicateConfig, Server, ServerConfig,
 };
 use qcheck::repo::{CheckpointRepo, Retention, SaveMode, SaveOptions};
 use qcheck::snapshot::{StateBlob, TrainingSnapshot};
@@ -45,7 +45,7 @@ impl Drop for TempDir {
 
 /// Spawns a *manual* secondary: role SECONDARY, no background tailer —
 /// the tests drive replication passes explicitly via
-/// [`DaemonHandle::repl_sync`] so they can stop at crash-drill points.
+/// [`DaemonHandle::repl_sync`], and crash one with the fault plan.
 fn spawn_manual_secondary(root: &std::path::Path, primary_addr: &str) -> DaemonHandle {
     let mut config = ServerConfig::new(root);
     config.store_kind = StoreKind::Loose;
@@ -82,7 +82,7 @@ fn open_repo(addr: &str, ns: &str, dir: &std::path::Path) -> CheckpointRepo {
 /// entries.
 fn sync_to_convergence(secondary: &DaemonHandle) {
     for _ in 0..64 {
-        let report = secondary.repl_sync(None).unwrap();
+        let report = secondary.repl_sync().unwrap();
         if report.remaining == 0 {
             return;
         }
@@ -212,7 +212,7 @@ fn tailer_survives_connection_drops_on_the_replication_stream() {
     // so repeated passes converge by resuming from the local offset.
     let mut converged = false;
     for _ in 0..200 {
-        match secondary.repl_sync(None) {
+        match secondary.repl_sync() {
             Ok(report) if report.remaining == 0 => {
                 converged = true;
                 break;
@@ -235,29 +235,36 @@ fn tailer_survives_connection_drops_on_the_replication_stream() {
 #[test]
 fn oplog_stage_crash_drills_resync_idempotently() {
     // A secondary that died mid-pass — after pulling an entry's chunks
-    // but before applying it, or after applying but before acking —
-    // must converge to the identical store on the next full pass.
-    for (tag, stop) in [
-        ("after-chunks", ReplStop::AfterChunks),
-        ("after-entry", ReplStop::AfterEntry),
-    ] {
-        let dir = TempDir::new(tag);
-        let primary = spawn_daemon(dir.0.join("primary"), StoreKind::Loose).unwrap();
-        let secondary = spawn_manual_secondary(&dir.0.join("secondary"), &primary.addr());
-        let repo = open_repo(&primary.addr(), "drill", &dir.0.join("client"));
-        apply_workload(&repo);
-
+    // but before appending it, or after appending but before acking —
+    // must converge to the identical store on the next full pass. The
+    // first pass dies right after each of its durable ops in turn.
+    let dir = TempDir::new("drill");
+    let primary = spawn_daemon(dir.0.join("primary"), StoreKind::Loose).unwrap();
+    let repo = open_repo(&primary.addr(), "drill", &dir.0.join("client"));
+    apply_workload(&repo);
+    let first_pass = |root: &std::path::Path, at: u64| {
+        let secondary = spawn_manual_secondary(root, &primary.addr());
+        let plan = arm(root.join("ns/drill"), at, Fault::Crash { keep_pct: 100 });
+        let partial = secondary.repl_sync();
+        (
+            partial.map_or(true, |report| report.remaining > 0),
+            plan.ops(),
+        )
+    };
+    let (_, ops) = first_pass(&dir.0.join("count"), 0);
+    assert!(ops > 0, "the pass issued no durable op");
+    for at in 1..=ops {
+        let tag = format!("op {at} of {ops}");
+        let root = dir.0.join(format!("secondary-{at}"));
         // Partial pass, "crashing" at the drill point…
-        let partial = secondary.repl_sync(Some(stop)).unwrap();
-        assert!(
-            partial.remaining > 0,
-            "{tag}: the drill must stop before convergence"
-        );
-        // …then resync from scratch: already-shipped chunks and
-        // already-applied entries must not duplicate or corrupt.
+        let (stopped, _) = first_pass(&root, at);
+        assert!(stopped, "{tag}: the drill must stop before convergence");
+        // …then a restarted secondary resyncs: already-shipped chunks and
+        // already-appended entries must not duplicate or corrupt.
+        let secondary = spawn_manual_secondary(&root, &primary.addr());
         sync_to_convergence(&secondary);
         secondary.promote().unwrap();
-        let failover = open_repo(&secondary.addr(), "drill", &dir.0.join("fresh"));
+        let failover = open_repo(&secondary.addr(), "drill", &root.join("fresh"));
         let (snap, _) = failover.recover().unwrap();
         assert_eq!(snap.step, 4, "{tag}");
         let health = fsck(&failover).unwrap();
@@ -387,7 +394,7 @@ fn auth_token_gates_shutdown_sweep_and_replication() {
     // An unauthenticated secondary cannot open a replication stream
     // (the oplog carries every namespace's data).
     let unauth_secondary = spawn_manual_secondary(&dir.0.join("unauth-sec"), &daemon.addr());
-    let err = unauth_secondary.repl_sync(None).unwrap_err();
+    let err = unauth_secondary.repl_sync().unwrap_err();
     assert!(matches!(err, Error::Unauthorized(_)), "repl: {err}");
 
     // The right token unlocks all of it.
@@ -398,7 +405,7 @@ fn auth_token_gates_shutdown_sweep_and_replication() {
     repl.auth_token = Some("sekrit".into());
     sec_config.replicate = Some(repl);
     let auth_secondary = Server::bind("127.0.0.1:0", sec_config).unwrap().spawn();
-    auth_secondary.repl_sync(None).unwrap();
+    auth_secondary.repl_sync().unwrap();
 
     let authed = RemoteStore::connect_opts(daemon.addr(), "authed", Some("sekrit".into())).unwrap();
     authed.sweep(&BTreeSet::new(), false).unwrap();
@@ -488,7 +495,7 @@ fn a_poisoned_namespace_is_quarantined_without_starving_others() {
     let params = apply_workload(&clean);
 
     let secondary = spawn_manual_secondary(&dir.0.join("secondary"), &primary.addr());
-    let report = secondary.repl_sync(None).unwrap();
+    let report = secondary.repl_sync().unwrap();
     assert_eq!(report.quarantined, 1, "the poisoned tenant is set aside");
     assert!(report.remaining > 0, "its entries stay outstanding");
     assert!(
@@ -496,7 +503,7 @@ fn a_poisoned_namespace_is_quarantined_without_starving_others() {
         "the clean tenant must replicate in the same pass"
     );
     // The quarantine is stable: another pass neither clears nor grows it.
-    let again = secondary.repl_sync(None).unwrap();
+    let again = secondary.repl_sync().unwrap();
     assert_eq!(again.quarantined, 1);
     assert_eq!(
         again.entries_applied, 0,

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use qcheck::failure::{arm, Fault};
 use qcheck::remote::{
-    spawn_daemon, DaemonHandle, RemoteStore, ReplStop, ReplicateConfig, Server, ServerConfig,
+    spawn_daemon, DaemonHandle, RemoteStore, ReplicateConfig, Server, ServerConfig,
 };
 use qcheck::repo::{CheckpointRepo, Retention, SaveMode, SaveOptions, SaveReport};
 use qcheck::snapshot::{Checkpointable, StateBlob, TrainingSnapshot};
@@ -402,16 +402,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The replicated remote backend joins the equivalence family: after
-    /// an arbitrary workload on the primary, a secondary that "crashed"
-    /// mid-pass at a randomly chosen oplog stage (chunks shipped but
-    /// entry unapplied / entry applied but unacked / clean cut between
-    /// passes) and then resynced, once promoted, serves a repository
-    /// with byte-identical manifests, identical recovery and identical
-    /// fsck health — convergence is idempotent at every stage boundary.
+    /// an arbitrary workload on the primary, a secondary whose first pass
+    /// met a fault at a randomly chosen durable op — a crash keeping 0, 50
+    /// or 100 % of it (chunks stored but the entry not appended, entry
+    /// appended but unacked, a torn append) or a failed write; op 0, or
+    /// one past the pass's last, is the clean cut between passes — and
+    /// which then restarted and resynced, once promoted, serves a
+    /// repository with byte-identical manifests, identical recovery and
+    /// identical fsck health — convergence is idempotent wherever the
+    /// pass stopped.
     #[test]
     fn replicated_secondary_converges_after_staged_crashes(
         ops in prop::collection::vec(arb_op(), 1..8),
-        stage in 0usize..3,
+        stage in (0u64..24, 0usize..4),
     ) {
         let dir = TempDir::new("repl-equiv");
         let primary = spawn_daemon(dir.0.join("primary"), StoreKind::Loose).unwrap();
@@ -421,7 +424,7 @@ proptest! {
         let mut repl = ReplicateConfig::new(primary.addr());
         repl.manual = true; // passes are driven (and cut) explicitly
         sec_config.replicate = Some(repl);
-        let secondary = Server::bind("127.0.0.1:0", sec_config).unwrap().spawn();
+        let spawn_secondary = || Server::bind("127.0.0.1:0", sec_config.clone()).unwrap().spawn();
 
         let store = RemoteStore::connect(primary.addr(), "repl-equiv").unwrap();
         let repo =
@@ -436,15 +439,23 @@ proptest! {
             apply_op(&repo, StoreKind::Remote, *op, step, &params);
         }
 
-        // Crash the first replication pass at the drilled stage, then
-        // resync to convergence.
-        match stage {
-            0 => { secondary.repl_sync(Some(ReplStop::AfterChunks)).unwrap(); }
-            1 => { secondary.repl_sync(Some(ReplStop::AfterEntry)).unwrap(); }
-            _ => {} // no partial pass: the clean-cut baseline
+        // The first replication pass meets the staged fault; the secondary
+        // restarts from its root and resyncs to convergence.
+        let (at, fault) = stage;
+        let fault = [
+            Fault::Crash { keep_pct: 0 },
+            Fault::Crash { keep_pct: 50 },
+            Fault::Crash { keep_pct: 100 },
+            Fault::Fail,
+        ][fault];
+        {
+            let secondary = spawn_secondary();
+            let _plan = arm(dir.0.join("secondary/ns/repl-equiv"), at, fault);
+            let _ = secondary.repl_sync();
         }
+        let secondary = spawn_secondary();
         for _ in 0..64 {
-            if secondary.repl_sync(None).unwrap().remaining == 0 {
+            if secondary.repl_sync().unwrap().remaining == 0 {
                 break;
             }
         }
@@ -459,12 +470,12 @@ proptest! {
         )
         .unwrap();
         let ids = repo.list_ids().unwrap();
-        prop_assert_eq!(&ids, &failover.list_ids().unwrap(), "ids diverged at stage {}", stage);
+        prop_assert_eq!(&ids, &failover.list_ids().unwrap(), "ids diverged at {:?}", stage);
         for id in &ids {
             prop_assert_eq!(
                 repo.load_manifest(id).unwrap().encode(),
                 failover.load_manifest(id).unwrap().encode(),
-                "manifest {} diverged at stage {}", id, stage
+                "manifest {} diverged at {:?}", id, stage
             );
             prop_assert_eq!(repo.load(id).unwrap(), failover.load(id).unwrap());
         }
@@ -600,10 +611,7 @@ fn retention_crash_before_mirror_deletes_does_not_resurrect() {
         );
         repo.apply_retention(Retention::KeepLast(1)).unwrap_err()
     };
-    assert!(
-        err.to_string().contains("op 1: remove meta/manifests/"),
-        "{err}"
-    );
+    assert!(err.to_string().contains("op 1: append OPLOG"), "{err}");
 
     // The crash left the exact divergence of the bug: tombstones are
     // durable locally, but the mirror still lists every manifest.
