@@ -108,18 +108,12 @@ fn run() -> Result<(), String> {
             println!("checkpoints:   {}", ids.len());
             println!("objects:       {}", stats.object_count);
             println!("payload bytes: {}", stats.total_bytes);
-            // Read-only sweep preview: what a `gc` would reclaim now,
-            // and what the pack backend's compaction threshold would
-            // keep deferring (fragmentation that is measured but not
-            // yet worth a pack rewrite).
+            // Read-only sweep preview: every unreachable object a `gc`
+            // would delete now.
             let plan = repo.gc_plan().map_err(|e| e.to_string())?;
             println!(
                 "gc would reclaim: {} objects ({} B)",
                 plan.deleted, plan.reclaimed_bytes
-            );
-            println!(
-                "gc deferred:      {} objects ({} B) below the rewrite threshold",
-                plan.deferred, plan.deferred_bytes
             );
             if let Some(remote) = repo.store().remote() {
                 println!(
@@ -168,12 +162,8 @@ fn run() -> Result<(), String> {
         ("gc", None, None) => {
             let report = repo.gc().map_err(|e| e.to_string())?;
             println!(
-                "live {} / deleted {} objects, reclaimed {} B; deferred {} ({} B)",
-                report.live,
-                report.deleted,
-                report.reclaimed_bytes,
-                report.deferred,
-                report.deferred_bytes
+                "live {} / deleted {} objects, reclaimed {} B",
+                report.live, report.deleted, report.reclaimed_bytes
             );
             Ok(())
         }

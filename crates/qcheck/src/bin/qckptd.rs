@@ -49,7 +49,7 @@ fn usage() -> ExitCode {
 }
 
 /// Control-plane connections use a reserved namespace; it is never
-/// written to (status/promote/shutdown/ping are namespace-free
+/// written to (status/metrics/promote/shutdown are namespace-free
 /// operations).
 const CONTROL_NS: &str = "control";
 

@@ -575,18 +575,6 @@ impl RemoteStore {
             other => Err(unexpected("requesting shutdown", &other)),
         }
     }
-
-    /// Round-trip liveness probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the daemon is unreachable.
-    pub fn ping(&self) -> Result<()> {
-        match self.request("pinging", Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(unexpected("pinging", &other)),
-        }
-    }
 }
 
 impl Drop for RemoteStore {
@@ -929,7 +917,7 @@ mod tests {
         // The connection survives a judged error: the next request
         // reuses it (no extra handshake round trip).
         let before = store.round_trips();
-        store.ping().unwrap();
+        store.status().unwrap();
         assert_eq!(store.round_trips() - before, 1);
         let _ = std::fs::remove_dir_all(root);
     }
@@ -953,16 +941,16 @@ mod tests {
         assert!(store.conn.is_poisoned());
 
         let before = store.round_trips();
-        store.ping().unwrap();
+        store.status().unwrap();
         assert_eq!(
             store.round_trips() - before,
             2,
-            "a fresh connection: one handshake, one ping"
+            "a fresh connection: one handshake, one status"
         );
         assert!(!store.conn.is_poisoned());
         // And the handle is back to normal: the new connection is reused.
         let before = store.round_trips();
-        store.ping().unwrap();
+        store.status().unwrap();
         assert_eq!(store.round_trips() - before, 1);
         let _ = std::fs::remove_dir_all(root);
     }
@@ -1001,7 +989,7 @@ mod tests {
         // the client must fail over to the live daemon at connect time.
         let spec = format!("127.0.0.1:1,{}", daemon.addr());
         let store = RemoteStore::connect(spec, "fo").unwrap();
-        store.ping().unwrap();
+        store.status().unwrap();
         assert_eq!(store.addr(), daemon.addr());
         let _ = std::fs::remove_dir_all(root);
     }

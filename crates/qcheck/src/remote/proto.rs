@@ -105,7 +105,7 @@ use crate::hash::{crc32, ContentHash};
 use crate::store::{BatchPutReport, GcReport, StoreStats};
 
 /// The one protocol version this build speaks, on both ends.
-pub const PROTO_VERSION: u32 = 5;
+pub const PROTO_VERSION: u32 = 6;
 
 /// [`Request::Hello`] flag: the connection wants the namespace's writer
 /// lease (granted in [`Response::HelloOk`], or the handshake fails with
@@ -286,8 +286,6 @@ pub enum Request {
         /// whose generation is lower must refuse (it is demoted).
         min_generation: u64,
     },
-    /// Liveness check; returns [`Response::Pong`].
-    Ping,
     /// Store a batch of chunks (the whole batch commits together when
     /// the server's layout allows it, mirroring local `put_batch`).
     PutBatch {
@@ -412,15 +410,13 @@ pub enum Response {
         /// Writer lease granted to this connection, when requested.
         lease: Option<LeaseGrant>,
     },
-    /// Liveness reply.
-    Pong,
     /// `PutBatch` outcome.
     PutBatch(BatchPutReport),
     /// `Contains` answers, in request order.
     Contains(Vec<bool>),
     /// `List` result.
     Hashes(Vec<ContentHash>),
-    /// `Sweep` report.
+    /// `Sweep` report: `live u64 | deleted u64 | reclaimed_bytes u64`.
     Gc(GcReport),
     /// `Stats` result.
     Stats(StoreStats),
@@ -564,7 +560,7 @@ impl ErrCode {
 
 // Opcode bytes. Requests < 0x80, responses ≥ 0x80.
 const OP_HELLO: u8 = 1;
-const OP_PING: u8 = 2;
+// 2 was PING (≤ v5): retired, never reused.
 const OP_PUT_BATCH: u8 = 3;
 // 4 was the one-chunk GET of protocols ≤ 4: retired, never reused.
 const OP_CONTAINS: u8 = 5;
@@ -590,7 +586,7 @@ const OP_METRICS: u8 = 28;
 const OP_FETCH: u8 = 29;
 
 const RESP_HELLO_OK: u8 = 0x80;
-const RESP_PONG: u8 = 0x81;
+// 0x81 was PING's reply (≤ v5): retired, never reused.
 const RESP_PUT_BATCH: u8 = 0x82;
 // 0x83 was GET's single-chunk reply (≤ v4): retired, never reused.
 const RESP_CONTAINS: u8 = 0x84;
@@ -732,9 +728,6 @@ impl Request {
                     .put_u64(*lease_token)
                     .put_u64(*min_generation);
             }
-            Request::Ping => {
-                enc.put_u8(OP_PING);
-            }
             Request::PutBatch { fsync, chunks } => {
                 enc.put_u8(OP_PUT_BATCH)
                     .put_u8(u8::from(*fsync))
@@ -841,7 +834,6 @@ impl Request {
                     min_generation: dec.get_u64()?,
                 }
             }
-            OP_PING => Request::Ping,
             OP_PUT_BATCH => {
                 let fsync = dec.get_u8()? != 0;
                 let n = dec.get_varint()? as usize;
@@ -978,9 +970,6 @@ impl Response {
                     }
                 }
             }
-            Response::Pong => {
-                enc.put_u8(RESP_PONG);
-            }
             Response::PutBatch(report) => {
                 enc.put_u8(RESP_PUT_BATCH)
                     .put_varint(report.fresh.len() as u64);
@@ -1003,9 +992,7 @@ impl Response {
                 enc.put_u8(RESP_GC)
                     .put_u64(r.live as u64)
                     .put_u64(r.deleted as u64)
-                    .put_u64(r.reclaimed_bytes)
-                    .put_u64(r.deferred as u64)
-                    .put_u64(r.deferred_bytes);
+                    .put_u64(r.reclaimed_bytes);
             }
             Response::Stats(s) => {
                 enc.put_u8(RESP_STATS)
@@ -1128,7 +1115,6 @@ impl Response {
                     lease,
                 }
             }
-            RESP_PONG => Response::Pong,
             RESP_PUT_BATCH => {
                 let n = dec.get_varint()? as usize;
                 if n > dec.remaining() {
@@ -1166,8 +1152,6 @@ impl Response {
                 live: dec.get_u64()? as usize,
                 deleted: dec.get_u64()? as usize,
                 reclaimed_bytes: dec.get_u64()?,
-                deferred: dec.get_u64()? as usize,
-                deferred_bytes: dec.get_u64()?,
             }),
             RESP_STATS => Response::Stats(StoreStats {
                 object_count: dec.get_u64()? as usize,
@@ -1374,7 +1358,6 @@ mod tests {
             lease_token: 0xDEAD_BEEF,
             min_generation: 7,
         });
-        round_trip_request(Request::Ping);
         round_trip_request(Request::PutBatch {
             fsync: true,
             chunks: vec![
@@ -1445,7 +1428,7 @@ mod tests {
     /// decode error, not a Hello with invented fields.
     #[test]
     fn foreign_version_hello_decodes_and_short_body_is_refused() {
-        for version in [1, 2, 3, 4, PROTO_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, PROTO_VERSION + 1] {
             round_trip_request(Request::Hello {
                 version,
                 namespace: "old-client".into(),
@@ -1481,7 +1464,6 @@ mod tests {
                 ttl_ms: 30_000,
             }),
         });
-        round_trip_response(Response::Pong);
         round_trip_response(Response::PutBatch(BatchPutReport {
             fresh: vec![true, false],
             renames: 1,
@@ -1493,8 +1475,6 @@ mod tests {
             live: 1,
             deleted: 2,
             reclaimed_bytes: 3,
-            deferred: 4,
-            deferred_bytes: 5,
         }));
         round_trip_response(Response::Stats(StoreStats {
             object_count: 7,
@@ -1617,7 +1597,7 @@ mod tests {
 
     #[test]
     fn frame_io_round_trips_and_detects_damage() {
-        let body = Request::Ping.encode();
+        let body = Request::Status.encode();
         let mut buf = Vec::new();
         write_frame(&mut buf, &body).unwrap();
         let mut cursor = &buf[..];

@@ -75,6 +75,9 @@ pub const OPLOG_FILE: &str = "OPLOG";
 /// Entries per `ReplFetch` round trip.
 const FETCH_BATCH: u32 = 256;
 
+/// Delay between tail polls when caught up.
+const POLL_INTERVAL: Duration = Duration::from_millis(150);
+
 /// How a secondary follows its primary (part of
 /// [`super::ServerConfig`]).
 #[derive(Clone, Debug)]
@@ -83,8 +86,6 @@ pub struct ReplicateConfig {
     pub primary_addr: String,
     /// Auth token to present to the primary, when it requires one.
     pub auth_token: Option<String>,
-    /// Delay between tail polls when caught up.
-    pub poll_interval: Duration,
     /// Disable the background tailer thread; tests drive replication
     /// one pass at a time through `DaemonHandle::repl_sync`, crashing a
     /// pass with the fault plan armed on the namespace directory.
@@ -92,12 +93,11 @@ pub struct ReplicateConfig {
 }
 
 impl ReplicateConfig {
-    /// Follows `primary_addr` with default pacing.
+    /// Follows `primary_addr`, tailing in the background.
     pub fn new(primary_addr: impl Into<String>) -> Self {
         ReplicateConfig {
             primary_addr: primary_addr.into(),
             auth_token: None,
-            poll_interval: Duration::from_millis(150),
             manual: false,
         }
     }
@@ -627,7 +627,7 @@ pub(crate) fn run_tailer(shared: std::sync::Arc<Shared>, cfg: ReplicateConfig) {
             },
         };
         match sync_once(&shared, conn) {
-            Ok(_) => interruptible_sleep(&shared, cfg.poll_interval),
+            Ok(_) => interruptible_sleep(&shared, POLL_INTERVAL),
             Err(_) => {
                 // Primary unreachable or mid-restart: drop the link and
                 // retry from scratch; everything is resumable by offset.

@@ -101,10 +101,6 @@ pub struct ServerConfig {
     /// rename — is the only local layout a release build has; the
     /// equivalence suites also serve the reference loose layout.
     pub store_kind: StoreKind,
-    /// Overrides the pack GC rewrite threshold for every namespace
-    /// (`None` = [`crate::store::DEFAULT_GC_DEAD_FRACTION`]). The
-    /// backend-equivalence suites pin `0.0` (eager) here.
-    pub gc_dead_fraction: Option<f64>,
     /// Fault injection: close each connection after this many request
     /// frames (handshake excluded). Exercises the client's
     /// reconnect-and-replay path; `None` in production.
@@ -127,7 +123,6 @@ impl ServerConfig {
         ServerConfig {
             root: root.into(),
             store_kind: StoreKind::Pack,
-            gc_dead_fraction: None,
             drop_after_requests: None,
             auth_token: None,
             lease_ttl: DEFAULT_LEASE_TTL,
@@ -145,7 +140,7 @@ pub(crate) struct Namespace {
 }
 
 impl Namespace {
-    fn open(ns_root: &Path, kind: StoreKind, gc_dead_fraction: Option<f64>) -> Result<Namespace> {
+    fn open(ns_root: &Path, kind: StoreKind) -> Result<Namespace> {
         fs::create_dir_all(ns_root)
             .map_err(|e| Error::io(format!("creating {}", ns_root.display()), e))?;
         let oplog = Oplog::open(ns_root)?;
@@ -160,10 +155,7 @@ impl Namespace {
                 ns_root.display()
             )));
         }
-        let mut store = StoreBackend::open_sticky(ns_root, kind)?;
-        if let Some(f) = gc_dead_fraction {
-            store.set_gc_dead_fraction(f);
-        }
+        let store = StoreBackend::open_sticky(ns_root, kind)?;
         Ok(Namespace { store, oplog })
     }
 }
@@ -237,7 +229,6 @@ fn count_request(ns: &str, op: &'static str) {
 fn op_name(req: &Request) -> &'static str {
     match req {
         Request::Hello { .. } => "hello",
-        Request::Ping => "ping",
         Request::PutBatch { .. } => "put_batch",
         Request::Fetch { .. } => "fetch",
         Request::Contains { .. } => "contains",
@@ -296,11 +287,7 @@ impl Shared {
             return Ok(Arc::clone(ns));
         }
         let ns_root = self.config.root.join("ns").join(name);
-        let ns = Arc::new(Namespace::open(
-            &ns_root,
-            self.config.store_kind,
-            self.config.gc_dead_fraction,
-        )?);
+        let ns = Arc::new(Namespace::open(&ns_root, self.config.store_kind)?);
         map.insert(name.to_string(), Arc::clone(&ns));
         Ok(ns)
     }
@@ -730,9 +717,8 @@ impl Drop for DaemonHandle {
 }
 
 /// Spawns an in-process daemon on an ephemeral localhost port — the
-/// one-liner for tests and examples. `gc_dead_fraction` is pinned to
-/// `0.0` (eager GC) so remote repositories behave byte-identically to
-/// the local backends' logical-equivalence contract.
+/// one-liner for tests and examples. It runs the configuration
+/// `qckptd serve` runs (GC included), on the given store layout.
 ///
 /// # Errors
 ///
@@ -740,7 +726,6 @@ impl Drop for DaemonHandle {
 pub fn spawn_daemon(root: impl Into<PathBuf>, kind: StoreKind) -> Result<DaemonHandle> {
     let mut config = ServerConfig::new(root);
     config.store_kind = kind;
-    config.gc_dead_fraction = Some(0.0);
     Ok(Server::bind("127.0.0.1:0", config)?.spawn())
 }
 
@@ -757,7 +742,6 @@ pub fn spawn_secondary(
 ) -> Result<DaemonHandle> {
     let mut config = ServerConfig::new(root);
     config.store_kind = kind;
-    config.gc_dead_fraction = Some(0.0);
     config.replicate = Some(ReplicateConfig::new(primary_addr));
     Ok(Server::bind("127.0.0.1:0", config)?.spawn())
 }
@@ -1026,7 +1010,6 @@ fn apply_request_inner(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> Resu
     let namespace = ctx.namespace.as_str();
     match req {
         Request::Hello { .. } => Err(Error::protocol("handling request", "duplicate Hello")),
-        Request::Ping => Ok(Response::Pong),
         Request::PutBatch { fsync, chunks } => {
             guard_write(shared, ctx, "put_batch")?;
             let ns = shared.namespace(namespace)?;

@@ -456,12 +456,6 @@ impl CheckpointRepo {
         &self.store
     }
 
-    /// Mutable access to the underlying object store (per-handle tuning
-    /// hooks such as `StoreBackend::set_gc_dead_fraction`).
-    pub fn store_mut(&mut self) -> &mut StoreBackend {
-        &mut self.store
-    }
-
     /// Path of the current manifest log file (`manifest-<epoch>.qlg`).
     ///
     /// # Errors
@@ -1343,8 +1337,7 @@ impl CheckpointRepo {
     }
 
     /// Read-only preview of what [`CheckpointRepo::gc`] would do right
-    /// now — including the pack backend's compaction-deferral counters
-    /// (`GcReport::{deferred,deferred_bytes}`). Deletes nothing.
+    /// now: the same report, from the same rule, with no file touched.
     ///
     /// # Errors
     ///

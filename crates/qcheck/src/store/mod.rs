@@ -40,7 +40,7 @@ mod pack;
 
 #[cfg(any(test, feature = "testing"))]
 pub use loose::LooseStore;
-pub use pack::{PackStore, DEFAULT_GC_DEAD_FRACTION};
+pub use pack::PackStore;
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -59,7 +59,10 @@ pub const REMOTE_NS_MARKER_FILE: &str = "REMOTE_NS";
 /// Name of the backend marker file at the repository root.
 pub const STORE_MARKER_FILE: &str = "STORE";
 
-/// Result of a garbage-collection sweep.
+/// Result of a garbage-collection sweep. Every backend deletes every
+/// unreachable object it holds (the pack backend by deleting or
+/// rewriting each pack that holds one), so after a real sweep
+/// `deleted` is the store's whole unreachable count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
     /// Objects retained because they were reachable.
@@ -68,14 +71,6 @@ pub struct GcReport {
     pub deleted: usize,
     /// Bytes reclaimed.
     pub reclaimed_bytes: u64,
-    /// Unreachable objects intentionally kept this sweep (pack backend:
-    /// a mixed pack below the [`DEFAULT_GC_DEAD_FRACTION`] rewrite
-    /// threshold is left untouched rather than rewritten — they remain
-    /// readable and are re-examined by the next sweep). Always 0 for the
-    /// reference loose layout.
-    pub deferred: usize,
-    /// Payload bytes held by deferred objects.
-    pub deferred_bytes: u64,
 }
 
 /// Aggregate store statistics.
@@ -198,9 +193,8 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     /// Mark-and-sweep garbage collection: deletes every object whose hash
     /// is not in `reachable`, and clears stale staging files. With
     /// `dry_run` nothing is deleted or rewritten and the report is the
-    /// one a sweep against `reachable` would produce *right now* —
-    /// including the pack backend's compaction-deferral counters
-    /// (`qckpt stats` surfaces fragmentation this way, read-only).
+    /// one a sweep against `reachable` would produce *right now*
+    /// (`qckpt stats` previews a `gc` this way, read-only).
     ///
     /// # Errors
     ///
@@ -409,15 +403,6 @@ pub enum StoreBackend {
 }
 
 impl StoreBackend {
-    /// Overrides the pack backend's GC rewrite threshold (no-op for the
-    /// remote backend — the daemon's threshold is server configuration).
-    /// See [`PackStore::set_gc_dead_fraction`].
-    pub fn set_gc_dead_fraction(&mut self, fraction: f64) {
-        if let StoreBackend::Pack(pack) = self {
-            pack.set_gc_dead_fraction(fraction);
-        }
-    }
-
     /// The remote client, when this backend is
     /// [`StoreBackend::Remote`] — the hook for protocol-level
     /// inspection (round-trip counters, daemon status).

@@ -25,10 +25,10 @@
 //! costs two small reads regardless of payload size. A torn or truncated
 //! pack fails the footer/CRC checks and is ignored wholesale — exactly the
 //! crash semantics of a loose store whose staged objects never got
-//! renamed. Packs are immutable once published; garbage collection
-//! rewrites a pack only when it holds a mix of live and dead objects
-//! (stage + rename again), deletes it when everything is dead, and leaves
-//! it untouched when everything is live.
+//! renamed. Packs are immutable once published; garbage collection has
+//! one rule: a pack with no live object is deleted, a fully live pack is
+//! left untouched, and every other pack — one dead object is enough — is
+//! rewritten with only its live objects (stage + rename again).
 //!
 //! ## Pack-index cache
 //!
@@ -69,14 +69,6 @@ const HEADER_LEN: u64 = 10;
 const ENTRY_LEN: usize = 44;
 /// Footer length: index offset + count + index CRC + tail magic.
 const FOOTER_LEN: u64 = 24;
-
-/// Default GC rewrite threshold — the minimum dead fraction (by object
-/// count) a mixed pack must reach before GC rewrites it: a mixed pack is
-/// rewritten only when more than half its objects are dead. Eager rewriting (`0.0`) copies
-/// every live byte of every slightly-fragmented pack on every sweep;
-/// the threshold bounds that I/O on long-lived repos at the cost of
-/// keeping up to this fraction of dead payload per pack.
-pub const DEFAULT_GC_DEAD_FRACTION: f64 = 0.5;
 
 /// Where one object lives: pack slot + absolute file offset + length.
 #[derive(Clone, Copy, Debug)]
@@ -187,10 +179,6 @@ pub struct PackStore {
     /// chunk. Packs are immutable and content-named, so a cached
     /// descriptor can never serve stale bytes.
     mru_pack: Arc<Mutex<MruPack>>,
-    /// Minimum dead fraction (by object count) before a mixed pack is
-    /// rewritten during [`ObjectStore::sweep`]; starts at
-    /// [`DEFAULT_GC_DEAD_FRACTION`].
-    gc_dead_fraction: f64,
 }
 
 impl PackStore {
@@ -216,16 +204,9 @@ impl PackStore {
             pass: Arc::new(PassState::default()),
             rescans: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             mru_pack: Arc::new(Mutex::new(None)),
-            gc_dead_fraction: DEFAULT_GC_DEAD_FRACTION,
         };
         store.refresh(&mut store.lock())?;
         Ok(store)
-    }
-
-    /// Overrides the GC rewrite threshold for this handle (the
-    /// equivalence suites and the daemon's `gc_dead_fraction` setting).
-    pub fn set_gc_dead_fraction(&mut self, fraction: f64) {
-        self.gc_dead_fraction = fraction.clamp(0.0, 1.0);
     }
 
     /// The index lock. A holder that panicked may have left the index
@@ -645,27 +626,16 @@ impl ObjectStore for PackStore {
                 .filter(|(h, _)| reachable.contains(h))
                 .collect();
             let dead_count = entries.len() - live.len();
-            let dead_bytes: u64 = entries
-                .iter()
-                .filter(|(h, _)| !reachable.contains(h))
-                .map(|(_, loc)| loc.len as u64)
-                .sum();
             report.live += live.len();
             if dead_count == 0 {
                 continue;
             }
-            // Compaction threshold: rewriting a mixed pack copies every
-            // live byte, so a barely-fragmented pack is left alone until
-            // enough of it dies. Fraction is over object count (robust to
-            // empty chunks); fully dead packs always delete.
-            let dead_fraction = dead_count as f64 / entries.len() as f64;
-            if !live.is_empty() && dead_fraction <= self.gc_dead_fraction {
-                report.deferred += dead_count;
-                report.deferred_bytes += dead_bytes;
-                continue;
-            }
             report.deleted += dead_count;
-            report.reclaimed_bytes += dead_bytes;
+            report.reclaimed_bytes += entries
+                .iter()
+                .filter(|(h, _)| !reachable.contains(h))
+                .map(|(_, loc)| loc.len as u64)
+                .sum::<u64>();
             if dry_run {
                 continue;
             }
@@ -1007,8 +977,7 @@ mod tests {
 
     #[test]
     fn get_many_falls_back_on_an_index_miss_and_a_vanished_pack() {
-        let (dir, mut writer) = temp_store();
-        writer.set_gc_dead_fraction(0.0);
+        let (dir, writer) = temp_store();
         let reader = PackStore::open(dir.path()).unwrap();
         let blobs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 128]).collect();
         writer.put_batch(&stage(&blobs), false).unwrap();
@@ -1067,61 +1036,41 @@ mod tests {
     }
 
     #[test]
-    fn sweep_defers_packs_below_the_dead_fraction_threshold() {
-        let (dir, mut store) = temp_store();
-        store.set_gc_dead_fraction(0.5);
+    fn one_dead_object_is_enough_to_rewrite_a_pack() {
+        let (dir, store) = temp_store();
         let blobs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 200]).collect();
         let staged = stage(&blobs);
         store.put_batch(&staged, false).unwrap();
+        store.put_batch(&stage(&[vec![9u8; 400]]), false).unwrap();
         let before = pack_files(&dir);
-        // 1 of 4 objects dead (0.25 ≤ 0.5): the pack is left untouched —
-        // zero GC I/O, the fragmentation is only recorded.
+        // 1 of 4 objects dead in the first pack, the second pack all dead:
+        // the first is rewritten down to its 3 live objects, the second
+        // deleted, and no dead byte survives the sweep.
         let reachable: BTreeSet<ContentHash> =
             staged[..3].iter().map(|s| s.reference.hash).collect();
         let report = store.sweep(&reachable, false).unwrap();
-        assert_eq!(report.deleted, 0);
-        assert_eq!(report.deferred, 1);
-        assert_eq!(report.deferred_bytes, 200);
-        assert_eq!(report.live, 3);
         assert_eq!(
-            pack_files(&dir),
-            before,
-            "deferred sweep must do no pack I/O"
+            report,
+            GcReport {
+                live: 3,
+                deleted: 2,
+                reclaimed_bytes: 600,
+            }
         );
-        // The deferred object stays readable until a later sweep.
-        assert_eq!(store.get(&staged[3].reference).unwrap(), blobs[3]);
-        // 3 of 4 dead (0.75 > 0.5): the threshold trips and the pack is
-        // rewritten down to the single live object.
-        let reachable: BTreeSet<ContentHash> =
-            staged[..1].iter().map(|s| s.reference.hash).collect();
-        let report = store.sweep(&reachable, false).unwrap();
-        assert_eq!(report.deleted, 3);
-        assert_eq!(report.deferred, 0);
-        assert_eq!(report.reclaimed_bytes, 600);
         let after = pack_files(&dir);
         assert_eq!(after.len(), 1);
-        assert_ne!(after, before, "crossing the threshold rewrites the pack");
-        assert_eq!(store.get(&staged[0].reference).unwrap(), blobs[0]);
+        assert!(!before.contains(&after[0]), "the mixed pack is rewritten");
+        for (s, blob) in staged[..3].iter().zip(&blobs) {
+            assert_eq!(store.get(&s.reference).unwrap(), *blob);
+        }
         assert!(!store.contains(&staged[3].reference.hash));
-    }
-
-    #[test]
-    fn fully_dead_packs_delete_regardless_of_threshold() {
-        let (dir, mut store) = temp_store();
-        store.set_gc_dead_fraction(1.0);
-        store.put_batch(&stage(&[vec![9u8; 400]]), false).unwrap();
-        let report = store.sweep(&BTreeSet::new(), false).unwrap();
-        assert_eq!(report.deleted, 1);
-        assert_eq!(report.deferred, 0);
-        assert!(pack_files(&dir).is_empty());
+        let stats = store.stats().unwrap();
+        assert_eq!((stats.object_count, stats.total_bytes), (3, 600));
     }
 
     #[test]
     fn sweep_deletes_dead_packs_and_rewrites_mixed_ones() {
-        let (dir, mut store) = temp_store();
-        // Threshold 0 = the historical eager behavior: any fragmentation
-        // rewrites the pack.
-        store.set_gc_dead_fraction(0.0);
+        let (dir, store) = temp_store();
         // Pack 1: fully dead. Pack 2: mixed.
         let doomed: Vec<Vec<u8>> = vec![vec![1; 300], vec![2; 300]];
         store.put_batch(&stage(&doomed), false).unwrap();

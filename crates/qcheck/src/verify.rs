@@ -2,7 +2,9 @@
 //!
 //! [`fsck`] walks the entire repository — every manifest, every chunk,
 //! every delta chain — and reports what is intact, what is damaged and
-//! what is orphaned, without modifying anything. Operators run it after
+//! what is orphaned, without modifying anything. Its reads are the
+//! recovery path's batched reads, so on a remote repository its round
+//! trips do not grow with chunks per checkpoint. Operators run it after
 //! suspected storage trouble; the failure-injection tests run it to prove
 //! damage is always *visible*.
 
@@ -77,19 +79,20 @@ pub fn fsck(repo: &CheckpointRepo) -> Result<FsckReport> {
         let health = match repo.load_manifest(id) {
             Err(e) => CheckpointHealth::ManifestCorrupt(e.to_string()),
             Ok(manifest) => {
-                for c in manifest.chunk_refs() {
-                    referenced.insert(c.hash);
-                }
-                // Verify chunks first for a precise diagnosis.
-                let chunk_problem = manifest
-                    .chunk_refs()
-                    .find_map(|c| repo.store().get(c).err().map(|e| e.to_string()));
-                match chunk_problem {
-                    Some(problem) => CheckpointHealth::ChunksDamaged(problem),
-                    None => match repo.resolve_sections(&manifest) {
-                        Ok(_) => CheckpointHealth::Intact,
-                        Err(e) => CheckpointHealth::ChainBroken(e.to_string()),
-                    },
+                referenced.extend(manifest.chunk_refs().map(|c| c.hash));
+                // Resolving reads every chunk of the chain in one batched
+                // fetch per section link. Only a checkpoint that fails is
+                // read again, with one batch of its own chunks, to tell
+                // its own damage from a broken base.
+                match repo.resolve_sections(&manifest) {
+                    Ok(_) => CheckpointHealth::Intact,
+                    Err(chain) => {
+                        let own: Vec<_> = manifest.chunk_refs().copied().collect();
+                        match repo.store().get_many(&own) {
+                            Err(e) => CheckpointHealth::ChunksDamaged(e.to_string()),
+                            Ok(_) => CheckpointHealth::ChainBroken(chain.to_string()),
+                        }
+                    }
                 }
             }
         };

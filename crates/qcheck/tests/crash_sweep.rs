@@ -9,7 +9,7 @@
 //! scenario, drops every handle (the daemon restarts too), reopens and
 //! checks what the paper promises: `recover` returns the last acknowledged
 //! snapshot or the one in flight, bit-identical to its capture, with
-//! nothing to skip; and after a `gc` (dead fraction 0) `fsck` is clean —
+//! nothing to skip; and after a `gc` `fsck` is clean —
 //! no orphan chunk, no damaged record — and `tmp/` is empty. The same
 //! sweep over `CommitMode::InPlaceUnsafe` never returns a wrong snapshot,
 //! and finds the op it does not survive: experiment R-F8's contrast.
@@ -97,8 +97,7 @@ impl Armed {
 /// A process start: the daemon (for a remote root) and the repository.
 fn start(root: &Path, remote: bool) -> (Option<DaemonHandle>, CheckpointRepo) {
     if !remote {
-        let mut repo = CheckpointRepo::open_with(root.join("repo"), StoreKind::Pack).unwrap();
-        repo.store_mut().set_gc_dead_fraction(0.0);
+        let repo = CheckpointRepo::open_with(root.join("repo"), StoreKind::Pack).unwrap();
         return (None, repo);
     }
     let daemon = spawn_daemon(root.join("daemon"), StoreKind::Pack).unwrap();
@@ -429,7 +428,6 @@ fn the_retention_scenarios_rewrite_a_pack_and_compact_the_log() {
 /// time (no background tailer).
 fn spawn_manual_secondary(root: &Path, primary_addr: &str) -> DaemonHandle {
     let mut config = ServerConfig::new(root);
-    config.gc_dead_fraction = Some(0.0);
     let mut repl = ReplicateConfig::new(primary_addr);
     repl.manual = true;
     config.replicate = Some(repl);

@@ -360,7 +360,6 @@ fn sample_requests() -> Vec<Request> {
             lease_token: 0xDEAD_BEEF,
             min_generation: 7,
         },
-        Request::Ping,
         Request::PutBatch {
             fsync: true,
             chunks: vec![
@@ -429,27 +428,26 @@ fn sample_requests() -> Vec<Request> {
 fn request_variant(r: &Request) -> usize {
     match r {
         Request::Hello { .. } => 0,
-        Request::Ping => 1,
-        Request::PutBatch { .. } => 2,
-        Request::Fetch { .. } => 3,
-        Request::Contains { .. } => 4,
-        Request::List => 5,
-        Request::Sweep { .. } => 6,
-        Request::Stats => 7,
-        Request::ClearStaging => 8,
-        Request::MetaPut { .. } => 9,
-        Request::MetaGet { .. } => 10,
-        Request::MetaList { .. } => 11,
-        Request::MetaDelete { .. } => 12,
-        Request::Status => 13,
-        Request::Shutdown => 14,
-        Request::Corrupt { .. } => 15,
-        Request::ReplStatus => 16,
-        Request::ReplFetch { .. } => 17,
-        Request::ReplAck { .. } => 18,
-        Request::Promote => 19,
-        Request::LeaseRelease => 20,
-        Request::Metrics => 21,
+        Request::PutBatch { .. } => 1,
+        Request::Fetch { .. } => 2,
+        Request::Contains { .. } => 3,
+        Request::List => 4,
+        Request::Sweep { .. } => 5,
+        Request::Stats => 6,
+        Request::ClearStaging => 7,
+        Request::MetaPut { .. } => 8,
+        Request::MetaGet { .. } => 9,
+        Request::MetaList { .. } => 10,
+        Request::MetaDelete { .. } => 11,
+        Request::Status => 12,
+        Request::Shutdown => 13,
+        Request::Corrupt { .. } => 14,
+        Request::ReplStatus => 15,
+        Request::ReplFetch { .. } => 16,
+        Request::ReplAck { .. } => 17,
+        Request::Promote => 18,
+        Request::LeaseRelease => 19,
+        Request::Metrics => 20,
     }
 }
 
@@ -471,7 +469,6 @@ fn sample_responses() -> Vec<Response> {
                 ttl_ms: 30_000,
             }),
         },
-        Response::Pong,
         Response::PutBatch(BatchPutReport {
             fresh: vec![true, false],
             renames: 1,
@@ -483,8 +480,6 @@ fn sample_responses() -> Vec<Response> {
             live: 1,
             deleted: 2,
             reclaimed_bytes: 3,
-            deferred: 4,
-            deferred_bytes: 5,
         }),
         Response::Stats(StoreStats {
             object_count: 7,
@@ -533,23 +528,22 @@ fn sample_responses() -> Vec<Response> {
 fn response_variant(r: &Response) -> usize {
     match r {
         Response::HelloOk { .. } => 0,
-        Response::Pong => 1,
-        Response::PutBatch(_) => 2,
-        Response::Contains(_) => 3,
-        Response::Hashes(_) => 4,
-        Response::Gc(_) => 5,
-        Response::Stats(_) => 6,
-        Response::Cleared(_) => 7,
-        Response::Ok => 8,
-        Response::Meta(_) => 9,
-        Response::Names(_) => 10,
-        Response::Status { .. } => 11,
-        Response::ReplStatus { .. } => 12,
-        Response::ReplEntries(_) => 13,
-        Response::Chunks(_) => 14,
-        Response::Promoted { .. } => 15,
-        Response::Metrics(_) => 16,
-        Response::Err { .. } => 17,
+        Response::PutBatch(_) => 1,
+        Response::Contains(_) => 2,
+        Response::Hashes(_) => 3,
+        Response::Gc(_) => 4,
+        Response::Stats(_) => 5,
+        Response::Cleared(_) => 6,
+        Response::Ok => 7,
+        Response::Meta(_) => 8,
+        Response::Names(_) => 9,
+        Response::Status { .. } => 10,
+        Response::ReplStatus { .. } => 11,
+        Response::ReplEntries(_) => 12,
+        Response::Chunks(_) => 13,
+        Response::Promoted { .. } => 14,
+        Response::Metrics(_) => 15,
+        Response::Err { .. } => 16,
     }
 }
 
@@ -608,7 +602,7 @@ fn every_wire_variant_is_sampled_and_round_trips() {
     let requests = sample_requests();
     assert_eq!(
         covered(&requests, request_variant),
-        (0..22).collect::<Vec<_>>()
+        (0..21).collect::<Vec<_>>()
     );
     for req in &requests {
         assert_eq!(&Request::decode(&req.encode()).unwrap(), req);
@@ -616,7 +610,7 @@ fn every_wire_variant_is_sampled_and_round_trips() {
     let responses = sample_responses();
     assert_eq!(
         covered(&responses, response_variant),
-        (0..18).collect::<Vec<_>>()
+        (0..17).collect::<Vec<_>>()
     );
     for resp in &responses {
         assert_eq!(&Response::decode(&resp.encode()).unwrap(), resp);

@@ -49,7 +49,6 @@ impl Drop for TempDir {
 fn spawn_manual_secondary(root: &std::path::Path, primary_addr: &str) -> DaemonHandle {
     let mut config = ServerConfig::new(root);
     config.store_kind = StoreKind::Loose;
-    config.gc_dead_fraction = Some(0.0);
     let mut repl = ReplicateConfig::new(primary_addr);
     repl.manual = true;
     config.replicate = Some(repl);
@@ -197,7 +196,6 @@ fn tailer_survives_connection_drops_on_the_replication_stream() {
     // replication streams — dies after 3 requests.
     let mut config = ServerConfig::new(dir.0.join("primary"));
     config.store_kind = StoreKind::Loose;
-    config.gc_dead_fraction = Some(0.0);
     config.drop_after_requests = Some(3);
     let primary = Server::bind("127.0.0.1:0", config).unwrap().spawn();
     let secondary = spawn_manual_secondary(&dir.0.join("secondary"), &primary.addr());
@@ -297,19 +295,18 @@ fn stale_generation_fences_a_demoted_primary() {
     // silently fork history — the client must refuse with the typed
     // stale-generation error rather than retry its way into the past.
     promoted.shutdown();
-    let err = store.ping().unwrap_err();
+    let err = store.status().unwrap_err();
     assert!(matches!(err, Error::StaleGeneration(_)), "{err}");
     // The demoted daemon itself is alive and healthy for *un*-fenced
     // clients (ones that never saw the newer generation).
     let fresh = RemoteStore::connect(stale.addr(), "fence").unwrap();
-    fresh.ping().unwrap();
+    fresh.status().unwrap();
 }
 
 #[test]
 fn writer_lease_excludes_second_writer_and_expires_by_ttl() {
     let dir = TempDir::new("lease");
     let mut config = ServerConfig::new(dir.0.join("daemon"));
-    config.gc_dead_fraction = Some(0.0);
     config.lease_ttl = Duration::from_millis(200);
     let daemon = Server::bind("127.0.0.1:0", config).unwrap().spawn();
 
@@ -331,7 +328,7 @@ fn writer_lease_excludes_second_writer_and_expires_by_ttl() {
     // A second handle is refused with the typed error while the holder
     // keeps renewing via traffic.
     let intruder = RemoteStore::connect(daemon.addr(), "leased").unwrap();
-    writer.ping().unwrap();
+    writer.status().unwrap();
     let err = intruder.acquire_writer_lease().unwrap_err();
     assert!(matches!(err, Error::LeaseHeld(_)), "{err}");
 
@@ -367,7 +364,6 @@ fn dropping_the_store_releases_its_lease() {
 fn auth_token_gates_shutdown_sweep_and_replication() {
     let dir = TempDir::new("auth");
     let mut config = ServerConfig::new(dir.0.join("daemon"));
-    config.gc_dead_fraction = Some(0.0);
     config.auth_token = Some("sekrit".into());
     let daemon = Server::bind("127.0.0.1:0", config).unwrap().spawn();
 
@@ -399,7 +395,6 @@ fn auth_token_gates_shutdown_sweep_and_replication() {
 
     // The right token unlocks all of it.
     let mut sec_config = ServerConfig::new(dir.0.join("auth-sec"));
-    sec_config.gc_dead_fraction = Some(0.0);
     let mut repl = ReplicateConfig::new(daemon.addr());
     repl.manual = true;
     repl.auth_token = Some("sekrit".into());

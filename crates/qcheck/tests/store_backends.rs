@@ -81,8 +81,8 @@ impl Drop for TempDir {
     }
 }
 
-/// Spawns an in-process daemon (loose layout, eager GC — the
-/// logical-equivalence reference configuration) and opens a remote-backed
+/// Spawns an in-process daemon (loose layout — the logical-equivalence
+/// reference configuration) and opens a remote-backed
 /// repository under `dir` against a unique namespace.
 fn remote_repo(dir: &std::path::Path, tag: &str) -> (DaemonHandle, CheckpointRepo) {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -242,20 +242,12 @@ proptest! {
     /// reachability on the loose, pack and remote backends.
     #[test]
     fn backends_are_logically_equivalent(ops in prop::collection::vec(arb_op(), 1..10)) {
-        // Pin the pack GC to eager rewrites: with the default deferral
-        // threshold (DEFAULT_GC_DEAD_FRACTION = 0.5) the pack backend keeps
-        // barely-fragmented packs alive, so its orphan/GC accounting
-        // legitimately diverges from loose. Eager mode is the
-        // logical-equivalence contract; the deferral policy has its own
-        // unit tests in `store::pack`. The remote daemon serves a loose
-        // layout (spawn_daemon pins eager GC too).
+        // The remote daemon serves a loose layout.
         let loose_dir = TempDir::new("loose");
         let pack_dir = TempDir::new("pack");
         let remote_dir = TempDir::new("remote");
         let loose = CheckpointRepo::open_with(&loose_dir.0, StoreKind::Loose).unwrap();
-        let mut pack = CheckpointRepo::open_with(&pack_dir.0, StoreKind::Pack).unwrap();
-        pack.store_mut().set_gc_dead_fraction(0.0);
-        let pack = pack;
+        let pack = CheckpointRepo::open_with(&pack_dir.0, StoreKind::Pack).unwrap();
         let (_daemon, remote) = remote_repo(&remote_dir.0, "logic");
         prop_assert_eq!(loose.store_kind(), StoreKind::Loose);
         prop_assert_eq!(pack.store_kind(), StoreKind::Pack);
@@ -330,8 +322,6 @@ proptest! {
         committed_saves in 1u8..4,
         keep_pct in prop_oneof![Just(0u8), Just(50), Just(100)],
     ) {
-        // (Crash recovery never sweeps objects, so the pack GC deferral
-        // threshold is irrelevant here — no pinning needed.)
         for kind in [StoreKind::Loose, StoreKind::Pack, StoreKind::Remote] {
             // One fresh repository per case: the client directory is armed
             // (for the remote backend the daemon lives on, as it would).
@@ -420,7 +410,6 @@ proptest! {
         let primary = spawn_daemon(dir.0.join("primary"), StoreKind::Loose).unwrap();
         let mut sec_config = ServerConfig::new(dir.0.join("secondary"));
         sec_config.store_kind = StoreKind::Loose;
-        sec_config.gc_dead_fraction = Some(0.0);
         let mut repl = ReplicateConfig::new(primary.addr());
         repl.manual = true; // passes are driven (and cut) explicitly
         sec_config.replicate = Some(repl);
@@ -878,8 +867,9 @@ fn legacy_layout_is_refused_untouched() {
 }
 
 /// A dry-run sweep changes no file — client side or daemon side — and
-/// its report is the report of the real sweep that follows, deferral
-/// counters included, on every backend.
+/// its report is the report of the real sweep that follows, on every
+/// backend; that sweep leaves no orphan behind, a mostly live pack
+/// included.
 #[test]
 fn dry_run_sweep_changes_no_file_and_predicts_the_sweep() {
     for backend in ["loose", "pack", "remote"] {
@@ -894,8 +884,8 @@ fn dry_run_sweep_changes_no_file_and_predicts_the_sweep() {
         // Incompressible parameters spanning many chunks, changed only
         // at the tail: save 1 writes every chunk, saves 2 and 3 the few
         // that differ, so retiring 1 and 2 leaves the first pack mostly
-        // live (a deferral at the default dead fraction); the crashed
-        // save leaves chunks nothing references.
+        // live with a few dead objects; the crashed save leaves chunks
+        // nothing references.
         let mut params: Vec<f64> = (0..8 * N_PARAMS).map(|i| (i as f64 * 1.7).sin()).collect();
         for step in 1..=3u64 {
             *params.last_mut().unwrap() += step as f64;
@@ -925,15 +915,60 @@ fn dry_run_sweep_changes_no_file_and_predicts_the_sweep() {
             "{backend}: a dry run must not add, remove or change a file"
         );
         assert!(plan.deleted > 0, "{backend}: nothing to sweep: {plan:?}");
-        if kind == StoreKind::Pack {
-            assert!(plan.deferred > 0, "pack: no deferral exercised: {plan:?}");
-        }
         assert_eq!(
             repo.gc().unwrap(),
             plan,
             "{backend}: the real sweep must report what the dry run predicted"
         );
+        let health = fsck(&repo).unwrap();
+        assert_eq!(
+            health.orphan_chunks, 0,
+            "{backend}: gc must delete every unreachable object: {health:?}"
+        );
     }
+}
+
+/// `fsck` reads a remote repository's chunks in batches, so its round
+/// trips do not grow with chunks per checkpoint: a pair of checkpoints
+/// holding one chunk per section costs what a pair holding dozens does.
+#[test]
+fn remote_fsck_round_trips_do_not_grow_with_chunks_per_checkpoint() {
+    let dir = TempDir::new("fsck-trips");
+    let daemon = spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap();
+    // (chunks in the larger checkpoint, round trips of one fsck)
+    let fsck_cost = |tag: &str, n_params: usize| {
+        let store = RemoteStore::connect(daemon.addr(), format!("fsck-{tag}")).unwrap();
+        let repo =
+            CheckpointRepo::with_store(dir.0.join(tag), StoreBackend::Remote(store)).unwrap();
+        let mut params: Vec<f64> = (0..n_params).map(|i| (i as f64 * 1.7).sin()).collect();
+        for step in 1..=2u64 {
+            params[0] += step as f64;
+            repo.save(&snapshot_at(step, &params), &options(SaveMode::Full))
+                .unwrap();
+        }
+        let chunks = repo
+            .list_ids()
+            .unwrap()
+            .iter()
+            .map(|id| repo.load_manifest(id).unwrap().chunk_refs().count())
+            .max()
+            .unwrap();
+        let remote = repo.store().remote().unwrap();
+        let before = remote.round_trips();
+        let report = fsck(&repo).unwrap();
+        assert!(report.is_clean(), "{tag}: {report:?}");
+        (chunks, remote.round_trips() - before)
+    };
+    let (few, few_trips) = fsck_cost("few", 16);
+    let (many, many_trips) = fsck_cost("many", 8 * N_PARAMS);
+    assert!(
+        many >= few + 10,
+        "{many} chunks vs {few}: not a many-chunk pair"
+    );
+    assert_eq!(
+        few_trips, many_trips,
+        "fsck round trips grew from {few} to {many} chunks per checkpoint"
+    );
 }
 
 /// A client dying mid-`put_batch` (its frame never completes) must leave

@@ -104,9 +104,9 @@ fn refused_first_frame(addr: &str, body: &[u8]) -> Error {
         proto::Response::Err { .. } => resp.into_result("handshake").unwrap_err(),
         other => panic!("a foreign Hello must be refused, got {other:?}"),
     };
-    // A daemon that kept the connection would answer this with a Pong;
-    // the write itself may already fail on the closed socket.
-    let _ = proto::write_frame(&mut stream, &proto::Request::Ping.encode());
+    // A daemon that kept the connection would answer this with its
+    // status; the write itself may already fail on the closed socket.
+    let _ = proto::write_frame(&mut stream, &proto::Request::Status.encode());
     assert!(
         proto::read_frame(&mut stream).is_err(),
         "the refused connection must be closed, not served"
@@ -115,7 +115,7 @@ fn refused_first_frame(addr: &str, body: &[u8]) -> Error {
 }
 
 /// There is one wire dialect. The v1 body (version + namespace only), a
-/// v2, v3 and v4 Hello and every truncation of a current Hello each get
+/// v2, v3, v4 and v5 Hello and every truncation of a current Hello each get
 /// a typed version or decode error — never a panic — and the daemon keeps
 /// serving the next connection.
 #[test]
@@ -130,10 +130,11 @@ fn old_dialects_are_refused_cleanly() {
     let err = refused_first_frame(&daemon.addr(), &v1[..v1.len() - V2_TAIL]);
     assert!(matches!(err, Error::Corrupt { .. }), "v1 body: {err}");
 
-    // v3 is the build before the streaming dialect was deleted and v4
-    // the one before GET / REPL_CHUNKS became FETCH: their Hello has
-    // today's shape, so only the version word refuses it.
-    for old in [2, 3, 4] {
+    // v3 is the build before the streaming dialect was deleted, v4 the
+    // one before GET / REPL_CHUNKS became FETCH and v5 the one before
+    // PING went and the GC reply lost its deferral counters: their Hello
+    // has today's shape, so only the version word refuses it.
+    for old in [2, 3, 4, 5] {
         assert!(old < proto::PROTO_VERSION);
         let err = refused_first_frame(&daemon.addr(), &hello(old).encode());
         assert!(
@@ -180,8 +181,8 @@ fn raw_connection(addr: &str, namespace: &str, flags: u8) -> impl FnMut(&[u8]) -
     exchange
 }
 
-/// Opcodes 4 and 19 were v4's GET and REPL_CHUNKS (now one FETCH), 23–27
-/// carried the v3 streaming transfer. On a live connection each is an
+/// Opcode 2 was v5's PING, 4 and 19 were v4's GET and REPL_CHUNKS (now
+/// one FETCH), 23–27 carried the v3 streaming transfer. On a live connection each is an
 /// unknown opcode: one typed protocol error per frame, and the
 /// connection stays aligned — request in, response out — so the next
 /// frame on it is served.
@@ -191,7 +192,7 @@ fn retired_opcodes_are_judged_and_the_connection_survives() {
     let daemon = spawn_daemon(&root, StoreKind::Pack).unwrap();
     let mut exchange = raw_connection(&daemon.addr(), "compat", 0);
 
-    for op in [4u8, 19].into_iter().chain(23..=27) {
+    for op in [2u8, 4, 19].into_iter().chain(23..=27) {
         // The opcode, then what an old peer would have put behind it (a
         // chunk reference is the longest fixed part).
         let mut body = vec![op];
@@ -199,8 +200,11 @@ fn retired_opcodes_are_judged_and_the_connection_survives() {
         let err = exchange(&body).into_result("retired op").unwrap_err();
         assert!(matches!(err, Error::Protocol { .. }), "op {op}: {err}");
         assert!(err.to_string().contains("unknown opcode"), "op {op}: {err}");
-        let pong = exchange(&proto::Request::Ping.encode());
-        assert_eq!(pong, proto::Response::Pong, "after op {op}");
+        let status = exchange(&proto::Request::Status.encode());
+        assert!(
+            matches!(status, proto::Response::Status { .. }),
+            "after op {op}: {status:?}"
+        );
     }
 
     save_and_recover(&daemon.addr(), &root);
@@ -391,7 +395,10 @@ fn a_fetch_beyond_the_frame_budget_is_cut_by_the_client_and_refused_by_the_daemo
         .unwrap_err();
     assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
     assert!(err.to_string().contains(&named.to_string()), "{err}");
-    assert_eq!(rogue(&proto::Request::Ping.encode()), proto::Response::Pong);
+    assert!(matches!(
+        rogue(&proto::Request::Status.encode()),
+        proto::Response::Status { .. }
+    ));
     let _ = std::fs::remove_dir_all(root);
 }
 
