@@ -4,7 +4,7 @@
 //! qckptd serve <root> [--addr host:port]
 //!                     [--port-file path] [--auth-token tok]
 //!                     [--replicate-from host:port]
-//!                     [--lease-ttl-secs n]   serve namespaces from <root>
+//!                                            serve namespaces from <root>
 //! qckptd status <addr>                       print daemon status
 //! qckptd metrics <addr>                      print the qobs text exposition
 //! qckptd promote <addr>                      promote a secondary to primary
@@ -39,7 +39,7 @@ use qcheck::remote::{RemoteStore, ReplicateConfig, Server, ServerConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: qckptd serve <root> [--addr host:port] [--port-file path] [--auth-token tok]\n\
-         \x20                    [--replicate-from host:port] [--lease-ttl-secs n]\n\
+         \x20                    [--replicate-from host:port]\n\
          \x20      qckptd status <addr>\n\
          \x20      qckptd metrics <addr>\n\
          \x20      qckptd promote <addr>\n\
@@ -59,7 +59,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut port_file: Option<String> = None;
     let mut auth_token: Option<String> = None;
     let mut replicate_from: Option<String> = None;
-    let mut lease_ttl: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -73,13 +72,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--replicate-from" => {
                 replicate_from = Some(it.next().ok_or("--replicate-from needs a value")?.clone())
             }
-            "--lease-ttl-secs" => {
-                let v = it.next().ok_or("--lease-ttl-secs needs a value")?;
-                lease_ttl =
-                    Some(v.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--lease-ttl-secs {v}: expected a positive integer")
-                    })?);
-            }
             other if root.is_none() && !other.starts_with('-') => root = Some(other),
             other => return Err(format!("unrecognized argument '{other}'")),
         }
@@ -87,9 +79,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let root = root.ok_or("serve needs a <root> directory")?;
     let mut config = ServerConfig::new(root);
     config.auth_token = auth_token.clone();
-    if let Some(secs) = lease_ttl {
-        config.lease_ttl = std::time::Duration::from_secs(secs);
-    }
     if let Some(primary) = &replicate_from {
         let mut repl = ReplicateConfig::new(primary.clone());
         // The tailer authenticates to the primary with the same token

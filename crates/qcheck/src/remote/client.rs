@@ -25,10 +25,16 @@
 //! interleaving saves.
 //!
 //! Large `put_batch` and `get_many` calls are cut into frames of at most
-//! 4 MiB of chunk payload and **pipelined**: all request frames are
-//! written back-to-back before the first response is read, so a save's
-//! chunk upload — or a section's fetch — costs one effective round trip
-//! of latency instead of one per frame.
+//! 4 MiB of chunk payload and **pipelined** through a bounded window: up
+//! to [`FRAMES_IN_FLIGHT`] frames are unanswered at once, and what waits
+//! behind the oldest of them stays within [`QUEUED_BYTES`]. Small frames
+//! (a burst of `MetaGet`s, the `Fetch` frames of a 4 KiB-chunk section)
+//! overlap their round trips; frames larger than that go one at a time.
+//! The bound is what keeps a burst from deadlocking: the daemon writes
+//! each reply before it reads the next request, so a client that wrote a
+//! whole burst first (a `get_many` of a million 64 B chunks is 36 MB of
+//! refs) could block on a full socket while the daemon blocks on a reply
+//! nobody reads.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter, Write};
@@ -67,6 +73,14 @@ const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 /// server-side operations that legitimately take a while (a sweep
 /// rewriting large packs).
 const IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
+
+/// Most request frames a burst keeps unanswered at once.
+const FRAMES_IN_FLIGHT: usize = 8;
+
+/// Most request bytes a burst writes behind the frame the daemon is
+/// answering: well inside a TCP socket's default buffers, so those writes
+/// finish even while the daemon is blocked writing a reply.
+const QUEUED_BYTES: usize = 64 << 10;
 
 /// Splits a `host:port[,host:port…]` list into its addresses.
 fn parse_addr_list(spec: &str) -> Vec<String> {
@@ -183,9 +197,11 @@ pub struct RemoteStatus {
 /// Client handle to one namespace of a `qckptd` deployment (a primary
 /// and any failover peers). Implements [`ObjectStore`], so a
 /// [`crate::repo::CheckpointRepo`] built over it is a drop-in
-/// replacement for a local repository — plus the shared metadata mirror
-/// ([`ObjectStore::is_shared`]) that lets a *different* working
-/// directory reconstruct the repository from the daemon alone.
+/// replacement for a local repository — plus, as methods of its own, the
+/// writer lease and the shared metadata mirror
+/// ([`RemoteStore::meta_list`], [`RemoteStore::meta_get_many`]) that lets
+/// a *different* working directory reconstruct the repository from the
+/// daemon alone.
 pub struct RemoteStore {
     addrs: Vec<String>,
     /// Index of the address the live connection used last.
@@ -428,6 +444,77 @@ impl RemoteStore {
         self.lease_token.store(0, Ordering::Release);
     }
 
+    /// Fetches a named metadata blob from the daemon's mirror; `Ok(None)`
+    /// when absent.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport or server errors.
+    pub fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        let mut blobs = self.meta_get_many(&[name.to_string()])?;
+        Ok(blobs.remove(0))
+    }
+
+    /// Fetches many named metadata blobs, in input order, in one burst of
+    /// `MetaGet` frames — a fresh-directory resume pulls a whole history
+    /// of manifests, and one round trip of latency each would make that
+    /// O(checkpoints).
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport or server errors.
+    pub fn meta_get_many(&self, names: &[String]) -> Result<Vec<Option<Vec<u8>>>> {
+        if names.is_empty() {
+            return Ok(Vec::new());
+        }
+        let requests: Vec<Request> = names
+            .iter()
+            .map(|n| Request::MetaGet { name: n.clone() })
+            .collect();
+        self.exchange("fetching metadata", &requests)?
+            .into_iter()
+            .map(|resp| match resp {
+                Response::Meta(opt) => Ok(opt),
+                other => Err(unexpected("fetching metadata", &other)),
+            })
+            .collect()
+    }
+
+    /// Lists the daemon's metadata names under a prefix, ascending.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport or server errors.
+    pub fn meta_list(&self, prefix: &str) -> Result<Vec<String>> {
+        match self.request(
+            "listing metadata",
+            Request::MetaList {
+                prefix: prefix.to_string(),
+            },
+        )? {
+            Response::Names(names) => Ok(names),
+            other => Err(unexpected("listing metadata", &other)),
+        }
+    }
+
+    /// Deletes a named metadata blob from the daemon's mirror; absence is
+    /// not an error.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport or server errors.
+    pub fn meta_delete(&self, name: &str) -> Result<()> {
+        match self.request(
+            "deleting metadata",
+            Request::MetaDelete {
+                name: name.to_string(),
+            },
+        )? {
+            Response::Ok => Ok(()),
+            other => Err(unexpected("deleting metadata", &other)),
+        }
+    }
+
     /// Sends `requests` pipelined on one connection and returns their
     /// responses, retrying the *whole* burst on a fresh connection after
     /// a transport failure (safe: idempotent ops — see module docs).
@@ -484,18 +571,36 @@ impl RemoteStore {
         Err(last_err.unwrap_or_else(|| Error::protocol(context.to_string(), "no attempts")))
     }
 
-    /// Writes every request frame, flushes once, then reads every
-    /// response — the pipelining primitive.
+    /// Sends `bodies` and reads their responses through a sliding window:
+    /// a frame is written when none is unanswered, or when fewer than
+    /// [`FRAMES_IN_FLIGHT`] are and the bytes behind the oldest stay
+    /// within [`QUEUED_BYTES`]. A one-frame burst is one write, one flush
+    /// and one read.
     fn exchange_on(conn: &mut Conn, bodies: &[Vec<u8>]) -> Result<Vec<Response>> {
-        for body in bodies {
-            write_frame(&mut conn.writer, body)?;
-        }
-        conn.writer
-            .flush()
-            .map_err(|e| Error::io("flushing request", e))?;
         let mut responses = Vec::with_capacity(bodies.len());
-        for _ in bodies {
+        let mut sent = 0;
+        // Request bytes written behind the oldest unanswered frame.
+        let mut queued = 0;
+        while responses.len() < bodies.len() {
+            while let Some(body) = bodies.get(sent) {
+                let waiting = sent - responses.len();
+                if waiting > 0 {
+                    if waiting == FRAMES_IN_FLIGHT || queued + body.len() > QUEUED_BYTES {
+                        break;
+                    }
+                    queued += body.len();
+                }
+                write_frame(&mut conn.writer, body)?;
+                sent += 1;
+            }
+            conn.writer
+                .flush()
+                .map_err(|e| Error::io("flushing request", e))?;
             responses.push(Response::decode(&read_frame(&mut conn.reader)?)?);
+            // The next unanswered frame is now the oldest.
+            if let Some(next) = bodies[..sent].get(responses.len()) {
+                queued -= next.len();
+            }
         }
         Ok(responses)
     }
@@ -650,20 +755,14 @@ impl ObjectStore for RemoteStore {
         Ok(report)
     }
 
-    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        let mut chunks = self.get_many(std::slice::from_ref(reference))?;
-        Ok(chunks.remove(0))
-    }
-
     fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
         const CONTEXT: &str = "fetching chunks";
         if refs.is_empty() {
             return Ok(Vec::new());
         }
-        // One Fetch frame per ≤ 4 MiB of named payload, all written
-        // before the first reply is read: resolving a section costs one
-        // round trip (and the daemon one batched store read), whatever
-        // its chunk count.
+        // One Fetch frame per ≤ 4 MiB of named payload: resolving a
+        // section costs one round trip (and the daemon one batched store
+        // read) per 4 MiB, whatever its chunk count.
         let groups = batch_groups(refs, |r| r.len as usize);
         let requests: Vec<Request> = groups
             .iter()
@@ -694,18 +793,6 @@ impl ObjectStore for RemoteStore {
             }
         }
         Ok(out)
-    }
-
-    fn contains(&self, hash: &ContentHash) -> bool {
-        matches!(
-            self.request(
-                "probing existence",
-                Request::Contains {
-                    hashes: vec![*hash],
-                },
-            ),
-            Ok(Response::Contains(bools)) if bools == [true]
-        )
     }
 
     fn contains_all(&self, hashes: &[ContentHash]) -> bool {
@@ -761,14 +848,6 @@ impl ObjectStore for RemoteStore {
         true
     }
 
-    fn acquire_writer_lease(&self) -> Result<()> {
-        RemoteStore::acquire_writer_lease(self)
-    }
-
-    fn release_writer_lease(&self) {
-        RemoteStore::release_writer_lease(self)
-    }
-
     fn meta_put(&self, name: &str, bytes: &[u8]) -> Result<()> {
         match self.request(
             "publishing metadata",
@@ -779,62 +858,6 @@ impl ObjectStore for RemoteStore {
         )? {
             Response::Ok => Ok(()),
             other => Err(unexpected("publishing metadata", &other)),
-        }
-    }
-
-    fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        match self.request(
-            "fetching metadata",
-            Request::MetaGet {
-                name: name.to_string(),
-            },
-        )? {
-            Response::Meta(opt) => Ok(opt),
-            other => Err(unexpected("fetching metadata", &other)),
-        }
-    }
-
-    fn meta_get_many(&self, names: &[String]) -> Result<Vec<Option<Vec<u8>>>> {
-        if names.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Pipelined: all MetaGet frames go out before the first reply
-        // is read, so syncing N manifests costs one effective round
-        // trip of latency, not N.
-        let requests: Vec<Request> = names
-            .iter()
-            .map(|n| Request::MetaGet { name: n.clone() })
-            .collect();
-        self.exchange("fetching metadata batch", &requests)?
-            .into_iter()
-            .map(|resp| match resp {
-                Response::Meta(opt) => Ok(opt),
-                other => Err(unexpected("fetching metadata batch", &other)),
-            })
-            .collect()
-    }
-
-    fn meta_list(&self, prefix: &str) -> Result<Vec<String>> {
-        match self.request(
-            "listing metadata",
-            Request::MetaList {
-                prefix: prefix.to_string(),
-            },
-        )? {
-            Response::Names(names) => Ok(names),
-            other => Err(unexpected("listing metadata", &other)),
-        }
-    }
-
-    fn meta_delete(&self, name: &str) -> Result<()> {
-        match self.request(
-            "deleting metadata",
-            Request::MetaDelete {
-                name: name.to_string(),
-            },
-        )? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected("deleting metadata", &other)),
         }
     }
 

@@ -22,9 +22,9 @@
 //! response frame, with no exception: no operation holds the socket for
 //! a multi-frame exchange, so a connection is always aligned between
 //! two requests and a judged error never costs it. Throughput comes
-//! from **pipelining** whole frames (the client writes a burst of
-//! `PutBatch` or `Fetch` frames before reading the first reply), not
-//! from a second framing. Bulk payload is cut into frames of at most
+//! from **pipelining** whole frames (the client keeps a bounded window
+//! of `PutBatch`, `Fetch` or `MetaGet` frames unanswered), not from a
+//! second framing. Bulk payload is cut into frames of at most
 //! `BATCH_FRAME_BYTES` (4 MiB) of chunk payload in both directions — a
 //! `PutBatch` carries that much, a `Fetch` names that much, whoever
 //! sends it — so neither end buffers more than a few MiB per frame

@@ -51,6 +51,7 @@ use crate::hash::Sha256;
 use crate::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
 pub use crate::manifest_log::CommitMode;
 use crate::manifest_log::{self as mlog, CommitWrite, LogReplay, ManifestLog, RecordKind};
+use crate::remote::RemoteStore;
 use crate::snapshot::{
     Section, TrainingSnapshot, SECTION_LEDGER, SECTION_OPTIMIZER, SECTION_PARAMS,
 };
@@ -540,8 +541,8 @@ impl CheckpointRepo {
     /// `LOCK` file, or [`Error::LeaseHeld`] when another live handle holds
     /// the namespace's lease.
     pub fn try_lock(&self) -> Result<RepoLock<'_>> {
-        if self.store.is_shared() {
-            self.store.acquire_writer_lease()?;
+        if let Some(remote) = self.store.remote() {
+            remote.acquire_writer_lease()?;
             return Ok(RepoLock {
                 repo: self,
                 _file: None,
@@ -853,14 +854,19 @@ impl CheckpointRepo {
     ///
     /// Fails on transport errors or local filesystem errors.
     pub fn sync_shared_meta(&self) -> Result<usize> {
-        if !self.store.is_shared() {
+        let Some(remote) = self.store.remote() else {
             return Ok(0);
-        }
-        let listed = self.store.meta_list("manifests/")?;
-        self.with_log(|log| self.pull_shared_meta(log, listed))
+        };
+        let listed = remote.meta_list("manifests/")?;
+        self.with_log(|log| self.pull_shared_meta(remote, log, listed))
     }
 
-    fn pull_shared_meta(&self, log: &mut ManifestLog, listed: Vec<String>) -> Result<usize> {
+    fn pull_shared_meta(
+        &self,
+        remote: &RemoteStore,
+        log: &mut ManifestLog,
+        listed: Vec<String>,
+    ) -> Result<usize> {
         let st = log.state();
         // Partition the mirror's inventory. Defensive name filter: the
         // server validated these, but only plain `<id>.qmf` names are
@@ -884,12 +890,11 @@ impl CheckpointRepo {
                 missing.push((name, id));
             }
         }
-        // One pipelined burst for every missing manifest (the remote
-        // backend overrides meta_get_many), not a round trip each.
+        // One burst for every missing manifest, not a round trip each.
         let names: Vec<String> = missing.iter().map(|(n, _)| n.clone()).collect();
         let mut buf = Vec::new();
         let mut pulled: Vec<&CheckpointId> = Vec::new();
-        for ((_, id), bytes) in missing.iter().zip(self.store.meta_get_many(&names)?) {
+        for ((_, id), bytes) in missing.iter().zip(remote.meta_get_many(&names)?) {
             let Some(bytes) = bytes else { continue };
             // Verify before adoption — a mirror can rot like any store.
             if !Manifest::decode(&bytes).is_ok_and(|m| &m.id == id) {
@@ -903,7 +908,7 @@ impl CheckpointRepo {
             pulled.push(id);
         }
         if st.latest.is_none() {
-            if let Some(bytes) = self.store.meta_get("LATEST")? {
+            if let Some(bytes) = remote.meta_get("LATEST")? {
                 let id = CheckpointId(String::from_utf8_lossy(&bytes).trim().to_string());
                 if st.manifests.contains_key(&id) || pulled.contains(&&id) {
                     buf.extend(mlog::encode_record(
@@ -923,7 +928,7 @@ impl CheckpointRepo {
         // mirror delete for every id we retired durably but the mirror
         // still lists.
         for name in retired {
-            self.store.meta_delete(&name)?;
+            remote.meta_delete(&name)?;
         }
         self.meta_synced
             .fetch_add(count, std::sync::atomic::Ordering::Relaxed);
@@ -933,10 +938,10 @@ impl CheckpointRepo {
     /// Mirrors one just-committed metadata file to a shared backend
     /// (no-op locally).
     fn mirror_meta(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        if self.store.is_shared() {
-            self.store.meta_put(name, bytes)?;
+        match self.store.remote() {
+            Some(remote) => remote.meta_put(name, bytes),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1069,9 +1074,9 @@ impl CheckpointRepo {
         let mut bytes: Vec<u8> = Vec::new();
         for (m, entry) in links.iter().rev() {
             let at = || format!("section {} of {}", entry.name, m.id);
-            // One batched fetch per link: the remote backend pipelines the
-            // whole burst in a single round trip, and the pack backend
-            // reads it with one positioned read per contiguous run.
+            // One batched fetch per link: the remote backend asks in one
+            // `Fetch` frame per 4 MiB, and the pack backend reads it with
+            // one positioned read per contiguous run.
             let compressed = self.store.get_many(&entry.chunks)?.concat();
             if entry.payload_kind == PayloadKind::XorBase {
                 // Folded straight from the payload into the accumulator;
@@ -1384,10 +1389,9 @@ impl CheckpointRepo {
         let retired = self.with_log(|log| Self::retire(log, keep_n))?;
         // Phase 2: mirror the deletes (idempotent — missing names are
         // fine, so crash-replay of this loop converges).
-        if self.store.is_shared() {
+        if let Some(remote) = self.store.remote() {
             for id in &retired {
-                self.store
-                    .meta_delete(&format!("manifests/{}", id.file_name()))?;
+                remote.meta_delete(&format!("manifests/{}", id.file_name()))?;
             }
         }
         report.manifests_deleted = retired.len();
@@ -1453,7 +1457,7 @@ impl CheckpointRepo {
             let st = log.state();
             let live = (st.manifests.len() + st.tombstones.len()) as u64;
             if st.records > 2 * live + 16 {
-                log.compact(&self.tmp_dir, self.store.is_shared())?;
+                log.compact(&self.tmp_dir, self.store.remote().is_some())?;
             }
             Ok(())
         })
@@ -1577,7 +1581,9 @@ pub struct RepoLock<'a> {
 
 impl Drop for RepoLock<'_> {
     fn drop(&mut self) {
-        self.repo.store.release_writer_lease();
+        if let Some(remote) = self.repo.store.remote() {
+            remote.release_writer_lease();
+        }
     }
 }
 
@@ -1926,7 +1932,7 @@ mod tests {
     fn lock_is_exclusive_and_released() {
         let (_t, repo) = TempRepo::new();
         let guard = repo.try_lock().unwrap();
-        if repo.store().is_shared() {
+        if repo.store().remote().is_some() {
             // The server-side writer lease is handle-scoped: re-locking
             // through the same handle renews it instead of conflicting.
             // Cross-handle exclusion on every backend is

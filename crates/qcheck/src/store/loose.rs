@@ -120,23 +120,27 @@ impl ObjectStore for LooseStore {
         Ok(report)
     }
 
-    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        let path = self.object_path(&reference.hash);
-        let data = fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::NotFound {
-                    what: format!("chunk {}", reference.hash),
-                }
-            } else {
-                Error::io(format!("reading {}", path.display()), e)
-            }
-        })?;
-        verify_chunk(reference, &data)?;
-        Ok(data)
+    fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
+        refs.iter()
+            .map(|reference| {
+                let path = self.object_path(&reference.hash);
+                let data = fs::read(&path).map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::NotFound {
+                        Error::NotFound {
+                            what: format!("chunk {}", reference.hash),
+                        }
+                    } else {
+                        Error::io(format!("reading {}", path.display()), e)
+                    }
+                })?;
+                verify_chunk(reference, &data)?;
+                Ok(data)
+            })
+            .collect()
     }
 
-    fn contains(&self, hash: &ContentHash) -> bool {
-        self.object_path(hash).is_file()
+    fn contains_all(&self, hashes: &[ContentHash]) -> bool {
+        hashes.iter().all(|h| self.object_path(h).is_file())
     }
 
     fn list(&self) -> Result<Vec<ContentHash>> {

@@ -2,7 +2,15 @@
 //!
 //! The checkpoint repository stores chunk payloads through the
 //! [`ObjectStore`] trait, which abstracts *how* content-addressed objects
-//! reach the disk. A release build has two backends:
+//! reach the disk. It is a chunk store: a save puts a batch
+//! ([`ObjectStore::put_batch`]), a resume reads through one primitive
+//! ([`ObjectStore::get_many`]; `get` is that of one ref), a delta save
+//! probes its base through one ([`ObjectStore::contains_all`]; `contains`
+//! likewise), and GC sweeps ([`ObjectStore::sweep`]). What only a daemon
+//! has — the writer lease and the metadata mirror a fresh directory
+//! resumes from — are [`RemoteStore`] methods, which the repository
+//! reaches through [`StoreBackend::remote`]. A release build has two
+//! backends:
 //!
 //! * [`PackStore`] — the local layout: one append-only *pack file* per
 //!   batch under `packs/`, with an embedded index and a trailing footer. A
@@ -139,28 +147,28 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     /// references them and reclaimed by the next sweep.
     fn put_batch(&self, chunks: &[StagedChunk<'_>], fsync: bool) -> Result<BatchPutReport>;
 
-    /// Fetches and verifies one chunk.
+    /// Fetches and verifies many chunks, in input order — the one read
+    /// primitive. The remote backend sends one `Fetch` frame per ≤ 4 MiB
+    /// of named payload (each answered by the daemon's own `get_many`);
+    /// the pack backend reads each contiguous same-pack run with one
+    /// positioned read and resolves the batch against at most one index
+    /// rescan (see [`ObjectStore::begin_read_pass`]).
     ///
     /// # Errors
     ///
-    /// [`Error::NotFound`] when absent; [`Error::Corrupt`] when the stored
-    /// bytes do not match the reference (bit rot, truncation).
-    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>>;
+    /// Fails on the first bad chunk: [`Error::NotFound`] when absent;
+    /// [`Error::Corrupt`] when the stored bytes do not match the
+    /// reference (bit rot, truncation).
+    fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>>;
 
-    /// Fetches and verifies many chunks, in input order. Semantically
-    /// `refs.iter().map(get)`; backends override it to batch — the
-    /// remote backend sends one `Fetch` frame per ≤ 4 MiB of named
-    /// payload (pipelined; each answered by the daemon's own
-    /// `get_many`), and the pack backend reads each contiguous
-    /// same-pack run with one positioned read and resolves the batch
-    /// against at most one index rescan (see
-    /// [`ObjectStore::begin_read_pass`]).
+    /// Fetches and verifies one chunk: [`ObjectStore::get_many`] of one.
     ///
     /// # Errors
     ///
-    /// As [`ObjectStore::get`], failing on the first bad chunk.
-    fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
-        refs.iter().map(|r| self.get(r)).collect()
+    /// As [`ObjectStore::get_many`].
+    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
+        let mut chunks = self.get_many(std::slice::from_ref(reference))?;
+        Ok(chunks.remove(0))
     }
 
     /// Marks the start of a bounded read pass (e.g. one recovery walk).
@@ -172,15 +180,16 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     /// Ends a read pass started by [`ObjectStore::begin_read_pass`].
     fn end_read_pass(&self) {}
 
-    /// Whether an object with this address exists.
-    fn contains(&self, hash: &ContentHash) -> bool;
+    /// Whether *every* hash exists — the one existence probe. The pack
+    /// backend stats each distinct pack once instead of once per chunk
+    /// (this sits on the per-save delta path); the remote backend asks
+    /// in one `Contains` frame.
+    fn contains_all(&self, hashes: &[ContentHash]) -> bool;
 
-    /// Whether *every* hash exists. Semantically `hashes.iter().all(…)`
-    /// over [`ObjectStore::contains`]; backends may batch the underlying
-    /// existence checks (the pack backend stats each distinct pack once
-    /// instead of once per chunk — this sits on the per-save delta path).
-    fn contains_all(&self, hashes: &[ContentHash]) -> bool {
-        hashes.iter().all(|h| self.contains(h))
+    /// Whether an object with this address exists:
+    /// [`ObjectStore::contains_all`] of one.
+    fn contains(&self, hash: &ContentHash) -> bool {
+        self.contains_all(std::slice::from_ref(hash))
     }
 
     /// Enumerates all stored object hashes, ascending.
@@ -221,97 +230,27 @@ pub trait ObjectStore: std::fmt::Debug + Send + Sync {
     /// Fails on directory errors other than absence.
     fn clear_staging(&self) -> Result<usize>;
 
-    // ------------------------------------------------------------------
-    // Shared-metadata mirror (remote / multi-client backends only)
-    // ------------------------------------------------------------------
-    //
-    // A *local* backend lives inside the repository directory, so the
-    // directory itself is the authority for manifests and the `LATEST`
-    // pointer — these methods default to no-ops there. A *shared*
-    // backend (the remote daemon) outlives any one working directory:
-    // it mirrors that metadata so a client opening a fresh directory
-    // can reconstruct the repository. `CheckpointRepo` calls the mirror
-    // methods only when `is_shared()` reports true.
+    // The daemon's writer lease and the rest of its metadata mirror are
+    // `RemoteStore` methods, reached through `StoreBackend::remote`.
 
-    /// Whether this store is shared across working directories (and
-    /// therefore mirrors repository metadata). Local backends: `false`.
+    /// Whether this store is shared across working directories (the
+    /// remote daemon, which mirrors repository metadata). Local
+    /// backends: `false`. On the trait only because the benchmark's
+    /// staged save replay (`benchmark/src/stages.rs`) calls it through
+    /// `StoreBackend`; ROADMAP item 1 retires that caller.
     fn is_shared(&self) -> bool {
         false
     }
 
-    /// Acquires the store's exclusive writer lease for this handle's
-    /// namespace. Local backends rely on the repository's on-disk LOCK
-    /// file instead and treat this as a no-op; the remote backend asks
-    /// the daemon for a server-side lease (which a crashed writer
-    /// cannot leak forever — it expires by TTL).
-    ///
-    /// # Errors
-    ///
-    /// Shared backends fail with [`Error::LeaseHeld`] when another live
-    /// writer holds the lease, or on transport errors.
-    fn acquire_writer_lease(&self) -> Result<()> {
-        Ok(())
-    }
-
-    /// Releases the writer lease, if one is held. Best-effort no-op for
-    /// local backends.
-    fn release_writer_lease(&self) {}
-
-    /// Atomically publishes a named metadata blob on the shared store.
-    /// No-op for local backends.
+    /// Publishes a named metadata blob on a shared store; no-op for
+    /// local backends. On the trait only for the same caller as
+    /// [`ObjectStore::is_shared`].
     ///
     /// # Errors
     ///
     /// Shared backends fail on transport or server errors.
     fn meta_put(&self, name: &str, bytes: &[u8]) -> Result<()> {
         let _ = (name, bytes);
-        Ok(())
-    }
-
-    /// Fetches a named metadata blob; `Ok(None)` when absent (always,
-    /// for local backends).
-    ///
-    /// # Errors
-    ///
-    /// Shared backends fail on transport or server errors.
-    fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        let _ = name;
-        Ok(None)
-    }
-
-    /// Fetches many named metadata blobs, in input order. Semantically
-    /// `names.iter().map(meta_get)`; the remote backend overrides this
-    /// to pipeline every fetch in one burst — fresh-directory resume
-    /// pulls a whole history of manifests, and paying one network
-    /// round trip per manifest would make that O(checkpoints) in
-    /// latency.
-    ///
-    /// # Errors
-    ///
-    /// Shared backends fail on transport or server errors.
-    fn meta_get_many(&self, names: &[String]) -> Result<Vec<Option<Vec<u8>>>> {
-        names.iter().map(|n| self.meta_get(n)).collect()
-    }
-
-    /// Lists metadata names under a prefix, ascending (empty for local
-    /// backends).
-    ///
-    /// # Errors
-    ///
-    /// Shared backends fail on transport or server errors.
-    fn meta_list(&self, prefix: &str) -> Result<Vec<String>> {
-        let _ = prefix;
-        Ok(Vec::new())
-    }
-
-    /// Deletes a named metadata blob; absence is not an error. No-op for
-    /// local backends.
-    ///
-    /// # Errors
-    ///
-    /// Shared backends fail on transport or server errors.
-    fn meta_delete(&self, name: &str) -> Result<()> {
-        let _ = name;
         Ok(())
     }
 
@@ -590,10 +529,6 @@ impl ObjectStore for StoreBackend {
         delegate!(self, s => s.put_batch(chunks, fsync))
     }
 
-    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        delegate!(self, s => s.get(reference))
-    }
-
     fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
         delegate!(self, s => s.get_many(refs))
     }
@@ -604,10 +539,6 @@ impl ObjectStore for StoreBackend {
 
     fn end_read_pass(&self) {
         delegate!(self, s => s.end_read_pass())
-    }
-
-    fn contains(&self, hash: &ContentHash) -> bool {
-        delegate!(self, s => s.contains(hash))
     }
 
     fn contains_all(&self, hashes: &[ContentHash]) -> bool {
@@ -634,32 +565,8 @@ impl ObjectStore for StoreBackend {
         delegate!(self, s => s.is_shared())
     }
 
-    fn acquire_writer_lease(&self) -> Result<()> {
-        delegate!(self, s => s.acquire_writer_lease())
-    }
-
-    fn release_writer_lease(&self) {
-        delegate!(self, s => s.release_writer_lease())
-    }
-
     fn meta_put(&self, name: &str, bytes: &[u8]) -> Result<()> {
         delegate!(self, s => s.meta_put(name, bytes))
-    }
-
-    fn meta_get(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        delegate!(self, s => s.meta_get(name))
-    }
-
-    fn meta_get_many(&self, names: &[String]) -> Result<Vec<Option<Vec<u8>>>> {
-        delegate!(self, s => s.meta_get_many(names))
-    }
-
-    fn meta_list(&self, prefix: &str) -> Result<Vec<String>> {
-        delegate!(self, s => s.meta_list(prefix))
-    }
-
-    fn meta_delete(&self, name: &str) -> Result<()> {
-        delegate!(self, s => s.meta_delete(name))
     }
 
     #[cfg(any(test, feature = "testing"))]

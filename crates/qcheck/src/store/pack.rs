@@ -30,18 +30,25 @@
 //! left untouched, and every other pack — one dead object is enough — is
 //! rewritten with only its live objects (stage + rename again).
 //!
-//! ## Pack-index cache
+//! ## Pack-index cache and the read path
 //!
 //! A handle keeps every pack's index in memory (`hash → pack/offset/len`,
 //! 44 bytes per object on disk, comparable in memory). Lookups never touch
 //! the directory; a miss triggers a cheap rescan of `packs/` so that packs
 //! published by other handles (e.g. a background writer on the same
 //! repository) become visible without reopening. Within a *read pass*
-//! ([`ObjectStore::begin_read_pass`], e.g. one recovery walk) that
-//! miss-triggered rescan fires at most once — a recovery walking a
-//! partially-damaged history would otherwise rescan `packs/` on every
-//! missing chunk, which made pack recovery slower than loose. The
-//! [`PackStore::index_rescans`] counter makes the bound testable.
+//! ([`ObjectStore::begin_read_pass`], e.g. one recovery walk; every
+//! `get_many` is one) that miss-triggered rescan fires at most once — a
+//! recovery walking a partially-damaged history would otherwise rescan
+//! `packs/` on every missing chunk, which made pack recovery slower than
+//! loose. The [`PackStore::index_rescans`] counter makes the bound
+//! testable.
+//!
+//! There is one read path, `get_many`'s: the refs resolve under one index
+//! lock into runs of objects that sit back to back in one pack, and each
+//! run is one positioned read, every chunk verified against its content
+//! address. A pack deleted between lookup and open (another handle's sweep
+//! rewrote it) resyncs the index and re-plans the refs not yet read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -163,6 +170,22 @@ struct PassState {
 /// MRU pack-descriptor cache slot: `(pack file name, open descriptor)`.
 type MruPack = Option<(String, Arc<fs::File>)>;
 
+/// Objects that sit back to back in one pack: read with one `pread`.
+struct Run {
+    pack: u32,
+    name: String,
+    offset: u64,
+    /// Total bytes, and the length of each object in order.
+    len: usize,
+    lens: Vec<usize>,
+}
+
+fn not_found(reference: &ChunkRef) -> Error {
+    Error::NotFound {
+        what: format!("chunk {}", reference.hash),
+    }
+}
+
 /// Handle to an on-disk packed object store rooted at `packs/` + `tmp/`.
 #[derive(Debug, Clone)]
 pub struct PackStore {
@@ -283,67 +306,6 @@ impl PackStore {
         Ok(())
     }
 
-    /// Reads one object's payload given its location; retries through a
-    /// refresh when the pack vanished mid-read (concurrent sweep).
-    fn read_object(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        let (f, loc, path) = self.open_object(reference)?;
-        let mut buf = vec![0u8; loc.len as usize];
-        read_exact_at(&f, &mut buf, loc.offset)
-            .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
-        crate::obs::PACK_PREADS.inc();
-        verify_chunk(reference, &buf)?;
-        Ok(buf)
-    }
-
-    /// Resolves one object to an open pack descriptor + location;
-    /// retries through a refresh when the pack vanished mid-lookup
-    /// (concurrent sweep).
-    fn open_object(&self, reference: &ChunkRef) -> Result<(Arc<fs::File>, ObjLoc, PathBuf)> {
-        for attempt in 0..2 {
-            let loc = {
-                let mut index = self.lock();
-                match index.objects.get(&reference.hash) {
-                    Some(loc) => {
-                        let name = index.packs[loc.pack as usize]
-                            .clone()
-                            .expect("live object points at live pack");
-                        Some((name, *loc))
-                    }
-                    None => {
-                        if attempt == 0 {
-                            self.refresh_on_miss(&mut index)?;
-                            match index.objects.get(&reference.hash) {
-                                Some(loc) => {
-                                    let name = index.packs[loc.pack as usize]
-                                        .clone()
-                                        .expect("live object points at live pack");
-                                    Some((name, *loc))
-                                }
-                                None => None,
-                            }
-                        } else {
-                            None
-                        }
-                    }
-                }
-            };
-            let Some((name, loc)) = loc else { break };
-            let path = self.pack_path(&name);
-            match self.open_pack(&name) {
-                Ok(f) => return Ok((f, loc, path)),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Pack deleted under us; resync and retry once.
-                    self.refresh(&mut self.lock())?;
-                    continue;
-                }
-                Err(e) => return Err(Error::io(format!("opening {}", path.display()), e)),
-            }
-        }
-        Err(Error::NotFound {
-            what: format!("chunk {}", reference.hash),
-        })
-    }
-
     /// Opens pack `name`, serving consecutive reads of the same pack
     /// through one descriptor (packs are immutable, so the cache cannot go
     /// stale — at worst the file was unlinked, which a held fd survives
@@ -363,64 +325,84 @@ impl PackStore {
         Ok(f)
     }
 
-    /// The batched read path of [`ObjectStore::get_many`]: resolves every
-    /// ref under one index lock and issues one positioned read per
-    /// contiguous same-pack run (a save's chunks sit back to back in its
-    /// pack, so a section of a delta link is one read, not one per chunk).
-    /// Every chunk is still verified against its content address. `None`
-    /// — an index miss, a vanished pack, a short read — sends the caller
-    /// down the per-object path, which owns the refresh-and-retry rules.
-    fn read_runs(&self, refs: &[ChunkRef]) -> Option<Result<Vec<Vec<u8>>>> {
-        struct Run {
-            pack: u32,
-            name: String,
-            offset: u64,
-            /// Total bytes, and the length of each object in order.
-            len: usize,
-            lens: Vec<usize>,
-        }
+    /// Resolves `refs` under one index lock into contiguous same-pack
+    /// runs. A miss rescans `packs/` through [`Self::refresh_on_miss`]
+    /// (at most once per read pass); a ref still missing after it is
+    /// [`Error::NotFound`].
+    fn plan_runs(&self, refs: &[ChunkRef]) -> Result<Vec<Run>> {
+        let mut index = self.lock();
         let mut runs: Vec<Run> = Vec::new();
-        {
-            let index = self.lock();
-            for reference in refs {
-                let loc = *index.objects.get(&reference.hash)?;
-                match runs.last_mut() {
-                    Some(run)
-                        if run.pack == loc.pack && run.offset + run.len as u64 == loc.offset =>
-                    {
-                        run.len += loc.len as usize;
-                        run.lens.push(loc.len as usize);
-                    }
-                    _ => runs.push(Run {
-                        pack: loc.pack,
-                        name: index.packs[loc.pack as usize].clone()?,
-                        offset: loc.offset,
-                        len: loc.len as usize,
-                        lens: vec![loc.len as usize],
-                    }),
+        for reference in refs {
+            let loc = match index.objects.get(&reference.hash) {
+                Some(loc) => *loc,
+                None => {
+                    self.refresh_on_miss(&mut index)?;
+                    *index
+                        .objects
+                        .get(&reference.hash)
+                        .ok_or_else(|| not_found(reference))?
                 }
+            };
+            match runs.last_mut() {
+                Some(run) if run.pack == loc.pack && run.offset + run.len as u64 == loc.offset => {
+                    run.len += loc.len as usize;
+                    run.lens.push(loc.len as usize);
+                }
+                _ => runs.push(Run {
+                    pack: loc.pack,
+                    name: index.packs[loc.pack as usize]
+                        .clone()
+                        .expect("live object points at live pack"),
+                    offset: loc.offset,
+                    len: loc.len as usize,
+                    lens: vec![loc.len as usize],
+                }),
             }
         }
+        Ok(runs)
+    }
+
+    /// The read path of [`ObjectStore::get_many`]: one positioned read per
+    /// contiguous same-pack run (a save's chunks sit back to back in its
+    /// pack, so a section of a delta link is one read, not one per chunk),
+    /// every chunk verified against its content address. A pack that
+    /// vanished between lookup and open (another handle's sweep rewrote
+    /// it) resyncs the index and re-plans the refs not yet read; vanishing
+    /// again before any of them was read makes the next one
+    /// [`Error::NotFound`].
+    fn read_runs(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::with_capacity(refs.len());
-        let mut refs = refs.iter();
         let mut buf = Vec::new();
-        for run in &runs {
-            let f = self.open_pack(&run.name).ok()?;
-            buf.resize(run.len, 0);
-            read_exact_at(&f, &mut buf, run.offset).ok()?;
-            crate::obs::PACK_PREADS.inc();
-            let mut rest = buf.as_slice();
-            for len in &run.lens {
-                let (chunk, tail) = rest.split_at(*len);
-                rest = tail;
-                let reference = refs.next().expect("one ref per run entry");
-                if let Err(e) = verify_chunk(reference, chunk) {
-                    return Some(Err(e));
+        let mut resynced_at = None;
+        'plan: while out.len() < refs.len() {
+            for run in self.plan_runs(&refs[out.len()..])? {
+                let path = self.pack_path(&run.name);
+                let f = match self.open_pack(&run.name) {
+                    Ok(f) => f,
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        if resynced_at == Some(out.len()) {
+                            return Err(not_found(&refs[out.len()]));
+                        }
+                        resynced_at = Some(out.len());
+                        self.refresh(&mut self.lock())?;
+                        continue 'plan;
+                    }
+                    Err(e) => return Err(Error::io(format!("opening {}", path.display()), e)),
+                };
+                buf.resize(run.len, 0);
+                read_exact_at(&f, &mut buf, run.offset)
+                    .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
+                crate::obs::PACK_PREADS.inc();
+                let mut rest = buf.as_slice();
+                for len in run.lens {
+                    let (chunk, tail) = rest.split_at(len);
+                    rest = tail;
+                    verify_chunk(&refs[out.len()], chunk)?;
+                    out.push(chunk.to_vec());
                 }
-                out.push(chunk.to_vec());
             }
         }
-        Some(Ok(out))
+        Ok(out)
     }
 
     /// Serializes, stages and atomically publishes one pack holding
@@ -531,17 +513,11 @@ impl ObjectStore for PackStore {
         Ok(report)
     }
 
-    fn get(&self, reference: &ChunkRef) -> Result<Vec<u8>> {
-        self.read_object(reference)
-    }
-
     fn get_many(&self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>> {
         // One batch = one read pass: at most one miss-triggered index
         // rescan for the whole burst.
         self.begin_read_pass();
-        let out = self
-            .read_runs(refs)
-            .unwrap_or_else(|| refs.iter().map(|r| self.read_object(r)).collect());
+        let out = self.read_runs(refs);
         self.end_read_pass();
         out
     }
@@ -559,28 +535,14 @@ impl ObjectStore for PackStore {
             .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
     }
 
-    fn contains(&self, hash: &ContentHash) -> bool {
-        let mut index = self.lock();
-        if let Some(loc) = index.objects.get(hash) {
-            // Confirm the pack file still exists: a concurrent sweep may
-            // have deleted it, and a stale `true` would let the save path
-            // write a delta against a hole.
-            let name = index.packs[loc.pack as usize]
-                .as_ref()
-                .expect("live object points at live pack");
-            return self.pack_path(name).is_file();
-        }
-        if self.refresh_on_miss(&mut index).is_err() {
-            return false;
-        }
-        index.objects.contains_key(hash)
-    }
-
     fn contains_all(&self, hashes: &[ContentHash]) -> bool {
         fn check(store: &PackStore, index: &PackIndex, hashes: &[ContentHash]) -> bool {
             // Stat each distinct pack once per call, not once per chunk:
             // a delta-chain existence check spans hundreds of chunks but
-            // only ~chain-length packs.
+            // only ~chain-length packs. The stat confirms the pack file
+            // still exists: a concurrent sweep may have deleted it, and a
+            // stale `true` would let the save path write a delta against a
+            // hole.
             let mut pack_ok: BTreeMap<u32, bool> = BTreeMap::new();
             hashes.iter().all(|h| match index.objects.get(h) {
                 Some(loc) => *pack_ok.entry(loc.pack).or_insert_with(|| {
@@ -950,14 +912,14 @@ mod tests {
         let second: Vec<Vec<u8>> = (6..9u8).map(|i| vec![i; 64]).collect();
         store.put_batch(&stage(&first), false).unwrap();
         store.put_batch(&stage(&second), false).unwrap();
-        let (a, b) = (refs_of(&first), refs_of(&second));
+        let blobs: Vec<Vec<u8>> = first.into_iter().chain(second).collect();
+        let refs = refs_of(&blobs);
         // A whole pack in order, a hop to the other pack and back, a gap,
         // a repeat, and backwards.
-        let order = [
-            a[0], a[1], a[2], a[3], a[4], a[5], b[0], b[1], a[1], a[3], a[3], b[2], a[0],
-        ];
-        let want: Vec<Vec<u8>> = order.iter().map(|r| store.get(r).unwrap()).collect();
-        assert_eq!(store.get_many(&order).unwrap(), want);
+        let order = [0, 1, 2, 3, 4, 5, 6, 7, 1, 3, 3, 8, 0];
+        let asked: Vec<ChunkRef> = order.iter().map(|&i| refs[i]).collect();
+        let want: Vec<Vec<u8>> = order.iter().map(|&i| blobs[i].clone()).collect();
+        assert_eq!(store.get_many(&asked).unwrap(), want);
         assert_eq!(store.get_many(&[]).unwrap(), Vec::<Vec<u8>>::new());
     }
 
@@ -976,14 +938,17 @@ mod tests {
     }
 
     #[test]
-    fn get_many_falls_back_on_an_index_miss_and_a_vanished_pack() {
+    fn get_many_rescans_on_an_index_miss_and_resyncs_on_a_vanished_pack() {
         let (dir, writer) = temp_store();
         let reader = PackStore::open(dir.path()).unwrap();
         let blobs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 128]).collect();
         writer.put_batch(&stage(&blobs), false).unwrap();
         let refs = refs_of(&blobs);
-        // Published after the reader opened: every ref misses its index.
+        // Published after the reader opened: every ref misses its index,
+        // and one rescan answers them all.
+        let rescans = reader.index_rescans();
         assert_eq!(reader.get_many(&refs).unwrap(), blobs);
+        assert_eq!(reader.index_rescans(), rescans + 1);
         // The writer's sweep rewrites the pack under the reader, whose
         // index still names the deleted file.
         let live: BTreeSet<ContentHash> = refs[..2].iter().map(|r| r.hash).collect();

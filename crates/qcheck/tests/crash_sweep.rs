@@ -27,7 +27,7 @@ use qcheck::remote::{
 };
 use qcheck::repo::{CheckpointRepo, CommitMode, Retention, SaveMode, SaveOptions};
 use qcheck::snapshot::{StateBlob, TrainingSnapshot};
-use qcheck::store::{ObjectStore, StoreBackend, StoreKind};
+use qcheck::store::{StoreBackend, StoreKind};
 use qcheck::verify::fsck;
 use qcheck::Error;
 

@@ -16,7 +16,7 @@ use qcheck::failure::{arm, Fault};
 use qcheck::remote::{spawn_daemon, DaemonHandle, RemoteStore};
 use qcheck::repo::{CheckpointRepo, SaveOptions};
 use qcheck::snapshot::TrainingSnapshot;
-use qcheck::store::{ObjectStore, StoreKind};
+use qcheck::store::StoreKind;
 use qcheck::Error;
 
 struct TempDir(PathBuf);

@@ -606,7 +606,12 @@ fn retention_crash_before_mirror_deletes_does_not_resurrect() {
     // durable locally, but the mirror still lists every manifest.
     assert_eq!(repo.list_ids().unwrap(), vec![kept.clone()]);
     assert_eq!(
-        repo.store().meta_list("manifests/").unwrap().len(),
+        repo.store()
+            .remote()
+            .unwrap()
+            .meta_list("manifests/")
+            .unwrap()
+            .len(),
         3,
         "crash fired before any mirror delete went out"
     );
@@ -615,7 +620,12 @@ fn retention_crash_before_mirror_deletes_does_not_resurrect() {
     let (snap, _) = repo.recover().unwrap();
     assert_eq!(snap.step, 3);
     assert_eq!(
-        repo.store().meta_list("manifests/").unwrap().len(),
+        repo.store()
+            .remote()
+            .unwrap()
+            .meta_list("manifests/")
+            .unwrap()
+            .len(),
         1,
         "recover must re-issue the mirror deletes for tombstoned ids"
     );

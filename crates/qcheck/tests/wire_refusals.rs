@@ -6,10 +6,12 @@
 //! dialect's Hello, the opcodes earlier protocols spent on ops that are
 //! gone (retired, never reused), a chunk too large for a frame, a fetch
 //! across tenants or beyond a frame's budget — that each refusal is a
-//! typed error which leaves the daemon serving, and how an absent or a
-//! damaged chunk surfaces through the batched fetch.
+//! typed error which leaves the daemon serving, how an absent or a
+//! damaged chunk surfaces through the batched fetch, and that a fetch
+//! burst larger than the socket buffers does not stall.
 
 use std::io::Write as _;
+use std::sync::mpsc::RecvTimeoutError;
 
 use qcheck::chunk::ChunkRef;
 use qcheck::error::Error;
@@ -346,6 +348,45 @@ fn absent_and_corrupt_chunks_surface_typed_through_the_batch() {
     let before = store.round_trips();
     assert_eq!(store.get_many(&refs[..4]).unwrap(), blobs[..4]);
     assert_eq!(store.round_trips() - before, 1);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A burst of `Fetch` frames bigger than both directions' socket buffers
+/// completes. The daemon writes each reply before it reads the next
+/// request, so a client that wrote the whole burst before reading would
+/// block on a full socket while the daemon blocks on a reply nobody
+/// reads, until the I/O timeout.
+#[test]
+fn a_fetch_burst_larger_than_the_socket_buffers_completes() {
+    const ASKED: usize = 1 << 19;
+    let root = scratch("burst");
+    let (_daemon, addr, namespace) = data_path_daemon(&root);
+    let store = RemoteStore::connect(addr.as_str(), namespace.as_str()).unwrap();
+    // 1 024 distinct 64 B chunks, asked for 512 Ki times in storage order:
+    // 8 frames, each 2.4 MB of refs out and 4 MiB of payload back.
+    let blobs: Vec<Vec<u8>> = (0..1024u32).map(|i| i.to_le_bytes().repeat(16)).collect();
+    let refs = put_all(&store, &blobs);
+    let asked: Vec<ChunkRef> = refs.iter().cycle().take(ASKED).copied().collect();
+
+    // On its own thread, so a stall fails the test instead of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    let burst = std::thread::spawn(move || {
+        let before = store.round_trips();
+        let got = store.get_many(&asked);
+        let _ = done.send((got, store.round_trips() - before));
+    });
+    let (got, frames) = match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(answer) => answer,
+        Err(RecvTimeoutError::Timeout) => panic!("the fetch burst stalled"),
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(burst.join().unwrap_err()),
+    };
+    burst.join().unwrap();
+    let got = got.unwrap();
+    assert_eq!(frames, 8);
+    assert_eq!(got.len(), ASKED);
+    for (i, data) in got.iter().enumerate() {
+        assert!(data == &blobs[i % blobs.len()], "chunk {i} out of order");
+    }
     let _ = std::fs::remove_dir_all(root);
 }
 

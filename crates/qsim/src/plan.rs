@@ -353,7 +353,6 @@ impl BoundGate {
                         p.swap(i as usize, j as usize);
                         p
                     }
-                    Kernel4::Monomial { perm, coef } if coef == [one; 4] => perm,
                     _ => return None,
                 };
                 // Index map: the amplitude at sub-index `s` moves to `g(s)`

@@ -898,15 +898,9 @@ pub(crate) enum Kernel4 {
         /// Scaling factors of the fixed rows, same order.
         fixed: [Complex64; 2],
     },
-    /// Monomial — one non-zero per row: a permutation with per-row phases
-    /// (fallback for monomials that are not plain transpositions).
-    Monomial {
-        /// `new[i] = coef[i] * old[perm[i]]`.
-        perm: [u8; 4],
-        /// Per-row multipliers.
-        coef: [Complex64; 4],
-    },
-    /// General dense 4×4 (`Rxx`, `Ryy`, composed unitaries).
+    /// General dense 4×4 (`Rxx`, `Ryy`, composed unitaries, and a
+    /// monomial that is neither diagonal nor one transposition — no gate
+    /// binds to one).
     Dense,
 }
 
@@ -958,7 +952,6 @@ impl Kernel4 {
                     };
                 }
             }
-            return Kernel4::Monomial { perm, coef };
         }
         Kernel4::Dense
     }
@@ -1113,25 +1106,6 @@ impl Kernel4 {
                     amps[xj] = if uj { t } else { cj * t };
                 });
             }
-            Kernel4::Monomial { perm, coef } => {
-                let one = Complex64::ONE;
-                let offs = [0, ba, bb, ba | bb];
-                let skip: [bool; 4] =
-                    std::array::from_fn(|r| perm[r] as usize == r && coef[r] == one);
-                // Unit coefficients move without multiplying (see
-                // `run_region` — `1·x` renormalizes signed zeros).
-                let unit: [bool; 4] = std::array::from_fn(|r| coef[r] == one);
-                quad_loop!(|base| {
-                    let idx = [base, base | offs[1], base | offs[2], base | offs[3]];
-                    let a = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-                    for r in 0..4 {
-                        if !skip[r] {
-                            let src = a[perm[r] as usize];
-                            amps[idx[r]] = if unit[r] { src } else { coef[r] * src };
-                        }
-                    }
-                });
-            }
         }
     }
 
@@ -1230,29 +1204,6 @@ impl Kernel4 {
                         let t = block[pi];
                         block[pi] = if ui { block[pj] } else { ci * block[pj] };
                         block[pj] = if uj { t } else { cj * t };
-                    }
-                }
-            }
-            Kernel4::Monomial { perm, coef } => {
-                let one = Complex64::ONE;
-                let skip: [bool; 4] =
-                    std::array::from_fn(|r| perm[r] as usize == r && coef[r] == one);
-                let unit: [bool; 4] = std::array::from_fn(|r| coef[r] == one);
-                for block in amps.chunks_exact_mut(4) {
-                    if let [x0, x1, x2, x3] = block {
-                        let s = [*x0, *x1, *x2, *x3];
-                        let a = [s[map(0)], s[map(1)], s[map(2)], s[map(3)]];
-                        let mut out = a;
-                        for r in 0..4 {
-                            if !skip[r] {
-                                let src = a[perm[r] as usize];
-                                out[r] = if unit[r] { src } else { coef[r] * src };
-                            }
-                        }
-                        *x0 = out[map(0)];
-                        *x1 = out[map(1)];
-                        *x2 = out[map(2)];
-                        *x3 = out[map(3)];
                     }
                 }
             }
@@ -1395,28 +1346,6 @@ impl Kernel4 {
                     }
                 }
             }
-            Kernel4::Monomial { perm, coef } => {
-                let one = Complex64::ONE;
-                let skip: [bool; 4] =
-                    std::array::from_fn(|r| perm[r] as usize == r && coef[r] == one);
-                let unit: [bool; 4] = std::array::from_fn(|r| coef[r] == one);
-                for j in 0..quads {
-                    let i = expand(j);
-                    let s = [pa[i], pa[i | blo], pb[i], pb[i | blo]];
-                    let a = [s[order[0]], s[order[1]], s[order[2]], s[order[3]]];
-                    let mut out = a;
-                    for r in 0..4 {
-                        if !skip[r] {
-                            let src = a[perm[r] as usize];
-                            out[r] = if unit[r] { src } else { coef[r] * src };
-                        }
-                    }
-                    pa[i] = out[order[0]];
-                    pa[i | blo] = out[order[1]];
-                    pb[i] = out[order[2]];
-                    pb[i | blo] = out[order[3]];
-                }
-            }
         }
     }
 
@@ -1499,29 +1428,6 @@ impl Kernel4 {
                     } else {
                         Complex64::new(cjr * t.re - cji * t.im, cjr * t.im + cji * t.re)
                     };
-                }
-            }
-            Kernel4::Monomial { perm, coef } => {
-                let one = Complex64::ONE;
-                let unit: [bool; 4] = std::array::from_fn(|r| coef[r] == one);
-                for k in 0..s00.len() {
-                    let a = [s00[k], s01[k], s10[k], s11[k]];
-                    if !(perm[0] == 0 && unit[0]) {
-                        let src = a[perm[0] as usize];
-                        s00[k] = if unit[0] { src } else { coef[0] * src };
-                    }
-                    if !(perm[1] == 1 && unit[1]) {
-                        let src = a[perm[1] as usize];
-                        s01[k] = if unit[1] { src } else { coef[1] * src };
-                    }
-                    if !(perm[2] == 2 && unit[2]) {
-                        let src = a[perm[2] as usize];
-                        s10[k] = if unit[2] { src } else { coef[2] * src };
-                    }
-                    if !(perm[3] == 3 && unit[3]) {
-                        let src = a[perm[3] as usize];
-                        s11[k] = if unit[3] { src } else { coef[3] * src };
-                    }
                 }
             }
         }
