@@ -25,7 +25,8 @@
 //!
 //! The encode half of [`repo::CheckpointRepo::save`] — per-section
 //! size-first payload selection (every candidate measured with
-//! [`Compression::compressed_len`], only the winner compressed),
+//! [`Compression::compressed_len`], only the winner compressed; the full
+//! candidate is stored raw where its codec would expand it),
 //! per-section SHA-256, and per-chunk hashing — fans out across the
 //! shared [`qpar`] layer, and so does the
 //! read side: [`repo::CheckpointRepo::resolve_sections`] folds each

@@ -47,7 +47,7 @@ use crate::compress::Compression;
 use crate::delta::{BlockPatch, DEFAULT_BLOCK_SIZE};
 use crate::error::{Error, Result};
 use crate::failure::StorageFault;
-use crate::hash::Sha256;
+use crate::hash::{ContentHash, Sha256};
 use crate::manifest::{CheckpointId, CheckpointKind, Manifest, PayloadKind, SectionEntry};
 pub use crate::manifest_log::CommitMode;
 use crate::manifest_log::{self as mlog, CommitWrite, LogReplay, ManifestLog, RecordKind};
@@ -133,13 +133,14 @@ pub enum SaveMode {
     },
 }
 
-/// Per-section compression selection.
+/// Per-section compression selection. Under either policy a full payload
+/// is stored raw where the section's codec would expand it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompressionPolicy {
     /// XOR-f64 for parameter-like sections, RLE for the ledger, raw
     /// otherwise.
     Default,
-    /// One codec for every section.
+    /// One codec per section, or raw where it would expand.
     Uniform(Compression),
 }
 
@@ -316,9 +317,10 @@ pub struct CheckpointRepo {
     /// diff against the latest checkpoint; when it is the one we just
     /// wrote, the cache saves a full read-decompress-verify pass over the
     /// base (`resolve_sections`) per save. Keyed by id, so a checkpoint
-    /// written by anyone else simply misses and resolves from disk; chunk
-    /// *existence* is still checked on every hit (GC races demote to the
-    /// resolve path). Deliberate tradeoff: byte-level bit rot striking the
+    /// written by anyone else simply misses and resolves from disk; the
+    /// *existence* of every chunk a resolve of it would read is still
+    /// checked on every hit (GC races demote to the resolve path).
+    /// Deliberate tradeoff: byte-level bit rot striking the
     /// base *between two consecutive saves* is no longer caught at save
     /// time — it surfaces at recover/fsck time, where recovery falls back
     /// past the damaged chain, and `max_chain_len` bounds the exposure.
@@ -332,10 +334,61 @@ struct EncodeCache {
     id: CheckpointId,
     /// Its resolved sections (the delta base for the next save).
     sections: Vec<Section>,
-    /// Chunk hashes of the checkpoint's *entire* delta chain, so a cache
-    /// hit can confirm chain existence with stats alone — no manifest
-    /// re-reads per save.
-    chain_chunks: Vec<crate::hash::ContentHash>,
+    /// The chunks a resolve of it reads, so a cache hit can confirm they
+    /// exist with stats alone — no manifest re-reads per save.
+    inventory: ChainInventory,
+}
+
+/// The chunks a resolve of one checkpoint reads: per section, every link
+/// from the checkpoint back to that section's newest `Full` payload —
+/// the links [`section_links`] walks. Flat: one hash vector, cut into
+/// per-section runs by `ends`, in the manifest's section order.
+#[derive(Debug)]
+struct ChainInventory {
+    hashes: Vec<ContentHash>,
+    /// Where each section's run of `hashes` ends.
+    ends: Vec<usize>,
+}
+
+impl ChainInventory {
+    /// The inventory of `links` (one entry per section).
+    fn of(links: &[SectionLinks<'_>]) -> Self {
+        let mut inventory = ChainInventory {
+            hashes: Vec::new(),
+            ends: Vec::with_capacity(links.len()),
+        };
+        for section in links {
+            let chunks = section.iter().flat_map(|(_, entry)| &entry.chunks);
+            inventory.hashes.extend(chunks.map(|r| r.hash));
+            inventory.ends.push(inventory.hashes.len());
+        }
+        inventory
+    }
+
+    /// The inventory of `tip`, saved against `base` (its manifest and
+    /// inventory) or without one: each section's own chunks, then, unless
+    /// its payload is `Full`, the run of its namesake in `base`.
+    fn of_save(tip: &Manifest, base: Option<(&Manifest, &ChainInventory)>) -> Self {
+        let most = tip.chunk_refs().count() + base.map_or(0, |(_, b)| b.hashes.len());
+        let mut inventory = ChainInventory {
+            hashes: Vec::with_capacity(most),
+            ends: Vec::with_capacity(tip.sections.len()),
+        };
+        for entry in &tip.sections {
+            inventory.hashes.extend(entry.chunks.iter().map(|r| r.hash));
+            if let Some((m, b)) = base.filter(|_| entry.payload_kind != PayloadKind::Full) {
+                // A delta payload is only ever taken against a namesake.
+                if let Some(i) = m.sections.iter().position(|s| s.name == entry.name) {
+                    let start = if i == 0 { 0 } else { b.ends[i - 1] };
+                    inventory
+                        .hashes
+                        .extend_from_slice(&b.hashes[start..b.ends[i]]);
+                }
+            }
+            inventory.ends.push(inventory.hashes.len());
+        }
+        inventory
+    }
 }
 
 impl CheckpointRepo {
@@ -593,8 +646,7 @@ impl CheckpointRepo {
         // cache when the latest checkpoint is the one this handle just
         // wrote (the common case in a training loop); otherwise they are
         // resolved — and verified — from disk.
-        let mut base: Option<(Manifest, Vec<Section>)> = None;
-        let mut base_chain_chunks: Option<Vec<crate::hash::ContentHash>> = None;
+        let mut base: Option<(Manifest, Vec<Section>, ChainInventory)> = None;
         if let SaveMode::DeltaAuto { max_chain_len } = options.mode {
             if let Some(latest_id) = self.read_latest()? {
                 if let Ok(m) = self.load_manifest(&latest_id) {
@@ -609,40 +661,30 @@ impl CheckpointRepo {
                                 }
                             }
                         };
-                        // Even on a cache hit, confirm every chunk of the
-                        // *whole* base chain still exists on disk (stats
-                        // only, using the cached chain inventory) — a GC
+                        // Even on a cache hit, confirm every chunk a
+                        // resolve of the base would read still exists
+                        // (stats only, from the cached inventory) — a GC
                         // race or deleted object must demote us to the
                         // resolve path, whose failure falls back to a
                         // self-contained full checkpoint instead of a
                         // delta against a hole.
-                        let cached = cached.filter(|c| self.store.contains_all(&c.chain_chunks));
-                        match cached {
-                            Some(c) => {
-                                base_chain_chunks = Some(c.chain_chunks);
-                                base = Some((m, c.sections));
-                            }
-                            None => {
-                                // One chain walk serves both the resolve
-                                // and the chunk inventory of the new cache
-                                // entry (resolve verified content, so
-                                // existence is implied here).
-                                let resolved =
-                                    self.with_state(|st| chain_bases(st, &m)).and_then(|bases| {
-                                        let bases = bases?;
-                                        Ok((self.resolve_chain(&m, &bases)?, bases))
-                                    });
-                                if let Ok((base_sections, bases)) = resolved {
-                                    base_chain_chunks = Some(
-                                        std::iter::once(&m)
-                                            .chain(&bases)
-                                            .flat_map(|link| link.chunk_refs().map(|r| r.hash))
-                                            .collect(),
-                                    );
-                                    base = Some((m, base_sections));
-                                }
-                            }
-                        }
+                        let cached =
+                            cached.filter(|c| self.store.contains_all(&c.inventory.hashes));
+                        base = match cached {
+                            Some(c) => Some((m, c.sections, c.inventory)),
+                            // One chain walk serves both the resolve and
+                            // the inventory of the new cache entry (resolve
+                            // verified content, so existence is implied).
+                            None => self
+                                .with_state(|st| chain_bases(st, &m))
+                                .and_then(|bases| {
+                                    let bases = bases?;
+                                    let inventory = ChainInventory::of(&section_links(&m, &bases)?);
+                                    Ok((self.resolve_chain(&m, &bases)?, inventory))
+                                })
+                                .ok()
+                                .map(|(sections, inventory)| (m, sections, inventory)),
+                        };
                     }
                 }
             }
@@ -663,7 +705,7 @@ impl CheckpointRepo {
         // identical at every thread count.
         // ------------------------------------------------------------------
         let threads = qpar::current_threads();
-        let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
+        let base_sections = base.as_ref().map(|(_, s, _)| s.as_slice());
         let encode_one = |section: &Section| -> SectionEncode {
             let section_sha = Sha256::digest(&section.bytes);
             let base_section =
@@ -749,7 +791,7 @@ impl CheckpointRepo {
             .collect();
 
         let (kind, chain_len) = match &base {
-            Some((m, _)) => (
+            Some((m, _, _)) => (
                 CheckpointKind::Delta { base: m.id.clone() },
                 m.chain_len + 1,
             ),
@@ -800,28 +842,14 @@ impl CheckpointRepo {
         // are not cached — pinning them would roughly double steady-state
         // checkpointing memory for the handle's lifetime.
         let snapshot_bytes: usize = sections.iter().map(|s| s.bytes.len()).sum();
-        let chain_chunks = {
-            // Own chunks plus (for deltas) the verified base chain's.
-            let own = manifest.chunk_refs().map(|r| r.hash);
-            match (&manifest.kind, base_chain_chunks) {
-                (CheckpointKind::Full, _) => Some(own.collect::<Vec<_>>()),
-                (CheckpointKind::Delta { .. }, Some(mut chain)) => {
-                    chain.splice(0..0, own);
-                    Some(chain)
-                }
-                // Delta whose chain inventory could not be rebuilt: skip
-                // caching rather than cache an unverifiable entry.
-                (CheckpointKind::Delta { .. }, None) => None,
-            }
-        };
-        *self.lock_encode_cache() = match chain_chunks {
-            Some(chain_chunks) if snapshot_bytes <= ENCODE_CACHE_MAX_BYTES => Some(EncodeCache {
+        *self.lock_encode_cache() = (snapshot_bytes <= ENCODE_CACHE_MAX_BYTES).then(|| {
+            let base = base.as_ref().map(|(m, _, inventory)| (m, inventory));
+            EncodeCache {
                 id: id.clone(),
                 sections,
-                chain_chunks,
-            }),
-            _ => None,
-        };
+                inventory: ChainInventory::of_save(&manifest, base),
+            }
+        });
 
         Ok(SaveReport {
             is_delta: manifest.is_delta(),
@@ -1021,31 +1049,13 @@ impl CheckpointRepo {
     /// [`Self::resolve_sections`] over an already collected chain: `tip`
     /// and its `bases`, newest first.
     fn resolve_chain(&self, tip: &Manifest, bases: &[Manifest]) -> Result<Vec<Section>> {
-        // A section's links, newest first, down to its newest `Full`
-        // payload — older links cannot change its bytes.
-        let mut jobs = Vec::with_capacity(tip.sections.len());
-        for entry in &tip.sections {
-            let mut links: Vec<(&Manifest, &SectionEntry)> = vec![(tip, entry)];
-            let mut older = bases.iter();
-            loop {
-                let (m, link) = links[links.len() - 1];
-                if link.payload_kind == PayloadKind::Full {
-                    break;
-                }
-                let base = older.next().and_then(|base| {
-                    let e = base.sections.iter().find(|s| s.name == link.name)?;
-                    Some((base, e))
-                });
-                let Some(base) = base else {
-                    return Err(Error::NotFound {
-                        what: format!("base section {} for delta {}", link.name, m.id),
-                    });
-                };
-                links.push(base);
-            }
-            let weight = links.iter().map(|(_, e)| e.stored_len as usize).sum();
-            jobs.push((weight, links));
-        }
+        let jobs = section_links(tip, bases)?
+            .into_iter()
+            .map(|links| {
+                let weight = links.iter().map(|(_, e)| e.stored_len as usize).sum();
+                (weight, links)
+            })
+            .collect();
         let sections = map_balanced(qpar::current_threads(), jobs, |links| {
             self.fold_section(&links)
         })
@@ -1500,6 +1510,13 @@ impl CheckpointRepo {
 /// exact, and only the winner is ever handed to `compress`. Candidates
 /// are tried in the order full, block patch, XOR against the base, and a
 /// later one has to be strictly smaller to win.
+///
+/// The full candidate is the section under `codec` or raw
+/// ([`Compression::None`], whose size is the section's length), whichever
+/// is smaller, the codec on a tie. A codec that would expand the section
+/// (a word codec on dense f64 bytes) therefore never lets a delta win
+/// against an inflated full payload, and a resume stops at that
+/// section's newest full payload instead of folding the chain behind it.
 fn select_payload<'a>(
     codec: Compression,
     section: &'a Section,
@@ -1513,6 +1530,10 @@ fn select_payload<'a>(
     // Full payload is always a candidate.
     let mut best_len = probe(codec, &section.bytes);
     let mut best = (PayloadKind::Full, codec, Cow::Borrowed(&section.bytes[..]));
+    if section.bytes.len() < best_len {
+        best_len = section.bytes.len();
+        best.1 = Compression::None;
+    }
     let Some(base) = base else {
         return best;
     };
@@ -1547,6 +1568,39 @@ fn select_payload<'a>(
         }
     }
     best
+}
+
+/// One section's links, newest first: the checkpoint's own entry, then
+/// its namesake in each older base, down to its newest `Full` payload.
+type SectionLinks<'m> = Vec<(&'m Manifest, &'m SectionEntry)>;
+
+/// The links of every section of `tip` over its `bases` (newest first),
+/// in `tip`'s section order — exactly what a resolve reads: links older
+/// than a section's newest `Full` payload cannot change its bytes.
+fn section_links<'m>(tip: &'m Manifest, bases: &'m [Manifest]) -> Result<Vec<SectionLinks<'m>>> {
+    let mut sections = Vec::with_capacity(tip.sections.len());
+    for entry in &tip.sections {
+        let mut links: SectionLinks<'m> = vec![(tip, entry)];
+        let mut older = bases.iter();
+        loop {
+            let (m, link) = links[links.len() - 1];
+            if link.payload_kind == PayloadKind::Full {
+                break;
+            }
+            let base = older.next().and_then(|base| {
+                let e = base.sections.iter().find(|s| s.name == link.name)?;
+                Some((base, e))
+            });
+            let Some(base) = base else {
+                return Err(Error::NotFound {
+                    what: format!("base section {} for delta {}", link.name, m.id),
+                });
+            };
+            links.push(base);
+        }
+        sections.push(links);
+    }
+    Ok(sections)
 }
 
 /// The delta bases of `tip`, newest first down to the full checkpoint,
@@ -2021,9 +2075,20 @@ mod tests {
             compression: CompressionPolicy::Uniform(Compression::Rle),
             ..SaveOptions::default()
         };
-        let r = repo.save(&snapshot_at(1, vec![0.0; 4096]), &opts).unwrap();
+        let snapshot = snapshot_at(1, vec![0.0; 4096]);
+        let r = repo.save(&snapshot, &opts).unwrap();
         let m = repo.load_manifest(&r.id).unwrap();
-        assert!(m.sections.iter().all(|s| s.codec == Compression::Rle));
+        // RLE, or raw where RLE would expand the section.
+        for (entry, section) in m.sections.iter().zip(snapshot.to_sections()) {
+            let rle = Compression::Rle.compressed_len(&section.bytes);
+            let want = if section.bytes.len() < rle {
+                Compression::None
+            } else {
+                Compression::Rle
+            };
+            assert_eq!(entry.codec, want, "section {}", entry.name);
+        }
+        assert!(m.sections.iter().any(|s| s.codec == Compression::Rle));
         // All-zero params compress massively under RLE (32 KiB → runs of 255
         // zeros at 3 bytes each ≈ 400 bytes).
         let params = m.sections.iter().find(|s| s.name == "params").unwrap();
@@ -2160,7 +2225,8 @@ mod tests {
     }
 
     /// The selection [`select_payload`] replaced, kept as its reference:
-    /// every candidate compressed in full, the shortest output kept.
+    /// every candidate compressed in full, the shortest output kept — the
+    /// full one under the policy codec unless the raw bytes are shorter.
     fn select_payload_reference(
         codec: Compression,
         section: &Section,
@@ -2173,6 +2239,10 @@ mod tests {
             section.bytes.len(),
             codec.compress(&section.bytes),
         );
+        if section.bytes.len() < best.3.len() {
+            best.1 = Compression::None;
+            best.3 = section.bytes.clone();
+        }
         if let Some(base) = base {
             let encoded = BlockPatch::diff_encoded(&base.bytes, &section.bytes, delta_block_size);
             let compressed = codec.compress(&encoded);

@@ -9,10 +9,31 @@ use qcheck::compress::{
 };
 use qcheck::delta::BlockPatch;
 use qcheck::hash::{crc32, ContentHash, Sha256};
-use qcheck::manifest::Manifest;
+use qcheck::manifest::{Manifest, PayloadKind};
 use qcheck::remote::proto::{self, LeaseGrant, OplogOp, OplogRecord, Request, Response, WireChunk};
+use qcheck::repo::{CheckpointRepo, CompressionPolicy, SaveOptions};
 use qcheck::snapshot::{DatasetCursor, MetricPoint, RngCapture, StateBlob, TrainingSnapshot};
-use qcheck::store::{BatchPutReport, GcReport, StoreStats};
+use qcheck::store::{BatchPutReport, GcReport, StoreKind, StoreStats};
+
+/// A scratch directory, removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        ScratchDir(std::env::temp_dir().join(format!(
+            "qcheck-prop-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        )))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn arb_f64_bits() -> impl Strategy<Value = f64> {
     // Arbitrary bit patterns: exercises NaN payloads, infinities, denormals.
@@ -119,6 +140,29 @@ proptest! {
                     codec.compressed_len(data),
                     codec.compress(data).len(),
                     "codec {} on {} bytes", codec, data.len()
+                );
+            }
+        }
+    }
+
+    /// A full payload never stores more bytes than its section holds,
+    /// under any compression policy: where the section's codec would
+    /// expand it, the save stores it raw.
+    #[test]
+    fn a_full_payload_never_outgrows_its_section(snap in arb_snapshot()) {
+        let dir = ScratchDir::new("full-payload");
+        let repo = CheckpointRepo::open_with(&dir.0, StoreKind::Pack).unwrap();
+        let policies = Compression::all().map(CompressionPolicy::Uniform);
+        for compression in [CompressionPolicy::Default].into_iter().chain(policies) {
+            let options = SaveOptions { compression, ..SaveOptions::default() };
+            let report = repo.save(&snap, &options).unwrap();
+            for entry in &repo.load_manifest(&report.id).unwrap().sections {
+                prop_assert_eq!(entry.payload_kind, PayloadKind::Full);
+                let stored: u64 = entry.chunks.iter().map(|c| u64::from(c.len)).sum();
+                prop_assert!(
+                    stored <= entry.section_len,
+                    "{:?}: section {} stores {} of {} bytes",
+                    compression, entry.name, stored, entry.section_len
                 );
             }
         }

@@ -1,33 +1,50 @@
 //! The deterministic form of the deep-chain resume claim, as exact
-//! counter deltas: recovering a depth-8 dense chain takes one SHA-256 per
-//! *section* (not per section per link) and one positioned pack read per
-//! contiguous run of chunks (not per chunk).
+//! counter deltas: recovering a depth-8 chain whose heavy sections are
+//! deltas at every link takes one SHA-256 per *section* (not per section
+//! per link) and one positioned pack read per contiguous run of chunks
+//! (not per chunk).
 //!
 //! One test, alone in its binary: the qobs registry is process-wide, and
 //! `==` on a delta needs a process nothing else counts in.
+//! `dense_resolve_counters.rs` is its sibling for traffic that rewrites
+//! every word, where each section ends its chain at every save.
 
 use qcheck::manifest::{Manifest, PayloadKind};
 use qcheck::repo::{CheckpointRepo, SaveOptions};
 use qcheck::snapshot::{StateBlob, TrainingSnapshot};
 use qcheck::store::StoreKind;
 
-/// High-entropy parameters and moments, all of them moved every step: no
-/// two chunks of a save are equal, so each section of each link sits in
-/// its save's pack as one contiguous run.
+/// High-entropy parameters and moments; each step redraws one f64 word in
+/// eight of both, at random. The XOR against the base is mostly zero
+/// words, so it beats the raw section and every section chains through
+/// every link; and no two chunks of a save are equal, so each section of
+/// each link sits in its save's pack as one contiguous run.
 fn dense_snapshot(step: u64) -> TrainingSnapshot {
-    let mut x = 0x2545_F491_4F6C_DD1Du64 ^ step;
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
     let mut next = || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        (x >> 11) as f64 / (1u64 << 53) as f64
+        x
     };
+    let mut words: Vec<u64> = (0..8192 + 16384).map(|_| next()).collect();
+    for _ in 0..step {
+        for w in &mut words {
+            if next() % 8 == 0 {
+                *w = next();
+            }
+        }
+    }
+    let value = |w: &u64| (w >> 11) as f64 / (1u64 << 53) as f64;
     let mut s = TrainingSnapshot::new("resolve-counters");
     s.step = step;
-    s.params = (0..8192).map(|_| next()).collect();
+    s.params = words[..8192].iter().map(value).collect();
     s.optimizer = StateBlob::new(
         "adam-v1",
-        (0..16384).flat_map(|_| next().to_le_bytes()).collect(),
+        words[8192..]
+            .iter()
+            .flat_map(|w| value(w).to_le_bytes())
+            .collect(),
     );
     s
 }

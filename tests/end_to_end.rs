@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full training → checkpoint → crash →
 //! recover → continue pipeline, through the real on-disk repository.
 
+use std::time::{Duration, Instant};
+
 use qnn_checkpoint::qcheck::repo::{CheckpointRepo, Retention, SaveOptions};
 use qnn_checkpoint::qcheck::snapshot::Checkpointable;
 use qnn_checkpoint::qcheck::{Checkpointer, YoungDaly};
@@ -130,18 +132,21 @@ fn checkpointer_with_young_daly_policy_drives_training() {
         SaveOptions::incremental(8),
     )
     .unwrap();
+    // The interval is wall time (√(2·1·200) = 20 ms), so step until the
+    // policy fires however fast a build steps, bounded by a deadline.
     let mut trainer = shot_trainer(303);
-    let mut taken = 0;
-    for _ in 0..8 {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let fired_at = loop {
         let report = trainer.train_step().unwrap();
         if ckptr.on_step(report.step, &trainer).unwrap() {
-            taken += 1;
+            break report.step;
         }
-    }
-    assert!(taken >= 1, "Young–Daly policy never fired");
+        assert!(Instant::now() < deadline, "Young–Daly policy never fired");
+    };
     let mut fresh = shot_trainer(303);
-    ckptr.restore_latest(&mut fresh).unwrap();
-    assert!(fresh.step_count() >= 1);
+    let (_, restored) = ckptr.restore_latest(&mut fresh).unwrap();
+    assert_eq!(restored, fired_at);
+    assert_eq!(fresh.step_count(), fired_at);
     let _ = std::fs::remove_dir_all(ckptr.repo().root());
 }
 
