@@ -289,12 +289,45 @@ pub struct RetentionReport {
 
 /// Output of the parallel per-section encode phase of
 /// [`CheckpointRepo::save`].
-struct SectionEncode {
+struct SectionEncode<'a> {
     payload_kind: PayloadKind,
     codec: Compression,
     stored_len: usize,
     section_sha: crate::hash::ContentHash,
-    compressed: Vec<u8>,
+    /// The bytes to chunk: for [`Compression::None`] the stored payload
+    /// itself, so a raw `Full` payload borrows the section.
+    compressed: Cow<'a, [u8]>,
+}
+
+/// One section's encode: its digest, the payload [`select_payload`]
+/// picks against its namesake in `base_sections`, and that payload
+/// compressed by the chosen codec.
+fn encode_section<'a>(
+    section: &'a Section,
+    base_sections: Option<&[Section]>,
+    options: &SaveOptions,
+) -> SectionEncode<'a> {
+    let section_sha = Sha256::digest(&section.bytes);
+    let base_section = base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name));
+    let (payload_kind, codec, stored) = select_payload(
+        options.compression.codec_for(&section.name),
+        section,
+        base_section,
+        options.delta_block_size,
+    );
+    crate::obs::SECTION_ENCODES.inc();
+    let stored_len = stored.len();
+    let compressed = match codec {
+        Compression::None => stored,
+        codec => Cow::Owned(codec.compress(&stored)),
+    };
+    SectionEncode {
+        payload_kind,
+        codec,
+        stored_len,
+        section_sha,
+        compressed,
+    }
 }
 
 /// An on-disk checkpoint repository over a runtime-selected
@@ -702,33 +735,15 @@ impl CheckpointRepo {
         // Encode phase: per-section payload selection, one compression and
         // the section hash, fanned out across worker threads by section
         // size (sections are independent). The chosen encodings are
-        // identical at every thread count.
+        // identical at every thread count, and a raw `Full` payload is
+        // chunked straight from the section, not from a copy.
         // ------------------------------------------------------------------
         let threads = qpar::current_threads();
         let base_sections = base.as_ref().map(|(_, s, _)| s.as_slice());
-        let encode_one = |section: &Section| -> SectionEncode {
-            let section_sha = Sha256::digest(&section.bytes);
-            let base_section =
-                base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name));
-            let (payload_kind, codec, stored) = select_payload(
-                options.compression.codec_for(&section.name),
-                section,
-                base_section,
-                options.delta_block_size,
-            );
-            crate::obs::SECTION_ENCODES.inc();
-            SectionEncode {
-                payload_kind,
-                codec,
-                stored_len: stored.len(),
-                section_sha,
-                compressed: codec.compress(&stored),
-            }
-        };
-        let encoded: Vec<SectionEncode> = map_balanced(
+        let encoded: Vec<SectionEncode<'_>> = map_balanced(
             threads,
             sections.iter().map(|s| (s.bytes.len(), s)).collect(),
-            encode_one,
+            |section| encode_section(section, base_sections, options),
         );
 
         // Snapshot root hash: digest of the per-section digests. Every
@@ -747,9 +762,11 @@ impl CheckpointRepo {
         // ------------------------------------------------------------------
         // Commit phase: chunk (hashing in parallel), then hand the whole
         // save's chunk set to the store as ONE batch — the pack backend
-        // commits it with a single fsync+rename (the reference loose
-        // layout falls back to per-object writes). Input order is section
-        // order, so dedup accounting stays deterministic across backends.
+        // commits it with a single fsync+rename and names the pack by its
+        // index, so the chunk hashes are the last pass over the payload
+        // (the reference loose layout falls back to per-object writes).
+        // Input order is section order, so dedup accounting stays
+        // deterministic across backends.
         // ------------------------------------------------------------------
         let mut section_refs = Vec::with_capacity(sections.len());
         let mut staged: Vec<StagedChunk<'_>> = Vec::new();

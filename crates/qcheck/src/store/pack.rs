@@ -11,7 +11,7 @@
 //! ## On-disk format (pack v3)
 //!
 //! ```text
-//! packs/pack-<64-hex>.qpk        (hex = SHA-256 of the file contents)
+//! packs/pack-<64-hex>.qpk        (hex = SHA-256 of the index region)
 //!
 //! offset 0   magic   "QPACK\0"          6 bytes
 //!        6   version u32 le (= 3)       4 bytes
@@ -20,6 +20,13 @@
 //!  footer    index_offset u64 le | count u32 le | crc32(index) u32 le
 //!            | tail magic "QPAKEND\0"   = 24 bytes
 //! ```
+//!
+//! The index lists every blob's content address, offset and length, and
+//! the header and footer follow from it, so its digest names the whole
+//! file — from 44 bytes per chunk instead of a pass over the payload.
+//! Names written by earlier versions digest the whole file; no reader
+//! checks a name (every chunk read is verified against its content
+//! address instead), so both kinds sit side by side.
 //!
 //! Readers locate the index from the fixed-size footer, so opening a pack
 //! costs two small reads regardless of payload size. A torn or truncated
@@ -432,7 +439,9 @@ impl PackStore {
         bytes.extend_from_slice(&index_crc.to_le_bytes());
         bytes.extend_from_slice(PACK_TAIL);
 
-        let name = format!("pack-{}.qpk", Sha256::digest(&bytes).to_hex());
+        // The index determines the whole file (see the module doc), so it
+        // names it without a pass over the payload.
+        let name = format!("pack-{}.qpk", Sha256::digest(&index_bytes).to_hex());
         let target = self.pack_path(&name);
         if target.is_file() {
             // Identical pack already published (same content committed by
@@ -803,6 +812,40 @@ mod tests {
             assert_eq!(store.get(&staged.reference).unwrap(), staged.data);
             assert!(store.contains(&staged.reference.hash));
         }
+    }
+
+    /// Asserts `path` is named `pack-` + hex(SHA-256 of the bytes between
+    /// its last blob, `payload_len` bytes after the header, and its
+    /// footer) + `.qpk`.
+    fn assert_named_by_index(path: &Path, payload_len: usize) {
+        let bytes = fs::read(path).unwrap();
+        let index = &bytes[HEADER_LEN as usize + payload_len..bytes.len() - FOOTER_LEN as usize];
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert_eq!(name, format!("pack-{}.qpk", Sha256::digest(index).to_hex()));
+        assert_ne!(
+            name,
+            format!("pack-{}.qpk", Sha256::digest(&bytes).to_hex())
+        );
+    }
+
+    #[test]
+    fn a_pack_is_named_by_the_digest_of_its_index() {
+        let (dir, store) = temp_store();
+        let blobs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 300]).collect();
+        let staged = stage(&blobs);
+        store.put_batch(&staged, false).unwrap();
+        let before = pack_files(&dir);
+        assert_eq!(before.len(), 1);
+        assert_named_by_index(&before[0], 5 * 300);
+
+        // The GC rewrite of a mixed pack follows the same rule.
+        let reachable: BTreeSet<ContentHash> =
+            staged[..2].iter().map(|s| s.reference.hash).collect();
+        store.sweep(&reachable, false).unwrap();
+        let after = pack_files(&dir);
+        assert_eq!(after.len(), 1);
+        assert_ne!(after, before, "the mixed pack is rewritten");
+        assert_named_by_index(&after[0], 2 * 300);
     }
 
     #[test]

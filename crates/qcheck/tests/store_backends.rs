@@ -571,6 +571,146 @@ fn pack_recovery_rescans_index_at_most_once() {
     );
 }
 
+/// The pack store a backend writes to: the repository itself, or the
+/// daemon's namespace directory behind a remote one.
+fn pack_root(dir: &std::path::Path, repo: &CheckpointRepo) -> std::path::PathBuf {
+    match repo.store().remote() {
+        Some(remote) => dir.join("daemon/ns").join(remote.namespace()),
+        None => dir.to_path_buf(),
+    }
+}
+
+/// `pack-<SHA-256 of bytes>.qpk`.
+fn pack_name_of(bytes: &[u8]) -> String {
+    format!("pack-{}.qpk", qcheck::hash::Sha256::digest(bytes).to_hex())
+}
+
+/// The bytes of a pack's index region, located through its footer.
+fn pack_index(pack: &[u8]) -> &[u8] {
+    let footer = pack.len() - 24;
+    let at = u64::from_le_bytes(pack[footer..footer + 8].try_into().unwrap()) as usize;
+    &pack[at..footer]
+}
+
+/// A pack named by the SHA-256 of the whole file — what earlier versions
+/// wrote — sits beside packs named by their index and stays valid on the
+/// pack backend and behind a daemon: a save dedups against its objects,
+/// `load` / `recover` resolve through it bit-identically, `gc` rewrites
+/// it under the index rule without leaving an orphan, and `fsck` is clean.
+#[test]
+fn packs_named_by_the_whole_file_digest_stay_valid() {
+    for backend in ["pack", "remote"] {
+        let dir = TempDir::new("whole-file-name");
+        let (daemon, repo) = if backend == "remote" {
+            let daemon = spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap();
+            let store = RemoteStore::connect(daemon.addr(), "whole-file-name").unwrap();
+            let repo =
+                CheckpointRepo::with_store(dir.0.join("client"), StoreBackend::Remote(store))
+                    .unwrap();
+            (Some(daemon), repo)
+        } else {
+            (
+                None,
+                CheckpointRepo::open_with(&dir.0, StoreKind::Pack).unwrap(),
+            )
+        };
+        let root = pack_root(&dir.0, &repo);
+        // Incompressible parameters over many chunks: save 2 changes only
+        // the tail, so it shares most of save 1's chunks.
+        let mut params: Vec<f64> = (0..8 * N_PARAMS).map(|i| (i as f64 * 1.7).sin()).collect();
+        let first = snapshot_at(1, &params);
+        let r1 = repo.save(&first, &options(SaveMode::Full)).unwrap();
+        let written: Vec<String> = pack_files(&root).into_iter().collect();
+        assert_eq!(written.len(), 1, "{backend}");
+        let packs = root.join("packs");
+        let bytes = std::fs::read(packs.join(&written[0])).unwrap();
+        assert_eq!(written[0], pack_name_of(pack_index(&bytes)), "{backend}");
+        let legacy = pack_name_of(&bytes);
+        std::fs::rename(packs.join(&written[0]), packs.join(&legacy)).unwrap();
+        // A fresh local handle finds the pack by listing `packs/`; the
+        // daemon's handle resyncs when the name it knows has gone.
+        let repo = match daemon {
+            Some(_) => repo,
+            None => CheckpointRepo::open_with(&dir.0, StoreKind::Pack).unwrap(),
+        };
+
+        *params.last_mut().unwrap() += 1.0;
+        let second = snapshot_at(2, &params);
+        let r2 = repo.save(&second, &options(SaveMode::Full)).unwrap();
+        assert!(
+            r2.chunks_deduped > r2.chunks_new,
+            "{backend}: save 2 must dedup against the legacy-named pack: {r2:?}"
+        );
+        let now = pack_files(&root);
+        assert_eq!(now.len(), 2, "{backend}: {now:?}");
+        assert!(now.contains(&legacy), "{backend}");
+        assert_eq!(repo.load(&r1.id).unwrap(), first, "{backend}");
+        assert_eq!(repo.load(&r2.id).unwrap(), second, "{backend}");
+        assert_eq!(repo.recover().unwrap().0, second, "{backend}");
+        assert!(fsck(&repo).unwrap().is_clean(), "{backend}");
+
+        // Retiring save 1 leaves the legacy pack mixed: GC rewrites it.
+        let report = repo.apply_retention(Retention::KeepLast(1)).unwrap();
+        assert!(report.gc.deleted > 0, "{backend}: {report:?}");
+        let after = pack_files(&root);
+        assert!(!after.contains(&legacy), "{backend}: {after:?}");
+        for name in &after {
+            let bytes = std::fs::read(packs.join(name)).unwrap();
+            assert_eq!(*name, pack_name_of(pack_index(&bytes)), "{backend}");
+        }
+        let health = fsck(&repo).unwrap();
+        assert!(health.is_clean(), "{backend}: {health:?}");
+        assert_eq!(health.orphan_chunks, 0, "{backend}: {health:?}");
+        assert_eq!(repo.recover().unwrap().0, second, "{backend}");
+    }
+}
+
+/// Publishing a blob set that is already on disk, through a second
+/// handle that has not rescanned `packs/` (or a second client of the same
+/// daemon namespace), leaves exactly one pack, byte-identical to the
+/// first: the name depends on the content alone.
+#[test]
+fn a_second_handle_publishing_the_same_blobs_leaves_one_identical_pack() {
+    let blobs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 700 + i as usize]).collect();
+    let staged: Vec<qcheck::store::StagedChunk<'_>> = blobs
+        .iter()
+        .map(|b| qcheck::store::StagedChunk {
+            reference: qcheck::chunk::ChunkRef {
+                hash: qcheck::hash::Sha256::digest(b),
+                len: b.len() as u32,
+            },
+            data: b,
+        })
+        .collect();
+    let refs: Vec<_> = staged.iter().map(|s| s.reference).collect();
+    for backend in ["pack", "remote"] {
+        let dir = TempDir::new("same-blobs");
+        let daemon = (backend == "remote")
+            .then(|| spawn_daemon(dir.0.join("daemon"), StoreKind::Pack).unwrap());
+        let open = || match &daemon {
+            Some(d) => StoreBackend::Remote(RemoteStore::connect(d.addr(), "same").unwrap()),
+            None => StoreBackend::open_sticky(&dir.0, StoreKind::Pack).unwrap(),
+        };
+        // Both handles exist before the first publish.
+        let (a, b) = (open(), open());
+        let root = match daemon {
+            Some(_) => dir.0.join("daemon/ns/same"),
+            None => dir.0.clone(),
+        };
+        a.put_batch(&staged, false).unwrap();
+        let first = pack_files(&root);
+        assert_eq!(first.len(), 1, "{backend}");
+        let path = root.join("packs").join(first.first().unwrap());
+        let bytes = std::fs::read(&path).unwrap();
+
+        b.put_batch(&staged, false).unwrap();
+        assert_eq!(pack_files(&root), first, "{backend}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{backend}");
+        assert_eq!(b.get_many(&refs).unwrap(), blobs, "{backend}");
+        assert_eq!(a.get_many(&refs).unwrap(), blobs, "{backend}");
+    }
+}
+
 /// A crash *between* the local tombstone append and the mirror deletes
 /// used to resurrect retired checkpoints on the next fresh-directory
 /// sync. The durable tombstones plus recovery's reconciliation pin the
