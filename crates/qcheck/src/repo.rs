@@ -450,6 +450,7 @@ impl CheckpointRepo {
     ///
     /// Fails on filesystem errors.
     pub fn open_with(root: impl AsRef<Path>, kind: StoreKind) -> Result<Self> {
+        let _span = qobs::span("qcheck.open");
         let root = root.as_ref().to_path_buf();
         // Before the backend opens: `open_sticky` writes the `STORE`
         // marker, and a refused directory must be left as it was found.
@@ -473,6 +474,7 @@ impl CheckpointRepo {
     /// Fails on filesystem errors, or with [`Error::InvalidConfig`] on a
     /// directory in the pre-log layout.
     pub fn with_store(root: impl AsRef<Path>, store: StoreBackend) -> Result<Self> {
+        let _span = qobs::span("qcheck.open");
         let root = root.as_ref().to_path_buf();
         Self::refuse_legacy_layout(&root)?;
         Self::build(root, store)

@@ -40,16 +40,24 @@
 //! ## Pack-index cache and the read path
 //!
 //! A handle keeps every pack's index in memory (`hash → pack/offset/len`,
-//! 44 bytes per object on disk, comparable in memory). Lookups never touch
-//! the directory; a miss triggers a cheap rescan of `packs/` so that packs
-//! published by other handles (e.g. a background writer on the same
-//! repository) become visible without reopening. Within a *read pass*
-//! ([`ObjectStore::begin_read_pass`], e.g. one recovery walk; every
-//! `get_many` is one) that miss-triggered rescan fires at most once — a
-//! recovery walking a partially-damaged history would otherwise rescan
-//! `packs/` on every missing chunk, which made pack recovery slower than
-//! loose. The [`PackStore::index_rescans`] counter makes the bound
-//! testable.
+//! 44 bytes per object on disk, comparable in memory) in a hash map, so
+//! opening a store costs one hash insert per stored object and a lookup is
+//! O(1). The map is unordered: `list` sorts its output, and a GC rewrite
+//! sorts a pack's live objects by hash, so equal live sets give equal pack
+//! bytes and names. Its hasher is std's keyed default, never an unkeyed
+//! hash of the address bytes: the daemon indexes addresses its clients
+//! pick by picking content, and an unkeyed table would let a client grind
+//! colliding buckets.
+//!
+//! Lookups never touch the directory; a miss triggers a cheap rescan of
+//! `packs/` so that packs published by other handles (e.g. a background
+//! writer on the same repository) become visible without reopening.
+//! Within a *read pass* ([`ObjectStore::begin_read_pass`], e.g. one
+//! recovery walk; every `get_many` is one) that miss-triggered rescan
+//! fires at most once — a recovery walking a partially-damaged history
+//! would otherwise rescan `packs/` on every missing chunk, which made pack
+//! recovery slower than loose. The [`PackStore::index_rescans`] counter
+//! makes the bound testable.
 //!
 //! There is one read path, `get_many`'s: the refs resolve under one index
 //! lock into runs of objects that sit back to back in one pack, and each
@@ -57,7 +65,7 @@
 //! address. A pack deleted between lookup and open (another handle's sweep
 //! rewrote it) resyncs the index and re-plans the refs not yet read.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -99,8 +107,8 @@ struct PackIndex {
     packs: Vec<Option<String>>,
     /// Pack file name → slot.
     by_name: BTreeMap<String, u32>,
-    /// Object hash → location.
-    objects: BTreeMap<ContentHash, ObjLoc>,
+    /// Object hash → location; unordered, keyed hasher (module doc).
+    objects: HashMap<ContentHash, ObjLoc>,
     /// Incrementally maintained aggregate statistics.
     stats: StoreStats,
 }
@@ -119,7 +127,7 @@ impl PackIndex {
         for (hash, offset, len) in entries {
             // Content addressing makes duplicates across packs identical;
             // first location wins so stats count each object once.
-            if let std::collections::btree_map::Entry::Vacant(e) = self.objects.entry(hash) {
+            if let hash_map::Entry::Vacant(e) = self.objects.entry(hash) {
                 e.insert(ObjLoc {
                     pack: slot,
                     offset,
@@ -303,12 +311,22 @@ impl PackStore {
             let slot = index.by_name[gone];
             index.remove_pack(slot);
         }
-        for fresh in on_disk.difference(&known) {
-            // A pack that fails its frame checks is skipped, not fatal:
-            // its objects simply read as missing and recovery falls back.
-            if let Ok(entries) = read_pack_index(&self.pack_path(fresh)) {
-                index.insert_pack(fresh.clone(), entries);
-            }
+        // A pack that fails its frame checks is skipped, not fatal: its
+        // objects simply read as missing and recovery falls back.
+        let loaded: Vec<_> = on_disk
+            .difference(&known)
+            .filter_map(|fresh| {
+                let entries = read_pack_index(&self.pack_path(fresh)).ok()?;
+                Some((fresh.clone(), entries))
+            })
+            .collect();
+        // Grow the table once, not once per pack; packs still load in
+        // name order, so the first location of a duplicate still wins.
+        index
+            .objects
+            .reserve(loaded.iter().map(|(_, entries)| entries.len()).sum());
+        for (name, entries) in loaded {
+            index.insert_pack(name, entries);
         }
         Ok(())
     }
@@ -491,7 +509,7 @@ impl ObjectStore for PackStore {
                 self.refresh(&mut index)?;
             }
         }
-        let mut batch_new: BTreeSet<ContentHash> = BTreeSet::new();
+        let mut batch_new: HashSet<ContentHash> = HashSet::with_capacity(chunks.len());
         let mut blobs: Vec<(ContentHash, &[u8])> = Vec::new();
         for chunk in chunks {
             let hash = chunk.reference.hash;
@@ -577,7 +595,9 @@ impl ObjectStore for PackStore {
     fn list(&self) -> Result<Vec<ContentHash>> {
         let mut index = self.lock();
         self.refresh(&mut index)?;
-        Ok(index.objects.keys().copied().collect())
+        let mut hashes: Vec<ContentHash> = index.objects.keys().copied().collect();
+        hashes.sort_unstable();
+        Ok(hashes)
     }
 
     fn sweep(&self, reachable: &BTreeSet<ContentHash>, dry_run: bool) -> Result<GcReport> {
@@ -592,7 +612,7 @@ impl ObjectStore for PackStore {
         }
 
         for (slot, entries) in per_pack {
-            let live: Vec<&(ContentHash, ObjLoc)> = entries
+            let mut live: Vec<&(ContentHash, ObjLoc)> = entries
                 .iter()
                 .filter(|(h, _)| reachable.contains(h))
                 .collect();
@@ -623,6 +643,9 @@ impl ObjectStore for PackStore {
             // Mixed pack: rewrite the live objects into a new pack, publish
             // it, then drop the old one. A crash in between leaves both
             // packs on disk with duplicate (identical) objects — safe.
+            // Ascending hash order makes the rewrite independent of the
+            // index's iteration order: equal live sets, equal pack bytes.
+            live.sort_unstable_by_key(|(hash, _)| *hash);
             let old_bytes = fs::read(&old_path)
                 .map_err(|e| Error::io(format!("reading {}", old_path.display()), e))?;
             let blobs: Vec<(ContentHash, &[u8])> = live
@@ -1125,16 +1148,101 @@ mod tests {
         );
     }
 
+    /// `n` distinct small blobs, numbered from `from`.
+    fn numbered(from: u32, n: u32) -> Vec<Vec<u8>> {
+        (from..from + n).map(|i| i.to_le_bytes().to_vec()).collect()
+    }
+
     #[test]
     fn list_returns_sorted_hashes() {
-        let (_d, store) = temp_store();
-        let blobs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
-        store.put_batch(&stage(&blobs), false).unwrap();
-        let listed = store.list().unwrap();
-        assert_eq!(listed.len(), 10);
-        let mut sorted = listed.clone();
-        sorted.sort();
-        assert_eq!(listed, sorted);
+        let (dir, store) = temp_store();
+        for pack in 0..4 {
+            store
+                .put_batch(&stage(&numbered(pack * 150, 150)), false)
+                .unwrap();
+        }
+        assert_eq!(pack_files(&dir).len(), 4);
+        // Too many objects for an unordered index to list sorted by chance,
+        // from a warm handle and from one that loaded every pack at open.
+        for handle in [store, PackStore::open(dir.path()).unwrap()] {
+            let listed = handle.list().unwrap();
+            assert_eq!(listed.len(), 600);
+            assert!(listed.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        }
+    }
+
+    #[test]
+    fn a_gc_rewrite_is_the_same_pack_whatever_the_index_order() {
+        // The same mixed packs in two directories: each handle's index has
+        // its own hash keys, so the two iterate their objects differently.
+        let build = || {
+            let (dir, store) = temp_store();
+            for pack in 0..3 {
+                store
+                    .put_batch(&stage(&numbered(pack * 200, 200)), false)
+                    .unwrap();
+            }
+            (dir, store)
+        };
+        let ((dir_a, a), (dir_b, b)) = (build(), build());
+        let blobs = numbered(0, 600);
+        let reachable: BTreeSet<ContentHash> = stage(&blobs)
+            .iter()
+            .step_by(3)
+            .map(|s| s.reference.hash)
+            .collect();
+        assert_eq!(
+            a.sweep(&reachable, false).unwrap(),
+            b.sweep(&reachable, false).unwrap()
+        );
+
+        let (packs_a, packs_b) = (pack_files(&dir_a), pack_files(&dir_b));
+        assert_eq!(packs_a.len(), 3, "every mixed pack is rewritten");
+        for (pa, pb) in packs_a.iter().zip(&packs_b) {
+            assert_eq!(pa.file_name(), pb.file_name());
+            assert_eq!(fs::read(pa).unwrap(), fs::read(pb).unwrap());
+            let entries = read_pack_index(pa).unwrap();
+            assert!(
+                entries.windows(2).all(|w| w[0].0 < w[1].0),
+                "rewritten blobs are not in ascending hash order"
+            );
+        }
+        assert_eq!(a.list().unwrap(), reachable.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_blob_in_two_packs_keeps_the_first_packs_location() {
+        let (dir, a) = temp_store();
+        // Two handles opened on an empty store: neither dedups against the
+        // other, so the shared blob lands in both of their packs.
+        let b = PackStore::open(dir.path()).unwrap();
+        let shared = vec![7u8; 100];
+        a.put_batch(&stage(&[shared.clone(), vec![1; 30]]), false)
+            .unwrap();
+        b.put_batch(&stage(&[vec![2; 50], shared.clone()]), false)
+            .unwrap();
+        let packs = pack_files(&dir);
+        assert_eq!(packs.len(), 2);
+
+        let hash = Sha256::digest(&shared);
+        let first = packs[0].file_name().unwrap().to_string_lossy().to_string();
+        let offset_in_first = read_pack_index(&packs[0])
+            .unwrap()
+            .into_iter()
+            .find(|(h, _, _)| *h == hash)
+            .map(|(_, offset, _)| offset)
+            .unwrap();
+        let reopened = PackStore::open(dir.path()).unwrap();
+        {
+            let index = reopened.lock();
+            let loc = index.objects[&hash];
+            assert_eq!(index.packs[loc.pack as usize].as_deref(), Some(&*first));
+            assert_eq!(loc.offset, offset_in_first);
+        }
+        let stats = reopened.stats().unwrap();
+        assert_eq!((stats.object_count, stats.total_bytes), (3, 180));
+        let reference = ChunkRef { hash, len: 100 };
+        assert_eq!(reopened.get(&reference).unwrap(), shared);
     }
 
     #[test]

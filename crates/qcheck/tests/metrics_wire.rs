@@ -74,8 +74,8 @@ fn metrics_scrape_parses_and_covers_the_contract() {
         );
     }
 
-    // Contract coverage: per-op request counters, fsync latency
-    // histogram, replication lag, lease grants, in-flight connections.
+    // Contract coverage: per-op request counters, fsync latency and
+    // repository-open span histograms, replication lag, lease grants, in-flight connections.
     let has = |needle: &str| first.iter().any(|(name, _)| name.contains(needle));
     assert!(has("qckptd_requests_total{"), "no per-op request counters");
     assert!(
@@ -85,6 +85,7 @@ fn metrics_scrape_parses_and_covers_the_contract() {
         "request counters are not labeled per op"
     );
     assert!(has("qcheck_fsync_ns_bucket{"), "no fsync latency histogram");
+    assert!(has("qcheck_open_ns_bucket{"), "no open span histogram");
     assert!(has("qckptd_repl_lag_entries"), "no repl lag gauge");
     assert!(has("qckptd_lease_grants_total"), "no lease-grant counter");
     assert!(has("qckptd_inflight_connections"), "no in-flight gauge");
