@@ -44,6 +44,12 @@ impl CheckpointId {
         CheckpointId(format!("ckpt-{step:010}-{seq:06}"))
     }
 
+    /// The sequence number an id string ends in, parsed without
+    /// allocating; `None` for a string [`Self::new`] did not build.
+    pub fn seq_of(id: &str) -> Option<u64> {
+        id.rsplit_once('-')?.1.parse().ok()
+    }
+
     /// The id string.
     pub fn as_str(&self) -> &str {
         &self.0

@@ -315,6 +315,9 @@ pub struct LogReplay {
     pub damaged: Vec<(String, String)>,
     /// Applied (non-padding) records — compaction policy input.
     pub records: u64,
+    /// One past the highest sequence number any applied record names —
+    /// damaged puts and deletes included — so a save never reuses an id.
+    pub next_seq: u64,
     /// True when the highest-generation slot was unusable and an older
     /// root (or a rootless log scan) served instead.
     pub root_fallback: bool,
@@ -326,6 +329,9 @@ impl LogReplay {
     fn apply(&mut self, rec: &ParsedRecord<'_>, offset: u64) {
         if rec.kind != RecordKind::Padding {
             self.records += 1;
+        }
+        if let Some(seq) = CheckpointId::seq_of(&rec.id) {
+            self.next_seq = self.next_seq.max(seq.saturating_add(1));
         }
         match rec.kind {
             RecordKind::Padding => {}
@@ -942,6 +948,13 @@ mod tests {
         assert_eq!(st.manifests.len(), 1);
         assert!(st.tombstones.contains(&id(A)));
         assert_eq!(st.latest, Some(id(B)));
+        assert_eq!(st.next_seq, 2);
+        // A put whose manifest does not decode still uses up its id.
+        let junk = encode_record(RecordKind::ManifestPut, "ckpt-0000000001-000007", b"junk");
+        commit(&mut log, junk);
+        let st = replay(&dir).unwrap();
+        assert_eq!(st.damaged.len(), 1);
+        assert_eq!(st.next_seq, 8, "a damaged put's id is handed out again");
         let _ = fs::remove_dir_all(dir);
     }
 

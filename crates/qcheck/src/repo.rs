@@ -338,21 +338,22 @@ pub struct CheckpointRepo {
     root: PathBuf,
     tmp_dir: PathBuf,
     store: StoreBackend,
-    seq: Mutex<u64>,
     /// The manifest log and its cached replay, reached only through
     /// [`Self::with_log`] — which re-checks the cache against the disk, so
-    /// concurrent handles observe each other's commits.
+    /// concurrent handles observe each other's commits. A save reads its
+    /// id and its delta base from it.
     log: Mutex<ManifestLog>,
     /// Total manifests pulled from a shared backend by this handle
     /// (see [`RecoveryReport::meta_synced`]).
     meta_synced: std::sync::atomic::AtomicUsize,
     /// Sections of the last checkpoint this handle committed. Delta saves
-    /// diff against the latest checkpoint; when it is the one we just
-    /// wrote, the cache saves a full read-decompress-verify pass over the
-    /// base (`resolve_sections`) per save. Keyed by id, so a checkpoint
-    /// written by anyone else simply misses and resolves from disk; the
-    /// *existence* of every chunk a resolve of it would read is still
-    /// checked on every hit (GC races demote to the resolve path).
+    /// diff against the latest checkpoint; when its content is what we
+    /// just wrote, the cache saves a full read-decompress-verify pass over
+    /// the base (`resolve_sections`) per save. Keyed by content, so a
+    /// checkpoint with other bytes — whoever wrote it — simply misses and
+    /// resolves from disk; the *existence* of every chunk a resolve of it
+    /// would read is still checked on every hit (GC races demote to the
+    /// resolve path).
     /// Deliberate tradeoff: byte-level bit rot striking the
     /// base *between two consecutive saves* is no longer caught at save
     /// time — it surfaces at recover/fsck time, where recovery falls back
@@ -363,65 +364,10 @@ pub struct CheckpointRepo {
 /// Encode-cache entry: the last checkpoint this handle committed.
 #[derive(Debug)]
 struct EncodeCache {
-    /// Id of the cached checkpoint (must match `LATEST` to be used).
-    id: CheckpointId,
+    /// Its `snapshot_sha` (must match the latest manifest's to be used).
+    snapshot_sha: ContentHash,
     /// Its resolved sections (the delta base for the next save).
     sections: Vec<Section>,
-    /// The chunks a resolve of it reads, so a cache hit can confirm they
-    /// exist with stats alone — no manifest re-reads per save.
-    inventory: ChainInventory,
-}
-
-/// The chunks a resolve of one checkpoint reads: per section, every link
-/// from the checkpoint back to that section's newest `Full` payload —
-/// the links [`section_links`] walks. Flat: one hash vector, cut into
-/// per-section runs by `ends`, in the manifest's section order.
-#[derive(Debug)]
-struct ChainInventory {
-    hashes: Vec<ContentHash>,
-    /// Where each section's run of `hashes` ends.
-    ends: Vec<usize>,
-}
-
-impl ChainInventory {
-    /// The inventory of `links` (one entry per section).
-    fn of(links: &[SectionLinks<'_>]) -> Self {
-        let mut inventory = ChainInventory {
-            hashes: Vec::new(),
-            ends: Vec::with_capacity(links.len()),
-        };
-        for section in links {
-            let chunks = section.iter().flat_map(|(_, entry)| &entry.chunks);
-            inventory.hashes.extend(chunks.map(|r| r.hash));
-            inventory.ends.push(inventory.hashes.len());
-        }
-        inventory
-    }
-
-    /// The inventory of `tip`, saved against `base` (its manifest and
-    /// inventory) or without one: each section's own chunks, then, unless
-    /// its payload is `Full`, the run of its namesake in `base`.
-    fn of_save(tip: &Manifest, base: Option<(&Manifest, &ChainInventory)>) -> Self {
-        let most = tip.chunk_refs().count() + base.map_or(0, |(_, b)| b.hashes.len());
-        let mut inventory = ChainInventory {
-            hashes: Vec::with_capacity(most),
-            ends: Vec::with_capacity(tip.sections.len()),
-        };
-        for entry in &tip.sections {
-            inventory.hashes.extend(entry.chunks.iter().map(|r| r.hash));
-            if let Some((m, b)) = base.filter(|_| entry.payload_kind != PayloadKind::Full) {
-                // A delta payload is only ever taken against a namesake.
-                if let Some(i) = m.sections.iter().position(|s| s.name == entry.name) {
-                    let start = if i == 0 { 0 } else { b.ends[i - 1] };
-                    inventory
-                        .hashes
-                        .extend_from_slice(&b.hashes[start..b.ends[i]]);
-                }
-            }
-            inventory.ends.push(inventory.hashes.len());
-        }
-        inventory
-    }
 }
 
 impl CheckpointRepo {
@@ -481,7 +427,7 @@ impl CheckpointRepo {
     }
 
     /// What both constructors share once the layout check has passed:
-    /// the staging directory, the metadata pull and the id sequence.
+    /// the staging directory and the metadata pull.
     fn build(root: PathBuf, store: StoreBackend) -> Result<Self> {
         let tmp_dir = root.join("tmp");
         fs::create_dir_all(&tmp_dir)
@@ -491,33 +437,20 @@ impl CheckpointRepo {
             root,
             tmp_dir,
             store,
-            seq: Mutex::new(0),
             encode_cache: Mutex::new(None),
             meta_synced: std::sync::atomic::AtomicUsize::new(0),
         };
         // A shared backend mirrors the repository metadata: pull down
-        // whatever this directory is missing *before* the sequence
-        // counter is seeded, so a fresh working directory continues the
-        // namespace's id sequence instead of restarting it.
+        // whatever this directory is missing, so a fresh working directory
+        // continues the namespace's id sequence instead of restarting it.
         repo.sync_shared_meta()?;
-        let next = repo.next_seq_on_disk()?;
-        *repo.lock_seq() = next;
         Ok(repo)
     }
 
-    /// One past the sequence number of the newest checkpoint id listed.
-    fn next_seq_on_disk(&self) -> Result<u64> {
-        Ok(self
-            .list_ids()?
-            .last()
-            .and_then(|id| id.as_str().rsplit('-').next()?.parse::<u64>().ok())
-            .map_or(0, |seq| seq + 1))
-    }
-
-    // The handle's three locks are shared with the save driver's writer
+    // The handle's two locks are shared with the save driver's writer
     // thread. A holder that panicked must not wedge the handle: both
     // caches are dropped, so the next access replays what reached the
-    // disk, and the id sequence is seeded from the listing again.
+    // disk.
 
     fn lock_log(&self) -> MutexGuard<'_, ManifestLog> {
         lock_recover(&self.log, ManifestLog::invalidate)
@@ -525,14 +458,6 @@ impl CheckpointRepo {
 
     fn lock_encode_cache(&self) -> MutexGuard<'_, Option<EncodeCache>> {
         lock_recover(&self.encode_cache, |cache| *cache = None)
-    }
-
-    fn lock_seq(&self) -> MutexGuard<'_, u64> {
-        lock_recover(&self.seq, |seq| {
-            if let Ok(next) = self.next_seq_on_disk() {
-                *seq = next;
-            }
-        })
     }
 
     /// Repository root path.
@@ -661,6 +586,23 @@ impl CheckpointRepo {
     // save
     // ------------------------------------------------------------------
 
+    /// The base a delta save with `max_chain_len` would use — the latest
+    /// checkpoint, while its chain is shorter — and the chunks a resolve of
+    /// it reads: one look at the log state. `None` when there is no latest
+    /// checkpoint, its chain is full, or the chain does not walk.
+    fn delta_base(&self, max_chain_len: u32) -> Result<Option<(Manifest, Vec<ContentHash>)>> {
+        self.with_state(|st| {
+            let tip = st.latest.as_ref().and_then(|id| st.manifests.get(id))?;
+            if tip.chain_len >= max_chain_len {
+                return None;
+            }
+            let bases = chain_bases(st, tip).ok()?;
+            let links = section_links(tip, &bases).ok()?;
+            let chunks = links.iter().flatten().flat_map(|(_, e)| &e.chunks);
+            Some((tip.clone(), chunks.map(|r| r.hash).collect()))
+        })
+    }
+
     /// Commits a snapshot as a new checkpoint.
     ///
     /// # Errors
@@ -678,60 +620,28 @@ impl CheckpointRepo {
         let sections = snapshot.to_sections();
 
         // Decide full vs delta. The base sections come from the in-memory
-        // cache when the latest checkpoint is the one this handle just
+        // cache when the latest checkpoint holds what this handle just
         // wrote (the common case in a training loop); otherwise they are
         // resolved — and verified — from disk.
-        let mut base: Option<(Manifest, Vec<Section>, ChainInventory)> = None;
+        let mut base: Option<(Manifest, Vec<Section>)> = None;
         if let SaveMode::DeltaAuto { max_chain_len } = options.mode {
-            if let Some(latest_id) = self.read_latest()? {
-                if let Ok(m) = self.load_manifest(&latest_id) {
-                    if m.chain_len < max_chain_len {
-                        let cached = {
-                            let mut guard = self.lock_encode_cache();
-                            match guard.take() {
-                                Some(c) if c.id == m.id => Some(c),
-                                other => {
-                                    *guard = other;
-                                    None
-                                }
-                            }
-                        };
-                        // Even on a cache hit, confirm every chunk a
-                        // resolve of the base would read still exists
-                        // (stats only, from the cached inventory) — a GC
-                        // race or deleted object must demote us to the
-                        // resolve path, whose failure falls back to a
-                        // self-contained full checkpoint instead of a
-                        // delta against a hole.
-                        let cached =
-                            cached.filter(|c| self.store.contains_all(&c.inventory.hashes));
-                        base = match cached {
-                            Some(c) => Some((m, c.sections, c.inventory)),
-                            // One chain walk serves both the resolve and
-                            // the inventory of the new cache entry (resolve
-                            // verified content, so existence is implied).
-                            None => self
-                                .with_state(|st| chain_bases(st, &m))
-                                .and_then(|bases| {
-                                    let bases = bases?;
-                                    let inventory = ChainInventory::of(&section_links(&m, &bases)?);
-                                    Ok((self.resolve_chain(&m, &bases)?, inventory))
-                                })
-                                .ok()
-                                .map(|(sections, inventory)| (m, sections, inventory)),
-                        };
-                    }
+            if let Some((m, chunks)) = self.delta_base(max_chain_len)? {
+                let cached = self.lock_encode_cache().take();
+                // Even on a cache hit, confirm every chunk a resolve of the
+                // base would read still exists (stats only) — a GC race or
+                // deleted object must demote us to the resolve path, whose
+                // failure falls back to a self-contained full checkpoint
+                // instead of a delta against a hole.
+                let cached = cached.filter(|c| {
+                    c.snapshot_sha == m.snapshot_sha && self.store.contains_all(&chunks)
+                });
+                base = match cached {
+                    Some(c) => Some(c.sections),
+                    None => self.resolve_sections(&m).ok(),
                 }
+                .map(|sections| (m, sections));
             }
         }
-
-        let seq = {
-            let mut guard = self.lock_seq();
-            let s = *guard;
-            *guard += 1;
-            s
-        };
-        let id = CheckpointId::new(snapshot.step, seq);
 
         // ------------------------------------------------------------------
         // Encode phase: per-section payload selection, one compression and
@@ -741,7 +651,7 @@ impl CheckpointRepo {
         // chunked straight from the section, not from a copy.
         // ------------------------------------------------------------------
         let threads = qpar::current_threads();
-        let base_sections = base.as_ref().map(|(_, s, _)| s.as_slice());
+        let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
         let encoded: Vec<SectionEncode<'_>> = map_balanced(
             threads,
             sections.iter().map(|s| (s.bytes.len(), s)).collect(),
@@ -810,38 +720,33 @@ impl CheckpointRepo {
             .collect();
 
         let (kind, chain_len) = match &base {
-            Some((m, _, _)) => (
+            Some((m, _)) => (
                 CheckpointKind::Delta { base: m.id.clone() },
                 m.chain_len + 1,
             ),
             None => (CheckpointKind::Full, 0),
         };
 
-        let manifest = Manifest {
-            id: id.clone(),
-            step: snapshot.step,
-            kind,
-            chain_len,
-            created_unix_ms: options.created_unix_ms.unwrap_or_else(now_unix_ms),
-            snapshot_sha,
-            sections: entries,
-        };
-        let manifest_bytes = manifest.encode();
-
-        // Commit: append the record pair, mirror the manifest, publish,
-        // mirror `LATEST`.
+        // Commit: name the checkpoint from the log it lands in, append the
+        // record pair, mirror the manifest, publish, mirror `LATEST`.
         let how = CommitWrite {
             mode: options.commit,
             fsync: options.fsync,
         };
-        let mut records =
-            mlog::encode_record(RecordKind::ManifestPut, id.as_str(), &manifest_bytes);
-        records.extend(mlog::encode_record(
-            RecordKind::LatestAdvance,
-            id.as_str(),
-            &[],
-        ));
-        let commit_fsyncs = self.with_log(|log| {
+        let (manifest, manifest_len, commit_fsyncs) = self.with_log(|log| {
+            let manifest = Manifest {
+                id: CheckpointId::new(snapshot.step, log.state().next_seq),
+                step: snapshot.step,
+                kind,
+                chain_len,
+                created_unix_ms: options.created_unix_ms.unwrap_or_else(now_unix_ms),
+                snapshot_sha,
+                sections: entries,
+            };
+            let id = manifest.id.as_str();
+            let manifest_bytes = manifest.encode();
+            let mut records = mlog::encode_record(RecordKind::ManifestPut, id, &manifest_bytes);
+            records.extend(mlog::encode_record(RecordKind::LatestAdvance, id, &[]));
             let appended = log.append(records, &how)?;
             // Mirror the manifest to a shared backend once it is locally
             // durable. Ordering matters for fresh-directory recovery: the
@@ -849,10 +754,13 @@ impl CheckpointRepo {
             // mirrored manifest is always resolvable remotely; a crash in
             // between leaves the remote one checkpoint behind the local
             // directory, never ahead of its data.
-            self.mirror_meta(&format!("manifests/{}", id.file_name()), &manifest_bytes)?;
+            self.mirror_meta(
+                &format!("manifests/{}", manifest.id.file_name()),
+                &manifest_bytes,
+            )?;
             let fsyncs = log.publish(appended)?;
-            self.mirror_meta("LATEST", format!("{}\n", id.as_str()).as_bytes())?;
-            Ok(fsyncs)
+            self.mirror_meta("LATEST", format!("{id}\n").as_bytes())?;
+            Ok((manifest, manifest_bytes.len(), fsyncs))
         })?;
 
         // Seed the encode cache for the next delta save: the checkpoint we
@@ -861,14 +769,11 @@ impl CheckpointRepo {
         // are not cached — pinning them would roughly double steady-state
         // checkpointing memory for the handle's lifetime.
         let snapshot_bytes: usize = sections.iter().map(|s| s.bytes.len()).sum();
-        *self.lock_encode_cache() = (snapshot_bytes <= ENCODE_CACHE_MAX_BYTES).then(|| {
-            let base = base.as_ref().map(|(m, _, inventory)| (m, inventory));
-            EncodeCache {
-                id: id.clone(),
+        *self.lock_encode_cache() =
+            (snapshot_bytes <= ENCODE_CACHE_MAX_BYTES).then_some(EncodeCache {
+                snapshot_sha,
                 sections,
-                inventory: ChainInventory::of_save(&manifest, base),
-            }
-        });
+            });
 
         Ok(SaveReport {
             is_delta: manifest.is_delta(),
@@ -882,8 +787,8 @@ impl CheckpointRepo {
             store_fsyncs: batch.fsyncs,
             commit_renames: 0,
             commit_fsyncs,
-            manifest_bytes: manifest_bytes.len() as u64,
-            id,
+            manifest_bytes: manifest_len as u64,
+            id: manifest.id,
         })
     }
 
@@ -1061,14 +966,15 @@ impl CheckpointRepo {
     /// hash mismatch of the resolved sections, or on chains exceeding the
     /// hard cycle guard.
     pub fn resolve_sections(&self, manifest: &Manifest) -> Result<Vec<Section>> {
-        let bases = self.with_state(|st| chain_bases(st, manifest))??;
+        let bases = self.with_state(|st| owned_chain_bases(st, manifest))??;
         self.resolve_chain(manifest, &bases)
     }
 
     /// [`Self::resolve_sections`] over an already collected chain: `tip`
     /// and its `bases`, newest first.
     fn resolve_chain(&self, tip: &Manifest, bases: &[Manifest]) -> Result<Vec<Section>> {
-        let jobs = section_links(tip, bases)?
+        let bases: Vec<&Manifest> = bases.iter().collect();
+        let jobs = section_links(tip, &bases)?
             .into_iter()
             .map(|links| {
                 let weight = links.iter().map(|(_, e)| e.stored_len as usize).sum();
@@ -1254,7 +1160,7 @@ impl CheckpointRepo {
                 .ok_or_else(|| Error::NotFound {
                     what: format!("manifest {id}"),
                 })?;
-            let bases = chain_bases(st, &manifest)?;
+            let bases = owned_chain_bases(st, &manifest)?;
             Ok::<_, Error>((manifest, bases))
         })??;
         let sections = self.resolve_chain(&manifest, &bases)?;
@@ -1596,7 +1502,7 @@ type SectionLinks<'m> = Vec<(&'m Manifest, &'m SectionEntry)>;
 /// The links of every section of `tip` over its `bases` (newest first),
 /// in `tip`'s section order — exactly what a resolve reads: links older
 /// than a section's newest `Full` payload cannot change its bytes.
-fn section_links<'m>(tip: &'m Manifest, bases: &'m [Manifest]) -> Result<Vec<SectionLinks<'m>>> {
+fn section_links<'m>(tip: &'m Manifest, bases: &[&'m Manifest]) -> Result<Vec<SectionLinks<'m>>> {
     let mut sections = Vec::with_capacity(tip.sections.len());
     for entry in &tip.sections {
         let mut links: SectionLinks<'m> = vec![(tip, entry)];
@@ -1606,7 +1512,7 @@ fn section_links<'m>(tip: &'m Manifest, bases: &'m [Manifest]) -> Result<Vec<Sec
             if link.payload_kind == PayloadKind::Full {
                 break;
             }
-            let base = older.next().and_then(|base| {
+            let base = older.next().and_then(|&base| {
                 let e = base.sections.iter().find(|s| s.name == link.name)?;
                 Some((base, e))
             });
@@ -1623,8 +1529,8 @@ fn section_links<'m>(tip: &'m Manifest, bases: &'m [Manifest]) -> Result<Vec<Sec
 }
 
 /// The delta bases of `tip`, newest first down to the full checkpoint,
-/// cloned out of one snapshot of the log state.
-fn chain_bases(st: &LogReplay, tip: &Manifest) -> Result<Vec<Manifest>> {
+/// borrowed from one snapshot of the log state.
+fn chain_bases<'s>(st: &'s LogReplay, tip: &'s Manifest) -> Result<Vec<&'s Manifest>> {
     let mut bases = Vec::new();
     let mut cursor = tip;
     while let CheckpointKind::Delta { base } = &cursor.kind {
@@ -1637,9 +1543,14 @@ fn chain_bases(st: &LogReplay, tip: &Manifest) -> Result<Vec<Manifest>> {
         cursor = st.manifests.get(base).ok_or_else(|| Error::NotFound {
             what: format!("manifest {base}"),
         })?;
-        bases.push(cursor.clone());
+        bases.push(cursor);
     }
     Ok(bases)
+}
+
+/// [`chain_bases`], cloned out of the log state for a resolve.
+fn owned_chain_bases(st: &LogReplay, tip: &Manifest) -> Result<Vec<Manifest>> {
+    Ok(chain_bases(st, tip)?.into_iter().cloned().collect())
 }
 
 /// Guard for the writer lock ([`CheckpointRepo::try_lock`]). Dropping it
@@ -2036,11 +1947,10 @@ mod tests {
         let _ = fs::remove_dir_all(path);
     }
 
-    /// A thread that panicked holding any of the handle's three locks —
+    /// A thread that panicked holding either of the handle's two locks —
     /// the save driver's writer thread, say — must not wedge the handle:
-    /// the caches are dropped and replayed from disk, the id sequence is
-    /// seeded from the listing again, and saving goes on where the disk
-    /// says it stood.
+    /// the caches are dropped and replayed from disk, and saving goes on
+    /// where the disk says it stood, under the id the log hands out.
     #[test]
     fn a_panic_under_each_lock_leaves_the_handle_usable() {
         let (_t, repo) = TempRepo::new();
@@ -2050,21 +1960,24 @@ mod tests {
             s.spawn(|| {
                 let mut log = repo.log.lock().unwrap();
                 let mut cache = repo.encode_cache.lock().unwrap();
-                let mut seq = repo.seq.lock().unwrap();
                 // What a half-finished update could leave behind.
                 log.state_mut().latest = None;
+                log.state_mut().next_seq = 999;
                 cache.as_mut().unwrap().sections.clear();
-                *seq = 999;
                 panic!("injected panic under the repository locks");
             })
             .join()
         });
         assert!(panicked.is_err());
-        assert!(repo.log.is_poisoned() && repo.seq.is_poisoned());
+        assert!(repo.log.is_poisoned() && repo.encode_cache.is_poisoned());
 
         assert_eq!(repo.read_latest().unwrap(), Some(first.id.clone()));
         let second = repo.save(&snapshot_at(2, vec![0.25; 3000]), &opts).unwrap();
-        assert_eq!(second.id, CheckpointId::new(2, 1), "sequence re-seeded");
+        assert_eq!(
+            second.id,
+            CheckpointId::new(2, 1),
+            "id read from the replayed log"
+        );
         assert!(second.is_delta, "the base was resolved from disk");
         let (snapshot, report) = repo.recover().unwrap();
         assert_eq!(snapshot, snapshot_at(2, vec![0.25; 3000]));
@@ -2072,6 +1985,9 @@ mod tests {
         assert!(!repo.log.is_poisoned() && !repo.encode_cache.is_poisoned());
     }
 
+    /// An id is never handed out twice: not across a reopen — ids sort
+    /// step-first, so the highest id need not carry the highest sequence
+    /// number — and not between two handles on one directory.
     #[test]
     fn reopen_continues_sequence() {
         let (t, repo) = TempRepo::new();
@@ -2085,6 +2001,53 @@ mod tests {
             .unwrap();
         assert_ne!(r1.id, r2.id, "sequence must not collide across reopen");
         assert!(r2.id > r1.id);
+        drop(repo2);
+
+        // Steps 10, 20 and 15, a reopen, and step 15 again.
+        let (t, repo) = TempRepo::new();
+        let opts = SaveOptions::default();
+        for step in [10, 20] {
+            repo.save(&snapshot_at(step, vec![step as f64; 10]), &opts)
+                .unwrap();
+        }
+        let first = repo.save(&snapshot_at(15, vec![1.5; 10]), &opts).unwrap();
+        drop(repo);
+        let repo = CheckpointRepo::open(&t.path).unwrap();
+        let again = repo.save(&snapshot_at(15, vec![-1.5; 10]), &opts).unwrap();
+        assert_ne!(first.id, again.id, "a reopened repository reused an id");
+        assert_eq!(
+            repo.load(&first.id).unwrap(),
+            snapshot_at(15, vec![1.5; 10])
+        );
+        assert_eq!(
+            repo.load(&again.id).unwrap(),
+            snapshot_at(15, vec![-1.5; 10])
+        );
+
+        // Two handles on one directory, saving in turn at one step.
+        let other = CheckpointRepo::open(&t.path).unwrap();
+        let a = repo.save(&snapshot_at(30, vec![3.0; 10]), &opts).unwrap();
+        let b = other.save(&snapshot_at(30, vec![-3.0; 10]), &opts).unwrap();
+        assert_ne!(a.id, b.id, "two handles handed out one id");
+        assert_eq!(repo.load(&a.id).unwrap(), snapshot_at(30, vec![3.0; 10]));
+    }
+
+    /// The encode cache holds what this handle last wrote. When another
+    /// handle's save is the latest, the cache misses and the delta is
+    /// taken against what is on disk.
+    #[test]
+    fn a_save_by_another_handle_misses_the_encode_cache() {
+        let (t, repo) = TempRepo::new();
+        let other = CheckpointRepo::open(&t.path).unwrap();
+        let opts = SaveOptions::incremental(8);
+        repo.save(&snapshot_at(1, vec![1.0; 3000]), &opts).unwrap();
+        other.save(&snapshot_at(2, vec![2.0; 3000]), &opts).unwrap();
+        let third = repo.save(&snapshot_at(3, vec![3.0; 3000]), &opts).unwrap();
+        assert!(third.is_delta);
+        assert_eq!(
+            repo.load(&third.id).unwrap(),
+            snapshot_at(3, vec![3.0; 3000])
+        );
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! recover folds one link for each — not one per link of the chain. Only
 //! the small `meta` section, which moves by its step counter, still chains.
 //!
+//! And of "a local resume reads the log once": the open replays nothing,
+//! and recovery's from-disk replay is the only one.
+//!
 //! One test, alone in its binary, like `resolve_counters.rs`: the qobs
 //! registry is process-wide, and `==` on a delta needs a process nothing
 //! else counts in.
@@ -83,19 +86,22 @@ fn a_depth_8_dense_recover_folds_one_link_per_heavy_section() {
         [
             qobs::counter("qcheck_resolve_section_digests_total").get(),
             qobs::counter("qcheck_resolve_links_total").get(),
+            qobs::counter("qcheck_manifest_log_replays_total").get(),
         ]
     };
     // A fresh handle, as after a kill.
-    let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
     let before = counters();
+    let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
     let (snapshot, report) = repo.recover().unwrap();
     let after = counters();
     assert_eq!(snapshot, dense_snapshot(8));
     assert_eq!(report.manifests_tried, 1);
 
-    let [digests, folded] = [0, 1].map(|i| after[i] - before[i]);
+    let [digests, folded, replays] = [0, 1, 2].map(|i| after[i] - before[i]);
     assert_eq!(digests, sections);
     assert_eq!(folded, links, "one link per heavy section, not 9");
+    // A local open reads no log; recovery replays it once, from disk.
+    assert_eq!(replays, 1, "a local resume replays the manifest log once");
 
     drop(repo);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,11 @@
 //! The deterministic form of "one materialised encoding per section", as
 //! exact counter deltas: a save enters `Compression::compress` once per
 //! section, and sizes its other candidates without compressing them.
-//! And of "a save does not replay": the handle keeps its log state current
-//! by applying the records it commits, so after the open the manifest log
-//! is never read back — the reason the cached state exists.
+//! And of "a save does not replay": a local open reads no log, the first
+//! save replays it once — for its id and its delta base — and after that
+//! the handle keeps its log state current by applying the records it
+//! commits, so the manifest log is never read back — the reason the
+//! cached state exists.
 //!
 //! One test, alone in its binary, like `resolve_counters.rs`: the qobs
 //! registry is process-wide, and `==` on a delta needs a process nothing
@@ -30,10 +32,14 @@ fn a_save_compresses_once_per_section_whatever_it_probes() {
     }
     let dir = std::env::temp_dir().join(format!("qcheck-save-counters-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
     let replays = || qobs::counter("qcheck_manifest_log_replays_total").get();
-    let replays_after_open = replays();
-    assert!(replays_after_open > 0, "the open replays");
+    let replays_before_open = replays();
+    let repo = CheckpointRepo::open_with(&dir, StoreKind::Pack).unwrap();
+    assert_eq!(
+        replays(),
+        replays_before_open,
+        "a local open replays nothing"
+    );
     let counters = || {
         [
             qobs::counter("qcheck_section_encodes_total").get(),
@@ -47,6 +53,12 @@ fn a_save_compresses_once_per_section_whatever_it_probes() {
     let before = counters();
     let report = repo.save(&snapshot(0), &opts).unwrap();
     let after = counters();
+    let replays_after_first_save = replays();
+    assert_eq!(
+        replays_after_first_save - replays_before_open,
+        1,
+        "the first save replays once"
+    );
     assert!(!report.is_delta);
     assert_eq!(after[0] - before[0], sections);
     assert_eq!(after[1] - before[1], sections);
@@ -69,8 +81,8 @@ fn a_save_compresses_once_per_section_whatever_it_probes() {
     assert_eq!(repo.load_latest().unwrap().1, snapshot(3));
     assert_eq!(
         replays(),
-        replays_after_open,
-        "four saves and a load on one handle read the log back 0 times"
+        replays_after_first_save,
+        "three more saves and a load on one handle read the log back 0 times"
     );
     drop(repo);
     let _ = std::fs::remove_dir_all(&dir);

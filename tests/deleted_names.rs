@@ -112,6 +112,12 @@ const RULES: &[Rule] = &[
         reason: "the writer lease and the metadata reads are RemoteStore methods, not \
                  ObjectStore ones",
     },
+    Rule {
+        paths: &["crates/qcheck/src/repo.rs"],
+        above_tests: true,
+        names: &["ChainInventory", "next_seq_on_disk", "lock_seq"],
+        reason: "a save reads its id and its base's chunk list from the manifest log",
+    },
 ];
 
 /// Calls that write, rename, remove, create or truncate a file.
