@@ -99,8 +99,33 @@ pub fn run() -> Table {
             format!("{:.2}", sim * 100.0),
         ]);
     }
-    table.note("the curve is U-shaped: tiny intervals pay write overhead, huge intervals pay rework; the minimum sits near tau/tau* = 1");
+    for (column, curve) in [(2, "model"), (3, "sim")] {
+        table.note(minimum_note(&table.rows, column, curve));
+    }
     table
+}
+
+/// Where `curve`'s overhead (row column `column`) is lowest, read from the
+/// rows, and whether both ends of the sweep lie above that minimum.
+fn minimum_note(rows: &[Vec<String>], column: usize, curve: &str) -> String {
+    let overhead = |r: &Vec<String>| -> f64 { r[column].parse().expect("overhead cell") };
+    let lowest = rows.iter().fold(&rows[0], |best, r| {
+        if overhead(r) < overhead(best) {
+            r
+        } else {
+            best
+        }
+    });
+    let min = overhead(lowest);
+    let shape = if overhead(&rows[0]) > min && overhead(&rows[rows.len() - 1]) > min {
+        "U-shaped: tiny intervals pay write overhead, huge intervals pay rework"
+    } else {
+        "not U-shaped over this sweep"
+    };
+    format!(
+        "{curve} overhead is {shape}; its minimum, {min:.2} %, sits at tau/tau* = {}",
+        lowest[1]
+    )
 }
 
 #[cfg(test)]
@@ -125,5 +150,19 @@ mod tests {
         let mid = parse(&t.rows[1]);
         let last = parse(&t.rows[t.rows.len() - 1]);
         assert!(first > mid && last > mid, "{first} {mid} {last}");
+        // Each curve's note names its lowest row and calls the curve
+        // U-shaped exactly when both ends lie above that row.
+        for (note, column) in t.notes.iter().zip([2, 3]) {
+            let cells: Vec<f64> = t.rows.iter().map(|r| r[column].parse().unwrap()).collect();
+            let min = cells.iter().copied().fold(f64::INFINITY, f64::min);
+            let at = &t.rows[cells.iter().position(|&c| c == min).unwrap()][1];
+            assert!(
+                note.ends_with(&format!("sits at tau/tau* = {at}")),
+                "{note}"
+            );
+            let u_shaped = cells[0] > min && cells[cells.len() - 1] > min;
+            assert_eq!(note.contains(" is U-shaped"), u_shaped, "{note} {cells:?}");
+        }
+        assert!(t.notes[0].starts_with("model overhead is U-shaped"));
     }
 }

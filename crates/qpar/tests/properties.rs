@@ -56,21 +56,26 @@ proptest! {
     }
 
     /// Observable estimation (striped-sum reduction path, crossed at 15
-    /// qubits) is bit-identical across thread counts for random circuits.
+    /// qubits) is bit-identical across thread counts for random circuits,
+    /// on an Ising chain and on an XXZ chain (whose YY terms carry phases).
     #[test]
     fn expectation_reduction_bit_identical_across_threads(
         ops in prop::collection::vec(arb_op(15), 1..6),
         seed in any::<u64>(),
         coupling in 0.1f64..2.0,
     ) {
-        let h = PauliSum::transverse_ising(15, 1.0, coupling);
-        let expectation_at = |threads: usize| {
-            let state = run_ops(15, &ops, seed, threads);
-            qpar::with_threads(threads, || h.expectation(&state).unwrap().to_bits())
-        };
-        let reference = expectation_at(1);
-        for &threads in &THREAD_SWEEP[1..] {
-            prop_assert_eq!(expectation_at(threads), reference, "threads={}", threads);
+        for h in [
+            PauliSum::transverse_ising(15, 1.0, coupling),
+            PauliSum::heisenberg_xxz(15, coupling),
+        ] {
+            let expectation_at = |threads: usize| {
+                let state = run_ops(15, &ops, seed, threads);
+                qpar::with_threads(threads, || h.expectation(&state).unwrap().to_bits())
+            };
+            let reference = expectation_at(1);
+            for &threads in &THREAD_SWEEP[1..] {
+                prop_assert_eq!(expectation_at(threads), reference, "threads={}", threads);
+            }
         }
     }
 

@@ -6,15 +6,24 @@
 //! tests) or estimated from sampled shots (see [`crate::measure`]), which is
 //! the mode the checkpointing experiments care about because it draws from
 //! the serializable RNG stream.
+//!
+//! An exact [`PauliSum::expectation`] reads the state once and copies
+//! nothing: a string with X-or-Y mask `x`, Z-or-Y mask `z` and `y` Y factors
+//! maps `(P|ψ⟩)ᵢ = (−i)^y · (−1)^popcount(i & z) · ψ_{i⊕x}`, and a factor of
+//! ±1 or ±i is exact. Each term therefore sums, from `+0.0` and in index
+//! order over the same fixed stripes as [`StateVector::inner`], the very
+//! products the apply-and-inner path forms, so the result is bit-identical
+//! to `Σ c·`[`PauliString::expectation`] at every width and thread count.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::circuit::Circuit;
 use crate::complex::Complex64;
 use crate::gate::Gate;
-use crate::state::{StateError, StateVector};
+use crate::state::{StateError, StateVector, STRIPED_SUM_MIN_AMPS, SUM_STRIPES};
 
 /// A single-qubit Pauli operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -241,40 +250,55 @@ impl PauliSum {
         &self.terms
     }
 
-    /// Exact expectation `⟨ψ|H|ψ⟩`.
+    /// Exact expectation `⟨ψ|H|ψ⟩`, in one read-only pass over the state.
     ///
-    /// Terms are independent, so for multi-term observables on registers of
-    /// at least [`crate::state::PARALLEL_MIN_AMPS`] amplitudes each term is
-    /// evaluated on its own thread (ambient [`qpar::current_threads`]).
-    /// Per-term values are identical to the serial path and are accumulated
-    /// in term order, so the result is bit-identical at every thread count.
+    /// A term with X-or-Y qubits `x`, Z-or-Y qubits `z` and `y` Y factors
+    /// maps `(P|ψ⟩)ᵢ = (−i)^y · (−1)^popcount(i & z) · ψ_{i⊕x}`, so each term
+    /// sums from `+0.0`, in index order (over the fixed [`SUM_STRIPES`]
+    /// stripes above [`STRIPED_SUM_MIN_AMPS`], combined in order), the very
+    /// products [`StateVector::inner`] forms with `P|ψ⟩`. The result is
+    /// bit-identical to `Σ c·`[`PauliString::expectation`] in term order at
+    /// every width, thread count and SIMD level.
     ///
     /// # Errors
     ///
     /// Returns [`StateError::SizeMismatch`] when register widths differ.
     pub fn expectation(&self, state: &StateVector) -> Result<f64, StateError> {
-        let threads = qpar::current_threads();
-        if threads > 1
-            && self.terms.len() > 1
-            && state.amplitudes().len() >= crate::state::PARALLEL_MIN_AMPS
-        {
-            let per_term: Vec<Result<f64, StateError>> =
-                qpar::map_threads(threads, self.terms.iter().collect(), |(c, p)| {
-                    // Keep the nested kernels serial on worker threads: the
-                    // term fan-out already owns the parallelism budget, and
-                    // worker threads would otherwise re-resolve the ambient
-                    // thread count and fan out again (threads² workers).
-                    qpar::with_threads(1, || Ok(c * p.expectation(state)?))
-                });
-            let mut acc = 0.0;
-            for v in per_term {
-                acc += v?;
-            }
-            return Ok(acc);
+        if state.num_qubits() != self.num_qubits {
+            return Err(StateError::SizeMismatch {
+                left: self.num_qubits,
+                right: state.num_qubits(),
+            });
         }
+        let mut masks: Vec<TermMask> = self
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(term, (_, p))| TermMask::of(term, p))
+            .collect();
+        masks.sort_by_key(TermMask::kind);
+        let sweeps: Vec<&[TermMask]> = masks
+            .chunk_by(|a, b| a.kind() == b.kind())
+            .flat_map(|kind| kind.chunks(LANES))
+            .collect();
+        let amps = state.amplitudes();
+        let sums = if amps.len() < STRIPED_SUM_MIN_AMPS {
+            term_sums(amps, &sweeps, 0..amps.len())
+        } else {
+            let stripes = qpar::map(qpar::ranges(amps.len(), SUM_STRIPES), |r| {
+                term_sums(amps, &sweeps, r)
+            });
+            let mut sums = vec![0.0; self.terms.len()];
+            for stripe in stripes {
+                for (sum, part) in sums.iter_mut().zip(stripe) {
+                    *sum += part;
+                }
+            }
+            sums
+        };
         let mut acc = 0.0;
-        for (c, p) in &self.terms {
-            acc += c * p.expectation(state)?;
+        for ((c, _), sum) in self.terms.iter().zip(sums) {
+            acc += c * sum;
         }
         Ok(acc)
     }
@@ -349,10 +373,188 @@ impl fmt::Display for PauliSum {
     }
 }
 
+/// Terms one sweep of [`PauliSum::expectation`] evaluates together. Their
+/// accumulators are independent, so their addition chains overlap.
+const LANES: usize = 4;
+
+/// Bit `j` is set when `j` has bit `b` set, for the six low index bits.
+const LOW_BIT_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Which sweep evaluates a term.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TermKind {
+    /// No X or Y factor: `±|ψᵢ|²`.
+    Diagonal,
+    /// A flip with real phase: `±Re(conj(ψᵢ)·ψ_{i⊕x})`.
+    Real,
+    /// A flip with imaginary phase: `±Im(conj(ψᵢ)·ψ_{i⊕x})`.
+    Imag,
+}
+
+/// One term of a [`PauliSum`] as index masks.
+#[derive(Clone, Copy)]
+struct TermMask {
+    /// Position in [`PauliSum::terms`].
+    term: usize,
+    /// The qubits the string flips: its X and Y factors.
+    x: usize,
+    /// The qubits whose bit signs an amplitude: its Z and Y factors.
+    z: usize,
+    /// Whether `(−i)^y` is imaginary (an odd number of Y factors).
+    imag: bool,
+    /// Sign bit `j` of a 64-amplitude block: the parity of `j & z`,
+    /// inverted when `(−i)^y` is `−1` or `i` (the negated `1` and `−i`).
+    low_signs: u64,
+}
+
+impl TermMask {
+    fn of(term: usize, p: &PauliString) -> Self {
+        let (mut x, mut z, mut y) = (0usize, 0usize, 0u32);
+        for (q, p) in p.paulis().iter().enumerate() {
+            match p {
+                Pauli::I => {}
+                Pauli::X => x |= 1 << q,
+                Pauli::Z => z |= 1 << q,
+                Pauli::Y => {
+                    x |= 1 << q;
+                    z |= 1 << q;
+                    y += 1;
+                }
+            }
+        }
+        let mut low_signs = if y % 4 >= 2 { u64::MAX } else { 0 };
+        for (b, pattern) in LOW_BIT_PATTERNS.iter().enumerate() {
+            if z >> b & 1 == 1 {
+                low_signs ^= pattern;
+            }
+        }
+        TermMask {
+            term,
+            x,
+            z,
+            imag: y % 2 == 1,
+            low_signs,
+        }
+    }
+
+    fn kind(&self) -> TermKind {
+        match (self.x, self.imag) {
+            (0, _) => TermKind::Diagonal,
+            (_, false) => TermKind::Real,
+            (_, true) => TermKind::Imag,
+        }
+    }
+
+    /// Sign bits of the 64-amplitude block starting at `base`.
+    #[inline]
+    fn signs(&self, base: usize) -> u64 {
+        let high = u64::from((base & self.z).count_ones() & 1);
+        self.low_signs ^ high.wrapping_neg()
+    }
+}
+
+/// Each term's `Re⟨ψ|P|ψ⟩` over `range`, summed in index order from `+0.0`,
+/// in [`PauliSum::terms`] order.
+fn term_sums(amps: &[Complex64], sweeps: &[&[TermMask]], range: Range<usize>) -> Vec<f64> {
+    let mut sums = vec![0.0; sweeps.iter().map(|s| s.len()).sum()];
+    for terms in sweeps {
+        let r = range.clone();
+        match terms.len() {
+            1 => sweep::<1>(amps, terms, r, &mut sums),
+            2 => sweep::<2>(amps, terms, r, &mut sums),
+            3 => sweep::<3>(amps, terms, r, &mut sums),
+            _ => sweep::<LANES>(amps, terms, r, &mut sums),
+        }
+    }
+    sums
+}
+
+/// One pass over `range` for `K` terms of one kind, each sum stored at its
+/// term's position in `sums`.
+fn sweep<const K: usize>(
+    amps: &[Complex64],
+    terms: &[TermMask],
+    range: Range<usize>,
+    sums: &mut [f64],
+) {
+    let t: [TermMask; K] = std::array::from_fn(|k| terms[k]);
+    let values = match t[0].kind() {
+        TermKind::Diagonal => diagonal_sweep(amps, &t, range),
+        TermKind::Real => flip_sweep::<K, false>(amps, &t, range),
+        TermKind::Imag => flip_sweep::<K, true>(amps, &t, range),
+    };
+    for (t, v) in t.iter().zip(values) {
+        sums[t.term] = v;
+    }
+}
+
+/// [`TermKind::Diagonal`] terms over `range`.
+fn diagonal_sweep<const K: usize>(
+    amps: &[Complex64],
+    t: &[TermMask; K],
+    range: Range<usize>,
+) -> [f64; K] {
+    let mut acc = [0.0f64; K];
+    let mut lo = range.start;
+    while lo < range.end {
+        let base = lo & !63;
+        let hi = (base + 64).min(range.end);
+        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
+        for (j, a) in (lo - base..).zip(&amps[lo..hi]) {
+            let n = (a.re * a.re + a.im * a.im).to_bits();
+            for k in 0..K {
+                acc[k] += f64::from_bits(n ^ (signs[k] >> j << 63));
+            }
+        }
+        lo = hi;
+    }
+    acc
+}
+
+/// [`TermKind::Real`] terms over `range`, or [`TermKind::Imag`] ones when
+/// `IMAG`.
+fn flip_sweep<const K: usize, const IMAG: bool>(
+    amps: &[Complex64],
+    t: &[TermMask; K],
+    range: Range<usize>,
+) -> [f64; K] {
+    let top = amps.len() - 1;
+    let x: [usize; K] = std::array::from_fn(|k| t[k].x);
+    let mut acc = [0.0f64; K];
+    let mut lo = range.start;
+    while lo < range.end {
+        let base = lo & !63;
+        let hi = (base + 64).min(range.end);
+        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
+        for (i, a) in (lo..).zip(&amps[lo..hi]) {
+            let j = i - base;
+            for k in 0..K {
+                let b = amps[(i ^ x[k]) & top];
+                let r = if IMAG {
+                    a.re * b.im - a.im * b.re
+                } else {
+                    a.re * b.re + a.im * b.im
+                };
+                acc[k] += f64::from_bits(r.to_bits() ^ (signs[k] >> j << 63));
+            }
+        }
+        lo = hi;
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
+    use crate::testing::expectation_oracle;
 
     const EPS: f64 = 1e-12;
 
@@ -488,6 +690,75 @@ mod tests {
         let h = PauliSum::heisenberg_xxz(4, 0.5);
         assert_eq!(h.terms().len(), 9);
         assert_eq!(h.num_qubits(), 4);
+    }
+
+    #[test]
+    fn y_on_plus_i_is_exactly_one() {
+        // Rx(−π/2)|0⟩ = cos(π/4)|0⟩ + i·sin(π/4)|1⟩, whose product is 0.5.
+        let mut s = StateVector::zero_state(1);
+        s.apply_gate(Gate::Rx(-std::f64::consts::FRAC_PI_2), &[0])
+            .unwrap();
+        let h = PauliSum::from_terms(vec![(1.0, PauliString::from_str("Y").unwrap())]);
+        assert_eq!(h.expectation(&s).unwrap(), 1.0);
+        assert_eq!(
+            h.expectation(&s).unwrap().to_bits(),
+            expectation_oracle(&h, &s).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn identity_term_is_the_norm() {
+        let mut rng = Xoshiro256::seed_from(5);
+        for n in [1, 4, 15] {
+            let s = StateVector::random(n, &mut rng);
+            let h = PauliSum::from_terms(vec![(1.0, PauliString::identity(n))]);
+            assert_eq!(
+                h.expectation(&s).unwrap().to_bits(),
+                s.inner(&s).unwrap().re.to_bits(),
+                "{n} qubits"
+            );
+        }
+    }
+
+    #[test]
+    fn all_y_string_matches_apply_and_inner() {
+        let mut rng = Xoshiro256::seed_from(9);
+        let h = PauliSum::from_terms(vec![(0.75, PauliString::from_str("YYY").unwrap())]);
+        for _ in 0..8 {
+            let s = StateVector::random(3, &mut rng);
+            assert_eq!(
+                h.expectation(&s).unwrap().to_bits(),
+                expectation_oracle(&h, &s).unwrap().to_bits()
+            );
+        }
+        // YYY|000⟩ = i³|111⟩ is orthogonal to |000⟩.
+        assert_eq!(h.expectation(&StateVector::zero_state(3)).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn zero_expectation_is_positive_zero() {
+        // X|0⟩ ⊥ |0⟩, so every product is a zero; −1·(+0.0) is −0.0, and
+        // the term-order sum from +0.0 makes the result +0.0, as the
+        // apply-and-inner path does.
+        let h = PauliSum::from_terms(vec![
+            (-1.0, PauliString::from_str("XI").unwrap()),
+            (-0.5, PauliString::from_str("YZ").unwrap()),
+        ]);
+        let s = StateVector::zero_state(2);
+        assert_eq!(h.expectation(&s).unwrap().to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            expectation_oracle(&h, &s).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn pauli_sum_size_mismatch() {
+        let h = PauliSum::transverse_ising(3, 1.0, 0.5);
+        assert_eq!(
+            h.expectation(&StateVector::zero_state(2)).unwrap_err(),
+            StateError::SizeMismatch { left: 3, right: 2 }
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 use proptest::prelude::*;
 
 use crate::gate::Gate;
+use crate::pauli::PauliSum;
+use crate::state::{StateError, StateVector};
 
 /// Strategy: an arbitrary gate applied to valid qubits of an `n`-qubit
 /// register. Covers the full single-qubit set (fixed and rotation gates)
@@ -48,4 +50,19 @@ pub fn arb_op(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
 /// `n`-qubit register — the raw material for random-circuit properties.
 pub fn arb_ops(n: usize, max_len: usize) -> impl Strategy<Value = Vec<(Gate, Vec<usize>)>> {
     prop::collection::vec(arb_op(n), 0..max_len)
+}
+
+/// The apply-and-inner oracle for [`PauliSum::expectation`]:
+/// `Σ c·`[`crate::pauli::PauliString::expectation`] in term order, each
+/// term a copy of the state with the string applied and an inner product.
+///
+/// # Errors
+///
+/// Returns [`StateError::SizeMismatch`] when register widths differ.
+pub fn expectation_oracle(h: &PauliSum, state: &StateVector) -> Result<f64, StateError> {
+    let mut acc = 0.0;
+    for (c, p) in h.terms() {
+        acc += c * p.expectation(state)?;
+    }
+    Ok(acc)
 }

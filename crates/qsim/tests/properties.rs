@@ -3,10 +3,65 @@
 use proptest::prelude::*;
 
 use qsim::circuit::Circuit;
-use qsim::pauli::{Pauli, PauliString};
+use qsim::gate::Gate;
+use qsim::pauli::{Pauli, PauliString, PauliSum};
 use qsim::rng::{RngState, Xoshiro256};
 use qsim::state::StateVector;
-use qsim::testing::arb_op;
+use qsim::testing::{arb_op, expectation_oracle};
+
+const PAULIS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
+
+/// A random observable on `n` qubits: 1–30 terms of I/X/Y/Z with random
+/// coefficients.
+fn arb_observable(n: usize) -> impl Strategy<Value = PauliSum> {
+    prop::collection::vec(
+        (-2.0..2.0f64, prop::collection::vec(0usize..4, n..n + 1)),
+        1..31,
+    )
+    .prop_map(|terms| {
+        PauliSum::from_terms(
+            terms
+                .into_iter()
+                .map(|(c, ps)| {
+                    (
+                        c,
+                        PauliString::new(ps.into_iter().map(|k| PAULIS[k]).collect()),
+                    )
+                })
+                .collect(),
+        )
+    })
+}
+
+/// A state on `n` qubits: `|0…0⟩`, a basis state, a random circuit on a
+/// basis state (sparse, with exact zeros), or a random circuit after a layer
+/// of random `Ry` rotations (dense, with amplitudes whose sums round).
+fn arb_state(n: usize) -> impl Strategy<Value = StateVector> {
+    (
+        0usize..4,
+        0usize..1 << n,
+        prop::collection::vec(-3.0..3.0f64, n..n + 1),
+        prop::collection::vec(arb_op(n), 0..12),
+    )
+        .prop_map(move |(kind, index, angles, ops)| {
+            let mut state = match kind {
+                0 => return StateVector::zero_state(n),
+                1 => return StateVector::basis_state(n, index),
+                2 => StateVector::basis_state(n, index),
+                _ => {
+                    let mut s = StateVector::zero_state(n);
+                    for (q, theta) in angles.into_iter().enumerate() {
+                        s.apply_gate(Gate::Ry(theta), &[q]).unwrap();
+                    }
+                    s
+                }
+            };
+            for (g, qs) in ops {
+                state.apply_gate(g, &qs).unwrap();
+            }
+            state
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -104,6 +159,20 @@ proptest! {
         let ps = PauliString::new(vec![to_pauli(px), to_pauli(py), to_pauli(pz)]);
         let e = ps.expectation(&state).unwrap();
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&e));
+    }
+
+    /// The one-pass Pauli-sum expectation equals the apply-and-inner oracle
+    /// bit for bit, at every width (the striped sum from 15 qubits up) and
+    /// thread count.
+    #[test]
+    fn pauli_sum_expectation_equals_apply_and_inner(
+        (h, state) in (2usize..17).prop_flat_map(|n| (arb_observable(n), arb_state(n))),
+    ) {
+        let oracle = expectation_oracle(&h, &state).unwrap().to_bits();
+        for threads in [1, 2, 4] {
+            let got = qpar::with_threads(threads, || h.expectation(&state).unwrap());
+            prop_assert_eq!(got.to_bits(), oracle, "threads={} {}", threads, h);
+        }
     }
 
     /// Measurement sampling frequencies track Born probabilities.

@@ -118,6 +118,13 @@ const RULES: &[Rule] = &[
         names: &["ChainInventory", "next_seq_on_disk", "lock_seq"],
         reason: "a save reads its id and its base's chunk list from the manifest log",
     },
+    Rule {
+        paths: &["crates/qsim/src/pauli.rs"],
+        above_tests: true,
+        names: &["map_threads", "with_threads(1"],
+        reason: "a Pauli-sum expectation is one grouped pass; the fixed stripes are its only \
+                 fan-out",
+    },
 ];
 
 /// Calls that write, rename, remove, create or truncate a file.
