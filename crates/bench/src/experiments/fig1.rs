@@ -3,16 +3,15 @@
 //! Without checkpointing a failure costs half the elapsed run plus a full
 //! queue re-entry; with Young–Daly checkpointing it costs half a checkpoint
 //! interval plus restore + re-entry. The analytic model (Young/Daly) is
-//! plotted against the `qhw` discrete-event simulation.
+//! plotted against the `qhw` replay.
 
 use qcheck::policy::math;
-use qhw::client::{mean_outcome, simulate_run, CheckpointStrategy, Environment, JobSpec};
+use qhw::client::{simulate_run, CheckpointStrategy, Environment, JobSpec};
 use qhw::event::{HOUR, MINUTE, SECOND};
 use qhw::queue::WaitModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qsim::rng::Xoshiro256;
 
-use crate::report::{human_seconds, quick_mode, Table};
+use crate::report::{cell_seconds, human_seconds, quick_mode, Table};
 
 /// Runs the experiment and returns the rendered table.
 pub fn run() -> Table {
@@ -63,10 +62,9 @@ pub fn run() -> Table {
             queue: WaitModel::Constant { wait: queue_wait },
             mtbf: Some(mtbf),
             session_ttl: None,
-            device: None,
         };
-        let mut rng = StdRng::seed_from_u64(42);
-        let sim_per_failure = |strategy: &CheckpointStrategy, rng: &mut StdRng| -> f64 {
+        let mut rng = Xoshiro256::seed_from(42);
+        let sim_per_failure = |strategy: &CheckpointStrategy, rng: &mut Xoshiro256| -> f64 {
             let mut lost = 0.0;
             let mut interruptions = 0u64;
             for _ in 0..trials {
@@ -85,8 +83,6 @@ pub fn run() -> Table {
         let sim_none = sim_per_failure(&CheckpointStrategy::None, &mut rng);
         let yd = CheckpointStrategy::periodic(interval_steps, write_cost, restore_cost);
         let sim_yd = sim_per_failure(&yd, &mut rng);
-        // Keep the simulated means sane (mean_outcome also exercised).
-        let (_makespan, _eff, _aborts) = mean_outcome(&spec, &yd, &env, 3, &mut rng);
 
         table.row(vec![
             format!("{h:.2} h"),
@@ -97,8 +93,50 @@ pub fn run() -> Table {
             format!("{interval_steps} steps"),
         ]);
     }
-    table.note("lost work without checkpointing grows with MTBF up to the full run length; with Young–Daly it stays near τ*/2 + re-entry");
+    table.note(no_checkpoint_note(&table.rows));
+    table.note(young_daly_note(&table.rows));
     table
+}
+
+/// Column `column` of `rows`, read back as seconds.
+fn seconds(rows: &[Vec<String>], column: usize) -> Vec<f64> {
+    rows.iter().map(|r| cell_seconds(&r[column])).collect()
+}
+
+/// Whether the simulated no-checkpoint loss (column 2) rises with MTBF,
+/// read from the rows.
+fn no_checkpoint_note(rows: &[Vec<String>]) -> String {
+    let rises = seconds(rows, 2).windows(2).all(|w| w[0] <= w[1]);
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    format!(
+        "simulated lost work per interruption without checkpointing {} with MTBF \
+         at every step: {} at {}, {} at {}",
+        if rises { "rises" } else { "does not rise" },
+        first[2],
+        first[0],
+        last[2],
+        last[0]
+    )
+}
+
+/// The spread of the simulated Young–Daly loss (column 4), and how often
+/// it undercuts the no-checkpoint loss (column 2), read from the rows.
+fn young_daly_note(rows: &[Vec<String>]) -> String {
+    let (none, yd) = (seconds(rows, 2), seconds(rows, 4));
+    let cell = |pick: fn(f64, f64) -> f64| {
+        let at = yd
+            .iter()
+            .position(|&v| v == yd.iter().copied().fold(yd[0], pick));
+        &rows[at.expect("a row")][4]
+    };
+    let below = none.iter().zip(&yd).filter(|(n, y)| y < n).count();
+    format!(
+        "with Young–Daly checkpointing it stays between {} and {}, below the \
+         no-checkpoint loss at {below} of {} MTBFs",
+        cell(f64::min),
+        cell(f64::max),
+        rows.len()
+    )
 }
 
 #[cfg(test)]
@@ -110,9 +148,42 @@ mod tests {
         std::env::set_var("QCHECK_BENCH_QUICK", "1");
         let t = run();
         assert!(!t.rows.is_empty());
-        // Column 1 (model none) should exceed column 3 (model yd) at every
-        // MTBF — parse the human-readable values loosely by checking the
-        // table rendered at all.
         assert!(t.render().contains("R-F1"));
+        // The model loses more without checkpoints at every MTBF.
+        let (model_none, model_yd) = (seconds(&t.rows, 1), seconds(&t.rows, 3));
+        assert!(model_none.iter().zip(&model_yd).all(|(n, y)| n > y));
+    }
+
+    #[test]
+    fn notes_agree_with_rows() {
+        std::env::set_var("QCHECK_BENCH_QUICK", "1");
+        let t = run();
+        let none = seconds(&t.rows, 2);
+        let rises = none.windows(2).all(|w| w[0] <= w[1]);
+        assert_eq!(
+            t.notes[0].contains(" rises with MTBF"),
+            rises,
+            "{}",
+            t.notes[0]
+        );
+        let last = &t.rows[t.rows.len() - 1];
+        assert!(t.notes[0].ends_with(&format!("{} at {}", last[2], last[0])));
+        // The Young–Daly note names the column's extremes and counts the
+        // rows where it undercuts the no-checkpoint loss.
+        let yd = seconds(&t.rows, 4);
+        let cell_of = |v: f64| &t.rows[yd.iter().position(|&y| y == v).unwrap()][4];
+        let lo = cell_of(yd.iter().copied().fold(f64::INFINITY, f64::min));
+        let hi = cell_of(yd.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        assert!(
+            t.notes[1].contains(&format!("between {lo} and {hi},")),
+            "{}",
+            t.notes[1]
+        );
+        let below = none.iter().zip(&yd).filter(|(n, y)| y < n).count();
+        assert!(
+            t.notes[1].ends_with(&format!("at {below} of {} MTBFs", t.rows.len())),
+            "{}",
+            t.notes[1]
+        );
     }
 }

@@ -15,8 +15,7 @@ use qcheck::{Checkpointer, EveryKSteps};
 use qhw::client::{mean_outcome, CheckpointStrategy, Environment, JobSpec};
 use qhw::event::{HOUR, MINUTE, SECOND};
 use qhw::queue::WaitModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qsim::rng::Xoshiro256;
 
 use crate::report::{quick_mode, scratch_dir, Table};
 use crate::workloads::vqe_tfim_trainer_spsa;
@@ -57,7 +56,6 @@ pub fn run() -> Table {
         queue: WaitModel::Constant { wait: 5 * MINUTE },
         mtbf: Some(mtbf),
         session_ttl: None,
-        device: None,
     };
     let restore = 5 * SECOND;
     let tau_star = math::young_daly_interval(write_cost as f64, mtbf as f64);
@@ -78,7 +76,7 @@ pub fn run() -> Table {
         ),
         &["interval-steps", "tau/tau*", "model-overhead-%", "sim-overhead-%"],
     );
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Xoshiro256::seed_from(7);
     for m in multipliers {
         let interval = ((opt_steps as f64 * m).round() as u64).max(1);
         let tau = (interval * spec.step_cost) as f64;

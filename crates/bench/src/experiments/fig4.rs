@@ -10,10 +10,9 @@ use qcheck::snapshot::Checkpointable;
 use qhw::client::{mean_outcome, CheckpointStrategy, Environment, JobSpec};
 use qhw::event::{HOUR, SECOND};
 use qhw::queue::WaitModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qsim::rng::Xoshiro256;
 
-use crate::report::{human_seconds, quick_mode, scratch_dir, Table};
+use crate::report::{cell_seconds, human_seconds, quick_mode, scratch_dir, Table};
 use crate::workloads::{median_ms, time_ms, vqe_tfim_trainer_spsa};
 
 /// Measures (full, delta) commit costs in ms on a real training snapshot
@@ -67,7 +66,7 @@ pub fn run() -> Table {
         ),
         &["mtbf", "none", "full-ckpt", "incremental", "none/incr"],
     );
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Xoshiro256::seed_from(99);
     for &h in &mtbf_hours {
         let mtbf = (h * HOUR as f64) as u64;
         let env = Environment {
@@ -77,7 +76,6 @@ pub fn run() -> Table {
             },
             mtbf: Some(mtbf),
             session_ttl: None,
-            device: None,
         };
         // Young–Daly intervals per strategy cost.
         let interval = |cost: u64| -> u64 {
@@ -108,9 +106,55 @@ pub fn run() -> Table {
             format!("{:.1}x", none_ms / incr_mk),
         ]);
     }
-    table.note("no-checkpoint makespan grows super-linearly as MTBF shrinks below the job length (memoryless restart)");
-    table.note("incremental ≥ full: cheaper writes permit shorter Young–Daly intervals, shrinking rework; restore pays a small chain penalty");
+    table.note(no_checkpoint_note(&table.rows));
+    table.note(incremental_note(&table.rows));
     table
+}
+
+/// MTBF labels (column 0) of `rows`, or "none".
+fn mtbfs(rows: &[&Vec<String>]) -> String {
+    let at: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+    if at.is_empty() {
+        "none".to_string()
+    } else {
+        at.join(", ")
+    }
+}
+
+/// Whether the no-checkpoint makespan (column 1) grows as MTBF shrinks
+/// over the rows where no trial hit the interruption cap, and which rows
+/// did; read from the rows.
+fn no_checkpoint_note(rows: &[Vec<String>]) -> String {
+    let (capped, finished): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r[1].contains("aborts"));
+    let makespan: Vec<f64> = finished.iter().map(|r| cell_seconds(&r[1])).collect();
+    let grows = makespan.windows(2).all(|w| w[0] >= w[1]);
+    format!(
+        "where every trial finishes ({}), the no-checkpoint makespan {} as MTBF shrinks; \
+         trials hit the interruption cap at {}",
+        mtbfs(&finished),
+        if grows {
+            "grows at every step"
+        } else {
+            "does not grow at every step"
+        },
+        mtbfs(&capped)
+    )
+}
+
+/// Where incremental checkpointing (column 3) finishes before full
+/// checkpointing (column 2), read from the rows.
+fn incremental_note(rows: &[Vec<String>]) -> String {
+    let (ahead, behind): (Vec<_>, Vec<_>) = rows
+        .iter()
+        .partition(|r| cell_seconds(&r[3]) < cell_seconds(&r[2]));
+    format!(
+        "incremental (cheaper writes, shorter Young–Daly interval, costlier restore) finishes \
+         before full at {} of {} MTBFs ({}); full is level or ahead at {}",
+        ahead.len(),
+        rows.len(),
+        mtbfs(&ahead),
+        mtbfs(&behind)
+    )
 }
 
 #[cfg(test)]
@@ -137,5 +181,49 @@ mod tests {
             .parse()
             .unwrap();
         assert!(speedup >= 1.0, "speedup {speedup}");
+    }
+
+    #[test]
+    fn notes_agree_with_rows() {
+        std::env::set_var("QCHECK_BENCH_QUICK", "1");
+        let t = run();
+        let finished: Vec<f64> = t
+            .rows
+            .iter()
+            .filter(|r| !r[1].contains("aborts"))
+            .map(|r| cell_seconds(&r[1]))
+            .collect();
+        let grows = finished.windows(2).all(|w| w[0] >= w[1]);
+        assert_eq!(
+            t.notes[0].contains(" grows at every step"),
+            grows,
+            "{}",
+            t.notes[0]
+        );
+        let capped = t.rows.iter().any(|r| r[1].contains("aborts"));
+        assert_eq!(
+            t.notes[0].ends_with("cap at none"),
+            !capped,
+            "{}",
+            t.notes[0]
+        );
+        let ahead: Vec<&str> = t
+            .rows
+            .iter()
+            .filter(|r| cell_seconds(&r[3]) < cell_seconds(&r[2]))
+            .map(|r| r[0].as_str())
+            .collect();
+        assert!(
+            t.notes[1].contains(&format!("at {} of {} MTBFs", ahead.len(), t.rows.len())),
+            "{}",
+            t.notes[1]
+        );
+        if !ahead.is_empty() {
+            assert!(
+                t.notes[1].contains(&format!("({})", ahead.join(", "))),
+                "{}",
+                t.notes[1]
+            );
+        }
     }
 }

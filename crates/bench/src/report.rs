@@ -121,6 +121,29 @@ pub fn human_seconds(s: f64) -> String {
     }
 }
 
+/// Reads a [`human_seconds`] cell back as seconds, so a note can be
+/// computed from the rows it sits under. A leading `>` and a trailing
+/// ` (…)` remark are ignored.
+///
+/// # Panics
+///
+/// Panics on a cell [`human_seconds`] did not write.
+pub fn cell_seconds(cell: &str) -> f64 {
+    let cell = cell.trim_start_matches('>');
+    let cell = cell.split(" (").next().unwrap_or(cell);
+    let (value, unit) = cell.split_once(' ').expect("a `<value> <unit>` cell");
+    let value: f64 = value.parse().expect("a numeric duration");
+    value
+        * match unit {
+            "µs" => 1e-6,
+            "ms" => 1e-3,
+            "s" => 1.0,
+            "min" => 60.0,
+            "h" => 3600.0,
+            _ => panic!("unknown duration unit in {cell:?}"),
+        }
+}
+
 /// Is the harness in quick mode? (`QCHECK_BENCH_QUICK=1` shrinks sweeps for
 /// CI smoke runs.)
 pub fn quick_mode() -> bool {
@@ -179,6 +202,15 @@ mod tests {
         assert!(human_seconds(5.0).contains("s"));
         assert!(human_seconds(600.0).contains("min"));
         assert!(human_seconds(10_000.0).contains("h"));
+    }
+
+    #[test]
+    fn seconds_cells_read_back() {
+        for s in [0.0000005, 0.005, 5.0, 600.0, 10_000.0] {
+            let back = cell_seconds(&human_seconds(s));
+            assert!((back / s - 1.0).abs() < 1e-3, "{s} read back as {back}");
+        }
+        assert_eq!(cell_seconds(">2.50 h (aborts 3/6)"), 9000.0);
     }
 
     #[test]

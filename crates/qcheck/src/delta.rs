@@ -154,11 +154,6 @@ impl BlockPatch {
         })
     }
 
-    /// Bytes of changed payload carried by this patch.
-    pub fn changed_bytes(&self) -> usize {
-        self.blocks.iter().map(|(_, b)| b.len()).sum()
-    }
-
     /// Number of changed blocks.
     pub fn changed_blocks(&self) -> usize {
         self.blocks.len()

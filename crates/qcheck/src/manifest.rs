@@ -33,10 +33,25 @@ const MIN_SECTION_LEN: usize = 1 + 1 + 1 + 8 + 8 + 32 + 1;
 
 /// Identifier of a checkpoint, also its manifest file stem.
 ///
-/// Shape: `ckpt-{step:010}-{seq:06}`; ordering by string equals ordering by
-/// `(step, seq)`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// Shape: `ckpt-{step:010}-{seq:06}`. Ids order by `seq` — the commit
+/// order, since a save takes its seq from the manifest log — and then by
+/// string, so "newest" means last committed even when a run's step goes
+/// backwards. A string without a seq orders by string, before every id
+/// that has one.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CheckpointId(pub String);
+
+impl Ord for CheckpointId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (Self::seq_of(&self.0), &self.0).cmp(&(Self::seq_of(&other.0), &other.0))
+    }
+}
+
+impl PartialOrd for CheckpointId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl CheckpointId {
     /// Builds an id from a step and a per-repo sequence number.

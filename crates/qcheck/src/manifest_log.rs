@@ -752,7 +752,8 @@ impl ManifestLog {
 
     /// Rewrites the live state into the next epoch's log — live manifests,
     /// tombstones when `keep_tombstones` (the durable delete intent a
-    /// shared backend reconciles its mirror from), the latest pointer —
+    /// shared backend reconciles its mirror from; otherwise only the newest,
+    /// when it holds the seq high-water mark), the latest pointer —
     /// staged under `staging` and renamed in (the one rename retention
     /// pays); the root flips to the new epoch and older logs are deleted.
     ///
@@ -766,7 +767,17 @@ impl ManifestLog {
         let st = &self.state;
         let epoch = st.epoch + 1;
         let puts = st.manifests.iter();
-        let deletes = st.tombstones.iter().filter(|_| keep_tombstones);
+        // A dropped tombstone set keeps its newest member when that is above
+        // every live id: it carries the seq high-water mark, so `next_seq`
+        // never falls back and no id is handed out twice.
+        let high_water = st
+            .tombstones
+            .last()
+            .filter(|t| st.manifests.keys().next_back().is_none_or(|live| *t > live));
+        let deletes = st
+            .tombstones
+            .iter()
+            .filter(|t| keep_tombstones || Some(*t) == high_water);
         let records = puts
             .map(|(id, m)| (RecordKind::ManifestPut, id, m.encode()))
             .chain(deletes.map(|id| (RecordKind::ManifestDelete, id, Vec::new())))

@@ -1386,7 +1386,8 @@ impl CheckpointRepo {
     /// Compacts the manifest log ([`ManifestLog::compact`]) when replay
     /// cost has outgrown the live state (record count > 2× live +
     /// tombstones + slack). Tombstones survive on a shared backend, whose
-    /// mirror reconciliation needs them, and are dropped on a local one.
+    /// mirror reconciliation needs them; a local one keeps only the one
+    /// that holds the seq high-water mark.
     fn maybe_compact(&self) -> Result<()> {
         self.with_log(|log| {
             let st = log.state();
@@ -1893,6 +1894,51 @@ mod tests {
         assert_eq!(repo.list_ids().unwrap().len(), 2);
         let (snap, _) = repo.recover().unwrap();
         assert_eq!(snap.step, 4);
+    }
+
+    /// Ids order by commit, not by step: when a run's step goes backwards
+    /// the last save is still the one `recover` restores and retention
+    /// keeps.
+    #[test]
+    fn a_step_that_goes_backwards_is_still_the_newest_save() {
+        let (_t, repo) = TempRepo::new();
+        for step in [10, 20, 15] {
+            repo.save(
+                &snapshot_at(step, vec![step as f64; 100]),
+                &SaveOptions::default(),
+            )
+            .unwrap();
+        }
+        let last = CheckpointId::new(15, 2);
+        assert_eq!(repo.read_latest().unwrap(), Some(last.clone()));
+        let (snap, report) = repo.recover().unwrap();
+        assert_eq!(snap.step, 15);
+        assert_eq!(report.recovered, Some(last.clone()));
+        repo.apply_retention(Retention::KeepLast(1)).unwrap();
+        assert_eq!(repo.list_ids().unwrap(), std::slice::from_ref(&last));
+        assert_eq!(repo.read_latest().unwrap(), Some(last.clone()));
+        assert_eq!(repo.load(&last).unwrap(), snapshot_at(15, vec![15.0; 100]));
+    }
+
+    /// Compacting a log whose every id was retired keeps the seq
+    /// high-water mark: the next save gets a seq no id ever had.
+    #[test]
+    fn compaction_never_hands_a_seq_out_twice() {
+        let (_t, repo) = TempRepo::new();
+        for step in 0..20u64 {
+            repo.save(&snapshot_at(step, vec![0.5; 100]), &SaveOptions::default())
+                .unwrap();
+        }
+        repo.apply_retention(Retention::KeepLast(0)).unwrap();
+        assert_eq!(
+            repo.with_state(|st| st.epoch).unwrap(),
+            1,
+            "the log compacted"
+        );
+        let report = repo
+            .save(&snapshot_at(21, vec![0.5; 100]), &SaveOptions::default())
+            .unwrap();
+        assert_eq!(report.id, CheckpointId::new(21, 20));
     }
 
     #[test]

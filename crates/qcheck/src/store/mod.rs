@@ -121,13 +121,6 @@ pub struct BatchPutReport {
     pub fsyncs: u64,
 }
 
-impl BatchPutReport {
-    /// Number of objects physically written.
-    pub fn fresh_count(&self) -> usize {
-        self.fresh.iter().filter(|f| **f).count()
-    }
-}
-
 /// A content-addressed object store.
 ///
 /// Writes are idempotent (an object that exists is never rewritten — that

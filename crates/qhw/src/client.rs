@@ -11,7 +11,7 @@
 //! the real `qcheck` implementation and feeds them in, so only the waiting
 //! is simulated (see the root README, "Evaluation", substitutions).
 
-use rand::Rng;
+use qsim::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
 
 use crate::event::SimTime;
@@ -69,9 +69,6 @@ pub struct Environment {
     pub mtbf: Option<SimTime>,
     /// Session time-to-live (preemption); `None` = unlimited sessions.
     pub session_ttl: Option<SimTime>,
-    /// Device calibration/maintenance model; sessions cannot start during a
-    /// maintenance window and are evicted when one opens.
-    pub device: Option<crate::device::DeviceModel>,
 }
 
 /// Outcome of one simulated run.
@@ -111,19 +108,19 @@ impl RunOutcome {
 /// Hard cap on interruptions before declaring the run unfinishable.
 const MAX_INTERRUPTIONS: u64 = 200_000;
 
-fn sample_exp<R: Rng>(mean: SimTime, rng: &mut R) -> SimTime {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+fn sample_exp(mean: SimTime, rng: &mut Xoshiro256) -> SimTime {
+    let u = rng.uniform(f64::MIN_POSITIVE, 1.0);
     (-(mean as f64) * u.ln()).clamp(1.0, 1e16) as SimTime
 }
 
 /// Simulates one run of `spec` under `strategy` in `env`.
 ///
 /// Deterministic given the RNG state.
-pub fn simulate_run<R: Rng>(
+pub fn simulate_run(
     spec: &JobSpec,
     strategy: &CheckpointStrategy,
     env: &Environment,
-    rng: &mut R,
+    rng: &mut Xoshiro256,
 ) -> RunOutcome {
     let mut out = RunOutcome::default();
     let mut now: SimTime = 0;
@@ -137,13 +134,6 @@ pub fn simulate_run<R: Rng>(
         now += wait;
         out.queue_time += wait;
 
-        // The session cannot start inside a maintenance window.
-        if let Some(device) = &env.device {
-            let available = device.next_available(now);
-            out.queue_time += available - now;
-            now = available;
-        }
-
         // Pay restore cost when resuming from a checkpoint.
         if !first_session {
             if let CheckpointStrategy::Periodic { restore_cost, .. } = strategy {
@@ -155,20 +145,14 @@ pub fn simulate_run<R: Rng>(
         }
         first_session = false;
 
-        // How long does this session last? Failures, TTL preemption and
-        // maintenance eviction all cap it; the earliest wins.
+        // How long does this session last? A failure and TTL preemption
+        // both cap it; the earlier wins.
         let failure_in = env.mtbf.map(|m| sample_exp(m, rng));
-        let session_len = match (failure_in, env.session_ttl) {
-            (Some(f), Some(ttl)) => Some(f.min(ttl)),
-            (Some(f), None) => Some(f),
-            (None, Some(ttl)) => Some(ttl),
-            (None, None) => None,
-        };
-        let mut session_end = session_len.map(|l| now + l);
-        if let Some(device) = &env.device {
-            let eviction = device.next_maintenance_start(now);
-            session_end = Some(session_end.map_or(eviction, |e| e.min(eviction)));
-        }
+        let session_end = failure_in
+            .into_iter()
+            .chain(env.session_ttl)
+            .min()
+            .map(|len| now + len);
 
         // Run steps within the session.
         let mut in_session_steps = persisted_steps;
@@ -238,12 +222,12 @@ pub fn simulate_run<R: Rng>(
 }
 
 /// Averages `trials` runs (mean makespan, mean efficiency, abort count).
-pub fn mean_outcome<R: Rng>(
+pub fn mean_outcome(
     spec: &JobSpec,
     strategy: &CheckpointStrategy,
     env: &Environment,
     trials: u32,
-    rng: &mut R,
+    rng: &mut Xoshiro256,
 ) -> (f64, f64, u32) {
     assert!(trials > 0, "need at least one trial");
     let mut makespan = 0.0;
@@ -264,8 +248,6 @@ pub fn mean_outcome<R: Rng>(
 mod tests {
     use super::*;
     use crate::event::{MINUTE, SECOND};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -280,9 +262,8 @@ mod tests {
             queue: WaitModel::Constant { wait: 10 * SECOND },
             mtbf: None,
             session_ttl: None,
-            device: None,
         };
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256::seed_from(1);
         let o = simulate_run(&spec(), &CheckpointStrategy::None, &env, &mut rng);
         assert_eq!(o.makespan, 10 * SECOND + 100 * SECOND);
         assert_eq!(o.useful_work, 100 * SECOND);
@@ -297,10 +278,9 @@ mod tests {
             queue: WaitModel::Constant { wait: 0 },
             mtbf: None,
             session_ttl: None,
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(10, SECOND / 2, 2 * SECOND);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Xoshiro256::seed_from(2);
         let o = simulate_run(&spec(), &strategy, &env, &mut rng);
         assert_eq!(o.checkpoints_written, 10);
         assert_eq!(o.checkpoint_overhead, 10 * (SECOND / 2));
@@ -313,9 +293,8 @@ mod tests {
             queue: WaitModel::Constant { wait: 30 * SECOND },
             mtbf: Some(40 * SECOND),
             session_ttl: None,
-            device: None,
         };
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Xoshiro256::seed_from(3);
         let strategy = CheckpointStrategy::periodic(5, SECOND / 10, SECOND);
         let (with_ckpt, _, a1) = mean_outcome(&spec(), &strategy, &env, 40, &mut rng);
         let (without, _, a2) = mean_outcome(&spec(), &CheckpointStrategy::None, &env, 40, &mut rng);
@@ -336,9 +315,8 @@ mod tests {
             queue: WaitModel::Constant { wait: 0 },
             mtbf: None,
             session_ttl: Some(50 * SECOND),
-            device: None,
         };
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Xoshiro256::seed_from(4);
         let o = simulate_run(&spec(), &CheckpointStrategy::None, &env, &mut rng);
         assert!(o.aborted, "must abort: sessions too short to ever finish");
 
@@ -355,10 +333,9 @@ mod tests {
             queue: WaitModel::Constant { wait: SECOND },
             mtbf: Some(20 * SECOND),
             session_ttl: None,
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(5, 0, 0);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Xoshiro256::seed_from(5);
         let o = simulate_run(&spec(), &strategy, &env, &mut rng);
         assert!(!o.aborted);
         // Every interruption loses < interval of work.
@@ -376,10 +353,9 @@ mod tests {
             queue: WaitModel::Constant { wait: 10 * MINUTE },
             mtbf: Some(30 * SECOND),
             session_ttl: None,
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(1, 0, 0);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Xoshiro256::seed_from(6);
         let o = simulate_run(&spec(), &strategy, &env, &mut rng);
         assert!(!o.aborted);
         assert!(o.queue_time > o.useful_work);
@@ -395,11 +371,10 @@ mod tests {
             },
             mtbf: Some(90 * SECOND),
             session_ttl: Some(5 * MINUTE),
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(7, SECOND / 4, SECOND);
-        let o1 = simulate_run(&spec(), &strategy, &env, &mut StdRng::seed_from_u64(7));
-        let o2 = simulate_run(&spec(), &strategy, &env, &mut StdRng::seed_from_u64(7));
+        let o1 = simulate_run(&spec(), &strategy, &env, &mut Xoshiro256::seed_from(7));
+        let o2 = simulate_run(&spec(), &strategy, &env, &mut Xoshiro256::seed_from(7));
         assert_eq!(o1, o2);
     }
 
@@ -409,9 +384,8 @@ mod tests {
             queue: WaitModel::Constant { wait: 0 },
             mtbf: None,
             session_ttl: None,
-            device: None,
         };
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Xoshiro256::seed_from(8);
         let o = simulate_run(&spec(), &CheckpointStrategy::None, &env, &mut rng);
         assert!((o.efficiency() - 1.0).abs() < 1e-12);
     }
@@ -420,44 +394,5 @@ mod tests {
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_rejected() {
         CheckpointStrategy::periodic(0, 1, 1);
-    }
-
-    #[test]
-    fn maintenance_window_evicts_and_delays_sessions() {
-        use crate::device::DeviceModel;
-        use crate::event::HOUR;
-        // Job longer than one calibration cycle: it must be evicted at the
-        // maintenance window and resume afterwards.
-        let device = DeviceModel {
-            base_error: 0.03,
-            drift_per_hour: 0.0,
-            jitter_per_hour: 0.0,
-            calibration_period: 2 * HOUR,
-            maintenance_len: HOUR / 2,
-        };
-        let spec = JobSpec {
-            total_steps: 3 * 3600, // 3 h of work at 1 s/step
-            step_cost: SECOND,
-        };
-        let env = Environment {
-            queue: WaitModel::Constant { wait: 0 },
-            mtbf: None,
-            session_ttl: None,
-            device: Some(device),
-        };
-        let strategy = CheckpointStrategy::periodic(60, 0, 0);
-        let mut rng = StdRng::seed_from_u64(9);
-        let o = simulate_run(&spec, &strategy, &env, &mut rng);
-        assert!(!o.aborted);
-        // At least one eviction (work spans ≥ 2 windows).
-        assert!(o.interruptions >= 1, "{} interruptions", o.interruptions);
-        // Makespan covers the work plus at least one 30-min window.
-        assert!(o.makespan >= 3 * HOUR + HOUR / 2);
-        // Without checkpointing the job cannot cross the window.
-        let o2 = simulate_run(&spec, &CheckpointStrategy::None, &env, &mut rng);
-        assert!(
-            o2.aborted,
-            "no-ckpt job should never finish across maintenance"
-        );
     }
 }

@@ -1,11 +1,7 @@
-//! Discrete-event simulation core.
+//! Simulation time.
 //!
-//! A minimal, deterministic DES kernel: an integer microsecond clock (no
-//! floats in the clock — reproducibility again) and a priority queue of
-//! timestamped events with FIFO tie-breaking.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! An integer microsecond clock (no floats in the clock — reproducibility
+//! again) and the units the replay and its callers count in.
 
 /// Simulation time in microseconds.
 pub type SimTime = u64;
@@ -21,117 +17,9 @@ pub const MINUTE: SimTime = 60 * SECOND;
 /// One hour in simulation time.
 pub const HOUR: SimTime = 60 * MINUTE;
 
-/// A deterministic event queue ordered by `(time, insertion order)`.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules an event at an absolute time.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, event }));
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(s)| (s.time, s.event))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(30, "c");
-        q.schedule(10, "a");
-        q.schedule(20, "b");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.pop(), Some((30, "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule(5, "first");
-        q.schedule(5, "second");
-        q.schedule(5, "third");
-        assert_eq!(q.pop(), Some((5, "first")));
-        assert_eq!(q.pop(), Some((5, "second")));
-        assert_eq!(q.pop(), Some((5, "third")));
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(7, 1);
-        q.schedule(3, 2);
-        assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.len(), 2);
-    }
 
     #[test]
     fn time_constants() {

@@ -1,11 +1,12 @@
 //! # qhw — simulated NISQ cloud execution
 //!
-//! The hardware substrate the reproduction does not have: a discrete-event
-//! model of running hybrid training jobs on shared cloud quantum devices.
-//! It captures the three phenomena the paper's motivation rests on —
-//! heavy-tailed **queue waits**, Poisson **failures** / session
-//! **preemptions**, and **calibration cycles** — and replays an N-step
-//! training job against them with or without checkpointing.
+//! The hardware substrate the reproduction does not have: a replay of a
+//! hybrid training job on a shared cloud quantum device. It captures the
+//! two phenomena the paper's motivation rests on — heavy-tailed **queue
+//! waits** and Poisson **failures** / session **preemptions** — and
+//! replays an N-step training job against them with or without
+//! checkpointing. Every draw comes from [`qsim::rng::Xoshiro256`], so a
+//! replay is deterministic given its seed.
 //!
 //! Checkpoint write/restore costs are inputs (measured on the real
 //! [`qcheck`](https://docs.rs) implementation by the benchmark harness);
@@ -15,17 +16,15 @@
 //! use qhw::client::{simulate_run, CheckpointStrategy, Environment, JobSpec};
 //! use qhw::event::SECOND;
 //! use qhw::queue::WaitModel;
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
+//! use qsim::rng::Xoshiro256;
 //!
 //! let spec = JobSpec { total_steps: 50, step_cost: SECOND };
 //! let env = Environment {
 //!     queue: WaitModel::Constant { wait: 10 * SECOND },
 //!     mtbf: Some(60 * SECOND),
 //!     session_ttl: None,
-//!     device: None,
 //! };
-//! let mut rng = StdRng::seed_from_u64(1);
+//! let mut rng = Xoshiro256::seed_from(1);
 //! let outcome = simulate_run(
 //!     &spec,
 //!     &CheckpointStrategy::periodic(5, SECOND / 10, SECOND),
@@ -39,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod device;
 pub mod event;
 pub mod queue;
 
 pub use client::{
     mean_outcome, simulate_run, CheckpointStrategy, Environment, JobSpec, RunOutcome,
 };
-pub use device::DeviceModel;
 pub use event::{SimTime, HOUR, MICRO, MILLIS, MINUTE, SECOND};
-pub use queue::{FifoQueueSim, WaitModel};
+pub use queue::WaitModel;

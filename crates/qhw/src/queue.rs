@@ -1,15 +1,13 @@
 //! Job-queue wait models.
 //!
 //! On shared cloud QPUs the dominant cost of losing a session is *getting
-//! back in line*. Two models are provided: an analytic log-normal sampler
-//! (queue waits on public devices are famously heavy-tailed) and an
-//! emergent FIFO queue driven by the DES core, where waits arise from
-//! Poisson background load. The evaluation uses the log-normal model for
-//! parameter sweeps and the FIFO simulation to sanity-check its shape.
+//! back in line*. A wait is either constant (unit tests, controlled
+//! sweeps) or drawn from a log-normal distribution, since queue waits on
+//! public devices are famously heavy-tailed.
 
-use rand::Rng;
+use qsim::rng::Xoshiro256;
 
-use crate::event::{EventQueue, SimTime};
+use crate::event::SimTime;
 
 /// Analytic wait-time models.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,16 +28,12 @@ pub enum WaitModel {
 
 impl WaitModel {
     /// Samples one queue wait.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> SimTime {
+    pub fn sample(&self, rng: &mut Xoshiro256) -> SimTime {
         match *self {
             WaitModel::Constant { wait } => wait,
             WaitModel::LogNormal { median_s, sigma } => {
-                // ln W ~ Normal(ln median, sigma); Box–Muller from two
-                // uniforms keeps us independent of distribution crates'
-                // internals.
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                // ln W ~ Normal(ln median, sigma).
+                let z = rng.next_gaussian();
                 let wait_s = (median_s.max(1e-9).ln() + sigma * z).exp();
                 // Clamp to [1 µs, 30 days] to keep sweeps finite.
                 let us = (wait_s * 1e6).clamp(1.0, 30.0 * 24.0 * 3600.0 * 1e6);
@@ -59,123 +53,14 @@ impl WaitModel {
     }
 }
 
-/// An M/M/1-style FIFO queue simulated with the DES core: background jobs
-/// arrive Poisson(λ) and take exponential service times; probes measure the
-/// wait a training job would experience.
-#[derive(Debug)]
-pub struct FifoQueueSim {
-    /// Mean background inter-arrival time.
-    pub mean_interarrival: SimTime,
-    /// Mean background service time.
-    pub mean_service: SimTime,
-}
-
-/// Internal DES events for the FIFO simulation.
-#[derive(Debug)]
-enum QueueEvent {
-    Arrival,
-    Departure,
-}
-
-impl FifoQueueSim {
-    /// Creates a queue model; utilization is
-    /// `mean_service / mean_interarrival`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero parameters or utilization ≥ 1 (unstable queue).
-    pub fn new(mean_interarrival: SimTime, mean_service: SimTime) -> Self {
-        assert!(mean_interarrival > 0 && mean_service > 0, "zero rates");
-        assert!(
-            mean_service < mean_interarrival,
-            "utilization ≥ 1: queue diverges"
-        );
-        FifoQueueSim {
-            mean_interarrival,
-            mean_service,
-        }
-    }
-
-    /// Offered load ρ = service / interarrival.
-    pub fn utilization(&self) -> f64 {
-        self.mean_service as f64 / self.mean_interarrival as f64
-    }
-
-    fn sample_exp<R: Rng>(mean: SimTime, rng: &mut R) -> SimTime {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let x = -(mean as f64) * u.ln();
-        x.clamp(1.0, 1e15) as SimTime
-    }
-
-    /// Simulates `horizon` of queue activity and returns the waits that
-    /// probe submissions (one every `probe_every`) would have observed.
-    pub fn probe_waits<R: Rng>(
-        &self,
-        horizon: SimTime,
-        probe_every: SimTime,
-        rng: &mut R,
-    ) -> Vec<SimTime> {
-        let mut events: EventQueue<QueueEvent> = EventQueue::new();
-        events.schedule(
-            Self::sample_exp(self.mean_interarrival, rng),
-            QueueEvent::Arrival,
-        );
-        let mut backlog: Vec<SimTime> = Vec::new(); // remaining service times queued
-        let mut server_free_at: SimTime = 0;
-        let mut waits = Vec::new();
-        let mut next_probe = probe_every;
-        let mut now: SimTime = 0;
-
-        while let Some((t, ev)) = events.pop() {
-            if t > horizon {
-                break;
-            }
-            now = t;
-            // Emit probes for the interval just passed.
-            while next_probe <= now {
-                let wait =
-                    server_free_at.saturating_sub(next_probe) + backlog.iter().sum::<SimTime>();
-                waits.push(wait);
-                next_probe += probe_every;
-            }
-            match ev {
-                QueueEvent::Arrival => {
-                    let service = Self::sample_exp(self.mean_service, rng);
-                    if server_free_at <= now && backlog.is_empty() {
-                        server_free_at = now + service;
-                        events.schedule(server_free_at, QueueEvent::Departure);
-                    } else {
-                        backlog.push(service);
-                    }
-                    events.schedule(
-                        now + Self::sample_exp(self.mean_interarrival, rng),
-                        QueueEvent::Arrival,
-                    );
-                }
-                QueueEvent::Departure => {
-                    if !backlog.is_empty() {
-                        let service = backlog.remove(0);
-                        server_free_at = now.max(server_free_at) + service;
-                        events.schedule(server_free_at, QueueEvent::Departure);
-                    }
-                }
-            }
-        }
-        let _ = now;
-        waits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::SECOND;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_model_is_constant() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256::seed_from(1);
         let m = WaitModel::Constant { wait: 42 * SECOND };
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 42 * SECOND);
@@ -185,7 +70,7 @@ mod tests {
 
     #[test]
     fn lognormal_median_is_respected() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Xoshiro256::seed_from(2);
         let m = WaitModel::LogNormal {
             median_s: 300.0,
             sigma: 1.0,
@@ -201,7 +86,7 @@ mod tests {
 
     #[test]
     fn lognormal_is_heavy_tailed() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Xoshiro256::seed_from(3);
         let m = WaitModel::LogNormal {
             median_s: 60.0,
             sigma: 1.5,
@@ -218,37 +103,5 @@ mod tests {
         assert!(mean > 1.8 * median, "mean {mean} median {median}");
         // Analytic mean: 60·e^{1.125} ≈ 184.8 s.
         assert!((m.mean_us() / 1e6 - 60.0 * (1.125f64).exp()).abs() < 1.0);
-    }
-
-    #[test]
-    fn fifo_waits_grow_with_utilization() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let light = FifoQueueSim::new(10 * SECOND, 2 * SECOND);
-        let heavy = FifoQueueSim::new(10 * SECOND, 9 * SECOND);
-        let horizon = 3600 * SECOND;
-        let wl = light.probe_waits(horizon, 30 * SECOND, &mut rng);
-        let wh = heavy.probe_waits(horizon, 30 * SECOND, &mut rng);
-        let mean = |xs: &[SimTime]| xs.iter().sum::<SimTime>() as f64 / xs.len().max(1) as f64;
-        assert!(
-            mean(&wh) > 3.0 * mean(&wl),
-            "heavy {} vs light {}",
-            mean(&wh),
-            mean(&wl)
-        );
-        assert!((light.utilization() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "utilization")]
-    fn unstable_queue_rejected() {
-        FifoQueueSim::new(5 * SECOND, 6 * SECOND);
-    }
-
-    #[test]
-    fn probes_are_emitted() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let q = FifoQueueSim::new(10 * SECOND, 5 * SECOND);
-        let waits = q.probe_waits(1000 * SECOND, 10 * SECOND, &mut rng);
-        assert!(waits.len() > 50, "{} probes", waits.len());
     }
 }

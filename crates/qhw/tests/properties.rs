@@ -1,39 +1,14 @@
 //! Property-based tests for the cloud-execution simulator.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use qhw::client::{simulate_run, CheckpointStrategy, Environment, JobSpec};
-use qhw::event::{EventQueue, SECOND};
+use qhw::event::SECOND;
 use qhw::queue::WaitModel;
+use qsim::rng::Xoshiro256;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Events always pop in non-decreasing time order, with FIFO ties.
-    #[test]
-    fn event_queue_is_stably_ordered(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut prev_time = 0u64;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        let mut last_time = None;
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t >= prev_time);
-            if last_time == Some(t) {
-                // FIFO within a timestamp: indices ascend.
-                prop_assert!(seen_at_time.last().copied().unwrap() < idx);
-                seen_at_time.push(idx);
-            } else {
-                seen_at_time = vec![idx];
-                last_time = Some(t);
-            }
-            prev_time = t;
-        }
-    }
 
     /// The run-outcome time accounting balances: the makespan covers queue
     /// time, persisted work, lost work, checkpoint and restore overheads
@@ -55,10 +30,9 @@ proptest! {
             queue: WaitModel::Constant { wait: wait_s * SECOND },
             mtbf: Some(mtbf_s * SECOND),
             session_ttl: None,
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(interval, SECOND / 10, SECOND / 2);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from(seed);
         let o = simulate_run(&spec, &strategy, &env, &mut rng);
         if o.aborted {
             return Ok(());
@@ -100,10 +74,9 @@ proptest! {
             queue: WaitModel::Constant { wait: SECOND },
             mtbf: Some(mtbf_s * SECOND),
             session_ttl: None,
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(5, 0, 0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from(seed);
         let o = simulate_run(&spec, &strategy, &env, &mut rng);
         prop_assert!(o.aborted || o.makespan >= total_steps * SECOND + SECOND);
     }
@@ -113,7 +86,7 @@ proptest! {
     #[test]
     fn lognormal_waits_are_sane(seed in any::<u64>(), median in 1.0f64..10_000.0, sigma in 0.0f64..3.0) {
         let m = WaitModel::LogNormal { median_s: median, sigma };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from(seed);
         for _ in 0..50 {
             let w = m.sample(&mut rng);
             prop_assert!(w >= 1);
@@ -132,11 +105,10 @@ proptest! {
             queue: WaitModel::LogNormal { median_s: 30.0, sigma: 1.0 },
             mtbf: Some(40 * SECOND),
             session_ttl: Some(120 * SECOND),
-            device: None,
         };
         let strategy = CheckpointStrategy::periodic(7, SECOND / 4, SECOND);
-        let a = simulate_run(&spec, &strategy, &env, &mut StdRng::seed_from_u64(seed));
-        let b = simulate_run(&spec, &strategy, &env, &mut StdRng::seed_from_u64(seed));
+        let a = simulate_run(&spec, &strategy, &env, &mut Xoshiro256::seed_from(seed));
+        let b = simulate_run(&spec, &strategy, &env, &mut Xoshiro256::seed_from(seed));
         prop_assert_eq!(a, b);
     }
 }

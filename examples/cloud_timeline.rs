@@ -10,8 +10,7 @@ use qnn_checkpoint::qcheck::policy::math;
 use qnn_checkpoint::qhw::client::{mean_outcome, CheckpointStrategy, Environment, JobSpec};
 use qnn_checkpoint::qhw::event::{HOUR, MINUTE, SECOND};
 use qnn_checkpoint::qhw::queue::WaitModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qnn_checkpoint::qsim::rng::Xoshiro256;
 
 fn main() {
     // A week-scale job: 5000 steps × 20 s ≈ 28 h of pure compute, run on a
@@ -35,14 +34,13 @@ fn main() {
         (spec.total_steps * spec.step_cost) as f64 / HOUR as f64
     );
     println!("\nmtbf     no-ckpt           young-daly          yd-interval");
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = Xoshiro256::seed_from(11);
     for mtbf_h in [1.0f64, 2.0, 4.0, 8.0, 24.0] {
         let mtbf = (mtbf_h * HOUR as f64) as u64;
         let env = Environment {
             queue,
             mtbf: Some(mtbf),
             session_ttl: Some(4 * HOUR), // sessions also expire
-            device: None,
         };
         let tau = math::young_daly_interval(write_cost as f64, mtbf as f64);
         let interval = ((tau / spec.step_cost as f64).round() as u64).max(1);

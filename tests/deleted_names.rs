@@ -125,6 +125,19 @@ const RULES: &[Rule] = &[
         reason: "a Pauli-sum expectation is one grouped pass; the fixed stripes are its only \
                  fan-out",
     },
+    Rule {
+        paths: SOURCES,
+        above_tests: false,
+        names: &[
+            "rand::",
+            "StdRng",
+            "SeedableRng",
+            "FifoQueueSim",
+            "EventQueue",
+            "DeviceModel",
+        ],
+        reason: "one RNG, and the cloud replay models only what the figures replay",
+    },
 ];
 
 /// Calls that write, rename, remove, create or truncate a file.
