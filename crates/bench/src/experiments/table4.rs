@@ -6,20 +6,44 @@
 //! (a commit on the training thread vs the save driver's hand-off).
 
 use qcheck::repo::{CheckpointRepo, CommitMode, CompressionPolicy, SaveOptions};
-use qcheck::snapshot::Checkpointable;
+use qcheck::snapshot::{Checkpointable, TrainingSnapshot};
 use qcheck::{Checkpointer, Compression, EveryKSteps};
+use qnn::trainer::Trainer;
 use qsim::measure::EvalMode;
 
 use crate::report::{quick_mode, scratch_dir, Table};
 use crate::workloads::{median_ms, time_ms, vqe_tfim_trainer_sgd};
 
+/// A capture with its wall clock pinned to the step count. `wall_time_ms`
+/// is the one field of a capture that depends on how fast the host ran,
+/// and a delta save encodes it against its base, so a live value moved the
+/// `bytes/ckpt` of the chained rows from run to run.
+fn pinned_capture(trainer: &Trainer) -> TrainingSnapshot {
+    let mut snapshot = trainer.capture();
+    snapshot.wall_time_ms = snapshot.step;
+    snapshot
+}
+
+/// The trainer as the save driver sees it, captured by [`pinned_capture`].
+struct PinnedClock<'a>(&'a Trainer);
+
+impl Checkpointable for PinnedClock<'_> {
+    fn capture(&self) -> TrainingSnapshot {
+        pinned_capture(self.0)
+    }
+
+    fn restore(&mut self, _: &TrainingSnapshot) -> Result<(), String> {
+        Err("table4 only captures".into())
+    }
+}
+
 /// Pre-captures a stream of consecutive training snapshots.
-fn snapshot_stream(steps: usize) -> Vec<qcheck::TrainingSnapshot> {
+fn snapshot_stream(steps: usize) -> Vec<TrainingSnapshot> {
     let mut trainer = vqe_tfim_trainer_sgd(8, 4, 29, EvalMode::Exact, 0.05);
     (0..steps)
         .map(|_| {
             trainer.train_step().expect("step");
-            trainer.capture()
+            pinned_capture(&trainer)
         })
         .collect()
 }
@@ -119,7 +143,7 @@ pub fn run() -> Table {
         let mut stall_ms = Vec::new();
         for _ in 0..stream.len() {
             let step = trainer.train_step().expect("step").step;
-            let (handed_off, ms) = time_ms(|| driver.on_step(step, &trainer));
+            let (handed_off, ms) = time_ms(|| driver.on_step(step, &PinnedClock(&trainer)));
             assert!(handed_off.expect("on_step"), "every-1 is always due");
             stall_ms.push(ms);
         }
@@ -163,5 +187,12 @@ mod tests {
             bg_stall <= sync_stall * 3.0 + 1.0,
             "driver stall {bg_stall} vs synchronous {sync_stall}"
         );
+    }
+
+    #[test]
+    fn bytes_column_is_the_same_from_run_to_run() {
+        std::env::set_var("QCHECK_BENCH_QUICK", "1");
+        let bytes = |t: Table| -> Vec<String> { t.rows.iter().map(|r| r[1].clone()).collect() };
+        assert_eq!(bytes(run()), bytes(run()));
     }
 }

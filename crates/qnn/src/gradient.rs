@@ -77,9 +77,13 @@ type Pair<E> = (Result<f64, E>, Result<f64, E>);
 /// per ambient [`qpar::current_threads`] worker (inline at one thread), and
 /// returns the pairs in site order.
 ///
-/// `init()` runs **once per worker** to build a reusable scratch value `S`
-/// (typically a `qsim::plan::BoundPlan` rebound in place), so the `2·sites`
-/// evaluations of a gradient stop paying per-bind allocation. `eval` must
+/// `init()` runs **once per worker** to build a reusable scratch value `S`.
+/// The trainer's scratch holds a reference to the unshifted binding, a
+/// `qsim::plan::BoundPlan` it rebinds in place per evaluation, one
+/// `qsim::plan::PrefixCursor` per input state and one work state. A
+/// worker's sites are a contiguous run in op order, so its cursor walks
+/// forward through the prefixes they share with the unshifted circuit,
+/// and each evaluation runs only the atoms after its own. `eval` must
 /// be *pure* (exact expectations — no RNG draws), which is what makes the
 /// fan-out safe and its result independent of the thread count.
 fn shifted_pairs<E, S, I, F>(sites: usize, delta: f64, init: I, eval: F) -> Vec<Pair<E>>
@@ -106,7 +110,9 @@ where
 /// Generalized parameter-shift gradient over explicit shift sites:
 /// `eval(scratch, op_index, ±shift)` for every site, fanned out across the
 /// ambient worker threads with one `init()` scratch per worker (the
-/// trainer passes a `BoundPlan` shell it rebinds with `rebind_shifted`).
+/// trainer's holds a `BoundPlan` it rebinds with `rebind_shifted`, and a
+/// prefix cursor on the unshifted binding that each shifted evaluation
+/// resumes from; see `shifted_pairs`).
 ///
 /// `eval` must be a *pure* loss evaluation. Per-site contributions
 /// accumulate in site order regardless of the chunking, so the gradient is
@@ -139,8 +145,11 @@ where
 
 /// Parallel central-difference gradient of a *pure* black-box loss: the
 /// per-parameter `±eps` evaluations run on the ambient worker threads with
-/// one `init()` scratch per worker. Results are bit-identical to
-/// [`finite_diff_gradient`] (same perturbed vectors, same arithmetic).
+/// one `init()` scratch per worker — in the trainer the same resume
+/// scratch as [`parameter_shift_gradient`]'s, its prefix found by
+/// comparing schedules, since one parameter can feed several ops.
+/// Results are bit-identical to [`finite_diff_gradient`] (same perturbed
+/// vectors, same arithmetic).
 ///
 /// # Errors
 ///

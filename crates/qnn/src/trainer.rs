@@ -15,7 +15,7 @@ use qcheck::snapshot::{Checkpointable, DatasetCursor, MetricPoint, RngCapture, T
 use qsim::circuit::{Circuit, CircuitError, ParamRef};
 use qsim::measure::{evaluate_observable, EvalMode};
 use qsim::pauli::PauliSum;
-use qsim::plan::{BoundPlan, ExecPlan};
+use qsim::plan::{BoundPlan, ExecPlan, PrefixCursor};
 use qsim::rng::{RngState, Xoshiro256};
 use qsim::state::{StateError, StateVector};
 
@@ -52,11 +52,10 @@ impl std::fmt::Display for TrainError {
 impl std::error::Error for TrainError {}
 
 /// Loss of `task` on `batch` over a bound plan, returning `(loss, shots)`
-/// — the one per-task body behind [`Trainer::loss_at`], the gradient
-/// workers and [`Trainer::exact_loss`]. It takes the task rather than the
-/// (non-`Sync`) trainer so workers can share it, and binds nothing: the
-/// caller binds once per *loss call* and the batch loops below only vary
-/// the input state.
+/// — the full-run body behind [`Trainer::loss_at`] and
+/// [`Trainer::exact_loss`]. It takes the task rather than the (non-`Sync`)
+/// trainer and binds nothing: the caller binds once per *loss call* and
+/// the batch loop only varies the input state.
 ///
 /// In [`EvalMode::Exact`] nothing is drawn from `rng`.
 fn task_loss(
@@ -66,67 +65,92 @@ fn task_loss(
     mode: EvalMode,
     rng: &mut Xoshiro256,
 ) -> Result<(f64, u64), TrainError> {
+    batch_loss(task, batch, |j| {
+        let mut state = task.input_state(batch, j, bound.num_qubits())?;
+        bound.run_on(&mut state)?;
+        task.entry_loss(batch, j, &state, mode, rng)
+    })
+}
+
+/// The one per-task reduction of a loss call: `entry(j)` is the loss term
+/// and shots of batch entry `j` ([`Task::entry_loss`] of its output
+/// state), asked for in batch order. A VQE loss is its one term; the
+/// batch tasks average theirs.
+fn batch_loss(
+    task: &Task,
+    batch: &[usize],
+    mut entry: impl FnMut(usize) -> Result<(f64, u64), TrainError>,
+) -> Result<(f64, u64), TrainError> {
+    if let Task::Vqe { .. } = task {
+        return entry(0);
+    }
+    let mut acc = 0.0;
+    let mut shots_total = 0u64;
+    for j in 0..batch.len() {
+        let (term, shots) = entry(j)?;
+        acc += term;
+        shots_total += shots;
+    }
+    let mean = acc / batch.len() as f64;
     match task {
-        Task::Vqe { hamiltonian } => {
-            let mut state = StateVector::zero_state(bound.num_qubits());
-            bound.run_on(&mut state)?;
-            Ok(evaluate_observable(&state, hamiltonian, mode, rng)?)
-        }
-        Task::StateLearning { data } => {
-            let mut acc = 0.0;
-            let mut shots_total = 0u64;
-            for &i in batch {
-                let mut state = data.inputs[i].clone();
-                bound.run_on(&mut state)?;
-                match mode {
-                    EvalMode::Exact => acc += state.fidelity(&data.targets[i])?,
-                    EvalMode::Shots(shots) => {
-                        acc += qsim::measure::swap_test_fidelity(
-                            &state,
-                            &data.targets[i],
-                            shots,
-                            rng,
-                        )?;
-                        shots_total += shots as u64;
-                    }
-                }
-            }
-            Ok((1.0 - acc / batch.len() as f64, shots_total))
-        }
-        Task::Classification {
-            data,
-            feature_map,
-            observable,
-            ..
-        } => {
-            let mut acc = 0.0;
-            let mut shots_total = 0u64;
-            for &i in batch {
-                let mut state = StateVector::zero_state(bound.num_qubits());
-                feature_map.encode_onto(&mut state, &data.features[i])?;
-                bound.run_on(&mut state)?;
-                let (pred, shots) = evaluate_observable(&state, observable, mode, rng)?;
-                shots_total += shots;
-                let err = pred - data.labels[i];
-                acc += err * err;
-            }
-            Ok((acc / batch.len() as f64, shots_total))
-        }
+        Task::StateLearning { .. } => Ok((1.0 - mean, shots_total)),
+        _ => Ok((mean, shots_total)),
     }
 }
 
-/// [`task_loss`] in [`EvalMode::Exact`]: a pure function of its arguments
-/// (the stream it hands over is never read), so gradient workers may call
-/// it concurrently.
-fn exact_task_loss(bound: &BoundPlan<'_>, task: &Task, batch: &[usize]) -> Result<f64, TrainError> {
-    let (loss, _) = task_loss(
-        bound,
-        task,
-        batch,
-        EvalMode::Exact,
-        &mut Xoshiro256::seed_from(0),
-    )?;
-    Ok(loss)
+/// Atoms a resumed gradient evaluation did not run: the prefix its binding
+/// shares with the unshifted one ([`PrefixCursor::resume`]'s count).
+static OBS_ATOMS_SKIPPED: qobs::LazyCounter =
+    qobs::LazyCounter::new("qnn_gradient_atoms_skipped_total");
+
+/// The per-worker scratch of an exact gradient fan-out (both
+/// [`parameter_shift_gradient`] and [`finite_diff_gradient_parallel`]):
+/// each evaluation rebinds `eval`, and every input state resumes from the
+/// atoms `eval` shares with the unshifted binding instead of running the
+/// whole circuit. The gradient is bit-identical to full runs: the same
+/// gates run on every amplitude in the same order.
+struct ResumeScratch<'a, 'p> {
+    /// The unshifted binding, shared by every worker; the cursors walk it.
+    base: &'a BoundPlan<'p>,
+    /// The evaluation's binding, rebound in place per evaluation.
+    eval: BoundPlan<'p>,
+    /// One cursor per input state of the loss body: one for VQE, one per
+    /// batch entry otherwise.
+    cursors: Vec<PrefixCursor>,
+    /// Where an evaluation's remaining atoms run.
+    work: StateVector,
+}
+
+impl<'a, 'p> ResumeScratch<'a, 'p> {
+    fn new(plan: &'p ExecPlan, base: &'a BoundPlan<'p>, task: &Task, batch: &[usize]) -> Self {
+        ResumeScratch {
+            base,
+            eval: plan.bind_scratch(),
+            cursors: (0..task.evals_per_loss(batch))
+                .map(|_| PrefixCursor::new())
+                .collect(),
+            work: StateVector::zero_state(plan.num_qubits()),
+        }
+    }
+
+    /// The exact loss of `task` on `batch` under `self.eval`.
+    fn loss(&mut self, task: &Task, batch: &[usize]) -> Result<f64, TrainError> {
+        let ResumeScratch {
+            base,
+            eval,
+            cursors,
+            work,
+        } = self;
+        let mut unused = Xoshiro256::seed_from(0);
+        let (loss, _) = batch_loss(task, batch, |j| {
+            let skipped = cursors[j].resume(base, eval, work, || {
+                task.input_state(batch, j, eval.num_qubits())
+            })?;
+            OBS_ATOMS_SKIPPED.add(skipped as u64);
+            task.entry_loss(batch, j, work, EvalMode::Exact, &mut unused)
+        })?;
+        Ok(loss)
+    }
 }
 
 impl From<CircuitError> for TrainError {
@@ -179,11 +203,67 @@ impl Task {
         }
     }
 
-    /// Observable evaluations one loss call on `batch` consumes.
+    /// Observable evaluations one loss call on `batch` consumes: one per
+    /// input state the circuit runs on.
     fn evals_per_loss(&self, batch: &[usize]) -> u32 {
         match self {
             Task::Vqe { .. } => 1,
             _ => batch.len() as u32,
+        }
+    }
+
+    /// The input state of batch entry `j` of a loss call: `|0…0⟩` for VQE
+    /// (its one entry), the pair's input for state learning, the encoded
+    /// features for classification.
+    fn input_state(
+        &self,
+        batch: &[usize],
+        j: usize,
+        num_qubits: usize,
+    ) -> Result<StateVector, TrainError> {
+        match self {
+            Task::Vqe { .. } => Ok(StateVector::zero_state(num_qubits)),
+            Task::StateLearning { data } => Ok(data.inputs[batch[j]].clone()),
+            Task::Classification {
+                data, feature_map, ..
+            } => {
+                let mut state = StateVector::zero_state(num_qubits);
+                feature_map.encode_onto(&mut state, &data.features[batch[j]])?;
+                Ok(state)
+            }
+        }
+    }
+
+    /// The loss term and shots of batch entry `j`, whose circuit output is
+    /// `state`: the energy (VQE), the fidelity to the pair's target (the
+    /// SWAP test in shot mode), or the squared error against the label.
+    fn entry_loss(
+        &self,
+        batch: &[usize],
+        j: usize,
+        state: &StateVector,
+        mode: EvalMode,
+        rng: &mut Xoshiro256,
+    ) -> Result<(f64, u64), TrainError> {
+        match self {
+            Task::Vqe { hamiltonian } => Ok(evaluate_observable(state, hamiltonian, mode, rng)?),
+            Task::StateLearning { data } => {
+                let target = &data.targets[batch[j]];
+                match mode {
+                    EvalMode::Exact => Ok((state.fidelity(target)?, 0)),
+                    EvalMode::Shots(shots) => Ok((
+                        qsim::measure::swap_test_fidelity(state, target, shots, rng)?,
+                        shots as u64,
+                    )),
+                }
+            }
+            Task::Classification {
+                data, observable, ..
+            } => {
+                let (pred, shots) = evaluate_observable(state, observable, mode, rng)?;
+                let err = pred - data.labels[batch[j]];
+                Ok((err * err, shots))
+            }
         }
     }
 
@@ -504,9 +584,11 @@ impl Trainer {
     ///
     /// Exact evaluations draw no RNG, so they always go through the
     /// fan-out driver of [`crate::gradient`] (inline at one thread, one
-    /// reused [`BoundPlan`] scratch per worker) and are bit-identical at
-    /// every thread count; shot-mode evaluations keep the serial loops
-    /// their draw order requires.
+    /// [`ResumeScratch`] per worker: each evaluation resumes from the
+    /// atoms it shares with the unshifted binding) and are bit-identical
+    /// at every thread count; shot-mode evaluations and classification's
+    /// chain-rule loop keep the serial full runs their draw order
+    /// requires.
     fn gradient(&mut self, batch: &[usize]) -> Result<(Vec<f64>, u32, u64), TrainError> {
         let _span = qobs::span("qnn.gradient");
         const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
@@ -543,14 +625,15 @@ impl Trainer {
                     }
                     task if exact => {
                         let plan = &self.plan;
+                        let base = plan.bind(&params)?;
                         let grad = parameter_shift_gradient(
                             params.len(),
                             &sites,
                             SHIFT,
-                            || plan.bind_scratch(),
-                            |bound, op, delta| {
-                                bound.rebind_shifted(&params, op, delta)?;
-                                exact_task_loss(bound, task, batch)
+                            || ResumeScratch::new(plan, &base, task, batch),
+                            |scratch, op, delta| {
+                                scratch.eval.rebind_shifted(&params, op, delta)?;
+                                scratch.loss(task, batch)
                             },
                         )?;
                         let evals = 2 * sites.len() as u32 * task.evals_per_loss(batch);
@@ -576,13 +659,14 @@ impl Trainer {
             }
             GradientMethod::FiniteDiff { eps } if exact => {
                 let (plan, task) = (&self.plan, &self.task);
+                let base = plan.bind(&params)?;
                 let grad = finite_diff_gradient_parallel(
                     &params,
                     eps,
-                    || plan.bind_scratch(),
-                    |bound, p| {
-                        bound.rebind(p)?;
-                        exact_task_loss(bound, task, batch)
+                    || ResumeScratch::new(plan, &base, task, batch),
+                    |scratch, p| {
+                        scratch.eval.rebind(p)?;
+                        scratch.loss(task, batch)
                     },
                 )?;
                 let evals = 2 * params.len() as u32 * task.evals_per_loss(batch);
@@ -671,7 +755,15 @@ impl Trainer {
     /// Propagates circuit/state failures.
     pub fn exact_loss(&self) -> Result<f64, TrainError> {
         let all: Vec<usize> = (0..self.task.dataset_len()).collect();
-        exact_task_loss(&self.plan.bind(&self.params)?, &self.task, &all)
+        // Exact mode reads nothing from the stream it is handed.
+        let (loss, _) = task_loss(
+            &self.plan.bind(&self.params)?,
+            &self.task,
+            &all,
+            EvalMode::Exact,
+            &mut Xoshiro256::seed_from(0),
+        )?;
+        Ok(loss)
     }
 }
 

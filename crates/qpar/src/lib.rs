@@ -169,7 +169,7 @@ fn stripe_items<T>(items: Vec<T>, t: usize) -> Vec<Vec<T>> {
 }
 
 /// [`map_threads`] under the name and bounds `benchmark/src/stages.rs`
-/// compiles against. Nothing else calls it: ROADMAP item 1's `benchmark`
+/// compiles against. Nothing else calls it: ROADMAP item 2's `benchmark`
 /// PR removes that call, then this forward and the `qobs` line in
 /// `Cargo.toml` (recorded by `benchmark/Cargo.lock`) go with it.
 pub fn map_owned<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>

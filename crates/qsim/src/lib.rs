@@ -94,6 +94,6 @@ pub use complex::Complex64;
 pub use gate::Gate;
 pub use measure::{evaluate_observable, EvalMode};
 pub use pauli::{Pauli, PauliString, PauliSum};
-pub use plan::{BoundPlan, ExecPlan};
+pub use plan::{BoundPlan, ExecPlan, PrefixCursor};
 pub use rng::{RngState, Xoshiro256};
 pub use state::{StateError, StateVector};

@@ -40,6 +40,18 @@
 //!    one memory pass, not `k`.
 //!    Sweep gates use the classic whole-array kernels; permutation
 //!    flushes gather into a reused thread-local scratch buffer and swap.
+//!    The executor runs a range of *atoms*: an atom is one gate a tile
+//!    block or sweep applies, or one permutation pass. `run_on` is the
+//!    full range; a range that starts or ends inside a tile block runs
+//!    that block's slice of gates tile by tile.
+//! 5. **Resume** ([`BoundPlan::shared_prefix`], [`PrefixCursor`]): two
+//!    bindings of one plan (a parameter vector and its ±π/2 shift) often
+//!    execute the same leading atoms — same qubits, same matrix bits,
+//!    same permutation. A cursor keeps the state after such a prefix of
+//!    one binding, and a shifted evaluation starts from a copy of it and
+//!    runs only its own remaining atoms. The prefix comes from comparing
+//!    the two schedules atom by atom, not from op order: fusion and
+//!    permutation deferral move gates, and a shift can change fusion.
 //!
 //! The schedule is observable: [`BoundPlan::passes`] counts gate visits
 //! under the per-gate traffic model, [`BoundPlan::num_passes`] counts
@@ -63,7 +75,11 @@
 //!   applying a gate tile-by-tile (any region decomposition into whole
 //!   pair/quad blocks) is bit-identical to one whole-array pass;
 //! * parallel execution hands each worker whole tiles; per-tile
-//!   arithmetic does not depend on which thread runs the tile.
+//!   arithmetic does not depend on which thread runs the tile;
+//! * a resumed run applies, to every amplitude, the same gates in the same
+//!   order as a full run: the shared atoms on the cursor, the rest on the
+//!   copy. Splitting a tile block between the two changes no computed
+//!   bit, for the reason above.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -296,6 +312,28 @@ impl BoundGate {
         }
     }
 
+    /// Whether both gates act on the same qubits with the same matrix
+    /// bits (the kernel is classified from the matrix, so it follows).
+    /// Bits, not `==`: `-0.0 == 0.0`, and the two can round differently.
+    fn same_bits(&self, other: &BoundGate) -> bool {
+        let (qa, ma) = self.operands();
+        let (qb, mb) = other.operands();
+        qa == qb
+            && ma.len() == mb.len()
+            && ma
+                .iter()
+                .zip(mb)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    /// Operand qubits (a 1q gate repeats its one) and matrix entries.
+    fn operands(&self) -> ([usize; 2], &[Complex64]) {
+        match self {
+            BoundGate::One { q, m, .. } => ([*q, *q], m.as_flattened()),
+            BoundGate::Two { qa, qb, m, .. } => ([*qa, *qb], m.as_flattened()),
+        }
+    }
+
     /// Applies the gate to one contiguous region made of whole pair/quad
     /// blocks (a cache tile). `lvl` is the SIMD level the executor
     /// resolved on the calling thread before fanning out.
@@ -510,7 +548,7 @@ impl AffinePerm {
 /// One executable permutation pass: the *inverse* affine index map, so
 /// execution is a pure output-ordered gather — sequential writes, no
 /// arithmetic, bit-exact by construction at any thread count.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PermSpec {
     /// `inv_cols[k]` = image of `e_k` under `L⁻¹`.
     inv_cols: [u32; MAX_PERM_QUBITS],
@@ -639,6 +677,44 @@ enum Step {
     /// One deferred basis-permutation pass (a fused CX ring / swap /
     /// X-band accumulation): a single gather sweep.
     Permute(PermSpec),
+}
+
+impl Step {
+    /// Atoms the step applies: one per gate of a tile block, else one.
+    fn len(&self) -> usize {
+        match self {
+            Step::Tile(r) => (r.end - r.start) as usize,
+            Step::Sweep(_) | Step::Permute(_) => 1,
+        }
+    }
+}
+
+/// One atom of a binding, in execution order: a gate a tile block or sweep
+/// applies, or one permutation pass.
+#[derive(Clone, Copy)]
+enum Atom<'a> {
+    Gate(&'a BoundGate),
+    Permute(&'a PermSpec),
+}
+
+impl Atom<'_> {
+    /// Whether executing either atom computes the same bits.
+    fn same_as(&self, other: &Atom<'_>) -> bool {
+        match (self, other) {
+            (Atom::Gate(a), Atom::Gate(b)) => a.same_bits(b),
+            (Atom::Permute(a), Atom::Permute(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Amplitude bytes the atom moves under the
+    /// [`BoundPlan::amp_bytes_swept`] model.
+    fn bytes(&self, amps: u64) -> u64 {
+        match self {
+            Atom::Gate(g) => gate_bytes(g, amps),
+            Atom::Permute(_) => 32 * amps,
+        }
+    }
 }
 
 /// Executed plan-mode passes by step kind, and their wall time. The
@@ -1144,15 +1220,11 @@ impl BoundPlan<'_> {
     /// fused permutation pass. This is the counter pass fusion drives
     /// down — a rotation band + entangler ring layer costs `2N` here
     /// without fusion and `N + 1` with it — and the figure `qbench`
-    /// reports as `qsim.plan.passes_per_run`.
+    /// reports as `qsim.plan.passes_per_run`. It is also the binding's
+    /// atom count: the executor's unit, and what
+    /// [`BoundPlan::shared_prefix`] counts.
     pub fn passes(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Tile(r) => (r.end - r.start) as usize,
-                Step::Sweep(_) | Step::Permute(_) => 1,
-            })
-            .sum()
+        self.steps.iter().map(Step::len).sum()
     }
 
     /// Deterministic model of the amplitude bytes one plan-mode
@@ -1163,18 +1235,42 @@ impl BoundPlan<'_> {
     /// pass reads and writes the whole array once. A counter, not a
     /// timer: it depends only on the schedule, so tests can pin it.
     pub fn amp_bytes_swept(&self) -> u64 {
+        self.amp_bytes(0..self.passes())
+    }
+
+    /// [`BoundPlan::amp_bytes_swept`] of the atoms in `atoms` only.
+    fn amp_bytes(&self, atoms: Range<usize>) -> u64 {
         let amps = 1u64 << self.plan.num_qubits;
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Tile(r) => self.sched[r.start as usize..r.end as usize]
-                    .iter()
-                    .map(|g| gate_bytes(g, amps))
-                    .sum(),
-                Step::Sweep(g) => gate_bytes(&self.sched[*g as usize], amps),
-                Step::Permute(_) => 32 * amps,
-            })
+        self.atoms()
+            .skip(atoms.start)
+            .take(atoms.len())
+            .map(|a| a.bytes(amps))
             .sum()
+    }
+
+    /// The binding's atoms in execution order; [`BoundPlan::passes`]
+    /// counts them.
+    fn atoms(&self) -> impl Iterator<Item = Atom<'_>> {
+        self.steps.iter().flat_map(move |step| {
+            let (gates, perm) = match step {
+                Step::Tile(r) => (&self.sched[r.start as usize..r.end as usize], None),
+                Step::Sweep(g) => (std::slice::from_ref(&self.sched[*g as usize]), None),
+                Step::Permute(spec) => (&[][..], Some(spec)),
+            };
+            gates.iter().map(Atom::Gate).chain(perm.map(Atom::Permute))
+        })
+    }
+
+    /// The number of leading atoms this binding and `other` execute
+    /// identically, bit for bit: the same qubits and matrix bits for a
+    /// gate, the same map for a permutation pass. Running that many atoms
+    /// of either binding leaves the same state; [`PrefixCursor`] resumes
+    /// from it.
+    pub fn shared_prefix(&self, other: &BoundPlan<'_>) -> usize {
+        self.atoms()
+            .zip(other.atoms())
+            .take_while(|(a, b)| a.same_as(b))
+            .count()
     }
 
     /// Executes the bound plan on an existing state in place.
@@ -1186,6 +1282,17 @@ impl BoundPlan<'_> {
     /// like the interpreter, so a failing run never half-evolves the
     /// state.
     pub fn run_on(&self, state: &mut StateVector) -> Result<(), CircuitError> {
+        self.run_atoms(state, 0..self.passes())
+    }
+
+    /// The one executor loop: runs the atoms in `atoms` (in execution
+    /// order) on `state`. Steps outside the range are skipped; a tile
+    /// block the range cuts runs its slice of gates tile by tile.
+    ///
+    /// # Errors
+    ///
+    /// As [`BoundPlan::run_on`].
+    fn run_atoms(&self, state: &mut StateVector, atoms: Range<usize>) -> Result<(), CircuitError> {
         let width = state.num_qubits();
         for &q in &self.plan.op_qubits {
             if q >= width {
@@ -1198,6 +1305,11 @@ impl BoundPlan<'_> {
         // Reference mode: every gate as its own whole-array sweep.
         #[cfg(any(test, feature = "testing"))]
         if ExecMode::current() == ExecMode::Interp {
+            assert_eq!(
+                atoms,
+                0..self.passes(),
+                "the interpreter runs whole bindings"
+            );
             for gate in &self.gates {
                 self.sweep(state, gate);
             }
@@ -1205,41 +1317,44 @@ impl BoundPlan<'_> {
         }
         // One mode load for the whole execution; `QOBS=off` pays nothing
         // per pass.
-        if !qobs::enabled() {
-            for step in &self.steps {
-                match step {
-                    Step::Sweep(g) => self.sweep(state, &self.sched[*g as usize]),
-                    Step::Tile(r) => {
-                        self.run_tiled(state, &self.sched[r.start as usize..r.end as usize])
-                    }
-                    Step::Permute(spec) => run_permute(state, spec),
-                }
-            }
-            return Ok(());
-        }
+        let obs = qobs::enabled();
+        let mut end = 0;
         for step in &self.steps {
-            let start = std::time::Instant::now();
-            match step {
+            let first = end;
+            end += step.len();
+            if end <= atoms.start {
+                continue;
+            }
+            if first >= atoms.end {
+                break;
+            }
+            let started = obs.then(std::time::Instant::now);
+            let (passes, ns) = match step {
                 Step::Sweep(g) => {
                     self.sweep(state, &self.sched[*g as usize]);
-                    OBS_SWEEP_PASSES.inc();
-                    OBS_SWEEP_NS.record_duration(start.elapsed());
+                    (&OBS_SWEEP_PASSES, &OBS_SWEEP_NS)
                 }
                 Step::Tile(r) => {
-                    self.run_tiled(state, &self.sched[r.start as usize..r.end as usize]);
-                    OBS_TILE_PASSES.inc();
-                    OBS_TILE_NS.record_duration(start.elapsed());
+                    let lo = r.start as usize + atoms.start.max(first) - first;
+                    let hi = r.start as usize + atoms.end.min(end) - first;
+                    self.run_tiled(state, &self.sched[lo..hi]);
+                    (&OBS_TILE_PASSES, &OBS_TILE_NS)
                 }
                 Step::Permute(spec) => {
                     run_permute(state, spec);
-                    OBS_PERMUTE_PASSES.inc();
-                    OBS_PERMUTE_NS.record_duration(start.elapsed());
+                    (&OBS_PERMUTE_PASSES, &OBS_PERMUTE_NS)
                 }
+            };
+            if let Some(started) = started {
+                passes.inc();
+                ns.record_duration(started.elapsed());
             }
         }
-        // The live counterpart of the deterministic traffic model the
-        // benches stamp: bytes actually swept by this execution.
-        OBS_AMP_BYTES.add(self.amp_bytes_swept());
+        if obs {
+            // The live counterpart of the deterministic traffic model the
+            // benches stamp: bytes actually swept by this execution.
+            OBS_AMP_BYTES.add(self.amp_bytes(atoms));
+        }
         Ok(())
     }
 
@@ -1314,6 +1429,73 @@ fn run_block_region(gates: &[BoundGate], region: &mut [Complex64], tile: usize, 
         for gate in gates {
             gate.run_region(lvl, tile_region);
         }
+    }
+}
+
+/// A forward checkpoint on one *base* binding's atom sequence: the state
+/// after its first few atoms. Other bindings of the same plan (the ±δ
+/// shifts of the base's parameter vector) that share those atoms
+/// ([`BoundPlan::shared_prefix`]) start from a copy of it instead of from
+/// the input state, and run only their own remaining atoms.
+///
+/// The cursor only walks forward along the base; an evaluation that shares
+/// fewer atoms than the cursor has run resets it to the input state. A
+/// cursor follows one base binding and one input state: a caller that
+/// rebinds the base or changes the input starts a new cursor.
+#[derive(Debug, Default)]
+pub struct PrefixCursor {
+    /// `None` until the first evaluation loads the input state.
+    state: Option<StateVector>,
+    /// Base atoms `state` has run.
+    at: usize,
+}
+
+impl PrefixCursor {
+    /// A cursor that has run nothing; the first [`PrefixCursor::resume`]
+    /// loads its input state.
+    pub fn new() -> Self {
+        PrefixCursor::default()
+    }
+
+    /// Leaves in `work` exactly the state `target.run_on` leaves on the
+    /// cursor's input state, bit for bit. The cursor first advances along
+    /// `base` to the prefix the two bindings share, then `work` gets a
+    /// copy of it and runs only `target`'s atoms after the prefix.
+    /// `input` builds the input state; it is called on the first
+    /// evaluation and on a reset.
+    ///
+    /// Returns the number of `target` atoms that did not run on `work`
+    /// (the shared prefix); the cursor's own advance does not count.
+    /// Under the test-only interpreter it makes a full oracle run of
+    /// `target` from `input()` and returns 0.
+    ///
+    /// # Errors
+    ///
+    /// `input`'s error, or [`BoundPlan::run_on`]'s.
+    pub fn resume<E: From<CircuitError>>(
+        &mut self,
+        base: &BoundPlan<'_>,
+        target: &BoundPlan<'_>,
+        work: &mut StateVector,
+        input: impl FnOnce() -> Result<StateVector, E>,
+    ) -> Result<usize, E> {
+        #[cfg(any(test, feature = "testing"))]
+        if ExecMode::current() == ExecMode::Interp {
+            *work = input()?;
+            target.run_on(work)?;
+            return Ok(0);
+        }
+        let shared = base.shared_prefix(target);
+        if self.state.is_none() || self.at > shared {
+            self.state = Some(input()?);
+            self.at = 0;
+        }
+        let state = self.state.as_mut().expect("loaded above");
+        base.run_atoms(state, self.at..shared)?;
+        self.at = shared;
+        work.clone_from(state);
+        target.run_atoms(work, shared..target.passes())?;
+        Ok(shared)
     }
 }
 
@@ -1660,6 +1842,75 @@ mod tests {
         let mut wide = StateVector::zero_state(4);
         plan.run_on(&mut wide, &[]).unwrap();
         assert!((wide.probability(0b10) - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn atom_ranges_compose_to_the_full_run() {
+        // 14 qubits: two tiles, so a cut inside a tile block splits it.
+        let c = sample_circuit(14);
+        let plan = c.compile().unwrap();
+        let params: Vec<f64> = (0..c.num_params()).map(|i| 0.1 * i as f64 - 0.7).collect();
+        let bound = plan.bind(&params).unwrap();
+        assert!(bound.steps.iter().any(|s| matches!(s, Step::Tile(_))));
+        let full = plan.run(&params).unwrap();
+        let atoms = bound.passes();
+        assert_eq!(bound.shared_prefix(&bound), atoms);
+        for cut in 0..=atoms {
+            let mut s = StateVector::zero_state(14);
+            bound.run_atoms(&mut s, 0..cut).unwrap();
+            bound.run_atoms(&mut s, cut..atoms).unwrap();
+            assert_eq!(bits(&full), bits(&s), "cut at atom {cut}");
+        }
+    }
+
+    #[test]
+    fn shared_prefix_ends_at_the_first_changed_atom() {
+        // One layer of fused Ry·Rz per qubit then a CX ring: the first
+        // layer's atoms are one gate per qubit, so shifting qubit q's
+        // rotation changes atom q first.
+        let n = 4;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.push_sym(Gate::Ry(0.0), &[q], 2 * q);
+            c.push_sym(Gate::Rz(0.0), &[q], 2 * q + 1);
+        }
+        for q in 0..n {
+            c.push_fixed(Gate::Cx, &[q, (q + 1) % n]);
+        }
+        let params: Vec<f64> = (0..2 * n).map(|i| 0.3 + 0.1 * i as f64).collect();
+        let plan = c.compile().unwrap();
+        let base = with_fuse_mode(FuseMode::On, || plan.bind(&params).unwrap());
+        assert_eq!(base.passes(), n + 1);
+        for (op, _) in c.sym_ops() {
+            let shifted = with_fuse_mode(FuseMode::On, || {
+                plan.bind_shifted(&params, op, std::f64::consts::FRAC_PI_2)
+                    .unwrap()
+            });
+            assert_eq!(base.shared_prefix(&shifted), op / 2, "op {op}");
+        }
+    }
+
+    #[test]
+    fn interpreter_resume_is_a_full_oracle_run() {
+        let c = sample_circuit(4);
+        let plan = c.compile().unwrap();
+        let params: Vec<f64> = (0..c.num_params()).map(|i| 0.2 * i as f64).collect();
+        let base = plan.bind(&params).unwrap();
+        let (op, _) = c.sym_ops()[3];
+        let shifted = plan.bind_shifted(&params, op, 0.5).unwrap();
+        assert!(base.shared_prefix(&shifted) > 0);
+        let mut work = StateVector::zero_state(4);
+        let skipped = with_exec_mode(ExecMode::Interp, || {
+            PrefixCursor::new()
+                .resume(&base, &shifted, &mut work, || {
+                    Ok::<_, CircuitError>(StateVector::zero_state(4))
+                })
+                .unwrap()
+        });
+        assert_eq!(skipped, 0);
+        let oracle =
+            with_exec_mode(ExecMode::Interp, || c.run_with_op_shift(&params, op, 0.5)).unwrap();
+        assert_eq!(bits(&oracle), bits(&work));
     }
 
     #[test]

@@ -121,10 +121,26 @@ impl std::error::Error for StateError {}
 /// assert!((psi.probability(0) - 0.5).abs() < 1e-12);
 /// assert!((psi.probability(3) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: Vec<Complex64>,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        StateVector {
+            num_qubits: self.num_qubits,
+            amplitudes: self.amplitudes.clone(),
+        }
+    }
+
+    /// Reuses `self`'s amplitude buffer: a resumed evaluation copies its
+    /// prefix cursor into one work state per call.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_qubits = source.num_qubits;
+        self.amplitudes.clone_from(&source.amplitudes);
+    }
 }
 
 impl StateVector {
