@@ -87,10 +87,56 @@ pub fn run() -> Table {
         &phases,
         &mut table,
     );
-    table.note("full-vector codecs (rle, xor-f64) hover near 1: random angles are incompressible at any phase");
-    table.note("delta+zero-elide tracks the step-update magnitude (last column): as it decays, more XOR bytes are zero");
-    table.note("parameter updates shrink for both optimizers here; Adam's checkpoint deltas stay expensive anyway because its moment vectors churn — see R-F5");
+    table.note(full_vector_note(&table.rows));
+    table.note(delta_note(&table.rows));
+    table.note("these rows measure the parameter section only; the optimizer moments a checkpoint also carries are R-F5's subject");
     table
+}
+
+/// Widest ratio a full-vector codec may reach and still count as "no
+/// saving": it would save under a fifth of the bytes.
+const INCOMPRESSIBLE: f64 = 1.25;
+
+fn cell(row: &[String], column: usize) -> f64 {
+    row[column].parse().expect("numeric cell")
+}
+
+/// What the full-vector codecs (rle, xor-f64) did on every row.
+fn full_vector_note(rows: &[Vec<String>]) -> String {
+    let ratios: Vec<f64> = rows.iter().flat_map(|r| [cell(r, 3), cell(r, 4)]).collect();
+    let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if hi <= INCOMPRESSIBLE {
+        format!(
+            "full-vector codecs (rle, xor-f64) read {lo:.2}–{hi:.2} on every row: the raw \
+             angles are incompressible at any phase"
+        )
+    } else {
+        format!(
+            "full-vector codecs (rle, xor-f64) reach {hi:.2} on some row: the raw angles compress"
+        )
+    }
+}
+
+/// Whether delta+zero-elide rose as the step update decayed, from each
+/// optimizer's first phase to its last.
+fn delta_note(rows: &[Vec<String>]) -> String {
+    let mut tracks = true;
+    let mut per_optimizer = Vec::new();
+    for phases in rows.chunk_by(|a, b| a[0] == b[0]) {
+        let (first, last) = (&phases[0], &phases[phases.len() - 1]);
+        tracks &= cell(last, 5) > cell(first, 5) && cell(last, 6) < cell(first, 6);
+        per_optimizer.push(format!(
+            "{} {} → {} as the update goes {} → {}",
+            first[0], first[5], last[5], first[6], last[6]
+        ));
+    }
+    let verdict = if tracks {
+        "delta+zero-elide rises as the step update (last column) decays: more XOR bytes are zero"
+    } else {
+        "delta+zero-elide does not rise as the step update decays for every optimizer"
+    };
+    format!("{verdict} ({})", per_optimizer.join("; "))
 }
 
 #[cfg(test)]
@@ -110,6 +156,36 @@ mod tests {
             sgd_late > sgd_early,
             "sgd delta ratio should improve: {sgd_early} → {sgd_late}"
         );
+    }
+
+    #[test]
+    fn notes_agree_with_rows() {
+        let row = |opt: &str, rle: &str, delta: &str, update: &str| -> Vec<String> {
+            [opt, "phase", "1", rle, "0.91", delta, update]
+                .iter()
+                .map(|c| c.to_string())
+                .collect()
+        };
+        let tracking = vec![
+            row("sgd", "0.99", "1.12", "8.59e-2"),
+            row("sgd", "0.99", "1.29", "8.73e-4"),
+            row("adam", "0.99", "1.04", "3.67e-1"),
+            row("adam", "0.99", "1.26", "2.64e-3"),
+        ];
+        assert!(full_vector_note(&tracking).contains("read 0.91–0.99 on every row"));
+        let note = delta_note(&tracking);
+        assert!(note.starts_with("delta+zero-elide rises"), "{note}");
+        assert!(note.contains("adam 1.04 → 1.26 as the update goes 3.67e-1 → 2.64e-3"));
+        // A late phase whose ratio fell, or whose update grew, flips it.
+        let mut fell = tracking.clone();
+        fell[3][5] = "1.01".into();
+        assert!(delta_note(&fell).contains("does not rise"));
+        let mut grew = tracking.clone();
+        grew[1][6] = "9.00e-2".into();
+        assert!(delta_note(&grew).contains("does not rise"));
+        let mut packed = tracking;
+        packed[2][3] = "2.10".into();
+        assert!(full_vector_note(&packed).contains("reach 2.10 on some row"));
     }
 
     #[test]

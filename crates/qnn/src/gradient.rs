@@ -1,13 +1,14 @@
 //! Gradient estimators for variational circuits.
 //!
-//! Three estimators:
+//! Two estimators:
 //!
 //! * [`GradientMethod::ParameterShift`] — the generalized two-term rule,
 //!   applied per *op occurrence* so that parameters shared across several
 //!   gates (QAOA-style ansätze) differentiate correctly. Exact for
 //!   rotation-generator gates (`RX/RY/RZ/RXX/RYY/RZZ`).
-//! * [`GradientMethod::FiniteDiff`] — central differences on the whole
-//!   loss; works for any gate but biased under shot noise.
+//!   [`parameter_shift_gradient`] differentiates a loss directly or, for
+//!   a prediction-shaped task, through its per-entry predictions (the
+//!   chain rule), over the one fan-out of shifted evaluations.
 //! * [`GradientMethod::Spsa`] — simultaneous perturbation with two loss
 //!   evaluations per step regardless of parameter count; the perturbation
 //!   directions come from the *data* RNG stream so they are part of the
@@ -15,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use qsim::plan::ThreadModes;
 use qsim::rng::Xoshiro256;
 
 /// Gradient estimation strategy.
@@ -22,11 +24,6 @@ use qsim::rng::Xoshiro256;
 pub enum GradientMethod {
     /// Generalized parameter-shift rule (per-op shifts of ±π/2).
     ParameterShift,
-    /// Central finite differences with step `eps`.
-    FiniteDiff {
-        /// Perturbation magnitude.
-        eps: f64,
-    },
     /// SPSA with perturbation magnitude `c`.
     Spsa {
         /// Perturbation magnitude.
@@ -35,13 +32,11 @@ pub enum GradientMethod {
 }
 
 impl GradientMethod {
-    /// Number of loss/expectation evaluations one gradient costs, given the
-    /// parameter count and (for parameter-shift) the number of parametrized
-    /// op occurrences.
-    pub fn evals_per_gradient(&self, num_params: usize, num_sym_ops: usize) -> usize {
+    /// Number of loss/expectation evaluations one gradient costs, given
+    /// the number of parametrized op occurrences.
+    pub fn evals_per_gradient(&self, num_sym_ops: usize) -> usize {
         match self {
             GradientMethod::ParameterShift => 2 * num_sym_ops,
-            GradientMethod::FiniteDiff { .. } => 2 * num_params,
             GradientMethod::Spsa { .. } => 2,
         }
     }
@@ -51,7 +46,6 @@ impl std::fmt::Display for GradientMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GradientMethod::ParameterShift => write!(f, "parameter-shift"),
-            GradientMethod::FiniteDiff { eps } => write!(f, "finite-diff(eps={eps})"),
             GradientMethod::Spsa { c } => write!(f, "spsa(c={c})"),
         }
     }
@@ -69,54 +63,31 @@ pub struct ShiftSite {
     pub scale: f64,
 }
 
-/// The `(+delta, −delta)` results of one differentiation site.
-type Pair<E> = (Result<f64, E>, Result<f64, E>);
-
-/// The one fan-out a gradient takes: evaluates `eval(scratch, site, ±delta)`
-/// for every site in `0..sites`, the sites split into one contiguous range
-/// per ambient [`qpar::current_threads`] worker (inline at one thread), and
-/// returns the pairs in site order.
+/// Generalized parameter-shift gradient through a task's outputs:
+/// `eval(scratch, op_index, ±shift)` returns every output `y_j` with that
+/// op shifted, and `weights[j]` is the loss's derivative in `y_j`, so
+/// `grad[param] += weights[j] · scale · (plus[j] − minus[j]) / 2`. A
+/// loss-shaped task has one output, its loss, of weight 1 (the plain
+/// rule); a prediction-shaped one has one prediction per batch entry,
+/// weighted by its residual (the chain rule).
 ///
-/// `init()` runs **once per worker** to build a reusable scratch value `S`.
-/// The trainer's scratch holds a reference to the unshifted binding, a
-/// `qsim::plan::BoundPlan` it rebinds in place per evaluation, one
-/// `qsim::plan::PrefixCursor` per input state and one work state. A
-/// worker's sites are a contiguous run in op order, so its cursor walks
-/// forward through the prefixes they share with the unshifted circuit,
-/// and each evaluation runs only the atoms after its own. `eval` must
-/// be *pure* (exact expectations — no RNG draws), which is what makes the
-/// fan-out safe and its result independent of the thread count.
-fn shifted_pairs<E, S, I, F>(sites: usize, delta: f64, init: I, eval: F) -> Vec<Pair<E>>
-where
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, f64) -> Result<f64, E> + Sync,
-{
-    let chunks = qpar::ranges(sites, qpar::current_threads());
-    let results: Vec<Vec<Pair<E>>> = qpar::map(chunks, |chunk| {
-        // The site fan-out owns the parallelism budget; keep the nested
-        // gate kernels serial on worker threads (they would otherwise
-        // re-resolve the ambient thread count and oversubscribe).
-        qpar::with_threads(1, || {
-            let mut scratch = init();
-            chunk
-                .map(|i| (eval(&mut scratch, i, delta), eval(&mut scratch, i, -delta)))
-                .collect()
-        })
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Generalized parameter-shift gradient over explicit shift sites:
-/// `eval(scratch, op_index, ±shift)` for every site, fanned out across the
-/// ambient worker threads with one `init()` scratch per worker (the
-/// trainer's holds a `BoundPlan` it rebinds with `rebind_shifted`, and a
-/// prefix cursor on the unshifted binding that each shifted evaluation
-/// resumes from; see `shifted_pairs`).
+/// This is the one fan-out a gradient takes: the sites split into one
+/// contiguous range per ambient [`qpar::current_threads`] worker (inline
+/// at one thread), and `init()` runs **once per worker** to build a
+/// reusable scratch value `S`. The trainer's scratch holds a reference to
+/// the unshifted binding, a `qsim::plan::BoundPlan` it rebinds with
+/// `rebind_shifted` per evaluation, one `qsim::plan::PrefixCursor` per
+/// input state and one work state. A worker's sites are a contiguous run
+/// in op order, so its cursor walks forward through the prefixes they
+/// share with the unshifted circuit, and each evaluation runs only the
+/// atoms after its own. Each worker runs under its caller's
+/// `qsim::plan::ThreadModes`, so a fusion or executor override reaches
+/// every evaluation.
 ///
-/// `eval` must be a *pure* loss evaluation. Per-site contributions
-/// accumulate in site order regardless of the chunking, so the gradient is
-/// bit-identical at every thread count.
+/// `eval` must be *pure* (exact expectations — no RNG draws), which is
+/// what makes the fan-out safe. The sum runs output by output, then site
+/// by site, whatever the chunking, so the gradient is bit-identical at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -125,83 +96,40 @@ pub fn parameter_shift_gradient<E, S, I, F>(
     num_params: usize,
     sites: &[ShiftSite],
     shift: f64,
+    weights: &[f64],
     init: I,
     eval: F,
 ) -> Result<Vec<f64>, E>
 where
     E: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, f64) -> Result<f64, E> + Sync,
+    F: Fn(&mut S, usize, f64) -> Result<Vec<f64>, E> + Sync,
 {
-    let pairs = shifted_pairs(sites.len(), shift, init, |scratch, i, delta| {
-        eval(scratch, sites[i].op_index, delta)
+    let modes = ThreadModes::current();
+    let chunks = qpar::ranges(sites.len(), qpar::current_threads());
+    let results = qpar::map(chunks, |chunk| {
+        // The site fan-out owns the parallelism budget; keep the nested
+        // gate kernels serial on worker threads (they would otherwise
+        // re-resolve the ambient thread count and oversubscribe).
+        modes.enter(|| {
+            qpar::with_threads(1, || {
+                let mut scratch = init();
+                sites[chunk]
+                    .iter()
+                    .map(|site| {
+                        let plus = eval(&mut scratch, site.op_index, shift)?;
+                        Ok((plus, eval(&mut scratch, site.op_index, -shift)?))
+                    })
+                    .collect::<Result<Vec<_>, E>>()
+            })
+        })
     });
+    let pairs = results.into_iter().collect::<Result<Vec<_>, E>>()?.concat();
     let mut grad = vec![0.0; num_params];
-    for (site, (plus, minus)) in sites.iter().zip(pairs) {
-        grad[site.param_index] += site.scale * (plus? - minus?) / 2.0;
-    }
-    Ok(grad)
-}
-
-/// Parallel central-difference gradient of a *pure* black-box loss: the
-/// per-parameter `±eps` evaluations run on the ambient worker threads with
-/// one `init()` scratch per worker — in the trainer the same resume
-/// scratch as [`parameter_shift_gradient`]'s, its prefix found by
-/// comparing schedules, since one parameter can feed several ops.
-/// Results are bit-identical to [`finite_diff_gradient`] (same perturbed
-/// vectors, same arithmetic).
-///
-/// # Errors
-///
-/// Returns the first failing evaluation in parameter order.
-pub fn finite_diff_gradient_parallel<E, S, I, F>(
-    params: &[f64],
-    eps: f64,
-    init: I,
-    loss: F,
-) -> Result<Vec<f64>, E>
-where
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[f64]) -> Result<f64, E> + Sync,
-{
-    let pairs = shifted_pairs(
-        params.len(),
-        eps,
-        || (init(), params.to_vec()),
-        |(scratch, work), i, delta| {
-            work[i] = params[i] + delta;
-            let value = loss(scratch, work);
-            work[i] = params[i];
-            value
-        },
-    );
-    let mut grad = vec![0.0; params.len()];
-    for (g, (plus, minus)) in grad.iter_mut().zip(pairs) {
-        *g = (plus? - minus?) / (2.0 * eps);
-    }
-    Ok(grad)
-}
-
-/// Computes a finite-difference gradient of a black-box loss.
-///
-/// # Errors
-///
-/// Propagates the first loss-evaluation error.
-pub fn finite_diff_gradient<E, F>(params: &[f64], eps: f64, mut loss: F) -> Result<Vec<f64>, E>
-where
-    F: FnMut(&[f64]) -> Result<f64, E>,
-{
-    let mut grad = vec![0.0; params.len()];
-    let mut work = params.to_vec();
-    for i in 0..params.len() {
-        let orig = work[i];
-        work[i] = orig + eps;
-        let plus = loss(&work)?;
-        work[i] = orig - eps;
-        let minus = loss(&work)?;
-        work[i] = orig;
-        grad[i] = (plus - minus) / (2.0 * eps);
+    for (j, weight) in weights.iter().enumerate() {
+        for (site, (plus, minus)) in sites.iter().zip(&pairs) {
+            grad[site.param_index] += weight * site.scale * (plus[j] - minus[j]) / 2.0;
+        }
     }
     Ok(grad)
 }
@@ -237,18 +165,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finite_diff_on_quadratic() {
-        // f(x) = Σ x_i², ∇f = 2x.
-        let params = [1.0, -2.0, 0.5];
-        let g: Vec<f64> =
-            finite_diff_gradient::<(), _>(&params, 1e-6, |x| Ok(x.iter().map(|v| v * v).sum()))
-                .unwrap();
-        for (gi, pi) in g.iter().zip(&params) {
-            assert!((gi - 2.0 * pi).abs() < 1e-5, "{gi} vs {}", 2.0 * pi);
-        }
-    }
-
-    #[test]
     fn spsa_is_unbiased_on_linear_functions() {
         // f(x) = a·x has exact SPSA estimates in expectation; average many.
         let a = [3.0, -1.0, 2.0];
@@ -272,6 +188,68 @@ mod tests {
     }
 
     #[test]
+    fn parameter_shift_sums_weighted_shift_differences() {
+        // Two entries predict p_j = sin(a + j), where `a` (`theta` here) is
+        // the sum of the angles of ops 0 and 2, which read parameter 0 at
+        // scales 1 and 0.5; op 1 reads parameter 1 and moves nothing. So
+        // dp_j/dθ0 = 1.5·cos(a + j) and dp_j/dθ1 = 0.
+        let sites = [
+            ShiftSite {
+                op_index: 0,
+                param_index: 0,
+                scale: 1.0,
+            },
+            ShiftSite {
+                op_index: 1,
+                param_index: 1,
+                scale: 1.0,
+            },
+            ShiftSite {
+                op_index: 2,
+                param_index: 0,
+                scale: 0.5,
+            },
+        ];
+        let theta = 0.3;
+        let shift = std::f64::consts::FRAC_PI_2;
+        let predict = |op: usize, delta: f64| -> Vec<f64> {
+            let moved = if op == 1 { 0.0 } else { delta };
+            (0..2).map(|j| (theta + moved + j as f64).sin()).collect()
+        };
+        let residuals = [0.25, -2.0];
+        for threads in [1, 2, 4] {
+            let grad = qpar::with_threads(threads, || {
+                parameter_shift_gradient::<(), _, _, _>(
+                    2,
+                    &sites,
+                    shift,
+                    &residuals,
+                    || (),
+                    |_, op, delta| Ok(predict(op, delta)),
+                )
+                .unwrap()
+            });
+            let mut want = [0.0; 2];
+            for (j, r) in residuals.iter().enumerate() {
+                for site in &sites {
+                    let (plus, minus) = (
+                        predict(site.op_index, shift),
+                        predict(site.op_index, -shift),
+                    );
+                    want[site.param_index] += r * site.scale * (plus[j] - minus[j]) / 2.0;
+                }
+            }
+            assert_eq!(grad, want, "threads={threads}");
+            // The ±π/2 rule is exact for sin.
+            let exact: f64 = (0..2)
+                .map(|j| residuals[j] * 1.5 * (theta + j as f64).cos())
+                .sum();
+            assert!((grad[0] - exact).abs() < 1e-12, "{} vs {exact}", grad[0]);
+            assert_eq!(grad[1], 0.0);
+        }
+    }
+
+    #[test]
     fn spsa_draws_from_the_given_stream() {
         let params = [0.0; 4];
         let mut r1 = Xoshiro256::seed_from(9);
@@ -284,18 +262,8 @@ mod tests {
 
     #[test]
     fn evals_accounting() {
-        assert_eq!(
-            GradientMethod::ParameterShift.evals_per_gradient(10, 14),
-            28
-        );
-        assert_eq!(
-            GradientMethod::FiniteDiff { eps: 1e-4 }.evals_per_gradient(10, 14),
-            20
-        );
-        assert_eq!(
-            GradientMethod::Spsa { c: 0.1 }.evals_per_gradient(10, 14),
-            2
-        );
+        assert_eq!(GradientMethod::ParameterShift.evals_per_gradient(14), 28);
+        assert_eq!(GradientMethod::Spsa { c: 0.1 }.evals_per_gradient(14), 2);
     }
 
     #[test]
@@ -304,15 +272,24 @@ mod tests {
             GradientMethod::ParameterShift.to_string(),
             "parameter-shift"
         );
-        assert!(GradientMethod::FiniteDiff { eps: 0.01 }
-            .to_string()
-            .contains("0.01"));
         assert!(GradientMethod::Spsa { c: 0.2 }.to_string().contains("spsa"));
     }
 
     #[test]
     fn error_propagates() {
-        let r = finite_diff_gradient::<&str, _>(&[1.0], 1e-3, |_| Err("boom"));
+        let sites = [ShiftSite {
+            op_index: 0,
+            param_index: 0,
+            scale: 1.0,
+        }];
+        let r = parameter_shift_gradient(
+            1,
+            &sites,
+            0.5,
+            &[1.0],
+            || (),
+            |_, _, _| Err::<Vec<f64>, _>("boom"),
+        );
         assert_eq!(r.unwrap_err(), "boom");
         let mut rng = Xoshiro256::seed_from(0);
         let r = spsa_gradient::<&str, _>(&[1.0], 1e-3, &mut rng, |_| Err("boom"));

@@ -21,10 +21,7 @@ use qsim::state::{StateError, StateVector};
 
 use crate::dataset::{Labeled, StatePairs};
 use crate::encode::FeatureMap;
-use crate::gradient::{
-    finite_diff_gradient, finite_diff_gradient_parallel, parameter_shift_gradient, spsa_gradient,
-    GradientMethod, ShiftSite,
-};
+use crate::gradient::{parameter_shift_gradient, spsa_gradient, GradientMethod, ShiftSite};
 use crate::ledger::ShotLedger;
 use crate::optimizer::Optimizer;
 
@@ -103,12 +100,11 @@ fn batch_loss(
 static OBS_ATOMS_SKIPPED: qobs::LazyCounter =
     qobs::LazyCounter::new("qnn_gradient_atoms_skipped_total");
 
-/// The per-worker scratch of an exact gradient fan-out (both
-/// [`parameter_shift_gradient`] and [`finite_diff_gradient_parallel`]):
-/// each evaluation rebinds `eval`, and every input state resumes from the
-/// atoms `eval` shares with the unshifted binding instead of running the
-/// whole circuit. The gradient is bit-identical to full runs: the same
-/// gates run on every amplitude in the same order.
+/// The per-worker scratch of an exact [`parameter_shift_gradient`]
+/// fan-out: each evaluation rebinds `eval`, and every input state resumes
+/// from the atoms `eval` shares with the unshifted binding instead of
+/// running the whole circuit. The gradient is bit-identical to full runs:
+/// the same gates run on every amplitude in the same order.
 struct ResumeScratch<'a, 'p> {
     /// The unshifted binding, shared by every worker; the cursors walk it.
     base: &'a BoundPlan<'p>,
@@ -133,23 +129,36 @@ impl<'a, 'p> ResumeScratch<'a, 'p> {
         }
     }
 
-    /// The exact loss of `task` on `batch` under `self.eval`.
-    fn loss(&mut self, task: &Task, batch: &[usize]) -> Result<f64, TrainError> {
-        let ResumeScratch {
-            base,
-            eval,
-            cursors,
-            work,
-        } = self;
+    /// The output state of batch entry `j` under `self.eval`, resumed
+    /// from entry `j`'s cursor.
+    fn resume(
+        &mut self,
+        task: &Task,
+        batch: &[usize],
+        j: usize,
+    ) -> Result<&StateVector, TrainError> {
+        let skipped = self.cursors[j].resume(self.base, &self.eval, &mut self.work, || {
+            task.input_state(batch, j, self.eval.num_qubits())
+        })?;
+        OBS_ATOMS_SKIPPED.add(skipped as u64);
+        Ok(&self.work)
+    }
+
+    /// The exact outputs a gradient weighs under `self.eval`: a
+    /// classification batch's per-entry predictions, any other task's
+    /// loss.
+    fn outputs(&mut self, task: &Task, batch: &[usize]) -> Result<Vec<f64>, TrainError> {
+        if let Task::Classification { observable, .. } = task {
+            return (0..batch.len())
+                .map(|j| Ok(observable.expectation(self.resume(task, batch, j)?)?))
+                .collect();
+        }
         let mut unused = Xoshiro256::seed_from(0);
         let (loss, _) = batch_loss(task, batch, |j| {
-            let skipped = cursors[j].resume(base, eval, work, || {
-                task.input_state(batch, j, eval.num_qubits())
-            })?;
-            OBS_ATOMS_SKIPPED.add(skipped as u64);
-            task.entry_loss(batch, j, work, EvalMode::Exact, &mut unused)
+            let state = self.resume(task, batch, j)?;
+            task.entry_loss(batch, j, state, EvalMode::Exact, &mut unused)
         })?;
-        Ok(loss)
+        Ok(vec![loss])
     }
 }
 
@@ -529,40 +538,6 @@ impl Trainer {
         Ok((loss, self.task.evals_per_loss(batch), shots))
     }
 
-    /// Per-example prediction with optional op shift (classification chain
-    /// rule). Returns `(prediction, shots)`.
-    fn prediction_at(
-        &mut self,
-        params: &[f64],
-        example: usize,
-        op_shift: Option<(usize, f64)>,
-    ) -> Result<(f64, u64), TrainError> {
-        let mode = self.config.eval_mode;
-        match &self.task {
-            Task::Classification {
-                data,
-                feature_map,
-                observable,
-                ..
-            } => {
-                let mut state = StateVector::zero_state(self.circuit.num_qubits());
-                feature_map.encode_onto(&mut state, &data.features[example])?;
-                match op_shift {
-                    Some((op, delta)) => self
-                        .plan
-                        .run_on_with_op_shift(&mut state, params, op, delta)?,
-                    None => self.plan.run_on(&mut state, params)?,
-                }
-                let (pred, shots) =
-                    evaluate_observable(&state, observable, mode, &mut self.shots_rng)?;
-                Ok((pred, shots))
-            }
-            _ => Err(TrainError::Unsupported(
-                "prediction_at is a classification internal".into(),
-            )),
-        }
-    }
-
     /// Every parametrized op occurrence, in op order.
     fn shift_sites(&self) -> Vec<ShiftSite> {
         self.circuit
@@ -583,12 +558,11 @@ impl Trainer {
     /// Computes the gradient on a batch. Returns `(grad, evals, shots)`.
     ///
     /// Exact evaluations draw no RNG, so they always go through the
-    /// fan-out driver of [`crate::gradient`] (inline at one thread, one
+    /// fan-out of [`crate::gradient`] (inline at one thread, one
     /// [`ResumeScratch`] per worker: each evaluation resumes from the
     /// atoms it shares with the unshifted binding) and are bit-identical
-    /// at every thread count; shot-mode evaluations and classification's
-    /// chain-rule loop keep the serial full runs their draw order
-    /// requires.
+    /// at every thread count; shot-mode evaluations keep the serial runs
+    /// their draw order requires.
     fn gradient(&mut self, batch: &[usize]) -> Result<(Vec<f64>, u32, u64), TrainError> {
         let _span = qobs::span("qnn.gradient");
         const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
@@ -597,47 +571,87 @@ impl Trainer {
         match self.config.gradient {
             GradientMethod::ParameterShift => {
                 let sites = self.shift_sites();
-                match &self.task {
-                    Task::Classification { data, .. } => {
-                        // Chain rule: dL/dθ = (2/B) Σ_x (p_x − y_x) · dp_x/dθ.
+                let (plan, task) = (&self.plan, &self.task);
+                match task {
+                    _ if exact => {
+                        let base = plan.bind(&params)?;
+                        // Classification's chain rule weighs each
+                        // prediction by its residual from one unshifted
+                        // run: dL/dθ = (2/B) Σ_x (p_x − y_x) · dp_x/dθ.
+                        let (weights, unshifted_runs) = match task {
+                            Task::Classification {
+                                data, observable, ..
+                            } => {
+                                let mut residuals = Vec::with_capacity(batch.len());
+                                for (j, &example) in batch.iter().enumerate() {
+                                    let mut state =
+                                        task.input_state(batch, j, plan.num_qubits())?;
+                                    base.run_on(&mut state)?;
+                                    let pred = observable.expectation(&state)?;
+                                    residuals.push(
+                                        2.0 * (pred - data.labels[example]) / batch.len() as f64,
+                                    );
+                                }
+                                (residuals, batch.len() as u32)
+                            }
+                            _ => (vec![1.0], 0),
+                        };
+                        let grad = parameter_shift_gradient(
+                            params.len(),
+                            &sites,
+                            SHIFT,
+                            &weights,
+                            || ResumeScratch::new(plan, &base, task, batch),
+                            |scratch, op, delta| {
+                                scratch.eval.rebind_shifted(&params, op, delta)?;
+                                scratch.outputs(task, batch)
+                            },
+                        )?;
+                        let evals =
+                            2 * sites.len() as u32 * task.evals_per_loss(batch) + unshifted_runs;
+                        Ok((grad, evals, 0))
+                    }
+                    Task::Classification {
+                        data, observable, ..
+                    } => {
+                        // Example-major, as the shot stream is drawn: an
+                        // example's unshifted prediction, then its ±
+                        // shifts site by site.
+                        let mode = self.config.eval_mode;
+                        let mut bound = plan.bind_scratch();
                         let mut grad = vec![0.0; params.len()];
                         let mut evals = 0u32;
                         let mut shots = 0u64;
-                        let labels: Vec<f64> = batch.iter().map(|&i| data.labels[i]).collect();
-                        for (&example, label) in batch.iter().zip(labels) {
-                            let (pred, s0) = self.prediction_at(&params, example, None)?;
-                            shots += s0;
-                            evals += 1;
-                            let residual = 2.0 * (pred - label) / batch.len() as f64;
+                        for j in 0..batch.len() {
+                            let mut predict = |op_shift: Option<(usize, f64)>| {
+                                match op_shift {
+                                    Some((op, delta)) => {
+                                        bound.rebind_shifted(&params, op, delta)?
+                                    }
+                                    None => bound.rebind(&params)?,
+                                }
+                                let mut state = task.input_state(batch, j, plan.num_qubits())?;
+                                bound.run_on(&mut state)?;
+                                let (pred, s) = evaluate_observable(
+                                    &state,
+                                    observable,
+                                    mode,
+                                    &mut self.shots_rng,
+                                )?;
+                                evals += 1;
+                                shots += s;
+                                Ok::<f64, TrainError>(pred)
+                            };
+                            let residual =
+                                2.0 * (predict(None)? - data.labels[batch[j]]) / batch.len() as f64;
                             for site in &sites {
-                                let op = site.op_index;
-                                let (plus, s1) =
-                                    self.prediction_at(&params, example, Some((op, SHIFT)))?;
-                                let (minus, s2) =
-                                    self.prediction_at(&params, example, Some((op, -SHIFT)))?;
-                                shots += s1 + s2;
-                                evals += 2;
+                                let plus = predict(Some((site.op_index, SHIFT)))?;
+                                let minus = predict(Some((site.op_index, -SHIFT)))?;
                                 grad[site.param_index] +=
                                     residual * site.scale * (plus - minus) / 2.0;
                             }
                         }
                         Ok((grad, evals, shots))
-                    }
-                    task if exact => {
-                        let plan = &self.plan;
-                        let base = plan.bind(&params)?;
-                        let grad = parameter_shift_gradient(
-                            params.len(),
-                            &sites,
-                            SHIFT,
-                            || ResumeScratch::new(plan, &base, task, batch),
-                            |scratch, op, delta| {
-                                scratch.eval.rebind_shifted(&params, op, delta)?;
-                                scratch.loss(task, batch)
-                            },
-                        )?;
-                        let evals = 2 * sites.len() as u32 * task.evals_per_loss(batch);
-                        Ok((grad, evals, 0))
                     }
                     _ => {
                         // Direct rule on the (expectation-shaped) loss.
@@ -656,32 +670,6 @@ impl Trainer {
                         Ok((grad, evals, shots))
                     }
                 }
-            }
-            GradientMethod::FiniteDiff { eps } if exact => {
-                let (plan, task) = (&self.plan, &self.task);
-                let base = plan.bind(&params)?;
-                let grad = finite_diff_gradient_parallel(
-                    &params,
-                    eps,
-                    || ResumeScratch::new(plan, &base, task, batch),
-                    |scratch, p| {
-                        scratch.eval.rebind(p)?;
-                        scratch.loss(task, batch)
-                    },
-                )?;
-                let evals = 2 * params.len() as u32 * task.evals_per_loss(batch);
-                Ok((grad, evals, 0))
-            }
-            GradientMethod::FiniteDiff { eps } => {
-                let mut evals = 0u32;
-                let mut shots = 0u64;
-                let grad = finite_diff_gradient(&params, eps, |p| {
-                    let (l, e, s) = self.loss_at(p, batch, None)?;
-                    evals += e;
-                    shots += s;
-                    Ok::<f64, TrainError>(l)
-                })?;
-                Ok((grad, evals, shots))
             }
             GradientMethod::Spsa { c } => {
                 let mut evals = 0u32;
@@ -1091,11 +1079,11 @@ mod tests {
     #[test]
     fn parallel_gradients_bit_identical_across_thread_counts() {
         // Exact-mode gradients must not depend on the worker count: run the
-        // same trajectory of every task × estimator under different qpar
-        // overrides and compare what a step reports, what it leaves in the
-        // parameters and what it books in the ledger, bit for bit. One
-        // thread takes the fan-out driver inline; four really fan out.
-        let build = |task_name: &str, method: GradientMethod| {
+        // same trajectory of every task under different qpar overrides and
+        // compare what a step reports, what it leaves in the parameters and
+        // what it books in the ledger, bit for bit. One thread takes the
+        // fan-out driver inline; four really fan out.
+        let build = |task_name: &str| {
             let mut rng = Xoshiro256::seed_from(11);
             let (circuit, info) = hardware_efficient(2, 2);
             let task = match task_name {
@@ -1114,15 +1102,12 @@ mod tests {
             };
             assert_eq!(task.name(), task_name);
             let params = init_params(info.num_params, &mut rng);
-            let config = TrainerConfig {
-                gradient: method,
-                ..TrainerConfig::default()
-            };
+            let config = TrainerConfig::default();
             Trainer::new(circuit, task, Box::new(Adam::new(0.05)), params, config).unwrap()
         };
-        let run_at = |threads: usize, task_name: &str, method: GradientMethod| {
+        let run_at = |threads: usize, task_name: &str| {
             qpar::with_threads(threads, || {
-                let mut t = build(task_name, method);
+                let mut t = build(task_name);
                 let reports: Vec<(u64, u64, u32, u64)> = t
                     .train_steps(5)
                     .unwrap()
@@ -1134,29 +1119,42 @@ mod tests {
             })
         };
         for task_name in ["vqe", "state-learning", "classification"] {
-            for method in [
-                GradientMethod::ParameterShift,
-                GradientMethod::FiniteDiff { eps: 1e-5 },
-            ] {
-                let reference = run_at(1, task_name, method);
-                assert!(reference.0.iter().all(|r| r.2 > 1 && r.3 == 0));
-                assert_eq!(
-                    run_at(4, task_name, method),
-                    reference,
-                    "{task_name} {method} x4"
-                );
-            }
+            let reference = run_at(1, task_name);
+            assert!(reference.0.iter().all(|r| r.2 > 1 && r.3 == 0));
+            assert_eq!(run_at(4, task_name), reference, "{task_name} x4");
         }
+        // Classification's chain rule takes the resumed fan-out too.
+        if qobs::mode() == qobs::Mode::Off {
+            qobs::set_mode(qobs::Mode::Counters);
+        }
+        let skipped = || qobs::counter("qnn_gradient_atoms_skipped_total").get();
+        let before = skipped();
+        build("classification").train_step().unwrap();
+        assert!(skipped() > before, "a classification step resumed nothing");
+    }
+
+    /// The central difference of [`Trainer::exact_loss`] in each
+    /// parameter: the reference a parameter-shift gradient is checked
+    /// against.
+    fn central_difference(t: &mut Trainer, eps: f64) -> Vec<f64> {
+        let params = t.params.clone();
+        let mut grad = Vec::with_capacity(params.len());
+        for (i, p) in params.iter().enumerate() {
+            t.params[i] = p + eps;
+            let plus = t.exact_loss().unwrap();
+            t.params[i] = p - eps;
+            let minus = t.exact_loss().unwrap();
+            t.params[i] = *p;
+            grad.push((plus - minus) / (2.0 * eps));
+        }
+        grad
     }
 
     #[test]
     fn finite_diff_agrees_with_parameter_shift_exact() {
-        let mut shift = vqe_trainer(10, EvalMode::Exact);
-        let mut fd = vqe_trainer(10, EvalMode::Exact);
-        fd.config.gradient = GradientMethod::FiniteDiff { eps: 1e-6 };
-        let batch: Vec<usize> = Vec::new();
-        let (g1, _, _) = shift.gradient(&batch).unwrap();
-        let (g2, _, _) = fd.gradient(&batch).unwrap();
+        let mut t = vqe_trainer(10, EvalMode::Exact);
+        let (g1, _, _) = t.gradient(&[]).unwrap();
+        let g2 = central_difference(&mut t, 1e-6);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -1169,29 +1167,16 @@ mod tests {
         let (circuit, info) = crate::ansatz::qaoa_like(&h, 2);
         let mut rng = Xoshiro256::seed_from(11);
         let params = init_params(info.num_params, &mut rng);
-        let mut shift = Trainer::new(
-            circuit.clone(),
-            Task::Vqe {
-                hamiltonian: h.clone(),
-            },
-            Box::new(Sgd::new(0.05)),
-            params.clone(),
-            TrainerConfig::default(),
-        )
-        .unwrap();
-        let mut fd = Trainer::new(
+        let mut t = Trainer::new(
             circuit,
             Task::Vqe { hamiltonian: h },
             Box::new(Sgd::new(0.05)),
             params,
-            TrainerConfig {
-                gradient: GradientMethod::FiniteDiff { eps: 1e-6 },
-                ..TrainerConfig::default()
-            },
+            TrainerConfig::default(),
         )
         .unwrap();
-        let (g1, _, _) = shift.gradient(&[]).unwrap();
-        let (g2, _, _) = fd.gradient(&[]).unwrap();
+        let (g1, _, _) = t.gradient(&[]).unwrap();
+        let g2 = central_difference(&mut t, 1e-6);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-4, "shared-param gradient {a} vs {b}");
         }

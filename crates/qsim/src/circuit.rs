@@ -412,11 +412,7 @@ impl Circuit {
     pub fn run_on(&self, state: &mut StateVector, params: &[f64]) -> Result<(), CircuitError> {
         #[cfg(any(test, feature = "testing"))]
         if crate::plan::ExecMode::current() == crate::plan::ExecMode::Interp {
-            self.validate(params.len())?;
-            return self.run_fused(state, |_, op| match op.param {
-                Some(p) => op.gate.with_param(p.resolve(params)),
-                None => op.gate,
-            });
+            return self.interpret_on(state, params, None);
         }
         // No separate validate: compile checks structure and bind checks
         // the parameter vector.
@@ -424,15 +420,22 @@ impl Circuit {
     }
 
     /// The op-by-op reference interpreter the equivalence suites compare
-    /// compiled plans against (`plan::with_exec_mode(ExecMode::Interp)`);
-    /// `gate_at` resolves the concrete gate for each op. It fuses exactly
-    /// as plan binding does, so the two must agree bit for bit.
+    /// compiled plans against, run whatever the [`crate::plan::ExecMode`].
+    /// `op_shift` offsets the angle of one op — the oracle for a binding
+    /// made by [`crate::plan::BoundPlan::rebind_shifted`]. It fuses
+    /// exactly as plan binding does, so the two must agree bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Circuit::run_on`].
     #[cfg(any(test, feature = "testing"))]
-    fn run_fused(
+    pub fn interpret_on(
         &self,
         state: &mut StateVector,
-        mut gate_at: impl FnMut(usize, &Op) -> Gate,
+        params: &[f64],
+        op_shift: Option<(usize, f64)>,
     ) -> Result<(), CircuitError> {
+        self.validate(params.len())?;
         // The state may be narrower than the circuit declares; gate
         // application bypasses `apply_gate`'s per-op validation, so check
         // every operand against the actual register width up front (the
@@ -461,7 +464,13 @@ impl Circuit {
         let mut dense: Vec<Option<Matrix2>> = vec![None; self.num_qubits];
         let mut diag: Vec<Option<Matrix2>> = vec![None; self.num_qubits];
         for (i, op) in self.ops.iter().enumerate() {
-            let gate = gate_at(i, op);
+            let gate = match (op.param, op_shift) {
+                (Some(p), Some((shifted, delta))) if i == shifted => {
+                    op.gate.with_param(p.resolve(params) + delta)
+                }
+                (Some(p), _) => op.gate.with_param(p.resolve(params)),
+                (None, _) => op.gate,
+            };
             match gate.arity() {
                 1 => {
                     let q = op.qubits[0];
@@ -542,94 +551,6 @@ impl Circuit {
             }
         }
         Ok(())
-    }
-
-    /// Executes the circuit with a single parameter shifted by `delta`
-    /// (convenience for the parameter-shift rule).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Circuit::run`] errors; `param_index` out of range of
-    /// `params` is a [`CircuitError::ParamOutOfRange`].
-    pub fn run_shifted(
-        &self,
-        params: &[f64],
-        param_index: usize,
-        delta: f64,
-    ) -> Result<StateVector, CircuitError> {
-        if param_index >= params.len() {
-            return Err(CircuitError::ParamOutOfRange {
-                op_index: usize::MAX,
-                param_index,
-                num_params: params.len(),
-            });
-        }
-        let mut shifted = params.to_vec();
-        shifted[param_index] += delta;
-        self.run(&shifted)
-    }
-
-    /// Executes the circuit with the angle of the single operation at
-    /// `op_index` offset by `delta` (the op-level primitive behind the
-    /// generalized parameter-shift rule, correct even when several ops share
-    /// one parameter).
-    ///
-    /// # Errors
-    ///
-    /// Fails when `op_index` does not refer to a parametrized op, or on any
-    /// [`Circuit::run`] error.
-    pub fn run_with_op_shift(
-        &self,
-        params: &[f64],
-        op_index: usize,
-        delta: f64,
-    ) -> Result<StateVector, CircuitError> {
-        let op = self.ops.get(op_index).ok_or(CircuitError::ArityMismatch {
-            op_index,
-            expected: 0,
-            got: 0,
-        })?;
-        if op.param.is_none() {
-            return Err(CircuitError::ArityMismatch {
-                op_index,
-                expected: 1,
-                got: 0,
-            });
-        }
-        let mut state = StateVector::zero_state(self.num_qubits);
-        self.run_on_with_op_shift(&mut state, params, op_index, delta)?;
-        Ok(state)
-    }
-
-    /// Like [`Circuit::run_with_op_shift`] but evolving an existing state in
-    /// place (used when the circuit is preceded by a data-encoding prefix).
-    ///
-    /// # Errors
-    ///
-    /// As [`Circuit::run_on`].
-    pub fn run_on_with_op_shift(
-        &self,
-        state: &mut StateVector,
-        params: &[f64],
-        op_index: usize,
-        delta: f64,
-    ) -> Result<(), CircuitError> {
-        #[cfg(any(test, feature = "testing"))]
-        if crate::plan::ExecMode::current() == crate::plan::ExecMode::Interp {
-            self.validate(params.len())?;
-            return self.run_fused(state, |i, op| match op.param {
-                Some(p) => {
-                    let mut angle = p.resolve(params);
-                    if i == op_index {
-                        angle += delta;
-                    }
-                    op.gate.with_param(angle)
-                }
-                None => op.gate,
-            });
-        }
-        self.compile()?
-            .run_on_with_op_shift(state, params, op_index, delta)
     }
 
     /// The adjoint circuit (all gates inverted, order reversed). Symbolic
@@ -797,43 +718,24 @@ mod tests {
     }
 
     #[test]
-    fn run_shifted_shifts_one_parameter() {
-        let mut c = Circuit::new(1);
-        c.push_sym(Gate::Ry(0.0), &[0], 0);
-        let base = c.run(&[0.5]).unwrap();
-        let shifted = c.run_shifted(&[0.5], 0, 0.25).unwrap();
-        let direct = c.run(&[0.75]).unwrap();
-        assert!((shifted.fidelity(&direct).unwrap() - 1.0).abs() < EPS);
-        assert!(shifted.fidelity(&base).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn run_shifted_out_of_range() {
-        let mut c = Circuit::new(1);
-        c.push_sym(Gate::Ry(0.0), &[0], 0);
-        assert!(c.run_shifted(&[0.5], 3, 0.1).is_err());
-    }
-
-    #[test]
-    fn run_with_op_shift_shifts_only_that_op() {
+    fn op_shift_moves_only_that_op() {
         // Two ops sharing parameter 0; shifting op 1 must not move op 0.
         let mut c = Circuit::new(1);
         c.push_sym(Gate::Ry(0.0), &[0], 0);
         c.push_sym(Gate::Ry(0.0), &[0], 0);
-        let shifted = c.run_with_op_shift(&[0.3], 1, 0.2).unwrap();
+        let plan = c.compile().unwrap();
+        let mut bound = plan.bind_scratch();
+        bound.rebind_shifted(&[0.3], 1, 0.2).unwrap();
+        let mut shifted = StateVector::zero_state(1);
+        bound.run_on(&mut shifted).unwrap();
         let mut reference = Circuit::new(1);
         reference.push_fixed(Gate::Ry(0.3), &[0]);
         reference.push_fixed(Gate::Ry(0.5), &[0]);
         let expected = reference.run(&[]).unwrap();
         assert!((shifted.fidelity(&expected).unwrap() - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn run_with_op_shift_rejects_fixed_ops() {
-        let mut c = Circuit::new(1);
-        c.push_fixed(Gate::H, &[0]);
-        assert!(c.run_with_op_shift(&[], 0, 0.1).is_err());
-        assert!(c.run_with_op_shift(&[], 5, 0.1).is_err());
+        let mut oracle = StateVector::zero_state(1);
+        c.interpret_on(&mut oracle, &[0.3], Some((1, 0.2))).unwrap();
+        assert!((oracle.fidelity(&expected).unwrap() - 1.0).abs() < EPS);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!    per run). Plans are parameter-independent: one plan serves every
 //!    parameter vector and every ±π/2 shift evaluation.
 //! 2. **Bind** ([`ExecPlan::bind`] → [`BoundPlan`]): resolves symbolic
-//!    angles against a parameter vector (shift sites patch resolved
-//!    angles here), runs 1q-fusion + diagonal-folding, and classifies
-//!    each resulting matrix into its kernel (`Kernel2`/`Kernel4`)
-//!    exactly once. Binding is `O(ops)` small-matrix work — microseconds
-//!    against the milliseconds of a 16-qubit state sweep.
+//!    angles against a parameter vector (a shift site patches its
+//!    resolved angle here: [`BoundPlan::rebind_shifted`] is the one
+//!    op-shift entry point), runs 1q-fusion + diagonal-folding, and
+//!    classifies each resulting matrix into its kernel
+//!    (`Kernel2`/`Kernel4`) exactly once. Binding is `O(ops)`
+//!    small-matrix work — microseconds against the milliseconds of a
+//!    16-qubit state sweep.
 //! 3. **Schedule**: consecutive bound gates whose operand qubits all fit
 //!    a cache-sized tile (`2^T` amplitudes, `T` = 13) are grouped into a
 //!    *tile block*; gates touching a qubit ≥ `T` become
@@ -229,6 +231,36 @@ pub fn with_fuse_mode<R>(mode: FuseMode, f: impl FnOnce() -> R) -> R {
         })
     });
     f()
+}
+
+/// The calling thread's executor overrides — its [`FuseMode`] and, in
+/// test builds, its `ExecMode` — captured to be re-entered on a fan-out
+/// worker. Both are thread-local, so a worker that did not re-enter them
+/// would bind with the ambient `QSIM_FUSE` schedule and run the compiled
+/// plan whatever its caller asked for.
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadModes {
+    fuse: FuseMode,
+    #[cfg(any(test, feature = "testing"))]
+    exec: ExecMode,
+}
+
+impl ThreadModes {
+    /// The overrides in effect on this thread.
+    pub fn current() -> ThreadModes {
+        ThreadModes {
+            fuse: FuseMode::current(),
+            #[cfg(any(test, feature = "testing"))]
+            exec: ExecMode::current(),
+        }
+    }
+
+    /// Runs `f` under these overrides (on a worker: its caller's).
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        #[cfg(any(test, feature = "testing"))]
+        let f = move || with_exec_mode(self.exec, f);
+        with_fuse_mode(self.fuse, f)
+    }
 }
 
 /// One compiled circuit op: the original gate plus everything knowable
@@ -840,24 +872,6 @@ impl ExecPlan {
         Ok(bound)
     }
 
-    /// [`ExecPlan::bind`] with the angle of the op at `op_index` offset
-    /// by `delta` — the shift-site patch behind the generalized
-    /// parameter-shift rule.
-    ///
-    /// # Errors
-    ///
-    /// As [`ExecPlan::bind`].
-    pub fn bind_shifted(
-        &self,
-        params: &[f64],
-        op_index: usize,
-        delta: f64,
-    ) -> Result<BoundPlan<'_>, CircuitError> {
-        let mut bound = BoundPlan::empty(self);
-        bound.rebind_shifted(params, op_index, delta)?;
-        Ok(bound)
-    }
-
     /// Executes the plan on `|0…0⟩` with the given binding.
     ///
     /// # Errors
@@ -877,21 +891,6 @@ impl ExecPlan {
     /// As [`ExecPlan::bind`] plus execution-time state errors.
     pub fn run_on(&self, state: &mut StateVector, params: &[f64]) -> Result<(), CircuitError> {
         self.bind(params)?.run_on(state)
-    }
-
-    /// Like [`ExecPlan::run_on`] with one op's angle offset by `delta`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ExecPlan::bind_shifted`] plus execution-time state errors.
-    pub fn run_on_with_op_shift(
-        &self,
-        state: &mut StateVector,
-        params: &[f64],
-        op_index: usize,
-        delta: f64,
-    ) -> Result<(), CircuitError> {
-        self.bind_shifted(params, op_index, delta)?.run_on(state)
     }
 
     /// An empty, reusable [`BoundPlan`] shell whose buffers survive
@@ -1513,6 +1512,25 @@ mod tests {
             .collect()
     }
 
+    /// A fresh binding of `plan` with op `op` shifted by `delta`.
+    fn shifted_binding<'p>(
+        plan: &'p ExecPlan,
+        params: &[f64],
+        op: usize,
+        delta: f64,
+    ) -> BoundPlan<'p> {
+        let mut bound = plan.bind_scratch();
+        bound.rebind_shifted(params, op, delta).unwrap();
+        bound
+    }
+
+    /// The interpreter's run of `c` on `|0…0⟩` with op `op` shifted.
+    fn oracle(c: &Circuit, params: &[f64], op: usize, delta: f64) -> StateVector {
+        let mut s = StateVector::zero_state(c.num_qubits());
+        c.interpret_on(&mut s, params, Some((op, delta))).unwrap();
+        s
+    }
+
     fn sample_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         let mut p = 0;
@@ -1565,13 +1583,11 @@ mod tests {
         let params: Vec<f64> = (0..c.num_params()).map(|i| 0.3 + 0.05 * i as f64).collect();
         let delta = std::f64::consts::FRAC_PI_2;
         for (op, _) in c.sym_ops() {
-            let interp =
-                with_exec_mode(ExecMode::Interp, || c.run_with_op_shift(&params, op, delta))
-                    .unwrap();
             let mut s = StateVector::zero_state(4);
-            plan.run_on_with_op_shift(&mut s, &params, op, delta)
+            shifted_binding(&plan, &params, op, delta)
+                .run_on(&mut s)
                 .unwrap();
-            assert_eq!(bits(&interp), bits(&s), "op {op}");
+            assert_eq!(bits(&oracle(&c, &params, op, delta)), bits(&s), "op {op}");
         }
     }
 
@@ -1757,7 +1773,8 @@ mod tests {
             let mut s = StateVector::zero_state(5);
             bound.run_on(&mut s).unwrap();
             let mut fresh = StateVector::zero_state(5);
-            plan.run_on_with_op_shift(&mut fresh, &params, op, 0.7)
+            shifted_binding(&plan, &params, op, 0.7)
+                .run_on(&mut fresh)
                 .unwrap();
             assert_eq!(bits(&fresh), bits(&s), "shifted seed {seed}");
         }
@@ -1883,8 +1900,7 @@ mod tests {
         assert_eq!(base.passes(), n + 1);
         for (op, _) in c.sym_ops() {
             let shifted = with_fuse_mode(FuseMode::On, || {
-                plan.bind_shifted(&params, op, std::f64::consts::FRAC_PI_2)
-                    .unwrap()
+                shifted_binding(&plan, &params, op, std::f64::consts::FRAC_PI_2)
             });
             assert_eq!(base.shared_prefix(&shifted), op / 2, "op {op}");
         }
@@ -1897,7 +1913,7 @@ mod tests {
         let params: Vec<f64> = (0..c.num_params()).map(|i| 0.2 * i as f64).collect();
         let base = plan.bind(&params).unwrap();
         let (op, _) = c.sym_ops()[3];
-        let shifted = plan.bind_shifted(&params, op, 0.5).unwrap();
+        let shifted = shifted_binding(&plan, &params, op, 0.5);
         assert!(base.shared_prefix(&shifted) > 0);
         let mut work = StateVector::zero_state(4);
         let skipped = with_exec_mode(ExecMode::Interp, || {
@@ -1908,9 +1924,24 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(skipped, 0);
-        let oracle =
-            with_exec_mode(ExecMode::Interp, || c.run_with_op_shift(&params, op, 0.5)).unwrap();
-        assert_eq!(bits(&oracle), bits(&work));
+        assert_eq!(bits(&oracle(&c, &params, op, 0.5)), bits(&work));
+    }
+
+    #[test]
+    fn thread_modes_carry_the_overrides_to_another_thread() {
+        let seen = |modes: ThreadModes| {
+            std::thread::scope(|s| {
+                s.spawn(|| modes.enter(|| (FuseMode::current(), ExecMode::current())))
+                    .join()
+                    .unwrap()
+            })
+        };
+        for fuse in [FuseMode::On, FuseMode::Off] {
+            for exec in [ExecMode::Interp, ExecMode::Plan] {
+                let modes = with_fuse_mode(fuse, || with_exec_mode(exec, ThreadModes::current));
+                assert_eq!(seen(modes), (fuse, exec));
+            }
+        }
     }
 
     #[test]

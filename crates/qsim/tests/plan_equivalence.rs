@@ -4,8 +4,8 @@
 //! Random circuits (fixed and symbolic gates) × random parameter
 //! vectors × 1/2/4/8 threads: `Circuit::compile()` + plan execution must
 //! reproduce the interpreter's amplitudes bit for bit, including
-//! parameter-shifted runs. The reference bits always come from the
-//! serial interpreter (`ExecMode::Interp`, one thread).
+//! op-shifted runs. The reference bits always come from the serial
+//! interpreter (`Circuit::interpret_on`, one thread).
 
 use proptest::prelude::*;
 
@@ -43,17 +43,12 @@ fn bits(s: &StateVector) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Serial-interpreter reference bits for a (possibly shifted) run.
+/// Serial-interpreter reference bits for a (possibly op-shifted) run.
 fn reference(c: &Circuit, params: &[f64], shift: Option<(usize, f64)>) -> Vec<(u64, u64)> {
-    with_exec_mode(ExecMode::Interp, || {
-        qpar::with_threads(1, || {
-            let mut s = StateVector::zero_state(c.num_qubits());
-            match shift {
-                Some((op, delta)) => c.run_on_with_op_shift(&mut s, params, op, delta).unwrap(),
-                None => c.run_on(&mut s, params).unwrap(),
-            }
-            bits(&s)
-        })
+    qpar::with_threads(1, || {
+        let mut s = StateVector::zero_state(c.num_qubits());
+        c.interpret_on(&mut s, params, shift).unwrap();
+        bits(&s)
     })
 }
 
@@ -79,8 +74,8 @@ proptest! {
         prop_assert_eq!(&via_wrapper, &want);
     }
 
-    /// Shifted runs (the parameter-shift primitive) agree bit for bit:
-    /// shift sites patch resolved angles at bind time.
+    /// Op-shifted runs (the parameter-shift primitive) agree bit for
+    /// bit: `rebind_shifted` patches the resolved angle at bind time.
     #[test]
     fn shifted_plan_matches_interpreter(
         (c, params) in arb_plan_circuit(),
@@ -95,24 +90,16 @@ proptest! {
         let (op_index, _) = sites[site_pick.index(sites.len())];
         let want = reference(&c, &params, Some((op_index, delta)));
         let plan = c.compile().unwrap();
+        let mut bound = plan.bind_scratch();
         for threads in [1usize, 4] {
             let got = qpar::with_threads(threads, || {
+                bound.rebind_shifted(&params, op_index, delta).unwrap();
                 let mut s = StateVector::zero_state(c.num_qubits());
-                plan.run_on_with_op_shift(&mut s, &params, op_index, delta).unwrap();
+                bound.run_on(&mut s).unwrap();
                 bits(&s)
             });
             prop_assert_eq!(&got, &want, "threads={} op={}", threads, op_index);
         }
-        // `run_shifted` (whole-parameter shift) dispatches through the
-        // plan by default; cross-check against the interpreter.
-        let (_, param_index) = sites[site_pick.index(sites.len())];
-        let shifted_interp = with_exec_mode(ExecMode::Interp, || {
-            qpar::with_threads(1, || bits(&c.run_shifted(&params, param_index, delta).unwrap()))
-        });
-        let shifted_plan = with_exec_mode(ExecMode::Plan, || {
-            qpar::with_threads(1, || bits(&c.run_shifted(&params, param_index, delta).unwrap()))
-        });
-        prop_assert_eq!(&shifted_plan, &shifted_interp);
     }
 
     /// Binding one plan repeatedly with different parameter vectors is

@@ -2,8 +2,8 @@
 //!
 //! A [`PrefixCursor`] on the unshifted binding resumes every ±π/2
 //! op-shifted binding and every ±δ parameter-perturbed binding of a random
-//! circuit; the state it leaves must equal `bind_shifted` / `bind` plus a
-//! full `run_on` from the same input, bit for bit. The circuits mix
+//! circuit; the state it leaves must equal a fresh binding's full `run_on`
+//! from the same input, bit for bit. The circuits mix
 //! symbolic gates reading a few shared parameters (some scaled, some
 //! two-qubit) with fixed-angle gates, and always hold a rotation whose
 //! parameter is exactly −π/2, so its +π/2 shift binds the identity and
@@ -100,16 +100,14 @@ proptest! {
                     let mut cursor = PrefixCursor::new();
                     let mut work = StateVector::zero_state(n);
                     for (op, p, delta) in &shifts {
-                        let full = match op {
-                            Some(op) => {
-                                eval.rebind_shifted(p, *op, *delta).unwrap();
-                                plan.bind_shifted(p, *op, *delta).unwrap()
+                        // `eval` is rebound in place; `full` is a fresh binding.
+                        let mut full = plan.bind_scratch();
+                        for bound in [&mut eval, &mut full] {
+                            match op {
+                                Some(op) => bound.rebind_shifted(p, *op, *delta).unwrap(),
+                                None => bound.rebind(p).unwrap(),
                             }
-                            None => {
-                                eval.rebind(p).unwrap();
-                                plan.bind(p).unwrap()
-                            }
-                        };
+                        }
                         let skipped = cursor
                             .resume(&base, &eval, &mut work, || {
                                 Ok::<_, CircuitError>(input.clone())

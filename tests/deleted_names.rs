@@ -138,6 +138,26 @@ const RULES: &[Rule] = &[
         ],
         reason: "one RNG, and the cloud replay models only what the figures replay",
     },
+    Rule {
+        paths: SOURCES,
+        above_tests: false,
+        // `rebind_shifted` stays, so `bind_shifted` is matched with what
+        // can precede it.
+        names: &[
+            "FiniteDiff",
+            "finite_diff_gradient",
+            "prediction_at",
+            "run_shifted",
+            "run_with_op_shift",
+            "run_on_with_op_shift",
+            "fn bind_shifted",
+            ".bind_shifted(",
+            "::bind_shifted",
+            "`bind_shifted",
+        ],
+        reason: "two gradient estimators (parameter shift and SPSA) and one way to evaluate a \
+                 shifted binding: BoundPlan::rebind_shifted, resumed through a PrefixCursor",
+    },
 ];
 
 /// Calls that write, rename, remove, create or truncate a file.
