@@ -221,20 +221,34 @@ pub fn simulate_run(
     }
 }
 
-/// Averages `trials` runs (mean makespan, mean efficiency, abort count).
+/// The random streams of a replay seeded with `seed`, one per trial:
+/// trial `t` draws from the `t`-th split of `Xoshiro256::seed_from(seed)`.
+///
+/// Replays that share a seed are paired (common random numbers): trial
+/// `t` sees the same draws under every strategy, interval and failure
+/// rate, and [`simulate_run`] draws each session's queue wait and failure
+/// time in a fixed order, so a difference between two rows is the
+/// strategies' difference, not a different failure trace.
+pub fn trial_streams(seed: u64) -> impl Iterator<Item = Xoshiro256> {
+    let mut root = Xoshiro256::seed_from(seed);
+    std::iter::repeat_with(move || root.split())
+}
+
+/// Averages `trials` runs on the streams of [`trial_streams`]`(seed)`
+/// (mean makespan, mean efficiency, abort count).
 pub fn mean_outcome(
     spec: &JobSpec,
     strategy: &CheckpointStrategy,
     env: &Environment,
     trials: u32,
-    rng: &mut Xoshiro256,
+    seed: u64,
 ) -> (f64, f64, u32) {
     assert!(trials > 0, "need at least one trial");
     let mut makespan = 0.0;
     let mut eff = 0.0;
     let mut aborts = 0;
-    for _ in 0..trials {
-        let o = simulate_run(spec, strategy, env, rng);
+    for mut rng in trial_streams(seed).take(trials as usize) {
+        let o = simulate_run(spec, strategy, env, &mut rng);
         makespan += o.makespan as f64;
         eff += o.efficiency();
         if o.aborted {
@@ -294,10 +308,9 @@ mod tests {
             mtbf: Some(40 * SECOND),
             session_ttl: None,
         };
-        let mut rng = Xoshiro256::seed_from(3);
         let strategy = CheckpointStrategy::periodic(5, SECOND / 10, SECOND);
-        let (with_ckpt, _, a1) = mean_outcome(&spec(), &strategy, &env, 40, &mut rng);
-        let (without, _, a2) = mean_outcome(&spec(), &CheckpointStrategy::None, &env, 40, &mut rng);
+        let (with_ckpt, _, a1) = mean_outcome(&spec(), &strategy, &env, 40, 3);
+        let (without, _, a2) = mean_outcome(&spec(), &CheckpointStrategy::None, &env, 40, 3);
         assert_eq!(a1 + a2, 0, "runs aborted");
         assert!(
             with_ckpt * 1.5 < without,

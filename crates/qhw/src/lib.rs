@@ -42,7 +42,7 @@ pub mod event;
 pub mod queue;
 
 pub use client::{
-    mean_outcome, simulate_run, CheckpointStrategy, Environment, JobSpec, RunOutcome,
+    mean_outcome, simulate_run, trial_streams, CheckpointStrategy, Environment, JobSpec, RunOutcome,
 };
 pub use event::{SimTime, HOUR, MICRO, MILLIS, MINUTE, SECOND};
 pub use queue::WaitModel;

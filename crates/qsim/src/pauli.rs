@@ -13,7 +13,10 @@
 //! ±1 or ±i is exact. Each term therefore sums, from `+0.0` and in index
 //! order over the same fixed stripes as [`StateVector::inner`], the very
 //! products the apply-and-inner path forms, so the result is bit-identical
-//! to `Σ c·`[`PauliString::expectation`] at every width and thread count.
+//! to `Σ c·`[`PauliString::expectation`] at every width, thread count and
+//! SIMD level. The sums are [`qsimd::pauli_sums`]: its vector arms put
+//! terms, not amplitudes, in SIMD lanes — two per SSE2 vector, four per
+//! AVX2 vector — so every lane is one term's own chain of adds.
 
 use std::fmt;
 use std::ops::Range;
@@ -160,6 +163,23 @@ impl PauliString {
         Ok(ip.re)
     }
 
+    /// The string as index masks: X-or-Y qubits and Z-or-Y qubits.
+    fn mask(&self) -> qsimd::PauliMask {
+        let (mut x, mut z) = (0usize, 0usize);
+        for (q, p) in self.paulis.iter().enumerate() {
+            match p {
+                Pauli::I => {}
+                Pauli::X => x |= 1 << q,
+                Pauli::Z => z |= 1 << q,
+                Pauli::Y => {
+                    x |= 1 << q;
+                    z |= 1 << q;
+                }
+            }
+        }
+        qsimd::PauliMask::new(x, z)
+    }
+
     /// Circuit of basis rotations mapping this string's eigenbasis to the
     /// computational basis (H for X, S†·H for Y).
     pub fn basis_rotation(&self) -> Circuit {
@@ -256,9 +276,12 @@ impl PauliSum {
     /// maps `(P|ψ⟩)ᵢ = (−i)^y · (−1)^popcount(i & z) · ψ_{i⊕x}`, so each term
     /// sums from `+0.0`, in index order (over the fixed [`SUM_STRIPES`]
     /// stripes above [`STRIPED_SUM_MIN_AMPS`], combined in order), the very
-    /// products [`StateVector::inner`] forms with `P|ψ⟩`. The result is
-    /// bit-identical to `Σ c·`[`PauliString::expectation`] in term order at
-    /// every width, thread count and SIMD level.
+    /// products [`StateVector::inner`] forms with `P|ψ⟩`. The SIMD level is
+    /// resolved once, before the stripes fan out, and [`qsimd::pauli_sums`]
+    /// sums the terms of one kind in one pass with each term in its own
+    /// vector lane. The result is bit-identical to
+    /// `Σ c·`[`PauliString::expectation`] in term order at every width,
+    /// thread count and SIMD level.
     ///
     /// # Errors
     ///
@@ -270,24 +293,19 @@ impl PauliSum {
                 right: state.num_qubits(),
             });
         }
-        let mut masks: Vec<TermMask> = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(term, (_, p))| TermMask::of(term, p))
-            .collect();
-        masks.sort_by_key(TermMask::kind);
-        let sweeps: Vec<&[TermMask]> = masks
-            .chunk_by(|a, b| a.kind() == b.kind())
-            .flat_map(|kind| kind.chunks(LANES))
-            .collect();
+        let masks: Vec<qsimd::PauliMask> = self.terms.iter().map(|(_, p)| p.mask()).collect();
+        let lvl = qsimd::active();
         let amps = state.amplitudes();
+        let flat = Complex64::flatten(amps);
+        let term_sums = |range: Range<usize>| {
+            let mut sums = vec![0.0; masks.len()];
+            qsimd::pauli_sums(lvl, flat, &masks, range, &mut sums);
+            sums
+        };
         let sums = if amps.len() < STRIPED_SUM_MIN_AMPS {
-            term_sums(amps, &sweeps, 0..amps.len())
+            term_sums(0..amps.len())
         } else {
-            let stripes = qpar::map(qpar::ranges(amps.len(), SUM_STRIPES), |r| {
-                term_sums(amps, &sweeps, r)
-            });
+            let stripes = qpar::map(qpar::ranges(amps.len(), SUM_STRIPES), term_sums);
             let mut sums = vec![0.0; self.terms.len()];
             for stripe in stripes {
                 for (sum, part) in sums.iter_mut().zip(stripe) {
@@ -371,183 +389,6 @@ impl fmt::Display for PauliSum {
         }
         Ok(())
     }
-}
-
-/// Terms one sweep of [`PauliSum::expectation`] evaluates together. Their
-/// accumulators are independent, so their addition chains overlap.
-const LANES: usize = 4;
-
-/// Bit `j` is set when `j` has bit `b` set, for the six low index bits.
-const LOW_BIT_PATTERNS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
-/// Which sweep evaluates a term.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TermKind {
-    /// No X or Y factor: `±|ψᵢ|²`.
-    Diagonal,
-    /// A flip with real phase: `±Re(conj(ψᵢ)·ψ_{i⊕x})`.
-    Real,
-    /// A flip with imaginary phase: `±Im(conj(ψᵢ)·ψ_{i⊕x})`.
-    Imag,
-}
-
-/// One term of a [`PauliSum`] as index masks.
-#[derive(Clone, Copy)]
-struct TermMask {
-    /// Position in [`PauliSum::terms`].
-    term: usize,
-    /// The qubits the string flips: its X and Y factors.
-    x: usize,
-    /// The qubits whose bit signs an amplitude: its Z and Y factors.
-    z: usize,
-    /// Whether `(−i)^y` is imaginary (an odd number of Y factors).
-    imag: bool,
-    /// Sign bit `j` of a 64-amplitude block: the parity of `j & z`,
-    /// inverted when `(−i)^y` is `−1` or `i` (the negated `1` and `−i`).
-    low_signs: u64,
-}
-
-impl TermMask {
-    fn of(term: usize, p: &PauliString) -> Self {
-        let (mut x, mut z, mut y) = (0usize, 0usize, 0u32);
-        for (q, p) in p.paulis().iter().enumerate() {
-            match p {
-                Pauli::I => {}
-                Pauli::X => x |= 1 << q,
-                Pauli::Z => z |= 1 << q,
-                Pauli::Y => {
-                    x |= 1 << q;
-                    z |= 1 << q;
-                    y += 1;
-                }
-            }
-        }
-        let mut low_signs = if y % 4 >= 2 { u64::MAX } else { 0 };
-        for (b, pattern) in LOW_BIT_PATTERNS.iter().enumerate() {
-            if z >> b & 1 == 1 {
-                low_signs ^= pattern;
-            }
-        }
-        TermMask {
-            term,
-            x,
-            z,
-            imag: y % 2 == 1,
-            low_signs,
-        }
-    }
-
-    fn kind(&self) -> TermKind {
-        match (self.x, self.imag) {
-            (0, _) => TermKind::Diagonal,
-            (_, false) => TermKind::Real,
-            (_, true) => TermKind::Imag,
-        }
-    }
-
-    /// Sign bits of the 64-amplitude block starting at `base`.
-    #[inline]
-    fn signs(&self, base: usize) -> u64 {
-        let high = u64::from((base & self.z).count_ones() & 1);
-        self.low_signs ^ high.wrapping_neg()
-    }
-}
-
-/// Each term's `Re⟨ψ|P|ψ⟩` over `range`, summed in index order from `+0.0`,
-/// in [`PauliSum::terms`] order.
-fn term_sums(amps: &[Complex64], sweeps: &[&[TermMask]], range: Range<usize>) -> Vec<f64> {
-    let mut sums = vec![0.0; sweeps.iter().map(|s| s.len()).sum()];
-    for terms in sweeps {
-        let r = range.clone();
-        match terms.len() {
-            1 => sweep::<1>(amps, terms, r, &mut sums),
-            2 => sweep::<2>(amps, terms, r, &mut sums),
-            3 => sweep::<3>(amps, terms, r, &mut sums),
-            _ => sweep::<LANES>(amps, terms, r, &mut sums),
-        }
-    }
-    sums
-}
-
-/// One pass over `range` for `K` terms of one kind, each sum stored at its
-/// term's position in `sums`.
-fn sweep<const K: usize>(
-    amps: &[Complex64],
-    terms: &[TermMask],
-    range: Range<usize>,
-    sums: &mut [f64],
-) {
-    let t: [TermMask; K] = std::array::from_fn(|k| terms[k]);
-    let values = match t[0].kind() {
-        TermKind::Diagonal => diagonal_sweep(amps, &t, range),
-        TermKind::Real => flip_sweep::<K, false>(amps, &t, range),
-        TermKind::Imag => flip_sweep::<K, true>(amps, &t, range),
-    };
-    for (t, v) in t.iter().zip(values) {
-        sums[t.term] = v;
-    }
-}
-
-/// [`TermKind::Diagonal`] terms over `range`.
-fn diagonal_sweep<const K: usize>(
-    amps: &[Complex64],
-    t: &[TermMask; K],
-    range: Range<usize>,
-) -> [f64; K] {
-    let mut acc = [0.0f64; K];
-    let mut lo = range.start;
-    while lo < range.end {
-        let base = lo & !63;
-        let hi = (base + 64).min(range.end);
-        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
-        for (j, a) in (lo - base..).zip(&amps[lo..hi]) {
-            let n = (a.re * a.re + a.im * a.im).to_bits();
-            for k in 0..K {
-                acc[k] += f64::from_bits(n ^ (signs[k] >> j << 63));
-            }
-        }
-        lo = hi;
-    }
-    acc
-}
-
-/// [`TermKind::Real`] terms over `range`, or [`TermKind::Imag`] ones when
-/// `IMAG`.
-fn flip_sweep<const K: usize, const IMAG: bool>(
-    amps: &[Complex64],
-    t: &[TermMask; K],
-    range: Range<usize>,
-) -> [f64; K] {
-    let top = amps.len() - 1;
-    let x: [usize; K] = std::array::from_fn(|k| t[k].x);
-    let mut acc = [0.0f64; K];
-    let mut lo = range.start;
-    while lo < range.end {
-        let base = lo & !63;
-        let hi = (base + 64).min(range.end);
-        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
-        for (i, a) in (lo..).zip(&amps[lo..hi]) {
-            let j = i - base;
-            for k in 0..K {
-                let b = amps[(i ^ x[k]) & top];
-                let r = if IMAG {
-                    a.re * b.im - a.im * b.re
-                } else {
-                    a.re * b.re + a.im * b.im
-                };
-                acc[k] += f64::from_bits(r.to_bits() ^ (signs[k] >> j << 63));
-            }
-        }
-        lo = hi;
-    }
-    acc
 }
 
 #[cfg(test)]

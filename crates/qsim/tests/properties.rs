@@ -169,9 +169,14 @@ proptest! {
         (h, state) in (2usize..17).prop_flat_map(|n| (arb_observable(n), arb_state(n))),
     ) {
         let oracle = expectation_oracle(&h, &state).unwrap().to_bits();
-        for threads in [1, 2, 4] {
-            let got = qpar::with_threads(threads, || h.expectation(&state).unwrap());
-            prop_assert_eq!(got.to_bits(), oracle, "threads={} {}", threads, h);
+        let detected = qsimd::detected();
+        for level in [qsimd::Level::Scalar, qsimd::Level::Sse2.min(detected), detected] {
+            for threads in [1, 2, 4] {
+                let got = qsimd::with_level(level, || {
+                    qpar::with_threads(threads, || h.expectation(&state).unwrap())
+                });
+                prop_assert_eq!(got.to_bits(), oracle, "{:?} threads={} {}", level, threads, h);
+            }
         }
     }
 

@@ -1,15 +1,18 @@
 //! Explicit-SIMD primitives behind runtime dispatch.
 //!
 //! This crate is the workspace's single home for `core::arch` intrinsics:
-//! `qsim` (gate kernels, reductions) and `qcheck` (SHA-256, CRC32) call the
-//! safe wrappers here and stay `unsafe`-free themselves. Three rules govern
-//! every kernel:
+//! `qsim` (gate kernels, reductions, Pauli-sum expectations via
+//! [`pauli_sums`]) and `qcheck` (SHA-256, CRC32) call the safe wrappers
+//! here and stay `unsafe`-free themselves. Three rules govern every
+//! kernel:
 //!
 //! 1. **Scalar is the oracle.** Every vector arm reproduces the scalar
 //!    arm's per-element operation order exactly — multiplies and adds
 //!    only, never FMA (contraction changes rounding), subtraction only as
-//!    `a + (-b)` (bit-identical per IEEE 754). The property suites in
-//!    `qsim` and `qcheck` pin vector == scalar on random inputs.
+//!    `a + (-b)`, an add's two operands in either order, a sign flip only
+//!    as an XOR of the sign bit (each bit-identical per IEEE 754). The
+//!    property suites here and in `qsim` and `qcheck` pin vector == scalar
+//!    on random inputs.
 //! 2. **Dispatch is resolved by the caller, once, on the calling
 //!    thread.** Kernels take an explicit [`Level`] so parallel executors
 //!    resolve `QSIM_SIMD` (or a [`with_level`] test override) *before*
@@ -19,6 +22,9 @@
 //!    order-preserving, so [`accumulate_sq`] defines one canonical
 //!    4-lane accumulation (lane `i & 3`, combined by [`combine_lanes`])
 //!    that the scalar, SSE2 and AVX2 arms all implement bit-identically.
+//!    [`pauli_sums`] needs no such structure: its lanes are terms, not
+//!    amplitudes, so each lane is one term's sequential chain in index
+//!    order and nothing is ever summed across lanes.
 //!
 //! ## Selection
 //!
@@ -30,6 +36,7 @@
 //! and CRC32 backends, keeping one switch for every accelerated path.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -443,6 +450,136 @@ pub fn combine_lanes(lanes: [f64; 4]) -> f64 {
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
+/// One Pauli string as index masks, the unit [`pauli_sums`] sums.
+///
+/// The string with X-or-Y qubits `x` and Z-or-Y qubits `z` (its
+/// `y = popcount(x & z)` Y factors are the shared bits) maps
+/// `(P|ψ⟩)ᵢ = (−i)^y · (−1)^popcount(i & z) · ψ_{i⊕x}`, so its share of
+/// `Re⟨ψ|P|ψ⟩` at amplitude `i` is `±|ψᵢ|²` when `x = 0`, else
+/// `±Re(conj(ψᵢ)·ψ_{i⊕x})` for even `y` and `±Im(conj(ψᵢ)·ψ_{i⊕x})` for
+/// odd `y`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PauliMask {
+    /// The qubits the string flips: its X and Y factors.
+    x: usize,
+    /// The qubits whose bit signs an amplitude: its Z and Y factors.
+    z: usize,
+    /// Sign bit `j` of a 64-amplitude block: the parity of `j & z`,
+    /// inverted when `(−i)^y` is `−1` or `i` (the negated `1` and `−i`).
+    low_signs: u64,
+}
+
+/// Which product a [`PauliMask`] sums per amplitude.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum PauliKind {
+    /// No X or Y factor: `±|ψᵢ|²`.
+    Diagonal,
+    /// A flip with real phase: `±Re(conj(ψᵢ)·ψ_{i⊕x})`.
+    Real,
+    /// A flip with imaginary phase: `±Im(conj(ψᵢ)·ψ_{i⊕x})`.
+    Imag,
+}
+
+/// Bit `j` is set when `j` has bit `b` set, for the six low index bits.
+const LOW_BIT_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+impl PauliMask {
+    /// The string with X-or-Y factors on the qubits of `x` and Z-or-Y
+    /// factors on those of `z` (bit `q` is qubit `q`).
+    pub fn new(x: usize, z: usize) -> Self {
+        let y = (x & z).count_ones();
+        let mut low_signs = if y % 4 >= 2 { u64::MAX } else { 0 };
+        for (b, pattern) in LOW_BIT_PATTERNS.iter().enumerate() {
+            if z >> b & 1 == 1 {
+                low_signs ^= pattern;
+            }
+        }
+        PauliMask { x, z, low_signs }
+    }
+
+    fn kind(&self) -> PauliKind {
+        match (self.x, (self.x & self.z).count_ones() % 2) {
+            (0, _) => PauliKind::Diagonal,
+            (_, 0) => PauliKind::Real,
+            _ => PauliKind::Imag,
+        }
+    }
+
+    /// Whether any amplitude's product is negated: a string without Z or
+    /// Y factors (a pure X string) never negates, and its pass skips the
+    /// sign operations.
+    fn signed(&self) -> bool {
+        self.z != 0
+    }
+
+    /// Sign bits of the 64-amplitude block starting at `base`.
+    #[inline]
+    fn signs(&self, base: usize) -> u64 {
+        let high = u64::from((base & self.z).count_ones() & 1);
+        self.low_signs ^ high.wrapping_neg()
+    }
+}
+
+/// Accumulators one vector pass keeps: two terms each at SSE2, four at
+/// AVX2, so that independent addition chains overlap.
+const PAULI_PASS_VECTORS: usize = 4;
+
+/// Sums each term's share of `Re⟨ψ|P|ψ⟩` over the amplitudes in `range`
+/// into `sums[t]`: from `+0.0`, in index order. `amps` is a flattened
+/// `[re, im]` state of a power-of-two length.
+///
+/// Every level does exactly the scalar arm's operations per term — the
+/// product as `a.re·b.re + a.im·b.im` (or `a.re·b.im − a.im·b.re`), its
+/// sign flipped by XOR on the sign bit, one add per amplitude — so each
+/// `sums[t]` is bit-identical across levels. The vector arms put terms,
+/// not amplitudes, in lanes: terms of one kind share a pass over the
+/// range, and a pass of pure X strings skips the sign operations. A
+/// `level` above [`detected`] runs at the detected level.
+///
+/// # Panics
+///
+/// When `amps` is not a power-of-two count of pairs, `range` leaves it,
+/// a term flips a qubit outside it, or `sums` and `terms` differ in
+/// length.
+pub fn pauli_sums(
+    level: Level,
+    amps: &[f64],
+    terms: &[PauliMask],
+    range: Range<usize>,
+    sums: &mut [f64],
+) {
+    let n = amps.len() / 2;
+    assert!(
+        amps.len().is_multiple_of(2) && n.is_power_of_two(),
+        "pauli_sums takes a power-of-two count of [re, im] pairs"
+    );
+    assert!(
+        range.start <= range.end && range.end <= n,
+        "range outside the state"
+    );
+    assert!(
+        terms.iter().all(|t| t.x < n),
+        "a term flips a qubit outside the state"
+    );
+    assert_eq!(terms.len(), sums.len(), "one sum per term");
+    match level.min(detected()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level is clamped to what this CPU supports, and the
+        // asserts above keep every partner index `i ^ x` inside `amps`.
+        Level::Sse2 => unsafe { x86::pauli_sums_sse2(amps, terms, range, sums) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::pauli_sums_avx2(amps, terms, range, sums) },
+        _ => scalar::pauli_sums(amps, terms, range, sums),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,6 +736,136 @@ mod tests {
                 );
                 assert_eq!(combine_lanes(got).to_bits(), combine_lanes(want2).to_bits());
             }
+        }
+    }
+
+    /// `n` amplitudes as `[re, im]` pairs in ±1, with `±0.0` and
+    /// subnormals mixed in.
+    fn pauli_amps(seed: u64, n: usize) -> Vec<f64> {
+        let pick = fill(seed ^ 0x5eed, 2 * n);
+        fill(seed, 2 * n)
+            .into_iter()
+            .zip(pick)
+            .map(|(v, p)| match ((p + 1.0) * 8.0) as u32 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v * f64::MIN_POSITIVE,
+                _ => v,
+            })
+            .collect()
+    }
+
+    /// A random term on `qubits` qubits of the given kind; pure X strings
+    /// (the unsigned class) are drawn a third of the time for `Real`.
+    fn pauli_term(r: &mut impl FnMut() -> usize, qubits: u32, kind: PauliKind) -> PauliMask {
+        let all = (1usize << qubits) - 1;
+        let (mut x, mut z) = (r() & all, r() & all);
+        if kind == PauliKind::Diagonal {
+            x = 0;
+        } else {
+            if x == 0 {
+                x = 1 << (r() % qubits as usize);
+            }
+            if kind == PauliKind::Real && r().is_multiple_of(3) {
+                z = 0;
+            }
+            let want_odd = kind == PauliKind::Imag;
+            if ((x & z).count_ones() % 2 == 1) != want_odd {
+                z ^= x & x.wrapping_neg();
+            }
+        }
+        let mask = PauliMask::new(x, z);
+        assert_eq!(mask.kind(), kind);
+        mask
+    }
+
+    /// Every level's sums equal the scalar arm's bit for bit: all three
+    /// kinds, Y counts 0–3 mod 4, signed and unsigned classes, 1 up to a
+    /// pass and a half of terms per class, and ranges of any length that
+    /// start and end off the 64-amplitude blocks.
+    #[test]
+    fn pauli_sums_identical_across_levels() {
+        let mut seed = 0x0123_4567_89ab_cdefu64;
+        let mut r = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize
+        };
+        let kinds = [PauliKind::Diagonal, PauliKind::Real, PauliKind::Imag];
+        let (mut phases, mut covered) = ([0usize; 4], [0usize; 3]);
+        for case in 0..400 {
+            let qubits = (case % 11) as u32;
+            let n = 1usize << qubits;
+            let amps = pauli_amps(case as u64, n);
+            let count = 1 + r() % (6 * PAULI_PASS_VECTORS);
+            let single = (qubits > 0 && case % 2 == 0).then(|| kinds[r() % 3]);
+            let terms: Vec<PauliMask> = (0..count)
+                .map(|_| {
+                    let kind = match single {
+                        Some(k) => k,
+                        None if qubits == 0 => PauliKind::Diagonal,
+                        None => kinds[r() % 3],
+                    };
+                    pauli_term(&mut r, qubits.max(1), kind)
+                })
+                .collect();
+            for t in &terms {
+                phases[(t.x & t.z).count_ones() as usize % 4] += 1;
+                covered[t.kind() as usize] += 1;
+            }
+            let start = r() % (n + 1);
+            let end = match case % 4 {
+                0 => n,
+                1 => (start + 1).min(n),
+                _ => start + r() % (n - start + 1),
+            };
+            let mut want = vec![f64::NAN; count];
+            pauli_sums(Level::Scalar, &amps, &terms, start..end, &mut want);
+            for lvl in levels() {
+                let mut got = vec![f64::NAN; count];
+                pauli_sums(lvl, &amps, &terms, start..end, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{lvl:?} case {case} n={n} {start}..{end}"
+                );
+            }
+        }
+        assert!(phases.iter().all(|&c| c > 0), "Y counts mod 4: {phases:?}");
+        assert!(covered.iter().all(|&c| c > 0), "kinds: {covered:?}");
+    }
+
+    /// The scalar arm is today's definition: `±|ψᵢ|²` for a diagonal
+    /// term, `±Re` / `±Im` of `conj(ψᵢ)·ψ_{i⊕x}` for a flip, from `+0.0`
+    /// in index order.
+    #[test]
+    fn pauli_sums_scalar_matches_definition() {
+        let amps = pauli_amps(3, 8);
+        let a = |i: usize| (amps[2 * i], amps[2 * i + 1]);
+        for (x, z) in [
+            (0, 0),
+            (0, 0b101),
+            (0b011, 0),
+            (0b110, 0b010),
+            (0b111, 0b111),
+            (0b001, 0b011),
+        ] {
+            let mask = PauliMask::new(x, z);
+            let y = (x & z).count_ones();
+            let mut want = 0.0f64;
+            for i in 0..8 {
+                let ((ar, ai), (br, bi)) = (a(i), a(i ^ x));
+                let v = match y % 2 {
+                    0 => ar * br + ai * bi,
+                    _ => ar * bi - ai * br,
+                };
+                let negative = ((i & z).count_ones() + u32::from(y % 4 >= 2)) % 2 == 1;
+                want += if negative { -v } else { v };
+            }
+            let mut got = [f64::NAN];
+            pauli_sums(Level::Scalar, &amps, &[mask], 0..8, &mut got);
+            assert_eq!(got[0].to_bits(), want.to_bits(), "x={x:b} z={z:b}");
         }
     }
 

@@ -5,6 +5,10 @@
 //! `Complex64` operator order), so `QSIM_SIMD=scalar` runs the same
 //! arithmetic the simulator has always run.
 
+use std::ops::Range;
+
+use crate::{PauliKind, PauliMask};
+
 pub(crate) fn apply2_dense(m: &[f64; 8], lo: &mut [f64], hi: &mut [f64]) {
     let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
     for (a, b) in lo.chunks_exact_mut(2).zip(hi.chunks_exact_mut(2)) {
@@ -117,4 +121,99 @@ pub(crate) fn accumulate_sq(lanes: &mut [f64; 4], xs: &[f64]) {
     for (k, x) in xs.iter().enumerate() {
         lanes[k & 3] += x * x;
     }
+}
+
+/// Each term's share of `Re⟨ψ|P|ψ⟩` over `range` into `sums`: the terms
+/// of one kind four to a sweep, so that their independent addition chains
+/// overlap.
+pub(crate) fn pauli_sums(amps: &[f64], terms: &[PauliMask], range: Range<usize>, sums: &mut [f64]) {
+    let mut order: Vec<usize> = (0..terms.len()).collect();
+    order.sort_by_key(|&t| terms[t].kind());
+    for kind in order.chunk_by(|&a, &b| terms[a].kind() == terms[b].kind()) {
+        for sweep in kind.chunks(4) {
+            let r = range.clone();
+            match sweep.len() {
+                1 => pauli_sweep::<1>(amps, terms, sweep, r, sums),
+                2 => pauli_sweep::<2>(amps, terms, sweep, r, sums),
+                3 => pauli_sweep::<3>(amps, terms, sweep, r, sums),
+                _ => pauli_sweep::<4>(amps, terms, sweep, r, sums),
+            }
+        }
+    }
+}
+
+/// One pass over `range` for the `K` terms of one kind at `sweep`, each
+/// sum stored at its term's position in `sums`.
+fn pauli_sweep<const K: usize>(
+    amps: &[f64],
+    terms: &[PauliMask],
+    sweep: &[usize],
+    range: Range<usize>,
+    sums: &mut [f64],
+) {
+    let t: [PauliMask; K] = std::array::from_fn(|k| terms[sweep[k]]);
+    let values = match t[0].kind() {
+        PauliKind::Diagonal => diagonal_sweep(amps, &t, range),
+        PauliKind::Real => flip_sweep::<K, false>(amps, &t, range),
+        PauliKind::Imag => flip_sweep::<K, true>(amps, &t, range),
+    };
+    for (&term, v) in sweep.iter().zip(values) {
+        sums[term] = v;
+    }
+}
+
+/// [`PauliKind::Diagonal`] terms over `range`.
+fn diagonal_sweep<const K: usize>(
+    amps: &[f64],
+    t: &[PauliMask; K],
+    range: Range<usize>,
+) -> [f64; K] {
+    let mut acc = [0.0f64; K];
+    let mut lo = range.start;
+    while lo < range.end {
+        let base = lo & !63;
+        let hi = (base + 64).min(range.end);
+        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
+        for (j, a) in (lo - base..).zip(amps[2 * lo..2 * hi].chunks_exact(2)) {
+            let n = (a[0] * a[0] + a[1] * a[1]).to_bits();
+            for k in 0..K {
+                acc[k] += f64::from_bits(n ^ (signs[k] >> j << 63));
+            }
+        }
+        lo = hi;
+    }
+    acc
+}
+
+/// [`PauliKind::Real`] terms over `range`, or [`PauliKind::Imag`] ones
+/// when `IMAG`.
+fn flip_sweep<const K: usize, const IMAG: bool>(
+    amps: &[f64],
+    t: &[PauliMask; K],
+    range: Range<usize>,
+) -> [f64; K] {
+    let top = amps.len() / 2 - 1;
+    let x: [usize; K] = std::array::from_fn(|k| t[k].x);
+    let mut acc = [0.0f64; K];
+    let mut lo = range.start;
+    while lo < range.end {
+        let base = lo & !63;
+        let hi = (base + 64).min(range.end);
+        let signs: [u64; K] = std::array::from_fn(|k| t[k].signs(base));
+        for (i, a) in (lo..).zip(amps[2 * lo..2 * hi].chunks_exact(2)) {
+            let j = i - base;
+            for k in 0..K {
+                let p = 2 * ((i ^ x[k]) & top);
+                let (br, bi) = (amps[p], amps[p + 1]);
+                let r = if IMAG {
+                    a[0] * bi - a[1] * br
+                } else {
+                    a[0] * br + a[1] * bi
+                };
+                acc[k] += f64::from_bits(r.to_bits() ^ (signs[k] >> j << 63));
+            }
+        }
+        lo = hi;
+    }
+    acc
 }
