@@ -31,17 +31,6 @@ pub enum GradientMethod {
     },
 }
 
-impl GradientMethod {
-    /// Number of loss/expectation evaluations one gradient costs, given
-    /// the number of parametrized op occurrences.
-    pub fn evals_per_gradient(&self, num_sym_ops: usize) -> usize {
-        match self {
-            GradientMethod::ParameterShift => 2 * num_sym_ops,
-            GradientMethod::Spsa { .. } => 2,
-        }
-    }
-}
-
 impl std::fmt::Display for GradientMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -64,12 +53,14 @@ pub struct ShiftSite {
 }
 
 /// Generalized parameter-shift gradient through a task's outputs:
-/// `eval(scratch, op_index, ±shift)` returns every output `y_j` with that
-/// op shifted, and `weights[j]` is the loss's derivative in `y_j`, so
+/// `eval(scratch, k, op_index, ±shift)` returns every output `y_j` with
+/// that op shifted, and `weights[j]` is the loss's derivative in `y_j`, so
 /// `grad[param] += weights[j] · scale · (plus[j] − minus[j]) / 2`. A
 /// loss-shaped task has one output, its loss, of weight 1 (the plain
 /// rule); a prediction-shaped one has one prediction per batch entry,
-/// weighted by its residual (the chain rule).
+/// weighted by its residual (the chain rule). `k` numbers the
+/// evaluations in site order, the + before the −: `2i` and `2i + 1` for
+/// `sites[i]`, so a caller can hand each evaluation a stream of its own.
 ///
 /// This is the one fan-out a gradient takes: the sites split into one
 /// contiguous range per ambient [`qpar::current_threads`] worker (inline
@@ -84,10 +75,11 @@ pub struct ShiftSite {
 /// `qsim::plan::ThreadModes`, so a fusion or executor override reaches
 /// every evaluation.
 ///
-/// `eval` must be *pure* (exact expectations — no RNG draws), which is
-/// what makes the fan-out safe. The sum runs output by output, then site
-/// by site, whatever the chunking, so the gradient is bit-identical at
-/// every thread count.
+/// `eval` must be *pure* given `k`: what it returns may depend on the
+/// evaluation's own random stream, but not on which worker runs it or
+/// what that worker ran before. That is what makes the fan-out safe. The
+/// sum runs output by output, then site by site, whatever the chunking,
+/// so the gradient is bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -103,7 +95,7 @@ pub fn parameter_shift_gradient<E, S, I, F>(
 where
     E: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, f64) -> Result<Vec<f64>, E> + Sync,
+    F: Fn(&mut S, usize, usize, f64) -> Result<Vec<f64>, E> + Sync,
 {
     let modes = ThreadModes::current();
     let chunks = qpar::ranges(sites.len(), qpar::current_threads());
@@ -114,11 +106,11 @@ where
         modes.enter(|| {
             qpar::with_threads(1, || {
                 let mut scratch = init();
-                sites[chunk]
-                    .iter()
-                    .map(|site| {
-                        let plus = eval(&mut scratch, site.op_index, shift)?;
-                        Ok((plus, eval(&mut scratch, site.op_index, -shift)?))
+                chunk
+                    .map(|i| {
+                        let op = sites[i].op_index;
+                        let plus = eval(&mut scratch, 2 * i, op, shift)?;
+                        Ok((plus, eval(&mut scratch, 2 * i + 1, op, -shift)?))
                     })
                     .collect::<Result<Vec<_>, E>>()
             })
@@ -225,7 +217,12 @@ mod tests {
                     shift,
                     &residuals,
                     || (),
-                    |_, op, delta| Ok(predict(op, delta)),
+                    |_, k, op, delta| {
+                        // Evaluation `k` is site k/2's shift, + at even k.
+                        assert_eq!(op, sites[k / 2].op_index);
+                        assert_eq!(delta, if k % 2 == 0 { shift } else { -shift });
+                        Ok(predict(op, delta))
+                    },
                 )
                 .unwrap()
             });
@@ -261,12 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn evals_accounting() {
-        assert_eq!(GradientMethod::ParameterShift.evals_per_gradient(14), 28);
-        assert_eq!(GradientMethod::Spsa { c: 0.1 }.evals_per_gradient(14), 2);
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(
             GradientMethod::ParameterShift.to_string(),
@@ -288,7 +279,7 @@ mod tests {
             0.5,
             &[1.0],
             || (),
-            |_, _, _| Err::<Vec<f64>, _>("boom"),
+            |_, _, _, _| Err::<Vec<f64>, _>("boom"),
         );
         assert_eq!(r.unwrap_err(), "boom");
         let mut rng = Xoshiro256::seed_from(0);

@@ -2,13 +2,15 @@
 //!
 //! [`Trainer`] owns everything the paper's state-inventory table lists:
 //! parameters, optimizer, two named RNG streams (`shots` for measurement
-//! sampling, `data` for batch order and SPSA directions), the dataset
-//! cursor, the shot ledger and the metrics tail. It implements
+//! sampling, of which a shot-mode parameter-shift step splits one stream
+//! per evaluation; `data` for batch order and SPSA directions), the
+//! dataset cursor, the shot ledger and the metrics tail. It implements
 //! [`Checkpointable`], and its contract is the strong one: restoring a
 //! capture makes the *future trajectory bitwise identical* to a run that
 //! never stopped — the property experiment R-T2 verifies and that
 //! params-only resumes break.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use qcheck::snapshot::{Checkpointable, DatasetCursor, MetricPoint, RngCapture, TrainingSnapshot};
@@ -48,51 +50,56 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Loss of `task` on `batch` over a bound plan, returning `(loss, shots)`
-/// — the full-run body behind [`Trainer::loss_at`] and
-/// [`Trainer::exact_loss`]. It takes the task rather than the (non-`Sync`)
-/// trainer and binds nothing: the caller binds once per *loss call* and
-/// the batch loop only varies the input state.
-///
-/// In [`EvalMode::Exact`] nothing is drawn from `rng`.
-fn task_loss(
+/// The outputs one evaluation of `task` on `batch` yields, with the shots
+/// it drew: a classification batch's per-entry predictions, any other
+/// task's loss (a VQE energy, or 1 − the mean fidelity of the pairs).
+/// `run(j, work)` leaves batch entry `j`'s output state in `work`; the
+/// entries are asked for, and measured from `rng`, in batch order. In
+/// [`EvalMode::Exact`] nothing is drawn from `rng`.
+fn task_outputs(
+    task: &Task,
+    batch: &[usize],
+    mode: EvalMode,
+    rng: &mut Xoshiro256,
+    work: &mut StateVector,
+    mut run: impl FnMut(usize, &mut StateVector) -> Result<(), TrainError>,
+) -> Result<(Vec<f64>, u64), TrainError> {
+    let entries = task.evals_per_loss(batch) as usize;
+    let mut outputs = Vec::with_capacity(entries);
+    let mut shots = 0u64;
+    for j in 0..entries {
+        run(j, work)?;
+        let (output, s) = task.entry_output(batch, j, work, mode, rng)?;
+        outputs.push(output);
+        shots += s;
+    }
+    if let Task::StateLearning { .. } = task {
+        let mut acc = 0.0;
+        for fidelity in &outputs {
+            acc += fidelity;
+        }
+        outputs = vec![1.0 - acc / batch.len() as f64];
+    }
+    Ok((outputs, shots))
+}
+
+/// [`task_outputs`] of full runs of `bound`, one per batch entry — the
+/// unshifted evaluation of a step and the body behind
+/// [`Trainer::loss_at`] and [`Trainer::exact_loss`]. The caller binds
+/// once per evaluation; the batch loop only varies the input state.
+fn run_outputs(
     bound: &BoundPlan<'_>,
     task: &Task,
     batch: &[usize],
     mode: EvalMode,
     rng: &mut Xoshiro256,
-) -> Result<(f64, u64), TrainError> {
-    batch_loss(task, batch, |j| {
-        let mut state = task.input_state(batch, j, bound.num_qubits())?;
-        bound.run_on(&mut state)?;
-        task.entry_loss(batch, j, &state, mode, rng)
+) -> Result<(Vec<f64>, u64), TrainError> {
+    let num_qubits = bound.num_qubits();
+    let mut work = StateVector::zero_state(num_qubits);
+    task_outputs(task, batch, mode, rng, &mut work, |j, work| {
+        *work = task.input_state(batch, j, num_qubits)?;
+        Ok(bound.run_on(work)?)
     })
-}
-
-/// The one per-task reduction of a loss call: `entry(j)` is the loss term
-/// and shots of batch entry `j` ([`Task::entry_loss`] of its output
-/// state), asked for in batch order. A VQE loss is its one term; the
-/// batch tasks average theirs.
-fn batch_loss(
-    task: &Task,
-    batch: &[usize],
-    mut entry: impl FnMut(usize) -> Result<(f64, u64), TrainError>,
-) -> Result<(f64, u64), TrainError> {
-    if let Task::Vqe { .. } = task {
-        return entry(0);
-    }
-    let mut acc = 0.0;
-    let mut shots_total = 0u64;
-    for j in 0..batch.len() {
-        let (term, shots) = entry(j)?;
-        acc += term;
-        shots_total += shots;
-    }
-    let mean = acc / batch.len() as f64;
-    match task {
-        Task::StateLearning { .. } => Ok((1.0 - mean, shots_total)),
-        _ => Ok((mean, shots_total)),
-    }
 }
 
 /// Atoms a resumed gradient evaluation did not run: the prefix its binding
@@ -100,11 +107,11 @@ fn batch_loss(
 static OBS_ATOMS_SKIPPED: qobs::LazyCounter =
     qobs::LazyCounter::new("qnn_gradient_atoms_skipped_total");
 
-/// The per-worker scratch of an exact [`parameter_shift_gradient`]
-/// fan-out: each evaluation rebinds `eval`, and every input state resumes
-/// from the atoms `eval` shares with the unshifted binding instead of
-/// running the whole circuit. The gradient is bit-identical to full runs:
-/// the same gates run on every amplitude in the same order.
+/// The per-worker scratch of a [`parameter_shift_gradient`] fan-out: each
+/// evaluation rebinds `eval`, and every input state resumes from the atoms
+/// `eval` shares with the unshifted binding instead of running the whole
+/// circuit. The outputs are bit-identical to full runs: the same gates run
+/// on every amplitude in the same order.
 struct ResumeScratch<'a, 'p> {
     /// The unshifted binding, shared by every worker; the cursors walk it.
     base: &'a BoundPlan<'p>,
@@ -129,36 +136,24 @@ impl<'a, 'p> ResumeScratch<'a, 'p> {
         }
     }
 
-    /// The output state of batch entry `j` under `self.eval`, resumed
-    /// from entry `j`'s cursor.
-    fn resume(
+    /// [`task_outputs`] under `self.eval`, each entry resumed from its
+    /// cursor, measured in `mode` from `rng` (the evaluation's own
+    /// stream).
+    fn outputs(
         &mut self,
         task: &Task,
         batch: &[usize],
-        j: usize,
-    ) -> Result<&StateVector, TrainError> {
-        let skipped = self.cursors[j].resume(self.base, &self.eval, &mut self.work, || {
-            task.input_state(batch, j, self.eval.num_qubits())
-        })?;
-        OBS_ATOMS_SKIPPED.add(skipped as u64);
-        Ok(&self.work)
-    }
-
-    /// The exact outputs a gradient weighs under `self.eval`: a
-    /// classification batch's per-entry predictions, any other task's
-    /// loss.
-    fn outputs(&mut self, task: &Task, batch: &[usize]) -> Result<Vec<f64>, TrainError> {
-        if let Task::Classification { observable, .. } = task {
-            return (0..batch.len())
-                .map(|j| Ok(observable.expectation(self.resume(task, batch, j)?)?))
-                .collect();
-        }
-        let mut unused = Xoshiro256::seed_from(0);
-        let (loss, _) = batch_loss(task, batch, |j| {
-            let state = self.resume(task, batch, j)?;
-            task.entry_loss(batch, j, state, EvalMode::Exact, &mut unused)
-        })?;
-        Ok(vec![loss])
+        mode: EvalMode,
+        rng: &mut Xoshiro256,
+    ) -> Result<(Vec<f64>, u64), TrainError> {
+        let (base, eval, cursors) = (self.base, &self.eval, &mut self.cursors);
+        task_outputs(task, batch, mode, rng, &mut self.work, |j, work| {
+            let skipped = cursors[j].resume(base, eval, work, || {
+                task.input_state(batch, j, eval.num_qubits())
+            })?;
+            OBS_ATOMS_SKIPPED.add(skipped as u64);
+            Ok(())
+        })
     }
 }
 
@@ -243,10 +238,10 @@ impl Task {
         }
     }
 
-    /// The loss term and shots of batch entry `j`, whose circuit output is
+    /// The output and shots of batch entry `j`, whose circuit output is
     /// `state`: the energy (VQE), the fidelity to the pair's target (the
-    /// SWAP test in shot mode), or the squared error against the label.
-    fn entry_loss(
+    /// SWAP test in shot mode), or the prediction (classification).
+    fn entry_output(
         &self,
         batch: &[usize],
         j: usize,
@@ -266,14 +261,29 @@ impl Task {
                     )),
                 }
             }
-            Task::Classification {
-                data, observable, ..
-            } => {
-                let (pred, shots) = evaluate_observable(state, observable, mode, rng)?;
-                let err = pred - data.labels[batch[j]];
-                Ok((err * err, shots))
+            Task::Classification { observable, .. } => {
+                Ok(evaluate_observable(state, observable, mode, rng)?)
             }
         }
+    }
+
+    /// The loss of one evaluation's `outputs` ([`task_outputs`]) and the
+    /// weight `dL/dy_j` a parameter-shift gradient gives each output. A
+    /// loss is its own one output, of weight 1; classification's mean
+    /// squared error weighs prediction `p_x` by its residual
+    /// `2 (p_x − y_x) / B` (the chain rule).
+    fn loss_and_weights(&self, batch: &[usize], outputs: &[f64]) -> (f64, Vec<f64>) {
+        let Task::Classification { data, .. } = self else {
+            return (outputs[0], vec![1.0]);
+        };
+        let mut acc = 0.0;
+        let mut weights = Vec::with_capacity(batch.len());
+        for (&pred, &example) in outputs.iter().zip(batch) {
+            let err = pred - data.labels[example];
+            acc += err * err;
+            weights.push(2.0 * err / batch.len() as f64);
+        }
+        (acc / batch.len() as f64, weights)
     }
 
     /// Short task name for reports.
@@ -513,29 +523,29 @@ impl Trainer {
         self.order[start..end].to_vec()
     }
 
-    /// Evaluates the loss on a batch at given parameters.
-    ///
-    /// `op_shift` offsets one op's angle (parameter-shift internals).
-    /// Returns `(loss, evals, shots)`.
-    fn loss_at(
-        &mut self,
-        params: &[f64],
-        batch: &[usize],
-        op_shift: Option<(usize, f64)>,
-    ) -> Result<(f64, u32, u64), TrainError> {
-        let mut bound = self.plan.bind_scratch();
-        match op_shift {
-            Some((op, delta)) => bound.rebind_shifted(params, op, delta)?,
-            None => bound.rebind(params)?,
-        }
-        let (loss, shots) = task_loss(
-            &bound,
+    /// Evaluates the loss on a batch at given parameters, drawing from the
+    /// `shots` stream. Returns `(loss, evals, shots)`.
+    fn loss_at(&mut self, params: &[f64], batch: &[usize]) -> Result<(f64, u32, u64), TrainError> {
+        let (outputs, shots) = run_outputs(
+            &self.plan.bind(params)?,
             &self.task,
             batch,
             self.config.eval_mode,
             &mut self.shots_rng,
         )?;
+        let (loss, _) = self.task.loss_and_weights(batch, &outputs);
         Ok((loss, self.task.evals_per_loss(batch), shots))
+    }
+
+    /// One stream per evaluation of a step, split from `shots` in
+    /// evaluation order. Exact evaluations draw nothing, so exact mode
+    /// splits nothing: its streams are never read, and the `shots` stream
+    /// stays as it was.
+    fn eval_streams(&mut self, count: usize) -> Vec<Xoshiro256> {
+        match self.config.eval_mode {
+            EvalMode::Exact => vec![Xoshiro256::seed_from(0); count],
+            EvalMode::Shots(_) => (0..count).map(|_| self.shots_rng.split()).collect(),
+        }
     }
 
     /// Every parametrized op occurrence, in op order.
@@ -555,135 +565,63 @@ impl Trainer {
             .collect()
     }
 
-    /// Computes the gradient on a batch. Returns `(grad, evals, shots)`.
+    /// Computes the loss and the gradient on a batch at the current
+    /// parameters. Returns `(loss, grad, evals, shots)`.
     ///
-    /// Exact evaluations draw no RNG, so they always go through the
-    /// fan-out of [`crate::gradient`] (inline at one thread, one
-    /// [`ResumeScratch`] per worker: each evaluation resumes from the
-    /// atoms it shares with the unshifted binding) and are bit-identical
-    /// at every thread count; shot-mode evaluations keep the serial runs
-    /// their draw order requires.
-    fn gradient(&mut self, batch: &[usize]) -> Result<(Vec<f64>, u32, u64), TrainError> {
+    /// Parameter shift takes the fan-out of [`crate::gradient`] in both
+    /// eval modes (inline at one thread, one [`ResumeScratch`] per worker:
+    /// each evaluation resumes from the atoms it shares with the unshifted
+    /// binding). The unshifted evaluation runs once, on this thread: its
+    /// outputs give the step's loss and the gradient's weights. Every
+    /// evaluation measures from a stream of its own ([`Self::eval_streams`]:
+    /// the unshifted one, then each site's + and −), so the step is
+    /// bit-identical at every thread count, and across a resume. SPSA
+    /// evaluates the loss, then its two perturbations, from the `shots`
+    /// stream in that order.
+    fn gradient(&mut self, batch: &[usize]) -> Result<(f64, Vec<f64>, u32, u64), TrainError> {
         let _span = qobs::span("qnn.gradient");
         const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
         let params = self.params.clone();
-        let exact = self.config.eval_mode == EvalMode::Exact;
         match self.config.gradient {
             GradientMethod::ParameterShift => {
                 let sites = self.shift_sites();
-                let (plan, task) = (&self.plan, &self.task);
-                match task {
-                    _ if exact => {
-                        let base = plan.bind(&params)?;
-                        // Classification's chain rule weighs each
-                        // prediction by its residual from one unshifted
-                        // run: dL/dθ = (2/B) Σ_x (p_x − y_x) · dp_x/dθ.
-                        let (weights, unshifted_runs) = match task {
-                            Task::Classification {
-                                data, observable, ..
-                            } => {
-                                let mut residuals = Vec::with_capacity(batch.len());
-                                for (j, &example) in batch.iter().enumerate() {
-                                    let mut state =
-                                        task.input_state(batch, j, plan.num_qubits())?;
-                                    base.run_on(&mut state)?;
-                                    let pred = observable.expectation(&state)?;
-                                    residuals.push(
-                                        2.0 * (pred - data.labels[example]) / batch.len() as f64,
-                                    );
-                                }
-                                (residuals, batch.len() as u32)
-                            }
-                            _ => (vec![1.0], 0),
-                        };
-                        let grad = parameter_shift_gradient(
-                            params.len(),
-                            &sites,
-                            SHIFT,
-                            &weights,
-                            || ResumeScratch::new(plan, &base, task, batch),
-                            |scratch, op, delta| {
-                                scratch.eval.rebind_shifted(&params, op, delta)?;
-                                scratch.outputs(task, batch)
-                            },
-                        )?;
-                        let evals =
-                            2 * sites.len() as u32 * task.evals_per_loss(batch) + unshifted_runs;
-                        Ok((grad, evals, 0))
-                    }
-                    Task::Classification {
-                        data, observable, ..
-                    } => {
-                        // Example-major, as the shot stream is drawn: an
-                        // example's unshifted prediction, then its ±
-                        // shifts site by site.
-                        let mode = self.config.eval_mode;
-                        let mut bound = plan.bind_scratch();
-                        let mut grad = vec![0.0; params.len()];
-                        let mut evals = 0u32;
-                        let mut shots = 0u64;
-                        for j in 0..batch.len() {
-                            let mut predict = |op_shift: Option<(usize, f64)>| {
-                                match op_shift {
-                                    Some((op, delta)) => {
-                                        bound.rebind_shifted(&params, op, delta)?
-                                    }
-                                    None => bound.rebind(&params)?,
-                                }
-                                let mut state = task.input_state(batch, j, plan.num_qubits())?;
-                                bound.run_on(&mut state)?;
-                                let (pred, s) = evaluate_observable(
-                                    &state,
-                                    observable,
-                                    mode,
-                                    &mut self.shots_rng,
-                                )?;
-                                evals += 1;
-                                shots += s;
-                                Ok::<f64, TrainError>(pred)
-                            };
-                            let residual =
-                                2.0 * (predict(None)? - data.labels[batch[j]]) / batch.len() as f64;
-                            for site in &sites {
-                                let plus = predict(Some((site.op_index, SHIFT)))?;
-                                let minus = predict(Some((site.op_index, -SHIFT)))?;
-                                grad[site.param_index] +=
-                                    residual * site.scale * (plus - minus) / 2.0;
-                            }
-                        }
-                        Ok((grad, evals, shots))
-                    }
-                    _ => {
-                        // Direct rule on the (expectation-shaped) loss.
-                        let mut grad = vec![0.0; params.len()];
-                        let mut evals = 0u32;
-                        let mut shots = 0u64;
-                        for site in &sites {
-                            let op = site.op_index;
-                            let (plus, e1, s1) = self.loss_at(&params, batch, Some((op, SHIFT)))?;
-                            let (minus, e2, s2) =
-                                self.loss_at(&params, batch, Some((op, -SHIFT)))?;
-                            evals += e1 + e2;
-                            shots += s1 + s2;
-                            grad[site.param_index] += site.scale * (plus - minus) / 2.0;
-                        }
-                        Ok((grad, evals, shots))
-                    }
-                }
+                let mut streams = self.eval_streams(1 + 2 * sites.len());
+                let (plan, task, mode) = (&self.plan, &self.task, self.config.eval_mode);
+                let base = plan.bind(&params)?;
+                let (outputs, unshifted_shots) =
+                    run_outputs(&base, task, batch, mode, &mut streams[0])?;
+                let (loss, weights) = task.loss_and_weights(batch, &outputs);
+                let shifted_shots = AtomicU64::new(0);
+                let grad = parameter_shift_gradient(
+                    params.len(),
+                    &sites,
+                    SHIFT,
+                    &weights,
+                    || ResumeScratch::new(plan, &base, task, batch),
+                    |scratch, k, op, delta| {
+                        scratch.eval.rebind_shifted(&params, op, delta)?;
+                        let mut rng = streams[1 + k].clone();
+                        let (outputs, shots) = scratch.outputs(task, batch, mode, &mut rng)?;
+                        shifted_shots.fetch_add(shots, Ordering::Relaxed);
+                        Ok::<_, TrainError>(outputs)
+                    },
+                )?;
+                let evals = (2 * sites.len() as u32 + 1) * task.evals_per_loss(batch);
+                let shots = unshifted_shots + shifted_shots.into_inner();
+                Ok((loss, grad, evals, shots))
             }
             GradientMethod::Spsa { c } => {
-                let mut evals = 0u32;
-                let mut shots = 0u64;
+                let (loss, mut evals, mut shots) = self.loss_at(&params, batch)?;
                 // Temporarily take the data stream to avoid aliasing self.
                 let mut rng = std::mem::replace(&mut self.data_rng, Xoshiro256::seed_from(0));
                 let result = spsa_gradient(&params, c, &mut rng, |p| {
-                    let (l, e, s) = self.loss_at(p, batch, None)?;
+                    let (l, e, s) = self.loss_at(p, batch)?;
                     evals += e;
                     shots += s;
                     Ok::<f64, TrainError>(l)
                 });
                 self.data_rng = rng;
-                Ok((result?, evals, shots))
+                Ok((loss, result?, evals, shots))
             }
         }
     }
@@ -696,12 +634,9 @@ impl Trainer {
     pub fn train_step(&mut self) -> Result<StepReport, TrainError> {
         let _span = qobs::span("qnn.step");
         let batch = self.next_batch();
-        let (loss, loss_evals, loss_shots) = self.loss_at(&self.params.clone(), &batch, None)?;
-        let (grad, grad_evals, grad_shots) = self.gradient(&batch)?;
+        let (loss, grad, evals, shots) = self.gradient(&batch)?;
         self.optimizer.step(&mut self.params, &grad);
         self.step += 1;
-        let evals = loss_evals + grad_evals;
-        let shots = loss_shots + grad_shots;
         self.ledger.record(self.step, evals, shots);
         self.metrics.push(MetricPoint {
             step: self.step,
@@ -744,14 +679,14 @@ impl Trainer {
     pub fn exact_loss(&self) -> Result<f64, TrainError> {
         let all: Vec<usize> = (0..self.task.dataset_len()).collect();
         // Exact mode reads nothing from the stream it is handed.
-        let (loss, _) = task_loss(
+        let (outputs, _) = run_outputs(
             &self.plan.bind(&self.params)?,
             &self.task,
             &all,
             EvalMode::Exact,
             &mut Xoshiro256::seed_from(0),
         )?;
-        Ok(loss)
+        Ok(self.task.loss_and_weights(&all, &outputs).0)
     }
 }
 
@@ -1078,12 +1013,12 @@ mod tests {
 
     #[test]
     fn parallel_gradients_bit_identical_across_thread_counts() {
-        // Exact-mode gradients must not depend on the worker count: run the
-        // same trajectory of every task under different qpar overrides and
-        // compare what a step reports, what it leaves in the parameters and
-        // what it books in the ledger, bit for bit. One thread takes the
-        // fan-out driver inline; four really fan out.
-        let build = |task_name: &str| {
+        // Gradients must not depend on the worker count, in either eval
+        // mode: run the same trajectory of every task under different qpar
+        // overrides and compare what a step reports, what it leaves in the
+        // parameters and what it books in the ledger, bit for bit. One
+        // thread takes the fan-out driver inline; four really fan out.
+        let build = |task_name: &str, mode: EvalMode| {
             let mut rng = Xoshiro256::seed_from(11);
             let (circuit, info) = hardware_efficient(2, 2);
             let task = match task_name {
@@ -1102,34 +1037,74 @@ mod tests {
             };
             assert_eq!(task.name(), task_name);
             let params = init_params(info.num_params, &mut rng);
-            let config = TrainerConfig::default();
+            let config = TrainerConfig {
+                eval_mode: mode,
+                ..TrainerConfig::default()
+            };
             Trainer::new(circuit, task, Box::new(Adam::new(0.05)), params, config).unwrap()
         };
-        let run_at = |threads: usize, task_name: &str| {
+        type Run = (Vec<(u64, u64, u32, u64)>, Vec<u64>, Vec<u8>);
+        let outcome = |t: &Trainer, reports: &[StepReport]| -> Run {
+            let reports = reports
+                .iter()
+                .map(|r| (r.loss.to_bits(), r.grad_norm.to_bits(), r.evals, r.shots))
+                .collect();
+            let params = t.params().iter().map(|p| p.to_bits()).collect();
+            (reports, params, t.ledger().to_bytes())
+        };
+        let run_at = |threads: usize, task_name: &str, mode: EvalMode| {
             qpar::with_threads(threads, || {
-                let mut t = build(task_name);
-                let reports: Vec<(u64, u64, u32, u64)> = t
-                    .train_steps(5)
-                    .unwrap()
-                    .iter()
-                    .map(|r| (r.loss.to_bits(), r.grad_norm.to_bits(), r.evals, r.shots))
-                    .collect();
-                let params: Vec<u64> = t.params().iter().map(|p| p.to_bits()).collect();
-                (reports, params, t.ledger().to_bytes())
+                let mut t = build(task_name, mode);
+                let reports = t.train_steps(5).unwrap();
+                outcome(&t, &reports)
             })
         };
-        for task_name in ["vqe", "state-learning", "classification"] {
-            let reference = run_at(1, task_name);
-            assert!(reference.0.iter().all(|r| r.2 > 1 && r.3 == 0));
-            assert_eq!(run_at(4, task_name), reference, "{task_name} x4");
+        for mode in [EvalMode::Exact, EvalMode::Shots(32)] {
+            for (task_name, entries) in [
+                ("vqe", [1; 5]),
+                ("state-learning", [5; 5]),
+                // 10 examples in batches of 4: 4, 4, 2, then a new epoch.
+                ("classification", [4, 4, 2, 4, 4]),
+            ] {
+                let reference = run_at(1, task_name, mode);
+                let sites = build(task_name, mode).shift_sites().len() as u32;
+                for (r, n) in reference.0.iter().zip(entries) {
+                    assert_eq!(r.2, (2 * sites + 1) * n, "{task_name} {mode:?} evals");
+                    assert_eq!(r.3 == 0, mode == EvalMode::Exact, "{task_name} {mode:?}");
+                }
+                assert_eq!(
+                    run_at(4, task_name, mode),
+                    reference,
+                    "{task_name} {mode:?} x4"
+                );
+            }
         }
+        // A shot-mode capture taken at one thread resumes at four on the
+        // uninterrupted run's trajectory.
+        let mode = EvalMode::Shots(32);
+        let reference = run_at(1, "classification", mode);
+        let snap = qpar::with_threads(1, || {
+            let mut t = build("classification", mode);
+            t.train_steps(2).unwrap();
+            t.capture()
+        });
+        let resumed = qpar::with_threads(4, || {
+            let mut t = build("classification", mode);
+            t.restore(&snap).unwrap();
+            let reports = t.train_steps(3).unwrap();
+            outcome(&t, &reports)
+        });
+        assert_eq!(resumed.0, reference.0[2..], "resumed reports");
+        assert_eq!((resumed.1, resumed.2), (reference.1, reference.2));
         // Classification's chain rule takes the resumed fan-out too.
         if qobs::mode() == qobs::Mode::Off {
             qobs::set_mode(qobs::Mode::Counters);
         }
         let skipped = || qobs::counter("qnn_gradient_atoms_skipped_total").get();
         let before = skipped();
-        build("classification").train_step().unwrap();
+        build("classification", EvalMode::Exact)
+            .train_step()
+            .unwrap();
         assert!(skipped() > before, "a classification step resumed nothing");
     }
 
@@ -1153,7 +1128,7 @@ mod tests {
     #[test]
     fn finite_diff_agrees_with_parameter_shift_exact() {
         let mut t = vqe_trainer(10, EvalMode::Exact);
-        let (g1, _, _) = t.gradient(&[]).unwrap();
+        let (_, g1, _, _) = t.gradient(&[]).unwrap();
         let g2 = central_difference(&mut t, 1e-6);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
@@ -1175,7 +1150,7 @@ mod tests {
             TrainerConfig::default(),
         )
         .unwrap();
-        let (g1, _, _) = t.gradient(&[]).unwrap();
+        let (_, g1, _, _) = t.gradient(&[]).unwrap();
         let g2 = central_difference(&mut t, 1e-6);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-4, "shared-param gradient {a} vs {b}");
