@@ -14,6 +14,8 @@
 //!   directions come from the *data* RNG stream so they are part of the
 //!   captured training state.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use qsim::plan::ThreadModes;
@@ -62,24 +64,31 @@ pub struct ShiftSite {
 /// evaluations in site order, the + before the −: `2i` and `2i + 1` for
 /// `sites[i]`, so a caller can hand each evaluation a stream of its own.
 ///
-/// This is the one fan-out a gradient takes: the sites split into one
-/// contiguous range per ambient [`qpar::current_threads`] worker (inline
-/// at one thread), and `init()` runs **once per worker** to build a
-/// reusable scratch value `S`. The trainer's scratch holds a reference to
-/// the unshifted binding, a `qsim::plan::BoundPlan` it rebinds with
+/// This is the one fan-out a gradient takes: one worker per ambient
+/// [`qpar::current_threads`], at most one per site (inline at one thread),
+/// each running `init()` **once** to build a reusable scratch value `S`,
+/// then taking sites one at a time, in site order, from a counter they
+/// share until none is left. The trainer's scratch holds a reference to the
+/// unshifted binding, a `qsim::plan::BoundPlan` it rebinds with
 /// `rebind_shifted` per evaluation, one `qsim::plan::PrefixCursor` per
-/// input state and one work state. A worker's sites are a contiguous run
-/// in op order, so its cursor walks forward through the prefixes they
-/// share with the unshifted circuit, and each evaluation runs only the
-/// atoms after its own. Each worker runs under its caller's
-/// `qsim::plan::ThreadModes`, so a fusion or executor override reaches
-/// every evaluation.
+/// input state and one work state. Each evaluation runs only the atoms
+/// after the prefix it shares with the unshifted circuit, so an early site
+/// costs a near-full run and a late one almost nothing. Fixed shares go
+/// wrong either way: a contiguous run of sites hands the first worker most
+/// of the atoms, and even an equal deal waits for the slowest worker when
+/// the cores run at unequal speeds. Taken on demand, the costly early sites
+/// go first and a faster worker takes more of them. The sites a worker
+/// takes still rise in op order, so its cursor walks forward through the
+/// shared prefixes, at most one full run per worker. Each worker runs under
+/// its caller's `qsim::plan::ThreadModes`, so a fusion or executor override
+/// reaches every evaluation.
 ///
 /// `eval` must be *pure* given `k`: what it returns may depend on the
 /// evaluation's own random stream, but not on which worker runs it or
 /// what that worker ran before. That is what makes the fan-out safe. The
-/// sum runs output by output, then site by site, whatever the chunking,
-/// so the gradient is bit-identical at every thread count.
+/// outputs go back in site order, and the sum runs output by output, then
+/// site by site, whoever ran each site, so the gradient is bit-identical
+/// at every thread count.
 ///
 /// # Errors
 ///
@@ -98,25 +107,34 @@ where
     F: Fn(&mut S, usize, usize, f64) -> Result<Vec<f64>, E> + Sync,
 {
     let modes = ThreadModes::current();
-    let chunks = qpar::ranges(sites.len(), qpar::current_threads());
-    let results = qpar::map(chunks, |chunk| {
+    let workers = qpar::current_threads().min(sites.len());
+    let next = AtomicUsize::new(0);
+    let taken = qpar::map((0..workers).collect(), |_| {
         // The site fan-out owns the parallelism budget; keep the nested
         // gate kernels serial on worker threads (they would otherwise
         // re-resolve the ambient thread count and oversubscribe).
         modes.enter(|| {
             qpar::with_threads(1, || {
                 let mut scratch = init();
-                chunk
+                std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                    .take_while(|&i| i < sites.len())
                     .map(|i| {
                         let op = sites[i].op_index;
-                        let plus = eval(&mut scratch, 2 * i, op, shift)?;
-                        Ok((plus, eval(&mut scratch, 2 * i + 1, op, -shift)?))
+                        let pair = eval(&mut scratch, 2 * i, op, shift).and_then(|plus| {
+                            Ok((plus, eval(&mut scratch, 2 * i + 1, op, -shift)?))
+                        });
+                        (i, pair)
                     })
-                    .collect::<Result<Vec<_>, E>>()
+                    .collect::<Vec<_>>()
             })
         })
     });
-    let pairs = results.into_iter().collect::<Result<Vec<_>, E>>()?.concat();
+    let mut taken: Vec<_> = taken.into_iter().flatten().collect();
+    taken.sort_unstable_by_key(|(i, _)| *i);
+    let pairs = taken
+        .into_iter()
+        .map(|(_, pair)| pair)
+        .collect::<Result<Vec<_>, E>>()?;
     let mut grad = vec![0.0; num_params];
     for (j, weight) in weights.iter().enumerate() {
         for (site, (plus, minus)) in sites.iter().zip(&pairs) {
@@ -154,6 +172,9 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     #[test]
@@ -209,7 +230,7 @@ mod tests {
             (0..2).map(|j| (theta + moved + j as f64).sin()).collect()
         };
         let residuals = [0.25, -2.0];
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4] {
             let grad = qpar::with_threads(threads, || {
                 parameter_shift_gradient::<(), _, _, _>(
                     2,
@@ -243,6 +264,127 @@ mod tests {
                 .sum();
             assert!((grad[0] - exact).abs() < 1e-12, "{} vs {exact}", grad[0]);
             assert_eq!(grad[1], 0.0);
+        }
+    }
+
+    /// `n` sites at ops `0..n`, all reading parameter 0.
+    fn chain(n: usize) -> Vec<ShiftSite> {
+        (0..n)
+            .map(|op_index| ShiftSite {
+                op_index,
+                param_index: 0,
+                scale: 1.0,
+            })
+            .collect()
+    }
+
+    /// Runs a gradient over `sites` at `threads` and returns, per worker,
+    /// the evaluations `k` it ran in the order it ran them; `hook(worker,
+    /// k)` runs before each one.
+    fn worker_logs(
+        sites: &[ShiftSite],
+        threads: usize,
+        hook: impl Fn(usize, usize) + Sync,
+    ) -> Vec<Vec<usize>> {
+        let logs = Mutex::new(Vec::<Vec<usize>>::new());
+        qpar::with_threads(threads, || {
+            parameter_shift_gradient::<(), _, _, _>(
+                1,
+                sites,
+                0.5,
+                &[1.0],
+                || {
+                    let mut logs = logs.lock().unwrap();
+                    logs.push(Vec::new());
+                    logs.len() - 1
+                },
+                |&mut worker, k, _, _| {
+                    hook(worker, k);
+                    logs.lock().unwrap()[worker].push(k);
+                    Ok(vec![0.0])
+                },
+            )
+        })
+        .unwrap();
+        logs.into_inner().unwrap()
+    }
+
+    #[test]
+    fn workers_take_each_site_once_in_op_order() {
+        for n in [0, 1, 5, 12] {
+            for threads in [1, 2, 3, 4, 8] {
+                let logs = worker_logs(&chain(n), threads, |_, _| {});
+                let at = format!("sites={n} threads={threads}");
+                assert_eq!(logs.len(), threads.min(n), "{at}: workers");
+                let mut all = logs.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..2 * n).collect::<Vec<_>>(), "{at}: each once");
+                for log in &logs {
+                    // A site's + then its −, and sites in rising op order.
+                    assert!(
+                        log.chunks(2).all(|p| p[0] % 2 == 0 && p[1] == p[0] + 1),
+                        "{at}: {log:?}"
+                    );
+                    assert!(log.windows(2).all(|p| p[0] < p[1]), "{at}: {log:?}");
+                }
+                if threads == 1 {
+                    assert_eq!(logs.concat(), (0..2 * n).collect::<Vec<_>>(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stalled_worker_leaves_the_other_sites_to_the_rest() {
+        // The worker that starts first stalls on its first site until the
+        // others have run every other site. A fixed share per worker would
+        // leave its remaining sites undone, so the wait would time out.
+        let n = 8;
+        for threads in [2, 3] {
+            let stalled = Mutex::new(None);
+            let done = AtomicUsize::new(0);
+            let logs = worker_logs(&chain(n), threads, |worker, _| {
+                if *stalled.lock().unwrap().get_or_insert(worker) != worker {
+                    done.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while done.load(Ordering::SeqCst) < 2 * (n - 1) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            });
+            let stalled = stalled.into_inner().unwrap().unwrap();
+            assert_eq!(logs[stalled].len(), 2, "threads={threads}: {logs:?}");
+        }
+    }
+
+    #[test]
+    fn first_error_in_site_order_at_every_thread_count() {
+        // Sites 1 and 2 fail; whichever workers run them, and in whatever
+        // order they finish, the error is site 1's.
+        let sites = chain(6);
+        for threads in [1, 2, 3, 4, 8] {
+            let r = qpar::with_threads(threads, || {
+                parameter_shift_gradient(
+                    1,
+                    &sites,
+                    0.5,
+                    &[1.0],
+                    || (),
+                    |_, k, op, _| {
+                        if op == 1 || op == 2 {
+                            Err(k)
+                        } else {
+                            Ok(vec![0.0])
+                        }
+                    },
+                )
+            });
+            assert_eq!(
+                r.unwrap_err(),
+                2,
+                "threads={threads}: site 1's + evaluation"
+            );
         }
     }
 

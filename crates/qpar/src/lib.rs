@@ -20,10 +20,15 @@
 //! ## Determinism contract
 //!
 //! All combinators here preserve **input order** in their outputs and
-//! assign work in contiguous stripes. Callers that reduce floating-point
-//! results must reduce over *fixed* partitions in index order (never over
-//! per-thread accumulation order) so that results are bit-identical for
-//! every thread count — see `qsim::state` for the pattern.
+//! assign the items they are handed in contiguous stripes. That is qpar's
+//! own split, not a rule for callers: the work behind an item need not be
+//! fixed in advance (`qnn`'s gradient hands [`map`] one item per worker,
+//! each worker takes shift sites from a counter they share, and the
+//! outputs go back in site order). Callers that
+//! reduce floating-point results must reduce over *fixed* partitions in
+//! index order (never over per-thread accumulation order) so that results
+//! are bit-identical for every thread count — see `qsim::state` for the
+//! pattern.
 //!
 //! ## One executor: scoped threads
 //!
