@@ -300,12 +300,13 @@ struct SectionEncode<'a> {
 }
 
 /// One section's encode: its digest, the payload [`select_payload`]
-/// picks against its namesake in `base_sections`, and that payload
-/// compressed by the chosen codec.
+/// picks against its namesake in `base_sections` under `link_floor`, and
+/// that payload compressed by the chosen codec.
 fn encode_section<'a>(
     section: &'a Section,
     base_sections: Option<&[Section]>,
     options: &SaveOptions,
+    link_floor: usize,
 ) -> SectionEncode<'a> {
     let section_sha = Sha256::digest(&section.bytes);
     let base_section = base_sections.and_then(|bs| bs.iter().find(|b| b.name == section.name));
@@ -314,6 +315,7 @@ fn encode_section<'a>(
         section,
         base_section,
         options.delta_block_size,
+        link_floor,
     );
     crate::obs::SECTION_ENCODES.inc();
     let stored_len = stored.len();
@@ -618,6 +620,7 @@ impl CheckpointRepo {
         let _span = qobs::span("qcheck.save");
         crate::obs::SAVES.inc();
         let sections = snapshot.to_sections();
+        let snapshot_bytes: usize = sections.iter().map(|s| s.bytes.len()).sum();
 
         // Decide full vs delta. The base sections come from the in-memory
         // cache when the latest checkpoint holds what this handle just
@@ -652,10 +655,11 @@ impl CheckpointRepo {
         // ------------------------------------------------------------------
         let threads = qpar::current_threads();
         let base_sections = base.as_ref().map(|(_, s)| s.as_slice());
+        let link_floor = snapshot_bytes / LINK_FLOOR_DIVISOR;
         let encoded: Vec<SectionEncode<'_>> = map_balanced(
             threads,
             sections.iter().map(|s| (s.bytes.len(), s)).collect(),
-            |section| encode_section(section, base_sections, options),
+            |section| encode_section(section, base_sections, options, link_floor),
         );
 
         // Snapshot root hash: digest of the per-section digests. Every
@@ -768,7 +772,6 @@ impl CheckpointRepo {
         // `resolve_sections` would reconstruct for it. Oversized snapshots
         // are not cached — pinning them would roughly double steady-state
         // checkpointing memory for the handle's lifetime.
-        let snapshot_bytes: usize = sections.iter().map(|s| s.bytes.len()).sum();
         *self.lock_encode_cache() =
             (snapshot_bytes <= ENCODE_CACHE_MAX_BYTES).then_some(EncodeCache {
                 snapshot_sha,
@@ -1029,8 +1032,15 @@ impl CheckpointRepo {
                 }
                 entry.codec.decompress_xor_into(&compressed, &mut bytes)?;
             } else {
-                let stored = entry.codec.decompress(&compressed)?;
-                drop(compressed);
+                // A raw link's fetched buffer is its stored payload.
+                let stored = match entry.codec {
+                    Compression::None => compressed,
+                    codec => {
+                        let stored = codec.decompress(&compressed)?;
+                        drop(compressed);
+                        stored
+                    }
+                };
                 if stored.len() as u64 != entry.stored_len {
                     return Err(Error::corrupt(
                         at(),
@@ -1430,12 +1440,24 @@ impl CheckpointRepo {
     }
 }
 
+/// A delta link's cost, as a share of the snapshot: a `DeltaPatch` or
+/// `XorBase` payload must be smaller than its section's `Full` payload by
+/// more than the snapshot's summed section bytes over this divisor. Every
+/// link is one more fetch on resume — one sequential round trip on a
+/// remote store — so a section that a delta shrinks by a few dozen bytes
+/// of a megabyte snapshot is stored whole and stops its chain there. A
+/// share, not a byte count: a 3 KiB snapshot's small sections still
+/// chain when they save a few dozen bytes.
+const LINK_FLOOR_DIVISOR: usize = 100;
+
 /// Picks a section's payload — kind, codec and the bytes that codec will
 /// store — by compressed size, without compressing anything: each
 /// candidate is measured with [`Compression::compressed_len`], which is
 /// exact, and only the winner is ever handed to `compress`. Candidates
-/// are tried in the order full, block patch, XOR against the base, and a
-/// later one has to be strictly smaller to win.
+/// are tried in the order full, block patch, XOR against the base. A
+/// later one wins only if it is strictly smaller than the best so far
+/// **and** smaller than the full candidate by more than `link_floor`
+/// bytes (the snapshot's bytes over [`LINK_FLOOR_DIVISOR`]).
 ///
 /// The full candidate is the section under `codec` or raw
 /// ([`Compression::None`], whose size is the section's length), whichever
@@ -1443,11 +1465,18 @@ impl CheckpointRepo {
 /// (a word codec on dense f64 bytes) therefore never lets a delta win
 /// against an inflated full payload, and a resume stops at that
 /// section's newest full payload instead of folding the chain behind it.
+///
+/// Two skips change no choice. A section whose full candidate is at
+/// most `link_floor` bytes returns at once: no delta can save more than
+/// that. And the XOR candidate is neither built nor sized when its lower
+/// bound cannot win: `ZeroElideF64` spends at least one control byte per
+/// 8-byte word, so the payload is at least `len / 8` bytes.
 fn select_payload<'a>(
     codec: Compression,
     section: &'a Section,
     base: Option<&Section>,
     delta_block_size: usize,
+    link_floor: usize,
 ) -> (PayloadKind, Compression, Cow<'a, [u8]>) {
     let probe = |codec: Compression, stored: &[u8]| {
         crate::obs::SECTION_SIZE_PROBES.inc();
@@ -1463,6 +1492,12 @@ fn select_payload<'a>(
     let Some(base) = base else {
         return best;
     };
+    if best_len <= link_floor {
+        return best;
+    }
+    // What a delta must come in under: the full candidate less the floor
+    // until a delta wins, then that delta.
+    let mut to_beat = best_len - link_floor;
     // Block-level patch: wins on sparse updates and length-changing
     // sections (append-only ledger). A losing candidate is freed as soon
     // as it has lost: two heavy sections encode side by side, and a
@@ -1470,22 +1505,22 @@ fn select_payload<'a>(
     {
         let patch = BlockPatch::diff_encoded(&base.bytes, &section.bytes, delta_block_size);
         let len = probe(codec, &patch);
-        if len < best_len {
-            best_len = len;
+        if len < to_beat {
+            to_beat = len;
             best = (PayloadKind::DeltaPatch, codec, Cow::Owned(patch));
         }
     }
     // Byte-wise XOR against the base: wins on dense but small-magnitude
     // updates (optimizer steps late in training) — only differing bytes
     // survive.
-    if base.bytes.len() == section.bytes.len() {
+    if base.bytes.len() == section.bytes.len() && section.bytes.len() / 8 < to_beat {
         let xored: Vec<u8> = base
             .bytes
             .iter()
             .zip(&section.bytes)
             .map(|(a, b)| a ^ b)
             .collect();
-        if probe(Compression::ZeroElideF64, &xored) < best_len {
+        if probe(Compression::ZeroElideF64, &xored) < to_beat {
             best = (
                 PayloadKind::XorBase,
                 Compression::ZeroElideF64,
@@ -1589,7 +1624,7 @@ pub fn naive_statevector_bytes(num_qubits: u32) -> u128 {
 mod tests {
     use super::*;
     use crate::failure::{arm, Fault};
-    use crate::snapshot::StateBlob;
+    use crate::snapshot::{StateBlob, CUSTOM_PREFIX};
 
     struct TempRepo {
         path: PathBuf,
@@ -2254,12 +2289,15 @@ mod tests {
 
     /// The selection [`select_payload`] replaced, kept as its reference:
     /// every candidate compressed in full, the shortest output kept — the
-    /// full one under the policy codec unless the raw bytes are shorter.
+    /// full one under the policy codec unless the raw bytes are shorter —
+    /// where a delta must also save more than `link_floor` bytes over the
+    /// full one. It skips nothing.
     fn select_payload_reference(
         codec: Compression,
         section: &Section,
         base: Option<&Section>,
         delta_block_size: usize,
+        link_floor: usize,
     ) -> (PayloadKind, Compression, usize, Vec<u8>) {
         let mut best = (
             PayloadKind::Full,
@@ -2271,10 +2309,12 @@ mod tests {
             best.1 = Compression::None;
             best.3 = section.bytes.clone();
         }
+        let full_len = best.3.len();
+        let pays = |len: usize, best: usize| len < best && len + link_floor < full_len;
         if let Some(base) = base {
             let encoded = BlockPatch::diff_encoded(&base.bytes, &section.bytes, delta_block_size);
             let compressed = codec.compress(&encoded);
-            if compressed.len() < best.3.len() {
+            if pays(compressed.len(), best.3.len()) {
                 best = (PayloadKind::DeltaPatch, codec, encoded.len(), compressed);
             }
             if base.bytes.len() == section.bytes.len() {
@@ -2285,7 +2325,7 @@ mod tests {
                     .map(|(a, b)| a ^ b)
                     .collect();
                 let compressed = Compression::ZeroElideF64.compress(&xored);
-                if compressed.len() < best.3.len() {
+                if pays(compressed.len(), best.3.len()) {
                     best = (
                         PayloadKind::XorBase,
                         Compression::ZeroElideF64,
@@ -2312,6 +2352,9 @@ mod tests {
             "adam-v1",
             (0..6000).flat_map(|_| next().to_le_bytes()).collect(),
         );
+        let opts = SaveOptions::incremental(64);
+        let snapshot_bytes =
+            |s: &TrainingSnapshot| s.to_sections().iter().map(|s| s.bytes.len()).sum::<usize>();
         // Four saves each of: every parameter moving (a little, then a
         // lot), one 64-parameter block in sixteen moving, and the ledger
         // growing under otherwise still state.
@@ -2337,17 +2380,56 @@ mod tests {
             }
             steps.push(snap.clone());
         }
+        // Then three saves that move one word of a 2 KiB custom section,
+        // each padding the snapshot until its XOR saves one byte less
+        // than the link floor, exactly the floor, and one byte more.
+        let probe = format!("{CUSTOM_PREFIX}probe");
+        snap.custom.insert(
+            "probe".into(),
+            (0..2048).map(|_| next().to_bits() as u8).collect(),
+        );
+        let mut floor_cases = Vec::new();
+        for (step, margin) in (13u64..).zip([-1isize, 0, 1]) {
+            let base = snap.to_sections().into_iter().find(|s| s.name == probe);
+            snap.step = step;
+            let bytes = snap.custom.get_mut("probe").unwrap();
+            bytes[700..708].copy_from_slice(&next().to_le_bytes());
+            let section = Section {
+                name: probe.clone(),
+                bytes: bytes.clone(),
+            };
+            let (kind, _, _, delta) = select_payload_reference(
+                Compression::None,
+                &section,
+                base.as_ref(),
+                opts.delta_block_size,
+                0,
+            );
+            assert_eq!(kind, PayloadKind::XorBase);
+            let floor = (section.bytes.len() - delta.len())
+                .checked_add_signed(-margin)
+                .unwrap();
+            snap.custom.insert("pad".into(), Vec::new());
+            let unpadded = snapshot_bytes(&snap);
+            snap.custom
+                .insert("pad".into(), vec![0; floor * LINK_FLOOR_DIVISOR - unpadded]);
+            assert_eq!(snapshot_bytes(&snap) / LINK_FLOOR_DIVISOR, floor);
+            floor_cases.push(steps.len());
+            steps.push(snap.clone());
+        }
 
         let (_t, repo) = TempRepo::new();
-        let opts = SaveOptions::incremental(64);
         let mut kinds: Vec<PayloadKind> = Vec::new();
+        let mut probe_kinds: Vec<PayloadKind> = Vec::new();
+        let mut xor_skips = 0;
         let mut base: Option<Vec<Section>> = None;
-        for snap in &steps {
+        for (i, snap) in steps.iter().enumerate() {
             let report = repo.save(snap, &opts).unwrap();
             let manifest = repo.load_manifest(&report.id).unwrap();
             assert_eq!(manifest.is_delta(), base.is_some());
             let sections = snap.to_sections();
             assert_eq!(manifest.sections.len(), sections.len());
+            let link_floor = snapshot_bytes(snap) / LINK_FLOOR_DIVISOR;
             for (entry, section) in manifest.sections.iter().zip(&sections) {
                 let base_section = base
                     .as_ref()
@@ -2357,6 +2439,7 @@ mod tests {
                     section,
                     base_section,
                     opts.delta_block_size,
+                    link_floor,
                 );
                 let at = format!("section {} of step {}", section.name, snap.step);
                 assert_eq!(entry.payload_kind, kind, "{at}");
@@ -2367,6 +2450,18 @@ mod tests {
                 if !kinds.contains(&kind) {
                     kinds.push(kind);
                 }
+                // A patch no larger than one control byte per word: the
+                // XOR candidate was never built.
+                let same_len = base_section.is_some_and(|b| b.bytes.len() == section.bytes.len());
+                if same_len
+                    && kind == PayloadKind::DeltaPatch
+                    && compressed.len() <= section.bytes.len() / 8
+                {
+                    xor_skips += 1;
+                }
+                if floor_cases.contains(&i) && section.name == probe {
+                    probe_kinds.push(kind);
+                }
             }
             base = Some(sections);
         }
@@ -2375,7 +2470,13 @@ mod tests {
             3,
             "the sequences must reach every payload kind"
         );
-        assert_eq!(repo.load_latest().unwrap().1, steps[12]);
+        assert_eq!(
+            probe_kinds,
+            [PayloadKind::Full, PayloadKind::Full, PayloadKind::XorBase],
+            "a delta must save more than the floor"
+        );
+        assert!(xor_skips > 0, "no sparse section skipped its XOR candidate");
+        assert_eq!(&repo.load_latest().unwrap().1, steps.last().unwrap());
     }
 
     #[test]

@@ -93,6 +93,13 @@ pub struct TrainingSnapshot {
     /// Epoch count at capture time.
     pub epoch: u64,
     /// Wall-clock training time consumed so far, milliseconds.
+    ///
+    /// The one field two identical runs need not share: a trainer stamps
+    /// it from a clock at capture, and it lives in the `meta` section, so
+    /// the length of `meta`'s XOR-against-base payload (and a repository's
+    /// stored bytes) can differ by a byte between runs. A capture that
+    /// leaves it 0, or pins it to the step, stores the same bytes every
+    /// run.
     pub wall_time_ms: u64,
     /// Free-form run label.
     pub label: String,

@@ -253,9 +253,14 @@ fn update_kinds_cover_every_payload_kind() {
 
 /// Flipping one byte in *any* chunk of *any* link of a depth-8 chain never
 /// yields an unknown state: loading the tip fails with a typed integrity
-/// error, recovery falls back to a snapshot that was saved (or reports
-/// that none is valid), and `fsck` names the oldest checkpoint that
-/// references the damaged chunk.
+/// error exactly when the chunk lies on one of the tip's section chains
+/// (the links back to that section's newest `Full` payload) and returns
+/// what was saved otherwise, recovery falls back to a snapshot that was
+/// saved (or reports that none is valid), and `fsck` names the oldest
+/// checkpoint that references the damaged chunk. The heavy sections chain
+/// the whole depth; the small ones save less than a link costs and are
+/// stored whole at every save, so their older chunks feed only their own
+/// checkpoint.
 #[test]
 fn any_damaged_chunk_of_any_link_is_caught_on_every_backend() {
     let dir = TempDir::new("damage");
@@ -279,20 +284,41 @@ fn any_damaged_chunk_of_any_link_is_caught_on_every_backend() {
         assert_eq!(repo.load_manifest(&tip).unwrap().chain_len, 8);
         let known = |snap: &TrainingSnapshot| saved.iter().any(|(_, s)| s == snap);
 
+        // Every chunk a resolve of the tip reads: per section, the links
+        // newest first down to its newest `Full` payload.
+        let manifests: Vec<_> = saved
+            .iter()
+            .map(|(id, _)| repo.load_manifest(id).unwrap())
+            .collect();
+        let mut feeds_tip: BTreeSet<ContentHash> = BTreeSet::new();
+        for name in manifests.last().unwrap().sections.iter().map(|e| &e.name) {
+            for m in manifests.iter().rev() {
+                let entry = m.sections.iter().find(|e| &e.name == name).unwrap();
+                feeds_tip.extend(entry.chunks.iter().map(|c| c.hash));
+                if entry.payload_kind == PayloadKind::Full {
+                    break;
+                }
+            }
+        }
+
         let mut seen: BTreeSet<ContentHash> = BTreeSet::new();
-        for (id, _) in &saved {
-            for chunk in repo.load_manifest(id).unwrap().chunk_refs() {
+        let mut drilled_off_chain = 0;
+        for m in &manifests {
+            for chunk in m.chunk_refs() {
                 if !seen.insert(chunk.hash) {
                     continue; // first referenced by an older link, drilled there
                 }
                 repo.store().corrupt_object(&chunk.hash, 5).unwrap();
 
-                // Every link of this chain feeds the tip (no section is
-                // rewritten in full on the way), so the tip must refuse.
-                let err = repo
-                    .load(&tip)
-                    .expect_err("tip resolved over a damaged chunk");
-                assert!(err.is_integrity_failure(), "{kind}: untyped {err}");
+                if feeds_tip.contains(&chunk.hash) {
+                    let err = repo
+                        .load(&tip)
+                        .expect_err("tip resolved over a damaged chunk");
+                    assert!(err.is_integrity_failure(), "{kind}: untyped {err}");
+                } else {
+                    drilled_off_chain += 1;
+                    assert_eq!(repo.load(&tip).unwrap(), saved.last().unwrap().1);
+                }
                 match repo.recover() {
                     Ok((snap, _)) => assert!(known(&snap), "{kind}: recovered unknown state"),
                     Err(e) => assert!(
@@ -306,17 +332,18 @@ fn any_damaged_chunk_of_any_link_is_caught_on_every_backend() {
                     .iter()
                     .find(|(_, health)| !health.is_intact())
                     .map(|(id, _)| id);
-                assert_eq!(oldest_damaged, Some(id), "{kind}: chunk {}", chunk.hash);
+                assert_eq!(oldest_damaged, Some(&m.id), "{kind}: chunk {}", chunk.hash);
 
                 // The same flip again restores the byte.
                 repo.store().corrupt_object(&chunk.hash, 5).unwrap();
             }
         }
         assert!(
-            seen.len() > 30,
-            "{kind}: only {} chunks drilled",
-            seen.len()
+            seen.len() - drilled_off_chain > 30,
+            "{kind}: only {} chunks on the tip's chains drilled",
+            seen.len() - drilled_off_chain
         );
+        assert!(drilled_off_chain > 0, "{kind}: every chunk feeds the tip");
         assert!(fsck(repo)
             .unwrap()
             .checkpoints
