@@ -6,6 +6,16 @@
 //! promise that, so the on-disk format uses this small hand-rolled codec:
 //! little-endian fixed-width integers, LEB128 varints, f64 as raw IEEE-754
 //! bits (NaN payloads preserved), and length-prefixed byte strings.
+//!
+//! An f64 array — a snapshot's parameters, every moment vector of an
+//! optimizer blob — is a varint count and then the values' little-endian
+//! bytes back to back. [`Encoder::put_f64_slice`] grows the buffer once
+//! and writes the array in one pass; [`Decoder::get_f64_vec`] checks the
+//! count against the remaining input once and converts the whole array
+//! from one bounds-checked slice. The element-at-a-time loops they
+//! replaced, `put_f64_slice_reference` and `get_f64_vec_reference`, stay
+//! as their test oracle (`cfg(test)` / the `testing` feature): the same
+//! bytes, the same bits and the same errors at the same offsets.
 
 use crate::error::{Error, Result};
 
@@ -120,8 +130,22 @@ impl Encoder {
         self.put_bytes(s.as_bytes())
     }
 
-    /// Writes a varint count followed by raw f64 bit patterns.
+    /// Writes a varint count followed by raw f64 bit patterns: the buffer
+    /// grows once and the array is written in one pass.
     pub fn put_f64_slice(&mut self, xs: &[f64]) -> &mut Self {
+        self.put_varint(xs.len() as u64);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * xs.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        self
+    }
+
+    /// The value-at-a-time loop `put_f64_slice` replaced, kept as its test
+    /// oracle: the two must write the same bytes for every input.
+    #[cfg(any(test, feature = "testing"))]
+    pub fn put_f64_slice_reference(&mut self, xs: &[f64]) -> &mut Self {
         self.put_varint(xs.len() as u64);
         for &x in xs {
             self.put_f64(x);
@@ -233,13 +257,14 @@ impl<'a> Decoder<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on truncated input or a varint longer than 10 bytes.
+    /// Fails on truncated input or a varint whose value does not fit in 64
+    /// bits: a 10th byte carries only bit 63, so one above `0x01` is refused.
     pub fn get_varint(&mut self) -> Result<u64> {
         let mut result = 0u64;
         let mut shift = 0u32;
         loop {
             let byte = self.get_u8()?;
-            if shift >= 64 {
+            if shift == 63 && byte > 0x01 {
                 return Err(self.fail("varint overflow"));
             }
             result |= ((byte & 0x7f) as u64) << shift;
@@ -273,12 +298,32 @@ impl<'a> Decoder<'a> {
         String::from_utf8(bytes).map_err(|e| self.fail(format!("invalid utf-8: {e}")))
     }
 
-    /// Reads a varint-prefixed f64 vector.
+    /// Reads a varint-prefixed f64 vector: one count check, then the whole
+    /// array from one slice.
     ///
     /// # Errors
     ///
     /// Fails on truncated input.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>> {
+        let len = self.get_varint()? as usize;
+        let Some(n) = len.checked_mul(8).filter(|&n| n <= self.remaining()) else {
+            return Err(self.fail(format!("f64 count {len} exceeds remaining input")));
+        };
+        Ok(self
+            .take(n)?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
+    /// The value-at-a-time loop `get_f64_vec` replaced, kept as its test
+    /// oracle: the two must read the same bits, or fail at the same offset.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated input.
+    #[cfg(any(test, feature = "testing"))]
+    pub fn get_f64_vec_reference(&mut self) -> Result<Vec<f64>> {
         let len = self.get_varint()? as usize;
         if len
             .checked_mul(8)
@@ -349,6 +394,25 @@ mod tests {
             assert_eq!(d.get_varint().unwrap(), v);
             d.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn a_tenth_varint_byte_above_bit_63_is_refused() {
+        // 2^64 and 2^70 - 1 used to wrap to 0 and u64::MAX.
+        let mut two_to_64 = vec![0x80u8; 9];
+        two_to_64.push(0x02);
+        let mut all_ones = vec![0xffu8; 9];
+        all_ones.push(0x7f);
+        for bytes in [two_to_64, all_ones, vec![0x80; 11]] {
+            let err = Decoder::new(&bytes, "v").get_varint().unwrap_err();
+            assert!(
+                matches!(&err, Error::Decode { offset: 10, detail, .. } if detail == "varint overflow"),
+                "{bytes:?}: {err:?}"
+            );
+        }
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        assert_eq!(Decoder::new(&max, "v").get_varint().unwrap(), u64::MAX);
     }
 
     #[test]

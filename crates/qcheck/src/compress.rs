@@ -432,6 +432,27 @@ fn word_compressed_len(data: &[u8], predecessor_xor: bool) -> usize {
     varint_len(data.len()) + body + tail.len()
 }
 
+/// `Compression::ZeroElideF64.compressed_len(a XOR b)`, exactly, without
+/// building the XOR: the length prefix, one control byte plus the
+/// meaningful bytes per word of `a_w ^ b_w`, and the raw tail. The save
+/// path sizes its XOR-against-base candidate with it and materialises
+/// the XOR only when that candidate wins.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length.
+pub fn zero_elide_xor_len(a: &[u8], b: &[u8]) -> usize {
+    assert_eq!(a.len(), b.len(), "an XOR payload needs equal lengths");
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let (wa, wb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail = wa.remainder().len();
+    let body: usize = wa
+        .zip(wb)
+        .map(|(x, y)| 1 + byte_span(word(x) ^ word(y)).1)
+        .sum();
+    varint_len(a.len()) + body + tail
+}
+
 /// Decodes the body (from `pos`) of a word-codec payload into `out`,
 /// whose length is the payload's declared length: stored over `out`, or
 /// XORed into it when `XOR_SINK`. A coded word is one 8-byte load masked
@@ -564,7 +585,7 @@ pub fn word_decompress_reference(data: &[u8], predecessor_xor: bool) -> Result<V
     loop {
         let byte = *data.get(pos).ok_or_else(|| fail(pos, "truncated length"))?;
         pos += 1;
-        if shift >= 64 {
+        if shift == 63 && byte > 0x01 {
             return Err(fail(pos, "length varint overflow"));
         }
         expected |= ((byte & 0x7f) as u64) << shift;

@@ -10,7 +10,8 @@ pub static SECTION_ENCODES: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_section_encodes_total");
 /// [`crate::compress::Compression::compressed_len`] probes made by
 /// `save` to pick payload kinds: one per candidate per section (one for
-/// a section without a base, up to three with one).
+/// a section without a base, up to three with one; the XOR candidate is
+/// sized by [`crate::compress::zero_elide_xor_len`]).
 pub static SECTION_SIZE_PROBES: qobs::LazyCounter =
     qobs::LazyCounter::new("qcheck_section_size_probes_total");
 /// Completed [`crate::repo::CheckpointRepo::recover`] calls.

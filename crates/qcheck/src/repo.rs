@@ -43,7 +43,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::chunk::{chunk_bytes_threads, DEFAULT_CHUNK_SIZE};
-use crate::compress::Compression;
+use crate::compress::{zero_elide_xor_len, Compression};
 use crate::delta::{BlockPatch, DEFAULT_BLOCK_SIZE};
 use crate::error::{Error, Result};
 use crate::failure::StorageFault;
@@ -1452,7 +1452,8 @@ const LINK_FLOOR_DIVISOR: usize = 100;
 
 /// Picks a section's payload — kind, codec and the bytes that codec will
 /// store — by compressed size, without compressing anything: each
-/// candidate is measured with [`Compression::compressed_len`], which is
+/// candidate is measured with [`Compression::compressed_len`] (the XOR
+/// candidate with [`zero_elide_xor_len`], before it is built), which is
 /// exact, and only the winner is ever handed to `compress`. Candidates
 /// are tried in the order full, block patch, XOR against the base. A
 /// later one wins only if it is strictly smaller than the best so far
@@ -1512,15 +1513,16 @@ fn select_payload<'a>(
     }
     // Byte-wise XOR against the base: wins on dense but small-magnitude
     // updates (optimizer steps late in training) — only differing bytes
-    // survive.
+    // survive. It is sized from the two sections and built only if it wins.
     if base.bytes.len() == section.bytes.len() && section.bytes.len() / 8 < to_beat {
-        let xored: Vec<u8> = base
-            .bytes
-            .iter()
-            .zip(&section.bytes)
-            .map(|(a, b)| a ^ b)
-            .collect();
-        if probe(Compression::ZeroElideF64, &xored) < to_beat {
+        crate::obs::SECTION_SIZE_PROBES.inc();
+        if zero_elide_xor_len(&base.bytes, &section.bytes) < to_beat {
+            let xored: Vec<u8> = base
+                .bytes
+                .iter()
+                .zip(&section.bytes)
+                .map(|(a, b)| a ^ b)
+                .collect();
             best = (
                 PayloadKind::XorBase,
                 Compression::ZeroElideF64,

@@ -115,6 +115,36 @@ fn arb_small_input() -> impl Strategy<Value = Vec<u8>> {
 }
 
 #[test]
+fn a_length_prefix_past_64_bits_is_refused_by_kernel_and_reference() {
+    // 2^64 and 2^70 - 1: a 10th byte above 0x01 used to shift its high
+    // bits out, and the kernels and the reference read a wrapped length.
+    let mut two_to_64 = vec![0x80u8; 9];
+    two_to_64.push(0x02);
+    let mut all_ones = vec![0xffu8; 9];
+    all_ones.push(0x7f);
+    for prefix in [two_to_64, all_ones] {
+        for body in [0usize, 8, 64] {
+            let mut payload = prefix.clone();
+            payload.resize(prefix.len() + body, 0);
+            for codec in [Compression::XorF64, Compression::ZeroElideF64] {
+                let xor = codec == Compression::XorF64;
+                for err in [
+                    codec.decompress(&payload).unwrap_err(),
+                    word_decompress_reference(&payload, xor).unwrap_err(),
+                ] {
+                    let Error::Decode { offset, detail, .. } = &err else {
+                        panic!("{codec}: untyped failure {err:?}");
+                    };
+                    assert_eq!(*offset, 10, "{codec}: {err:?}");
+                    assert!(detail.contains("varint overflow"), "{codec}: {err:?}");
+                }
+                assert!(decode_checked(codec, &payload, 8 * body).is_none());
+            }
+        }
+    }
+}
+
+#[test]
 fn a_declared_length_no_payload_could_encode_is_refused_before_allocating() {
     // 1 << 62 is the reproduction: the process used to abort inside
     // `Vec::with_capacity` on these nine bytes. The others are lengths an

@@ -5,9 +5,11 @@ use proptest::prelude::*;
 use qcheck::chunk::{chunk_bytes, reassemble, ChunkRef};
 use qcheck::codec::{Decoder, Encoder};
 use qcheck::compress::{
-    bytes_to_f64s, f64s_to_bytes, word_compress_reference, word_decompress_reference, Compression,
+    bytes_to_f64s, f64s_to_bytes, word_compress_reference, word_decompress_reference,
+    zero_elide_xor_len, Compression,
 };
 use qcheck::delta::BlockPatch;
+use qcheck::error::Error;
 use qcheck::hash::{crc32, ContentHash, Sha256};
 use qcheck::manifest::{Manifest, PayloadKind};
 use qcheck::remote::proto::{self, LeaseGrant, OplogOp, OplogRecord, Request, Response, WireChunk};
@@ -102,8 +104,106 @@ fn arb_codec_inputs() -> impl Strategy<Value = [Vec<u8>; 3]> {
         })
 }
 
+/// Two equal-length inputs for an XOR payload: `a` is words with a random
+/// subset of their bytes zeroed, `b` is `a` XOR a second such pattern per
+/// word — a pattern of no bytes leaves a zero word, and every other
+/// `(first, count)` span shape occurs — and each gets its own ragged tail.
+fn arb_xor_pairs() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (
+        prop::collection::vec(
+            (any::<u64>(), any::<u8>(), any::<u64>(), any::<u8>()),
+            0..512,
+        ),
+        prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+    )
+        .prop_map(|(words, tail)| {
+            let holed = |word: u64, keep: u8| {
+                let bytes = word.to_le_bytes();
+                u64::from_le_bytes(std::array::from_fn(|i| {
+                    if keep >> i & 1 == 1 {
+                        bytes[i]
+                    } else {
+                        0
+                    }
+                }))
+            };
+            let mut a = Vec::with_capacity(words.len() * 8 + tail.len());
+            let mut b = Vec::with_capacity(a.capacity());
+            for (word, keep, flip, flip_keep) in words {
+                let w = holed(word, keep);
+                a.extend_from_slice(&w.to_le_bytes());
+                b.extend_from_slice(&(w ^ holed(flip, flip_keep)).to_le_bytes());
+            }
+            a.extend(tail.iter().map(|t| t.0));
+            b.extend(tail.iter().map(|t| t.1));
+            (a, b)
+        })
+}
+
+/// What an f64-vector read returned, comparable across the two readers:
+/// the values' bits, or a decode error's offset and detail.
+fn f64_read(r: qcheck::error::Result<Vec<f64>>) -> Result<Vec<u64>, (usize, String)> {
+    match r {
+        Ok(xs) => Ok(xs.iter().map(|x| x.to_bits()).collect()),
+        Err(Error::Decode { offset, detail, .. }) => Err((offset, detail)),
+        Err(other) => panic!("untyped f64 read failure {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bulk f64 codec is the value-at-a-time loop it replaced: the
+    /// same bytes out, the same bits back, and on a buffer cut at any
+    /// offset or a count one value too large, the same decode error at
+    /// the same offset.
+    #[test]
+    fn bulk_f64_codec_matches_the_value_loop(
+        lead in prop::collection::vec(any::<u8>(), 0..3),
+        xs in prop::collection::vec(arb_f64_bits(), 0..2000),
+    ) {
+        let mut bulk = Encoder::new();
+        bulk.put_raw(&lead).put_f64_slice(&xs);
+        let mut oracle = Encoder::new();
+        oracle.put_raw(&lead).put_f64_slice_reference(&xs);
+        prop_assert_eq!(bulk.as_bytes(), oracle.as_bytes());
+        let bytes = bulk.into_bytes();
+        let read_both = |bytes: &[u8]| {
+            let mut d = Decoder::new(bytes, "f64 prop");
+            let mut r = d.clone();
+            d.get_raw(lead.len()).unwrap();
+            r.get_raw(lead.len()).unwrap();
+            (f64_read(d.get_f64_vec()), f64_read(r.get_f64_vec_reference()))
+        };
+        let (got, want) = read_both(&bytes);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.unwrap(), xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        for cut in lead.len()..bytes.len() {
+            let (got, want) = read_both(&bytes[..cut]);
+            prop_assert!(want.is_err(), "the oracle read a buffer cut at {}", cut);
+            prop_assert_eq!(got, want, "cut at {}", cut);
+        }
+        let mut count = Encoder::new();
+        count.put_varint(xs.len() as u64);
+        let values = &bytes[lead.len() + count.len()..];
+        let mut over = Encoder::new();
+        over.put_raw(&lead).put_varint(xs.len() as u64 + 1).put_raw(values);
+        let (got, want) = read_both(over.as_bytes());
+        prop_assert!(want.is_err(), "the oracle read a count one too large");
+        prop_assert_eq!(got, want);
+    }
+
+    /// The XOR candidate's size, taken from the two inputs, is the
+    /// compressed length of the XOR a save would materialise.
+    #[test]
+    fn xor_len_is_the_compressed_length_of_the_xor((a, b) in arb_xor_pairs()) {
+        let xored: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
+        prop_assert_eq!(
+            zero_elide_xor_len(&a, &b),
+            Compression::ZeroElideF64.compressed_len(&xored),
+            "{} bytes", a.len()
+        );
+    }
 
     /// The word-at-a-time kernels are the byte loops they replaced:
     /// byte-identical payloads, and each decoder reads the other's.
